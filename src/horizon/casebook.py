@@ -47,6 +47,7 @@ from .dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
+from .errors import StepBudgetError
 from .genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
 from .localanalysis import (
     center_manifold_series_1d,
@@ -891,6 +892,11 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         section=plan.section,
         stop_at_equilibrium=plan.stop_at_equilibrium,
     )
+    if traj.termination == "step-budget":
+        raise StepBudgetError(
+            f"run {plan.label!r} stopped after {traj.n_steps} steps at "
+            f"tau = {traj.tau[-1]:.6g}, before tau_end"
+        )
     entry["termination"] = traj.termination
     entry["n_steps"] = traj.n_steps
     if out_dir is not None:

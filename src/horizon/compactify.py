@@ -36,8 +36,15 @@ from .errors import (
     ResidualSingularityError,
     SignError,
 )
-from .genpoly import GenMonomial, GenPoly, format_genpoly, frac
-from .quasitrig import cssn
+from .genpoly import (
+    SOURCE_GLOBALS,
+    GenMonomial,
+    GenPoly,
+    format_genpoly,
+    frac,
+    power_source,
+)
+from .quasitrig import cssn, table
 from .structure import TypeVector
 
 __all__ = [
@@ -123,39 +130,43 @@ class ChartField:
         pt = self.state_to_poly_point(state)
         return [comp.eval(pt) for comp in self.components]
 
-    def eval_chain(self, state: Sequence[float]) -> float:
-        pt = self.state_to_poly_point(state)
-        out = 1.0
-        for f in self.time_chain:
-            out *= f.eval(pt)
-        return out
-
     def compile_rhs(self):
-        """Fast callable state -> (component values..., chain product)."""
-        comp_fns = [c.compile() for c in self.components]
-        chain_fns = [c.compile() for c in self.time_chain]
+        """Fast callable state -> (component values, chain product).
+
+        One exec-compiled function per chart: it unpacks the state, inlines
+        the Cs/Sn table lookup in quasi-polar charts, computes each distinct
+        power once, and returns every component and the product of the time
+        chain.  Terms and powers are printed by :meth:`GenPoly.source`, so
+        the values equal those of the per-polynomial :meth:`GenPoly.compile`
+        functions bit for bit.
+        """
+        names = [f"x{i}" for i in range(len(self.vars))]
+        lines = [f"    {', '.join(names)}, = state\n"]
+        ns = dict(SOURCE_GLOBALS)
         if self.quasipolar_index is None:
-            def rhs(state):
-                vals = tuple(f(*state) for f in comp_fns)
-                g = 1.0
-                for f in chain_fns:
-                    g *= f(*state)
-                return vals, g
-            return rhs
-        l = self.quasipolar_index
-        angle_pos = self.vars.index(self.angle)
-        from .quasitrig import table
-        tab = table(l)
-        def rhs(state):
-            args = list(state[:angle_pos]) + list(state[angle_pos + 1 :])
-            c, s = tab._eval_scalar(state[angle_pos])
-            args = args + [c, s]
-            vals = tuple(f(*args) for f in comp_fns)
-            g = 1.0
-            for f in chain_fns:
-                g *= f(*args)
-            return vals, g
-        return rhs
+            poly_names = names
+        else:
+            tab = table(self.quasipolar_index)
+            a = self.vars.index(self.angle)
+            lines.append(tab.lookup_source(names[a], CS, SN))
+            ns.update(tab.lookup_globals)
+            poly_names = names[:a] + names[a + 1:] + [CS, SN]
+        powers: dict[str, str] = {}
+
+        def power(name, e):
+            expr = power_source(name, e)
+            if expr == name:
+                return name
+            if expr not in powers:
+                powers[expr] = f"_p{len(powers)}"
+                lines.append(f"    {powers[expr]} = {expr}\n")
+            return powers[expr]
+
+        comps = "".join(f"{c.source(poly_names, power)}, " for c in self.components)
+        chain = " * ".join(f"({c.source(poly_names, power)})" for c in self.time_chain)
+        src = "def rhs(state):\n" + "".join(lines) + f"    return ({comps}), {chain or '1.0'}\n"
+        exec(compile(src, f"<chart rhs {','.join(self.vars)}>", "exec"), ns)
+        return ns["rhs"]
 
     def to_dict(self):
         return {

@@ -14,14 +14,24 @@ needs, per accepted step:
   events located on the dense output;
 * a maximum step size so rate-fit windows always contain enough samples.
 
+Both hot layers are generated Python code.  The chart field is compiled to
+one function returning all components and the chain product
+(:meth:`ChartField.compile_rhs`), and one DP5 attempt (six stages, the 5th-
+and 4th-order solutions and increments, the error norm and the end-point
+evaluation) is generated per state dimension and direction, unrolled in
+tableau order.  The dense output is formed only for steps that contain an
+event or a section crossing.
+
 Termination reasons: 'converged-to-equilibrium', 'horizon-event',
-'tau-budget', 'step-underflow'.
+'tau-budget' (tau_end reached), 'step-budget' (max_steps accepted steps
+before tau_end), 'step-underflow'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +50,7 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau (fields are autonomous: the nodes c_i are unused)
 _A = (
     (),
     (1 / 5,),
@@ -132,29 +141,31 @@ def integrate(
     """
     if not (1e-13 <= rtol <= 1e-3) or not (1e-14 <= atol <= 1e-3):
         raise ValueError("tolerances out of the supported range")
-    rhs_raw = C.compile_rhs()
-    sgn = 1.0 if direction >= 0 else -1.0
+    rhs = C.compile_rhs()
+    sign = 1 if direction >= 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
     # (otherwise the controller lets the step explode and the decaying
     # component degenerates into noise).  Same for the time increment.
-    atol_vec = [
+    atol_vec = tuple(
         1e-300 if (v in C.positive or v == C.radial) else atol for v in C.vars
-    ]
-
-    def rhs(state):
-        vals, g = rhs_raw(state)
-        return [sgn * v for v in vals], g
+    )
 
     n = len(x0)
-    y = [float(v) for v in x0]
+    attempt = _attempt_fn(n, sign)
+    y = tuple(float(v) for v in x0)
     tau = 0.0
-    f_now, g_now = rhs(y)
+    try:
+        f_now, g_now = rhs(y)
+    except _POW_ERRORS:
+        raise ValueError(f"field not finite at the initial state {x0}") from None
+    if sign < 0:
+        f_now = tuple(-v for v in f_now)
     if not all(math.isfinite(v) for v in f_now):
         raise ValueError(f"field not finite at the initial state {x0}")
 
     taus = [0.0]
-    states = [list(y)]
+    states = [y]
     incs: list[float] = []
     ev_hits = []
     sec_hits = []
@@ -173,12 +184,11 @@ def integrate(
                 return _build_traj(taus, states, incs, termination, C, direction,
                                    ev_hits, sec_hits, 0, 0)
 
-    sec_count = None
     if section is not None:
         si = C.vars.index(section.var)
         sec_count = math.floor(abs(y[si] - section.base) / section.period)
 
-    h = h0 if h0 is not None else _initial_step(rhs, y, f_now, rtol, atol)
+    h = h0 if h0 is not None else _initial_step(y, f_now)
     h = min(h, h_max, tau_end)
     eq_run = 0
     n_acc = 0
@@ -186,72 +196,30 @@ def integrate(
     err_prev = 1.0
     t_acc = 0.0
 
-    while tau < tau_end and n_acc < max_steps:
+    while tau < tau_end:
+        if n_acc >= max_steps:
+            termination = "step-budget"
+            break
         h = min(h, tau_end - tau)
         if h < 1e-14 * max(1.0, abs(tau)):
             termination = "step-underflow"
             break
 
-        k = [f_now]
-        kg = [g_now]
-        bad = False
-        for s in range(1, 7):
-            ys = list(y)
-            a = _A[s]
-            for j, aj in enumerate(a):
-                if aj != 0.0:
-                    for i in range(n):
-                        ys[i] += h * aj * k[j][i]
-            fs, gs = rhs(ys)
-            if not all(math.isfinite(v) for v in fs) or not math.isfinite(gs):
-                bad = True
-                break
-            k.append(fs)
-            kg.append(gs)
-        if bad:
+        res = attempt(rhs, y, f_now, g_now, h, atol_vec, rtol)
+        if res is None:  # a stage or the end-point derivative is not finite
             h *= 0.5
             n_rej += 1
             continue
-
-        y5 = list(y)
-        for i in range(n):
-            acc = 0.0
-            for s in range(7):
-                if _B5[s] != 0.0:
-                    acc += _B5[s] * k[s][i]
-            y5[i] += h * acc
-        dt5 = h * sum(_B5[s] * kg[s] for s in range(7))
-        dt4 = h * sum(_B4[s] * kg[s] for s in range(7))
-
-        # error norm over state components and the time increment
-        err = 0.0
-        for i in range(n):
-            e4 = 0.0
-            for s in range(7):
-                d = _B5[s] - _B4[s]
-                if d != 0.0:
-                    e4 += d * k[s][i]
-            e4 *= h
-            sc = atol_vec[i] + rtol * max(abs(y[i]), abs(y5[i]))
-            err += (e4 / sc) ** 2 if sc > 0.0 else 0.0
-        sc_t = 1e-300 + rtol * abs(dt5)
-        err += ((dt5 - dt4) / sc_t) ** 2 if sc_t > 0.0 else 0.0
-        err = math.sqrt(err / (n + 1))
-
+        err = res[0]
         if err > 1.0:
             n_rej += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
 
         # accepted
-        f_new, g_new = rhs(y5)
-        if not all(math.isfinite(v) for v in f_new) or not math.isfinite(g_new):
-            n_rej += 1
-            h *= 0.5
-            continue
+        _, y5, f_new, g_new, dt5, k, kg = res
         tau_new = tau + h
-
-        dense = _DenseSeg(tau, h, list(y), k)
+        dense = None
 
         stop_here = None
         # events
@@ -262,6 +230,8 @@ def integrate(
                 continue
             if e.direction * (v1 - v0) < 0.0:
                 continue
+            if dense is None:
+                dense = _DenseSeg(tau, h, y, k)
             th = _bisect_event(lambda s: e.fn(dense.state_at(s)), 0.0, 1.0)
             tau_ev = tau + th * h
             st_ev = dense.state_at(th)
@@ -273,8 +243,9 @@ def integrate(
 
         # sections (assumes monotone angle; crossings at base - j*period)
         if section is not None and stop_here is None:
-            si = C.vars.index(section.var)
             new_count = math.floor(abs(y5[si] - section.base) / section.period)
+            if new_count > sec_count and dense is None:
+                dense = _DenseSeg(tau, h, y, k)
             while new_count > sec_count:
                 sec_count += 1
                 target = section.base - sec_count * section.period * _angle_sign(y, y5, si)
@@ -301,7 +272,7 @@ def integrate(
         ev_prev = ev_now
         t_acc += dt5
         taus.append(tau)
-        states.append(list(y))
+        states.append(y)
         incs.append(dt5)
         n_acc += 1
 
@@ -324,6 +295,100 @@ def integrate(
 
     return _build_traj(taus, states, incs, termination, C, direction, ev_hits,
                        sec_hits, n_acc, n_rej)
+
+
+# what a compiled chart rhs raises where a power of a Python float overflows
+# or is 0**(-n); numpy scalars gave inf there instead
+_POW_ERRORS = (OverflowError, ZeroDivisionError)
+
+
+@lru_cache(maxsize=None)
+def _attempt_fn(n: int, sign: int):
+    """One DP5 attempt for state dimension n, generated in tableau order.
+
+    ``attempt(rhs, y, f, g0, h, atol, rtol)`` takes the state tuple, the
+    (direction-signed) field f and chain product g0 at it, and returns
+    ``None`` if a stage or the end-point field is not finite or raises one
+    of ``_POW_ERRORS``, ``(err,)`` if the error norm exceeds 1, and otherwise
+    ``(err, y5, f_new, g_new, dt5, k, kg)`` with the stage values k, kg for
+    dense output.
+
+    The floating-point operations are those of the textbook loops, in the
+    same order, so trajectories are reproduced bit for bit: stage and
+    solution sums are ``y + (h*a_j)*k_j + ...`` and
+    ``y + h*(0.0 + b_j*k_j + ...)`` left to right, zero coefficients
+    skipped; the time increments keep the builtin ``sum`` over all seven
+    terms, because ``sum`` rounds differently from chained ``+`` on exact
+    floats (compensated summation from Python 3.12 on).
+    """
+    I = range(n)
+    lines = [f"{_tup(f'y{i}' for i in I)} = y", "k0 = f", f"{_tup(f'k0_{i}' for i in I)} = f"]
+
+    def stage(s, args):
+        """Evaluate stage s at the given component expressions."""
+        kv = [f"k{s}_{i}" for i in I]
+        got = f"k{s}" if sign > 0 else f"_v{s}"
+        # a power that overflows or is 0**(-n) raises in Python floats; it is
+        # retried like a non-finite stage
+        lines.extend(["try:",
+                      f"    {got}, g{s} = rhs(({''.join(a + ', ' for a in args)}))",
+                      "except _POW_ERRORS:",
+                      "    return None"])
+        if sign > 0:
+            lines.append(f"{_tup(kv)} = k{s}")
+        else:
+            lines.append(f"{_tup(f'_v{s}_{i}' for i in I)} = _v{s}")
+            lines.extend(f"{kv[i]} = -_v{s}_{i}" for i in I)
+            lines.append(f"k{s} = {_tup(kv)}")
+        # x - x is 0.0 for finite x and NaN otherwise, and NaN propagates
+        zero = " + ".join(f"({v} - {v})" for v in kv + [f"g{s}"])
+        lines.append(f"if not {zero} == 0.0:")
+        lines.append("    return None")
+
+    def combo(coef, i):
+        """Source of `` + c_s * k{s}_i`` over the nonzero weights c_s."""
+        return "".join(f" + {c!r} * k{s}_{i}" for s, c in enumerate(coef) if c != 0.0)
+
+    for s in range(1, 7):
+        used = [j for j, a in enumerate(_A[s]) if a != 0.0]
+        lines += [f"c{j} = h * {_A[s][j]!r}" for j in used]
+        stage(s, [f"y{i}" + "".join(f" + c{j} * k{j}_{i}" for j in used) for i in I])
+
+    lines += [f"y5_{i} = y{i} + h * (0.0{combo(_B5, i)})" for i in I]
+    for name, b in (("dt5", _B5), ("dt4", _B4)):
+        lines.append(f"{name} = h * sum(({''.join(f'{c!r} * g{s}, ' for s, c in enumerate(b))}))")
+    d = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
+    lines.append(f"{_tup(f'a{i}' for i in I)} = atol")
+    lines.append("err = 0.0")
+    for i in I:
+        lines += [
+            f"e = (0.0{combo(d, i)}) * h",
+            f"u = abs(y{i})",
+            f"v = abs(y5_{i})",
+            f"sc = a{i} + rtol * (v if v > u else u)",
+            "err += (e / sc) ** 2 if sc > 0.0 else 0.0",
+        ]
+    lines += [
+        "sc = 1e-300 + rtol * abs(dt5)",
+        "err += ((dt5 - dt4) / sc) ** 2 if sc > 0.0 else 0.0",
+        f"err = _sqrt(err / {n + 1})",
+        "if err > 1.0:",
+        "    return (err,)",
+    ]
+    stage(7, [f"y5_{i}" for i in I])  # the end point, first stage of the next step
+    lines.append(f"return err, {_tup(f'y5_{i}' for i in I)}, k7, g7, dt5, "
+                 f"{_tup(f'k{s}' for s in range(7))}, {_tup(f'g{s}' for s in range(7))}")
+    src = "def attempt(rhs, y, f, g0, h, atol, rtol):\n" + "".join(
+        f"    {line}\n" for line in lines
+    )
+    ns = {"_sqrt": math.sqrt, "_POW_ERRORS": _POW_ERRORS}
+    exec(compile(src, f"<dp5 attempt n={n} sign={sign}>", "exec"), ns)
+    return ns["attempt"]
+
+
+def _tup(names) -> str:
+    """Source of a tuple display (or unpacking target) of the names."""
+    return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
 def _angle_sign(y0, y1, si):
@@ -391,7 +456,7 @@ def _bisect_event(g, lo, hi, iters=80):
     return 0.5 * (lo + hi)
 
 
-def _initial_step(rhs, y, f0, rtol, atol):
+def _initial_step(y, f0):
     d0 = math.sqrt(sum(v * v for v in y)) or 1.0
     d1 = math.sqrt(sum(v * v for v in f0))
     h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
@@ -550,19 +615,19 @@ def remaining_time(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:
     Accurate to the relative accuracy of the per-step increments even when
     s is dozens of orders of magnitude below t_max.
     """
-    suffix = np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
-    return suffix + est.tail
+    return _suffix_sums(traj) + est.tail
 
 
 def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.ndarray:
     """Remaining time at event/section marks (step index + partial increment),
     with the same suffix-sum accuracy as :func:`remaining_time`."""
-    suffix = np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
-    out = []
-    for m in marks:
-        step_idx, partial = m[-2], m[-1]
-        out.append(suffix[step_idx] - partial + est.tail)
-    return np.asarray(out)
+    suffix = _suffix_sums(traj)
+    return np.asarray([suffix[m[-2]] - m[-1] + est.tail for m in marks])
+
+
+def _suffix_sums(traj: Trajectory) -> np.ndarray:
+    """Sum of the increments from each sample to the end (0 at the last)."""
+    return np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
 
 
 def detect_horizon_approach(

@@ -61,6 +61,10 @@ class NegativeDiscriminantError(HorizonError, ArithmeticError):
     validity region."""
 
 
+class StepBudgetError(HorizonError, RuntimeError):
+    """An integration used its whole step budget before reaching tau_end."""
+
+
 class AmbiguousTailError(HorizonError, RuntimeError):
     """Neither an exponential nor a power model fits the time-integrand tail."""
 

@@ -349,6 +349,27 @@ class GenPoly:
     def degrees_are_nonnegative(self) -> bool:
         return all(e >= 0 for ev, _ in self.terms for e in ev)
 
+    def source(
+        self,
+        names: Sequence[str],
+        power: Callable[[str, Fraction], str] | None = None,
+    ) -> str:
+        """Python expression for the polynomial over the variable ``names``.
+
+        Terms appear in storage order as ``coeff*factor*...``; ``power(name,
+        e)`` renders each nonzero power (default :func:`power_source`).  A
+        unit coefficient is left out, since ``1.0*x`` is ``x`` exactly.  The
+        expression reads the names in :data:`SOURCE_GLOBALS`.
+        """
+        power = power or power_source
+        parts = []
+        for ev, c in self.terms:
+            factors = [power(name, e) for name, e in zip(names, ev) if e != 0]
+            if float(c) != 1.0 or not factors:
+                factors.insert(0, repr(float(c)))
+            parts.append("*".join(factors))
+        return " + ".join(parts) if parts else "0.0"
+
     def compile(self) -> Callable[..., float]:
         """Compile to a fast scalar function of the variables (in order).
 
@@ -357,22 +378,21 @@ class GenPoly:
         step and retry.
         """
         names = [f"x{i}" for i in range(len(self.vars))]
-        parts = []
-        for ev, c in self.terms:
-            factors = [repr(float(c))]
-            for name, e in zip(names, ev):
-                if e == 0:
-                    continue
-                if e.denominator == 1:
-                    factors.append(f"{name}**{int(e)}")
-                else:
-                    factors.append(f"_fpow({name},{float(e)!r})")
-            parts.append("*".join(factors))
-        body = " + ".join(parts) if parts else "0.0"
-        src = f"def _f({', '.join(names)}):\n    return {body}\n"
-        ns = {"_fpow": _float_pow_nan}
+        src = f"def _f({', '.join(names)}):\n    return {self.source(names)}\n"
+        ns = dict(SOURCE_GLOBALS)
         exec(compile(src, f"<genpoly:{format_genpoly(self)[:40]}>", "exec"), ns)
         return ns["_f"]
+
+
+def power_source(name: str, e: Fraction) -> str:
+    """Python expression for ``name**e`` in compiled polynomials: the name
+    itself for e = 1 (``x**1`` is ``x`` exactly), ``**`` for other integer
+    e, otherwise ``_fpow`` (NaN on a negative base or 0**(e<=0))."""
+    if e == 1:
+        return name
+    if e.denominator == 1:
+        return f"{name}**{int(e)}"
+    return f"_fpow({name},{float(e)!r})"
 
 
 def _real_pow(x: float, e: Fraction, name: str) -> float:
@@ -398,6 +418,10 @@ def _float_pow_nan(x: float, e: float) -> float:
     if x == 0.0:
         return 0.0 if e > 0 else math.nan
     return x**e
+
+
+# globals of the expressions printed by GenPoly.source
+SOURCE_GLOBALS = {"_fpow": _float_pow_nan}
 
 
 def _coeff_pow(c: Coeff, e: Fraction) -> Coeff:

@@ -712,7 +712,7 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
     T = tab.T
 
     def parts(phi):
-        c, s = tab._eval_scalar(phi)
+        c, s = tab.lookup(phi)
         den = 1.0 - s * c ** (n + 1)
         g1 = s * s * c**n
         G1 = g1 / den

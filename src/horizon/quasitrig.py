@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -49,12 +50,78 @@ def period(l: int) -> float:
 
 @dataclass(frozen=True)
 class QuasiTrigTable:
-    """Dense samples of (Cs, Sn) over one period with Hermite evaluation."""
+    """Dense samples of (Cs, Sn) over one period with Hermite evaluation.
+
+    Scalar lookups read Python-float copies of the nodes and of the node
+    derivatives (exact: Cs' = -Sn, Sn' = Cs^(2l-1), scaled by the spacing),
+    grouped per interval.  :meth:`lookup_source` is the single text of the
+    Hermite formula; it is exec-compiled into :meth:`lookup` and inlined by
+    chart-rhs code generation (:meth:`horizon.compactify.ChartField.compile_rhs`).
+    Both build the node lists on first use, not with the table.
+    """
 
     l: int
     T: float
     cs: np.ndarray
     sn: np.ndarray
+
+    @cached_property
+    def lookup_globals(self) -> dict:
+        """Names read by :meth:`lookup_source` statements."""
+        h = self.T / _NODES
+        m = 2 * self.l - 1
+        cs, sn = self.cs.tolist(), self.sn.tolist()
+        dc = [-h * s for s in sn]
+        ds = [h * c**m for c in cs]
+        # per interval i: (Cs, Cs', Sn, Sn') at nodes i and i+1
+        ends = list(zip(cs, dc, sn, ds))
+        intervals = [a + b for a, b in zip(ends, ends[1:])]
+        return {"_fmod": math.fmod, "_HERMITE_NODES": intervals}
+
+    @cached_property
+    def lookup(self) -> Callable[[float], tuple[float, float]]:
+        """Scalar (Cs(theta), Sn(theta)) for a Python float theta."""
+        src = "def lookup(theta):\n" + self.lookup_source("theta", "cs", "sn") \
+            + "    return cs, sn\n"
+        ns = dict(self.lookup_globals)
+        exec(compile(src, f"<quasitrig l={self.l}>", "exec"), ns)
+        return ns["lookup"]
+
+    def __getstate__(self):
+        # the node lists and the compiled lookup are rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("lookup_globals", None)
+        state.pop("lookup", None)
+        return state
+
+    def lookup_source(self, theta: str, cs: str, sn: str) -> str:
+        """Statements assigning (Cs, Sn) at the angle expression ``theta`` to
+        the names ``cs`` and ``sn``; they read :attr:`lookup_globals`.
+
+        The arithmetic is that of cubic Hermite interpolation on the node
+        interval containing theta mod T, with weights shared by Cs and Sn.
+        """
+        T = self.T
+        h = T / _NODES
+        lines = [
+            f"_x = _fmod({theta}, {T!r})",
+            "if _x < 0.0:",
+            f"    _x += {T!r}",
+            f"_i = int(_x / {h!r})",
+            f"if _i >= {_NODES}:",
+            f"    _i = {_NODES - 1}",
+            f"_u = (_x - _i * {h!r}) / {h!r}",
+            "_c0, _dc0, _s0, _ds0, _c1, _dc1, _s1, _ds1 = _HERMITE_NODES[_i]",
+            "_u2 = _u * _u",
+            "_u3 = _u2 * _u",
+            "_w0 = 2 * _u3 - 3 * _u2 + 1",
+            "_w1 = _u3 - 2 * _u2 + _u",
+            "_w2 = -2 * _u3 + 3 * _u2",
+            "_w3 = _u3 - _u2",
+            f"{cs} = _w0 * _c0 + _w1 * _dc0 + _w2 * _c1 + _w3 * _dc1",
+            f"{sn} = _w0 * _s0 + _w1 * _ds0 + _w2 * _s1 + _w3 * _ds1",
+        ]
+        return "".join(f"    {line}\n" for line in lines)
 
     def __call__(self, theta):
         return self.eval(theta)
@@ -62,48 +129,17 @@ class QuasiTrigTable:
     def eval(self, theta):
         """(Cs(theta), Sn(theta)); accepts scalars or arrays."""
         if np.isscalar(theta):
-            return self._eval_scalar(float(theta))
+            return self.lookup(float(theta))
         theta = np.asarray(theta, dtype=float)
         cs = np.empty_like(theta)
         sn = np.empty_like(theta)
         flat_t = theta.ravel()
         flat_c = cs.ravel()
         flat_s = sn.ravel()
-        for i, th in enumerate(flat_t):
-            flat_c[i], flat_s[i] = self._eval_scalar(float(th))
+        lookup = self.lookup
+        for i, th in enumerate(flat_t.tolist()):
+            flat_c[i], flat_s[i] = lookup(th)
         return cs, sn
-
-    def _eval_scalar(self, theta: float) -> tuple[float, float]:
-        T = self.T
-        x = math.fmod(theta, T)
-        if x < 0.0:
-            x += T
-        h = T / _NODES
-        i = int(x / h)
-        if i >= _NODES:
-            i = _NODES - 1
-        u = (x - i * h) / h
-        c0, c1 = self.cs[i], self.cs[i + 1]
-        s0, s1 = self.sn[i], self.sn[i + 1]
-        # derivatives are exact: Cs' = -Sn, Sn' = Cs^(2l-1)
-        m = 2 * self.l - 1
-        dc0, dc1 = -h * s0, -h * s1
-        ds0, ds1 = h * c0**m, h * c1**m
-        return (
-            _hermite(u, c0, c1, dc0, dc1),
-            _hermite(u, s0, s1, ds0, ds1),
-        )
-
-
-def _hermite(u, y0, y1, d0, d1):
-    u2 = u * u
-    u3 = u2 * u
-    return (
-        (2 * u3 - 3 * u2 + 1) * y0
-        + (u3 - 2 * u2 + u) * d0
-        + (-2 * u3 + 3 * u2) * y1
-        + (u3 - u2) * d1
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Casebook: definitions, invariants shared by all cases, orbital equivalence,
 replay determinism.  Full rate verdicts live in the acceptance suite."""
 
+import functools
 import json
 import math
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
 from horizon.compactify import (
     forward_point,
@@ -100,6 +102,14 @@ def test_replay_determinism():
     da.pop("wallclock_s")
     db.pop("wallclock_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def test_exhausted_step_budget_is_an_error(monkeypatch):
+    monkeypatch.setattr(casebook, "integrate",
+                        functools.partial(integrate, max_steps=500))
+    rep = run_case("lienard", {"n": 3})
+    assert rep.status == "ERROR"
+    assert rep.error.startswith("StepBudgetError: ")
 
 
 def test_provenance_replay_reproduces_chart():

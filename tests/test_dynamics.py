@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from horizon.casebook import get_case
 from horizon.compactify import (
     base_field,
     desingularize,
@@ -93,6 +94,17 @@ class TestTermination:
         traj = integrate(C, [0.0], 2.0, stop_at_equilibrium=False)
         assert traj.termination == "tau-budget"
         assert traj.final_state[0] == pytest.approx(2.0, abs=1e-10)
+
+
+    def test_step_budget(self):
+        cdef = get_case("lienard").definition({"n": 3})
+        plan = cdef.runs[0]
+        traj = integrate(cdef.chart, plan.initial, plan.tau_end, rtol=plan.rtol,
+                         atol=plan.atol, section=plan.section,
+                         stop_at_equilibrium=False, max_steps=500)
+        assert traj.termination == "step-budget"
+        assert traj.n_steps == 500
+        assert traj.tau[-1] < plan.tau_end
 
 
 class TestEvents:
