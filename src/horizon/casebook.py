@@ -47,13 +47,12 @@ from .dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
-from .errors import StepBudgetError
+from .errors import BlowupWeightError, StepBudgetError
 from .genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
 from .localanalysis import (
     center_manifold_series_1d,
     equilibria_of,
     horizon_equilibria,
-    lienard_coefficients,
 )
 from .quasitrig import period
 from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
@@ -396,6 +395,18 @@ def _build_andrews2(a, a1) -> CaseDefinition:
     )
 
 
+def _blowup_weights(chart: ChartField, expected: tuple) -> tuple:
+    """Blow-up weights of the degenerate corner, read from the Newton diagram
+    of `chart` and checked against the `expected` ones the builder derives."""
+    weights = newton_data(list(chart.components)).weights
+    if not weights or weights[0] != expected:
+        raise BlowupWeightError(
+            f"Newton diagram blow-up weights {weights} at the degenerate "
+            f"equilibrium, expected {expected} first"
+        )
+    return weights[0]
+
+
 def _build_quench(alpha, c) -> CaseDefinition:
     alpha = int(alpha)
     c = F(c)
@@ -411,11 +422,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
     DS = desingularize(DC, alpha)
     cf = float(c)
     if alpha > 1:
-        # blow-up weights from the Newton diagram of the degenerate corner
-        diagram = newton_data(list(DS.components))
-        assert diagram.weights, "no compact face at the degenerate equilibrium"
-        w = diagram.weights[0]
-        assert w == (alpha - 1, alpha + 1), w
+        w = _blowup_weights(DS, (alpha - 1, alpha + 1))
         B = blowup_chart(DS, w, "lam", radial_name="r")
         chart = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}),
                              check_positive=False)
@@ -553,9 +560,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
     ]
     base = base_field(vars, f, positive=("phi",), name="kdv")
     D0 = time_rescale(base, GenMonomial.make(n, {"phi": n - 1}), check_positive=False)
-    diagram = newton_data(list(D0.components))
-    assert diagram.weights and diagram.weights[0] == (2, n + 1), diagram.weights
-    B = blowup_chart(D0, diagram.weights[0], "phi", radial_name="r")
+    B = blowup_chart(D0, _blowup_weights(D0, (2, n + 1)), "phi", radial_name="r")
     chart = time_rescale(B, GenMonomial.make(1, {"r": -(n - 1)}), check_positive=False)
     pv = chart.poly_vars
     psi_plus = math.sqrt(2 * n * float(c) / (n + 1))
@@ -688,47 +693,47 @@ def builtin_cases() -> dict[str, CaseSpec]:
     """The eight built-in case families."""
     return {
         "aiu": CaseSpec(
-            "aiu", {}, {}, lambda: _build_aiu(),
+            "aiu", {}, {}, _build_aiu,
             "inverse-power planar blow-up, sqrt-log corrected rates",
         ),
         "iy": CaseSpec(
             "iy", {"a": F(1, 2)}, {"a": (0.01, 0.99)},
-            lambda a: _build_iy(a),
+            _build_iy,
             "fractional-power blow-up; rate a off the symmetric line, a/(a+1) on it",
         ),
         "andrews1": CaseSpec(
             "andrews1", {"a": 0.75, "theta": math.pi / 4},
             {"a": (0.05, 0.95), "theta": (0.1, 1.47)},
-            lambda a, theta: _build_andrews1(a, theta),
+            _build_andrews1,
             "three log-correction regimes across a = 1/2",
         ),
         "andrews2": CaseSpec(
             "andrews2", {"a": F(1, 4), "a1": F(1)},
             {"a": (0.05, 2.0), "a1": (0.05, 4.0)},
-            lambda a, a1: _build_andrews2(a, a1),
+            _build_andrews2,
             "nested compactification; exponents depend on coefficient ratios",
         ),
         "quench": CaseSpec(
             "quench", {"alpha": 2, "c": F(1)},
             {"alpha": (1, 6), "c": (0.1, 10.0)},
-            lambda alpha, c: _build_quench(alpha, c),
+            _build_quench,
             "front quenching: edge exponents (alpha > 1) or sqrt-log slope (alpha = 1)",
         ),
         "fhn": CaseSpec(
             "fhn", {"m": 1, "p": F(1, 2), "a": F(1, 4), "c": F(1)},
             {"m": (1, 4), "p": (0.05, 0.95), "a": (0.05, 0.45), "c": (0.1, 10.0)},
-            lambda m, p, a, c: _build_fhn(m, p, a, c),
+            _build_fhn,
             "degenerate-diffusion extinction edge, exponent 1/(1-p)",
         ),
         "kdv": CaseSpec(
             "kdv", {"m": 2, "n": 2, "c": F(1)},
             {"m": (2, 3), "n": (2, 3), "c": (0.1, 10.0)},
-            lambda m, n, c: _build_kdv(m, n, c),
+            _build_kdv,
             "compacton edges, exponent 2/(n-1), weights from the Newton diagram",
         ),
         "lienard": CaseSpec(
             "lienard", {"n": 3}, {"n": (1, 5)},
-            lambda n: _build_lienard(n),
+            _build_lienard,
             "periodic divergence: finite-time blow-up (n odd >= 3) or grow-up (n = 1)",
         ),
     }
@@ -803,10 +808,7 @@ def run_case(
     t0 = time.perf_counter()
     if isinstance(spec, str):
         spec = get_case(spec)
-    try:
-        cdef = spec.definition(params)
-    except Exception as exc:  # parameter validation is a caller error
-        raise
+    cdef = spec.definition(params)  # parameter errors are the caller's
     try:
         report = _execute(cdef, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
     except Exception as exc:

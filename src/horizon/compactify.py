@@ -24,7 +24,7 @@ time) = phi, so components are multiplied by phi and phi joins the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 

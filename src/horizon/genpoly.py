@@ -238,20 +238,6 @@ class GenPoly:
             raise DomainError("evaluation produced NaN")
         return total
 
-    def eval_exact(self, x: Sequence[Fraction]):
-        """Evaluate exactly at a rational point (integer exponents only)."""
-        total = Fraction(0)
-        for ev, c in self.terms:
-            term = Fraction(c) if isinstance(c, (int, Fraction)) else c
-            for xi, e in zip(x, ev):
-                if e == 0:
-                    continue
-                if e.denominator != 1:
-                    raise DomainError("exact evaluation requires integer exponents")
-                term = term * (Fraction(xi) ** int(e))
-            total += term
-        return total
-
     # -- structural operations ----------------------------------------------
 
     def substitute_power(

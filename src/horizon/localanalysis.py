@@ -21,8 +21,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .compactify import CS, SN, ChartField, horizon_slice
 from .errors import (
@@ -707,6 +705,9 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd positive integer")
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
     l = n + 1
     tab = table(l)
     T = tab.T

@@ -10,6 +10,11 @@ closed form), not from per-call integration.
 The period is computed independently of the table, by quadrature of the
 Beta-type integral; the first-return time of the ODE serves as a cross-check
 in the tests.
+
+Only quasi-polar charts need these functions, so scipy (the table's DOP853
+integration and the period's quadrature) is imported inside :func:`table`
+and :func:`period`, on first use; importing this module, or building and
+running a directional or homogeneous chart, does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 __all__ = ["QuasiTrigTable", "cssn", "period", "table"]
 
@@ -39,6 +43,7 @@ def period(l: int) -> float:
     l = int(l)
     if l == 1:
         return 2.0 * math.pi
+    from scipy.integrate import quad
 
     def smooth(u):
         s = 1.0 - u * u
@@ -145,6 +150,8 @@ class QuasiTrigTable:
 @lru_cache(maxsize=None)
 def table(l: int) -> QuasiTrigTable:
     """Build (and cache) the sampled table for index l."""
+    from scipy.integrate import solve_ivp
+
     l = int(l)
     T = period(l)
     m = 2 * l - 1

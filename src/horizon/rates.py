@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearityWarning, InsufficientSpanError
-from .dynamics import TmaxEstimate, Trajectory, remaining_time
+from .dynamics import TmaxEstimate, Trajectory, remaining_time_at_marks
 
 __all__ = [
     "RateModel",
@@ -198,8 +198,6 @@ def phase_section_sampler(traj: Trajectory, est: TmaxEstimate):
         raise ValueError("trajectory carries no section crossings")
     if traj.chart is None or traj.chart.radial is None:
         raise ValueError("phase sections need a radial chart variable")
-    from .dynamics import remaining_time_at_marks
-
     ri = traj.chart.vars.index(traj.chart.radial)
     r = np.asarray([sec[1][ri] for sec in traj.sections])
     t = np.asarray([sec[2] for sec in traj.sections])
@@ -208,31 +206,3 @@ def phase_section_sampler(traj: Trajectory, est: TmaxEstimate):
     else:
         s = np.full(len(r), math.nan)
     return s, r, t
-
-
-def samples_in_window(
-    traj: Trajectory,
-    est: TmaxEstimate,
-    observable,
-    s_lo: float,
-    s_hi: float,
-    *,
-    relative: bool = False,
-):
-    """(s, y) pairs for one observable over a remaining-time window.
-
-    ``observable`` maps a chart state to the measured value; the window is
-    [s_lo, s_hi], multiplied by the total estimate when ``relative``.
-    """
-    s = remaining_time(traj, est)
-    lo, hi = s_lo, s_hi
-    if relative:
-        scale = est.value if est.is_finite else est.integrated
-        lo, hi = s_lo * scale, s_hi * scale
-    out_s, out_y = [], []
-    for i in range(len(traj.tau)):
-        si = s[i]
-        if lo <= si <= hi:
-            out_s.append(si)
-            out_y.append(observable(traj.states[i]))
-    return np.asarray(out_s), np.asarray(out_y)

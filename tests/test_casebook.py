@@ -133,6 +133,16 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].status in ("PASS", "FAIL")
 
+    def test_parallel_matches_serial(self):
+        grid = [{"a": 0.3}, {"a": 0.5}]
+        docs = []
+        for jobs in (1, 2):
+            reports = [r.to_dict() for r in sweep("andrews1", grid, jobs=jobs)]
+            for d in reports:
+                d.pop("wallclock_s")
+            docs.append(reports)
+        assert docs[0] == docs[1]
+
 
 # -- orbital equivalence -------------------------------------------------------
 

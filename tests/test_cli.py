@@ -139,6 +139,20 @@ class TestSweep:
         assert len(rows) >= 2
 
 
+@pytest.mark.parametrize("argv,found,expected", [
+    (["quench", "--param", "alpha=3"], "((1, 2),)", "(2, 4)"),
+    (["quench", "--param", "alpha=5"], "((2, 3),)", "(4, 6)"),
+    (["kdv", "--param", "n=3"], "((1, 2),)", "(2, 4)"),
+])
+def test_unexpected_blowup_weights_are_pipeline_errors(argv, found, expected,
+                                                       tmp_path, capsys):
+    rc = main(["sweep", *argv, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: BlowupWeightError: ")
+    assert f"weights {found} " in err and f"expected {expected} " in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "horizon.cli", "analyze", "--list-cases"],

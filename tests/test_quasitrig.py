@@ -1,6 +1,11 @@
 """Quasi-trigonometric functions: identity, symmetry, period."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,3 +102,33 @@ def test_period_against_first_return_oracle():
     assert returns, "no first return found"
     T_ode = returns[0] - 1e-3 + 1e-3  # event at theta = T given the shift
     assert abs(T_ode - T_quad) <= 1e-7 * T_quad
+
+
+_COLD_PATH = """
+import json, sys
+import horizon.cli
+from horizon import casebook, quasitrig
+casebook.run_case("iy")
+casebook.run_case("andrews2")
+polynomial = "scipy" in sys.modules
+casebook.get_case("lienard").definition({"n": 3})
+tab = quasitrig.table(4)
+resid = max(abs(c**8 + 4 * s * s - 1.0) for c, s in zip(tab.cs, tab.sn))
+print(json.dumps({"polynomial": polynomial, "lienard": "scipy" in sys.modules,
+                  "resid": resid}))
+"""
+
+
+def test_scipy_loaded_only_for_quasipolar_charts():
+    """Polynomial-chart runs never import scipy; a quasi-polar chart does,
+    on its first table or period, and its table is still correct."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["polynomial"] is False
+    assert out["lienard"] is True
+    assert out["resid"] <= 1e-10  # DOP853 at rtol 1e-13 over one period
