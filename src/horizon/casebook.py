@@ -44,6 +44,7 @@ from .dynamics import (
     SectionSpec,
     accumulate_time,
     integrate,
+    lstsq,
     remaining_time,
     trajectory_to_csv,
 )
@@ -749,6 +750,9 @@ def get_case(name: str) -> CaseSpec:
 # -- pipeline execution --------------------------------------------------------
 
 
+REPORT_SCHEMA = 2  # version of the report.json layout
+
+
 @dataclass
 class RunReport:
     case: str
@@ -764,7 +768,7 @@ class RunReport:
 
     def to_dict(self):
         return {
-            "schema": 1,
+            "schema": REPORT_SCHEMA,
             "case": self.case,
             "params": {k: _param_str(v) for k, v in self.params.items()},
             "seed": self.seed,
@@ -911,34 +915,15 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         trajectory_to_csv(traj, tdir / fname)
     if plan.edge_behind_s0 is not None:
         entry["edge"] = {"behind_start_at": plan.edge_behind_s0}
-        fits, verdicts = [], []
         s_all = plan.edge_behind_s0 + traj.t
         lo, hi = plan.window
         sel = (s_all >= lo) & (s_all <= hi)
-        for obs in plan.observables:
-            fn = obs.expr.compile()
-            y = np.array([
-                fn(*cdef.chart.state_to_poly_point(st)) for st in traj.states[sel]
-            ])
-            fit = fit_rate(s_all[sel], y)
-            fits.append({
-                "observable": obs.name, "rho": fit.rho, "q": fit.q, "C": fit.C,
-                "r2": fit.r2, "window": list(fit.window),
-                "n_samples": fit.n_samples, "drift_rho": fit.drift_rho,
-                "collinear_q": fit.collinear_q,
-            })
-            if obs.expected is not None:
-                v = compare_rate(fit, obs.expected,
-                                 tol_rho if tol_rho is not None else obs.tol_rho,
-                                 tol_q if tol_q is not None else obs.tol_q)
-                verdicts.append({
-                    "name": f"rate of {obs.name}",
-                    "passed": v.passed,
-                    "detail": v.line(obs.name),
-                    "fitted": {"rho": fit.rho, "q": fit.q},
-                    "predicted": {"rho": obs.expected.rho, "q": obs.expected.q},
-                })
-        entry["fits"] = fits
+        verdicts = []
+        entry["fits"] = [
+            _fit_row(obs, fit_rate(s_all[sel], _observe(obs, chart, traj.states[sel])),
+                     tol_rho, tol_q, verdicts)
+            for obs in plan.observables
+        ]
         entry["verdicts"] = verdicts
         return entry
     est = accumulate_time(traj)
@@ -959,10 +944,11 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         })
 
     if plan.growup_check:
-        s, r, t = phase_section_sampler(traj, est) if est.is_finite else \
-            _sections_rt(traj)
+        _, r, t = phase_section_sampler(traj, est)
         keep = t > 0.25 * t.max()
-        slope, icpt, r2 = _linreg(t[keep], np.log(1.0 / r[keep]))
+        coef, _, r2 = lstsq(np.column_stack([t[keep], np.ones(keep.sum())]),
+                            np.log(1.0 / r[keep]))
+        slope = float(coef[0])
         verdicts.append({
             "name": "grow-up envelope log-linear in t",
             "passed": bool(r2 >= 0.999 and slope > 0),
@@ -970,64 +956,38 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         })
         entry["growup"] = {"slope": slope, "r2": r2}
 
-    fits = []
-    for obs in plan.observables:
-        fit, verdict = _fit_observable(cdef, plan, traj, est, obs, tol_rho, tol_q)
-        fits.append(fit)
-        if verdict is not None:
-            verdicts.append(verdict)
-    entry["fits"] = fits
+    entry["fits"] = [
+        _fit_row(obs, _fit_observable(plan, traj, est, obs), tol_rho, tol_q, verdicts)
+        for obs in plan.observables
+    ]
     entry["verdicts"] = verdicts
     return entry
 
 
-def _sections_rt(traj):
-    ri = traj.chart.vars.index(traj.chart.radial)
-    r = np.array([s[1][ri] for s in traj.sections])
-    t = np.array([s[2] for s in traj.sections])
-    return None, r, t
+def _observe(obs, chart, states):
+    """The observable evaluated at each chart state."""
+    fn = obs.expr.compile()
+    return np.array([fn(*chart.state_to_poly_point(st)) for st in states])
 
 
-def _linreg(x, y):
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(((y - y.mean()) ** 2).sum()) or 1e-300
-    return float(coef[0]), float(coef[1]), 1.0 - float(resid @ resid) / ss_tot
-
-
-def _fit_observable(cdef, plan, traj, est, obs, tol_rho, tol_q):
-    if plan.sampler == "sections":
-        s, r, _ = phase_section_sampler(traj, est)
-        fn = obs.expr.compile()
-        y = np.array([
-            fn(*traj.chart.state_to_poly_point(sec[1])) for sec in traj.sections
-        ])
-        # drop the initial transient (a fixed burn-in of revolutions) and
-        # samples dominated by the edge-time uncertainty
-        burn = 32
-        s, y = s[burn:], y[burn:]
-        keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
-        s, y = s[keep], y[keep]
-        min_samples = 40
-    else:
-        s_all = remaining_time(traj, est)
-        fn = obs.expr.compile()
-        lo, hi = plan.window
-        if plan.window_relative:
-            scale = est.value if est.is_finite else est.integrated
-            lo, hi = lo * scale, hi * scale
-        # samples whose distance-to-edge is dominated by the extrapolated
-        # tail carry its uncertainty; keep a 100x margin over its error bound
-        lo = max(lo, 100.0 * est.error_bound)
-        sel = (s_all >= lo) & (s_all <= hi)
-        s = s_all[sel]
-        y = np.array([
-            fn(*traj.chart.state_to_poly_point(st)) for st in traj.states[sel]
-        ])
-        min_samples = 50
-    fit = fit_rate(s, y, min_samples=min_samples)
-    fit_row = {
+def _fit_row(obs, fit, tol_rho, tol_q, verdicts):
+    """The report row of one fitted observable; its rate verdict, when one is
+    declared, is appended to ``verdicts``."""
+    if obs.expected is not None:
+        v = compare_rate(
+            fit,
+            obs.expected,
+            tol_rho if tol_rho is not None else obs.tol_rho,
+            tol_q if tol_q is not None else obs.tol_q,
+        )
+        verdicts.append({
+            "name": f"rate of {obs.name}",
+            "passed": v.passed,
+            "detail": v.line(obs.name),
+            "fitted": {"rho": fit.rho, "q": fit.q},
+            "predicted": {"rho": obs.expected.rho, "q": obs.expected.q},
+        })
+    return {
         "observable": obs.name,
         "rho": fit.rho,
         "q": fit.q,
@@ -1040,22 +1000,34 @@ def _fit_observable(cdef, plan, traj, est, obs, tol_rho, tol_q):
         "drift_rho": fit.drift_rho if math.isfinite(fit.drift_rho) else None,
         "collinear_q": fit.collinear_q,
     }
-    verdict = None
-    if obs.expected is not None:
-        v = compare_rate(
-            fit,
-            obs.expected,
-            tol_rho if tol_rho is not None else obs.tol_rho,
-            tol_q if tol_q is not None else obs.tol_q,
-        )
-        verdict = {
-            "name": f"rate of {obs.name}",
-            "passed": v.passed,
-            "detail": v.line(obs.name),
-            "fitted": {"rho": fit.rho, "q": fit.q},
-            "predicted": {"rho": obs.expected.rho, "q": obs.expected.q},
-        }
-    return fit_row, verdict
+
+
+def _fit_observable(plan, traj, est, obs):
+    """Fit one observable on the samples the run's sampler selects."""
+    if plan.sampler == "sections":
+        s, _, _ = phase_section_sampler(traj, est)
+        y = _observe(obs, traj.chart, [sec[1] for sec in traj.sections])
+        # drop the initial transient (a fixed burn-in of revolutions) and
+        # samples dominated by the edge-time uncertainty
+        burn = 32
+        s, y = s[burn:], y[burn:]
+        keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
+        s, y = s[keep], y[keep]
+        min_samples = 40
+    else:
+        s_all = remaining_time(traj, est)
+        lo, hi = plan.window
+        if plan.window_relative:
+            scale = est.value if est.is_finite else est.integrated
+            lo, hi = lo * scale, hi * scale
+        # samples whose distance-to-edge is dominated by the extrapolated
+        # tail carry its uncertainty; keep a 100x margin over its error bound
+        lo = max(lo, 100.0 * est.error_bound)
+        sel = (s_all >= lo) & (s_all <= hi)
+        s = s_all[sel]
+        y = _observe(obs, traj.chart, traj.states[sel])
+        min_samples = 50
+    return fit_rate(s, y, min_samples=min_samples)
 
 
 def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
@@ -1067,19 +1039,21 @@ def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
     chain to the manifold, and quadratures s(x) = int chain / speed dx.  The
     measured exponent comes from the actual field, not the predicted rate.
     """
-    from .localanalysis import _substitute_series, _truncate  # shared helpers
+    from .localanalysis import _substitute_series  # shared helper
 
     chart = cdef.chart
     series = center_manifold_series_1d(chart, plan.center_eq, plan.center_degree)
     cvar, svar = series.center_var, series.stable_var
-    degree = series.degree
+
+    def on_manifold(p):  # p restricted to the manifold, compiled
+        return _substitute_series(p, cvar, svar, series.coefficients,
+                                  series.degree + 4).compile()
+
     chain_prod = GenPoly.const(chart.poly_vars, 1)
     for f in chart.time_chain:
         chain_prod = chain_prod * f
-    chain_on_m = _substitute_series(chain_prod, cvar, svar,
-                                    series.coefficients, degree + 4)
     speed = series.reduced_flow
-    chain_fn = chain_on_m.compile()
+    chain_fn = on_manifold(chain_prod)
     speed_fn = speed.compile()
 
     lo, hi, n_pts = plan.center_grid
@@ -1115,38 +1089,11 @@ def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
         "h": format_genpoly(series.coefficients),
         "exact": series.exact,
     }
-    verdicts = []
-    fits = []
+    verdicts, fits = [], []
     for obs in plan.observables:
-        # observable restricted to the manifold
-        fn = obs.expr
-        on_m = _substitute_series(fn, cvar, svar, series.coefficients,
-                                  degree + 4)
-        yfn = on_m.compile()
+        yfn = on_manifold(obs.expr)
         y = np.array([yfn(x) for x in xs])
-        fit = fit_rate(s, y)
-        fits.append({
-            "observable": obs.name,
-            "rho": fit.rho,
-            "q": fit.q,
-            "C": fit.C,
-            "r2": fit.r2,
-            "window": list(fit.window),
-            "n_samples": fit.n_samples,
-            "drift_rho": fit.drift_rho,
-            "collinear_q": fit.collinear_q,
-        })
-        if obs.expected is not None:
-            v = compare_rate(fit, obs.expected,
-                             tol_rho if tol_rho is not None else obs.tol_rho,
-                             tol_q if tol_q is not None else obs.tol_q)
-            verdicts.append({
-                "name": f"rate of {obs.name}",
-                "passed": v.passed,
-                "detail": v.line(obs.name),
-                "fitted": {"rho": fit.rho, "q": fit.q},
-                "predicted": {"rho": obs.expected.rho, "q": obs.expected.q},
-            })
+        fits.append(_fit_row(obs, fit_rate(s, y), tol_rho, tol_q, verdicts))
     entry["fits"] = fits
     entry["verdicts"] = verdicts
     return entry

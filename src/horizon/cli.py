@@ -26,6 +26,18 @@ Spec files are UTF-8, line oriented, '#' comments.  Example::
     window 1e-9 1e-3 absolute
     observable u1 : r^(-1) expect rho=1 q=0.5
     kind blow-up
+
+Each ``transform`` line is lowered to one provenance step of the chart and
+applied by :func:`horizon.compactify.apply_recipe`, the same code that
+replays a report's chart, so a spec chart and its replay cannot differ.
+``sign`` is ``+`` (default) or ``-``; ``radial`` defaults to ``r``:
+
+    transform directional index=<var> sign=± radial=<name>   (needs type, order)
+    transform desingularize                                    (multiply by r^k)
+    transform rescale <monomial>          (time factor; must be certified > 0)
+    transform quasipolar m=<int>                               (needs type, order)
+    transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
+    transform restrict var=<var> value=<number>
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import sys
 from fractions import Fraction
 
 from .casebook import (
+    REPORT_SCHEMA,
     CaseDefinition,
     Observable,
     RunPlan,
@@ -47,16 +60,7 @@ from .casebook import (
     run_case,
     sweep,
 )
-from .compactify import (
-    apply_recipe,
-    base_field,
-    blowup_chart,
-    desingularize,
-    directional_compactify,
-    quasi_polar_compactify,
-    restrict_invariant,
-    time_rescale,
-)
+from .compactify import apply_recipe, base_field
 from .errors import HorizonError, ParseError
 from .genpoly import parse_genpoly
 from .rates import RateModel
@@ -115,21 +119,17 @@ def _cmd_analyze(args) -> int:
     target = args.target
     try:
         if pathlib.Path(target).exists():
-            cdef, params = parse_spec_file(pathlib.Path(target)), None
-            report = run_case(_as_spec(cdef), None, seed=args.seed,
-                              tol_rho=args.tol_rho, tol_q=args.tol_q,
-                              tau_max=args.tau_max, rtol=args.rtol,
-                              atol=args.atol, out_dir=args.out)
+            spec = _as_spec(parse_spec_file(pathlib.Path(target)))
         else:
             try:
                 spec = get_case(target)
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            report = run_case(spec, None, seed=args.seed,
-                              tol_rho=args.tol_rho, tol_q=args.tol_q,
-                              tau_max=args.tau_max, rtol=args.rtol,
-                              atol=args.atol, out_dir=args.out)
+        report = run_case(spec, None, seed=args.seed,
+                          tol_rho=args.tol_rho, tol_q=args.tol_q,
+                          tau_max=args.tau_max, rtol=args.rtol,
+                          atol=args.atol, out_dir=args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -223,7 +223,7 @@ def _fmt17(x):
 def _write_report(out_dir: pathlib.Path, reports):
     out_dir.mkdir(parents=True, exist_ok=True)
     docs = [_fmt17(r.to_dict()) for r in reports]
-    payload = docs[0] if len(docs) == 1 else {"schema": 1, "reports": docs}
+    payload = docs[0] if len(docs) == 1 else {"schema": REPORT_SCHEMA, "reports": docs}
     with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -336,16 +336,15 @@ class _SpecState:
             t = TypeVector.make(self.alpha, self.k)
         for op, params, lineno in self.transforms:
             try:
-                chart = _apply_transform(chart, t, op, params)
+                chart = apply_recipe(chart, [_recipe_step(chart, t, op, params)])
+            except KeyError as exc:
+                raise ParseError(f"transform {op}: missing parameter {exc}", lineno, 1)
             except (HorizonError, ValueError) as exc:
                 raise ParseError(f"transform {op}: {exc}", lineno, 1)
         pv = chart.poly_vars
         observables = []
         for name, expr_text, expect, lineno in self.observables:
-            try:
-                expr = parse_genpoly(expr_text, pv, line=lineno)
-            except ParseError:
-                raise
+            expr = parse_genpoly(expr_text, pv, line=lineno)
             observables.append(Observable(name, expr, *expect))
         init = []
         for v in chart.vars:
@@ -459,47 +458,43 @@ def _kv(text: str) -> dict:
     return out
 
 
-def _apply_transform(chart, t, op, params):
-    from .genpoly import GenMonomial
-
+def _recipe_step(chart, t, op, params) -> dict:
+    """Lower one spec ``transform`` line to a provenance recipe step."""
+    if op in ("directional", "desingularize", "quasipolar") and t is None:
+        raise ValueError("needs 'type' and 'order'")
     if op == "directional":
-        if t is None:
-            raise ValueError("directional transform needs 'type' and 'order'")
-        sign = {"+": 1, "-": -1, "": 1}.get(params.get("sign", "+"), 1)
-        return directional_compactify(
-            chart, t, params["index"], sign,
-            radial_name=params.get("radial", "r"),
-        )
+        return {"op": "directional", "params": {
+            "alpha": [str(a) for a in t.alpha], "k": str(t.k), "index": params["index"],
+            "sign": _sign(params), "radial": params.get("radial", "r")}}
     if op == "desingularize":
-        if t is None:
-            raise ValueError("desingularize needs 'order'")
-        return desingularize(chart, t.k)
+        return {"op": "desingularize", "params": {"k": str(t.k)}}
     if op == "rescale":
-        factor_text = params.get("factor") or (next(iter(params)) if params else None)
+        factor_text = params.get("factor") or next(iter(params), None)
         if factor_text is None:
             raise ValueError("rescale needs a monomial factor")
         poly = parse_genpoly(factor_text, chart.poly_vars)
         if len(poly.terms) != 1:
             raise ValueError("rescale factor must be a single monomial")
-        ev, c = poly.terms[0]
-        mono = GenMonomial.make(c, dict(zip(poly.vars, ev)))
-        return time_rescale(chart, mono, check_positive=False)
+        (ev, c), = poly.terms
+        return {"op": "time_rescale",
+                "params": {"monomial": {"coeff": c, "exps": dict(zip(poly.vars, ev))}}}
     if op == "quasipolar":
-        if t is None:
-            raise ValueError("quasipolar needs 'type' and 'order'")
-        return quasi_polar_compactify(chart, int(params["m"]), t.k)
+        return {"op": "quasi_polar", "params": {
+            "m": params["m"], "k": str(t.k), "radial": "r", "angle": "theta"}}
     if op == "blowup":
-        sign = {"+": 1, "-": -1}.get(params.get("sign", "+"), 1)
-        return blowup_chart(
-            chart,
-            (Fraction(params["w1"]), Fraction(params["w2"])),
-            params["var"],
-            sign,
-            radial_name=params.get("radial", "r"),
-        )
+        return {"op": "blowup", "params": {
+            "weights": [params["w1"], params["w2"]], "chart_var": params["var"],
+            "sign": _sign(params), "radial": params.get("radial", "r")}}
     if op == "restrict":
-        return restrict_invariant(chart, params["var"], Fraction(params["value"]))
+        return {"op": "restrict", "params": {"var": params["var"], "value": params["value"]}}
     raise ValueError(f"unknown transform {op!r}")
+
+
+def _sign(params) -> int:
+    sign = params.get("sign", "+")
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', not {sign!r}")
+    return 1 if sign == "+" else -1
 
 
 def replay_chart(chart_doc: dict):

@@ -609,6 +609,7 @@ def blowup_chart(
             "weights": [str(frac(w)) for w in weights],
             "chart_var": vars[chart_var],
             "sign": sign,
+            "radial": radial_name,
         },
     )
 
@@ -808,6 +809,7 @@ def apply_recipe(C: ChartField, steps: Sequence[TransformStep | dict]) -> ChartF
                 tuple(frac(w) for w in params["weights"]),
                 params["chart_var"],
                 int(params["sign"]),
+                radial_name=params.get("radial", "r"),
             )
         elif op == "restrict":
             v = params["value"]

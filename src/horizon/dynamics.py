@@ -48,6 +48,7 @@ __all__ = [
     "accumulate_time",
     "detect_horizon_approach",
     "trajectory_to_csv",
+    "lstsq",
 ]
 
 # Dormand-Prince 5(4) tableau (fields are autonomous: the nodes c_i are unused)
@@ -599,14 +600,19 @@ def accumulate_time(
     )
 
 
-def _linfit(x, y):
-    """Least-squares slope/intercept/R^2."""
-    A = np.column_stack([x, np.ones_like(x)])
+def lstsq(A, y):
+    """Linear least squares A @ coef ~ y: (coef, residual sum of squares, R^2)."""
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum()) or 1e-300
-    return float(coef[0]), float(coef[1]), 1.0 - ss_res / ss_tot
+    return coef, ss_res, 1.0 - ss_res / ss_tot
+
+
+def _linfit(x, y):
+    """Least-squares slope/intercept/R^2."""
+    coef, _, r2 = lstsq(np.column_stack([x, np.ones_like(x)]), y)
+    return float(coef[0]), float(coef[1]), r2
 
 
 def remaining_time(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:

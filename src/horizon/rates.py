@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearityWarning, InsufficientSpanError
-from .dynamics import TmaxEstimate, Trajectory, remaining_time_at_marks
+from .dynamics import TmaxEstimate, Trajectory, lstsq, remaining_time_at_marks
 
 __all__ = [
     "RateModel",
@@ -152,13 +152,9 @@ def _solve(logs, loglog, logy, collinear):
         A = np.column_stack([-logs, np.ones_like(logs)])
     else:
         A = np.column_stack([-logs, loglog, np.ones_like(logs)])
-    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    resid = logy - A @ coef
+    coef, ss_res, r2 = lstsq(A, logy)
     dof = max(len(logy) - A.shape[1], 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(A.T @ A)
-    ss_tot = float(((logy - logy.mean()) ** 2).sum()) or 1e-300
-    r2 = 1.0 - float(resid @ resid) / ss_tot
+    cov = ss_res / dof * np.linalg.inv(A.T @ A)
     if collinear:
         rho, logC = coef
         return float(rho), 0.0, float(logC), math.sqrt(cov[0, 0]), math.inf, r2

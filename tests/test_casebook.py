@@ -4,6 +4,7 @@ replay determinism.  Full rate verdicts live in the acceptance suite."""
 import functools
 import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,11 +14,14 @@ from scipy.interpolate import CubicSpline
 from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
 from horizon.compactify import (
+    base_field,
+    blowup_chart,
     forward_point,
     horizon_is_invariant_syntactically,
     inverse_transform,
 )
 from horizon.dynamics import integrate
+from horizon.genpoly import parse_genpoly
 from horizon.structure import check_quasi_homogeneous, check_aqh_numeric
 
 ALL_CASES = sorted(builtin_cases())
@@ -112,16 +116,34 @@ def test_exhausted_step_budget_is_an_error(monkeypatch):
     assert rep.error.startswith("StepBudgetError: ")
 
 
-def test_provenance_replay_reproduces_chart():
-    from horizon.cli import replay_chart
-    from horizon.genpoly import format_genpoly
+SPEC_FILES = sorted(pathlib.Path(__file__).resolve().parents[1].glob("cases/*.spec"))
 
-    for name in ("aiu", "iy", "andrews2", "quench", "kdv"):
-        cdef = get_case(name).definition()
-        doc = cdef.chart.to_dict()
-        rebuilt = replay_chart(doc)
-        assert [format_genpoly(c) for c in rebuilt.components] == doc["components"]
-        assert [format_genpoly(c) for c in rebuilt.time_chain] == doc["time_chain"]
+
+@pytest.mark.parametrize("source", ALL_CASES + [f.name for f in SPEC_FILES])
+def test_provenance_replay_reproduces_chart(source):
+    from horizon.cli import parse_spec_file, replay_chart
+
+    if source.endswith(".spec"):
+        chart = parse_spec_file(SPEC_FILES[0].parent / source).chart
+    else:
+        chart = get_case(source).definition().chart
+    doc = chart.to_dict()
+    rebuilt = replay_chart(json.loads(json.dumps(doc)))
+    assert rebuilt.vars == chart.vars
+    assert rebuilt.radial == chart.radial
+    assert rebuilt.to_dict() == doc  # components, time chain, provenance
+
+
+def test_blowup_replay_keeps_radial_name():
+    from horizon.cli import replay_chart
+
+    vars = ("phi", "psi")
+    base = base_field(vars, [parse_genpoly("psi", vars),
+                             parse_genpoly("-psi - phi^2", vars)], name="wave")
+    chart = blowup_chart(base, (1, 2), "phi", radial_name="rho")
+    rebuilt = replay_chart(chart.to_dict())
+    assert rebuilt.vars == ("rho", "psi_b")
+    assert rebuilt.radial == "rho"
 
 
 class TestSweep:

@@ -58,6 +58,21 @@ class TestSpecParsing:
             cdef = parse_spec_file(f)
             assert cdef.runs
 
+    @pytest.mark.parametrize("params", ["index=x sign=-1", "index=x sign=minus",
+                                        "index=x sign=", "sign=+"])
+    def test_bad_transform_parameters_name_their_line(self, tmp_path, params):
+        spec = GOOD_SPEC.replace("index=x", params)
+        with pytest.raises(ParseError) as err:
+            parse_spec_file(write(tmp_path, spec))
+        assert err.value.line == 7
+
+    def test_transform_lowers_to_recorded_steps(self):
+        chart = parse_spec_file(CASES_DIR / "quench1.spec").chart
+        steps = {s.op: s.params for s in chart.provenance}
+        assert steps["directional"]["sign"] == -1
+        assert steps["directional"]["radial"] == "lam"
+        assert chart.vars == ("lam", "phi")
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path, capsys):
@@ -65,6 +80,24 @@ class TestExitCodes:
         rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_bad_sign_is_2(self, tmp_path, capsys):
+        p = write(tmp_path, GOOD_SPEC.replace("index=x", "index=x sign=-1"))
+        rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 7 " in capsys.readouterr().err
+
+    def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
+        # psi takes both signs, so rescaling time by it would reverse time
+        # on part of the phase plane
+        text = (CASES_DIR / "quench1.spec").read_text()
+        p = write(tmp_path, text.replace("transform rescale phi",
+                                         "transform rescale psi"))
+        rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 10 " in err and "SignError" not in err
+        assert "not positive" in err
 
     def test_unknown_case_is_2(self, tmp_path):
         rc = main(["analyze", "not-a-case", "--out", str(tmp_path / "out")])
@@ -103,7 +136,7 @@ class TestReports:
         rc = main(["analyze", "iy", "--out", str(tmp_path / "out")])
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         rebuilt = replay_chart(doc["chart"])
         from horizon.genpoly import format_genpoly
 
