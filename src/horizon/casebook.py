@@ -91,7 +91,6 @@ class RunPlan:
     growup_check: bool = False       # fit log(1/r) linear in t
     center_eq: tuple[float, float] | None = None
     center_degree: int = 8
-    center_grid: tuple[float, float, int] = (1e-12, 1e-4, 400)
     # the singular edge lies this far BEHIND the initial state (departure
     # from a saddle along its unstable manifold): s_j = edge_behind_s0 + t_j.
     # Used where approaching the opposite saddle is numerically unstable.
@@ -105,12 +104,10 @@ class CaseDefinition:
     base: ChartField
     chart: ChartField
     type_vector: TypeVector | None
-    singularity_kind: str
     runs: list[RunPlan]
     eq_mode: str = "horizon"         # horizon | full | none
     eq_box: dict | None = None
     expected_equilibria: tuple[tuple[float, ...], ...] = ()
-    notes: str = ""
     orbital_check_point: dict | None = None
     orbital_check_span: float = 1.0
 
@@ -176,13 +173,11 @@ def _build_aiu() -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind="blow-up",
         runs=runs,
         eq_mode="horizon",
         eq_box={"u0": (0.2, 8.0)},
+        # no horizon equilibrium: the orbit escapes along the horizon
         expected_equilibria=(),
-        notes="no horizon equilibrium: the orbit escapes along the horizon "
-              "with sqrt-log corrected component rates",
         orbital_check_point={"u0": 1.0, "u1": 1.0},
         orbital_check_span=1.2,
     )
@@ -202,6 +197,8 @@ def _build_iy(a) -> CaseDefinition:
     )
     pv = chart.poly_vars
     af = float(a)
+    # the ratio line v1/v0 = 1 is invariant: on it the rate is the
+    # scaling-type prediction a/(a+1); off it the degenerate corner gives a
     obs_v0 = lambda rho, tol: (
         Observable("v0", parse_genpoly("r^(-1)", pv), RateModel(rho, 0.0), tol, 0.1),
     )
@@ -231,13 +228,9 @@ def _build_iy(a) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind="blow-up",
         runs=runs,
         eq_box={"v1": (-0.5, 2.0)},
         expected_equilibria=((0.0, 0.0), (0.0, 1.0)),
-        notes="the ratio line v1/v0 = 1 is invariant: on it the rate is the "
-              "scaling-type prediction a/(a+1); off it the degenerate corner "
-              "gives the faster rate a",
         orbital_check_point={"v0": 2.0, "v1": 1.0},
         orbital_check_span=1.0,
     )
@@ -301,12 +294,9 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind="blow-up",
         runs=runs,
         eq_box={"u0": (-2.0, 2.0)},
         expected_equilibria=expected_eqs,
-        notes="log-correction exponent of the component rates jumps across "
-              "a = 1/2 (0 -> 1/4 -> 1/2)",
         orbital_check_point={"u0": 1.0, "u1": 2.0},
         orbital_check_span=0.4,
     )
@@ -385,12 +375,9 @@ def _build_andrews2(a, a1) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind="blow-up",
         runs=runs,
         eq_box={"w": (-0.5, 2.0)},
         expected_equilibria=expected_eqs,
-        notes="nested two-variable compactification (u2 and u3 share the "
-              "secondary scale); restricted to the invariant slice u2 = u3",
         orbital_check_point={"u1": 2.0, "u2": 1.0, "u3": 1.0},
         orbital_check_span=0.5,
     )
@@ -469,8 +456,6 @@ def _build_quench(alpha, c) -> CaseDefinition:
                                RateModel(-1.0, 0.5), 0.05, 0.2),
                 ),
                 expect_finite_edge=True,
-                center_eq=(0.0, 0.0),
-                center_degree=6,
             )
         ]
         expected_eqs = ((0.0, 0.0), (0.0, 1.0 / cf))
@@ -481,13 +466,9 @@ def _build_quench(alpha, c) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind="quenching",
         runs=runs,
         eq_box=eq_box,
         expected_equilibria=expected_eqs,
-        notes="profile reaches the singular level at a finite frame "
-              "coordinate; the slope blows up with the complementary edge "
-              "exponent",
         orbital_check_point={"phi": 1.0, "psi": -1.0},
         orbital_check_span=0.5,
     )
@@ -528,7 +509,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
             sampler="center-flow",
             center_eq=(0.0, 0.0),
             center_degree=int(math.ceil(float(N))) + 4,
-            center_grid=(1e-12, 1e-4, 400),
             expect_finite_edge=True,
         )
     ]
@@ -538,13 +518,10 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=None,
-        singularity_kind="extinction",
         runs=runs,
         eq_mode="full",
         eq_box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)},
         expected_equilibria=((0.0, 0.0), (1.0, 0.0)),
-        notes="edge regularity exponent 1/(1-p) depends only on the reaction "
-              "degeneracy p, not on the diffusion exponent m",
         orbital_check_point={"phi": 0.5, "psi": 0.1},
         orbital_check_span=2.0,
     )
@@ -610,14 +587,9 @@ def _build_kdv(m, n, c) -> CaseDefinition:
         base=base,
         chart=chart,
         type_vector=None,
-        singularity_kind="compacton-edge",
         runs=runs,
         eq_box={"psi_b": (-2.0, 2.0)},
         expected_equilibria=((0.0, -psi_plus), (0.0, psi_plus)),
-        notes="compact support: both profile edges are finite frame-time "
-              "singularities; the connection between the two saddles is "
-              "assumed and produced by shooting from the unstable manifold "
-              "(offset 1e-8)",
         orbital_check_point={"phi": 0.5, "psi": 0.2},
         orbital_check_span=2.0,
     )
@@ -654,7 +626,6 @@ def _build_lienard(n) -> CaseDefinition:
                 expect_finite_edge=True,
             )
         ]
-        kind = "blow-up"
     else:
         runs = [
             RunPlan(
@@ -671,20 +642,16 @@ def _build_lienard(n) -> CaseDefinition:
                 growup_check=True,
             )
         ]
-        kind = "grow-up"
     return CaseDefinition(
         name="lienard",
         params={"n": n},
         base=base,
         chart=chart,
         type_vector=t,
-        singularity_kind=kind,
         runs=runs,
         eq_mode="horizon",
+        # the horizon carries an attracting non-hyperbolic periodic orbit
         expected_equilibria=(),
-        notes="the horizon carries an attracting non-hyperbolic periodic "
-              "orbit; radial samples at a fixed phase section carry the "
-              "clean rate",
         orbital_check_point={"x": 1.2, "y": 0.4},
         orbital_check_span=0.6,
     )
@@ -1056,8 +1023,7 @@ def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
     chain_fn = on_manifold(chain_prod)
     speed_fn = speed.compile()
 
-    lo, hi, n_pts = plan.center_grid
-    xs = np.geomspace(lo, hi, int(n_pts))
+    xs = np.geomspace(1e-12, 1e-4, 400)
     # s(x) = int_0^x chain(u)/speed(u) du; substitute u = z^q with q the
     # exponent-lattice denominator so the integrand is smooth at 0
     q = max(int(e.denominator) for ev, _ in speed.terms for e in ev)

@@ -303,13 +303,8 @@ class _SpecState:
         self.boxes = {}
         self.transforms = []
         self.initial = {}
-        self.direction = 1
-        self.tau_end = 50.0
-        self.h_max = math.inf
-        self.rtol = 1e-11
-        self.atol = 1e-12
-        self.window = (1e-10, 1e-4)
-        self.window_relative = True
+        # RunPlan keywords given by directives; RunPlan has the other defaults
+        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
         self.observables = []
         self.kind = "blow-up"
         self.expected_eqs = []
@@ -354,18 +349,12 @@ class _SpecState:
         plan = RunPlan(
             label=self.name,
             initial=tuple(init),
-            tau_end=self.tau_end,
-            h_max=self.h_max,
-            rtol=self.rtol,
-            atol=self.atol,
-            direction=self.direction,
-            window=self.window,
-            window_relative=self.window_relative,
             observables=tuple(observables),
             expect_finite_edge=(self.kind in
                                 ("blow-up", "extinction", "quenching",
                                  "compacton-edge")) or None,
             stop_at_equilibrium=False,
+            **self.plan,
         )
         return CaseDefinition(
             name=self.name,
@@ -373,7 +362,6 @@ class _SpecState:
             base=base,
             chart=chart,
             type_vector=t,
-            singularity_kind=self.kind,
             runs=[plan],
             eq_mode="horizon" if chart.radial is not None else "none",
             eq_box=self.boxes or None,
@@ -381,10 +369,23 @@ class _SpecState:
         )
 
 
+# single-number directives: directive -> (RunPlan keyword, parser)
+_NUMBER_DIRECTIVES = {
+    "direction": ("direction", int),
+    "tau-end": ("tau_end", float),
+    "h-max": ("h_max", float),
+    "rtol": ("rtol", float),
+    "atol": ("atol", float),
+}
+
+
 def _spec_line(st: _SpecState, line: str, lineno: int):
     head, _, rest = line.strip().partition(" ")
     rest = rest.strip()
-    if head == "name":
+    if head in _NUMBER_DIRECTIVES:
+        key, parse = _NUMBER_DIRECTIVES[head]
+        st.plan[key] = parse(rest)
+    elif head == "name":
         st.name = rest
     elif head == "var":
         parts = rest.split()
@@ -415,20 +416,10 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     elif head == "initial":
         for k, v in _kv(rest).items():
             st.initial[k] = float(v)
-    elif head == "direction":
-        st.direction = int(rest)
-    elif head == "tau-end":
-        st.tau_end = float(rest)
-    elif head == "h-max":
-        st.h_max = float(rest)
-    elif head == "rtol":
-        st.rtol = float(rest)
-    elif head == "atol":
-        st.atol = float(rest)
     elif head == "window":
         parts = rest.split()
-        st.window = (float(parts[0]), float(parts[1]))
-        st.window_relative = not (len(parts) > 2 and parts[2] == "absolute")
+        st.plan["window"] = (float(parts[0]), float(parts[1]))
+        st.plan["window_relative"] = not (len(parts) > 2 and parts[2] == "absolute")
     elif head == "observable":
         name, _, tail = rest.partition(":")
         name = name.strip()

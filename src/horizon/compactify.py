@@ -333,7 +333,7 @@ def directional_compactify(
     if isinstance(i, str):
         i = vars.index(i)
     if t.alpha[i] == 0:
-        raise TypeError(f"direction {vars[i]!r} has type entry 0")
+        raise ValueError(f"direction {vars[i]!r} has type entry 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     new_vars = (radial_name,) + tuple(v for j, v in enumerate(vars) if j != i)
@@ -395,8 +395,6 @@ def time_rescale(
     factor: GenMonomial | GenPoly,
     *,
     check_positive: bool = True,
-    rng_seed: int = 0,
-    domain: Mapping[str, tuple[float, float]] | None = None,
     op: str = "time_rescale",
     params: dict | None = None,
 ) -> ChartField:
@@ -405,8 +403,9 @@ def time_rescale(
     Components are multiplied by the factor and the factor joins the time
     chain.  Positivity on the declared domain sector is certified either
     syntactically (positive coefficients, and every variable with odd/
-    fractional exponent sign-masked positive) or by sampling 1000
-    quasi-random domain points; failure raises SignError.
+    fractional exponent sign-masked positive) or by sampling 1000 seeded
+    random points of the sector (sign-masked and radial variables in
+    [0.05, 2], the others in [-2, 2]); failure raises SignError.
     """
     if isinstance(factor, GenMonomial):
         fpoly = GenPoly.monomial(C.poly_vars, factor)
@@ -415,7 +414,7 @@ def time_rescale(
         fpoly = factor.with_vars(C.poly_vars)
         fdesc = {"poly": format_genpoly(factor)}
     if check_positive:
-        _certify_positive(C, fpoly, rng_seed, domain)
+        _certify_positive(C, fpoly)
     comps = tuple(c * fpoly for c in C.components)
     step = TransformStep(op, params or fdesc)
     return replace(
@@ -441,17 +440,12 @@ def _syntactically_positive(C: ChartField, f: GenPoly) -> bool:
     return True
 
 
-def _certify_positive(C, fpoly, rng_seed, domain):
+def _certify_positive(C, fpoly):
     if _syntactically_positive(C, fpoly):
         return
-    rng = np.random.default_rng(rng_seed)
-    domain = domain or {}
-    lows, highs = [], []
-    for v in fpoly.vars:
-        lo, hi = domain.get(v, (0.05, 2.0) if v in C.positive or v == C.radial else (-2.0, 2.0))
-        lows.append(lo)
-        highs.append(hi)
-    pts = rng.uniform(lows, highs, size=(1000, len(fpoly.vars)))
+    rng = np.random.default_rng(0)
+    lows = [0.05 if v in C.positive or v == C.radial else -2.0 for v in fpoly.vars]
+    pts = rng.uniform(lows, 2.0, size=(1000, len(fpoly.vars)))
     for p in pts:
         try:
             val = fpoly.eval(p)

@@ -112,11 +112,6 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def integrand(self) -> np.ndarray:
-        """Physical-time integrand dt/d(sigma) at the sample midpoints."""
-        dtau = np.diff(self.tau)
-        return self.dt_inc / dtau
-
 
 def integrate(
     C: ChartField,
@@ -131,14 +126,15 @@ def integrate(
     events: Sequence[EventSpec] = (),
     section: SectionSpec | None = None,
     stop_at_equilibrium: bool = True,
-    equilibrium_steps: int = 50,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate d(state)/d(sigma) = direction * field over [0, tau_end].
 
     The physical-time increment integral of the (always positive) chain
     product is accumulated per step alongside the state, regardless of
-    direction, so it measures progress toward the singular edge.
+    direction, so it measures progress toward the singular edge.  With
+    ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
+    with |field| <= 1e-12 (1 + |state|).
     """
     if not (1e-13 <= rtol <= 1e-3) or not (1e-14 <= atol <= 1e-3):
         raise ValueError("tolerances out of the supported range")
@@ -179,7 +175,7 @@ def integrate(
             e.direction > 0 and v > 0.0
         )
         if crossed:
-            ev_hits.append((e.name, 0.0, list(y), 0.0))
+            ev_hits.append((e.name, 0.0, list(y), 0.0, 0, 0.0))
             if e.terminal:
                 termination = "horizon-event"
                 return _build_traj(taus, states, incs, termination, C, direction,
@@ -283,7 +279,7 @@ def integrate(
             xn = math.sqrt(sum(v * v for v in y))
             if fn <= 1e-12 * (1.0 + xn):
                 eq_run += 1
-                if eq_run >= equilibrium_steps:
+                if eq_run >= 50:
                     termination = "converged-to-equilibrium"
                     break
             else:
@@ -501,29 +497,23 @@ class TmaxEstimate:
         return math.isfinite(self.value)
 
 
-def accumulate_time(
-    traj: Trajectory,
-    *,
-    window_frac: float = 0.3,
-    r2_threshold: float = 0.999,
-    period_average: bool | None = None,
-) -> TmaxEstimate:
+def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     """Estimate total physical time, extrapolating the integrand tail.
 
-    The integrand decay over the final ``window_frac`` of samples is fit with
-    an exponential model (finite closed-form tail) and a power model
-    (exponent <= 1 means the total time diverges: grow-up).  For quasi-polar
-    charts the fit runs on per-revolution averages so the Cs/Sn oscillation
-    does not mask the decay.
+    The integrand decay over the final 30% of the trajectory's tau span (at
+    least its last 10 samples) is fit with an exponential model (finite
+    closed-form tail) and a power model (exponent <= 1 means the total time
+    diverges: grow-up).  A model is accepted only with R^2 >= 0.999, the
+    exponential one when it fits at least as well.  For quasi-polar charts
+    with at least 8 section crossings the fit runs on per-revolution
+    averages so the Cs/Sn oscillation does not mask the decay.
     """
     if traj.termination == "step-underflow":
         raise AmbiguousTailError("trajectory ended in step underflow")
     integrated = float(traj.t[-1])
-    if period_average is None:
-        period_average = bool(traj.sections) and traj.chart is not None and \
-            traj.chart.quasipolar_index is not None
+    quasipolar = traj.chart is not None and traj.chart.quasipolar_index is not None
 
-    if period_average and len(traj.sections) >= 8:
+    if quasipolar and len(traj.sections) >= 8:
         sec_tau = np.array([s[0] for s in traj.sections])
         sec_t = np.array([s[2] for s in traj.sections])
         mid = 0.5 * (sec_tau[1:] + sec_tau[:-1])
@@ -538,7 +528,7 @@ def accumulate_time(
     taus, gs = taus[keep], gs[keep]
     if len(gs) < 10:
         raise AmbiguousTailError("too few positive integrand samples")
-    t_start = traj.tau[-1] - window_frac * (traj.tau[-1] - traj.tau[0])
+    t_start = traj.tau[-1] - 0.3 * (traj.tau[-1] - traj.tau[0])
     sel = taus >= t_start
     if sel.sum() < 10:
         sel = np.zeros_like(taus, dtype=bool)
@@ -581,13 +571,13 @@ def accumulate_time(
         return TmaxEstimate(integrated + tail, integrated, tail, "negligible",
                             tail, (float(tw[0]), tau_end), max(r2e, r2p))
 
-    if r2e >= r2p and r2e >= r2_threshold and math.isfinite(tail_exp):
+    if r2e >= r2p and r2e >= 0.999 and math.isfinite(tail_exp):
         tail_inner, _ = exp_tail(tw_i, lg_i) if len(tw_i) >= 10 else (tail_exp, 0)
         err = abs(tail_exp - tail_inner) + tail_exp * max(1 - r2e, 1e-6)
         return TmaxEstimate(integrated + tail_exp, integrated, tail_exp,
                             "exponential", min(err, tail_exp),
                             (float(tw[0]), tau_end), r2e)
-    if r2p >= r2_threshold:
+    if r2p >= 0.999:
         if p <= 1.0:
             return TmaxEstimate(math.inf, integrated, math.inf, "divergent",
                                 math.inf, (float(tw[0]), tau_end), r2p)
@@ -645,8 +635,8 @@ def detect_horizon_approach(
 ) -> tuple[Trajectory, tuple | None]:
     """Integrate until the radial variable first crosses ``r_threshold``.
 
-    Returns the trajectory and the event record (name, tau, state, t) or
-    None when no crossing occurs.
+    Returns the trajectory and the event record (name, tau, state, t,
+    step_idx, partial_inc) or None when no crossing occurs.
     """
     if C.radial is None:
         raise ValueError("chart has no radial variable")

@@ -46,10 +46,6 @@ class SignError(HorizonError, ArithmeticError):
     domain sector."""
 
 
-class NoConvergenceError(HorizonError, RuntimeError):
-    """A Newton start failed to converge (dropped; reported in diagnostics)."""
-
-
 class DegenerateBeyondDegreeError(HorizonError, RuntimeError):
     """A center-manifold reduced flow vanished to the requested degree.
 

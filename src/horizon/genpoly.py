@@ -58,12 +58,6 @@ class GenMonomial:
         items = tuple(sorted((v, frac(e)) for v, e in (exps or {}).items() if frac(e) != 0))
         return GenMonomial(coeff, items)
 
-    def exp_of(self, var: str) -> Fraction:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return Fraction(0)
-
     def inverse(self) -> "GenMonomial":
         """Reciprocal monomial (coefficient must be nonzero)."""
         if self.coeff == 0:
@@ -308,10 +302,6 @@ class GenPoly:
             return None
         i = self.vars.index(var)
         return min(ev[i] for ev, _ in self.terms)
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "GenPoly":
-        new = tuple(mapping.get(v, v) for v in self.vars)
-        return GenPoly(new, dict(self.terms))
 
     def with_vars(self, vars: Sequence[str]) -> "GenPoly":
         """Re-express over a superset/reordering of the current variables."""

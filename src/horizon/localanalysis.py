@@ -52,6 +52,12 @@ __all__ = [
 
 
 ZERO_TOL_SCALE = 1e-9
+# the multi-start Newton search of every equilibrium finder
+N_STARTS = 64
+AXIS_STARTS = (0.25, 0.5, 1.0, -0.5, -1.0)
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 60
+DEDUPE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ def jacobian(components: Sequence[GenPoly], vars: Sequence[str], point) -> np.nd
     return J
 
 
-def classify(J: np.ndarray, tol_scale: float = ZERO_TOL_SCALE):
+def classify(J: np.ndarray):
     """Four-way classification with the relative zero tolerance.
 
     Returns (label, n_stable, n_unstable, n_center, eigenvalues).
@@ -94,8 +100,8 @@ def classify(J: np.ndarray, tol_scale: float = ZERO_TOL_SCALE):
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
     norm = float(np.abs(J).sum(axis=1).max()) if J.size else 0.0
-    tol = tol_scale * (1.0 + norm)
-    if norm <= tol_scale:
+    tol = ZERO_TOL_SCALE * (1.0 + norm)
+    if norm <= ZERO_TOL_SCALE:
         eig = tuple(0.0 + 0.0j for _ in range(n))
         return "linearly-zero", 0, 0, n, eig
     eig = np.linalg.eigvals(J)
@@ -131,7 +137,7 @@ def _needs_nonnegative(comps: Sequence[GenPoly], v: str) -> bool:
     return False
 
 
-def _damped_newton(F, JF, x, lows, highs, clip, tol, max_iter):
+def _damped_newton(F, JF, x, clip):
     """Damped Newton iterated until the step stalls, so multiple roots are
     followed all the way in instead of stopping on their flat residual basin.
     Returns the root or None."""
@@ -139,7 +145,7 @@ def _damped_newton(F, JF, x, lows, highs, clip, tol, max_iter):
         fx = F(x)
     except DomainError:
         return None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         nf = float(np.linalg.norm(fx))
         try:
             step = np.linalg.solve(JF(x), -fx)
@@ -168,22 +174,22 @@ def _damped_newton(F, JF, x, lows, highs, clip, tol, max_iter):
             lam *= 0.5
         if not improved or stalled:
             break
-    if float(np.linalg.norm(fx)) <= tol * (1.0 + float(np.linalg.norm(x))):
+    if float(np.linalg.norm(fx)) <= NEWTON_TOL * (1.0 + float(np.linalg.norm(x))):
         return x
     return None
 
 
-def _snap_axis_values(F, x, tol, candidates=(0.0, 1.0, -1.0)):
+def _snap_axis_values(F, x):
     """Replace near-axis coordinates by their exact values when the residual
     allows it; keeps coordinate-set equilibria exact and deterministic."""
     out = np.array(x, dtype=float)
     for i in range(len(out)):
-        for c in candidates:
+        for c in (0.0, 1.0, -1.0):
             if out[i] != c and abs(out[i] - c) < 1e-6:
                 trial = out.copy()
                 trial[i] = c
                 try:
-                    if float(np.linalg.norm(F(trial))) <= tol * (
+                    if float(np.linalg.norm(F(trial))) <= NEWTON_TOL * (
                         1.0 + float(np.linalg.norm(trial))
                     ):
                         out = trial
@@ -192,12 +198,82 @@ def _snap_axis_values(F, x, tol, candidates=(0.0, 1.0, -1.0)):
     return out
 
 
-def _slice_point(slice_vars, x, full_vars, radial):
-    full = []
-    it = iter(x)
-    for v in full_vars:
-        full.append(0.0 if v == radial else float(next(it)))
-    return full
+def _newton_roots(components, variables, box, seed):
+    """Roots of ``components`` (polynomials in ``variables``) by multi-start
+    damped Newton.
+
+    Starts are ``N_STARTS`` seeded random points in the search box
+    (default [-2, 2] per variable), the origin, and the axis points
+    ``AXIS_STARTS`` that lie in the box; the usual coordinate-set roots are
+    thereby found deterministically.  Roots more than 0.5 outside the box
+    are dropped; the rest are snapped to exact axis values, deduplicated and
+    sorted.  Returns (roots, diagnostics).
+    """
+    dim = len(variables)
+    box = box or {}
+    lows = np.array([box.get(v, (-2.0, 2.0))[0] for v in variables])
+    highs = np.array([box.get(v, (-2.0, 2.0))[1] for v in variables])
+    # clip only where evaluation is genuinely restricted (fractional or
+    # negative exponents); sign-masked variables may still host formal
+    # equilibria outside the physical sector
+    clip = [_needs_nonnegative(components, v) for v in variables]
+    for i, c in enumerate(clip):
+        if c and lows[i] < 0.0:
+            lows[i] = 0.0
+
+    rng = np.random.default_rng(seed)
+    starts = [lows + (highs - lows) * rng.random(dim) for _ in range(N_STARTS)]
+    starts.append(np.zeros(dim))
+    for i in range(dim):
+        for c in AXIS_STARTS:
+            p = np.zeros(dim)
+            p[i] = c
+            if lows[i] <= c <= highs[i]:
+                starts.append(p)
+
+    grads = [[comp.partial(v) for v in variables] for comp in components]
+
+    def F(x):
+        return np.array([comp.eval(x) for comp in components])
+
+    def JF(x):
+        return np.array([[g.eval(x) for g in row] for row in grads])
+
+    roots = []
+    n_fail = 0
+    for x0 in starts:
+        x = _damped_newton(F, JF, np.array(x0, dtype=float), clip)
+        if x is None:
+            n_fail += 1
+            continue
+        if np.any(x < lows - 0.5) or np.any(x > highs + 0.5):
+            continue
+        x = _snap_axis_values(F, x)
+        if not any(np.linalg.norm(x - r) <= DEDUPE for r in roots):
+            roots.append(x.copy())
+    roots.sort(key=lambda r: tuple(r))
+    return roots, {"starts": len(starts), "failed_starts": n_fail}
+
+
+def _equilibrium_record(C: ChartField, coords) -> EquilibriumRecord:
+    """Full-space Jacobian and classification of ``C`` at an equilibrium."""
+    if C.quasipolar_index is not None:
+        # classification is not meaningful through Cs/Sn symbols: use a
+        # numerical Jacobian in (r, theta)
+        J = _quasipolar_numeric_jacobian(C, *coords)
+    else:
+        J = jacobian(C.components, C.poly_vars, coords)
+    label, ns, nu, nc, eig = classify(J)
+    return EquilibriumRecord(
+        chart_desc="->".join(s.op for s in C.provenance),
+        coords=tuple(float(v) for v in coords),
+        jacobian=tuple(map(tuple, J.tolist())),
+        eigenvalues=eig,
+        classification=label,
+        n_stable=ns,
+        n_unstable=nu,
+        n_center=nc,
+    )
 
 
 def horizon_equilibria(
@@ -205,87 +281,20 @@ def horizon_equilibria(
     *,
     box: dict[str, tuple[float, float]] | None = None,
     seed: int = 0,
-    n_starts: int = 64,
-    newton_tol: float = 1e-13,
-    dedupe: float = 1e-8,
-    max_iter: int = 60,
 ) -> tuple[list[EquilibriumRecord], dict]:
     """All equilibria of the desingularized field on the horizon {r = 0}.
 
-    Multi-start damped Newton over the declared search box (quasi-random
-    starts plus axis candidates make the usual coordinate-set equilibria
-    deterministic), deduplicated, each augmented with the full-space Jacobian
-    and classification.  Returns (records, diagnostics).
+    The Newton search of :func:`_newton_roots` on the horizon slice (on a
+    quasi-polar chart: the sign changes of the angular component over one
+    period), each root augmented with the full-space Jacobian and
+    classification.  Returns (records, diagnostics).
     """
     if C.quasipolar_index is not None:
-        return _quasipolar_horizon_equilibria(C, newton_tol, dedupe)
+        return _quasipolar_horizon_equilibria(C)
     slice_vars, slice_comps = horizon_slice(C)
-    dim = len(slice_vars)
-    box = box or {}
-    lows = np.array([box.get(v, (-2.0, 2.0))[0] for v in slice_vars])
-    highs = np.array([box.get(v, (-2.0, 2.0))[1] for v in slice_vars])
-    for i, v in enumerate(slice_vars):
-        # clip only where evaluation is genuinely restricted (fractional or
-        # negative exponents); sign-masked variables may still host formal
-        # equilibria outside the physical sector
-        if _needs_nonnegative(slice_comps, v) and lows[i] < 0.0:
-            lows[i] = 0.0
-
-    rng = np.random.default_rng(seed)
-    starts = [lows + (highs - lows) * rng.random(dim) for _ in range(n_starts)]
-    # axis candidates: origin and a few points along each coordinate axis
-    starts.append(np.zeros(dim))
-    for i in range(dim):
-        for c in (0.25, 0.5, 1.0, -0.5, -1.0):
-            p = np.zeros(dim)
-            p[i] = c
-            if lows[i] <= c <= highs[i]:
-                starts.append(p)
-
-    grads = [[comp.partial(v) for v in slice_vars] for comp in slice_comps]
-
-    def F(x):
-        return np.array([comp.eval(x) for comp in slice_comps])
-
-    def JF(x):
-        return np.array([[g.eval(x) for g in row] for row in grads])
-
-    clip = [
-        _needs_nonnegative(slice_comps, v) for v in slice_vars
-    ]
-    roots = []
-    n_fail = 0
-    for x0 in starts:
-        x = _damped_newton(F, JF, np.array(x0, dtype=float), lows, highs, clip,
-                           newton_tol, max_iter)
-        if x is None:
-            n_fail += 1
-            continue
-        if np.any(x < lows - 0.5) or np.any(x > highs + 0.5):
-            continue
-        x = _snap_axis_values(F, x, newton_tol)
-        if not any(np.linalg.norm(x - r) <= dedupe for r in roots):
-            roots.append(x.copy())
-
-    roots.sort(key=lambda r: tuple(r))
-    records = []
-    for x in roots:
-        full = _slice_point(slice_vars, x, C.vars, C.radial)
-        J = jacobian(C.components, C.poly_vars, full)
-        label, ns, nu, nc, eig = classify(J)
-        records.append(
-            EquilibriumRecord(
-                chart_desc=_chart_desc(C),
-                coords=tuple(full),
-                jacobian=tuple(map(tuple, J.tolist())),
-                eigenvalues=eig,
-                classification=label,
-                n_stable=ns,
-                n_unstable=nu,
-                n_center=nc,
-            )
-        )
-    return records, {"starts": len(starts), "failed_starts": n_fail}
+    roots, diag = _newton_roots(slice_comps, slice_vars, box, seed)
+    ri = C.vars.index(C.radial)
+    return [_equilibrium_record(C, [*x[:ri], 0.0, *x[ri:]]) for x in roots], diag
 
 
 def equilibria_of(
@@ -293,73 +302,18 @@ def equilibria_of(
     *,
     box: dict[str, tuple[float, float]] | None = None,
     seed: int = 0,
-    n_starts: int = 64,
 ) -> tuple[list[EquilibriumRecord], dict]:
     """Equilibria of the full chart field (no horizon restriction).
 
     Used for degenerate-level-set problems where the singular object is a
-    finite equilibrium rather than a point at infinity.
+    finite equilibrium rather than a point at infinity.  Same search and
+    records as :func:`horizon_equilibria`.
     """
-    dim = len(C.vars)
-    box = box or {}
-    lows = np.array([box.get(v, (-1.5, 1.5))[0] for v in C.vars])
-    highs = np.array([box.get(v, (-1.5, 1.5))[1] for v in C.vars])
-    for i, v in enumerate(C.vars):
-        if v in C.positive and lows[i] < 0.0:
-            lows[i] = 0.0
-    rng = np.random.default_rng(seed)
-    starts = [lows + (highs - lows) * rng.random(dim) for _ in range(n_starts)]
-    starts.append(np.zeros(dim))
-    for i in range(dim):
-        for c in (0.5, 1.0, -0.5, -1.0):
-            p = np.zeros(dim)
-            p[i] = c
-            if lows[i] <= c <= highs[i]:
-                starts.append(p)
-
-    pv = C.poly_vars
-
-    def F(x):
-        return np.array([comp.eval(x) for comp in C.components])
-
-    grads = [[comp.partial(v) for v in pv] for comp in C.components]
-
-    def JF(x):
-        return np.array([[g.eval(x) for g in row] for row in grads])
-
-    clip = [_needs_nonnegative(C.components, v) for v in C.vars]
-    roots = []
-    n_fail = 0
-    for x0 in starts:
-        x = _damped_newton(F, JF, np.array(x0, dtype=float), lows, highs, clip,
-                           1e-13, 60)
-        if x is None:
-            n_fail += 1
-            continue
-        x = _snap_axis_values(F, x, 1e-13)
-        if not any(np.linalg.norm(x - r) <= 1e-8 for r in roots):
-            roots.append(x.copy())
-    roots.sort(key=lambda r: tuple(r))
-    records = []
-    for x in roots:
-        J = jacobian(C.components, pv, list(x))
-        label, ns, nu, nc, eig = classify(J)
-        records.append(
-            EquilibriumRecord(
-                chart_desc=_chart_desc(C),
-                coords=tuple(float(v) for v in x),
-                jacobian=tuple(map(tuple, J.tolist())),
-                eigenvalues=eig,
-                classification=label,
-                n_stable=ns,
-                n_unstable=nu,
-                n_center=nc,
-            )
-        )
-    return records, {"starts": len(starts), "failed_starts": n_fail}
+    roots, diag = _newton_roots(C.components, C.poly_vars, box, seed)
+    return [_equilibrium_record(C, x) for x in roots], diag
 
 
-def _quasipolar_horizon_equilibria(C: ChartField, newton_tol, dedupe):
+def _quasipolar_horizon_equilibria(C: ChartField):
     """Roots of the angular component on {r = 0} over one period."""
     l = C.quasipolar_index
     T = period(l)
@@ -394,26 +348,9 @@ def _quasipolar_horizon_equilibria(C: ChartField, newton_tol, dedupe):
             roots.append(0.5 * (lo + hi))
     uniq = []
     for r in roots:
-        if not any(abs(r - u) <= dedupe for u in uniq):
+        if not any(abs(r - u) <= DEDUPE for u in uniq):
             uniq.append(r)
-    records = []
-    for th in uniq:
-        # classification is not meaningful through Cs/Sn symbols; report the
-        # angular location with a numerical Jacobian in (r, theta)
-        J = _quasipolar_numeric_jacobian(C, 0.0, th)
-        label, ns, nu, nc, eig = classify(J)
-        records.append(
-            EquilibriumRecord(
-                chart_desc=_chart_desc(C),
-                coords=(0.0, float(th)),
-                jacobian=tuple(map(tuple, J.tolist())),
-                eigenvalues=eig,
-                classification=label,
-                n_stable=ns,
-                n_unstable=nu,
-                n_center=nc,
-            )
-        )
+    records = [_equilibrium_record(C, (0.0, th)) for th in uniq]
     return records, {"starts": len(thetas), "failed_starts": 0}
 
 
@@ -427,10 +364,6 @@ def _quasipolar_numeric_jacobian(C: ChartField, r, th, h=1e-7):
         lo = f([r - dr, th - dth])
         J[:, j] = (hi - lo) / (2 * h)
     return J
-
-
-def _chart_desc(C: ChartField) -> str:
-    return "->".join(s.op for s in C.provenance)
 
 
 # -- center manifolds ---------------------------------------------------------
@@ -455,9 +388,6 @@ class CenterSeries:
             if ev[0] == e:
                 return c
         return 0
-
-    def eval_h(self, x: float) -> float:
-        return self.coefficients.eval([x])
 
 
 def center_manifold_series_1d(

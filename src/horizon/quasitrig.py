@@ -128,9 +128,6 @@ class QuasiTrigTable:
         ]
         return "".join(f"    {line}\n" for line in lines)
 
-    def __call__(self, theta):
-        return self.eval(theta)
-
     def eval(self, theta):
         """(Cs(theta), Sn(theta)); accepts scalars or arrays."""
         if np.isscalar(theta):

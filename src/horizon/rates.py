@@ -43,16 +43,6 @@ class RateModel:
 
     rho: float
     q: float = 0.0
-    C: float | None = None
-    s_meaning: str = "t_max - t"
-    quality: str = "~"  # '~' asymptotic, 'Theta' two-sided bounds
-
-    def describe(self) -> str:
-        parts = [f"s^{-self.rho:g}" if self.rho else ""]
-        if self.q:
-            parts.append(f"(log 1/s)^{self.q:g}")
-        body = " * ".join(p for p in parts if p) or "const"
-        return f"y {self.quality} C * {body}  [s = {self.s_meaning}]"
 
 
 @dataclass(frozen=True)

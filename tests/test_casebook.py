@@ -22,6 +22,7 @@ from horizon.compactify import (
 )
 from horizon.dynamics import integrate
 from horizon.genpoly import parse_genpoly
+from horizon.localanalysis import equilibria_of, horizon_equilibria
 from horizon.structure import check_quasi_homogeneous, check_aqh_numeric
 
 ALL_CASES = sorted(builtin_cases())
@@ -81,6 +82,35 @@ def test_horizon_invariance_syntactic(name):
     if cdef.chart.radial is None:
         pytest.skip("no radial variable")
     assert horizon_is_invariant_syntactically(cdef.chart)
+
+
+# equilibria of each default case (seed 0): coordinates and classification
+BUILTIN_EQUILIBRIA = {
+    "aiu": [],
+    "iy": [((0.0, 0.0), "hyperbolic"), ((0.0, 1.0), "hyperbolic")],
+    "andrews1": [((0.0, -0.47140452079103173), "hyperbolic"),
+                 ((0.0, 0.0), "semi-hyperbolic")],
+    "andrews2": [((0.0, -0.5), "hyperbolic"), ((0.0, 0.0), "hyperbolic")],
+    "quench": [((0.0, 0.0), "hyperbolic"), ((0.0, 2.0), "hyperbolic")],
+    "fhn": [((0.0, 0.0), "semi-hyperbolic"), ((0.24999999999999997, 0.0), "hyperbolic"),
+            ((1.0, 0.0), "hyperbolic")],
+    "kdv": [((0.0, -1.1547005383792515), "hyperbolic"),
+            ((0.0, 1.1547005383792517), "hyperbolic")],
+    "lienard": [],
+}
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_equilibrium_stage_of_builtin(name):
+    cdef = get_case(name).definition()
+    search = {"horizon": horizon_equilibria, "full": equilibria_of}[cdef.eq_mode]
+    eqs, _ = search(cdef.chart, box=cdef.eq_box, seed=0)
+    check = casebook._check_expected_equilibria(cdef, eqs)
+    assert check["all_found"]
+    assert check["n_found"] == len(BUILTIN_EQUILIBRIA[name])
+    for e, (coords, label) in zip(eqs, BUILTIN_EQUILIBRIA[name]):
+        assert e.classification == label
+        assert max(abs(a - b) for a, b in zip(e.coords, coords)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,qh", [("aiu", True), ("iy", True),

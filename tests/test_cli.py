@@ -87,6 +87,15 @@ class TestExitCodes:
         assert rc == 2
         assert "line 7 " in capsys.readouterr().err
 
+    def test_zero_type_entry_is_2(self, tmp_path, capsys):
+        spec = ("var u0 positive\nvar u1 positive\nfield u0 : u1\n"
+                "field u1 : u0\ntype 0 1\norder 1\n"
+                "transform directional index=u0\n")
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 7 " in err and "type entry 0" in err
+
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time
         # on part of the phase plane

@@ -76,7 +76,7 @@ class TestDirectional:
         )
 
     def test_zero_type_entry_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             directional_compactify(aiu_base(), TypeVector.make((0, 1), 1), "u0")
 
     def test_roundtrip_identity_on_samples(self):

@@ -15,10 +15,12 @@ from horizon.compactify import (
 from horizon.dynamics import (
     EventSpec,
     SectionSpec,
+    TmaxEstimate,
     accumulate_time,
     detect_horizon_approach,
     integrate,
     remaining_time,
+    remaining_time_at_marks,
     trajectory_to_csv,
 )
 from horizon.genpoly import GenMonomial, parse_genpoly
@@ -134,6 +136,10 @@ class TestEvents:
         C = aiu_chart()
         traj, hit = detect_horizon_approach(C, [1e-8, 1.0], 5.0, 1e-6)
         assert hit is not None and hit[1] == 0.0
+        # (name, tau, state, t, step_idx, partial_inc), like every event
+        assert len(hit) == 6 and hit[3:] == (0.0, 0, 0.0)
+        est = TmaxEstimate(0.0, 0.0, 0.0, "negligible", 0.0, (0.0, 0.0), 1.0)
+        assert remaining_time_at_marks(traj, est, [hit])[0] == 0.0
 
 
 class TestSections:
