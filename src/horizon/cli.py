@@ -292,6 +292,14 @@ def parse_spec_file(path: pathlib.Path) -> CaseDefinition:
     return st.finish()
 
 
+def _words(rest: str, n: int, usage: str, lineno: int) -> list[str]:
+    """The arguments of a directive; a ParseError when fewer than ``n``."""
+    parts = rest.split()
+    if len(parts) < n:
+        raise ParseError(f"expected '{usage}'", lineno, 1)
+    return parts
+
+
 class _SpecState:
     def __init__(self):
         self.name = "system"
@@ -388,7 +396,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     elif head == "name":
         st.name = rest
     elif head == "var":
-        parts = rest.split()
+        parts = _words(rest, 1, "var <name> [positive]", lineno)
         st.vars.append(parts[0])
         if "positive" in parts[1:]:
             st.positive.append(parts[0])
@@ -407,7 +415,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     elif head == "order":
         st.k = Fraction(rest)
     elif head == "box":
-        parts = rest.split()
+        parts = _words(rest, 3, "box <var> <low> <high>", lineno)
         st.boxes[parts[0]] = (float(parts[1]), float(parts[2]))
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
@@ -417,7 +425,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         for k, v in _kv(rest).items():
             st.initial[k] = float(v)
     elif head == "window":
-        parts = rest.split()
+        parts = _words(rest, 2, "window <low> <high> [absolute]", lineno)
         st.plan["window"] = (float(parts[0]), float(parts[1]))
         st.plan["window_relative"] = not (len(parts) > 2 and parts[2] == "absolute")
     elif head == "observable":

@@ -275,8 +275,8 @@ def integrate(
 
         # equilibrium stop rule
         if stop_at_equilibrium:
-            fn = math.sqrt(sum(v * v for v in f_now))
-            xn = math.sqrt(sum(v * v for v in y))
+            fn = math.sqrt(_sum_sq(f_now))
+            xn = math.sqrt(_sum_sq(y))
             if fn <= 1e-12 * (1.0 + xn):
                 eq_run += 1
                 if eq_run >= 50:
@@ -314,9 +314,10 @@ def _attempt_fn(n: int, sign: int):
     same order, so trajectories are reproduced bit for bit: stage and
     solution sums are ``y + (h*a_j)*k_j + ...`` and
     ``y + h*(0.0 + b_j*k_j + ...)`` left to right, zero coefficients
-    skipped; the time increments keep the builtin ``sum`` over all seven
-    terms, because ``sum`` rounds differently from chained ``+`` on exact
-    floats (compensated summation from Python 3.12 on).
+    skipped; the time increments are ``h*(0.0 + b_0*g_0 + ... + b_6*g_6)``
+    over all seven terms, zero weights included, which is what the builtin
+    ``sum`` computed up to Python 3.11 (from 3.12 on ``sum`` compensates, so
+    it is not used).
     """
     I = range(n)
     lines = [f"{_tup(f'y{i}' for i in I)} = y", "k0 = f", f"{_tup(f'k0_{i}' for i in I)} = f"]
@@ -353,7 +354,7 @@ def _attempt_fn(n: int, sign: int):
 
     lines += [f"y5_{i} = y{i} + h * (0.0{combo(_B5, i)})" for i in I]
     for name, b in (("dt5", _B5), ("dt4", _B4)):
-        lines.append(f"{name} = h * sum(({''.join(f'{c!r} * g{s}, ' for s, c in enumerate(b))}))")
+        lines.append(f"{name} = h * (0.0{''.join(f' + {c!r} * g{s}' for s, c in enumerate(b))})")
     d = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
     lines.append(f"{_tup(f'a{i}' for i in I)} = atol")
     lines.append("err = 0.0")
@@ -453,9 +454,18 @@ def _bisect_event(g, lo, hi, iters=80):
     return 0.5 * (lo + hi)
 
 
+def _sum_sq(v) -> float:
+    """``0.0 + v0*v0 + v1*v1 + ...`` left to right, on every Python version
+    (the builtin ``sum`` compensates from 3.12 on)."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return total
+
+
 def _initial_step(y, f0):
-    d0 = math.sqrt(sum(v * v for v in y)) or 1.0
-    d1 = math.sqrt(sum(v * v for v in f0))
+    d0 = math.sqrt(_sum_sq(y)) or 1.0
+    d1 = math.sqrt(_sum_sq(f0))
     h = 0.01 * d0 / d1 if d1 > 0 else 1e-6
     return max(min(h, 1.0), 1e-8)
 

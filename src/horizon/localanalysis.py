@@ -137,6 +137,48 @@ def _needs_nonnegative(comps: Sequence[GenPoly], v: str) -> bool:
     return False
 
 
+def _float_fn(p: GenPoly):
+    """``p`` as a function of a list of floats that agrees with ``p.eval``
+    bit for bit: the compiled expression sums the same terms in the same
+    order, ``0.0 + value`` gives ``eval``'s sign of zero, and ``DomainError``
+    is raised exactly where ``eval`` raises it (the compiled 0**-n raises
+    ``ZeroDivisionError``, its fractional powers of negatives give NaN)."""
+    f = p.compile()
+
+    def fn(x):
+        try:
+            v = 0.0 + f(*x)
+        except ZeroDivisionError:
+            raise DomainError("negative power of zero") from None
+        except OverflowError:
+            # eval overflows in the same power, unless a domain error
+            # comes first: let it raise its own exception
+            return p.eval(x)
+        if v != v:
+            raise DomainError("evaluation produced NaN")
+        return v
+
+    return fn
+
+
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a float list, bitwise: numpy's one-element dot
+    is ``v*v``; longer vectors keep numpy's own (BLAS) summation."""
+    if len(v) == 1:
+        return math.sqrt(v[0] * v[0])
+    return float(np.linalg.norm(v))
+
+
+def _solve(J, b):
+    """``np.linalg.solve(J, b)`` on float lists, bitwise: LAPACK solves a
+    1x1 system by one division, and raises on an exactly zero pivot."""
+    if len(b) == 1:
+        if J[0][0] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return [b[0] / J[0][0]]
+    return np.linalg.solve(J, b).tolist()
+
+
 def _damped_newton(F, JF, x, clip):
     """Damped Newton iterated until the step stalls, so multiple roots are
     followed all the way in instead of stopping on their flat residual basin.
@@ -146,16 +188,16 @@ def _damped_newton(F, JF, x, clip):
     except DomainError:
         return None
     for _ in range(NEWTON_MAX_ITER):
-        nf = float(np.linalg.norm(fx))
+        nf = _norm(fx)
         try:
-            step = np.linalg.solve(JF(x), -fx)
+            step = _solve(JF(x), [-v for v in fx])
         except (np.linalg.LinAlgError, DomainError):
             break
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step)):
             break
         lam, improved, stalled = 1.0, False, False
         for _ in range(8):
-            cand = x + lam * step
+            cand = [xi + lam * si for xi, si in zip(x, step)]
             for i, c in enumerate(clip):
                 if c and cand[i] < 0.0:
                     cand[i] = 0.0
@@ -164,9 +206,9 @@ def _damped_newton(F, JF, x, clip):
             except DomainError:
                 lam *= 0.5
                 continue
-            if float(np.linalg.norm(fc)) < nf:
-                stalled = float(np.linalg.norm(cand - x)) <= 1e-14 * (
-                    1.0 + float(np.linalg.norm(x))
+            if _norm(fc) < nf:
+                stalled = _norm([c - xi for c, xi in zip(cand, x)]) <= 1e-14 * (
+                    1.0 + _norm(x)
                 )
                 x, fx = cand, fc
                 improved = True
@@ -174,7 +216,7 @@ def _damped_newton(F, JF, x, clip):
             lam *= 0.5
         if not improved or stalled:
             break
-    if float(np.linalg.norm(fx)) <= NEWTON_TOL * (1.0 + float(np.linalg.norm(x))):
+    if _norm(fx) <= NEWTON_TOL * (1.0 + _norm(x)):
         return x
     return None
 
@@ -182,16 +224,14 @@ def _damped_newton(F, JF, x, clip):
 def _snap_axis_values(F, x):
     """Replace near-axis coordinates by their exact values when the residual
     allows it; keeps coordinate-set equilibria exact and deterministic."""
-    out = np.array(x, dtype=float)
+    out = list(x)
     for i in range(len(out)):
         for c in (0.0, 1.0, -1.0):
             if out[i] != c and abs(out[i] - c) < 1e-6:
                 trial = out.copy()
                 trial[i] = c
                 try:
-                    if float(np.linalg.norm(F(trial))) <= NEWTON_TOL * (
-                        1.0 + float(np.linalg.norm(trial))
-                    ):
+                    if _norm(F(trial)) <= NEWTON_TOL * (1.0 + _norm(trial)):
                         out = trial
                 except DomainError:
                     pass
@@ -207,12 +247,17 @@ def _newton_roots(components, variables, box, seed):
     ``AXIS_STARTS`` that lie in the box; the usual coordinate-set roots are
     thereby found deterministically.  Roots more than 0.5 outside the box
     are dropped; the rest are snapped to exact axis values, deduplicated and
-    sorted.  Returns (roots, diagnostics).
+    sorted.  Returns (roots as float lists, diagnostics).
+
+    The residual and the Jacobian entries are compiled once per search
+    (:func:`_float_fn`) and the iteration runs on Python floats; values,
+    norms and Newton steps are bitwise those of ``GenPoly.eval``, numpy and
+    LAPACK, so the roots are too.
     """
     dim = len(variables)
     box = box or {}
-    lows = np.array([box.get(v, (-2.0, 2.0))[0] for v in variables])
-    highs = np.array([box.get(v, (-2.0, 2.0))[1] for v in variables])
+    lows = [float(box.get(v, (-2.0, 2.0))[0]) for v in variables]
+    highs = [float(box.get(v, (-2.0, 2.0))[1]) for v in variables]
     # clip only where evaluation is genuinely restricted (fractional or
     # negative exponents); sign-masked variables may still host formal
     # equilibria outside the physical sector
@@ -222,36 +267,40 @@ def _newton_roots(components, variables, box, seed):
             lows[i] = 0.0
 
     rng = np.random.default_rng(seed)
-    starts = [lows + (highs - lows) * rng.random(dim) for _ in range(N_STARTS)]
-    starts.append(np.zeros(dim))
+    starts = [
+        [lo + (hi - lo) * u for lo, hi, u in zip(lows, highs, rng.random(dim).tolist())]
+        for _ in range(N_STARTS)
+    ]
+    starts.append([0.0] * dim)
     for i in range(dim):
         for c in AXIS_STARTS:
-            p = np.zeros(dim)
-            p[i] = c
             if lows[i] <= c <= highs[i]:
+                p = [0.0] * dim
+                p[i] = c
                 starts.append(p)
 
-    grads = [[comp.partial(v) for v in variables] for comp in components]
+    fns = [_float_fn(comp) for comp in components]
+    grads = [[_float_fn(comp.partial(v)) for v in variables] for comp in components]
 
     def F(x):
-        return np.array([comp.eval(x) for comp in components])
+        return [f(x) for f in fns]
 
     def JF(x):
-        return np.array([[g.eval(x) for g in row] for row in grads])
+        return [[g(x) for g in row] for row in grads]
 
     roots = []
     n_fail = 0
     for x0 in starts:
-        x = _damped_newton(F, JF, np.array(x0, dtype=float), clip)
+        x = _damped_newton(F, JF, x0, clip)
         if x is None:
             n_fail += 1
             continue
-        if np.any(x < lows - 0.5) or np.any(x > highs + 0.5):
+        if any(xi < lo - 0.5 or xi > hi + 0.5 for xi, lo, hi in zip(x, lows, highs)):
             continue
         x = _snap_axis_values(F, x)
-        if not any(np.linalg.norm(x - r) <= DEDUPE for r in roots):
-            roots.append(x.copy())
-    roots.sort(key=lambda r: tuple(r))
+        if not any(_norm([a - b for a, b in zip(x, r)]) <= DEDUPE for r in roots):
+            roots.append(x)
+    roots.sort(key=tuple)
     return roots, {"starts": len(starts), "failed_starts": n_fail}
 
 
@@ -338,13 +387,14 @@ def _quasipolar_horizon_equilibria(C: ChartField):
         if va == 0.0:
             roots.append(a)
         elif va * vb < 0.0:
-            lo, hi = a, b
+            lo, hi, glo = a, b, va
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if g(lo) * g(mid) <= 0:
+                gmid = g(mid)
+                if glo * gmid <= 0:
                     hi = mid
                 else:
-                    lo = mid
+                    lo, glo = mid, gmid
             roots.append(0.5 * (lo + hi))
     uniq = []
     for r in roots:

@@ -96,6 +96,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 7 " in err and "type entry 0" in err
 
+    @pytest.mark.parametrize("line,usage", [
+        ("window 1e-8", "window <low> <high>"),
+        ("box x 1", "box <var> <low> <high>"),
+        ("var", "var <name>"),
+    ], ids=["window", "box", "var"])
+    def test_missing_directive_argument_is_2(self, tmp_path, capsys, line, usage):
+        spec = GOOD_SPEC.replace("window 1e-8 1e-3", line)
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 12 " in err and usage in err
+
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time
         # on part of the phase plane

@@ -1,22 +1,40 @@
 """Equilibria, classification, center manifolds, periodic-orbit coefficients."""
 
+import ast
+import hashlib
 import math
+import pathlib
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from horizon.casebook import get_case
+from horizon.cli import _parse_number, parse_spec_file
 from horizon.compactify import (
     base_field,
     blowup_chart,
     desingularize,
     directional_compactify,
+    horizon_slice,
     quasi_polar_compactify,
     time_rescale,
 )
-from horizon.errors import DegenerateBeyondDegreeError, NegativeDiscriminantError
+from horizon.errors import DegenerateBeyondDegreeError, DomainError, NegativeDiscriminantError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.localanalysis import (
+    AXIS_STARTS,
+    DEDUPE,
+    N_STARTS,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    _equilibrium_record,
+    _float_fn,
+    _norm,
+    _needs_nonnegative,
+    _solve,
     center_manifold_series_1d,
     classify,
     cm_flow_asymptotics,
@@ -362,3 +380,283 @@ def test_degenerate_front_jacobians_match_closed_forms():
     assert np.allclose(J1, [[0, 1], [1 - float(a), -float(c)]], atol=1e-9)
     assert by_coord[0.0].classification == "semi-hyperbolic"
     assert by_coord[1.0].classification == "hyperbolic"
+
+
+# -- the Newton search against its numpy reference -----------------------------
+#
+# The previous search, kept here verbatim as the oracle: GenPoly.eval residuals
+# on numpy arrays, np.linalg.solve and np.linalg.norm.  The float search on
+# compiled residuals must give the same roots, and so the same records, bit
+# for bit.
+
+
+def old_damped_newton(F, JF, x, clip):
+    try:
+        fx = F(x)
+    except DomainError:
+        return None
+    for _ in range(NEWTON_MAX_ITER):
+        nf = float(np.linalg.norm(fx))
+        try:
+            step = np.linalg.solve(JF(x), -fx)
+        except (np.linalg.LinAlgError, DomainError):
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        lam, improved, stalled = 1.0, False, False
+        for _ in range(8):
+            cand = x + lam * step
+            for i, c in enumerate(clip):
+                if c and cand[i] < 0.0:
+                    cand[i] = 0.0
+            try:
+                fc = F(cand)
+            except DomainError:
+                lam *= 0.5
+                continue
+            if float(np.linalg.norm(fc)) < nf:
+                stalled = float(np.linalg.norm(cand - x)) <= 1e-14 * (
+                    1.0 + float(np.linalg.norm(x))
+                )
+                x, fx = cand, fc
+                improved = True
+                break
+            lam *= 0.5
+        if not improved or stalled:
+            break
+    if float(np.linalg.norm(fx)) <= NEWTON_TOL * (1.0 + float(np.linalg.norm(x))):
+        return x
+    return None
+
+
+def old_snap_axis_values(F, x):
+    out = np.array(x, dtype=float)
+    for i in range(len(out)):
+        for c in (0.0, 1.0, -1.0):
+            if out[i] != c and abs(out[i] - c) < 1e-6:
+                trial = out.copy()
+                trial[i] = c
+                try:
+                    if float(np.linalg.norm(F(trial))) <= NEWTON_TOL * (
+                        1.0 + float(np.linalg.norm(trial))
+                    ):
+                        out = trial
+                except DomainError:
+                    pass
+    return out
+
+
+def old_newton_roots(components, variables, box, seed):
+    dim = len(variables)
+    box = box or {}
+    lows = np.array([box.get(v, (-2.0, 2.0))[0] for v in variables])
+    highs = np.array([box.get(v, (-2.0, 2.0))[1] for v in variables])
+    clip = [_needs_nonnegative(components, v) for v in variables]
+    for i, c in enumerate(clip):
+        if c and lows[i] < 0.0:
+            lows[i] = 0.0
+
+    rng = np.random.default_rng(seed)
+    starts = [lows + (highs - lows) * rng.random(dim) for _ in range(N_STARTS)]
+    starts.append(np.zeros(dim))
+    for i in range(dim):
+        for c in AXIS_STARTS:
+            p = np.zeros(dim)
+            p[i] = c
+            if lows[i] <= c <= highs[i]:
+                starts.append(p)
+
+    grads = [[comp.partial(v) for v in variables] for comp in components]
+
+    def F(x):
+        return np.array([comp.eval(x) for comp in components])
+
+    def JF(x):
+        return np.array([[g.eval(x) for g in row] for row in grads])
+
+    roots = []
+    n_fail = 0
+    for x0 in starts:
+        x = old_damped_newton(F, JF, np.array(x0, dtype=float), clip)
+        if x is None:
+            n_fail += 1
+            continue
+        if np.any(x < lows - 0.5) or np.any(x > highs + 0.5):
+            continue
+        x = old_snap_axis_values(F, x)
+        if not any(np.linalg.norm(x - r) <= DEDUPE for r in roots):
+            roots.append(x.copy())
+    roots.sort(key=lambda r: tuple(r))
+    return roots, {"starts": len(starts), "failed_starts": n_fail}
+
+
+def old_search(cdef, seed):
+    """The equilibrium stage of ``cdef`` through the reference search."""
+    C = cdef.chart
+    if cdef.eq_mode == "horizon":
+        slice_vars, slice_comps = horizon_slice(C)
+        roots, diag = old_newton_roots(slice_comps, slice_vars, cdef.eq_box, seed)
+        ri = C.vars.index(C.radial)
+        roots = [[*x[:ri], 0.0, *x[ri:]] for x in roots]
+    else:
+        roots, diag = old_newton_roots(C.components, C.poly_vars, cdef.eq_box, seed)
+    return [_equilibrium_record(C, x) for x in roots], diag
+
+
+def hexed(obj):
+    """Nested structure with every float replaced by its exact hex form."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [hexed(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    return obj
+
+
+def _cli_sweep_points():
+    """(case, params) of every sweep in the benchmark's CLI commands, with
+    the values parsed as the CLI parses them."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pipeline_ops.py"
+    commands = next(
+        ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "CLI_COMMANDS"
+    )
+    points = []
+    for argv in commands:
+        if argv[0] != "sweep":
+            continue
+        grid = [{}]
+        for name, _, vals in (p.partition("=") for p in argv[3::2]):
+            grid = [dict(g, **{name: _parse_number(v)}) for g in grid
+                    for v in vals.split(",")]
+        points += [(argv[1], g) for g in grid]
+    return points
+
+
+def _search_id(source):
+    name, params = source
+    return " ".join([name, *(f"{k}={v}" for k, v in (params or {}).items())])
+
+
+SEARCH_POINTS = (
+    [(name, {}) for name in ("aiu", "iy", "andrews1", "andrews2", "quench", "fhn", "kdv")]
+    + _cli_sweep_points()
+    # the parameter points the other tests sweep
+    + [("andrews1", {"a": a}) for a in (0.3, 0.5, 0.7)]
+    + [("andrews2", {"a": F(1, 4), "a1": a1}) for a1 in (F(2, 5), F(1, 2), F(1))]
+    + [("iy", {"a": F(1, 2)})]
+    + [("fhn", {"m": 2, "p": F(1, 2), "a": F(1, 4), "c": F(1)})]
+    + [("fhn", {"p": p, "c": c}) for p in (F(1, 4), F(3, 4)) for c in (F(1, 2), 2)]
+)
+SEARCH_POINTS = list({_search_id(s): s for s in SEARCH_POINTS}.values())
+SPEC_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "cases").glob("*.spec"))
+
+
+@pytest.mark.parametrize("source", SEARCH_POINTS + [(f.name, None) for f in SPEC_FILES],
+                         ids=_search_id)
+def test_equilibrium_search_bitwise_unchanged(source):
+    name, params = source
+    if params is None:
+        cdef = parse_spec_file(SPEC_FILES[0].parent / name)
+    else:
+        cdef = get_case(name).definition(params)
+    search = {"horizon": horizon_equilibria, "full": equilibria_of}[cdef.eq_mode]
+    for seed in (0, 1, 7):
+        eqs, diag = search(cdef.chart, box=cdef.eq_box, seed=seed)
+        old_eqs, old_diag = old_search(cdef, seed)
+        assert diag == old_diag
+        assert [hexed(e.to_dict()) for e in eqs] == [hexed(e.to_dict()) for e in old_eqs]
+
+
+POW_EXPONENTS = st.one_of(
+    st.integers(-3, 5).map(F),
+    st.sampled_from([F(1, 2), F(3, 2), F(-1, 2), F(1, 3), F(-5, 3), F(7, 4)]),
+)
+COEFFS = st.one_of(
+    st.sampled_from([1, -1, 2, F(-3, 2), F(1, 7), 0.7, -1e300, 3e-200]),
+    st.floats(-1e3, 1e3).filter(lambda c: c != 0.0),
+)
+
+
+@st.composite
+def float_polys(draw):
+    vars = ("x", "y")
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        ev = tuple(draw(POW_EXPONENTS) if draw(st.booleans()) else F(0) for _ in vars)
+        terms[ev] = draw(COEFFS)
+    return GenPoly(vars, terms)
+
+
+POINT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-160, -1e-160,
+                     1e154, -1e154, 1e300, -1e300, 1e-300, 1.7e308, -1.7e308]),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _outcome(f, x):
+    try:
+        return hexed(f(x))
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_polys(), st.tuples(POINT_VALUES, POINT_VALUES))
+@example(GenPoly(("x", "y"), {(F(1), F(0)): 1}), (-0.0, 1.0))
+@example(GenPoly(("x", "y"), {(F(3), F(0)): -2, (F(0), F(1)): 1}), (-0.0, -0.0))
+@example(GenPoly(("x", "y"), {(F(-1, 2), F(0)): 1, (F(2), F(0)): 1}), (-1.0, 0.0))
+@example(GenPoly(("x", "y"), {(F(1, 2), F(0)): 1, (F(0), F(3)): 1}), (-1.0, 1e300))
+@example(GenPoly(("x", "y"), {(F(0), F(-2)): 1}), (1.0, 0.0))
+def test_compiled_residual_matches_eval(p, x):
+    x = list(x)
+    assert _outcome(_float_fn(p), x) == _outcome(p.eval, x)
+
+
+# theta of the horizon equilibria of the quasi-polar charts of
+# x' = y, y' = -x^(2n+1) - c x^n y, and a digest of their full records, as
+# the bisection found them before it kept g(lo) between steps
+QP_PINNED = {
+    (1, None): ([], ""),
+    (3, None): ([], ""),
+    (1, 4): (["0x1.fea7debe5d9eap+1", "0x1.2b1df9b4e9684p+2",
+              "0x1.9cd8fb4e1da06p+2", "0x1.c8a305a3d8392p+2"], "9abb913b07fd5f55d65d915f997c47611633f3b66018ab7159c6efe03bff3605"),
+    (3, 6): (["0x1.35c15d308e6f2p+2", "0x1.5b271c6131672p+2",
+              "0x1.113e3faa47bdep+3", "0x1.23f11f42993acp+3"], "ea723ffddb070c049d79e5b8970db2dcf66439a6610006bfc45d00eb9d0886d6"),
+}
+
+
+@pytest.mark.parametrize("n,c", list(QP_PINNED), ids=lambda v: str(v))
+def test_quasipolar_equilibria_bitwise_pinned(n, c):
+    if c is None:
+        chart = get_case("lienard").definition({"n": n}).chart
+    else:
+        vars = ("x", "y")
+        base = base_field(vars, [gp("y", vars), gp(f"-x^{2*n+1} - {c}*x^{n}*y", vars)],
+                          name="qp")
+        chart = quasi_polar_compactify(base, n + 1, n)
+    eqs, diag = horizon_equilibria(chart)
+    thetas, digest = QP_PINNED[n, c]
+    assert diag == {"starts": 257, "failed_starts": 0}
+    assert [e.coords[1].hex() for e in eqs] == thetas
+    assert all(e.coords[0] == 0.0 for e in eqs)
+    if eqs:
+        doc = repr([hexed(e.to_dict()) for e in eqs]).encode()
+        assert hashlib.sha256(doc).hexdigest() == digest
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=3), FINITE)
+def test_float_norm_and_solve_match_numpy(v, a):
+    assert _norm(v).hex() == float(np.linalg.norm(np.array(v))).hex()
+    if a == 0.0:
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve([[a]], [v[0]])
+        return
+    assert hexed(_solve([[a]], [v[0]])) == hexed(np.linalg.solve([[a]], [v[0]]).tolist())
