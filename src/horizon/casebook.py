@@ -606,7 +606,7 @@ def _build_lienard(n) -> CaseDefinition:
     t = TypeVector.make((1, n + 1), n)
     chart = quasi_polar_compactify(base, n + 1, n)
     T = period(n + 1)
-    sec = SectionSpec(var="theta", period=T, base=0.0)
+    sec = SectionSpec(var="theta", period=T)
     if n >= 3:
         runs = [
             RunPlan(

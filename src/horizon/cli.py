@@ -172,7 +172,11 @@ def _cmd_sweep(args) -> int:
             print(f"error: unknown parameter {name!r} for case {args.case}",
                   file=sys.stderr)
             return 2
-        values = [_parse_number(v) for v in vals.split(",") if v]
+        try:
+            values = [_parse_number(v) for v in vals.split(",") if v]
+        except (ValueError, ZeroDivisionError):
+            print(f"error: bad --param {p!r}", file=sys.stderr)
+            return 2
         grid = [dict(g, **{name: v}) for g in grid for v in values]
     if not args.param:
         grid = []
@@ -207,22 +211,23 @@ def _parse_number(text: str):
 # -- report emission -----------------------------------------------------------
 
 
-def _fmt17(x):
-    """Floats rendered with 17 significant digits (exact round-trip)."""
+def _json_safe(x):
+    """Non-finite floats as the strings ``"inf"``, ``"-inf"``, ``"nan"``,
+    so ``json`` writes no ``Infinity``/``NaN`` tokens.  Finite floats are
+    returned unchanged (``json`` writes their shortest exact repr); tuples
+    become lists."""
     if isinstance(x, float):
-        if math.isinf(x) or math.isnan(x):
-            return str(x)
-        return float(format(x, ".17g"))
+        return x if math.isfinite(x) else str(x)
     if isinstance(x, dict):
-        return {k: _fmt17(v) for k, v in x.items()}
+        return {k: _json_safe(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_fmt17(v) for v in x]
+        return [_json_safe(v) for v in x]
     return x
 
 
 def _write_report(out_dir: pathlib.Path, reports):
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = [_fmt17(r.to_dict()) for r in reports]
+    docs = [_json_safe(r.to_dict()) for r in reports]
     payload = docs[0] if len(docs) == 1 else {"schema": REPORT_SCHEMA, "reports": docs}
     with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

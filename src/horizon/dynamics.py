@@ -10,8 +10,8 @@ needs, per accepted step:
   later formed by suffix-summing these increments, which stays accurate
   down to s ~ 1e-60 relative where t_max - t(sigma) would cancel away;
 * equilibrium detection sustained over consecutive steps;
-* angular-section crossings (for quasi-polar charts) and generic scalar
-  events located on the dense output;
+* angular-section crossings (for quasi-polar charts) located on the dense
+  output;
 * a maximum step size so rate-fit windows always contain enough samples.
 
 Both hot layers are generated Python code.  The chart field is compiled to
@@ -19,12 +19,12 @@ one function returning all components and the chain product
 (:meth:`ChartField.compile_rhs`), and one DP5 attempt (six stages, the 5th-
 and 4th-order solutions and increments, the error norm and the end-point
 evaluation) is generated per state dimension and direction, unrolled in
-tableau order.  The dense output is formed only for steps that contain an
-event or a section crossing.
+tableau order.  The dense output is formed only for steps that contain a
+section crossing.
 
-Termination reasons: 'converged-to-equilibrium', 'horizon-event',
-'tau-budget' (tau_end reached), 'step-budget' (max_steps accepted steps
-before tau_end), 'step-underflow'.
+Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
+reached), 'step-budget' (max_steps accepted steps before tau_end),
+'step-underflow'.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,11 +42,9 @@ from .compactify import ChartField
 __all__ = [
     "Trajectory",
     "TmaxEstimate",
-    "EventSpec",
     "SectionSpec",
     "integrate",
     "accumulate_time",
-    "detect_horizon_approach",
     "trajectory_to_csv",
     "lstsq",
 ]
@@ -76,22 +74,12 @@ _P = (
 
 
 @dataclass
-class EventSpec:
-    """Scalar event g(state) = 0 located on dense output."""
-
-    name: str
-    fn: Callable[[Sequence[float]], float]
-    direction: int = 0  # +1 rising, -1 falling, 0 any
-    terminal: bool = True
-
-
-@dataclass
 class SectionSpec:
-    """Angular section crossings at var = base - j*period (monotone angle)."""
+    """Angular section crossings at var = -j*period (decreasing angle) or
+    +j*period (increasing angle); the angle must be monotone."""
 
     var: str
     period: float
-    base: float = 0.0
 
 
 @dataclass
@@ -102,8 +90,6 @@ class Trajectory:
     t: np.ndarray                      # cumulative physical time, t[0] = 0
     termination: str
     chart: ChartField | None = None
-    direction: int = 1
-    events: list = field(default_factory=list)      # (name, tau, state, t, step_idx, partial_inc)
     sections: list = field(default_factory=list)    # (tau, state, t, step_idx, partial_inc)
     n_steps: int = 0
     n_rejected: int = 0
@@ -123,7 +109,6 @@ def integrate(
     direction: int = 1,
     h_max: float = math.inf,
     h0: float | None = None,
-    events: Sequence[EventSpec] = (),
     section: SectionSpec | None = None,
     stop_at_equilibrium: bool = True,
     max_steps: int = 2_000_000,
@@ -164,26 +149,12 @@ def integrate(
     taus = [0.0]
     states = [y]
     incs: list[float] = []
-    ev_hits = []
     sec_hits = []
     termination = "tau-budget"
 
-    # immediate events at tau = 0 (already at or past the crossing)
-    ev_prev = [e.fn(y) for e in events]
-    for e, v in zip(events, ev_prev):
-        crossed = v == 0.0 or (e.direction < 0 and v < 0.0) or (
-            e.direction > 0 and v > 0.0
-        )
-        if crossed:
-            ev_hits.append((e.name, 0.0, list(y), 0.0, 0, 0.0))
-            if e.terminal:
-                termination = "horizon-event"
-                return _build_traj(taus, states, incs, termination, C, direction,
-                                   ev_hits, sec_hits, 0, 0)
-
     if section is not None:
         si = C.vars.index(section.var)
-        sec_count = math.floor(abs(y[si] - section.base) / section.period)
+        sec_count = math.floor(abs(y[si]) / section.period)
 
     h = h0 if h0 is not None else _initial_step(y, f_now)
     h = min(h, h_max, tau_end)
@@ -215,37 +186,15 @@ def integrate(
 
         # accepted
         _, y5, f_new, g_new, dt5, k, kg = res
-        tau_new = tau + h
-        dense = None
 
-        stop_here = None
-        # events
-        ev_now = [e.fn(y5) for e in events]
-        for idx, e in enumerate(events):
-            v0, v1 = ev_prev[idx], ev_now[idx]
-            if v0 == v1 or v0 * v1 > 0.0:
-                continue
-            if e.direction * (v1 - v0) < 0.0:
-                continue
-            if dense is None:
-                dense = _DenseSeg(tau, h, y, k)
-            th = _bisect_event(lambda s: e.fn(dense.state_at(s)), 0.0, 1.0)
-            tau_ev = tau + th * h
-            st_ev = dense.state_at(th)
-            partial = _dt_partial(dense, kg, th, h)
-            t_ev = t_acc + partial
-            ev_hits.append((e.name, tau_ev, st_ev, t_ev, n_acc, partial))
-            if e.terminal and stop_here is None:
-                stop_here = (th, tau_ev, st_ev, t_ev, "horizon-event")
-
-        # sections (assumes monotone angle; crossings at base - j*period)
-        if section is not None and stop_here is None:
-            new_count = math.floor(abs(y5[si] - section.base) / section.period)
-            if new_count > sec_count and dense is None:
+        # sections (assumes monotone angle; crossings at -j*period or +j*period)
+        if section is not None:
+            new_count = math.floor(abs(y5[si]) / section.period)
+            if new_count > sec_count:
                 dense = _DenseSeg(tau, h, y, k)
             while new_count > sec_count:
                 sec_count += 1
-                target = section.base - sec_count * section.period * _angle_sign(y, y5, si)
+                target = -sec_count * section.period * _angle_sign(y, y5, si)
                 th = _bisect_event(
                     lambda s: dense.state_at(s)[si] - target, 0.0, 1.0
                 )
@@ -254,19 +203,9 @@ def integrate(
                 partial = _dt_partial(dense, kg, th, h)
                 sec_hits.append((tau_sec, st_sec, t_acc + partial, n_acc, partial))
 
-        if stop_here is not None:
-            th, tau_ev, st_ev, t_ev, reason = stop_here
-            taus.append(tau_ev)
-            states.append(st_ev)
-            incs.append(t_ev - t_acc)
-            termination = reason
-            n_acc += 1
-            break
-
-        tau = tau_new
+        tau += h
         y = y5
         f_now, g_now = f_new, g_new
-        ev_prev = ev_now
         t_acc += dt5
         taus.append(tau)
         states.append(y)
@@ -290,8 +229,7 @@ def integrate(
         h = min(h * min(5.0, max(0.2, fac)), h_max)
         err_prev = max(err, 1e-10)
 
-    return _build_traj(taus, states, incs, termination, C, direction, ev_hits,
-                       sec_hits, n_acc, n_rej)
+    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej)
 
 
 # what a compiled chart rhs raises where a power of a Python float overflows
@@ -470,7 +408,7 @@ def _initial_step(y, f0):
     return max(min(h, 1.0), 1e-8)
 
 
-def _build_traj(taus, states, incs, termination, C, direction, ev, sec, n_acc, n_rej):
+def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej):
     t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if incs else np.zeros(1)
     return Trajectory(
         tau=np.asarray(taus),
@@ -479,8 +417,6 @@ def _build_traj(taus, states, incs, termination, C, direction, ev, sec, n_acc, n
         t=t,
         termination=termination,
         chart=C,
-        direction=direction,
-        events=ev,
         sections=sec,
         n_steps=n_acc,
         n_rejected=n_rej,
@@ -625,7 +561,7 @@ def remaining_time(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:
 
 
 def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.ndarray:
-    """Remaining time at event/section marks (step index + partial increment),
+    """Remaining time at section marks (step index + partial increment),
     with the same suffix-sum accuracy as :func:`remaining_time`."""
     suffix = _suffix_sums(traj)
     return np.asarray([suffix[m[-2]] - m[-1] + est.tail for m in marks])
@@ -634,28 +570,6 @@ def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.nd
 def _suffix_sums(traj: Trajectory) -> np.ndarray:
     """Sum of the increments from each sample to the end (0 at the last)."""
     return np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
-
-
-def detect_horizon_approach(
-    C: ChartField,
-    x0: Sequence[float],
-    tau_end: float,
-    r_threshold: float,
-    **kw,
-) -> tuple[Trajectory, tuple | None]:
-    """Integrate until the radial variable first crosses ``r_threshold``.
-
-    Returns the trajectory and the event record (name, tau, state, t,
-    step_idx, partial_inc) or None when no crossing occurs.
-    """
-    if C.radial is None:
-        raise ValueError("chart has no radial variable")
-    ri = C.vars.index(C.radial)
-    ev = EventSpec("horizon", lambda s: s[ri] - r_threshold, direction=-1,
-                   terminal=True)
-    traj = integrate(C, x0, tau_end, events=[ev], **kw)
-    hit = next((e for e in traj.events if e[0] == "horizon"), None)
-    return traj, hit
 
 
 def trajectory_to_csv(traj: Trajectory, path):

@@ -57,11 +57,6 @@ class DegenerateBeyondDegreeError(HorizonError, RuntimeError):
         self.series = series
 
 
-class NegativeDiscriminantError(HorizonError, ArithmeticError):
-    """Inverse of the quadratic near-identity transform requested outside its
-    validity region."""
-
-
 class StepBudgetError(HorizonError, RuntimeError):
     """An integration used its whole step budget before reaching tau_end."""
 

@@ -58,14 +58,6 @@ class GenMonomial:
         items = tuple(sorted((v, frac(e)) for v, e in (exps or {}).items() if frac(e) != 0))
         return GenMonomial(coeff, items)
 
-    def inverse(self) -> "GenMonomial":
-        """Reciprocal monomial (coefficient must be nonzero)."""
-        if self.coeff == 0:
-            raise ZeroDivisionError("cannot invert the zero monomial")
-        c = self.coeff
-        inv_c = Fraction(1, 1) / c if isinstance(c, (int, Fraction)) else 1.0 / c
-        return GenMonomial(inv_c, tuple((v, -e) for v, e in self.exps))
-
 
 class GenPoly:
     """Immutable generalized polynomial over an ordered tuple of variables."""
@@ -349,9 +341,11 @@ class GenPoly:
     def compile(self) -> Callable[..., float]:
         """Compile to a fast scalar function of the variables (in order).
 
-        Unlike :meth:`eval` the compiled function returns NaN instead of
-        raising on domain violations, so adaptive integrators can reject the
-        step and retry.
+        Where :meth:`eval` raises ``DomainError`` for a fractional power of a
+        negative base (or a non-positive fractional power of zero), the
+        compiled function returns NaN.  Integer powers are Python float
+        powers: ``0.0**-n`` raises ``ZeroDivisionError`` and an overflowing
+        power raises ``OverflowError``.
         """
         names = [f"x{i}" for i in range(len(self.vars))]
         src = f"def _f({', '.join(names)}):\n    return {self.source(names)}\n"

@@ -3,9 +3,8 @@
 Root finding on the horizon slice, Jacobians and the four-way classification
 (hyperbolic / semi-hyperbolic / nilpotent / linearly-zero), one-dimensional
 center-manifold series with the decay law of the reduced flow, type-I rate
-prediction from the scaling type, and the periodic-orbit coefficient
-machinery (Poincare-map expansion, near-identity radial transform) for the
-quasi-polar charts.
+prediction from the scaling type, and the periodic-orbit coefficients
+(Poincare-map expansion) for the quasi-polar charts.
 
 Classification tolerance is relative, |lambda| <= 1e-9 * (1 + ||J||_inf), so
 it is stable under chart rescaling.  A stationary point at infinity with at
@@ -23,11 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compactify import CS, SN, ChartField, horizon_slice
-from .errors import (
-    DegenerateBeyondDegreeError,
-    DomainError,
-    NegativeDiscriminantError,
-)
+from .errors import DegenerateBeyondDegreeError, DomainError
 from .genpoly import GenPoly, frac
 from .quasitrig import cssn, period, table
 from .rates import RateModel
@@ -46,8 +41,6 @@ __all__ = [
     "cm_flow_asymptotics",
     "type1_rate_prediction",
     "lienard_coefficients",
-    "lienard_R_transform",
-    "lienard_R_inverse",
 ]
 
 
@@ -641,10 +634,12 @@ class LienardCoefficients:
     """Quadrature data controlling the periodic orbit on the horizon.
 
     alpha is the Poincare-map exponent (first-order return coefficient
-    beta1 = e^alpha); alpha_bar = -alpha is the exponent of the near-identity
-    radial transform (negative on (0, T/2), zero at T/2 and T).  Gamma2 is
-    the second-order integrand whose period integral Gamma_T > 0 drives the
-    attraction (beta2(T) < 0) and the linear growth of its running integral.
+    beta1 = e^alpha); alpha_bar = -alpha and a2 are the coefficients of the
+    near-identity radial change R = e^(alpha_bar) r + a2 r^2 that removes the
+    first-order angular modulation of the return map (alpha_bar is negative
+    on (0, T/2), zero at T/2 and T).  Gamma2 is the second-order integrand
+    whose period integral Gamma_T > 0 drives the attraction (beta2(T) < 0)
+    and the linear growth of its running integral.
     """
 
     n: int
@@ -758,24 +753,3 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
 def _wrap(phi, T):
     x = math.fmod(phi, T)
     return x + T if x < 0 else x
-
-
-def lienard_R_transform(r: float, phi: float, coeffs: LienardCoefficients) -> float:
-    """Near-identity radial change R = e^(alpha_bar) r + a2 r^2 that removes
-    the first-order angular modulation of the return map."""
-    return math.exp(coeffs.alpha_bar(phi)) * r + coeffs.a2(phi) * r * r
-
-
-def lienard_R_inverse(R: float, phi: float, coeffs: LienardCoefficients) -> float:
-    """Positive branch of the quadratic inverse; r ~ e^(-alpha_bar) R as R -> 0."""
-    b = math.exp(coeffs.alpha_bar(phi))
-    a = coeffs.a2(phi)
-    if abs(a) < 1e-14:
-        return R / b
-    disc = b * b + 4.0 * a * R
-    if disc < 0.0:
-        raise NegativeDiscriminantError(
-            f"R = {R} at phi = {phi} is outside the validity region"
-        )
-    # cancellation-free form of (-b + sqrt(disc)) / (2a)
-    return 2.0 * R / (b + math.sqrt(disc))

@@ -1,8 +1,7 @@
 """Scaling structure of vector fields.
 
-Quasi-homogeneity verification (exact and asymptotic/numeric), Newton
-polyhedron and diagram for planar fields at a degenerate equilibrium,
-principal parts, and common-monomial factoring for linearly-zero equilibria.
+Quasi-homogeneity verification (exact and asymptotic/numeric), and the
+Newton polyhedron and diagram for planar fields at a degenerate equilibrium.
 
 Conventions.  A field f = (f_1, ..., f_n) is quasi-homogeneous of type
 ``alpha`` and order ``k+1`` when every term ``c * x^e`` of f_j satisfies
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NonPolynomialError
-from .genpoly import GenMonomial, GenPoly, frac
+from .genpoly import GenPoly, frac
 
 __all__ = [
     "TypeVector",
@@ -34,9 +33,6 @@ __all__ = [
     "qh_component",
     "check_aqh_numeric",
     "newton_data",
-    "principal_part",
-    "qh_part",
-    "factor_common_monomial",
 ]
 
 
@@ -61,10 +57,6 @@ class TypeVector:
     @property
     def homogeneity_indices(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.alpha) if a > 0)
-
-    @property
-    def order(self) -> Fraction:
-        return self.k + 1
 
 
 def check_quasi_homogeneous(f: Sequence[GenPoly], t: TypeVector) -> bool:
@@ -229,20 +221,12 @@ class NewtonDiagram:
     faces: tuple[tuple[int, int], ...]
     weights: tuple[tuple[int, int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "faces": [list(f) for f in self.faces],
-            "weights": [list(w) for w in self.weights],
-        }
 
-
-def _support_points(X: Sequence[GenPoly]) -> dict[tuple[int, int], list[tuple[int, tuple]]]:
-    """Support points of a planar vector field, with back-references
-    (component, exponent-vector) for principal-part extraction."""
+def _support_points(X: Sequence[GenPoly]) -> set[tuple[int, int]]:
+    """Support points of a planar vector field."""
     if len(X) != 2 or len(X[0].vars) != 2:
         raise NonPolynomialError("Newton diagrams are implemented for planar fields")
-    pts: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
+    pts: set[tuple[int, int]] = set()
     for j, fj in enumerate(X):
         for ev, _ in fj.terms:
             for e in ev:
@@ -252,15 +236,15 @@ def _support_points(X: Sequence[GenPoly]) -> dict[tuple[int, int], list[tuple[in
                     )
             if all(e == 0 for e in ev):
                 raise NonPolynomialError("field must vanish at the origin")
-            p = (int(ev[0]) + 1 - (1 if j == 0 else 0), int(ev[1]) + 1 - (1 if j == 1 else 0))
-            pts.setdefault(p, []).append((j, ev))
+            pts.add((int(ev[0]) + 1 - (1 if j == 0 else 0),
+                     int(ev[1]) + 1 - (1 if j == 1 else 0)))
     return pts
 
 
 def newton_data(X: Sequence[GenPoly]) -> NewtonDiagram:
     """Newton polyhedron vertices, compact faces, and per-face weights."""
-    refs = _support_points(X)
-    pts = sorted(refs)
+    support = _support_points(X)
+    pts = sorted(support)
     # Pareto-minimal points: anything dominated componentwise lies in the
     # interior of support + R_+^2 and cannot be a vertex.
     minimal = [
@@ -284,79 +268,8 @@ def newton_data(X: Sequence[GenPoly]) -> NewtonDiagram:
         g = math.gcd(dx, -dy)
         faces.append((i, i + 1))
         weights.append((-dy // g, dx // g))
-    return NewtonDiagram(frozenset(refs), vertices, tuple(faces), tuple(weights))
+    return NewtonDiagram(frozenset(support), vertices, tuple(faces), tuple(weights))
 
 
 def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _on_segment(p, a, b) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
-        a[1], b[1]
-    )
-
-
-def principal_part(
-    X: Sequence[GenPoly], diagram: NewtonDiagram
-) -> tuple[list[GenPoly], list[GenPoly]]:
-    """Restriction of the field to terms supported on the diagram.
-
-    Returns (principal, discarded); principal + discarded == X term-for-term.
-    """
-    refs = _support_points(X)
-    keep = [dict() for _ in X]
-    drop = [dict() for _ in X]
-    term_maps = [dict(fj.terms) for fj in X]
-    for p, owners in refs.items():
-        on = _point_on_diagram(p, diagram)
-        for j, ev in owners:
-            (keep if on else drop)[j][ev] = term_maps[j][ev]
-    principal = [GenPoly(fj.vars, d) for fj, d in zip(X, keep)]
-    discarded = [GenPoly(fj.vars, d) for fj, d in zip(X, drop)]
-    return principal, discarded
-
-
-def _point_on_diagram(p, diagram: NewtonDiagram) -> bool:
-    if not diagram.faces:
-        return p in diagram.vertices
-    return any(
-        _on_segment(p, diagram.vertices[i], diagram.vertices[j]) for i, j in diagram.faces
-    )
-
-
-def qh_part(X: Sequence[GenPoly], diagram: NewtonDiagram, face: int) -> list[GenPoly]:
-    """Quasi-homogeneous part supported on one compact face."""
-    i, j = diagram.faces[face]
-    a, b = diagram.vertices[i], diagram.vertices[j]
-    refs = _support_points(X)
-    keep = [dict() for _ in X]
-    term_maps = [dict(fj.terms) for fj in X]
-    for p, owners in refs.items():
-        if _on_segment(p, a, b):
-            for comp, ev in owners:
-                keep[comp][ev] = term_maps[comp][ev]
-    return [GenPoly(fj.vars, d) for fj, d in zip(X, keep)]
-
-
-def factor_common_monomial(X: Sequence[GenPoly]) -> tuple[GenMonomial, list[GenPoly]]:
-    """Extract the largest monomial dividing every component.
-
-    mu has, per variable, the minimum exponent over all terms of all
-    components; X == mu * X_reduced exactly.  The zero field factors as 1*0.
-    """
-    vars = X[0].vars
-    mins: dict[str, Fraction] = {}
-    for fj in X:
-        for v in vars:
-            e = fj.min_exponent(v)
-            if e is None:
-                continue
-            if v not in mins or e < mins[v]:
-                mins[v] = e
-    mu = GenMonomial.make(1, {v: e for v, e in mins.items() if e != 0})
-    inv = mu.inverse()
-    reduced = [fj.mul_monomial(inv) for fj in X]
-    return mu, reduced

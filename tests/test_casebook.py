@@ -224,8 +224,6 @@ def _orbit_distance(curve_a, curve_b):
 def test_orbital_equivalence(name):
     """Integrating the base field and the fully rescaled chart from the same
     interior point must trace the same orbit (different clocks)."""
-    from horizon.dynamics import EventSpec
-
     cdef = get_case(name).definition()
     chart = cdef.chart
     if chart.quasipolar_index is not None:
@@ -260,18 +258,28 @@ def test_orbital_equivalence(name):
     stop = int(np.argmin(d_end))
     assert stop > 5, f"base run never approached the chart endpoint ({name})"
 
-    # refine: stop exactly where the distance to y1 is minimal
-    # (the radial derivative (y - y1) . f changes sign there)
+    # refine: stop exactly where the distance to y1 is minimal (the radial
+    # derivative (y - y1) . f turns from negative to positive there), by
+    # bisecting on the end time of short runs from a few steps before
     def radial_derivative(state):
         f = cdef.base.eval_components(state)
         return sum((state[i] - b) * f[i] for i, b in zip(cmp_idx, y1))
 
     i0 = max(stop - 3, 0)
-    ev = EventSpec("closest", radial_derivative, direction=1, terminal=True)
     t_seg = traj_b.tau[min(stop + 3, len(traj_b.tau) - 1)] - traj_b.tau[i0]
-    seg = integrate(cdef.base, list(traj_b.states[i0]), t_seg, rtol=1e-12,
-                    atol=1e-13, h_max=t_seg / 50, events=[ev],
-                    stop_at_equilibrium=False)
+
+    def run_to(t_end):
+        return integrate(cdef.base, list(traj_b.states[i0]), t_end, rtol=1e-12,
+                         atol=1e-13, h_max=t_seg / 50, stop_at_equilibrium=False)
+
+    lo, hi = 0.0, t_seg
+    while hi - lo > 1e-14 * t_seg:
+        mid = 0.5 * (lo + hi)
+        if radial_derivative(run_to(mid).final_state) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    seg = run_to(hi)
     curve_b = np.vstack([traj_b.states[: i0 + 1], seg.states[1:]])[:, cmp_idx]
     gap = float(np.linalg.norm(curve_b[-1] - y1))
     assert gap <= 1e-7, f"endpoint refinement left a gap {gap:.2e} ({name})"

@@ -1,13 +1,15 @@
 """CLI: spec parsing, exit codes, report emission and replay."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from horizon.cli import main, parse_spec_file, replay_chart
+from horizon.cli import _write_report, main, parse_spec_file, replay_chart
 from horizon.errors import ParseError
 
 CASES_DIR = pathlib.Path(__file__).resolve().parents[1] / "cases"
@@ -174,6 +176,14 @@ class TestReports:
         # round-trips exactly through the emitted representation
         assert float(repr(rho)) == rho
 
+    def test_nonfinite_floats_are_strings(self, tmp_path):
+        doc = {"value": math.inf, "tail": [-math.inf, math.nan], "rho": 0.1}
+        report = SimpleNamespace(case="x", params={}, runs=[], to_dict=lambda: doc)
+        _write_report(tmp_path, [report])
+        text = (tmp_path / "report.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text) == {"value": "inf", "tail": ["-inf", "nan"], "rho": 0.1}
+
 
 class TestSweep:
     def test_empty_grid_empty_csv(self, tmp_path):
@@ -185,6 +195,12 @@ class TestSweep:
     def test_invalid_parameter_is_2(self, tmp_path):
         rc = main(["sweep", "iy", "--param", "zeta=1", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("param", ["a=abc", "a=1/0"])
+    def test_unparsable_value_is_2(self, tmp_path, capsys, param):
+        rc = main(["sweep", "iy", "--param", param, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad --param {param!r}\n"
 
     def test_single_point(self, tmp_path):
         rc = main(["sweep", "iy", "--param", "a=1/2", "--out", str(tmp_path / "o")])

@@ -13,14 +13,10 @@ from horizon.compactify import (
     time_rescale,
 )
 from horizon.dynamics import (
-    EventSpec,
     SectionSpec,
-    TmaxEstimate,
     accumulate_time,
-    detect_horizon_approach,
     integrate,
     remaining_time,
-    remaining_time_at_marks,
     trajectory_to_csv,
 )
 from horizon.genpoly import GenMonomial, parse_genpoly
@@ -109,44 +105,11 @@ class TestTermination:
         assert traj.tau[-1] < plan.tau_end
 
 
-class TestEvents:
-    def test_horizon_crossing_matches_exact_inversion(self):
-        # r(tau) = e^(1/2) e^(-(tau+1)^2/2) = 1e-6
-        # => tau = sqrt(1 + 2 ln 1e6) - 1
-        C = aiu_chart()
-        traj, hit = detect_horizon_approach(C, [1.0, 1.0], 20.0, 1e-6,
-                                            rtol=1e-12, atol=1e-14,
-                                            stop_at_equilibrium=False)
-        assert hit is not None
-        tau_exact = math.sqrt(1.0 + 2.0 * math.log(1e6)) - 1.0
-        assert hit[1] == pytest.approx(tau_exact, abs=1e-6)
-        assert traj.termination == "horizon-event"
-
-    def test_no_crossing_for_growing_radius(self):
-        vars = ("r", "x")
-        C = base_field(vars, [gp("r", vars), gp("-x", vars)], name="grow", positive=("r",))
-        C = C.__class__(**{**C.__dict__})  # keep dataclass copy simple
-        object.__setattr__(C, "radial", "r")
-        traj, hit = detect_horizon_approach(C, [0.5, 1.0], 5.0, 1e-3,
-                                            stop_at_equilibrium=False)
-        assert hit is None
-        assert traj.termination == "tau-budget"
-
-    def test_immediate_event_at_start(self):
-        C = aiu_chart()
-        traj, hit = detect_horizon_approach(C, [1e-8, 1.0], 5.0, 1e-6)
-        assert hit is not None and hit[1] == 0.0
-        # (name, tau, state, t, step_idx, partial_inc), like every event
-        assert len(hit) == 6 and hit[3:] == (0.0, 0, 0.0)
-        est = TmaxEstimate(0.0, 0.0, 0.0, "negligible", 0.0, (0.0, 0.0), 1.0)
-        assert remaining_time_at_marks(traj, est, [hit])[0] == 0.0
-
-
 class TestSections:
     def test_rotation_sections_reproduce_exponential_decay(self):
         vars = ("r", "th")
         C = base_field(vars, [gp("-r", vars), gp("-1", vars)], name="spiral", positive=("r",))
-        sec = SectionSpec(var="th", period=2 * math.pi, base=0.0)
+        sec = SectionSpec(var="th", period=2 * math.pi)
         traj = integrate(C, [1.0, 0.0], 40.0, section=sec,
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
         assert len(traj.sections) >= 5
@@ -159,13 +122,26 @@ class TestSections:
     def test_crossing_count_matches_angular_speed_oracle(self):
         vars = ("r", "th")
         C = base_field(vars, [gp("-r", vars), gp("-1", vars)], name="spiral", positive=("r",))
-        sec = SectionSpec(var="th", period=2 * math.pi, base=0.0)
+        sec = SectionSpec(var="th", period=2 * math.pi)
         tau_end = 50.0
         traj = integrate(C, [1.0, 0.0], tau_end, section=sec,
                          stop_at_equilibrium=False)
         # theta(tau) = -tau: crossings at tau = 2 pi k
         expected = math.floor(tau_end / (2 * math.pi))
         assert len(traj.sections) == expected
+
+    def test_increasing_angle_crosses_at_positive_multiples(self):
+        vars = ("r", "th")
+        C = base_field(vars, [gp("-r", vars), gp("1", vars)], name="spiral+", positive=("r",))
+        sec = SectionSpec(var="th", period=2 * math.pi)
+        traj = integrate(C, [1.0, 0.0], 40.0, section=sec,
+                         stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
+        # theta(tau) = tau: crossings at theta = tau = 2 pi j, j = 1, 2, ...
+        assert len(traj.sections) == math.floor(40.0 / (2 * math.pi))
+        for j, (tau_c, st, *_) in enumerate(traj.sections, start=1):
+            assert tau_c == pytest.approx(2 * math.pi * j, rel=1e-9)
+            assert st[1] == pytest.approx(2 * math.pi * j, rel=1e-12)
+            assert st[0] == pytest.approx(math.exp(-tau_c), rel=1e-8)
 
 
 class TestAccumulateTime:
@@ -224,18 +200,15 @@ class TestAccumulateTime:
 
 
 def test_time_reconstruction_is_chart_invariant():
-    # inserting an extra positive rescale must not change t at a matched event
+    # inserting an extra positive rescale must not change the physical time
+    # to the singular edge
     C = aiu_chart()
     C2 = time_rescale(C, GenMonomial.make(1, {"u0": 1}))  # extra factor x
-    traj1, hit1 = detect_horizon_approach(C, [1.0, 1.0], 20.0, 1e-5,
-                                          rtol=1e-12, atol=1e-14,
-                                          stop_at_equilibrium=False)
-    traj2, hit2 = detect_horizon_approach(C2, [1.0, 1.0], 20.0, 1e-5,
-                                          rtol=1e-12, atol=1e-14,
-                                          stop_at_equilibrium=False)
-    assert hit1 is not None and hit2 is not None
-    t1, t2 = hit1[3], hit2[3]
-    assert t2 == pytest.approx(t1, rel=1e-6)
+    kw = dict(rtol=1e-12, atol=1e-14, stop_at_equilibrium=False)
+    # u0 = tau + 1 in C, u0 = e^tau in C2: both runs end past u0 = 12
+    t1 = accumulate_time(integrate(C, [1.0, 1.0], 11.0, **kw)).value
+    t2 = accumulate_time(integrate(C2, [1.0, 1.0], 3.0, **kw)).value
+    assert t2 == pytest.approx(t1, rel=1e-12)
 
 
 def test_csv_export(tmp_path):

@@ -3,9 +3,10 @@
 The reference is the previous implementation, kept here verbatim: the
 per-polynomial ``compile_rhs`` closure with its table lookup and polynomial
 printer, and the list-based ``integrate`` loop.  The generated code must reproduce it bit for
-bit: same accepted and rejected steps, same states, increments, sections and
-events.  The reference's float sums go through ``old_sum``, the builtin
-``sum`` of Python up to 3.11, so it is the same reference on every version.
+bit: same accepted and rejected steps, same states, increments and sections.
+The reference's float sums go through ``old_sum``, the builtin ``sum`` of
+Python up to 3.11, so it is the same reference on every version.  Its section
+base is the 0.0 that every caller passed while sections had a base.
 """
 
 import math
@@ -23,13 +24,11 @@ from horizon.dynamics import (
     _A,
     _B4,
     _B5,
-    EventSpec,
     _angle_sign,
     _bisect_event,
     _build_traj,
     _DenseSeg,
     _dt_partial,
-    detect_horizon_approach,
     integrate,
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
@@ -146,7 +145,6 @@ def old_integrate(
     direction=1,
     h_max=math.inf,
     h0=None,
-    events=(),
     section=None,
     stop_at_equilibrium=True,
     equilibrium_steps=50,
@@ -174,27 +172,14 @@ def old_integrate(
     taus = [0.0]
     states = [list(y)]
     incs = []
-    ev_hits = []
     sec_hits = []
     termination = "tau-budget"
 
-    # immediate events at tau = 0 (already at or past the crossing)
-    ev_prev = [e.fn(y) for e in events]
-    for e, v in zip(events, ev_prev):
-        crossed = v == 0.0 or (e.direction < 0 and v < 0.0) or (
-            e.direction > 0 and v > 0.0
-        )
-        if crossed:
-            ev_hits.append((e.name, 0.0, list(y), 0.0))
-            if e.terminal:
-                termination = "horizon-event"
-                return _build_traj(taus, states, incs, termination, C, direction,
-                                   ev_hits, sec_hits, 0, 0)
-
     sec_count = None
+    base = 0.0
     if section is not None:
         si = C.vars.index(section.var)
-        sec_count = math.floor(abs(y[si] - section.base) / section.period)
+        sec_count = math.floor(abs(y[si] - base) / section.period)
 
     h = h0 if h0 is not None else old_initial_step(rhs, y, f_now, rtol, atol)
     h = min(h, h_max, tau_end)
@@ -271,31 +256,13 @@ def old_integrate(
 
         dense = _DenseSeg(tau, h, list(y), k)
 
-        stop_here = None
-        # events
-        ev_now = [e.fn(y5) for e in events]
-        for idx, e in enumerate(events):
-            v0, v1 = ev_prev[idx], ev_now[idx]
-            if v0 == v1 or v0 * v1 > 0.0:
-                continue
-            if e.direction * (v1 - v0) < 0.0:
-                continue
-            th = _bisect_event(lambda s: e.fn(dense.state_at(s)), 0.0, 1.0)
-            tau_ev = tau + th * h
-            st_ev = dense.state_at(th)
-            partial = _dt_partial(dense, kg, th, h)
-            t_ev = t_acc + partial
-            ev_hits.append((e.name, tau_ev, st_ev, t_ev, n_acc, partial))
-            if e.terminal and stop_here is None:
-                stop_here = (th, tau_ev, st_ev, t_ev, "horizon-event")
-
         # sections (assumes monotone angle; crossings at base - j*period)
-        if section is not None and stop_here is None:
+        if section is not None:
             si = C.vars.index(section.var)
-            new_count = math.floor(abs(y5[si] - section.base) / section.period)
+            new_count = math.floor(abs(y5[si] - base) / section.period)
             while new_count > sec_count:
                 sec_count += 1
-                target = section.base - sec_count * section.period * _angle_sign(y, y5, si)
+                target = base - sec_count * section.period * _angle_sign(y, y5, si)
                 th = _bisect_event(
                     lambda s: dense.state_at(s)[si] - target, 0.0, 1.0
                 )
@@ -304,19 +271,9 @@ def old_integrate(
                 partial = _dt_partial(dense, kg, th, h)
                 sec_hits.append((tau_sec, st_sec, t_acc + partial, n_acc, partial))
 
-        if stop_here is not None:
-            th, tau_ev, st_ev, t_ev, reason = stop_here
-            taus.append(tau_ev)
-            states.append(st_ev)
-            incs.append(t_ev - t_acc)
-            termination = reason
-            n_acc += 1
-            break
-
         tau = tau_new
         y = y5
         f_now, g_now = f_new, g_new
-        ev_prev = ev_now
         t_acc += dt5
         taus.append(tau)
         states.append(list(y))
@@ -340,8 +297,7 @@ def old_integrate(
         h = min(h * min(5.0, max(0.2, fac)), h_max)
         err_prev = max(err, 1e-10)
 
-    return _build_traj(taus, states, incs, termination, C, direction, ev_hits,
-                       sec_hits, n_acc, n_rej)
+    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej)
 
 
 # -- bitwise comparison ------------------------------------------------------------
@@ -361,7 +317,7 @@ def bits(obj):
 def assert_same_trajectory(new, old):
     for name in ("termination", "n_steps", "n_rejected"):
         assert getattr(new, name) == getattr(old, name), name
-    for name in ("tau", "states", "dt_inc", "t", "sections", "events"):
+    for name in ("tau", "states", "dt_inc", "t", "sections"):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name
 
 
@@ -410,17 +366,6 @@ def test_lienard_cut_runs_bitwise(n, starts):
         rejected += new.n_rejected
         sections = max(sections, len(new.sections))
     assert rejected >= 1 and sections >= 3
-
-
-def test_events_path_bitwise():
-    C = get_case("aiu").definition().chart
-    kw = dict(rtol=1e-12, atol=1e-14, stop_at_equilibrium=False)
-    traj, hit = detect_horizon_approach(C, [1.0, 1.0], 20.0, 1e-6, **kw)
-    ri = C.vars.index(C.radial)
-    ev = EventSpec("horizon", lambda s: s[ri] - 1e-6, direction=-1, terminal=True)
-    old = old_integrate(C, [1.0, 1.0], 20.0, events=[ev], **kw)
-    assert hit is not None and traj.termination == "horizon-event"
-    assert_same_trajectory(traj, old)
 
 
 def test_nonfinite_retry_path_bitwise(monkeypatch):

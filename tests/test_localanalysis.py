@@ -22,7 +22,7 @@ from horizon.compactify import (
     quasi_polar_compactify,
     time_rescale,
 )
-from horizon.errors import DegenerateBeyondDegreeError, DomainError, NegativeDiscriminantError
+from horizon.errors import DegenerateBeyondDegreeError, DomainError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.localanalysis import (
     AXIS_STARTS,
@@ -40,8 +40,6 @@ from horizon.localanalysis import (
     cm_flow_asymptotics,
     equilibria_of,
     horizon_equilibria,
-    lienard_R_inverse,
-    lienard_R_transform,
     lienard_coefficients,
     type1_rate_prediction,
 )
@@ -329,41 +327,6 @@ class TestLienardCoefficients:
         for phi in np.linspace(0, coeffs3.T, 500):
             inc = coeffs3.cumulative_Gamma2(phi + 1e-4) - coeffs3.cumulative_Gamma2(phi)
             assert inc <= coeffs3.C2 * 1e-4 + 1e-10
-
-
-class TestLienardRTransform:
-    def test_zero_maps_to_zero(self, coeffs3):
-        for phi in np.linspace(0, coeffs3.T, 11):
-            assert lienard_R_transform(0.0, phi, coeffs3) == 0.0
-
-    def test_identity_at_phi_zero(self, coeffs3):
-        for r in (1e-5, 1e-3, 0.1):
-            assert lienard_R_transform(r, 0.0, coeffs3) == pytest.approx(r, rel=1e-10)
-
-    def test_roundtrip(self, coeffs3):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            r = rng.uniform(1e-6, 1e-3)
-            phi = rng.uniform(0.0, 3.0 * coeffs3.T)
-            R = lienard_R_transform(r, phi, coeffs3)
-            back = lienard_R_inverse(R, phi, coeffs3)
-            assert back == pytest.approx(r, rel=1e-10, abs=1e-14)
-
-    def test_small_R_asymptotic(self, coeffs3):
-        phi = 0.3 * coeffs3.T
-        R = 1e-9
-        r = lienard_R_inverse(R, phi, coeffs3)
-        assert r == pytest.approx(math.exp(-coeffs3.alpha_bar(phi)) * R, rel=1e-6)
-
-    def test_negative_discriminant(self, coeffs3):
-        # a2 > 0 somewhere: a sufficiently negative R has no positive preimage
-        phi = 0.25 * coeffs3.T
-        a2 = coeffs3.a2(phi)
-        assert a2 > 0.0
-        b = math.exp(coeffs3.alpha_bar(phi))
-        bad_R = -(b * b) / (4 * a2) * 1.5
-        with pytest.raises(NegativeDiscriminantError):
-            lienard_R_inverse(bad_R, phi, coeffs3)
 
 
 def test_degenerate_front_jacobians_match_closed_forms():

@@ -1,4 +1,4 @@
-"""Scaling structure: quasi-homogeneity, Newton diagrams, factoring."""
+"""Scaling structure: quasi-homogeneity and Newton diagrams."""
 
 import itertools
 from fractions import Fraction as F
@@ -6,16 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from horizon.errors import NonPolynomialError
-from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
+from horizon.genpoly import GenPoly, parse_genpoly
 from horizon.structure import (
     TypeVector,
     check_aqh_numeric,
     check_quasi_homogeneous,
-    factor_common_monomial,
     newton_data,
-    principal_part,
     qh_component,
-    qh_part,
 )
 
 
@@ -176,88 +173,6 @@ def _contains(big, small):
     return on(c) and on(d)
 
 
-class TestPrincipalPart:
-    def test_wave_profile_principal_terms(self):
-        n, m = 2, 3  # m > 2 so the higher term is off the face
-        X = [
-            gp("psi", ("phi", "psi")),
-            gp(f"2*phi^{n} - 2*phi^{m + n - 1}", ("phi", "psi")),
-        ]
-        d = newton_data(X)
-        principal, discarded = principal_part(X, d)
-        assert principal[0] == X[0]
-        assert principal[1] == gp(f"2*phi^{n}", ("phi", "psi"))
-        assert discarded[1] == gp(f"-2*phi^{m + n - 1}", ("phi", "psi"))
-
-    def test_quasi_homogeneous_field_is_its_own_principal_part(self):
-        X = [gp("x1*x2", ("x1", "x2")), gp("x2^2", ("x1", "x2"))]
-        d = newton_data(X)
-        principal, discarded = principal_part(X, d)
-        assert principal == X
-        assert all(p.is_zero() for p in discarded)
-
-    def test_semi_hyperbolic_normal_form_face(self):
-        # x1' = -x1^d + higher order, single component: face selects -x1^d
-        d_exp = 3
-        X = [
-            gp(f"-x1^{d_exp} - x1^{d_exp + 2}", ("x1", "x2")),
-            GenPoly.zero(("x1", "x2")),
-        ]
-        d = newton_data(X)
-        principal, _ = principal_part(X, d)
-        assert principal[0] == gp(f"-x1^{d_exp}", ("x1", "x2"))
-
-    def test_qh_parts_union_equals_principal(self):
-        X = [
-            gp("x2^2 + x1*x2 + x1^4", ("x1", "x2")),
-            gp("x1^2 + x1^3*x2", ("x1", "x2")),
-        ]
-        d = newton_data(X)
-        principal, _ = principal_part(X, d)
-        acc = [GenPoly.zero(X[0].vars), GenPoly.zero(X[0].vars)]
-        seen = [set(), set()]
-        for face in range(len(d.faces)):
-            part = qh_part(X, d, face)
-            for j, pj in enumerate(part):
-                for ev, c in pj.terms:
-                    if ev not in seen[j]:
-                        seen[j].add(ev)
-                        acc[j] = acc[j] + GenPoly(pj.vars, {ev: c})
-        assert acc[0] == principal[0]
-        assert acc[1] == principal[1]
-
-
-class TestFactorCommonMonomial:
-    def test_divides_exactly(self):
-        vars = ("r", "x")
-        X = [gp("-r*x - 2*r*x^2", vars), gp("2*x^3 - 3*x^4", vars)]
-        mu, reduced = factor_common_monomial(X)
-        assert dict(mu.exps) == {"x": 1}
-        assert reduced[0] == gp("-r - 2*r*x", vars)
-        assert reduced[1] == gp("2*x^2 - 3*x^3", vars)
-        back = [fj.mul_monomial(mu) for fj in reduced]
-        assert back[0] == X[0] and back[1] == X[1]
-
-    def test_fractional_exponent_field(self):
-        # dr = -a r u, du = a(-u^2 + u^(1+1/a)) shares the factor u
-        a = F(1, 3)
-        vars = ("r", "u")
-        X = [
-            GenPoly(vars, {(F(1), F(1)): -a}),
-            GenPoly(vars, {(F(0), F(2)): -a, (F(0), (a + 1) / a): a}),
-        ]
-        mu, reduced = factor_common_monomial(X)
-        assert dict(mu.exps) == {"u": 1}
-        assert reduced[0] == GenPoly(vars, {(F(1), F(0)): -a})
-        assert reduced[1] == GenPoly(vars, {(F(0), F(1)): -a, (F(0), F(1) / a): a})
-
-    def test_no_common_factor(self):
-        X = [gp("x + y", ("x", "y")), gp("y^2 + 1", ("x", "y"))]
-        mu, reduced = factor_common_monomial(X)
-        assert mu.exps == ()
-        assert reduced[0] == X[0] and reduced[1] == X[1]
-
-
 def test_qh_implies_zero_aqh_residuals():
     t = TypeVector.make((1, 2), 2)
     # build an exactly quasi-homogeneous field for this type
@@ -273,8 +188,6 @@ def test_diagram_json_dump():
         gp("x1^2 + x1^4", ("x1", "x2")),
     ]
     d = newton_data(X)
-    doc = d.to_dict()
-    assert set(doc) == {"vertices", "faces", "weights"}
-    assert doc["vertices"] == [[0, 3], [3, 0]]
-    assert doc["faces"] == [[0, 1]]
-    assert doc["weights"] == [[1, 1]]
+    assert d.vertices == ((0, 3), (3, 0))
+    assert d.faces == ((0, 1),)
+    assert d.weights == ((1, 1),)
