@@ -60,7 +60,7 @@ from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 from .structure import TypeVector, newton_data
 
 __all__ = ["CaseSpec", "CaseDefinition", "RunPlan", "RunReport", "builtin_cases",
-           "get_case", "run_case", "sweep"]
+           "chart_section", "get_case", "run_case", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,11 @@ class Observable:
 
 @dataclass
 class RunPlan:
+    """One integration run of a case.  The chart fixes how it is sampled:
+    along the center flow of ``center_eq`` when that is set, once per
+    revolution on a quasi-polar chart (``window`` unread), else on the
+    trajectory inside ``window``."""
+
     label: str
     initial: tuple[float, ...]
     tau_end: float
@@ -84,11 +89,9 @@ class RunPlan:
     rtol: float = 1e-11
     atol: float = 1e-12
     window_relative: bool = True
-    sampler: str = "trajectory"      # trajectory | sections | center-flow
-    section: SectionSpec | None = None
     stop_at_equilibrium: bool = True
+    # False on a quasi-polar chart also checks log(1/r) is linear in t
     expect_finite_edge: bool | None = None
-    growup_check: bool = False       # fit log(1/r) linear in t
     center_eq: tuple[float, float] | None = None
     center_degree: int = 8
     # the singular edge lies this far BEHIND the initial state (departure
@@ -506,7 +509,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
                 Observable("phi", parse_genpoly("phi", chart.poly_vars),
                            RateModel(-1.0 / (1.0 - float(p)), 0.0), 0.1, 0.2),
             ),
-            sampler="center-flow",
             center_eq=(0.0, 0.0),
             center_degree=int(math.ceil(float(N))) + 4,
             expect_finite_edge=True,
@@ -562,7 +564,6 @@ def _build_kdv(m, n, c) -> CaseDefinition:
             tau_end=26.0,
             h_max=0.05,
             window=(1e-6, 1e-2),
-            window_relative=False,
             observables=obs,
             direction=1,
             stop_at_equilibrium=False,
@@ -574,7 +575,6 @@ def _build_kdv(m, n, c) -> CaseDefinition:
             tau_end=26.0,
             h_max=0.05,
             window=(1e-6, 1e-2),
-            window_relative=False,
             observables=obs,
             direction=-1,
             stop_at_equilibrium=False,
@@ -605,8 +605,6 @@ def _build_lienard(n) -> CaseDefinition:
     base = base_field(vars, f, name="lienard")
     t = TypeVector.make((1, n + 1), n)
     chart = quasi_polar_compactify(base, n + 1, n)
-    T = period(n + 1)
-    sec = SectionSpec(var="theta", period=T)
     if n >= 3:
         runs = [
             RunPlan(
@@ -618,8 +616,6 @@ def _build_lienard(n) -> CaseDefinition:
                     Observable("inv_r", parse_genpoly("r^(-1)", chart.poly_vars),
                                RateModel(1.0 / (n - 1), 0.0), 0.05, 0.2),
                 ),
-                sampler="sections",
-                section=sec,
                 rtol=1e-8,
                 atol=1e-10,
                 stop_at_equilibrium=False,
@@ -634,12 +630,9 @@ def _build_lienard(n) -> CaseDefinition:
                 tau_end=2400.0,
                 window=(0.0, math.inf),
                 observables=(),
-                sampler="sections",
-                section=sec,
                 rtol=1e-10,
                 stop_at_equilibrium=False,
                 expect_finite_edge=False,
-                growup_check=True,
             )
         ]
     return CaseDefinition(
@@ -748,13 +741,6 @@ class RunReport:
             "error": self.error,
         }
 
-    @property
-    def all_verdicts(self):
-        out = []
-        for r in self.runs:
-            out.extend(r.get("verdicts", []))
-        return out
-
 
 def _param_str(v):
     if isinstance(v, F):
@@ -767,11 +753,6 @@ def run_case(
     params: dict | None = None,
     *,
     seed: int = 0,
-    tol_rho: float | None = None,
-    tol_q: float | None = None,
-    tau_max: float | None = None,
-    rtol: float | None = None,
-    atol: float | None = None,
     out_dir=None,
 ) -> RunReport:
     """Execute a case end to end; every module error is captured into the
@@ -781,7 +762,7 @@ def run_case(
         spec = get_case(spec)
     cdef = spec.definition(params)  # parameter errors are the caller's
     try:
-        report = _execute(cdef, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
+        report = _execute(cdef, seed, out_dir)
     except Exception as exc:
         report = RunReport(
             case=cdef.name,
@@ -800,7 +781,7 @@ def run_case(
     return report
 
 
-def _execute(cdef, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir):
+def _execute(cdef, seed, out_dir):
     chart = cdef.chart
 
     # Step 1-2: invariant sets on the horizon and their linear type
@@ -815,8 +796,7 @@ def _execute(cdef, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir):
     runs_out = []
     any_fail = not eq_check.get("all_found", True)
     for plan in cdef.runs:
-        entry = _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol,
-                             atol, out_dir)
+        entry = _execute_run(cdef, plan, out_dir)
         runs_out.append(entry)
         if any(not v["passed"] for v in entry.get("verdicts", [])):
             any_fail = True
@@ -848,21 +828,30 @@ def _check_expected_equilibria(cdef, eqs, tol=1e-8):
     }
 
 
-def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir):
-    chart = cdef.chart
-    entry = {"label": plan.label, "sampler": plan.sampler}
-    if plan.sampler == "center-flow":
-        return _run_center_flow(cdef, plan, entry, tol_rho, tol_q)
+def chart_section(chart: ChartField) -> SectionSpec | None:
+    """The angular section a run on ``chart`` records: one crossing per
+    revolution of a quasi-polar chart's angle, none on other charts."""
+    if chart.quasipolar_index is None:
+        return None
+    return SectionSpec(chart.angle, period(chart.quasipolar_index))
 
+
+def _execute_run(cdef, plan, out_dir):
+    if plan.center_eq is not None:
+        return _run_center_flow(cdef, plan)
+    chart = cdef.chart
+    section = chart_section(chart)
+    entry = {"label": plan.label,
+             "sampler": "trajectory" if section is None else "sections"}
     traj = integrate(
         chart,
         plan.initial,
-        tau_max if tau_max is not None else plan.tau_end,
-        rtol=rtol if rtol is not None else plan.rtol,
-        atol=atol if atol is not None else plan.atol,
+        plan.tau_end,
+        rtol=plan.rtol,
+        atol=plan.atol,
         direction=plan.direction,
         h_max=plan.h_max,
-        section=plan.section,
+        section=section,
         stop_at_equilibrium=plan.stop_at_equilibrium,
     )
     if traj.termination == "step-budget":
@@ -880,19 +869,28 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         fname = f"{cdef.name}_{plan.label}".replace(" ", "_").replace("=", "")
         fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".csv"
         trajectory_to_csv(traj, tdir / fname)
+    verdicts = []
+    s, states, min_samples = _samples(plan, traj, section is not None, entry, verdicts)
+    entry["fits"] = [
+        _fit_row(obs, fit_rate(s, _observe(obs, chart, states), min_samples=min_samples),
+                 verdicts)
+        for obs in plan.observables
+    ]
+    entry["verdicts"] = verdicts
+    return entry
+
+
+def _samples(plan, traj, sectioned, entry, verdicts):
+    """``(s, states, min_samples)``: the distances to the edge and chart
+    states every observable of the run is fitted on, at the ``sectioned``
+    run's section crossings or inside its window.  Records the edge in
+    ``entry`` and appends the edge verdicts to ``verdicts``."""
     if plan.edge_behind_s0 is not None:
         entry["edge"] = {"behind_start_at": plan.edge_behind_s0}
-        s_all = plan.edge_behind_s0 + traj.t
+        s = plan.edge_behind_s0 + traj.t
         lo, hi = plan.window
-        sel = (s_all >= lo) & (s_all <= hi)
-        verdicts = []
-        entry["fits"] = [
-            _fit_row(obs, fit_rate(s_all[sel], _observe(obs, chart, traj.states[sel])),
-                     tol_rho, tol_q, verdicts)
-            for obs in plan.observables
-        ]
-        entry["verdicts"] = verdicts
-        return entry
+        sel = (s >= lo) & (s <= hi)
+        return s[sel], traj.states[sel], 50
     est = accumulate_time(traj)
     entry["edge"] = {
         "value": est.value if math.isfinite(est.value) else "inf",
@@ -901,7 +899,6 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
         "tail_model": est.tail_model,
         "error_bound": est.error_bound if math.isfinite(est.error_bound) else "inf",
     }
-    verdicts = []
     if plan.expect_finite_edge is not None:
         verdicts.append({
             "name": "edge finiteness",
@@ -909,9 +906,20 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
             "detail": f"edge is {'finite' if est.is_finite else 'infinite'}, "
                       f"expected {'finite' if plan.expect_finite_edge else 'infinite'}",
         })
+    if not sectioned:
+        s = remaining_time(traj, est)
+        lo, hi = plan.window
+        if plan.window_relative:
+            scale = est.value if est.is_finite else est.integrated
+            lo, hi = lo * scale, hi * scale
+        # samples whose distance-to-edge is dominated by the extrapolated
+        # tail carry its uncertainty; keep a 100x margin over its error bound
+        lo = max(lo, 100.0 * est.error_bound)
+        sel = (s >= lo) & (s <= hi)
+        return s[sel], traj.states[sel], 50
 
-    if plan.growup_check:
-        _, r, t = phase_section_sampler(traj, est)
+    s, r, t = phase_section_sampler(traj, est)
+    if plan.expect_finite_edge is False:
         keep = t > 0.25 * t.max()
         coef, _, r2 = lstsq(np.column_stack([t[keep], np.ones(keep.sum())]),
                             np.log(1.0 / r[keep]))
@@ -922,13 +930,13 @@ def _execute_run(cdef, plan, seed, tol_rho, tol_q, tau_max, rtol, atol, out_dir)
             "detail": f"slope {slope:.4f}, R2 {r2:.6f}",
         })
         entry["growup"] = {"slope": slope, "r2": r2}
-
-    entry["fits"] = [
-        _fit_row(obs, _fit_observable(plan, traj, est, obs), tol_rho, tol_q, verdicts)
-        for obs in plan.observables
-    ]
-    entry["verdicts"] = verdicts
-    return entry
+    # drop the initial transient (a fixed burn-in of revolutions) and
+    # samples dominated by the edge-time uncertainty
+    burn = 32
+    s = s[burn:]
+    keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
+    states = [sec[1] for sec, k in zip(traj.sections[burn:], keep) if k]
+    return s[keep], states, 40
 
 
 def _observe(obs, chart, states):
@@ -937,16 +945,11 @@ def _observe(obs, chart, states):
     return np.array([fn(*chart.state_to_poly_point(st)) for st in states])
 
 
-def _fit_row(obs, fit, tol_rho, tol_q, verdicts):
+def _fit_row(obs, fit, verdicts):
     """The report row of one fitted observable; its rate verdict, when one is
     declared, is appended to ``verdicts``."""
     if obs.expected is not None:
-        v = compare_rate(
-            fit,
-            obs.expected,
-            tol_rho if tol_rho is not None else obs.tol_rho,
-            tol_q if tol_q is not None else obs.tol_q,
-        )
+        v = compare_rate(fit, obs.expected, obs.tol_rho, obs.tol_q)
         verdicts.append({
             "name": f"rate of {obs.name}",
             "passed": v.passed,
@@ -969,35 +972,7 @@ def _fit_row(obs, fit, tol_rho, tol_q, verdicts):
     }
 
 
-def _fit_observable(plan, traj, est, obs):
-    """Fit one observable on the samples the run's sampler selects."""
-    if plan.sampler == "sections":
-        s, _, _ = phase_section_sampler(traj, est)
-        y = _observe(obs, traj.chart, [sec[1] for sec in traj.sections])
-        # drop the initial transient (a fixed burn-in of revolutions) and
-        # samples dominated by the edge-time uncertainty
-        burn = 32
-        s, y = s[burn:], y[burn:]
-        keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
-        s, y = s[keep], y[keep]
-        min_samples = 40
-    else:
-        s_all = remaining_time(traj, est)
-        lo, hi = plan.window
-        if plan.window_relative:
-            scale = est.value if est.is_finite else est.integrated
-            lo, hi = lo * scale, hi * scale
-        # samples whose distance-to-edge is dominated by the extrapolated
-        # tail carry its uncertainty; keep a 100x margin over its error bound
-        lo = max(lo, 100.0 * est.error_bound)
-        sel = (s_all >= lo) & (s_all <= hi)
-        s = s_all[sel]
-        y = _observe(obs, traj.chart, traj.states[sel])
-        min_samples = 50
-    return fit_rate(s, y, min_samples=min_samples)
-
-
-def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
+def _run_center_flow(cdef, plan):
     """Sample the frame coordinate along the analytically reduced center flow.
 
     Near the degenerate equilibrium the transverse direction is exponentially
@@ -1047,22 +1022,25 @@ def _run_center_flow(cdef, plan, entry, tol_rho, tol_q):
     for i in range(1, len(zs)):
         acc += seg_integral(zs[i - 1], zs[i])
         s[i] = acc
-    entry["termination"] = "center-flow"
-    entry["series"] = {
-        "center_var": cvar,
-        "d": str(series.d),
-        "c_d": float(series.c_d),
-        "h": format_genpoly(series.coefficients),
-        "exact": series.exact,
-    }
     verdicts, fits = [], []
     for obs in plan.observables:
         yfn = on_manifold(obs.expr)
         y = np.array([yfn(x) for x in xs])
-        fits.append(_fit_row(obs, fit_rate(s, y), tol_rho, tol_q, verdicts))
-    entry["fits"] = fits
-    entry["verdicts"] = verdicts
-    return entry
+        fits.append(_fit_row(obs, fit_rate(s, y), verdicts))
+    return {
+        "label": plan.label,
+        "sampler": "center-flow",
+        "termination": "center-flow",
+        "series": {
+            "center_var": cvar,
+            "d": str(series.d),
+            "c_d": float(series.c_d),
+            "h": format_genpoly(series.coefficients),
+            "exact": series.exact,
+        },
+        "fits": fits,
+        "verdicts": verdicts,
+    }
 
 
 def sweep(
@@ -1071,7 +1049,6 @@ def sweep(
     *,
     seed: int = 0,
     jobs: int = 1,
-    **kw,
 ) -> list[RunReport]:
     """Independent runs over a parameter grid (optionally in parallel)."""
     if isinstance(spec, str):
@@ -1079,9 +1056,9 @@ def sweep(
     if not grid:
         return []
     if jobs <= 1:
-        return [run_case(spec, params, seed=seed, **kw) for params in grid]
+        return [run_case(spec, params, seed=seed) for params in grid]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(run_case, spec, params, seed=seed, **kw) for params in grid]
+        futs = [pool.submit(run_case, spec, params, seed=seed) for params in grid]
         return [f.result() for f in futs]

@@ -3,10 +3,14 @@
 ``horizon analyze <spec-file | builtin-name>`` parses a system description,
 runs the pipeline, and writes report.json, fits.csv and trajectories/*.csv
 into the output directory.  ``horizon sweep <builtin-name> --param a=...``
-runs a parameter grid and writes an aggregate CSV.
+runs a parameter grid and writes an aggregate CSV.  Both take only
+``--seed``, ``--out`` and ``--jobs`` (worker processes of a sweep); every
+other setting of a run comes from its case.
 
-Exit codes: 0 all verdicts pass (or none declared), 1 verdict failure,
-2 parse error (with line/column), 3 pipeline error.
+Exit codes, for both commands: 0 every report PASS (or no report), 1 some
+report FAIL (a verdict failed or an expected equilibrium is missing),
+2 parse error (with line/column) or bad argument, 3 some report ERROR or
+a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -38,6 +42,11 @@ replays a report's chart, so a spec chart and its replay cannot differ.
     transform quasipolar m=<int>                               (needs type, order)
     transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
     transform restrict var=<var> value=<number>
+
+The chart sets how observables are sampled.  A ``quasipolar`` chart is
+sampled once per revolution of its angle ``theta`` and ignores ``window``;
+other charts are sampled at every step inside ``window`` (a fraction of
+the edge time unless ``absolute``).
 """
 
 from __future__ import annotations
@@ -98,11 +107,6 @@ def main(argv=None) -> int:
 
 
 def _common_flags(p):
-    p.add_argument("--tol-rho", type=float, default=None)
-    p.add_argument("--tol-q", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("horizon-out"))
@@ -126,10 +130,7 @@ def _cmd_analyze(args) -> int:
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        report = run_case(spec, None, seed=args.seed,
-                          tol_rho=args.tol_rho, tol_q=args.tol_q,
-                          tau_max=args.tau_max, rtol=args.rtol,
-                          atol=args.atol, out_dir=args.out)
+        report = run_case(spec, None, seed=args.seed, out_dir=args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -139,14 +140,14 @@ def _cmd_analyze(args) -> int:
 
     _write_report(args.out, [report])
     _print_report(report)
-    if report.status == "ERROR":
-        return 3
-    verdicts = report.all_verdicts
-    if verdicts and not all(v["passed"] for v in verdicts):
-        return 1
-    if not report.eq_check.get("all_found", True):
-        return 1
-    return 0
+    return _exit_code([report])
+
+
+def _exit_code(reports) -> int:
+    """3 when a report is ERROR, else 1 when one is FAIL (a verdict failed
+    or an expected equilibrium is missing), else 0."""
+    statuses = {r.status for r in reports}
+    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
 
 
 def _as_spec(cdef: CaseDefinition):
@@ -175,15 +176,15 @@ def _cmd_sweep(args) -> int:
         try:
             values = [_parse_number(v) for v in vals.split(",") if v]
         except (ValueError, ZeroDivisionError):
+            values = []
+        if not values:
             print(f"error: bad --param {p!r}", file=sys.stderr)
             return 2
         grid = [dict(g, **{name: v}) for g in grid for v in values]
     if not args.param:
         grid = []
     try:
-        reports = sweep(spec, grid, seed=args.seed, jobs=args.jobs,
-                        tol_rho=args.tol_rho, tol_q=args.tol_q,
-                        tau_max=args.tau_max, rtol=args.rtol, atol=args.atol)
+        reports = sweep(spec, grid, seed=args.seed, jobs=args.jobs)
     except (HorizonError, ValueError) as exc:
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -192,11 +193,7 @@ def _cmd_sweep(args) -> int:
     _write_report(args.out, reports)
     for rep in reports:
         _print_report(rep)
-    if any(r.status == "ERROR" for r in reports):
-        return 3
-    if any(not v["passed"] for r in reports for v in r.all_verdicts):
-        return 1
-    return 0
+    return _exit_code(reports)
 
 
 def _parse_number(text: str):

@@ -3,13 +3,17 @@
 import json
 import math
 import pathlib
+import struct
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+from horizon import casebook
+from horizon.casebook import chart_section, get_case
 from horizon.cli import _write_report, main, parse_spec_file, replay_chart
+from horizon.dynamics import integrate
 from horizon.errors import ParseError
 
 CASES_DIR = pathlib.Path(__file__).resolve().parents[1] / "cases"
@@ -29,6 +33,23 @@ h-max 0.1
 window 1e-8 1e-3
 kind blow-up
 observable xval : r^(-1) expect rho=1 q=0 tol-rho=0.05 tol-q=0.1
+"""
+
+
+# the built-in lienard n=3 field and chart, cut at tau 3000, no observable
+LIENARD3_SPEC = """
+name lienard
+var x
+var y
+field x : y
+field y : -x^7 - x^6 - x^3*y
+type 1 4
+order 3
+transform quasipolar m=4
+initial r=0.08 theta=0
+tau-end 3000
+rtol 1e-8
+atol 1e-10
 """
 
 
@@ -68,12 +89,44 @@ class TestSpecParsing:
             parse_spec_file(write(tmp_path, spec))
         assert err.value.line == 7
 
+    def test_quasipolar_spec_samples_sections(self, tmp_path, monkeypatch):
+        trajs = []
+
+        def recording(*args, **kw):
+            trajs.append(integrate(*args, **kw))
+            return trajs[-1]
+
+        monkeypatch.setattr(casebook, "integrate", recording)
+        out = tmp_path / "out"
+        rc = main(["analyze", str(write(tmp_path, LIENARD3_SPEC)), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["runs"][0]["sampler"] == "sections"
+        cdef = get_case("lienard").definition({"n": 3})
+        plan = cdef.runs[0]
+        ref = integrate(cdef.chart, plan.initial, 3000.0, rtol=plan.rtol,
+                        atol=plan.atol, direction=plan.direction, h_max=plan.h_max,
+                        section=chart_section(cdef.chart),
+                        stop_at_equilibrium=plan.stop_at_equilibrium)
+        (traj,) = trajs
+        assert len(ref.sections) >= 300
+        assert _bits(traj.sections) == _bits(ref.sections)
+
     def test_transform_lowers_to_recorded_steps(self):
         chart = parse_spec_file(CASES_DIR / "quench1.spec").chart
         steps = {s.op: s.params for s in chart.provenance}
         assert steps["directional"]["sign"] == -1
         assert steps["directional"]["radial"] == "lam"
         assert chart.vars == ("lam", "phi")
+
+
+def _bits(obj):
+    """Nested structure with every float replaced by its IEEE bit pattern."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, (list, tuple)):
+        return tuple(_bits(v) for v in obj)
+    return obj
 
 
 class TestExitCodes:
@@ -196,11 +249,19 @@ class TestSweep:
         rc = main(["sweep", "iy", "--param", "zeta=1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("param", ["a=abc", "a=1/0"])
+    @pytest.mark.parametrize("param", ["a=abc", "a=1/0", "a=", "a=,"])
     def test_unparsable_value_is_2(self, tmp_path, capsys, param):
         rc = main(["sweep", "iy", "--param", param, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: bad --param {param!r}\n"
+
+    def test_missing_equilibrium_is_1(self, tmp_path, capsys):
+        # every rate verdict passes, but the sink of the a < 1/2 regime lies
+        # outside the search box
+        rc = main(["sweep", "andrews1", "--param", "a=0.05", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out and "expected MISSING" in out
 
     def test_single_point(self, tmp_path):
         rc = main(["sweep", "iy", "--param", "a=1/2", "--out", str(tmp_path / "o")])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horizon.casebook import get_case
+from horizon.casebook import chart_section, get_case
 from horizon.compactify import (
     base_field,
     desingularize,
@@ -98,7 +98,7 @@ class TestTermination:
         cdef = get_case("lienard").definition({"n": 3})
         plan = cdef.runs[0]
         traj = integrate(cdef.chart, plan.initial, plan.tau_end, rtol=plan.rtol,
-                         atol=plan.atol, section=plan.section,
+                         atol=plan.atol, section=chart_section(cdef.chart),
                          stop_at_equilibrium=False, max_steps=500)
         assert traj.termination == "step-budget"
         assert traj.n_steps == 500

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horizon.casebook import get_case
+from horizon.casebook import chart_section, get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import (
     _A,
@@ -321,10 +321,10 @@ def assert_same_trajectory(new, old):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name
 
 
-def plan_kwargs(plan):
+def plan_kwargs(plan, chart):
     """integrate() arguments of a case run plan, as the casebook passes them."""
     return dict(rtol=plan.rtol, atol=plan.atol, direction=plan.direction,
-                h_max=plan.h_max, section=plan.section,
+                h_max=plan.h_max, section=chart_section(chart),
                 stop_at_equilibrium=plan.stop_at_equilibrium)
 
 
@@ -332,7 +332,7 @@ DEFAULT_PLANS = [
     (name, i)
     for name in ("aiu", "iy", "andrews1", "andrews2", "quench", "kdv")
     for i, plan in enumerate(get_case(name).definition().runs)
-    if plan.sampler != "center-flow"
+    if plan.center_eq is None
 ]
 
 
@@ -341,8 +341,8 @@ def test_default_run_plans_bitwise(name, idx):
     cdef = get_case(name).definition()
     plan = cdef.runs[idx]
     args = (cdef.chart, plan.initial, plan.tau_end)
-    assert_same_trajectory(integrate(*args, **plan_kwargs(plan)),
-                           old_integrate(*args, **plan_kwargs(plan)))
+    kw = plan_kwargs(plan, cdef.chart)
+    assert_same_trajectory(integrate(*args, **kw), old_integrate(*args, **kw))
 
 
 # state of the default lienard n=1 run at tau = 1040; its own first rejected
@@ -358,11 +358,12 @@ LIENARD1_TAU1040 = (float.fromhex("0x1.26bec8bdb71e6p-7"),
 def test_lienard_cut_runs_bitwise(n, starts):
     cdef = get_case("lienard").definition({"n": n})
     plan = cdef.runs[0]
+    kw = plan_kwargs(plan, cdef.chart)
     rejected = sections = 0
     for initial, tau_end in starts:
         args = (cdef.chart, initial or plan.initial, tau_end)
-        new = integrate(*args, **plan_kwargs(plan))
-        assert_same_trajectory(new, old_integrate(*args, **plan_kwargs(plan)))
+        new = integrate(*args, **kw)
+        assert_same_trajectory(new, old_integrate(*args, **kw))
         rejected += new.n_rejected
         sections = max(sections, len(new.sections))
     assert rejected >= 1 and sections >= 3
