@@ -257,6 +257,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         GenMonomial.make(1, {"u0": -1}),
     )
     pv = chart.poly_vars
+    u0_box = (-2.0, 2.0)
     if a > 0.5:
         window, tau_end, q1, q0 = (1e-45, 1e-18), 46.0, 0.5, -0.5
         rho, tol_q = 0.5, 0.15
@@ -275,6 +276,8 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         x_star = (1 - 2 * a) / (2 * a * ct)
         expected_eqs = ((0.0, 0.0), (0.0, x_star))
         init = (0.5, 0.55 * x_star)
+        # the sink moves out to infinity as a -> 0: keep it inside the box
+        u0_box = (-2.0, max(2.0, x_star + 1.0))
     runs = [
         RunPlan(
             label=f"a={a}",
@@ -298,7 +301,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         chart=chart,
         type_vector=t,
         runs=runs,
-        eq_box={"u0": (-2.0, 2.0)},
+        eq_box={"u0": u0_box},
         expected_equilibria=expected_eqs,
         orbital_check_point={"u0": 1.0, "u1": 2.0},
         orbital_check_span=0.4,

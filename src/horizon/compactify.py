@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +89,15 @@ def _jsonable(obj):
     return obj
 
 
+class RhsSource(NamedTuple):
+    """Python text of a chart field (:meth:`ChartField.rhs_source`)."""
+
+    statements: tuple[str, ...]   # unindented lines, run first
+    components: tuple[str, ...]   # one expression per state variable
+    chain: str                    # expression of the time-chain product
+    globals: dict                 # names the text reads besides the state
+
+
 @dataclass(frozen=True)
 class ChartField:
     """A vector field in a chart, with time-chain and provenance."""
@@ -130,25 +139,25 @@ class ChartField:
         pt = self.state_to_poly_point(state)
         return [comp.eval(pt) for comp in self.components]
 
-    def compile_rhs(self):
-        """Fast callable state -> (component values, chain product).
+    def rhs_source(self, names: Sequence[str]) -> RhsSource:
+        """The chart field as Python text over the state variable ``names``.
 
-        One exec-compiled function per chart: it unpacks the state, inlines
-        the Cs/Sn table lookup in quasi-polar charts, computes each distinct
-        power once, and returns every component and the product of the time
-        chain.  Terms and powers are printed by :meth:`GenPoly.source`, so
-        the values equal those of the per-polynomial :meth:`GenPoly.compile`
-        functions bit for bit.
+        The statements inline the Cs/Sn table lookup in quasi-polar charts and
+        compute each distinct power once; the component and chain expressions
+        read what they assign.  Besides ``names`` the text assigns and reads
+        only names that start with an underscore.  Terms and powers are
+        printed by :meth:`GenPoly.source`, so the values equal those of the
+        per-polynomial :meth:`GenPoly.compile` functions bit for bit.
         """
-        names = [f"x{i}" for i in range(len(self.vars))]
-        lines = [f"    {', '.join(names)}, = state\n"]
+        names = list(names)
+        statements: list[str] = []
         ns = dict(SOURCE_GLOBALS)
         if self.quasipolar_index is None:
             poly_names = names
         else:
             tab = table(self.quasipolar_index)
             a = self.vars.index(self.angle)
-            lines.append(tab.lookup_source(names[a], CS, SN))
+            statements += tab.lookup_source(names[a], CS, SN)
             ns.update(tab.lookup_globals)
             poly_names = names[:a] + names[a + 1:] + [CS, SN]
         powers: dict[str, str] = {}
@@ -159,14 +168,29 @@ class ChartField:
                 return name
             if expr not in powers:
                 powers[expr] = f"_p{len(powers)}"
-                lines.append(f"    {powers[expr]} = {expr}\n")
+                statements.append(f"{powers[expr]} = {expr}")
             return powers[expr]
 
-        comps = "".join(f"{c.source(poly_names, power)}, " for c in self.components)
+        comps = tuple(c.source(poly_names, power) for c in self.components)
         chain = " * ".join(f"({c.source(poly_names, power)})" for c in self.time_chain)
-        src = "def rhs(state):\n" + "".join(lines) + f"    return ({comps}), {chain or '1.0'}\n"
-        exec(compile(src, f"<chart rhs {','.join(self.vars)}>", "exec"), ns)
-        return ns["rhs"]
+        return RhsSource(tuple(statements), comps, chain or "1.0", ns)
+
+    def compile_rhs(self):
+        """Callable state -> (component values, chain product).
+
+        One exec-compiled function of the :meth:`rhs_source` text.
+        :func:`horizon.dynamics.integrate` evaluates the initial point with
+        it; the integration loop inlines the same text in every stage.  A
+        power that overflows or is ``0**(-n)`` raises ``OverflowError`` or
+        ``ZeroDivisionError``.
+        """
+        names = [f"x{i}" for i in range(len(self.vars))]
+        src = self.rhs_source(names)
+        body = [f"{', '.join(names)}, = state", *src.statements,
+                f"return ({''.join(c + ', ' for c in src.components)}), {src.chain}"]
+        text = "def rhs(state):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(text, f"<chart rhs {','.join(self.vars)}>", "exec"), src.globals)
+        return src.globals["rhs"]
 
     def to_dict(self):
         return {

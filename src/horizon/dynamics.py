@@ -14,13 +14,16 @@ needs, per accepted step:
   output;
 * a maximum step size so rate-fit windows always contain enough samples.
 
-Both hot layers are generated Python code.  The chart field is compiled to
-one function returning all components and the chain product
-(:meth:`ChartField.compile_rhs`), and one DP5 attempt (six stages, the 5th-
-and 4th-order solutions and increments, the error norm and the end-point
-evaluation) is generated per state dimension and direction, unrolled in
-tableau order.  The dense output is formed only for steps that contain a
-section crossing.
+The whole integration loop is generated Python code, one function per
+``integrate`` call, specialised to the chart, the direction, the section
+variable and the equilibrium stop rule.  Its DP5 attempt is unrolled in
+tableau order, and every stage runs the chart field's printed text
+(:meth:`ChartField.rhs_source`: the Cs/Sn table lookup, shared powers,
+component and chain expressions) in place, with no call per stage; the
+step bookkeeping and the PI controller are inline too.  The initial point is
+evaluated with :meth:`ChartField.compile_rhs`, the same text compiled as a
+function.  The dense output is formed only for steps that contain a section
+crossing, and the crossing is bisected on the angle component alone.
 
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -92,7 +94,9 @@ class Trajectory:
     chart: ChartField | None = None
     sections: list = field(default_factory=list)    # (tau, state, t, step_idx, partial_inc)
     n_steps: int = 0
-    n_rejected: int = 0
+    n_rejected: int = 0                # error-norm and non-finite rejections
+    n_rhs: int = 0                     # field evaluations that returned
+    n_nonfinite: int = 0               # rejections of a non-finite or raising stage
 
     @property
     def final_state(self):
@@ -123,7 +127,6 @@ def integrate(
     """
     if not (1e-13 <= rtol <= 1e-3) or not (1e-14 <= atol <= 1e-3):
         raise ValueError("tolerances out of the supported range")
-    rhs = C.compile_rhs()
     sign = 1 if direction >= 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
@@ -133,12 +136,9 @@ def integrate(
         1e-300 if (v in C.positive or v == C.radial) else atol for v in C.vars
     )
 
-    n = len(x0)
-    attempt = _attempt_fn(n, sign)
     y = tuple(float(v) for v in x0)
-    tau = 0.0
     try:
-        f_now, g_now = rhs(y)
+        f_now, g_now = C.compile_rhs()(y)
     except _POW_ERRORS:
         raise ValueError(f"field not finite at the initial state {x0}") from None
     if sign < 0:
@@ -146,90 +146,22 @@ def integrate(
     if not all(math.isfinite(v) for v in f_now):
         raise ValueError(f"field not finite at the initial state {x0}")
 
-    taus = [0.0]
-    states = [y]
-    incs: list[float] = []
-    sec_hits = []
-    termination = "tau-budget"
-
+    sec_hits: list = []
+    si = period = sec_count = None
     if section is not None:
         si = C.vars.index(section.var)
-        sec_count = math.floor(abs(y[si]) / section.period)
+        period = section.period
+        sec_count = math.floor(abs(y[si]) / period)
 
     h = h0 if h0 is not None else _initial_step(y, f_now)
     h = min(h, h_max, tau_end)
-    eq_run = 0
-    n_acc = 0
-    n_rej = 0
-    err_prev = 1.0
-    t_acc = 0.0
-
-    while tau < tau_end:
-        if n_acc >= max_steps:
-            termination = "step-budget"
-            break
-        h = min(h, tau_end - tau)
-        if h < 1e-14 * max(1.0, abs(tau)):
-            termination = "step-underflow"
-            break
-
-        res = attempt(rhs, y, f_now, g_now, h, atol_vec, rtol)
-        if res is None:  # a stage or the end-point derivative is not finite
-            h *= 0.5
-            n_rej += 1
-            continue
-        err = res[0]
-        if err > 1.0:
-            n_rej += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
-            continue
-
-        # accepted
-        _, y5, f_new, g_new, dt5, k, kg = res
-
-        # sections (assumes monotone angle; crossings at -j*period or +j*period)
-        if section is not None:
-            new_count = math.floor(abs(y5[si]) / section.period)
-            if new_count > sec_count:
-                dense = _DenseSeg(tau, h, y, k)
-            while new_count > sec_count:
-                sec_count += 1
-                target = -sec_count * section.period * _angle_sign(y, y5, si)
-                th = _bisect_event(
-                    lambda s: dense.state_at(s)[si] - target, 0.0, 1.0
-                )
-                tau_sec = tau + th * h
-                st_sec = dense.state_at(th)
-                partial = _dt_partial(dense, kg, th, h)
-                sec_hits.append((tau_sec, st_sec, t_acc + partial, n_acc, partial))
-
-        tau += h
-        y = y5
-        f_now, g_now = f_new, g_new
-        t_acc += dt5
-        taus.append(tau)
-        states.append(y)
-        incs.append(dt5)
-        n_acc += 1
-
-        # equilibrium stop rule
-        if stop_at_equilibrium:
-            fn = math.sqrt(_sum_sq(f_now))
-            xn = math.sqrt(_sum_sq(y))
-            if fn <= 1e-12 * (1.0 + xn):
-                eq_run += 1
-                if eq_run >= 50:
-                    termination = "converged-to-equilibrium"
-                    break
-            else:
-                eq_run = 0
-
-        # PI controller
-        fac = 0.9 * err ** -0.14 * err_prev ** 0.06 if err > 0 else 5.0
-        h = min(h * min(5.0, max(0.2, fac)), h_max)
-        err_prev = max(err, 1e-10)
-
-    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej)
+    loop = _loop_fn(C, sign, si, stop_at_equilibrium)
+    taus, states, incs, termination, n_acc, n_rej, n_nonfinite, n_rhs_rej = loop(
+        y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, max_steps,
+        period, sec_count, sec_hits)
+    # every accepted step evaluated the field 7 times, the initial point once
+    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej,
+                       1 + 7 * n_acc + n_rhs_rej, n_nonfinite)
 
 
 # what a compiled chart rhs raises where a power of a Python float overflows
@@ -237,49 +169,71 @@ def integrate(
 _POW_ERRORS = (OverflowError, ZeroDivisionError)
 
 
-@lru_cache(maxsize=None)
-def _attempt_fn(n: int, sign: int):
-    """One DP5 attempt for state dimension n, generated in tableau order.
+def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool):
+    """The whole DP5 integration loop for one chart, generated as one function.
 
-    ``attempt(rhs, y, f, g0, h, atol, rtol)`` takes the state tuple, the
-    (direction-signed) field f and chain product g0 at it, and returns
-    ``None`` if a stage or the end-point field is not finite or raises one
-    of ``_POW_ERRORS``, ``(err,)`` if the error norm exceeds 1, and otherwise
-    ``(err, y5, f_new, g_new, dt5, k, kg)`` with the stage values k, kg for
-    dense output.
+    ``loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period,
+    sec_count, sections)`` starts at the state tuple y with its
+    (direction-signed) field f and chain product g0 and the first step h,
+    appends the crossings of the section variable ``si`` (if any) to
+    ``sections``, and returns ``(taus, states, incs, termination, n_acc,
+    n_rej, n_nonfinite, n_rhs_rej)``: the accepted times, states and time
+    increments, the termination reason, the accepted and rejected steps, the
+    rejections of a non-finite or raising stage, and the field evaluations
+    that returned in rejected attempts.
 
-    The floating-point operations are those of the textbook loops, in the
-    same order, so trajectories are reproduced bit for bit: stage and
-    solution sums are ``y + (h*a_j)*k_j + ...`` and
-    ``y + h*(0.0 + b_j*k_j + ...)`` left to right, zero coefficients
-    skipped; the time increments are ``h*(0.0 + b_0*g_0 + ... + b_6*g_6)``
-    over all seven terms, zero weights included, which is what the builtin
-    ``sum`` computed up to Python 3.11 (from 3.12 on ``sum`` compensates, so
-    it is not used).
+    Each stage assigns its inputs to the chart's variables and runs the
+    :meth:`ChartField.rhs_source` text in place.  A stage (or the end point)
+    that is not finite or raises one of ``_POW_ERRORS`` halves the step; an
+    error norm above 1 shrinks it by the usual factor.  The floating-point
+    operations are those of the textbook loops, in the same order, so
+    trajectories are reproduced bit for bit: stage and solution sums are
+    ``y + (h*a_j)*k_j + ...`` and ``y + h*(0.0 + b_j*k_j + ...)`` left to
+    right, zero coefficients skipped; the time increments are
+    ``h*(0.0 + b_0*g_0 + ... + b_6*g_6)`` over all seven terms, zero weights
+    included, which is what the builtin ``sum`` computed up to Python 3.11
+    (from 3.12 on ``sum`` compensates, so it is not used).  ``min`` and
+    ``max`` of two floats are written as the conditional expressions the
+    builtins evaluate, argument order (and so NaN handling) included.
     """
+    n = len(C.vars)
     I = range(n)
-    lines = [f"{_tup(f'y{i}' for i in I)} = y", "k0 = f", f"{_tup(f'k0_{i}' for i in I)} = f"]
+    names = [f"x{i}" for i in I]
+    src = C.rhs_source(names)
+    neg = "" if sign > 0 else "-"
+    lines = [
+        "if n_acc >= max_steps:",
+        "    termination = 'step-budget'",
+        "    break",
+        "d = tau_end - tau",
+        "if d < h:",
+        "    h = d",
+        "m = abs(tau)",
+        "if h < 1e-14 * (m if m > 1.0 else 1.0):",
+        "    termination = 'step-underflow'",
+        "    break",
+    ]
+
+    def halve(returned):
+        """The retry of a non-finite or raising stage, after `returned`
+        field evaluations of the attempt returned."""
+        count = [f"    n_rhs_rej += {returned}"] if returned else []
+        return ["    h *= 0.5", "    n_rej += 1", "    n_nonfinite += 1", *count, "    continue"]
 
     def stage(s, args):
-        """Evaluate stage s at the given component expressions."""
+        """Stage s (7: the end point) at the component expressions args."""
         kv = [f"k{s}_{i}" for i in I]
-        got = f"k{s}" if sign > 0 else f"_v{s}"
-        # a power that overflows or is 0**(-n) raises in Python floats; it is
-        # retried like a non-finite stage
-        lines.extend(["try:",
-                      f"    {got}, g{s} = rhs(({''.join(a + ', ' for a in args)}))",
-                      "except _POW_ERRORS:",
-                      "    return None"])
-        if sign > 0:
-            lines.append(f"{_tup(kv)} = k{s}")
-        else:
-            lines.append(f"{_tup(f'_v{s}_{i}' for i in I)} = _v{s}")
-            lines.extend(f"{kv[i]} = -_v{s}_{i}" for i in I)
-            lines.append(f"k{s} = {_tup(kv)}")
+        body = [f"{x} = {a}" for x, a in zip(names, args)] + list(src.statements)
+        body += [f"{k} = {neg}({c})" for k, c in zip(kv, src.components)]
+        body.append(f"g{s} = {src.chain}")
+        lines.append("try:")
+        lines.extend(f"    {line}" for line in body)
+        lines.append("except _POW_ERRORS:")
+        lines.extend(halve(s - 1))
         # x - x is 0.0 for finite x and NaN otherwise, and NaN propagates
         zero = " + ".join(f"({v} - {v})" for v in kv + [f"g{s}"])
         lines.append(f"if not {zero} == 0.0:")
-        lines.append("    return None")
+        lines.extend(halve(s))
 
     def combo(coef, i):
         """Source of `` + c_s * k{s}_i`` over the nonzero weights c_s."""
@@ -293,12 +247,11 @@ def _attempt_fn(n: int, sign: int):
     lines += [f"y5_{i} = y{i} + h * (0.0{combo(_B5, i)})" for i in I]
     for name, b in (("dt5", _B5), ("dt4", _B4)):
         lines.append(f"{name} = h * (0.0{''.join(f' + {c!r} * g{s}' for s, c in enumerate(b))})")
-    d = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
-    lines.append(f"{_tup(f'a{i}' for i in I)} = atol")
+    b_err = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
     lines.append("err = 0.0")
     for i in I:
         lines += [
-            f"e = (0.0{combo(d, i)}) * h",
+            f"e = (0.0{combo(b_err, i)}) * h",
             f"u = abs(y{i})",
             f"v = abs(y5_{i})",
             f"sc = a{i} + rtol * (v if v > u else u)",
@@ -309,22 +262,110 @@ def _attempt_fn(n: int, sign: int):
         "err += ((dt5 - dt4) / sc) ** 2 if sc > 0.0 else 0.0",
         f"err = _sqrt(err / {n + 1})",
         "if err > 1.0:",
-        "    return (err,)",
+        "    n_rej += 1",
+        "    n_rhs_rej += 6",
+        "    r = 0.9 * err ** -0.2",
+        "    h *= r if r > 0.2 else 0.2",
+        "    continue",
     ]
     stage(7, [f"y5_{i}" for i in I])  # the end point, first stage of the next step
-    lines.append(f"return err, {_tup(f'y5_{i}' for i in I)}, k7, g7, dt5, "
-                 f"{_tup(f'k{s}' for s in range(7))}, {_tup(f'g{s}' for s in range(7))}")
-    src = "def attempt(rhs, y, f, g0, h, atol, rtol):\n" + "".join(
-        f"    {line}\n" for line in lines
+
+    # accepted
+    if si is not None:  # crossings at -j*period or +j*period
+        lines += [
+            f"nc = _floor(abs(y5_{si}) / period)",
+            "if nc > sec_count:",
+            f"    sec_count = _cross_sections(sections, sec_count, nc, period, {si}, "
+            f"tau, h, {_tup(f'y{i}' for i in I)}, {_tup(f'y5_{i}' for i in I)}, "
+            f"({''.join(_tup(f'k{s}_{i}' for i in I) + ', ' for s in range(7))}), "
+            f"{_tup(f'g{s}' for s in range(7))}, t_acc, n_acc)",
+        ]
+    lines += ["tau += h"]
+    lines += [f"y{i} = y5_{i}" for i in I]
+    lines += [f"k0_{i} = k7_{i}" for i in I]
+    lines += [
+        "g0 = g7",
+        "t_acc += dt5",
+        "taus_append(tau)",
+        f"states_append({_tup(f'y{i}' for i in I)})",
+        "incs_append(dt5)",
+        "n_acc += 1",
+    ]
+    if stop_at_equilibrium:
+        lines += [
+            f"fn = _sqrt(0.0{''.join(f' + k0_{i} * k0_{i}' for i in I)})",
+            f"xn = _sqrt(0.0{''.join(f' + y{i} * y{i}' for i in I)})",
+            "if fn <= 1e-12 * (1.0 + xn):",
+            "    eq_run += 1",
+            "    if eq_run >= 50:",
+            "        termination = 'converged-to-equilibrium'",
+            "        break",
+            "else:",
+            "    eq_run = 0",
+        ]
+    # PI controller
+    lines += [
+        "fac = 0.9 * err ** -0.14 * err_prev ** 0.06 if err > 0 else 5.0",
+        "fac = fac if fac > 0.2 else 0.2",
+        "fac = fac if fac < 5.0 else 5.0",
+        "h = h * fac",
+        "if h_max < h:",
+        "    h = h_max",
+        "err_prev = 1e-10 if 1e-10 > err else err",
+    ]
+
+    head = [
+        f"{_tup(f'y{i}' for i in I)} = y",
+        f"{_tup(f'k0_{i}' for i in I)} = f",
+        f"{_tup(f'a{i}' for i in I)} = atol",
+        "tau = t_acc = 0.0",
+        "err_prev = 1.0",
+        "eq_run = n_acc = n_rej = n_nonfinite = n_rhs_rej = 0",
+        "taus = [0.0]",
+        "states = [y]",
+        "incs = []",
+        "taus_append, states_append, incs_append = taus.append, states.append, incs.append",
+        "termination = 'tau-budget'",
+        "while tau < tau_end:",
+    ]
+    text = (
+        "def loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period, "
+        "sec_count, sections):\n"
+        + "".join(f"    {line}\n" for line in head)
+        + "".join(f"        {line}\n" for line in lines)
+        + "    return taus, states, incs, termination, n_acc, n_rej, n_nonfinite, n_rhs_rej\n"
     )
-    ns = {"_sqrt": math.sqrt, "_POW_ERRORS": _POW_ERRORS}
-    exec(compile(src, f"<dp5 attempt n={n} sign={sign}>", "exec"), ns)
-    return ns["attempt"]
+    ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor,
+              _POW_ERRORS=_POW_ERRORS, _cross_sections=_cross_sections)
+    exec(compile(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
+    return ns["loop"]
 
 
 def _tup(names) -> str:
     """Source of a tuple display (or unpacking target) of the names."""
     return "(" + "".join(f"{v}, " for v in names) + ")"
+
+
+def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_acc, n_acc):
+    """Append the crossings of one accepted step (section count ``count`` up
+    to ``new_count``) to ``hits``; returns ``new_count``.
+
+    Each crossing is located by bisection on the dense output of the angle
+    alone, which must be monotone within the step, and recorded as (tau,
+    state, t, step index, partial increment).
+    """
+    dense = _DenseSeg(tau, h, y, k)
+    angle_sign = _angle_sign(y, y5, si)
+    y_si, k_si = y[si], [ks[si] for ks in k]
+    while new_count > count:
+        count += 1
+        target = -count * period * angle_sign
+        # the angle component of dense.state_at, by the same operations
+        th = _bisect_event(
+            lambda s: y_si + h * _dense_sum(s, k_si) - target, 0.0, 1.0)
+        partial = _dt_partial(dense, kg, th, h)
+        hits.append((tau + th * h, dense.state_at(th), t_acc + partial, n_acc, partial))
+    return count
 
 
 def _angle_sign(y0, y1, si):
@@ -343,35 +384,27 @@ class _DenseSeg:
         self.k = k
 
     def state_at(self, th: float) -> list[float]:
-        th2 = th * th
-        th3 = th2 * th
-        th4 = th3 * th
-        w = [
-            _P[s][0] * th + _P[s][1] * th2 + _P[s][2] * th3 + _P[s][3] * th4
-            for s in range(7)
-        ]
-        out = list(self.y0)
-        for i in range(len(out)):
-            acc = 0.0
-            for s in range(7):
-                if w[s] != 0.0:
-                    acc += w[s] * self.k[s][i]
-            out[i] += self.h * acc
-        return out
+        return [y + self.h * _dense_sum(th, col) for y, col in zip(self.y0, zip(*self.k))]
+
+
+def _dense_sum(th, values) -> float:
+    """``0.0 + w_0*values_0 + ... + w_6*values_6`` left to right over the
+    nonzero dense-output weights w_s at the step fraction th."""
+    th2 = th * th
+    th3 = th2 * th
+    th4 = th3 * th
+    acc = 0.0
+    for (p0, p1, p2, p3), v in zip(_P, values):
+        w = p0 * th + p1 * th2 + p2 * th3 + p3 * th4
+        if w != 0.0:
+            acc += w * v
+    return acc
 
 
 def _dt_partial(dense: _DenseSeg, kg, th, h) -> float:
     """Physical-time increment over the partial step [0, th] using the dense
     weights applied to the integrand stage values (same order as the state)."""
-    th2 = th * th
-    th3 = th2 * th
-    th4 = th3 * th
-    acc = 0.0
-    for s in range(7):
-        w = _P[s][0] * th + _P[s][1] * th2 + _P[s][2] * th3 + _P[s][3] * th4
-        if w != 0.0:
-            acc += w * kg[s]
-    return h * acc
+    return h * _dense_sum(th, kg)
 
 
 def _bisect_event(g, lo, hi, iters=80):
@@ -408,7 +441,8 @@ def _initial_step(y, f0):
     return max(min(h, 1.0), 1e-8)
 
 
-def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej):
+def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej,
+                n_rhs=0, n_nonfinite=0):
     t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if incs else np.zeros(1)
     return Trajectory(
         tau=np.asarray(taus),
@@ -420,6 +454,8 @@ def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej):
         sections=sec,
         n_steps=n_acc,
         n_rejected=n_rej,
+        n_rhs=n_rhs,
+        n_nonfinite=n_nonfinite,
     )
 
 

@@ -61,7 +61,7 @@ class QuasiTrigTable:
     derivatives (exact: Cs' = -Sn, Sn' = Cs^(2l-1), scaled by the spacing),
     grouped per interval.  :meth:`lookup_source` is the single text of the
     Hermite formula; it is exec-compiled into :meth:`lookup` and inlined by
-    chart-rhs code generation (:meth:`horizon.compactify.ChartField.compile_rhs`).
+    the chart-rhs printer (:meth:`horizon.compactify.ChartField.rhs_source`).
     Both build the node lists on first use, not with the table.
     """
 
@@ -86,8 +86,8 @@ class QuasiTrigTable:
     @cached_property
     def lookup(self) -> Callable[[float], tuple[float, float]]:
         """Scalar (Cs(theta), Sn(theta)) for a Python float theta."""
-        src = "def lookup(theta):\n" + self.lookup_source("theta", "cs", "sn") \
-            + "    return cs, sn\n"
+        body = self.lookup_source("theta", "cs", "sn") + ["return cs, sn"]
+        src = "def lookup(theta):\n" + "".join(f"    {line}\n" for line in body)
         ns = dict(self.lookup_globals)
         exec(compile(src, f"<quasitrig l={self.l}>", "exec"), ns)
         return ns["lookup"]
@@ -99,16 +99,17 @@ class QuasiTrigTable:
         state.pop("lookup", None)
         return state
 
-    def lookup_source(self, theta: str, cs: str, sn: str) -> str:
-        """Statements assigning (Cs, Sn) at the angle expression ``theta`` to
-        the names ``cs`` and ``sn``; they read :attr:`lookup_globals`.
+    def lookup_source(self, theta: str, cs: str, sn: str) -> list[str]:
+        """Statements, one unindented line each, assigning (Cs, Sn) at the
+        angle expression ``theta`` to the names ``cs`` and ``sn``; they read
+        :attr:`lookup_globals`.
 
         The arithmetic is that of cubic Hermite interpolation on the node
         interval containing theta mod T, with weights shared by Cs and Sn.
         """
         T = self.T
         h = T / _NODES
-        lines = [
+        return [
             f"_x = _fmod({theta}, {T!r})",
             "if _x < 0.0:",
             f"    _x += {T!r}",
@@ -126,7 +127,6 @@ class QuasiTrigTable:
             f"{cs} = _w0 * _c0 + _w1 * _dc0 + _w2 * _c1 + _w3 * _dc1",
             f"{sn} = _w0 * _s0 + _w1 * _ds0 + _w2 * _s1 + _w3 * _ds1",
         ]
-        return "".join(f"    {line}\n" for line in lines)
 
     def eval(self, theta):
         """(Cs(theta), Sn(theta)); accepts scalars or arrays."""

@@ -255,13 +255,22 @@ class TestSweep:
         assert rc == 2
         assert capsys.readouterr().err == f"error: bad --param {param!r}\n"
 
-    def test_missing_equilibrium_is_1(self, tmp_path, capsys):
-        # every rate verdict passes, but the sink of the a < 1/2 regime lies
-        # outside the search box
+    def test_far_sink_is_found(self, tmp_path, capsys):
+        # the sink of the a < 1/2 regime, at u0 = 12.7, lies inside the search box
         rc = main(["sweep", "andrews1", "--param", "a=0.05", "--out", str(tmp_path / "o")])
-        assert rc == 1
+        assert rc == 0
         out = capsys.readouterr().out
-        assert "[FAIL]" in out and "expected MISSING" in out
+        assert "[PASS]" in out and "MISSING" not in out
+
+    def test_failing_report_is_1(self, tmp_path, capsys, monkeypatch):
+        # no built-in sweep point fails: every point runs the aiu case, whose
+        # rate verdicts fail (criterion 1b)
+        run_case = casebook.run_case
+        monkeypatch.setattr(casebook, "run_case",
+                            lambda spec, params, seed=0: run_case("aiu", seed=seed))
+        rc = main(["sweep", "iy", "--param", "a=1/2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "[FAIL] aiu" in capsys.readouterr().out
 
     def test_single_point(self, tmp_path):
         rc = main(["sweep", "iy", "--param", "a=1/2", "--out", str(tmp_path / "o")])
