@@ -48,7 +48,7 @@ from .dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
-from .errors import BlowupWeightError, StepBudgetError
+from .errors import StepBudgetError
 from .genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
 from .localanalysis import (
     center_manifold_series_1d,
@@ -142,6 +142,23 @@ class CaseSpec:
 # -- case builders -------------------------------------------------------------
 
 
+def _abs_base(chart: ChartField, var: str) -> GenPoly:
+    """|var| of the base variable ``var``, read from the chart's inverse."""
+    m = dict(chart.inverse)[var]
+    return GenPoly.monomial(chart.poly_vars, GenMonomial(abs(m.coeff), m.exps))
+
+
+def _blowup(C: ChartField, chart_var: str) -> ChartField:
+    """The weighted blow-up of the degenerate equilibrium at the origin of
+    ``C`` in the chart fixing ``chart_var``, with the primitive weights of the
+    first face of its Newton diagram, divided by the least power of r in its
+    components."""
+    B = blowup_chart(C, newton_data(list(C.components)).weights[0], chart_var,
+                     radial_name="r")
+    e = min(c.min_exponent("r") for c in B.components)
+    return time_rescale(B, GenMonomial.make(1, {"r": -e}), check_positive=False)
+
+
 def _build_aiu() -> CaseDefinition:
     vars = ("u0", "u1")
     f = [parse_genpoly("u1 * u0^(-2)", vars), parse_genpoly("u1^2 * u0^(-1)", vars)]
@@ -151,7 +168,6 @@ def _build_aiu() -> CaseDefinition:
         desingularize(directional_compactify(base, t, "u1"), 1),
         GenMonomial.make(1, {"u0": 2}),
     )
-    pv = chart.poly_vars
     runs = [
         RunPlan(
             label="blow-up",
@@ -162,10 +178,8 @@ def _build_aiu() -> CaseDefinition:
             window_relative=False,
             stop_at_equilibrium=False,
             observables=(
-                Observable("u1", parse_genpoly("r^(-1)", pv),
-                           RateModel(1.0, 0.5), 0.05, 0.1),
-                Observable("u0", parse_genpoly("u0", pv),
-                           RateModel(0.0, 0.5), 0.05, 0.1),
+                Observable("u1", _abs_base(chart, "u1"), RateModel(1.0, 0.5), 0.05, 0.1),
+                Observable("u0", _abs_base(chart, "u0"), RateModel(0.0, 0.5), 0.05, 0.1),
             ),
             expect_finite_edge=True,
         )
@@ -198,12 +212,11 @@ def _build_iy(a) -> CaseDefinition:
         desingularize(directional_compactify(base, t, "v0"), k),
         GenMonomial.make(1, {"v1": -1}),
     )
-    pv = chart.poly_vars
     af = float(a)
     # the ratio line v1/v0 = 1 is invariant: on it the rate is the
     # scaling-type prediction a/(a+1); off it the degenerate corner gives a
     obs_v0 = lambda rho, tol: (
-        Observable("v0", parse_genpoly("r^(-1)", pv), RateModel(rho, 0.0), tol, 0.1),
+        Observable("v0", _abs_base(chart, "v0"), RateModel(rho, 0.0), tol, 0.1),
     )
     runs = [
         RunPlan(
@@ -256,7 +269,6 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         desingularize(directional_compactify(base, t, "u1"), 3),
         GenMonomial.make(1, {"u0": -1}),
     )
-    pv = chart.poly_vars
     u0_box = (-2.0, 2.0)
     if a > 0.5:
         window, tau_end, q1, q0 = (1e-45, 1e-18), 46.0, 0.5, -0.5
@@ -286,10 +298,8 @@ def _build_andrews1(a, theta) -> CaseDefinition:
             h_max=0.02,
             window=window,
             observables=(
-                Observable("u1", parse_genpoly("r^(-1)", pv),
-                           RateModel(rho, q1), 0.05, tol_q),
-                Observable("u0", parse_genpoly("u0 * r^(-1)", pv),
-                           RateModel(rho, q0), 0.05, tol_q),
+                Observable("u1", _abs_base(chart, "u1"), RateModel(rho, q1), 0.05, tol_q),
+                Observable("u0", _abs_base(chart, "u0"), RateModel(rho, q0), 0.05, tol_q),
             ),
             expect_finite_edge=True,
         )
@@ -336,7 +346,6 @@ def _build_andrews2(a, a1) -> CaseDefinition:
     D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}), check_positive=False)
     S = restrict_invariant(D, "y", 1)
     chart = time_rescale(S, GenMonomial.make(1, {"w": -1}), check_positive=False)
-    pv = chart.poly_vars
     af, a1f = float(a), float(a1)
     if a1f > 2 * af:
         rho1, rho2 = 2 * af / (2 * af + a1f), a1f / (2 * af + a1f)
@@ -367,10 +376,8 @@ def _build_andrews2(a, a1) -> CaseDefinition:
             h_max=0.05,
             window=window,
             observables=(
-                Observable("u1", parse_genpoly("r^(-1)", pv),
-                           RateModel(rho1, q1), tol_r, tol_q),
-                Observable("u2", parse_genpoly("r^(-1) * w^(-1)", pv),
-                           RateModel(rho2, q2), tol_r, tol_q),
+                Observable("u1", _abs_base(chart, "u1"), RateModel(rho1, q1), tol_r, tol_q),
+                Observable("u2", _abs_base(chart, "u2"), RateModel(rho2, q2), tol_r, tol_q),
             ),
             expect_finite_edge=True,
         )
@@ -389,18 +396,6 @@ def _build_andrews2(a, a1) -> CaseDefinition:
     )
 
 
-def _blowup_weights(chart: ChartField, expected: tuple) -> tuple:
-    """Blow-up weights of the degenerate corner, read from the Newton diagram
-    of `chart` and checked against the `expected` ones the builder derives."""
-    weights = newton_data(list(chart.components)).weights
-    if not weights or weights[0] != expected:
-        raise BlowupWeightError(
-            f"Newton diagram blow-up weights {weights} at the degenerate "
-            f"equilibrium, expected {expected} first"
-        )
-    return weights[0]
-
-
 def _build_quench(alpha, c) -> CaseDefinition:
     alpha = int(alpha)
     c = F(c)
@@ -416,16 +411,14 @@ def _build_quench(alpha, c) -> CaseDefinition:
     DS = desingularize(DC, alpha)
     cf = float(c)
     if alpha > 1:
-        w = _blowup_weights(DS, (alpha - 1, alpha + 1))
-        B = blowup_chart(DS, w, "lam", radial_name="r")
-        chart = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}),
-                             check_positive=False)
-        pv = chart.poly_vars
+        chart = _blowup(DS, "lam")
         x_sink = (2 / (alpha - 1)) ** (1 / (alpha - 1))
         # edge exponents from the dominant balance phi'' ~ -phi^(-alpha):
-        # phi ~ s^(2/(alpha+1)), |psi| ~ s^((1-alpha)/(alpha+1)); equivalently
-        # s ~ r^(alpha+1) at the sink where the secondary variable settles at
-        # a nonzero constant
+        # phi ~ s^(2/(alpha+1)), |psi| ~ s^((1-alpha)/(alpha+1)).  The
+        # primitive weights are (alpha-1, alpha+1)/g with
+        # g = gcd(alpha-1, alpha+1), so lam = r^((alpha-1)/g) and
+        # s ~ r^((alpha+1)/g) at the sink, where phi_b settles at a nonzero
+        # constant
         runs = [
             RunPlan(
                 label=f"alpha={alpha}",
@@ -434,10 +427,9 @@ def _build_quench(alpha, c) -> CaseDefinition:
                 h_max=0.02,
                 window=(1e-10, 1e-4),
                 observables=(
-                    Observable("phi", parse_genpoly("r^2 * phi_b", pv),
+                    Observable("phi", _abs_base(chart, "phi"),
                                RateModel(-2.0 / (alpha + 1), 0.0), 0.03, 0.1),
-                    Observable("abs_psi",
-                               parse_genpoly(f"r^(-{alpha - 1})", pv),
+                    Observable("abs_psi", _abs_base(chart, "psi"),
                                RateModel((alpha - 1.0) / (alpha + 1), 0.0), 0.03, 0.1),
                 ),
                 expect_finite_edge=True,
@@ -447,7 +439,6 @@ def _build_quench(alpha, c) -> CaseDefinition:
         eq_box = {"phi_b": (-0.5, 3.0)}
     else:
         chart = DS
-        pv = chart.poly_vars
         runs = [
             RunPlan(
                 label="alpha=1",
@@ -456,9 +447,9 @@ def _build_quench(alpha, c) -> CaseDefinition:
                 h_max=0.05,
                 window=(1e-10, 1e-4),
                 observables=(
-                    Observable("abs_psi", parse_genpoly("lam^(-1)", pv),
+                    Observable("abs_psi", _abs_base(chart, "psi"),
                                RateModel(0.0, 0.5), 0.03, 0.15),
-                    Observable("phi", parse_genpoly("phi * lam^(-1)", pv),
+                    Observable("phi", _abs_base(chart, "phi"),
                                RateModel(-1.0, 0.5), 0.05, 0.2),
                 ),
                 expect_finite_edge=True,
@@ -509,7 +500,7 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
             tau_end=0.0,
             window=(0.0, 0.0),
             observables=(
-                Observable("phi", parse_genpoly("phi", chart.poly_vars),
+                Observable("phi", _abs_base(chart, "phi"),
                            RateModel(-1.0 / (1.0 - float(p)), 0.0), 0.1, 0.2),
             ),
             center_eq=(0.0, 0.0),
@@ -543,23 +534,23 @@ def _build_kdv(m, n, c) -> CaseDefinition:
     ]
     base = base_field(vars, f, positive=("phi",), name="kdv")
     D0 = time_rescale(base, GenMonomial.make(n, {"phi": n - 1}), check_positive=False)
-    B = blowup_chart(D0, _blowup_weights(D0, (2, n + 1)), "phi", radial_name="r")
-    chart = time_rescale(B, GenMonomial.make(1, {"r": -(n - 1)}), check_positive=False)
-    pv = chart.poly_vars
+    chart = _blowup(D0, "phi")
     psi_plus = math.sqrt(2 * n * float(c) / (n + 1))
     edge_rho = -2.0 / (n - 1)
-    obs = (
-        Observable("u", parse_genpoly("r^2", pv), RateModel(edge_rho, 0.0),
-                   0.1, 0.15),
-    )
+    u = _abs_base(chart, "phi")  # phi = r^w1
+    obs = (Observable("u", u, RateModel(edge_rho, 0.0), 0.1, 0.15),)
     # The connection between the two saddles is followed OUTWARD from each:
     # approaching the far saddle amplifies transverse noise at rate
     # (n+1)|psi_bar| and ejects the orbit, so each edge is measured on the
-    # stable departure leg, with the edge a distance n*r0^(n-1)/|lambda_r|
-    # behind the start (linearization of the frame-time integral).
+    # stable departure leg.  There r ~ r0 e^(lambda_r tau), with
+    # lambda_r = psi_plus / w1 for the weight w1 of phi = r^w1, and the time
+    # chain is n r^e, so the edge lies n*r0^e/(e*lambda_r) behind the start
+    # (linearization of the frame-time integral).
     r0 = 1e-8
-    lam_r = psi_plus / 2.0
-    s0 = n * r0 ** (n - 1) / lam_r
+    lam_r = psi_plus / u.min_exponent("r")
+    e = sum(f.min_exponent("r") for f in chart.time_chain)
+    s0 = n * r0**e / (e * lam_r)
+    box = max(2.0, psi_plus + 0.5)
     runs = [
         RunPlan(
             label="leading edge",
@@ -591,7 +582,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
         chart=chart,
         type_vector=None,
         runs=runs,
-        eq_box={"psi_b": (-2.0, 2.0)},
+        eq_box={"psi_b": (-box, box)},
         expected_equilibria=((0.0, -psi_plus), (0.0, psi_plus)),
         orbital_check_point={"phi": 0.5, "psi": 0.2},
         orbital_check_span=2.0,

@@ -43,6 +43,10 @@ replays a report's chart, so a spec chart and its replay cannot differ.
     transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
     transform restrict var=<var> value=<number>
 
+``kind`` states whether the run's edge is finite: ``blow-up`` (the
+default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
+finite edge, ``grow-up`` an infinite one.  Any other kind is a parse error.
+
 The chart sets how observables are sampled.  A ``quasipolar`` chart is
 sampled once per revolution of its angle ``theta`` and ignores ``window``;
 other charts are sampled at every step inside ``window`` (a fraction of
@@ -314,9 +318,9 @@ class _SpecState:
         self.transforms = []
         self.initial = {}
         # RunPlan keywords given by directives; RunPlan has the other defaults
-        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
+        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4),
+                     "expect_finite_edge": True}
         self.observables = []
-        self.kind = "blow-up"
         self.expected_eqs = []
         self.prefactor = None
 
@@ -360,9 +364,6 @@ class _SpecState:
             label=self.name,
             initial=tuple(init),
             observables=tuple(observables),
-            expect_finite_edge=(self.kind in
-                                ("blow-up", "extinction", "quenching",
-                                 "compacton-edge")) or None,
             stop_at_equilibrium=False,
             **self.plan,
         )
@@ -387,6 +388,10 @@ _NUMBER_DIRECTIVES = {
     "rtol": ("rtol", float),
     "atol": ("atol", float),
 }
+
+# spec kinds -> whether the edge is finite
+_KINDS = {"blow-up": True, "extinction": True, "quenching": True,
+          "compacton-edge": True, "grow-up": False}
 
 
 def _spec_line(st: _SpecState, line: str, lineno: int):
@@ -444,7 +449,10 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
             )
         st.observables.append((name, expr_text, expect, lineno))
     elif head == "kind":
-        st.kind = rest
+        if rest not in _KINDS:
+            raise ParseError(f"unknown kind {rest!r}; expected one of "
+                             f"{', '.join(_KINDS)}", lineno, 1)
+        st.plan["expect_finite_edge"] = _KINDS[rest]
     elif head == "equilibrium":
         st.expected_eqs.append([float(Fraction(x)) for x in rest.split()])
     else:

@@ -351,8 +351,10 @@ def directional_compactify(
     radial_name: str = "r",
 ) -> ChartField:
     """Directional compactification in direction i: y_i = sign * r^-a_i,
-    y_j = x_j * r^-a_j.  The result is the pushed-forward field BEFORE any
-    time rescaling; the inverse map is recorded."""
+    y_j = x_j * r^-a_j.  This is the weighted chart of a blow-up with the
+    negated type as weights, keeping the variable names.  The result is the
+    pushed-forward field BEFORE any time rescaling; the inverse map is
+    recorded."""
     vars = C.vars
     if isinstance(i, str):
         i = vars.index(i)
@@ -360,30 +362,39 @@ def directional_compactify(
         raise ValueError(f"direction {vars[i]!r} has type entry 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    new_vars = (radial_name,) + tuple(v for j, v in enumerate(vars) if j != i)
-    assignments = {}
-    for j, v in enumerate(vars):
-        if j == i:
-            assignments[v] = GenMonomial.make(sign, {radial_name: -t.alpha[j]})
-        else:
-            assignments[v] = GenMonomial.make(1, {v: 1, radial_name: -t.alpha[j]})
-    positive = (radial_name,) + tuple(
-        v for v in C.positive if v in new_vars
-    )
-    return monomial_chart(
-        C,
-        assignments,
-        new_vars,
-        radial=radial_name,
-        positive=positive,
-        op="directional",
-        params={
+    return _weighted_chart(
+        C, [-a for a in t.alpha], i, sign, radial_name, "",
+        "directional",
+        {
             "alpha": [str(a) for a in t.alpha],
             "k": str(t.k),
             "index": vars[i],
             "sign": sign,
             "radial": radial_name,
         },
+    )
+
+
+def _weighted_chart(C, weights, i, sign, radial_name, suffix, op, params):
+    """The chart x_i = sign * r^w_i, x_j = r^w_j * x_j<suffix> (j != i) with
+    radial variable r: a weighted blow-up, or with negative weights a
+    directional compactification."""
+    vars = C.vars
+    new_vars = (radial_name,) + tuple(v + suffix for j, v in enumerate(vars) if j != i)
+    assignments = {}
+    for j, v in enumerate(vars):
+        if j == i:
+            assignments[v] = GenMonomial.make(sign, {radial_name: weights[j]})
+        else:
+            assignments[v] = GenMonomial.make(1, {v + suffix: 1, radial_name: weights[j]})
+    return monomial_chart(
+        C,
+        assignments,
+        new_vars,
+        radial=radial_name,
+        positive=(radial_name,) + tuple(v for v in C.positive if v in new_vars),
+        op=op,
+        params=params,
     )
 
 
@@ -606,24 +617,10 @@ def blowup_chart(
     vars = C.vars
     if isinstance(chart_var, str):
         chart_var = vars.index(chart_var)
-    new_vars = (radial_name,) + tuple(
-        f"{v}_b" for j, v in enumerate(vars) if j != chart_var
-    )
-    assignments = {}
-    for j, v in enumerate(vars):
-        w = frac(weights[j])
-        if j == chart_var:
-            assignments[v] = GenMonomial.make(sign, {radial_name: w})
-        else:
-            assignments[v] = GenMonomial.make(1, {f"{v}_b": 1, radial_name: w})
-    return monomial_chart(
-        C,
-        assignments,
-        new_vars,
-        radial=radial_name,
-        positive=(radial_name,) + tuple(v for v in C.positive if v in new_vars),
-        op="blowup",
-        params={
+    return _weighted_chart(
+        C, weights, chart_var, sign, radial_name, "_b",
+        "blowup",
+        {
             "weights": [str(frac(w)) for w in weights],
             "chart_var": vars[chart_var],
             "sign": sign,

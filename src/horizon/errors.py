@@ -12,11 +12,6 @@ class DomainError(HorizonError, ValueError):
     fractional or negative exponent)."""
 
 
-class BlowupWeightError(HorizonError, ValueError):
-    """The Newton diagram of a degenerate equilibrium gave blow-up weights
-    other than the ones a case builder derives from its parameters."""
-
-
 class ParseError(HorizonError, ValueError):
     """Malformed textual input.  Carries 1-based line/column positions."""
 

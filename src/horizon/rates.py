@@ -75,10 +75,12 @@ class RateVerdict:
 
     def line(self, label: str = "") -> str:
         mark = "PASS" if self.passed else "FAIL"
+        q = ("q pinned to 0 (not fitted)" if self.fitted.collinear_q
+             else f"q {self.fitted.q:+.4f}")
         return (
             f"{mark} {label}: rho {self.fitted.rho:+.4f} vs {self.predicted.rho:+.4f} "
             f"(|d|={self.d_rho:.4f} <= {self.tol_rho}), "
-            f"q {self.fitted.q:+.4f} vs {self.predicted.q:+.4f} "
+            f"{q} vs {self.predicted.q:+.4f} "
             f"(|d|={self.d_q:.4f} <= {self.tol_q})"
         )
 

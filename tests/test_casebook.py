@@ -62,17 +62,60 @@ def test_andrews2_slice_is_invariant_only_with_equal_couplings():
     assert "restrict" in prov_ops
 
 
+def _blowup_steps(cdef):
+    """The blow-up step and the time rescale that follows it."""
+    ops = [s.op for s in cdef.chart.provenance]
+    i = ops.index("blowup")
+    return cdef.chart.provenance[i].params, cdef.chart.provenance[i + 1]
+
+
 def test_quench_blowup_weights_from_diagram():
-    cdef = get_case("quench").definition({"alpha": 2})
-    steps = {s.op: s.params for s in cdef.chart.provenance}
-    assert steps["blowup"]["weights"] == ["1", "3"]  # (alpha-1, alpha+1)
+    # primitive weights (alpha-1, alpha+1)/g; the rescale divides by the
+    # least power of r, r^(-(alpha^2-1)/g)
+    for alpha in range(2, 7):
+        cdef = get_case("quench").definition({"alpha": alpha})
+        weights, rescale = _blowup_steps(cdef)
+        g = math.gcd(alpha - 1, alpha + 1)
+        assert weights["weights"] == [str((alpha - 1) // g), str((alpha + 1) // g)]
+        assert rescale.op == "time_rescale"
+        assert rescale.params["monomial"]["exps"] == {"r": str(-(alpha**2 - 1) // g)}
 
 
 def test_kdv_blowup_weights_from_diagram():
-    n = 2
-    cdef = get_case("kdv").definition()
-    steps = {s.op: s.params for s in cdef.chart.provenance}
-    assert steps["blowup"]["weights"] == ["2", str(n + 1)]
+    # primitive weights (2, n+1)/g; the rescale is r^(-(n-1)/g)
+    for n in (2, 3):
+        cdef = get_case("kdv").definition({"n": n})
+        weights, rescale = _blowup_steps(cdef)
+        g = math.gcd(2, n + 1)
+        assert weights["weights"] == [str(2 // g), str((n + 1) // g)]
+        assert rescale.params["monomial"]["exps"] == {"r": str(-(n - 1) // g)}
+
+
+# report names of observables that name no base variable
+OBSERVED_VAR = {"abs_psi": "psi", "u": "phi"}
+
+
+OBSERVABLE_POINTS = [(n, {}) for n in ALL_CASES] + [
+    ("quench", {"alpha": 1}), ("quench", {"alpha": 3}), ("kdv", {"n": 3})]
+
+
+@pytest.mark.parametrize("name,params", OBSERVABLE_POINTS, ids=[
+    " ".join([n, *(f"{k}={v}" for k, v in p.items())]) for n, p in OBSERVABLE_POINTS])
+def test_base_variable_observables_match_inverse(name, params):
+    cdef = get_case(name).definition(params)
+    chart = cdef.chart
+    state = [0.3 + 0.2 * i for i in range(len(chart.vars))]
+    base = inverse_transform(chart, state)
+    checked = 0
+    for plan in cdef.runs:
+        for obs in plan.observables:
+            var = OBSERVED_VAR.get(obs.name, obs.name)
+            if var not in base:
+                continue  # lienard's inv_r = 1/r
+            value = obs.expr.compile()(*chart.state_to_poly_point(state))
+            assert value == pytest.approx(abs(base[var]), rel=1e-13), obs.name
+            checked += 1
+    assert checked or name == "lienard"
 
 
 @pytest.mark.parametrize("name", ["aiu", "iy", "andrews1", "andrews2",

@@ -511,6 +511,9 @@ SEARCH_POINTS = (
     + [("iy", {"a": F(1, 2)})]
     + [("fhn", {"m": 2, "p": F(1, 2), "a": F(1, 4), "c": F(1)})]
     + [("fhn", {"p": p, "c": c}) for p in (F(1, 4), F(3, 4)) for c in (F(1, 2), 2)]
+    # blow-ups whose primitive Newton weights have no common factor removed
+    + [("quench", {"alpha": alpha}) for alpha in (3, 5)]
+    + [("kdv", {"n": 3})]
 )
 SEARCH_POINTS = list({_search_id(s): s for s in SEARCH_POINTS}.values())
 SPEC_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "cases").glob("*.spec"))

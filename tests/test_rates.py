@@ -87,6 +87,16 @@ class TestCompareRate:
         assert not v.passed
         assert v.d_q > 0.1
 
+    def test_pinned_q_is_reported_as_pinned(self):
+        s = np.geomspace(1e-30, 1e-26, 120)
+        with pytest.warns(CollinearityWarning):
+            fit = fit_rate(s, 2.0 * s**-0.5, min_span=1e3)
+        v = compare_rate(fit, RateModel(0.5, 0.0), 0.05, 0.1)
+        assert v.passed
+        assert "q pinned to 0 (not fitted) vs +0.0000 (|d|=0.0000 <= 0.1)" in v.line("y")
+        free = compare_rate(fit_rate(*synthetic(1.0, 0.5)), RateModel(1.0, 0.5), 0.05, 0.1)
+        assert "pinned" not in free.line("y") and " q +0.5" in free.line("y")
+
     def test_predicted_pair_for_three_species_case(self):
         # coefficient ratios: rho(u1) = 2a/(2a+a1), rho(u2) = a1/(2a+a1)
         a, a1 = 0.25, 1.0
