@@ -48,9 +48,10 @@ from .dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
-from .errors import StepBudgetError
+from .errors import ParameterError, StepBudgetError
 from .genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
 from .localanalysis import (
+    SEARCH_RANGE,
     center_manifold_series_1d,
     equilibria_of,
     horizon_equilibria,
@@ -102,17 +103,27 @@ class RunPlan:
 
 @dataclass
 class CaseDefinition:
+    """A case at checked parameters.  ``eq_box`` is widened to hold every
+    expected equilibrium with a margin of 0.5, so the search reaches them."""
+
     name: str
-    params: dict
     base: ChartField
     chart: ChartField
     type_vector: TypeVector | None
     runs: list[RunPlan]
+    params: dict = field(default_factory=dict)
     eq_mode: str = "horizon"         # horizon | full | none
-    eq_box: dict | None = None
+    eq_box: dict = field(default_factory=dict)
     expected_equilibria: tuple[tuple[float, ...], ...] = ()
-    orbital_check_point: dict | None = None
-    orbital_check_span: float = 1.0
+
+    def __post_init__(self):
+        box = dict(self.eq_box)
+        for eq in self.expected_equilibria:
+            for v, x in zip(self.chart.vars, eq):
+                lo, hi = box.get(v, SEARCH_RANGE)
+                if not lo <= x <= hi:
+                    box[v] = (min(lo, x - 0.5), max(hi, x + 0.5))
+        self.eq_box = box
 
 
 @dataclass(frozen=True)
@@ -123,20 +134,40 @@ class CaseSpec:
     build: Callable[..., CaseDefinition]
     summary: str
 
-    def definition(self, params: dict | None = None) -> CaseDefinition:
+    def check(self, params: dict | None = None) -> dict:
+        """The defaults updated by ``params``, each of its default's type
+        (:func:`_typed`) and admissible range, else ParameterError."""
         p = dict(self.defaults)
-        if params:
-            for k, v in params.items():
-                if k not in self.defaults:
-                    raise ValueError(f"unknown parameter {k!r} for case {self.name}")
-                p[k] = v
-        for k, rng in self.admissible.items():
-            lo, hi = rng
+        for k, v in (params or {}).items():
+            if k not in self.defaults:
+                raise ParameterError(f"unknown parameter {k!r} for case {self.name}")
+            p[k] = _typed(k, v, self.defaults[k])
+        for k, (lo, hi) in self.admissible.items():
             if not (lo <= float(p[k]) <= hi):
-                raise ValueError(
+                raise ParameterError(
                     f"parameter {k} = {p[k]} outside admissible range [{lo}, {hi}]"
                 )
-        return self.build(**p)
+        return p
+
+    def definition(self, params: dict | None = None) -> CaseDefinition:
+        p = self.check(params)
+        cdef = self.build(**p)
+        cdef.params = p
+        return cdef
+
+
+def _typed(name, v, default):
+    """``v`` as the type of ``default``: an int when integral, a Fraction (a
+    float becomes the decimal it prints as, 0.05 -> 1/20) or a float."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ParameterError(f"parameter {name} = {v} is not finite")
+    if isinstance(default, int):
+        if v != int(v):
+            raise ParameterError(f"parameter {name} = {v} is not an integer")
+        return int(v)
+    if isinstance(default, F):
+        return F(repr(v)) if isinstance(v, float) else F(v)
+    return float(v)
 
 
 # -- case builders -------------------------------------------------------------
@@ -156,7 +187,7 @@ def _blowup(C: ChartField, chart_var: str) -> ChartField:
     B = blowup_chart(C, newton_data(list(C.components)).weights[0], chart_var,
                      radial_name="r")
     e = min(c.min_exponent("r") for c in B.components)
-    return time_rescale(B, GenMonomial.make(1, {"r": -e}), check_positive=False)
+    return time_rescale(B, GenMonomial.make(1, {"r": -e}))
 
 
 def _build_aiu() -> CaseDefinition:
@@ -186,7 +217,6 @@ def _build_aiu() -> CaseDefinition:
     ]
     return CaseDefinition(
         name="aiu",
-        params={},
         base=base,
         chart=chart,
         type_vector=t,
@@ -195,13 +225,10 @@ def _build_aiu() -> CaseDefinition:
         eq_box={"u0": (0.2, 8.0)},
         # no horizon equilibrium: the orbit escapes along the horizon
         expected_equilibria=(),
-        orbital_check_point={"u0": 1.0, "u1": 1.0},
-        orbital_check_span=1.2,
     )
 
 
 def _build_iy(a) -> CaseDefinition:
-    a = F(a)
     vars = ("v0", "v1")
     e = (a + 1) / a
     f = [GenPoly(vars, {(e, F(1)): a}), GenPoly(vars, {(F(1), e): a})]
@@ -240,21 +267,16 @@ def _build_iy(a) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="iy",
-        params={"a": a},
         base=base,
         chart=chart,
         type_vector=t,
         runs=runs,
         eq_box={"v1": (-0.5, 2.0)},
         expected_equilibria=((0.0, 0.0), (0.0, 1.0)),
-        orbital_check_point={"v0": 2.0, "v1": 1.0},
-        orbital_check_span=1.0,
     )
 
 
 def _build_andrews1(a, theta) -> CaseDefinition:
-    a = float(a)
-    theta = float(theta)
     ct, st = math.cos(theta), math.sin(theta)
     vars = ("u0", "u1")
     # polynomial form: field multiplied by sin(t)(u1 + 2cos(t)u0) > 0,
@@ -269,7 +291,6 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         desingularize(directional_compactify(base, t, "u1"), 3),
         GenMonomial.make(1, {"u0": -1}),
     )
-    u0_box = (-2.0, 2.0)
     if a > 0.5:
         window, tau_end, q1, q0 = (1e-45, 1e-18), 46.0, 0.5, -0.5
         rho, tol_q = 0.5, 0.15
@@ -288,8 +309,6 @@ def _build_andrews1(a, theta) -> CaseDefinition:
         x_star = (1 - 2 * a) / (2 * a * ct)
         expected_eqs = ((0.0, 0.0), (0.0, x_star))
         init = (0.5, 0.55 * x_star)
-        # the sink moves out to infinity as a -> 0: keep it inside the box
-        u0_box = (-2.0, max(2.0, x_star + 1.0))
     runs = [
         RunPlan(
             label=f"a={a}",
@@ -306,21 +325,15 @@ def _build_andrews1(a, theta) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="andrews1",
-        params={"a": a, "theta": theta},
         base=base,
         chart=chart,
         type_vector=t,
         runs=runs,
-        eq_box={"u0": u0_box},
         expected_equilibria=expected_eqs,
-        orbital_check_point={"u0": 1.0, "u1": 2.0},
-        orbital_check_span=0.4,
     )
 
 
 def _build_andrews2(a, a1) -> CaseDefinition:
-    a = F(a)
-    a1 = F(a1)
     vars = ("u1", "u2", "u3")
     f = [
         GenPoly(vars, {(F(2), F(1), F(0)): a, (F(2), F(0), F(1)): a,
@@ -343,9 +356,9 @@ def _build_andrews2(a, a1) -> CaseDefinition:
         radial="r",
         positive=("r", "w", "y"),
     )
-    D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}), check_positive=False)
+    D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}))
     S = restrict_invariant(D, "y", 1)
-    chart = time_rescale(S, GenMonomial.make(1, {"w": -1}), check_positive=False)
+    chart = time_rescale(S, GenMonomial.make(1, {"w": -1}))
     af, a1f = float(a), float(a1)
     if a1f > 2 * af:
         rho1, rho2 = 2 * af / (2 * af + a1f), a1f / (2 * af + a1f)
@@ -384,28 +397,23 @@ def _build_andrews2(a, a1) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="andrews2",
-        params={"a": a, "a1": a1},
         base=base,
         chart=chart,
         type_vector=t,
         runs=runs,
         eq_box={"w": (-0.5, 2.0)},
         expected_equilibria=expected_eqs,
-        orbital_check_point={"u1": 2.0, "u2": 1.0, "u3": 1.0},
-        orbital_check_span=0.5,
     )
 
 
 def _build_quench(alpha, c) -> CaseDefinition:
-    alpha = int(alpha)
-    c = F(c)
     vars = ("phi", "psi")
     fbase = [
         parse_genpoly("psi", vars),
         GenPoly(vars, {(F(0), F(1)): -c, (F(-alpha), F(0)): -1}),
     ]
     base = base_field(vars, fbase, positive=("phi",), name="quench")
-    D0 = time_rescale(base, GenMonomial.make(1, {"phi": alpha}), check_positive=False)
+    D0 = time_rescale(base, GenMonomial.make(1, {"phi": alpha}))
     t = TypeVector.make((1, 1), alpha)
     DC = directional_compactify(D0, t, "psi", sign=-1, radial_name="lam")
     DS = desingularize(DC, alpha)
@@ -459,23 +467,16 @@ def _build_quench(alpha, c) -> CaseDefinition:
         eq_box = {"phi": (-0.5, 2.0)}
     return CaseDefinition(
         name="quench",
-        params={"alpha": alpha, "c": c},
         base=base,
         chart=chart,
         type_vector=t,
         runs=runs,
         eq_box=eq_box,
         expected_equilibria=expected_eqs,
-        orbital_check_point={"phi": 1.0, "psi": -1.0},
-        orbital_check_span=0.5,
     )
 
 
 def _build_fhn(m, p, a, c) -> CaseDefinition:
-    m = int(m)
-    p = F(p)
-    a = F(a)
-    c = F(c)
     N = m + p
     vars = ("phi", "psi")
     # profile system: phi' = phi^-m psi, psi' = -c phi^-m psi - f_p(phi)
@@ -492,7 +493,7 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         ),
     ]
     base = base_field(vars, f, positive=("phi",), name="fhn")
-    chart = time_rescale(base, GenMonomial.make(1, {"phi": m}), check_positive=False)
+    chart = time_rescale(base, GenMonomial.make(1, {"phi": m}))
     runs = [
         RunPlan(
             label=f"m={m}, p={p}",
@@ -510,7 +511,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="fhn",
-        params={"m": m, "p": p, "a": a, "c": c},
         base=base,
         chart=chart,
         type_vector=None,
@@ -518,22 +518,17 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         eq_mode="full",
         eq_box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)},
         expected_equilibria=((0.0, 0.0), (1.0, 0.0)),
-        orbital_check_point={"phi": 0.5, "psi": 0.1},
-        orbital_check_span=2.0,
     )
 
 
 def _build_kdv(m, n, c) -> CaseDefinition:
-    m = int(m)
-    n = int(n)
-    c = F(c)
     vars = ("phi", "psi")
     f = [
         GenPoly(vars, {(F(1 - n), F(1)): F(1, n)}),
         GenPoly(vars, {(F(1), F(0)): c, (F(m), F(0)): -1}),
     ]
     base = base_field(vars, f, positive=("phi",), name="kdv")
-    D0 = time_rescale(base, GenMonomial.make(n, {"phi": n - 1}), check_positive=False)
+    D0 = time_rescale(base, GenMonomial.make(n, {"phi": n - 1}))
     chart = _blowup(D0, "phi")
     psi_plus = math.sqrt(2 * n * float(c) / (n + 1))
     edge_rho = -2.0 / (n - 1)
@@ -550,12 +545,12 @@ def _build_kdv(m, n, c) -> CaseDefinition:
     lam_r = psi_plus / u.min_exponent("r")
     e = sum(f.min_exponent("r") for f in chart.time_chain)
     s0 = n * r0**e / (e * lam_r)
-    box = max(2.0, psi_plus + 0.5)
+    tau_end = 26.0 / math.sqrt(c)  # the saddle's radial rate scales like sqrt(c)
     runs = [
         RunPlan(
             label="leading edge",
             initial=(r0, psi_plus),
-            tau_end=26.0,
+            tau_end=tau_end,
             h_max=0.05,
             window=(1e-6, 1e-2),
             observables=obs,
@@ -566,7 +561,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
         RunPlan(
             label="trailing edge",
             initial=(r0, -psi_plus),
-            tau_end=26.0,
+            tau_end=tau_end,
             h_max=0.05,
             window=(1e-6, 1e-2),
             observables=obs,
@@ -577,20 +572,17 @@ def _build_kdv(m, n, c) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="kdv",
-        params={"m": m, "n": n, "c": c},
         base=base,
         chart=chart,
         type_vector=None,
         runs=runs,
-        eq_box={"psi_b": (-box, box)},
         expected_equilibria=((0.0, -psi_plus), (0.0, psi_plus)),
-        orbital_check_point={"phi": 0.5, "psi": 0.2},
-        orbital_check_span=2.0,
     )
 
 
 def _build_lienard(n) -> CaseDefinition:
-    n = int(n)
+    if n % 2 == 0:
+        raise ParameterError(f"parameter n = {n} is even; lienard needs an odd n")
     vars = ("x", "y")
     f = [
         parse_genpoly("y", vars),
@@ -631,7 +623,6 @@ def _build_lienard(n) -> CaseDefinition:
         ]
     return CaseDefinition(
         name="lienard",
-        params={"n": n},
         base=base,
         chart=chart,
         type_vector=t,
@@ -639,8 +630,6 @@ def _build_lienard(n) -> CaseDefinition:
         eq_mode="horizon",
         # the horizon carries an attracting non-hyperbolic periodic orbit
         expected_equilibria=(),
-        orbital_check_point={"x": 1.2, "y": 0.4},
-        orbital_check_span=0.6,
     )
 
 
@@ -1044,9 +1033,12 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[RunReport]:
-    """Independent runs over a parameter grid (optionally in parallel)."""
+    """Independent runs over a parameter grid (optionally in parallel).  Every
+    point is checked before any runs; a bad one raises ParameterError."""
     if isinstance(spec, str):
         spec = get_case(spec)
+    for params in grid:
+        spec.check(params)
     if not grid:
         return []
     if jobs <= 1:

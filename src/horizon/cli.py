@@ -7,10 +7,15 @@ runs a parameter grid and writes an aggregate CSV.  Both take only
 ``--seed``, ``--out`` and ``--jobs`` (worker processes of a sweep); every
 other setting of a run comes from its case.
 
+A ``--param`` value takes its default's type: an int must be integral, a
+fraction reads a decimal as written (``0.05`` is ``1/20``), a float stays
+a float; a sweep checks every point before it runs any.  A case's search
+box reaches every equilibrium it expects.
+
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
-2 parse error (with line/column) or bad argument, 3 some report ERROR or
-a pipeline error.
+2 parse error (with line/column) or bad argument (unknown, mistyped or out
+of range, or an even lienard ``n``), 3 some report ERROR or a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -74,7 +79,7 @@ from .casebook import (
     sweep,
 )
 from .compactify import apply_recipe, base_field
-from .errors import HorizonError, ParseError
+from .errors import HorizonError, ParameterError, ParseError
 from .genpoly import parse_genpoly
 from .rates import RateModel
 from .structure import TypeVector
@@ -173,10 +178,6 @@ def _cmd_sweep(args) -> int:
             return 2
         name, _, vals = p.partition("=")
         name = name.strip()
-        if name not in spec.defaults:
-            print(f"error: unknown parameter {name!r} for case {args.case}",
-                  file=sys.stderr)
-            return 2
         try:
             values = [_parse_number(v) for v in vals.split(",") if v]
         except (ValueError, ZeroDivisionError):
@@ -189,6 +190,9 @@ def _cmd_sweep(args) -> int:
         grid = []
     try:
         reports = sweep(spec, grid, seed=args.seed, jobs=args.jobs)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (HorizonError, ValueError) as exc:
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -369,13 +373,12 @@ class _SpecState:
         )
         return CaseDefinition(
             name=self.name,
-            params={},
             base=base,
             chart=chart,
             type_vector=t,
             runs=[plan],
             eq_mode="horizon" if chart.radial is not None else "none",
-            eq_box=self.boxes or None,
+            eq_box=self.boxes,
             expected_equilibria=tuple(tuple(e) for e in self.expected_eqs),
         )
 

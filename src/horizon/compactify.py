@@ -412,7 +412,6 @@ def desingularize(C: ChartField, k) -> ChartField:
         GenMonomial.make(1, {C.radial: k}),
         op="desingularize",
         params={"k": str(k)},
-        check_positive=False,
     )
     for v, comp in zip(out.vars, out.components):
         e = comp.min_exponent(out.radial)
@@ -429,7 +428,6 @@ def time_rescale(
     C: ChartField,
     factor: GenMonomial | GenPoly,
     *,
-    check_positive: bool = True,
     op: str = "time_rescale",
     params: dict | None = None,
 ) -> ChartField:
@@ -448,8 +446,7 @@ def time_rescale(
     else:
         fpoly = factor.with_vars(C.poly_vars)
         fdesc = {"poly": format_genpoly(factor)}
-    if check_positive:
-        _certify_positive(C, fpoly)
+    _certify_positive(C, fpoly)
     comps = tuple(c * fpoly for c in C.components)
     step = TransformStep(op, params or fdesc)
     return replace(

@@ -21,6 +21,10 @@ class ParseError(HorizonError, ValueError):
         self.col = col
 
 
+class ParameterError(HorizonError, ValueError):
+    """A case parameter that is unknown, mistyped or out of range."""
+
+
 class NonPolynomialError(HorizonError, ValueError):
     """An operation requiring nonnegative integer exponents met a negative
     or fractional one."""

@@ -51,6 +51,7 @@ AXIS_STARTS = (0.25, 0.5, 1.0, -0.5, -1.0)
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 60
 DEDUPE = 1e-8
+SEARCH_RANGE = (-2.0, 2.0)  # of each variable the search box leaves undeclared
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def _newton_roots(components, variables, box, seed):
     damped Newton.
 
     Starts are ``N_STARTS`` seeded random points in the search box
-    (default [-2, 2] per variable), the origin, and the axis points
+    (``SEARCH_RANGE`` where it declares none), the origin, and the axis points
     ``AXIS_STARTS`` that lie in the box; the usual coordinate-set roots are
     thereby found deterministically.  Roots more than 0.5 outside the box
     are dropped; the rest are snapped to exact axis values, deduplicated and
@@ -249,8 +250,8 @@ def _newton_roots(components, variables, box, seed):
     """
     dim = len(variables)
     box = box or {}
-    lows = [float(box.get(v, (-2.0, 2.0))[0]) for v in variables]
-    highs = [float(box.get(v, (-2.0, 2.0))[1]) for v in variables]
+    lows = [float(box.get(v, SEARCH_RANGE)[0]) for v in variables]
+    highs = [float(box.get(v, SEARCH_RANGE)[1]) for v in variables]
     # clip only where evaluation is genuinely restricted (fractional or
     # negative exponents); sign-masked variables may still host formal
     # equilibria outside the physical sector

@@ -156,6 +156,25 @@ def test_equilibrium_stage_of_builtin(name):
         assert max(abs(a - b) for a, b in zip(e.coords, coords)) <= 1e-12
 
 
+def test_search_box_grows_only_for_an_equilibrium_outside_it():
+    # the andrews2 sink w* = (2a - a1)/a1 = 3 lies past the declared w <= 2
+    cdef = get_case("andrews2").definition({"a": 2, "a1": 1})
+    assert cdef.expected_equilibria == ((0.0, 0.0), (0.0, 3.0))
+    assert cdef.eq_box == {"w": (-0.5, 3.5)}
+    # an undeclared variable counts as [-2, 2]: the kdv saddles +-3.65 at
+    # c = 10 widen it on both sides, those at +-1.15 at c = 1 do not
+    cdef = get_case("kdv").definition({"c": 10})
+    psi = cdef.expected_equilibria[1][1]
+    assert psi > 2.0
+    assert cdef.eq_box == {"psi_b": (-psi - 0.5, psi + 0.5)}
+    assert get_case("kdv").definition().eq_box == {}
+    # a declared box holding every expected equilibrium is kept as it is
+    from horizon.cli import parse_spec_file
+
+    spec = parse_spec_file(pathlib.Path(__file__).resolve().parents[1] / "cases" / "iy.spec")
+    assert spec.eq_box == {"v1": (0.0, 2.0)}
+
+
 @pytest.mark.parametrize("name,qh", [("aiu", True), ("iy", True),
                                      ("andrews1", True), ("andrews2", True),
                                      ("lienard", False)])
@@ -262,6 +281,19 @@ def _orbit_distance(curve_a, curve_b):
     return float(np.max(np.linalg.norm(a - b, axis=1)))
 
 
+# per case: an interior base point and the chart-time span run from it
+ORBITAL_CHECKS = {
+    "aiu": ({"u0": 1.0, "u1": 1.0}, 1.2),
+    "iy": ({"v0": 2.0, "v1": 1.0}, 1.0),
+    "andrews1": ({"u0": 1.0, "u1": 2.0}, 0.4),
+    "andrews2": ({"u1": 2.0, "u2": 1.0, "u3": 1.0}, 0.5),
+    "quench": ({"phi": 1.0, "psi": -1.0}, 0.5),
+    "fhn": ({"phi": 0.5, "psi": 0.1}, 2.0),
+    "kdv": ({"phi": 0.5, "psi": 0.2}, 2.0),
+    "lienard": ({"x": 1.2, "y": 0.4}, 0.6),
+}
+
+
 @pytest.mark.parametrize("name", ["aiu", "iy", "andrews1", "andrews2",
                                   "quench", "fhn", "kdv", "lienard"])
 def test_orbital_equivalence(name):
@@ -269,11 +301,11 @@ def test_orbital_equivalence(name):
     interior point must trace the same orbit (different clocks)."""
     cdef = get_case(name).definition()
     chart = cdef.chart
+    check_point, span = ORBITAL_CHECKS[name]
     if chart.quasipolar_index is not None:
         chart_start = [0.5, 0.3]
     else:
-        chart_start = forward_point(chart, cdef.orbital_check_point)
-    span = cdef.orbital_check_span
+        chart_start = forward_point(chart, check_point)
     traj_c = integrate(chart, chart_start, span, rtol=1e-12, atol=1e-13,
                        h_max=span / 1500, stop_at_equilibrium=False)
     # compare in the base coordinates the chart can reconstruct (a restriction
@@ -285,7 +317,7 @@ def test_orbital_equivalence(name):
         [inverse_transform(chart, st)[v] for v in cmp_vars]
         for st in traj_c.states
     ])
-    y0_full = dict(cdef.orbital_check_point)
+    y0_full = dict(check_point)
     for v, val in zip(cmp_vars, curve_a[0]):
         y0_full[v] = val
     y0 = np.array([y0_full[v] for v in cdef.base.vars])

@@ -263,6 +263,38 @@ class TestSweep:
         rc = main(["sweep", "iy", "--param", "zeta=1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["quench", "--param", "alpha=1.5"],
+        ["kdv", "--param", "n=2.5"],
+        ["iy", "--param", "a=5"],
+        ["iy", "--param", "a=1e400"],
+        ["lienard", "--param", "n=2"],
+    ], ids=["non-integral-alpha", "non-integral-n", "out-of-range", "infinite",
+            "even-lienard-n"])
+    def test_bad_parameter_value_is_2(self, tmp_path, capsys, argv):
+        rc = main(["sweep", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: parameter ")
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_last_point_runs_no_point(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(casebook, "run_case",
+                            lambda spec, params, seed=0: ran.append(params))
+        rc = main(["sweep", "iy", "--param", "a=1/2,5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ran == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,params", [
+        (["andrews2", "--param", "a1=0.05"], {"a": "1/4", "a1": "1/20"}),
+        (["andrews1", "--param", "a=0.3"], {"a": 0.3, "theta": math.pi / 4}),
+    ], ids=["exact", "float"])
+    def test_parameter_takes_the_type_of_its_default(self, tmp_path, argv, params):
+        main(["sweep", *argv, "--out", str(tmp_path / "o")])
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert doc["params"] == params
+
     @pytest.mark.parametrize("param", ["a=abc", "a=1/0", "a=", "a=,"])
     def test_unparsable_value_is_2(self, tmp_path, capsys, param):
         rc = main(["sweep", "iy", "--param", param, "--out", str(tmp_path / "o")])
@@ -305,6 +337,24 @@ def test_primitive_blowup_weights_pass(argv, tmp_path, capsys):
     assert [r["status"] for r in doc["reports"]] == ["PASS", "PASS"]
     verdicts = [v for r in doc["reports"] for run in r["runs"] for v in run["verdicts"]]
     assert len(verdicts) >= 4 and all(v["passed"] for v in verdicts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["quench", "--param", "alpha=1", "--param", "c=1/10"],
+    ["andrews2", "--param", "a=2", "--param", "a1=1"],
+    ["kdv", "--param", "c=1/10,1/5"],
+], ids=["quench-far-sink", "andrews2-far-sink", "kdv-small-c"])
+def test_far_equilibria_and_slow_saddles_pass(argv, tmp_path, capsys):
+    # the sinks at phi = 10 and w = 3 lie outside the declared boxes, and at
+    # small c the kdv saddles take longer to reach the fit window
+    rc = main(["sweep", *argv, "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().out
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    reports = doc.get("reports", [doc])
+    assert all(r["status"] == "PASS" for r in reports)
+    assert all(r["equilibrium_check"]["all_found"] for r in reports)
+    verdicts = [v for r in reports for run in r["runs"] for v in run["verdicts"]]
+    assert verdicts and all(v["passed"] for v in verdicts)
 
 
 def test_console_entry_point():

@@ -274,7 +274,7 @@ class TestBlowup:
             name="kdv",
         )
         B = blowup_chart(C, (2, n + 1), "phi")
-        R = time_rescale(B, GenMonomial.make(1, {"r": -(n - 1)}), check_positive=False)
+        R = time_rescale(B, GenMonomial.make(1, {"r": -(n - 1)}))
         pv = ("r", "psi_b")
         # dr = (1/2) r psi_b ; dpsi_b = nc - n r^(2m-2) - ((n+1)/2) psi_b^2
         assert R.components[0] == GenPoly(pv, {(F(1), F(1)): F(1, 2)})
@@ -318,9 +318,9 @@ class TestMonomialChartNested:
             radial="r",
             positive=("r", "w", "y"),
         )
-        D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}), check_positive=False)
+        D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}))
         S = restrict_invariant(D, "y", 1)
-        E = time_rescale(S, GenMonomial.make(1, {"w": -1}), check_positive=False)
+        E = time_rescale(S, GenMonomial.make(1, {"w": -1}))
         pv = ("r", "w")
         # dr = -r(2a - a1 w), dw = (2a - a1) w - a1 w^2
         assert E.components[0] == GenPoly(pv, {(F(1), F(0)): -2 * a, (F(1), F(1)): a1})
@@ -347,7 +347,7 @@ class TestQuenchChain:
             positive=("phi",),
             name="quench",
         )
-        D0 = time_rescale(C, GenMonomial.make(1, {"phi": alpha}), check_positive=False)
+        D0 = time_rescale(C, GenMonomial.make(1, {"phi": alpha}))
         assert D0.components[0] == gp(f"phi^{alpha} * psi", vars)
         assert D0.components[1] == gp(f"-{c}*phi^{alpha}*psi - 1", vars)
         DC = directional_compactify(
@@ -368,9 +368,7 @@ class TestQuenchChain:
             },
         )
         B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial_name="r")
-        R = time_rescale(
-            B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}), check_positive=False
-        )
+        R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}))
         pv2 = ("r", "phi_b")
         # alpha=2: dr = r(c r^3 xb^2 - 1); dxb = 2 xb - xb^2 - 2 c r^3 xb^3
         assert R.components[0] == GenPoly(

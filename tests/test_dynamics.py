@@ -1,6 +1,7 @@
 """Integrator and physical-time reconstruction against closed-form oracles."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -197,6 +198,22 @@ class TestAccumulateTime:
                 np.inf,
             )
             assert s[idx] == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [F(3, 2), F(2), F(5, 2), F(3), F(5)])
+    def test_remaining_time_of_power_blowup(self, p):
+        # x' = x^p blows up after s = x^(1-p)/(p-1); in the chart x = 1/r,
+        # desingularized by r^(p-1), that is s = r^(p-1)/(p-1) at every sample,
+        # down to s below 1e-21 at every p
+        C = base_field(("x",), [gp(f"x^({p})", ("x",))], positive=("x",), name="power")
+        chart = desingularize(directional_compactify(C, TypeVector.make((1,), p - 1), "x"),
+                              p - 1)
+        traj = integrate(chart, [1.0], 100.0, rtol=1e-11, atol=1e-12,
+                         stop_at_equilibrium=False)
+        est = accumulate_time(traj)
+        s = remaining_time(traj, est)
+        exact = traj.states[:, 0] ** float(p - 1) / float(p - 1)
+        assert s.min() < 1e-21
+        assert np.all(np.abs(s - exact) <= est.error_bound + 1e-9 * exact)
 
 
 def test_time_reconstruction_is_chart_invariant():

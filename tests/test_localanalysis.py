@@ -71,7 +71,7 @@ def quench_chart(alpha, c):
         positive=("phi",),
         name="quench",
     )
-    D0 = time_rescale(C, GenMonomial.make(1, {"phi": alpha}), check_positive=False)
+    D0 = time_rescale(C, GenMonomial.make(1, {"phi": alpha}))
     DC = directional_compactify(
         D0, TypeVector.make((1, 1), alpha), "psi", sign=-1, radial_name="lam"
     )
@@ -131,8 +131,7 @@ class TestHorizonEquilibria:
         alpha, c = 2, 1
         DS = quench_chart(alpha, c)
         B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial_name="r")
-        R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}),
-                         check_positive=False)
+        R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}))
         eqs, _ = horizon_equilibria(R, box={"phi_b": (-0.5, 3.0)})
         assert len(eqs) == 2
         p0, pa = eqs
