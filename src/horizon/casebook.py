@@ -61,7 +61,7 @@ from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 from .structure import TypeVector, newton_data
 
 __all__ = ["CaseSpec", "CaseDefinition", "RunPlan", "RunReport", "builtin_cases",
-           "chart_section", "get_case", "run_case", "sweep"]
+           "chart_section", "equilibrium_search", "get_case", "run_case", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class RunPlan:
     window_relative: bool = True
     stop_at_equilibrium: bool = True
     # False on a quasi-polar chart also checks log(1/r) is linear in t
-    expect_finite_edge: bool | None = None
+    expect_finite_edge: bool = True
     center_eq: tuple[float, float] | None = None
     center_degree: int = 8
     # the singular edge lies this far BEHIND the initial state (departure
@@ -112,7 +112,6 @@ class CaseDefinition:
     type_vector: TypeVector | None
     runs: list[RunPlan]
     params: dict = field(default_factory=dict)
-    eq_mode: str = "horizon"         # horizon | full | none
     eq_box: dict = field(default_factory=dict)
     expected_equilibria: tuple[tuple[float, ...], ...] = ()
 
@@ -212,7 +211,6 @@ def _build_aiu() -> CaseDefinition:
                 Observable("u1", _abs_base(chart, "u1"), RateModel(1.0, 0.5), 0.05, 0.1),
                 Observable("u0", _abs_base(chart, "u0"), RateModel(0.0, 0.5), 0.05, 0.1),
             ),
-            expect_finite_edge=True,
         )
     ]
     return CaseDefinition(
@@ -221,7 +219,6 @@ def _build_aiu() -> CaseDefinition:
         chart=chart,
         type_vector=t,
         runs=runs,
-        eq_mode="horizon",
         eq_box={"u0": (0.2, 8.0)},
         # no horizon equilibrium: the orbit escapes along the horizon
         expected_equilibria=(),
@@ -253,7 +250,6 @@ def _build_iy(a) -> CaseDefinition:
             h_max=0.05,
             window=(1e-10, 1e-4),
             observables=obs_v0(af, 0.03),
-            expect_finite_edge=True,
         ),
         RunPlan(
             label="symmetric line (v0 = v1)",
@@ -262,7 +258,6 @@ def _build_iy(a) -> CaseDefinition:
             h_max=0.05,
             window=(1e-10, 1e-4),
             observables=obs_v0(af / (af + 1), 0.03),
-            expect_finite_edge=True,
         ),
     ]
     return CaseDefinition(
@@ -320,7 +315,6 @@ def _build_andrews1(a, theta) -> CaseDefinition:
                 Observable("u1", _abs_base(chart, "u1"), RateModel(rho, q1), 0.05, tol_q),
                 Observable("u0", _abs_base(chart, "u0"), RateModel(rho, q0), 0.05, tol_q),
             ),
-            expect_finite_edge=True,
         )
     ]
     return CaseDefinition(
@@ -392,7 +386,6 @@ def _build_andrews2(a, a1) -> CaseDefinition:
                 Observable("u1", _abs_base(chart, "u1"), RateModel(rho1, q1), tol_r, tol_q),
                 Observable("u2", _abs_base(chart, "u2"), RateModel(rho2, q2), tol_r, tol_q),
             ),
-            expect_finite_edge=True,
         )
     ]
     return CaseDefinition(
@@ -440,7 +433,6 @@ def _build_quench(alpha, c) -> CaseDefinition:
                     Observable("abs_psi", _abs_base(chart, "psi"),
                                RateModel((alpha - 1.0) / (alpha + 1), 0.0), 0.03, 0.1),
                 ),
-                expect_finite_edge=True,
             )
         ]
         expected_eqs = ((0.0, 0.0), (0.0, x_sink))
@@ -460,7 +452,6 @@ def _build_quench(alpha, c) -> CaseDefinition:
                     Observable("phi", _abs_base(chart, "phi"),
                                RateModel(-1.0, 0.5), 0.05, 0.2),
                 ),
-                expect_finite_edge=True,
             )
         ]
         expected_eqs = ((0.0, 0.0), (0.0, 1.0 / cf))
@@ -506,7 +497,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
             ),
             center_eq=(0.0, 0.0),
             center_degree=int(math.ceil(float(N))) + 4,
-            expect_finite_edge=True,
         )
     ]
     return CaseDefinition(
@@ -515,7 +505,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         chart=chart,
         type_vector=None,
         runs=runs,
-        eq_mode="full",
         eq_box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)},
         expected_equilibria=((0.0, 0.0), (1.0, 0.0)),
     )
@@ -605,7 +594,6 @@ def _build_lienard(n) -> CaseDefinition:
                 rtol=1e-8,
                 atol=1e-10,
                 stop_at_equilibrium=False,
-                expect_finite_edge=True,
             )
         ]
     else:
@@ -627,7 +615,6 @@ def _build_lienard(n) -> CaseDefinition:
         chart=chart,
         type_vector=t,
         runs=runs,
-        eq_mode="horizon",
         # the horizon carries an attracting non-hyperbolic periodic orbit
         expected_equilibria=(),
     )
@@ -732,18 +719,20 @@ def _param_str(v):
 
 
 def run_case(
-    spec: CaseSpec | str,
+    spec: CaseSpec | CaseDefinition | str,
     params: dict | None = None,
     *,
     seed: int = 0,
     out_dir=None,
 ) -> RunReport:
     """Execute a case end to end; every module error is captured into the
-    report and the run is marked ERROR."""
+    report and the run is marked ERROR.  A built ``CaseDefinition`` runs
+    as it is, with its own ``params``."""
     t0 = time.perf_counter()
     if isinstance(spec, str):
         spec = get_case(spec)
-    cdef = spec.definition(params)  # parameter errors are the caller's
+    # parameter errors are the caller's
+    cdef = spec if isinstance(spec, CaseDefinition) else spec.definition(params)
     try:
         report = _execute(cdef, seed, out_dir)
     except Exception as exc:
@@ -767,13 +756,8 @@ def run_case(
 def _execute(cdef, seed, out_dir):
     chart = cdef.chart
 
-    # Step 1-2: invariant sets on the horizon and their linear type
-    if cdef.eq_mode == "horizon":
-        eqs, diag = horizon_equilibria(chart, box=cdef.eq_box, seed=seed)
-    elif cdef.eq_mode == "full":
-        eqs, diag = equilibria_of(chart, box=cdef.eq_box, seed=seed)
-    else:
-        eqs, diag = [], {}
+    # Step 1-2: invariant sets (on the horizon, if any) and their linear type
+    eqs, _ = equilibrium_search(chart)(chart, box=cdef.eq_box, seed=seed)
     eq_check = _check_expected_equilibria(cdef, eqs)
 
     runs_out = []
@@ -809,6 +793,13 @@ def _check_expected_equilibria(cdef, eqs, tol=1e-8):
         "all_found": all(f["found"] for f in found),
         "n_found": len(eqs),
     }
+
+
+def equilibrium_search(chart: ChartField):
+    """The search for ``chart``'s equilibria: on its horizon ``{r = 0}``
+    (:func:`horizon_equilibria`) when it has a radial variable, else over
+    the whole field (:func:`equilibria_of`)."""
+    return equilibria_of if chart.radial is None else horizon_equilibria
 
 
 def chart_section(chart: ChartField) -> SectionSpec | None:
@@ -882,13 +873,12 @@ def _samples(plan, traj, sectioned, entry, verdicts):
         "tail_model": est.tail_model,
         "error_bound": est.error_bound if math.isfinite(est.error_bound) else "inf",
     }
-    if plan.expect_finite_edge is not None:
-        verdicts.append({
-            "name": "edge finiteness",
-            "passed": bool(est.is_finite == plan.expect_finite_edge),
-            "detail": f"edge is {'finite' if est.is_finite else 'infinite'}, "
-                      f"expected {'finite' if plan.expect_finite_edge else 'infinite'}",
-        })
+    verdicts.append({
+        "name": "edge finiteness",
+        "passed": bool(est.is_finite == plan.expect_finite_edge),
+        "detail": f"edge is {'finite' if est.is_finite else 'infinite'}, "
+                  f"expected {'finite' if plan.expect_finite_edge else 'infinite'}",
+    })
     if not sectioned:
         s = remaining_time(traj, est)
         lo, hi = plan.window
@@ -902,7 +892,7 @@ def _samples(plan, traj, sectioned, entry, verdicts):
         return s[sel], traj.states[sel], 50
 
     s, r, t = phase_section_sampler(traj, est)
-    if plan.expect_finite_edge is False:
+    if not plan.expect_finite_edge:
         keep = t > 0.25 * t.max()
         coef, _, r2 = lstsq(np.column_stack([t[keep], np.ones(keep.sum())]),
                             np.log(1.0 / r[keep]))
@@ -1034,15 +1024,15 @@ def sweep(
     jobs: int = 1,
 ) -> list[RunReport]:
     """Independent runs over a parameter grid (optionally in parallel).  Every
-    point is checked before any runs; a bad one raises ParameterError."""
+    point's definition is built before any runs, so a bad point (one that
+    fails a check or a builder's rule) raises ParameterError first."""
     if isinstance(spec, str):
         spec = get_case(spec)
-    for params in grid:
-        spec.check(params)
-    if not grid:
-        return []
-    if jobs <= 1:
-        return [run_case(spec, params, seed=seed) for params in grid]
+    cdefs = [spec.definition(params) for params in grid]
+    if jobs <= 1 or not grid:
+        return [run_case(cdef, None, seed=seed) for cdef in cdefs]
+    # a CaseDefinition does not unpickle (GenPoly is immutable), so each
+    # worker builds its own
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -9,8 +9,10 @@ other setting of a run comes from its case.
 
 A ``--param`` value takes its default's type: an int must be integral, a
 fraction reads a decimal as written (``0.05`` is ``1/20``), a float stays
-a float; a sweep checks every point before it runs any.  A case's search
-box reaches every equilibrium it expects.
+a float; a sweep builds every point's case before it runs any, so a
+builder's rule (lienard's odd ``n``) is checked first too.  A case's
+search box reaches every equilibrium it expects; a chart with a radial
+variable is searched on its horizon, one without searches the whole field.
 
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
@@ -47,6 +49,11 @@ replays a report's chart, so a spec chart and its replay cannot differ.
     transform quasipolar m=<int>                               (needs type, order)
     transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
     transform restrict var=<var> value=<number>
+
+A ``rescale`` monomial is certified by its signs alone: a positive
+coefficient, and every variable with an odd or fractional exponent declared
+``positive`` (or the chart's radial variable), so rescaling by ``x^(1/2)``
+needs ``var x positive``.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -132,14 +139,14 @@ def _cmd_analyze(args) -> int:
     target = args.target
     try:
         if pathlib.Path(target).exists():
-            spec = _as_spec(parse_spec_file(pathlib.Path(target)))
+            case = parse_spec_file(pathlib.Path(target))
         else:
             try:
-                spec = get_case(target)
+                case = get_case(target)
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        report = run_case(spec, None, seed=args.seed, out_dir=args.out)
+        report = run_case(case, None, seed=args.seed, out_dir=args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -157,12 +164,6 @@ def _exit_code(reports) -> int:
     or an expected equilibrium is missing), else 0."""
     statuses = {r.status for r in reports}
     return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
-
-
-def _as_spec(cdef: CaseDefinition):
-    from .casebook import CaseSpec
-
-    return CaseSpec(cdef.name, {}, {}, lambda: cdef, "from spec file")
 
 
 def _cmd_sweep(args) -> int:
@@ -322,8 +323,7 @@ class _SpecState:
         self.transforms = []
         self.initial = {}
         # RunPlan keywords given by directives; RunPlan has the other defaults
-        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4),
-                     "expect_finite_edge": True}
+        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
         self.observables = []
         self.expected_eqs = []
         self.prefactor = None
@@ -377,7 +377,6 @@ class _SpecState:
             chart=chart,
             type_vector=t,
             runs=[plan],
-            eq_mode="horizon" if chart.radial is not None else "none",
             eq_box=self.boxes,
             expected_equilibria=tuple(tuple(e) for e in self.expected_eqs),
         )

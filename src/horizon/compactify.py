@@ -11,7 +11,8 @@ Transforms provided:
 * directional compactification  y_i = sign/r^(a_i), y_j = x_j/r^(a_j)
 * generic monomial coordinate changes (nested compactifications, weighted
   blow-up charts) via the logarithmic-derivative pushforward
-* time-scale desingularization by r^k and general positive rescalings
+* time-scale desingularization by r^k and monomial rescalings, each
+  certified positive by its signs alone (see :func:`time_rescale`)
 * quasi-polar compactification of planar type-(1,m) fields, with components
   expressed as polynomials in (r, Cs, Sn) using the closure identity
   Cs^(2m) = 1 - m Sn^2
@@ -82,8 +83,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, GenPoly):
-        return format_genpoly(obj)
     if isinstance(obj, GenMonomial):
         return {"coeff": _jsonable(obj.coeff), "exps": {v: str(e) for v, e in obj.exps}}
     return obj
@@ -426,68 +425,35 @@ def desingularize(C: ChartField, k) -> ChartField:
 
 def time_rescale(
     C: ChartField,
-    factor: GenMonomial | GenPoly,
+    factor: GenMonomial,
     *,
     op: str = "time_rescale",
     params: dict | None = None,
 ) -> ChartField:
     """Orbital-equivalence rescale: factor = d(old time)/d(new time).
 
-    Components are multiplied by the factor and the factor joins the time
-    chain.  Positivity on the declared domain sector is certified either
-    syntactically (positive coefficients, and every variable with odd/
-    fractional exponent sign-masked positive) or by sampling 1000 seeded
-    random points of the sector (sign-masked and radial variables in
-    [0.05, 2], the others in [-2, 2]); failure raises SignError.
+    Components are multiplied by the monomial factor and the factor joins
+    the time chain.  Its positivity is certified by its signs alone: a
+    positive coefficient, and every variable with an odd or fractional
+    exponent sign-masked positive (in ``C.positive``: declared positive, or
+    a radial variable); Cs/Sn never qualify.  Otherwise SignError.
     """
-    if isinstance(factor, GenMonomial):
-        fpoly = GenPoly.monomial(C.poly_vars, factor)
-        fdesc = {"monomial": _jsonable(factor)}
-    else:
-        fpoly = factor.with_vars(C.poly_vars)
-        fdesc = {"poly": format_genpoly(factor)}
-    _certify_positive(C, fpoly)
-    comps = tuple(c * fpoly for c in C.components)
-    step = TransformStep(op, params or fdesc)
+    fpoly = GenPoly.monomial(C.poly_vars, factor)
+    if not factor.coeff > 0:
+        raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
+                        f"coefficient {factor.coeff}")
+    for v, e in factor.exps:
+        even = e.denominator == 1 and e.numerator % 2 == 0
+        if v in (CS, SN) or not (even or v in C.positive):
+            raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
+                            f"{v} has exponent {e} and is not declared positive")
+    step = TransformStep(op, params or {"monomial": _jsonable(factor)})
     return replace(
         C,
-        components=comps,
+        components=tuple(c * fpoly for c in C.components),
         time_chain=C.time_chain + (fpoly,),
         provenance=C.provenance + (step,),
     )
-
-
-def _syntactically_positive(C: ChartField, f: GenPoly) -> bool:
-    for ev, c in f.terms:
-        if not (c > 0):
-            return False
-        for v, e in zip(f.vars, ev):
-            if e == 0:
-                continue
-            even = e.denominator == 1 and int(e) % 2 == 0
-            if not even and v not in C.positive and v not in (CS, SN):
-                return False
-            if v in (CS, SN):
-                return False
-    return True
-
-
-def _certify_positive(C, fpoly):
-    if _syntactically_positive(C, fpoly):
-        return
-    rng = np.random.default_rng(0)
-    lows = [0.05 if v in C.positive or v == C.radial else -2.0 for v in fpoly.vars]
-    pts = rng.uniform(lows, 2.0, size=(1000, len(fpoly.vars)))
-    for p in pts:
-        try:
-            val = fpoly.eval(p)
-        except DomainError:
-            continue
-        if val <= 0.0:
-            raise SignError(
-                f"time factor {format_genpoly(fpoly)} is not positive at "
-                f"{dict(zip(fpoly.vars, (float(x) for x in p)))}"
-            )
 
 
 # -- quasi-polar --------------------------------------------------------------
@@ -797,16 +763,11 @@ def apply_recipe(C: ChartField, steps: Sequence[TransformStep | dict]) -> ChartF
         elif op == "desingularize":
             out = desingularize(out, frac(params["k"]))
         elif op == "time_rescale":
-            if "monomial" in params:
-                m = params["monomial"]
-                mono = GenMonomial.make(
-                    _coeff_from_json(m["coeff"]), {v: frac(e) for v, e in m["exps"].items()}
-                )
-                out = time_rescale(out, mono)
-            else:
-                from .genpoly import parse_genpoly
-
-                out = time_rescale(out, parse_genpoly(params["poly"], out.poly_vars))
+            m = params["monomial"]
+            mono = GenMonomial.make(
+                _coeff_from_json(m["coeff"]), {v: frac(e) for v, e in m["exps"].items()}
+            )
+            out = time_rescale(out, mono)
         elif op == "quasi_polar":
             out = quasi_polar_compactify(
                 out,

@@ -22,7 +22,6 @@ from horizon.compactify import (
 )
 from horizon.dynamics import integrate
 from horizon.genpoly import parse_genpoly
-from horizon.localanalysis import equilibria_of, horizon_equilibria
 from horizon.structure import check_quasi_homogeneous, check_aqh_numeric
 
 ALL_CASES = sorted(builtin_cases())
@@ -146,7 +145,7 @@ BUILTIN_EQUILIBRIA = {
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_equilibrium_stage_of_builtin(name):
     cdef = get_case(name).definition()
-    search = {"horizon": horizon_equilibria, "full": equilibria_of}[cdef.eq_mode]
+    search = casebook.equilibrium_search(cdef.chart)
     eqs, _ = search(cdef.chart, box=cdef.eq_box, seed=0)
     check = casebook._check_expected_equilibria(cdef, eqs)
     assert check["all_found"]

@@ -175,6 +175,25 @@ class TestExitCodes:
         assert "line 10 " in err and "SignError" not in err
         assert "not positive" in err
 
+    def test_fractional_rescale_of_unmasked_variable_is_2(self, tmp_path, capsys):
+        # x^(1/2) is certified positive only where x is declared positive
+        text = (CASES_DIR / "extinction.spec").read_text()
+        p = write(tmp_path, text.replace("var x positive", "var x"))
+        rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 9 " in err and "not positive" in err
+
+    def test_chart_without_radial_searches_the_whole_field(self, tmp_path, capsys):
+        # x' = -x after the rescale: no horizon, so the search runs over x
+        rc = main(["analyze", str(CASES_DIR / "extinction.spec"),
+                   "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "equilibria: 1 found; expected all found" in out
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [e["coords"] for e in doc["equilibria"]] == [[0.0]]
+
     def test_unknown_kind_is_2(self, tmp_path, capsys):
         p = write(tmp_path, GOOD_SPEC.replace("kind blow-up", "kind blowup"))
         rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
@@ -284,6 +303,17 @@ class TestSweep:
         rc = main(["sweep", "iy", "--param", "a=1/2,5", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert ran == []
+        assert not (tmp_path / "o").exists()
+
+    def test_builder_rule_runs_no_point(self, tmp_path, capsys, monkeypatch):
+        # lienard's odd-n rule is the builder's; n=2 must stop the sweep
+        # before n=1 integrates
+        ran = []
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: ran.append(a))
+        rc = main(["sweep", "lienard", "--param", "n=1,2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ran == []
+        assert "lienard needs an odd n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv,params", [

@@ -140,9 +140,36 @@ class TestDesingularize:
         C = desingularize(
             directional_compactify(aiu_base(), TypeVector.make((0, 1), 1), "u1"), 1
         )
-        bad = gp("u0 - 10", ("r", "u0"))
+        bad = GenMonomial.make(-10, {"u0": 1})
         with pytest.raises(SignError):
             time_rescale(C, bad)
+
+
+def quench_base():
+    vars = ("phi", "psi")
+    return base_field(vars, [gp("psi", vars), gp("-psi - phi^(-1)", vars)],
+                      positive=("phi",), name="quench")
+
+
+class TestTimeRescaleCertificate:
+    @pytest.mark.parametrize("e", [F(1, 2), F(-1, 2), F(3, 2)], ids=str)
+    def test_fractional_power_of_unmasked_variable_is_refused(self, e):
+        # psi takes both signs on quench's base
+        with pytest.raises(SignError, match="not positive"):
+            time_rescale(quench_base(), GenMonomial.make(1, {"psi": e}))
+
+    @pytest.mark.parametrize("exps", [{"phi": F(1, 2)}, {"phi": -3}, {"psi": 2},
+                                      {"psi": -2, "phi": F(5, 3)}], ids=str)
+    def test_masked_or_even_powers_are_certified(self, exps):
+        factor = GenMonomial.make(F(1, 3), exps)
+        E = time_rescale(quench_base(), factor)
+        assert E.time_chain == (GenPoly.monomial(E.poly_vars, factor),)
+
+    def test_quasitrig_symbols_never_qualify(self):
+        C = quasi_polar_compactify(
+            base_field(("x", "y"), [gp("y", ("x", "y")), gp("-x^3", ("x", "y"))]), 2, 1)
+        with pytest.raises(SignError, match="not positive"):
+            time_rescale(C, GenMonomial.make(1, {CS: 2}))
 
 
 def andrews1_base(a, theta):

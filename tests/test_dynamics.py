@@ -1,10 +1,14 @@
 """Integrator and physical-time reconstruction against closed-form oracles."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from horizon.casebook import chart_section, get_case
 from horizon.compactify import (
@@ -20,7 +24,7 @@ from horizon.dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
-from horizon.genpoly import GenMonomial, parse_genpoly
+from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.structure import TypeVector
 
 
@@ -226,6 +230,38 @@ def test_time_reconstruction_is_chart_invariant():
     t1 = accumulate_time(integrate(C, [1.0, 1.0], 11.0, **kw)).value
     t2 = accumulate_time(integrate(C2, [1.0, 1.0], 3.0, **kw)).value
     assert t2 == pytest.approx(t1, rel=1e-12)
+
+
+# a planar polynomial: {(i, j): c} is the sum of c x^i y^j
+PLANAR_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.floats(-1.0, 1.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PLANAR_POLY, PLANAR_POLY, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_dp5_matches_dop853_on_random_planar_fields(fx, fy, a, b):
+    # the chart x' = fx, y' = fy with time chain dt/dtau = 1 + a x^2 + b y^2,
+    # against scipy's DOP853 on the state augmented by t
+    vars = ("x", "y")
+    comps = [GenPoly(vars, {(F(i), F(j)): c for (i, j), c in f.items()}) for f in (fx, fy)]
+    chain = GenPoly(vars, {(F(0), F(0)): 1.0, (F(2), F(0)): a, (F(0), F(2)): b})
+    C = base_field(vars, comps, prefactor=chain, name="random")
+
+    def augmented(tau, z):
+        x, y = z[0], z[1]
+        return [*(sum(c * x**i * y**j for (i, j), c in f.items()) for f in (fx, fy)),
+                1.0 + a * x * x + b * y * y]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # fields that blow up
+        ref = solve_ivp(augmented, (0.0, 1.0), [0.5, 0.5, 0.0], method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+    assume(ref.status == 0 and np.all(np.abs(ref.y) <= 100.0))
+    traj = integrate(C, [0.5, 0.5], 1.0, rtol=1e-12, atol=1e-14,
+                     stop_at_equilibrium=False)
+    assert traj.termination == "tau-budget"
+    for got, want in zip([*traj.final_state, traj.t[-1]], ref.y[:, -1]):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_csv_export(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horizon.casebook import get_case
+from horizon.casebook import equilibrium_search, get_case
 from horizon.cli import _parse_number, parse_spec_file
 from horizon.compactify import (
     base_field,
@@ -455,7 +455,7 @@ def old_newton_roots(components, variables, box, seed):
 def old_search(cdef, seed):
     """The equilibrium stage of ``cdef`` through the reference search."""
     C = cdef.chart
-    if cdef.eq_mode == "horizon":
+    if equilibrium_search(C) is horizon_equilibria:
         slice_vars, slice_comps = horizon_slice(C)
         roots, diag = old_newton_roots(slice_comps, slice_vars, cdef.eq_box, seed)
         ri = C.vars.index(C.radial)
@@ -526,7 +526,7 @@ def test_equilibrium_search_bitwise_unchanged(source):
         cdef = parse_spec_file(SPEC_FILES[0].parent / name)
     else:
         cdef = get_case(name).definition(params)
-    search = {"horizon": horizon_equilibria, "full": equilibria_of}[cdef.eq_mode]
+    search = equilibrium_search(cdef.chart)
     for seed in (0, 1, 7):
         eqs, diag = search(cdef.chart, box=cdef.eq_box, seed=seed)
         old_eqs, old_diag = old_search(cdef, seed)
