@@ -195,7 +195,7 @@ def _build_aiu() -> CaseDefinition:
     base = base_field(vars, f, positive=vars, name="aiu")
     t = TypeVector.make((0, 1), 1)
     chart = time_rescale(
-        desingularize(directional_compactify(base, t, "u1"), 1),
+        desingularize(directional_compactify(base, t, "u1"), t.k),
         GenMonomial.make(1, {"u0": 2}),
     )
     runs = [
@@ -230,10 +230,9 @@ def _build_iy(a) -> CaseDefinition:
     e = (a + 1) / a
     f = [GenPoly(vars, {(e, F(1)): a}), GenPoly(vars, {(F(1), e): a})]
     base = base_field(vars, f, positive=vars, name="iy")
-    k = 1 + 1 / a
-    t = TypeVector.make((1, 1), k)
+    t = TypeVector.make((1, 1), 1 + 1 / a)
     chart = time_rescale(
-        desingularize(directional_compactify(base, t, "v0"), k),
+        desingularize(directional_compactify(base, t, "v0"), t.k),
         GenMonomial.make(1, {"v1": -1}),
     )
     af = float(a)
@@ -283,7 +282,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
     base = base_field(vars, [f1, f2], positive=vars, prefactor=mu, name="andrews1")
     t = TypeVector.make((1, 1), 3)
     chart = time_rescale(
-        desingularize(directional_compactify(base, t, "u1"), 3),
+        desingularize(directional_compactify(base, t, "u1"), t.k),
         GenMonomial.make(1, {"u0": -1}),
     )
     if a > 0.5:
@@ -409,7 +408,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
     D0 = time_rescale(base, GenMonomial.make(1, {"phi": alpha}))
     t = TypeVector.make((1, 1), alpha)
     DC = directional_compactify(D0, t, "psi", sign=-1, radial_name="lam")
-    DS = desingularize(DC, alpha)
+    DS = desingularize(DC, t.k)
     cf = float(c)
     if alpha > 1:
         chart = _blowup(DS, "lam")
@@ -579,7 +578,7 @@ def _build_lienard(n) -> CaseDefinition:
     ]
     base = base_field(vars, f, name="lienard")
     t = TypeVector.make((1, n + 1), n)
-    chart = quasi_polar_compactify(base, n + 1, n)
+    chart = quasi_polar_compactify(base, t.alpha[1], t.k)
     if n >= 3:
         runs = [
             RunPlan(

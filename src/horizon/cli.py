@@ -46,14 +46,21 @@ replays a report's chart, so a spec chart and its replay cannot differ.
     transform directional index=<var> sign=± radial=<name>   (needs type, order)
     transform desingularize                                    (multiply by r^k)
     transform rescale <monomial>          (time factor; must be certified > 0)
-    transform quasipolar m=<int>                               (needs type, order)
+    transform quasipolar m=<int>                     (needs type 1 <m>, order)
     transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
     transform restrict var=<var> value=<number>
 
-A ``rescale`` monomial is certified by its signs alone: a positive
-coefficient, and every variable with an odd or fractional exponent declared
-``positive`` (or the chart's radial variable), so rescaling by ``x^(1/2)``
-needs ``var x positive``.
+``directional`` and ``quasipolar`` certify the declared ``type`` exactly
+on the field they transform: it has one entry per variable, no term
+``c x^e`` of the field of ``x_j`` has weighted degree ``<alpha, e>`` above
+``k + alpha_j`` (``k`` is ``order``), and some term reaches it.  A
+``quasipolar`` type is ``1 <m>``.  A failed certificate is a parse error at
+that line.
+
+A ``rescale`` monomial is certified positive by a positive coefficient and
+every variable in it declared ``positive`` (or the chart's radial
+variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
+``x^(1/2)`` needs ``var x positive``.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -428,7 +435,8 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.boxes[parts[0]] = (float(parts[1]), float(parts[2]))
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
-        params = _kv(params_text)
+        # a rescale monomial may contain spaces ("2 * x^2 * y")
+        params = {"factor": params_text.strip()} if op == "rescale" else _kv(params_text)
         st.transforms.append((op, params, lineno))
     elif head == "initial":
         for k, v in _kv(rest).items():
@@ -480,16 +488,18 @@ def _recipe_step(chart, t, op, params) -> dict:
     if op == "desingularize":
         return {"op": "desingularize", "params": {"k": str(t.k)}}
     if op == "rescale":
-        factor_text = params.get("factor") or next(iter(params), None)
-        if factor_text is None:
+        if not params["factor"]:
             raise ValueError("rescale needs a monomial factor")
-        poly = parse_genpoly(factor_text, chart.poly_vars)
+        poly = parse_genpoly(params["factor"], chart.poly_vars)
         if len(poly.terms) != 1:
             raise ValueError("rescale factor must be a single monomial")
         (ev, c), = poly.terms
         return {"op": "time_rescale",
                 "params": {"monomial": {"coeff": c, "exps": dict(zip(poly.vars, ev))}}}
     if op == "quasipolar":
+        if t.alpha != (1, Fraction(params["m"])):
+            raise ValueError(f"m={params['m']} does not match the declared "
+                             f"type {' '.join(map(str, t.alpha))}")
         return {"op": "quasi_polar", "params": {
             "m": params["m"], "k": str(t.k), "radial": "r", "angle": "theta"}}
     if op == "blowup":

@@ -9,11 +9,15 @@ singularity) can always be reconstructed from a chart trajectory.
 Transforms provided:
 
 * directional compactification  y_i = sign/r^(a_i), y_j = x_j/r^(a_j)
+  of a field certified asymptotically quasi-homogeneous of its type
+  (:func:`horizon.structure.certify_type`)
 * generic monomial coordinate changes (nested compactifications, weighted
   blow-up charts) via the logarithmic-derivative pushforward
 * time-scale desingularization by r^k and monomial rescalings, each
-  certified positive by its signs alone (see :func:`time_rescale`)
-* quasi-polar compactification of planar type-(1,m) fields, with components
+  certified positive: a positive coefficient and every variable declared
+  positive (see :func:`time_rescale`)
+* quasi-polar compactification of planar fields certified of type (1,m),
+  with components
   expressed as polynomials in (r, Cs, Sn) using the closure identity
   Cs^(2m) = 1 - m Sn^2
 * restriction to an invariant coordinate slice
@@ -46,7 +50,7 @@ from .genpoly import (
     power_source,
 )
 from .quasitrig import cssn, table
-from .structure import TypeVector
+from .structure import TypeVector, certify_type
 
 __all__ = [
     "ChartField",
@@ -353,7 +357,9 @@ def directional_compactify(
     y_j = x_j * r^-a_j.  This is the weighted chart of a blow-up with the
     negated type as weights, keeping the variable names.  The result is the
     pushed-forward field BEFORE any time rescaling; the inverse map is
-    recorded."""
+    recorded.  The field must be certified of type ``t``
+    (:func:`certify_type`), else ResidualSingularityError."""
+    certify_type(C.components, t)
     vars = C.vars
     if isinstance(i, str):
         i = vars.index(i)
@@ -433,18 +439,17 @@ def time_rescale(
     """Orbital-equivalence rescale: factor = d(old time)/d(new time).
 
     Components are multiplied by the monomial factor and the factor joins
-    the time chain.  Its positivity is certified by its signs alone: a
-    positive coefficient, and every variable with an odd or fractional
-    exponent sign-masked positive (in ``C.positive``: declared positive, or
-    a radial variable); Cs/Sn never qualify.  Otherwise SignError.
+    the time chain.  It is certified positive by a positive coefficient and
+    every variable in it sign-masked positive (in ``C.positive``: declared
+    positive, or a radial variable), so it neither vanishes nor changes
+    sign; Cs/Sn never qualify.  Otherwise SignError.
     """
     fpoly = GenPoly.monomial(C.poly_vars, factor)
     if not factor.coeff > 0:
         raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
                         f"coefficient {factor.coeff}")
     for v, e in factor.exps:
-        even = e.denominator == 1 and e.numerator % 2 == 0
-        if v in (CS, SN) or not (even or v in C.positive):
+        if v not in C.positive:
             raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
                             f"{v} has exponent {e} and is not declared positive")
     step = TransformStep(op, params or {"monomial": _jsonable(factor)})
@@ -470,14 +475,17 @@ def quasi_polar_compactify(
     """Quasi-polar compactification of a planar type-(1,m) field.
 
     y1 = Cs(theta)/r, y2 = Sn(theta)/r^m with the (1,m) quasi-trig pair.
-    The returned chart is already desingularized (multiplied by r^k, time
-    chain gains r^k) and its components are polynomials in (r, Cs, Sn)
-    reduced by Cs^(2m) -> 1 - m*Sn^2.
+    The field must be certified of type (1, m) with order parameter k
+    (:func:`certify_type`), else ResidualSingularityError.  The returned
+    chart is already desingularized (multiplied by r^k, time chain gains
+    r^k) and its components are polynomials in (r, Cs, Sn) reduced by
+    Cs^(2m) -> 1 - m*Sn^2.
     """
     if len(C.vars) != 2:
         raise ValueError("quasi-polar compactification needs a planar field")
     m = int(m)
     k = frac(k)
+    certify_type(C.components, TypeVector.make((1, m), k))
     pv = (radial_name, CS, SN)
     sub = {
         C.vars[0]: GenMonomial.make(1, {CS: 1, radial_name: -1}),
@@ -498,12 +506,6 @@ def quasi_polar_compactify(
     rk = GenMonomial.make(1, {radial_name: k})
     dr = _quasitrig_reduce(dr.mul_monomial(rk), m)
     dth = _quasitrig_reduce(dth.mul_monomial(rk), m)
-    for name, comp in (("radial", dr), ("angular", dth)):
-        e = comp.min_exponent(radial_name)
-        if e is not None and e < 0:
-            raise ClosureError(
-                f"{name} component keeps {radial_name}^{e} after desingularization"
-            )
     chain = tuple(
         _quasitrig_reduce(f.substitute_power(sub, pv), m) for f in C.time_chain
     ) + (GenPoly.monomial(pv, rk),)

@@ -31,8 +31,11 @@ class NonPolynomialError(HorizonError, ValueError):
 
 
 class ResidualSingularityError(HorizonError, ArithmeticError):
-    """Desingularization left a negative power of the radial variable, so the
-    field does not extend to the horizon."""
+    """The field does not extend to the horizon: it is not asymptotically
+    quasi-homogeneous of the type a chart uses (a type of the wrong length,
+    a term above the type's degree, or no term reaching it; see
+    :func:`horizon.structure.certify_type`), or desingularization left a
+    negative power of the radial variable."""
 
 
 class ClosureError(HorizonError, ArithmeticError):

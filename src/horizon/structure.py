@@ -1,11 +1,13 @@
 """Scaling structure of vector fields.
 
-Quasi-homogeneity verification (exact and asymptotic/numeric), and the
-Newton polyhedron and diagram for planar fields at a degenerate equilibrium.
+The exact certificate of a scaling type, and the Newton polyhedron and
+diagram for planar fields at a degenerate equilibrium.
 
 Conventions.  A field f = (f_1, ..., f_n) is quasi-homogeneous of type
 ``alpha`` and order ``k+1`` when every term ``c * x^e`` of f_j satisfies
-``<alpha, e> = k + alpha_j`` exactly.  The Newton diagram of a planar field
+``<alpha, e> = k + alpha_j`` exactly, and asymptotically quasi-homogeneous
+(AQH) when every term has ``<alpha, e> <= k + alpha_j`` with some term
+reaching it (:func:`certify_type`).  The Newton diagram of a planar field
 with f(0) = 0 is built from support points ``e - unit_j + (1, 1)`` (one per
 term of component j), the lower-left compact faces of the convex envelope of
 ``support + R_+^2``; each face carries the primitive positive integer weight
@@ -14,24 +16,18 @@ vector normal to it, which is the blow-up weight choice for that face.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DomainError, NonPolynomialError
-from .genpoly import GenPoly, frac
+from .errors import NonPolynomialError, ResidualSingularityError
+from .genpoly import GenPoly, format_genpoly, frac
 
 __all__ = [
     "TypeVector",
     "NewtonDiagram",
-    "AqhReport",
-    "check_quasi_homogeneous",
-    "qh_component",
-    "check_aqh_numeric",
+    "certify_type",
     "newton_data",
 ]
 
@@ -54,154 +50,50 @@ class TypeVector:
             raise ValueError("at least one positive type entry is required")
         return TypeVector(a, frac(k))
 
-    @property
-    def homogeneity_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.alpha) if a > 0)
 
+def certify_type(f: Sequence[GenPoly], t: TypeVector) -> Fraction | None:
+    """Certify exactly that ``f`` is asymptotically quasi-homogeneous of type
+    ``t``: the type has one entry per component, no term ``c x^e`` of f_j
+    lies above weighted degree ``k + alpha_j``, and some term reaches it.
 
-def check_quasi_homogeneous(f: Sequence[GenPoly], t: TypeVector) -> bool:
-    """Exact scaling check: every term of f_j has weighted degree k + alpha_j."""
-    for j, fj in enumerate(f):
-        target = t.k + t.alpha[j]
-        for ev, _ in fj.terms:
-            w = sum(a * e for a, e in zip(t.alpha, ev))
-            if w != target:
-                return False
-    return True
-
-
-def qh_component(f: Sequence[GenPoly], t: TypeVector) -> list[GenPoly]:
-    """The quasi-homogeneous part: terms whose weighted degree is exactly
-    k + alpha_j (the scaling limit of the field at infinity)."""
-    out = []
-    for j, fj in enumerate(f):
-        target = t.k + t.alpha[j]
-        kept = {
-            ev: c
-            for ev, c in fj.terms
-            if sum(a * e for a, e in zip(t.alpha, ev)) == target
-        }
-        out.append(GenPoly(fj.vars, kept))
-    return out
-
-
-@dataclass(frozen=True)
-class AqhReport:
-    """Residuals of the asymptotic quasi-homogeneity limit on a fixed mesh."""
-
-    R_grid: tuple[float, ...]
-    max_residual: tuple[float, ...]
-    decays: bool
-    mesh_size: int
-
-
-def _unit_sphere_mesh(dim: int, n_angular: int = 32):
-    """Deterministic mesh of the Euclidean unit sphere S^{dim-1}."""
-    if dim == 1:
-        return [(-1.0,), (1.0,)]
-    if dim == 2:
-        return [
-            (math.cos(2 * math.pi * i / n_angular), math.sin(2 * math.pi * i / n_angular))
-            for i in range(n_angular)
-        ]
-    # low-dimensional product mesh, normalized; fine for the casebook sizes
-    pts = []
-    grid = np.linspace(-1.0, 1.0, 7)
-    for combo in itertools.product(grid, repeat=dim):
-        v = np.asarray(combo)
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-9:
-            continue
-        pts.append(tuple(v / nrm))
-    return pts
-
-
-def check_aqh_numeric(
-    f: Sequence[GenPoly],
-    t: TypeVector,
-    R_grid: Sequence[float],
-    *,
-    boxes: dict[str, tuple[float, float]] | None = None,
-    positive: Sequence[str] = (),
-    n_angular: int = 32,
-    box_points: int = 5,
-) -> AqhReport:
-    """Sample the asymptotic quasi-homogeneity residual on a fixed mesh.
-
-    residual_j(R) = R^-(k+alpha_j) * |f_j(R^alpha . x) - R^(k+alpha_j) (f_qh)_j(x)|
-    over x in a surrogate of U_1: sphere mesh for the weighted variables,
-    a compact box grid for the others.  Reports the max residual per R and a
-    monotone-decay verdict.
+    Returns None when every term reaches it (f is quasi-homogeneous), else
+    the largest ``<alpha, e> - k - alpha_j`` over the lower terms: the power
+    of R at which ``R^-(k+alpha_j) f_j(R^alpha x)`` approaches its limit
+    (-1 for lienard).  Raises ResidualSingularityError naming the component
+    and the term otherwise.
     """
-    R_grid = tuple(float(R) for R in R_grid)
-    if len(R_grid) < 4 or any(b <= a for a, b in zip(R_grid, R_grid[1:])):
-        raise ValueError("R_grid must be increasing with at least 4 points")
-    if R_grid[-1] < 1e4:
-        raise ValueError("R_grid must reach at least 1e4")
-    vars = f[0].vars
-    n = len(vars)
-    idx_alpha = t.homogeneity_indices
-    idx_rest = tuple(i for i in range(n) if i not in idx_alpha)
-    fqh = qh_component(f, t)
+    if len(t.alpha) != len(f):
+        raise ResidualSingularityError(
+            f"type ({_fmt(t.alpha)}) has length {len(t.alpha)} for a field "
+            f"of dimension {len(f)}"
+        )
+    gap = None
+    reached = False
+    for j, fj in enumerate(f):
+        target = t.k + t.alpha[j]
+        for ev, c in fj.terms:
+            d = sum(a * e for a, e in zip(t.alpha, ev)) - target
+            if d > 0:
+                term = format_genpoly(GenPoly(fj.vars, {ev: c}))
+                raise ResidualSingularityError(
+                    f"component {fj.vars[j]!r} has the term {term} of weighted "
+                    f"degree {target + d} above k + alpha_j = {target}; the field "
+                    f"is not asymptotically quasi-homogeneous of type "
+                    f"({_fmt(t.alpha)}), k = {t.k}"
+                )
+            reached = reached or d == 0
+            if d < 0 and (gap is None or d > gap):
+                gap = d
+    if not reached:
+        raise ResidualSingularityError(
+            f"no term reaches weighted degree k + alpha_j for type "
+            f"({_fmt(t.alpha)}), k = {t.k}; k is too high for this field"
+        )
+    return gap
 
-    sphere = _unit_sphere_mesh(len(idx_alpha), n_angular)
-    if positive:
-        keep = []
-        for p in sphere:
-            ok = all(
-                p[j] > 0
-                for j, i in enumerate(idx_alpha)
-                if vars[i] in positive
-            )
-            if ok:
-                keep.append(p)
-        sphere = keep
-    boxes = boxes or {}
-    rest_axes = []
-    for i in idx_rest:
-        lo, hi = boxes.get(vars[i], (-1.0, 1.0))
-        rest_axes.append(np.linspace(lo, hi, box_points))
-    rest_pts = list(itertools.product(*rest_axes)) if rest_axes else [()]
 
-    mesh = []
-    for sp in sphere:
-        for rp in rest_pts:
-            x = [0.0] * n
-            for j, i in enumerate(idx_alpha):
-                x[i] = sp[j]
-            for j, i in enumerate(idx_rest):
-                x[i] = rp[j]
-            mesh.append(tuple(x))
-    if not mesh:
-        raise ValueError("empty sampling mesh after domain filtering")
-
-    maxres = []
-    for R in R_grid:
-        worst = 0.0
-        for j, fj in enumerate(f):
-            target = t.k + t.alpha[j]
-            # residual polynomial R^-(k+a_j) f_j(R^a x) - (f_qh)_j(x):
-            # quasi-homogeneous terms cancel exactly, the rest pick up the
-            # explicit factor R^(w - target) < 1.
-            resid_terms = {}
-            for ev, c in fj.terms:
-                w = sum(a * e for a, e in zip(t.alpha, ev))
-                if w == target:
-                    continue
-                resid_terms[ev] = c * R ** float(w - target)
-            if not resid_terms:
-                continue
-            resid = GenPoly(fj.vars, resid_terms)
-            for x in mesh:
-                try:
-                    res = abs(resid.eval(x))
-                except DomainError:
-                    continue
-                if res > worst:
-                    worst = res
-        maxres.append(worst)
-    decays = all(b <= a * 1.001 + 1e-14 for a, b in zip(maxres, maxres[1:]))
-    return AqhReport(R_grid, tuple(maxres), decays, len(mesh))
+def _fmt(alpha) -> str:
+    return ", ".join(str(a) for a in alpha)
 
 
 # -- Newton polyhedron / diagram (planar) ------------------------------------

@@ -151,6 +151,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 7 " in err and "type entry 0" in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("field u1 : u1^2 * u0^(-1)", "field u1 : u1^2 * u0^(-1) + u1^(5/2)",
+         "component 'u1' has the term u1^(5/2)"),
+        ("type 0 1", "type 1", "length 1 for a field of dimension 2"),
+        ("type 0 1", "type 0 1 1", "length 3 for a field of dimension 2"),
+    ], ids=["term-above-type", "short-type", "long-type"])
+    def test_uncertified_type_is_2(self, tmp_path, capsys, old, new, message):
+        # the type is certified on the field at the directional line
+        text = (CASES_DIR / "aiu.spec").read_text()
+        assert old in text
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 11 " in err and message in err
+
+    def test_quasipolar_m_must_match_type_is_2(self, tmp_path, capsys):
+        spec = LIENARD3_SPEC.replace("type 1 4", "type 1 3")
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 9 " in err and "m=4 does not match the declared type 1 3" in err
+
     @pytest.mark.parametrize("line,usage", [
         ("window 1e-8", "window <low> <high>"),
         ("box x 1", "box <var> <low> <high>"),
@@ -174,6 +197,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 10 " in err and "SignError" not in err
         assert "not positive" in err
+
+    def test_even_rescale_of_unmasked_variable_is_2(self, tmp_path, capsys):
+        # psi^2 vanishes on psi = 0, where the rescaled chart would gain a
+        # line of equilibria the base field does not have
+        text = (CASES_DIR / "quench1.spec").read_text()
+        p = write(tmp_path, text.replace("transform rescale phi",
+                                         "transform rescale phi * psi^2"))
+        rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 10 " in err and "psi has exponent 2" in err
 
     def test_fractional_rescale_of_unmasked_variable_is_2(self, tmp_path, capsys):
         # x^(1/2) is certified positive only where x is declared positive

@@ -158,8 +158,13 @@ class TestTimeRescaleCertificate:
         with pytest.raises(SignError, match="not positive"):
             time_rescale(quench_base(), GenMonomial.make(1, {"psi": e}))
 
-    @pytest.mark.parametrize("exps", [{"phi": F(1, 2)}, {"phi": -3}, {"psi": 2},
-                                      {"psi": -2, "phi": F(5, 3)}], ids=str)
+    @pytest.mark.parametrize("exps", [{"psi": 2}, {"psi": -2, "phi": F(5, 3)}], ids=str)
+    def test_unmasked_even_power_is_refused(self, exps):
+        # psi^2 vanishes on psi = 0 and psi^(-2) is undefined there
+        with pytest.raises(SignError, match="not positive"):
+            time_rescale(quench_base(), GenMonomial.make(F(1, 3), exps))
+
+    @pytest.mark.parametrize("exps", [{"phi": F(1, 2)}, {"phi": -3}], ids=str)
     def test_masked_or_even_powers_are_certified(self, exps):
         factor = GenMonomial.make(F(1, 3), exps)
         E = time_rescale(quench_base(), factor)
@@ -263,6 +268,13 @@ class TestQuasiPolar:
         pv = ("r", CS, SN)
         assert Q.components[0].is_zero()
         assert Q.components[1] == GenPoly(pv, {(F(0), F(0), F(0)): -1})
+
+    def test_type_is_certified_on_the_field(self):
+        # the lienard n=3 field is of type (1, 4): with m = 3, x^7 lies above
+        vars = ("x", "y")
+        C = base_field(vars, [gp("y", vars), gp("-x^7 - x^6 - x^3*y", vars)], name="l")
+        with pytest.raises(ResidualSingularityError, match="term -x\\^7"):
+            quasi_polar_compactify(C, 3, 3)
 
     def test_horizon_slice_has_zero_radial_component(self):
         n = 3

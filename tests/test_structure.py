@@ -5,15 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from horizon.errors import NonPolynomialError
+from horizon.errors import NonPolynomialError, ResidualSingularityError
 from horizon.genpoly import GenPoly, parse_genpoly
-from horizon.structure import (
-    TypeVector,
-    check_aqh_numeric,
-    check_quasi_homogeneous,
-    newton_data,
-    qh_component,
-)
+from horizon.structure import TypeVector, certify_type, newton_data
 
 
 def gp(text, vars):
@@ -26,7 +20,7 @@ AIU = [gp("u1 * u0^(-2)", AIU_VARS), gp("u1^2 * u0^(-1)", AIU_VARS)]
 
 class TestQuasiHomogeneous:
     def test_inverse_power_system(self):
-        assert check_quasi_homogeneous(AIU, TypeVector.make((0, 1), 1))
+        assert certify_type(AIU, TypeVector.make((0, 1), 1)) is None
 
     def test_fractional_order_system(self):
         for a in (F(1, 2), F(2, 5)):
@@ -35,29 +29,22 @@ class TestQuasiHomogeneous:
                 GenPoly(("v0", "v1"), {(e, F(1)): a}),
                 GenPoly(("v0", "v1"), {(F(1), e): a}),
             ]
-            assert check_quasi_homogeneous(f, TypeVector.make((1, 1), 1 + 1 / a))
+            assert certify_type(f, TypeVector.make((1, 1), 1 + 1 / a)) is None
 
     def test_inhomogeneous_constant_term(self):
+        # the constant lies two weighted degrees below y^2: residual R^-2
         f = [gp("y^2 + 1", ("y",))]
-        assert not check_quasi_homogeneous(f, TypeVector.make((1,), 1))
+        assert certify_type(f, TypeVector.make((1,), 1)) == -2
 
 
 class TestAqhNumeric:
     def test_exactly_qh_residuals_vanish(self):
-        rep = check_aqh_numeric(
-            AIU, TypeVector.make((0, 1), 1), [10.0, 1e2, 1e3, 1e4],
-            boxes={"u0": (0.5, 2.0)}, positive=("u0", "u1"),
-        )
-        assert max(rep.max_residual) == 0.0
-        assert rep.decays
+        assert certify_type(AIU, TypeVector.make((0, 1), 1)) is None
 
     def test_quadratic_plus_linear(self):
         # y' = y^2 + y with alpha=(1), k=1: residual(R) = 1/R at x = 1
         f = [gp("y^2 + y", ("y",))]
-        rep = check_aqh_numeric(f, TypeVector.make((1,), 1), [10.0, 1e2, 1e3, 1e4])
-        for R, res in zip(rep.R_grid, rep.max_residual):
-            assert res == pytest.approx(1.0 / R, rel=1e-12)
-        assert rep.decays
+        assert certify_type(f, TypeVector.make((1,), 1)) == -1
 
     def test_lienard_residual_decays_like_inverse_R(self):
         n = 3
@@ -65,12 +52,26 @@ class TestAqhNumeric:
             gp("y", ("x", "y")),
             gp(f"-x^{2 * n + 1} - x^{2 * n} - x^{n}*y", ("x", "y")),
         ]
-        rep = check_aqh_numeric(f, TypeVector.make((1, n + 1), n), [1e2, 1e3, 1e4, 1e5])
-        for R1, r1, R2, r2 in zip(
-            rep.R_grid, rep.max_residual, rep.R_grid[1:], rep.max_residual[1:]
-        ):
-            assert r2 / r1 == pytest.approx(R1 / R2, rel=0.05)
-        assert rep.decays
+        assert certify_type(f, TypeVector.make((1, n + 1), n)) == -1
+
+
+class TestCertifyRefusals:
+    def test_term_above_the_type_is_named(self):
+        f = [AIU[0], gp("u1^2 * u0^(-1) + u1^(5/2)", AIU_VARS)]
+        with pytest.raises(ResidualSingularityError,
+                           match=r"component 'u1' has the term u1\^\(5/2\)"):
+            certify_type(f, TypeVector.make((0, 1), 1))
+
+    def test_no_term_reaching_the_type(self):
+        # quench's base: every term lies below the type of its rescaled field
+        f = [gp("psi", ("phi", "psi")), gp("-psi - phi^(-1)", ("phi", "psi"))]
+        with pytest.raises(ResidualSingularityError, match="no term reaches"):
+            certify_type(f, TypeVector.make((1, 1), 1))
+
+    @pytest.mark.parametrize("alpha", [(1,), (0, 1, 1)], ids=str)
+    def test_type_of_the_wrong_length(self, alpha):
+        with pytest.raises(ResidualSingularityError, match="dimension 2"):
+            certify_type(AIU, TypeVector.make(alpha, 1))
 
 
 class TestNewtonDiagram:
@@ -177,9 +178,7 @@ def test_qh_implies_zero_aqh_residuals():
     t = TypeVector.make((1, 2), 2)
     # build an exactly quasi-homogeneous field for this type
     f = [gp("x^3 + x*y", ("x", "y")), gp("x^2*y + y^2", ("x", "y"))]
-    assert check_quasi_homogeneous(f, t)
-    rep = check_aqh_numeric(f, t, [10.0, 100.0, 1e3, 1e4])
-    assert max(rep.max_residual) == 0.0
+    assert certify_type(f, t) is None
 
 
 def test_diagram_json_dump():
