@@ -107,9 +107,7 @@ class CaseDefinition:
     expected equilibrium with a margin of 0.5, so the search reaches them."""
 
     name: str
-    base: ChartField
     chart: ChartField
-    type_vector: TypeVector | None
     runs: list[RunPlan]
     params: dict = field(default_factory=dict)
     eq_box: dict = field(default_factory=dict)
@@ -184,7 +182,7 @@ def _blowup(C: ChartField, chart_var: str) -> ChartField:
     first face of its Newton diagram, divided by the least power of r in its
     components."""
     B = blowup_chart(C, newton_data(list(C.components)).weights[0], chart_var,
-                     radial_name="r")
+                     radial="r")
     e = min(c.min_exponent("r") for c in B.components)
     return time_rescale(B, GenMonomial.make(1, {"r": -e}))
 
@@ -215,9 +213,7 @@ def _build_aiu() -> CaseDefinition:
     ]
     return CaseDefinition(
         name="aiu",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         eq_box={"u0": (0.2, 8.0)},
         # no horizon equilibrium: the orbit escapes along the horizon
@@ -261,9 +257,7 @@ def _build_iy(a) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="iy",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         eq_box={"v1": (-0.5, 2.0)},
         expected_equilibria=((0.0, 0.0), (0.0, 1.0)),
@@ -318,9 +312,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="andrews1",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         expected_equilibria=expected_eqs,
     )
@@ -337,7 +329,6 @@ def _build_andrews2(a, a1) -> CaseDefinition:
                        (F(0), F(0), F(3)): -a}),
     ]
     base = base_field(vars, f, positive=vars, name="andrews2")
-    t = TypeVector.make((1, 1, 1), 2)
     M = monomial_chart(
         base,
         {
@@ -389,9 +380,7 @@ def _build_andrews2(a, a1) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="andrews2",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         eq_box={"w": (-0.5, 2.0)},
         expected_equilibria=expected_eqs,
@@ -407,7 +396,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
     base = base_field(vars, fbase, positive=("phi",), name="quench")
     D0 = time_rescale(base, GenMonomial.make(1, {"phi": alpha}))
     t = TypeVector.make((1, 1), alpha)
-    DC = directional_compactify(D0, t, "psi", sign=-1, radial_name="lam")
+    DC = directional_compactify(D0, t, "psi", sign=-1, radial="lam")
     DS = desingularize(DC, t.k)
     cf = float(c)
     if alpha > 1:
@@ -457,9 +446,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
         eq_box = {"phi": (-0.5, 2.0)}
     return CaseDefinition(
         name="quench",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         eq_box=eq_box,
         expected_equilibria=expected_eqs,
@@ -500,9 +487,7 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="fhn",
-        base=base,
         chart=chart,
-        type_vector=None,
         runs=runs,
         eq_box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)},
         expected_equilibria=((0.0, 0.0), (1.0, 0.0)),
@@ -560,9 +545,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
     ]
     return CaseDefinition(
         name="kdv",
-        base=base,
         chart=chart,
-        type_vector=None,
         runs=runs,
         expected_equilibria=((0.0, -psi_plus), (0.0, psi_plus)),
     )
@@ -610,9 +593,7 @@ def _build_lienard(n) -> CaseDefinition:
         ]
     return CaseDefinition(
         name="lienard",
-        base=base,
         chart=chart,
-        type_vector=t,
         runs=runs,
         # the horizon carries an attracting non-hyperbolic periodic orbit
         expected_equilibria=(),
@@ -1030,10 +1011,8 @@ def sweep(
     cdefs = [spec.definition(params) for params in grid]
     if jobs <= 1 or not grid:
         return [run_case(cdef, None, seed=seed) for cdef in cdefs]
-    # a CaseDefinition does not unpickle (GenPoly is immutable), so each
-    # worker builds its own
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(run_case, spec, params, seed=seed) for params in grid]
+        futs = [pool.submit(run_case, cdef, None, seed=seed) for cdef in cdefs]
         return [f.result() for f in futs]

@@ -40,8 +40,10 @@ Spec files are UTF-8, line oriented, '#' comments.  Example::
 
 Each ``transform`` line is lowered to one provenance step of the chart and
 applied by :func:`horizon.compactify.apply_recipe`, the same code that
-replays a report's chart, so a spec chart and its replay cannot differ.
-``sign`` is ``+`` (default) or ``-``; ``radial`` defaults to ``r``:
+replays a report's chart (``apply_recipe(None,
+report["chart"]["provenance"])``), so a spec chart and its replay cannot
+differ.  ``sign`` is ``+`` (default) or ``-``; ``radial`` defaults to ``r``;
+a key not listed for its transform is a parse error:
 
     transform directional index=<var> sign=± radial=<name>   (needs type, order)
     transform desingularize                                    (multiply by r^k)
@@ -65,6 +67,12 @@ variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
 finite edge, ``grow-up`` an infinite one.  Any other kind is a parse error.
+
+A spec word the format does not define is a parse error at its line: an
+``expect`` key other than ``rho``, ``q``, ``tol-rho`` and ``tol-q``, an
+``initial`` name that is not a variable of the chart, a ``var`` flag other
+than ``positive``, and a ``window`` word after the bounds other than
+``absolute``.
 
 The chart sets how observables are sampled.  A ``quasipolar`` chart is
 sampled once per revolution of its angle ``theta`` and ignores ``window``;
@@ -328,7 +336,7 @@ class _SpecState:
         self.k = None
         self.boxes = {}
         self.transforms = []
-        self.initial = {}
+        self.initial = {}               # name -> (value, line)
         # RunPlan keywords given by directives; RunPlan has the other defaults
         self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
         self.observables = []
@@ -341,14 +349,13 @@ class _SpecState:
         missing = [v for v in self.vars if v not in self.fields]
         if missing:
             raise ParseError(f"missing field components for {missing}")
-        base = base_field(
+        chart = base_field(
             self.vars,
             [self.fields[v] for v in self.vars],
             positive=tuple(self.positive),
             prefactor=self.prefactor,
             name=self.name,
         )
-        chart = base
         t = None
         if self.alpha is not None:
             if self.k is None:
@@ -361,6 +368,10 @@ class _SpecState:
                 raise ParseError(f"transform {op}: missing parameter {exc}", lineno, 1)
             except (HorizonError, ValueError) as exc:
                 raise ParseError(f"transform {op}: {exc}", lineno, 1)
+        for v, (_, lineno) in self.initial.items():
+            if v not in chart.vars:
+                raise ParseError(f"initial value for {v!r}, which is not a chart "
+                                 f"variable ({', '.join(chart.vars)})", lineno, 1)
         pv = chart.poly_vars
         observables = []
         for name, expr_text, expect, lineno in self.observables:
@@ -370,7 +381,7 @@ class _SpecState:
         for v in chart.vars:
             if v not in self.initial:
                 raise ParseError(f"initial value for {v!r} missing")
-            init.append(self.initial[v])
+            init.append(self.initial[v][0])
         plan = RunPlan(
             label=self.name,
             initial=tuple(init),
@@ -380,9 +391,7 @@ class _SpecState:
         )
         return CaseDefinition(
             name=self.name,
-            base=base,
             chart=chart,
-            type_vector=t,
             runs=[plan],
             eq_box=self.boxes,
             expected_equilibria=tuple(tuple(e) for e in self.expected_eqs),
@@ -413,6 +422,10 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.name = rest
     elif head == "var":
         parts = _words(rest, 1, "var <name> [positive]", lineno)
+        for flag in parts[1:]:
+            if flag != "positive":
+                raise ParseError(f"unknown var flag {flag!r}; the only flag is "
+                                 "'positive'", lineno, 1)
         st.vars.append(parts[0])
         if "positive" in parts[1:]:
             st.positive.append(parts[0])
@@ -435,23 +448,31 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.boxes[parts[0]] = (float(parts[1]), float(parts[2]))
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
-        # a rescale monomial may contain spaces ("2 * x^2 * y")
-        params = {"factor": params_text.strip()} if op == "rescale" else _kv(params_text)
+        if op == "rescale":
+            # a rescale monomial may contain spaces ("2 * x^2 * y")
+            params = {"monomial": params_text.strip()}
+        elif op in _TRANSFORM_KEYS:
+            params = _kv(params_text, _TRANSFORM_KEYS[op], f"transform {op}", lineno)
+        else:
+            raise ParseError(f"unknown transform {op!r}", lineno, 1)
         st.transforms.append((op, params, lineno))
     elif head == "initial":
-        for k, v in _kv(rest).items():
-            st.initial[k] = float(v)
+        for k, v in _kv(rest, None, "initial", lineno).items():
+            st.initial[k] = (float(v), lineno)
     elif head == "window":
         parts = _words(rest, 2, "window <low> <high> [absolute]", lineno)
+        if parts[2:] not in ([], ["absolute"]):
+            raise ParseError(f"window takes only 'absolute' after its bounds, "
+                             f"not {' '.join(parts[2:])!r}", lineno, 1)
         st.plan["window"] = (float(parts[0]), float(parts[1]))
-        st.plan["window_relative"] = not (len(parts) > 2 and parts[2] == "absolute")
+        st.plan["window_relative"] = parts[2:] != ["absolute"]
     elif head == "observable":
         name, _, tail = rest.partition(":")
         name = name.strip()
         expr_text, _, expect_text = tail.partition(" expect ")
         expect = (None, 0.05, 0.1)
         if expect_text:
-            kv = _kv(expect_text)
+            kv = _kv(expect_text, ("rho", "q", "tol-rho", "tol-q"), "expect", lineno)
             expect = (
                 RateModel(float(Fraction(kv["rho"])), float(Fraction(kv.get("q", "0")))),
                 float(kv.get("tol-rho", 0.05)),
@@ -469,28 +490,44 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         raise ParseError(f"unknown directive {head!r}", lineno, 1)
 
 
-def _kv(text: str) -> dict:
+def _kv(text: str, keys, what: str, lineno: int) -> dict:
+    """The ``key=value`` words of ``text``; a key not in ``keys`` (when
+    given) is a ParseError at ``lineno`` naming it."""
     out = {}
     for item in text.split():
         k, _, v = item.partition("=")
+        if keys is not None and k not in keys:
+            takes = f"; it takes {', '.join(keys)}" if keys else ""
+            raise ParseError(f"{what} does not take {k!r}{takes}", lineno, 1)
         out[k] = v
     return out
 
 
+# spec transform (other than rescale) -> the keys its line may give
+_TRANSFORM_KEYS = {
+    "directional": ("index", "sign", "radial"),
+    "desingularize": (),
+    "quasipolar": ("m",),
+    "blowup": ("var", "w1", "w2", "sign", "radial"),
+    "restrict": ("var", "value"),
+}
+
+
 def _recipe_step(chart, t, op, params) -> dict:
-    """Lower one spec ``transform`` line to a provenance recipe step."""
+    """Lower one spec ``transform`` line to the provenance step its transform
+    records; :func:`horizon.compactify.apply_recipe` calls that transform."""
     if op in ("directional", "desingularize", "quasipolar") and t is None:
         raise ValueError("needs 'type' and 'order'")
     if op == "directional":
         return {"op": "directional", "params": {
-            "alpha": [str(a) for a in t.alpha], "k": str(t.k), "index": params["index"],
+            "alpha": t.alpha, "k": t.k, "index": params["index"],
             "sign": _sign(params), "radial": params.get("radial", "r")}}
     if op == "desingularize":
-        return {"op": "desingularize", "params": {"k": str(t.k)}}
+        return {"op": "desingularize", "params": {"k": t.k}}
     if op == "rescale":
-        if not params["factor"]:
+        if not params["monomial"]:
             raise ValueError("rescale needs a monomial factor")
-        poly = parse_genpoly(params["factor"], chart.poly_vars)
+        poly = parse_genpoly(params["monomial"], chart.poly_vars)
         if len(poly.terms) != 1:
             raise ValueError("rescale factor must be a single monomial")
         (ev, c), = poly.terms
@@ -500,15 +537,12 @@ def _recipe_step(chart, t, op, params) -> dict:
         if t.alpha != (1, Fraction(params["m"])):
             raise ValueError(f"m={params['m']} does not match the declared "
                              f"type {' '.join(map(str, t.alpha))}")
-        return {"op": "quasi_polar", "params": {
-            "m": params["m"], "k": str(t.k), "radial": "r", "angle": "theta"}}
+        return {"op": "quasi_polar", "params": {"m": params["m"], "k": t.k}}
     if op == "blowup":
         return {"op": "blowup", "params": {
             "weights": [params["w1"], params["w2"]], "chart_var": params["var"],
             "sign": _sign(params), "radial": params.get("radial", "r")}}
-    if op == "restrict":
-        return {"op": "restrict", "params": {"var": params["var"], "value": params["value"]}}
-    raise ValueError(f"unknown transform {op!r}")
+    return {"op": "restrict", "params": params}
 
 
 def _sign(params) -> int:
@@ -516,19 +550,6 @@ def _sign(params) -> int:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', not {sign!r}")
     return 1 if sign == "+" else -1
-
-
-def replay_chart(chart_doc: dict):
-    """Rebuild a ChartField from a report's chart block (provenance replay)."""
-    prov = chart_doc["provenance"]
-    base_step = prov[0]
-    bp = base_step["params"]
-    vars = tuple(bp["vars"])
-    comps = [parse_genpoly(c, vars) for c in bp["components"]]
-    pre = parse_genpoly(bp["prefactor"], vars) if bp.get("prefactor") else None
-    base = base_field(vars, comps, positive=tuple(bp.get("positive", ())),
-                      prefactor=pre, name=bp.get("name", "base"))
-    return apply_recipe(base, prov[1:])
 
 
 if __name__ == "__main__":

@@ -21,7 +21,14 @@ Transforms provided:
   expressed as polynomials in (r, Cs, Sn) using the closure identity
   Cs^(2m) = 1 - m Sn^2
 * restriction to an invariant coordinate slice
-* exact inversion back to base coordinates
+* exact inversion back to base coordinates: every chart records each base
+  variable as a monomial over its polynomial variables (Cs, Sn on a
+  quasi-polar chart)
+
+Each transform records one provenance step: its op and the keyword
+arguments it was called with, in JSON form.  That record is the only
+description of how a chart was built; :func:`apply_recipe` rebuilds a chart
+by calling the transform of each step with the step's params.
 
 Sign conventions: a time rescale with factor phi means d(old time)/d(new
 time) = phi, so components are multiplied by phi and phi joins the chain.
@@ -29,6 +36,7 @@ time) = phi, so components are multiplied by phi and phi joins the chain.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -47,6 +55,7 @@ from .genpoly import (
     GenPoly,
     format_genpoly,
     frac,
+    parse_genpoly,
     power_source,
 )
 from .quasitrig import cssn, table
@@ -113,7 +122,7 @@ class ChartField:
     positive: tuple[str, ...] = ()        # sign-masked (positive-only) variables
     quasipolar_index: int | None = None   # l for (Cs, Sn) symbols, if present
     angle: str | None = None
-    inverse: tuple[tuple[str, GenMonomial], ...] = ()  # base var -> monomial in chart vars
+    inverse: tuple[tuple[str, GenMonomial], ...] = ()  # base var -> monomial over poly_vars
 
     @property
     def poly_vars(self) -> tuple[str, ...]:
@@ -271,17 +280,17 @@ def monomial_chart(
     *,
     radial: str | None = None,
     positive: Sequence[str] = (),
-    op: str = "monomial_chart",
-    params: dict | None = None,
 ) -> ChartField:
     """Push the field through an invertible monomial map old = m(new).
 
     Each old variable must be assigned a monomial with coefficient +-1 in the
-    new variables.  Uses d(log old_i) = sum_j E_ij d(log new_j), so
+    new variables (a GenMonomial or its recorded form).  Uses
+    d(log old_i) = sum_j E_ij d(log new_j), so
     new_j' = new_j * sum_i (E^-1)_ji * old_i' / old_i, evaluated exactly.
     """
     if C.quasipolar_index is not None:
         raise ValueError("cannot re-chart a quasi-polar chart")
+    assignments = {v: _monomial(m) for v, m in assignments.items()}
     new_vars = tuple(new_vars)
     old_vars = C.vars
     n = len(old_vars)
@@ -317,17 +326,9 @@ def monomial_chart(
         new_components.append(acc.mul_monomial(GenMonomial.make(1, {nv: 1})))
 
     chain = tuple(f.substitute_power(assignments, new_vars) for f in C.time_chain)
-    inverse = []
-    for bv, mono in C.inverse:
-        composed = GenPoly.monomial(old_vars, mono).substitute_power(assignments, new_vars)
-        [(ev, c)] = composed.terms if composed.terms else [((Fraction(0),) * n, 0)]
-        inverse.append(
-            (bv, GenMonomial.make(c, dict(zip(new_vars, ev))))
-        )
     step = TransformStep(
-        op,
-        params
-        or {
+        "monomial_chart",
+        {
             "assignments": {v: _jsonable(m) for v, m in assignments.items()},
             "new_vars": list(new_vars),
             "radial": radial,
@@ -341,19 +342,43 @@ def monomial_chart(
         provenance=C.provenance + (step,),
         radial=radial,
         positive=tuple(positive),
-        inverse=tuple(inverse),
+        inverse=_compose_inverse(C, assignments, new_vars),
     )
+
+
+def _compose_inverse(C, sub, new_vars):
+    """``C.inverse`` with each chart variable replaced by its monomial in
+    ``new_vars`` (``sub``): base variable -> monomial in ``new_vars``."""
+    inverse = []
+    for bv, mono in C.inverse:
+        composed = GenPoly.monomial(C.vars, mono).substitute_power(sub, new_vars)
+        [(ev, c)] = composed.terms if composed.terms else [((Fraction(0),) * len(new_vars), 0)]
+        inverse.append((bv, GenMonomial.make(c, dict(zip(new_vars, ev)))))
+    return tuple(inverse)
+
+
+def _monomial(m) -> GenMonomial:
+    """``m``, or the GenMonomial its recorded form ``{"coeff", "exps"}`` names."""
+    if isinstance(m, GenMonomial):
+        return m
+    c = m["coeff"]
+    return GenMonomial.make(frac(c) if isinstance(c, str) else c, m["exps"])
+
+
+def _relabel(C: ChartField, op: str, params: dict) -> ChartField:
+    """``C`` with its last provenance step recorded as ``op`` with ``params``."""
+    return replace(C, provenance=C.provenance[:-1] + (TransformStep(op, params),))
 
 
 def directional_compactify(
     C: ChartField,
     t: TypeVector,
-    i: int | str,
+    index: int | str,
     sign: int = 1,
     *,
-    radial_name: str = "r",
+    radial: str = "r",
 ) -> ChartField:
-    """Directional compactification in direction i: y_i = sign * r^-a_i,
+    """Directional compactification in direction ``index``: y_i = sign * r^-a_i,
     y_j = x_j * r^-a_j.  This is the weighted chart of a blow-up with the
     negated type as weights, keeping the variable names.  The result is the
     pushed-forward field BEFORE any time rescaling; the inverse map is
@@ -361,45 +386,43 @@ def directional_compactify(
     (:func:`certify_type`), else ResidualSingularityError."""
     certify_type(C.components, t)
     vars = C.vars
-    if isinstance(i, str):
-        i = vars.index(i)
-    if t.alpha[i] == 0:
-        raise ValueError(f"direction {vars[i]!r} has type entry 0")
+    if isinstance(index, str):
+        index = vars.index(index)
+    if t.alpha[index] == 0:
+        raise ValueError(f"direction {vars[index]!r} has type entry 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    return _weighted_chart(
-        C, [-a for a in t.alpha], i, sign, radial_name, "",
+    return _relabel(
+        _weighted_chart(C, [-a for a in t.alpha], index, sign, radial, ""),
         "directional",
         {
             "alpha": [str(a) for a in t.alpha],
             "k": str(t.k),
-            "index": vars[i],
+            "index": vars[index],
             "sign": sign,
-            "radial": radial_name,
+            "radial": radial,
         },
     )
 
 
-def _weighted_chart(C, weights, i, sign, radial_name, suffix, op, params):
+def _weighted_chart(C, weights, i, sign, radial, suffix):
     """The chart x_i = sign * r^w_i, x_j = r^w_j * x_j<suffix> (j != i) with
     radial variable r: a weighted blow-up, or with negative weights a
     directional compactification."""
     vars = C.vars
-    new_vars = (radial_name,) + tuple(v + suffix for j, v in enumerate(vars) if j != i)
+    new_vars = (radial,) + tuple(v + suffix for j, v in enumerate(vars) if j != i)
     assignments = {}
     for j, v in enumerate(vars):
         if j == i:
-            assignments[v] = GenMonomial.make(sign, {radial_name: weights[j]})
+            assignments[v] = GenMonomial.make(sign, {radial: weights[j]})
         else:
-            assignments[v] = GenMonomial.make(1, {v + suffix: 1, radial_name: weights[j]})
+            assignments[v] = GenMonomial.make(1, {v + suffix: 1, radial: weights[j]})
     return monomial_chart(
         C,
         assignments,
         new_vars,
-        radial=radial_name,
-        positive=(radial_name,) + tuple(v for v in C.positive if v in new_vars),
-        op=op,
-        params=params,
+        radial=radial,
+        positive=(radial,) + tuple(v for v in C.positive if v in new_vars),
     )
 
 
@@ -412,12 +435,7 @@ def desingularize(C: ChartField, k) -> ChartField:
     if C.radial is None:
         raise ValueError("chart has no radial variable")
     k = frac(k)
-    out = time_rescale(
-        C,
-        GenMonomial.make(1, {C.radial: k}),
-        op="desingularize",
-        params={"k": str(k)},
-    )
+    out = time_rescale(C, GenMonomial.make(1, {C.radial: k}))
     for v, comp in zip(out.vars, out.components):
         e = comp.min_exponent(out.radial)
         if e is not None and e < 0:
@@ -426,33 +444,28 @@ def desingularize(C: ChartField, k) -> ChartField:
                 f"{out.radial}^{k}; the field is not asymptotically "
                 "quasi-homogeneous for this type"
             )
-    return out
+    return _relabel(out, "desingularize", {"k": str(k)})
 
 
-def time_rescale(
-    C: ChartField,
-    factor: GenMonomial,
-    *,
-    op: str = "time_rescale",
-    params: dict | None = None,
-) -> ChartField:
-    """Orbital-equivalence rescale: factor = d(old time)/d(new time).
+def time_rescale(C: ChartField, monomial: GenMonomial | dict) -> ChartField:
+    """Orbital-equivalence rescale: monomial = d(old time)/d(new time).
 
-    Components are multiplied by the monomial factor and the factor joins
-    the time chain.  It is certified positive by a positive coefficient and
-    every variable in it sign-masked positive (in ``C.positive``: declared
-    positive, or a radial variable), so it neither vanishes nor changes
-    sign; Cs/Sn never qualify.  Otherwise SignError.
+    Components are multiplied by the monomial (a GenMonomial or its recorded
+    form) and it joins the time chain.  It is certified positive by a
+    positive coefficient and every variable in it sign-masked positive (in
+    ``C.positive``: declared positive, or a radial variable), so it neither
+    vanishes nor changes sign; Cs/Sn never qualify.  Otherwise SignError.
     """
-    fpoly = GenPoly.monomial(C.poly_vars, factor)
-    if not factor.coeff > 0:
+    monomial = _monomial(monomial)
+    fpoly = GenPoly.monomial(C.poly_vars, monomial)
+    if not monomial.coeff > 0:
         raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
-                        f"coefficient {factor.coeff}")
-    for v, e in factor.exps:
+                        f"coefficient {monomial.coeff}")
+    for v, e in monomial.exps:
         if v not in C.positive:
             raise SignError(f"time factor {format_genpoly(fpoly)} is not positive: "
                             f"{v} has exponent {e} and is not declared positive")
-    step = TransformStep(op, params or {"monomial": _jsonable(factor)})
+    step = TransformStep("time_rescale", {"monomial": _jsonable(monomial)})
     return replace(
         C,
         components=tuple(c * fpoly for c in C.components),
@@ -469,8 +482,8 @@ def quasi_polar_compactify(
     m: int,
     k,
     *,
-    radial_name: str = "r",
-    angle_name: str = "theta",
+    radial: str = "r",
+    angle: str = "theta",
 ) -> ChartField:
     """Quasi-polar compactification of a planar type-(1,m) field.
 
@@ -479,49 +492,50 @@ def quasi_polar_compactify(
     (:func:`certify_type`), else ResidualSingularityError.  The returned
     chart is already desingularized (multiplied by r^k, time chain gains
     r^k) and its components are polynomials in (r, Cs, Sn) reduced by
-    Cs^(2m) -> 1 - m*Sn^2.
+    Cs^(2m) -> 1 - m*Sn^2.  Its inverse is recorded over the same
+    polynomial variables (y1 = Cs r^-1, y2 = Sn r^-m).
     """
     if len(C.vars) != 2:
         raise ValueError("quasi-polar compactification needs a planar field")
     m = int(m)
     k = frac(k)
     certify_type(C.components, TypeVector.make((1, m), k))
-    pv = (radial_name, CS, SN)
+    pv = (radial, CS, SN)
     sub = {
-        C.vars[0]: GenMonomial.make(1, {CS: 1, radial_name: -1}),
-        C.vars[1]: GenMonomial.make(1, {SN: 1, radial_name: -m}),
+        C.vars[0]: GenMonomial.make(1, {CS: 1, radial: -1}),
+        C.vars[1]: GenMonomial.make(1, {SN: 1, radial: -m}),
     }
     F1 = C.components[0].substitute_power(sub, pv)
     F2 = C.components[1].substitute_power(sub, pv)
-    r2 = GenMonomial.make(1, {radial_name: 2})
-    rm1 = GenMonomial.make(1, {radial_name: m + 1})
-    r1 = GenMonomial.make(1, {radial_name: 1})
-    rm = GenMonomial.make(1, {radial_name: m})
+    r2 = GenMonomial.make(1, {radial: 2})
+    rm1 = GenMonomial.make(1, {radial: m + 1})
+    r1 = GenMonomial.make(1, {radial: 1})
+    rm = GenMonomial.make(1, {radial: m})
     cs_pow = GenMonomial.make(1, {CS: 2 * m - 1})
     sn1 = GenMonomial.make(1, {SN: 1})
     cs1 = GenMonomial.make(1, {CS: 1})
     # dr = -(Cs^(2m-1) r^2 F1 + Sn r^(m+1) F2),  dtheta = -m Sn r F1 + Cs r^m F2
     dr = -(F1.mul_monomial(r2).mul_monomial(cs_pow) + F2.mul_monomial(rm1).mul_monomial(sn1))
     dth = F2.mul_monomial(rm).mul_monomial(cs1) - m * F1.mul_monomial(r1).mul_monomial(sn1)
-    rk = GenMonomial.make(1, {radial_name: k})
+    rk = GenMonomial.make(1, {radial: k})
     dr = _quasitrig_reduce(dr.mul_monomial(rk), m)
     dth = _quasitrig_reduce(dth.mul_monomial(rk), m)
     chain = tuple(
         _quasitrig_reduce(f.substitute_power(sub, pv), m) for f in C.time_chain
     ) + (GenPoly.monomial(pv, rk),)
     step = TransformStep(
-        "quasi_polar", {"m": m, "k": str(k), "radial": radial_name, "angle": angle_name}
+        "quasi_polar", {"m": m, "k": str(k), "radial": radial, "angle": angle}
     )
     return ChartField(
-        vars=(radial_name, angle_name),
+        vars=(radial, angle),
         components=(dr, dth),
         time_chain=chain,
         provenance=C.provenance + (step,),
-        radial=radial_name,
-        positive=(radial_name,),
+        radial=radial,
+        positive=(radial,),
         quasipolar_index=m,
-        angle=angle_name,
-        inverse=(),  # inversion handled specially (needs Cs/Sn evaluation)
+        angle=angle,
+        inverse=_compose_inverse(C, sub, pv),
     )
 
 
@@ -570,7 +584,7 @@ def blowup_chart(
     chart_var: int | str,
     sign: int = 1,
     *,
-    radial_name: str = "r",
+    radial: str = "r",
 ) -> ChartField:
     """Weighted blow-up of a degenerate equilibrium at the chart origin.
 
@@ -582,14 +596,14 @@ def blowup_chart(
     vars = C.vars
     if isinstance(chart_var, str):
         chart_var = vars.index(chart_var)
-    return _weighted_chart(
-        C, weights, chart_var, sign, radial_name, "_b",
+    return _relabel(
+        _weighted_chart(C, weights, chart_var, sign, radial, "_b"),
         "blowup",
         {
             "weights": [str(frac(w)) for w in weights],
             "chart_var": vars[chart_var],
             "sign": sign,
-            "radial": radial_name,
+            "radial": radial,
         },
     )
 
@@ -598,8 +612,11 @@ def restrict_invariant(C: ChartField, var: str, value) -> ChartField:
     """Restrict to the invariant slice {var = value}.
 
     The sliced component must vanish identically on the slice (exact check);
-    otherwise the slice is not invariant and ValueError is raised.
+    otherwise the slice is not invariant and ValueError is raised.  A float
+    ``value`` is kept as it is, any other (as recorded, ``"1/2"``) is exact.
     """
+    if not isinstance(value, float):
+        value = frac(value)
     i = C.vars.index(var)
     on_slice = C.components[i].substitute_value(var, value)
     if not on_slice.is_zero():
@@ -615,7 +632,7 @@ def restrict_invariant(C: ChartField, var: str, value) -> ChartField:
     inverse = tuple(
         (bv, m) for bv, m in C.inverse if all(v != var or e == 0 for v, e in m.exps)
     )
-    step = TransformStep("restrict", {"var": var, "value": _jsonable(frac(value) if not isinstance(value, float) else value)})
+    step = TransformStep("restrict", {"var": var, "value": _jsonable(value)})
     return ChartField(
         vars=new_vars,
         components=comps,
@@ -668,14 +685,15 @@ def horizon_is_invariant_syntactically(C: ChartField) -> bool:
 
 
 def inverse_transform(C: ChartField, state: Sequence[float]) -> dict[str, float]:
-    """Map a chart point back to base coordinates (exact monomial inverse)."""
-    if C.quasipolar_index is not None:
-        return _quasipolar_inverse(C, state)
+    """Map a chart point back to base coordinates: the recorded monomial
+    inverse evaluated over the chart's polynomial variables (Cs, Sn of the
+    angle on a quasi-polar chart)."""
+    point = dict(zip(C.poly_vars, C.state_to_poly_point(state)))
     out = {}
     for bv, m in C.inverse:
         val = float(m.coeff)
         for v, e in m.exps:
-            x = state[C.vars.index(v)]
+            x = point[v]
             if x == 0.0 and e < 0:
                 raise DomainError(f"inverse transform undefined at {v} = 0")
             if x < 0.0 and e.denominator != 1:
@@ -683,19 +701,6 @@ def inverse_transform(C: ChartField, state: Sequence[float]) -> dict[str, float]
             val *= float(x) ** float(e)
         out[bv] = val
     return out
-
-
-def _quasipolar_inverse(C: ChartField, state):
-    step = next(s for s in C.provenance if s.op == "quasi_polar")
-    m = step.params["m"]
-    r = state[C.vars.index(C.radial)]
-    theta = state[C.vars.index(C.angle)]
-    if r == 0.0:
-        raise DomainError("inverse transform undefined on the horizon")
-    c, s = cssn(theta, m)
-    base_step = C.provenance[0]
-    y1, y2 = base_step.params["vars"]
-    return {y1: c / r, y2: s / r**m}
 
 
 def forward_point(C: ChartField, base_point: Mapping[str, float]) -> list[float]:
@@ -734,67 +739,51 @@ def forward_point(C: ChartField, base_point: Mapping[str, float]) -> list[float]
 # -- recipe replay ------------------------------------------------------------
 
 
-def apply_recipe(C: ChartField, steps: Sequence[TransformStep | dict]) -> ChartField:
-    """Replay a provenance list (minus the base step) onto a base chart."""
-    out = C
+def _replay_base(_, name, vars, components, prefactor, positive):
+    """A base step starts a new chart: its field parsed from the recorded text."""
+    return base_field(
+        vars,
+        [parse_genpoly(c, vars) for c in components],
+        positive=positive,
+        prefactor=parse_genpoly(prefactor, vars) if prefactor else None,
+        name=name,
+    )
+
+
+def _replay_directional(C, alpha, k, index, sign, radial):
+    """A directional step: its type recorded as ``alpha`` and ``k``."""
+    t = TypeVector.make([frac(a) for a in alpha], frac(k))
+    return directional_compactify(C, t, index, sign, radial=radial)
+
+
+# op -> the transform that records it, called with the step's params
+_REPLAY = {
+    "base": _replay_base,
+    "monomial_chart": monomial_chart,
+    "directional": _replay_directional,
+    "desingularize": desingularize,
+    "time_rescale": time_rescale,
+    "quasi_polar": quasi_polar_compactify,
+    "blowup": blowup_chart,
+    "restrict": restrict_invariant,
+}
+
+
+def apply_recipe(C: ChartField | None, steps: Sequence[TransformStep | dict]) -> ChartField:
+    """Replay provenance steps (TransformSteps or their ``to_dict`` form)
+    onto ``C``: each step calls the transform that recorded it with the
+    step's params as keywords.  A ``base`` step starts a new chart, so
+    ``apply_recipe(None, chart.to_dict()["provenance"])`` rebuilds a chart.
+    An unknown op, or params its transform does not take, is a ValueError
+    naming the op, raised before the transform runs."""
     for s in steps:
-        if isinstance(s, TransformStep):
-            op, params = s.op, s.params
-        else:
-            op, params = s["op"], s["params"]
-        if op == "base":
-            continue
-        elif op == "monomial_chart":
-            assignments = {
-                v: GenMonomial.make(
-                    _coeff_from_json(m["coeff"]),
-                    {nv: frac(e) for nv, e in m["exps"].items()},
-                )
-                for v, m in params["assignments"].items()
-            }
-            out = monomial_chart(
-                out, assignments, tuple(params["new_vars"]),
-                radial=params.get("radial"),
-                positive=tuple(params.get("positive", ())),
-            )
-        elif op == "directional":
-            t = TypeVector.make([frac(a) for a in params["alpha"]], frac(params["k"]))
-            out = directional_compactify(
-                out, t, params["index"], params["sign"], radial_name=params["radial"]
-            )
-        elif op == "desingularize":
-            out = desingularize(out, frac(params["k"]))
-        elif op == "time_rescale":
-            m = params["monomial"]
-            mono = GenMonomial.make(
-                _coeff_from_json(m["coeff"]), {v: frac(e) for v, e in m["exps"].items()}
-            )
-            out = time_rescale(out, mono)
-        elif op == "quasi_polar":
-            out = quasi_polar_compactify(
-                out,
-                int(params["m"]),
-                frac(params["k"]),
-                radial_name=params["radial"],
-                angle_name=params["angle"],
-            )
-        elif op == "blowup":
-            out = blowup_chart(
-                out,
-                tuple(frac(w) for w in params["weights"]),
-                params["chart_var"],
-                int(params["sign"]),
-                radial_name=params.get("radial", "r"),
-            )
-        elif op == "restrict":
-            v = params["value"]
-            out = restrict_invariant(out, params["var"], frac(v) if isinstance(v, str) else v)
-        else:
+        op, params = (s.op, s.params) if isinstance(s, TransformStep) else (s["op"], s["params"])
+        if op not in _REPLAY:
             raise ValueError(f"unknown transform op {op!r}")
-    return out
-
-
-def _coeff_from_json(c):
-    if isinstance(c, str):
-        return frac(c)
-    return c
+        transform = _REPLAY[op]
+        try:
+            inspect.signature(transform).bind(C, **params)
+        except TypeError as exc:
+            raise ValueError(f"transform op {op!r}: {exc}") from None
+        C = transform(C, **params)
+    return C

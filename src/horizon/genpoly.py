@@ -120,6 +120,9 @@ class GenPoly:
     def __setattr__(self, *a):  # immutability
         raise AttributeError("GenPoly is immutable")
 
+    def __reduce__(self):  # pickle through the constructor, which sets the slots
+        return GenPoly, (self.vars, self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

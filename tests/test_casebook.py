@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
 from horizon.compactify import (
+    apply_recipe,
     base_field,
     blowup_chart,
     forward_point,
@@ -22,7 +23,7 @@ from horizon.compactify import (
 )
 from horizon.dynamics import integrate
 from horizon.genpoly import parse_genpoly
-from horizon.structure import certify_type
+from horizon.structure import TypeVector, certify_type
 
 ALL_CASES = sorted(builtin_cases())
 
@@ -46,7 +47,7 @@ def test_fhn_reaction_polynomial():
     # psi component carries -u^p (1-u)(u-a) = a u^p - (1+a) u^(p+1) + u^(p+2)
     m, p, a = 1, F(1, 2), F(1, 4)
     cdef = get_case("fhn").definition({"m": m, "p": p, "a": a})
-    psi_dot = cdef.base.components[1]
+    psi_dot = apply_recipe(None, cdef.chart.provenance[:1]).components[1]
     terms = dict(psi_dot.terms)
     assert terms[(p, F(0))] == a
     assert terms[(p + 1, F(0))] == -(1 + a)
@@ -174,13 +175,16 @@ def test_search_box_grows_only_for_an_equilibrium_outside_it():
     assert spec.eq_box == {"v1": (0.0, 2.0)}
 
 
-@pytest.mark.parametrize("name,qh", [("aiu", True), ("iy", True),
-                                     ("andrews1", True), ("andrews2", True),
-                                     ("lienard", False)])
-def test_declared_scaling_types(name, qh):
+@pytest.mark.parametrize("name,t,qh", [
+    ("aiu", TypeVector.make((0, 1), 1), True),
+    ("iy", TypeVector.make((1, 1), 3), True),
+    ("andrews1", TypeVector.make((1, 1), 3), True),
+    ("andrews2", TypeVector.make((1, 1, 1), 2), True),
+    ("lienard", TypeVector.make((1, 4), 3), False),
+], ids=["aiu-True", "iy-True", "andrews1-True", "andrews2-True", "lienard-False"])
+def test_declared_scaling_types(name, t, qh):
     cdef = get_case(name).definition()
-    base = cdef.base
-    t = cdef.type_vector
+    base = apply_recipe(None, cdef.chart.provenance[:1])
     assert (certify_type(list(base.components), t) is None) == qh
 
 
@@ -206,27 +210,25 @@ SPEC_FILES = sorted(pathlib.Path(__file__).resolve().parents[1].glob("cases/*.sp
 
 @pytest.mark.parametrize("source", ALL_CASES + [f.name for f in SPEC_FILES])
 def test_provenance_replay_reproduces_chart(source):
-    from horizon.cli import parse_spec_file, replay_chart
+    from horizon.cli import parse_spec_file
 
     if source.endswith(".spec"):
         chart = parse_spec_file(SPEC_FILES[0].parent / source).chart
     else:
         chart = get_case(source).definition().chart
     doc = chart.to_dict()
-    rebuilt = replay_chart(json.loads(json.dumps(doc)))
+    rebuilt = apply_recipe(None, json.loads(json.dumps(doc))["provenance"])
     assert rebuilt.vars == chart.vars
     assert rebuilt.radial == chart.radial
     assert rebuilt.to_dict() == doc  # components, time chain, provenance
 
 
 def test_blowup_replay_keeps_radial_name():
-    from horizon.cli import replay_chart
-
     vars = ("phi", "psi")
     base = base_field(vars, [parse_genpoly("psi", vars),
                              parse_genpoly("-psi - phi^2", vars)], name="wave")
-    chart = blowup_chart(base, (1, 2), "phi", radial_name="rho")
-    rebuilt = replay_chart(chart.to_dict())
+    chart = blowup_chart(base, (1, 2), "phi", radial="rho")
+    rebuilt = apply_recipe(None, chart.to_dict()["provenance"])
     assert rebuilt.vars == ("rho", "psi_b")
     assert rebuilt.radial == "rho"
 
@@ -294,6 +296,7 @@ def test_orbital_equivalence(name):
     interior point must trace the same orbit (different clocks)."""
     cdef = get_case(name).definition()
     chart = cdef.chart
+    base = apply_recipe(None, chart.provenance[:1])
     check_point, span = ORBITAL_CHECKS[name]
     if chart.quasipolar_index is not None:
         chart_start = [0.5, 0.3]
@@ -304,8 +307,8 @@ def test_orbital_equivalence(name):
     # compare in the base coordinates the chart can reconstruct (a restriction
     # step eliminates variables tied to others on the invariant slice)
     probe = inverse_transform(chart, traj_c.states[0])
-    cmp_vars = [v for v in cdef.base.vars if v in probe]
-    cmp_idx = [cdef.base.vars.index(v) for v in cmp_vars]
+    cmp_vars = [v for v in base.vars if v in probe]
+    cmp_idx = [base.vars.index(v) for v in cmp_vars]
     curve_a = np.array([
         [inverse_transform(chart, st)[v] for v in cmp_vars]
         for st in traj_c.states
@@ -313,14 +316,14 @@ def test_orbital_equivalence(name):
     y0_full = dict(check_point)
     for v, val in zip(cmp_vars, curve_a[0]):
         y0_full[v] = val
-    y0 = np.array([y0_full[v] for v in cdef.base.vars])
+    y0 = np.array([y0_full[v] for v in base.vars])
     y1 = curve_a[-1]
 
     # coarse pass to bracket the closest approach to the chart endpoint
-    scale_speed = np.linalg.norm(cdef.base.eval_components(list(y0)))
+    scale_speed = np.linalg.norm(base.eval_components(list(y0)))
     arc_est = float(np.sum(np.linalg.norm(np.diff(curve_a, axis=0), axis=1)))
     t_span = 3.0 * arc_est / max(scale_speed, 1e-12)
-    traj_b = integrate(cdef.base, list(y0), t_span, rtol=1e-12, atol=1e-13,
+    traj_b = integrate(base, list(y0), t_span, rtol=1e-12, atol=1e-13,
                        h_max=t_span / 4000, stop_at_equilibrium=False)
     d_end = np.linalg.norm(traj_b.states[:, cmp_idx] - y1, axis=1)
     stop = int(np.argmin(d_end))
@@ -330,14 +333,14 @@ def test_orbital_equivalence(name):
     # derivative (y - y1) . f turns from negative to positive there), by
     # bisecting on the end time of short runs from a few steps before
     def radial_derivative(state):
-        f = cdef.base.eval_components(state)
+        f = base.eval_components(state)
         return sum((state[i] - b) * f[i] for i, b in zip(cmp_idx, y1))
 
     i0 = max(stop - 3, 0)
     t_seg = traj_b.tau[min(stop + 3, len(traj_b.tau) - 1)] - traj_b.tau[i0]
 
     def run_to(t_end):
-        return integrate(cdef.base, list(traj_b.states[i0]), t_end, rtol=1e-12,
+        return integrate(base, list(traj_b.states[i0]), t_end, rtol=1e-12,
                          atol=1e-13, h_max=t_seg / 50, stop_at_equilibrium=False)
 
     lo, hi = 0.0, t_seg

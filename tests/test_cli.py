@@ -12,7 +12,8 @@ import pytest
 
 from horizon import casebook
 from horizon.casebook import chart_section, get_case
-from horizon.cli import _write_report, main, parse_spec_file, replay_chart
+from horizon.cli import _write_report, main, parse_spec_file
+from horizon.compactify import apply_recipe
 from horizon.dynamics import integrate
 from horizon.errors import ParseError
 
@@ -228,6 +229,23 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [e["coords"] for e in doc["equilibria"]] == [[0.0]]
 
+    @pytest.mark.parametrize("spec,old,new,word", [
+        ("quench1.spec", "sign=-", "sgn=-", "'sgn'"),
+        ("iy.spec", "tol-rho=0.03", "tol_rho=0.001", "'tol_rho'"),
+        ("iy.spec", "initial r=0.5 v1=0.5", "initial r=0.5 v1=0.5 v2=3", "'v2'"),
+        ("aiu.spec", "var u1 positive", "var u1 postive", "'postive'"),
+        ("aiu.spec", "1e-3 absolute", "1e-3 absolut", "'absolut'"),
+    ], ids=["transform-key", "expect-key", "initial-name", "var-flag", "window-word"])
+    def test_undefined_word_is_2(self, tmp_path, capsys, spec, old, new, word):
+        # each of these was ignored: the run went ahead without the word
+        text = (CASES_DIR / spec).read_text()
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if old in ln)
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line} " in err and word in err
+
     def test_unknown_kind_is_2(self, tmp_path, capsys):
         p = write(tmp_path, GOOD_SPEC.replace("kind blow-up", "kind blowup"))
         rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
@@ -280,7 +298,7 @@ class TestReports:
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["schema"] == 2
-        rebuilt = replay_chart(doc["chart"])
+        rebuilt = apply_recipe(None, doc["chart"]["provenance"])
         from horizon.genpoly import format_genpoly
 
         assert [format_genpoly(c) for c in rebuilt.components] == \

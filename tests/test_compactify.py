@@ -390,7 +390,7 @@ class TestQuenchChain:
         assert D0.components[0] == gp(f"phi^{alpha} * psi", vars)
         assert D0.components[1] == gp(f"-{c}*phi^{alpha}*psi - 1", vars)
         DC = directional_compactify(
-            D0, TypeVector.make((1, 1), alpha), "psi", sign=-1, radial_name="lam"
+            D0, TypeVector.make((1, 1), alpha), "psi", sign=-1, radial="lam"
         )
         DS = desingularize(DC, alpha)
         pv = ("lam", "phi")
@@ -406,7 +406,7 @@ class TestQuenchChain:
                 (F(0), F(alpha)): -1,
             },
         )
-        B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial_name="r")
+        B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial="r")
         R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}))
         pv2 = ("r", "phi_b")
         # alpha=2: dr = r(c r^3 xb^2 - 1); dxb = 2 xb - xb^2 - 2 c r^3 xb^3
@@ -437,3 +437,36 @@ def test_recipe_replay_reproduces_chart():
     assert replayed.components == E.components
     assert replayed.time_chain == E.time_chain
     assert replayed.vars == E.vars
+
+
+class TestReplay:
+    def test_schema1_blowup_without_radial_replays_to_r(self):
+        vars = ("phi", "psi")
+        base = base_field(vars, [gp("psi", vars), gp("-psi - phi^2", vars)], name="wave")
+        steps = [s.to_dict() for s in blowup_chart(base, (1, 2), "phi").provenance]
+        del steps[1]["params"]["radial"]  # schema 1 did not record it
+        rebuilt = apply_recipe(None, steps)
+        assert rebuilt.vars == ("r", "psi_b")
+        assert rebuilt.radial == "r"
+        assert rebuilt.to_dict() == blowup_chart(base, (1, 2), "phi").to_dict()
+
+    def test_unknown_op_is_refused(self):
+        with pytest.raises(ValueError, match="unknown transform op 'twist'"):
+            apply_recipe(aiu_base(), [{"op": "twist", "params": {}}])
+
+    @pytest.mark.parametrize("op,params", [
+        ("desingularize", {"k": "1", "sgn": -1}),
+        ("directional", {"alpha": ["0", "1"], "k": "1", "index": "u1", "sign": 1}),
+        ("restrict", {"var": "u0", "value": "1", "at": 0}),
+    ], ids=["extra-key", "missing-key", "restrict-extra-key"])
+    def test_params_that_do_not_fit_are_refused_naming_the_op(self, op, params):
+        with pytest.raises(ValueError, match=f"transform op '{op}'"):
+            apply_recipe(aiu_base(), [{"op": op, "params": params}])
+
+    def test_quasipolar_inverse_is_undefined_on_the_horizon(self):
+        from horizon.casebook import get_case
+
+        chart = get_case("lienard").definition().chart
+        assert inverse_transform(chart, [0.5, 0.0])["x"] == pytest.approx(2.0)
+        with pytest.raises(DomainError, match="r = 0"):
+            inverse_transform(chart, [0.0, 0.3])

@@ -140,6 +140,16 @@ def test_serialize_parse_roundtrip(p):
 
 @settings(max_examples=40, deadline=None)
 @given(polys())
+def test_pickle_roundtrip(p):
+    import pickle
+
+    again = pickle.loads(pickle.dumps(p))
+    assert again == p
+    assert again.vars == p.vars and again.terms == p.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys())
 def test_substitute_roundtrip_inverse_monomial(p):
     fwd = {
         "x": GenMonomial.make(1, {"u": 2, "v": -1}),

@@ -73,7 +73,7 @@ def quench_chart(alpha, c):
     )
     D0 = time_rescale(C, GenMonomial.make(1, {"phi": alpha}))
     DC = directional_compactify(
-        D0, TypeVector.make((1, 1), alpha), "psi", sign=-1, radial_name="lam"
+        D0, TypeVector.make((1, 1), alpha), "psi", sign=-1, radial="lam"
     )
     return desingularize(DC, alpha)
 
@@ -130,7 +130,7 @@ class TestHorizonEquilibria:
     def test_quench_alpha2_blowup_chart_saddle_and_sink(self):
         alpha, c = 2, 1
         DS = quench_chart(alpha, c)
-        B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial_name="r")
+        B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial="r")
         R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}))
         eqs, _ = horizon_equilibria(R, box={"phi_b": (-0.5, 3.0)})
         assert len(eqs) == 2
