@@ -76,9 +76,9 @@ class Observable:
 @dataclass
 class RunPlan:
     """One integration run of a case.  The chart fixes how it is sampled:
-    along the center flow of ``center_eq`` when that is set, once per
-    revolution on a quasi-polar chart (``window`` unread), else on the
-    trajectory inside ``window``."""
+    along the center flow of the chart origin, solved to ``center_degree``,
+    when that is set, once per revolution on a quasi-polar chart (``window``
+    unread), else on the trajectory inside ``window``."""
 
     label: str
     initial: tuple[float, ...]
@@ -93,8 +93,7 @@ class RunPlan:
     stop_at_equilibrium: bool = True
     # False on a quasi-polar chart also checks log(1/r) is linear in t
     expect_finite_edge: bool = True
-    center_eq: tuple[float, float] | None = None
-    center_degree: int = 8
+    center_degree: int | None = None
     # the singular edge lies this far BEHIND the initial state (departure
     # from a saddle along its unstable manifold): s_j = edge_behind_s0 + t_j.
     # Used where approaching the opposite saddle is numerically unstable.
@@ -481,7 +480,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
                 Observable("phi", _abs_base(chart, "phi"),
                            RateModel(-1.0 / (1.0 - float(p)), 0.0), 0.1, 0.2),
             ),
-            center_eq=(0.0, 0.0),
             center_degree=int(math.ceil(float(N))) + 4,
         )
     ]
@@ -791,7 +789,7 @@ def chart_section(chart: ChartField) -> SectionSpec | None:
 
 
 def _execute_run(cdef, plan, out_dir):
-    if plan.center_eq is not None:
+    if plan.center_degree is not None:
         return _run_center_flow(cdef, plan)
     chart = cdef.chart
     section = chart_section(chart)
@@ -928,16 +926,17 @@ def _fit_row(obs, fit, verdicts):
 def _run_center_flow(cdef, plan):
     """Sample the frame coordinate along the analytically reduced center flow.
 
-    Near the degenerate equilibrium the transverse direction is exponentially
-    unstable backward in time, so instead of integrating toward it the run
-    solves the invariance equation, restricts the full field and the time
-    chain to the manifold, and quadratures s(x) = int chain / speed dx.  The
-    measured exponent comes from the actual field, not the predicted rate.
+    Near the degenerate equilibrium at the chart origin the transverse
+    direction is exponentially unstable backward in time, so instead of
+    integrating toward it the run solves the invariance equation, restricts
+    the full field and the time chain to the manifold, and quadratures
+    s(x) = int chain / speed dx.  The measured exponent comes from the
+    actual field, not the predicted rate.
     """
     from .localanalysis import _substitute_series  # shared helper
 
     chart = cdef.chart
-    series = center_manifold_series_1d(chart, plan.center_eq, plan.center_degree)
+    series = center_manifold_series_1d(chart, plan.center_degree)
     cvar, svar = series.center_var, series.stable_var
 
     def on_manifold(p):  # p restricted to the manifold, compiled

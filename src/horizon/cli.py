@@ -72,7 +72,11 @@ A spec word the format does not define is a parse error at its line: an
 ``expect`` key other than ``rho``, ``q``, ``tol-rho`` and ``tol-q``, an
 ``initial`` name that is not a variable of the chart, a ``var`` flag other
 than ``positive``, and a ``window`` word after the bounds other than
-``absolute``.
+``absolute``.  So is a fact the equilibrium search cannot use: an
+``equilibrium`` line gives one number per chart variable, the radial one
+included, and a ``box`` line names a chart variable other than the radial
+one; a ``quasipolar`` chart takes no ``box``, since its search brackets the
+angle.
 
 The chart sets how observables are sampled.  A ``quasipolar`` chart is
 sampled once per revolution of its angle ``theta`` and ignores ``window``;
@@ -334,13 +338,13 @@ class _SpecState:
         self.fields = {}
         self.alpha = None
         self.k = None
-        self.boxes = {}
+        self.boxes = {}                 # name -> ((low, high), line)
         self.transforms = []
         self.initial = {}               # name -> (value, line)
         # RunPlan keywords given by directives; RunPlan has the other defaults
         self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
         self.observables = []
-        self.expected_eqs = []
+        self.expected_eqs = []          # (coords, line)
         self.prefactor = None
 
     def finish(self) -> CaseDefinition:
@@ -372,6 +376,21 @@ class _SpecState:
             if v not in chart.vars:
                 raise ParseError(f"initial value for {v!r}, which is not a chart "
                                  f"variable ({', '.join(chart.vars)})", lineno, 1)
+        # a quasi-polar search brackets the angle; the others range over
+        # every chart variable but the radial one
+        searched = () if chart.quasipolar_index is not None else tuple(
+            v for v in chart.vars if v != chart.radial)
+        for v, (_, lineno) in self.boxes.items():
+            if v not in searched:
+                ranges = (f"it ranges over {', '.join(searched)}" if searched else
+                          "a quasi-polar chart's search brackets the angle")
+                raise ParseError(f"box for {v!r}, which the equilibrium search "
+                                 f"does not range over; {ranges}", lineno, 1)
+        for coords, lineno in self.expected_eqs:
+            if len(coords) != len(chart.vars):
+                raise ParseError(f"equilibrium needs one number per chart variable "
+                                 f"({', '.join(chart.vars)}), not {len(coords)}",
+                                 lineno, 1)
         pv = chart.poly_vars
         observables = []
         for name, expr_text, expect, lineno in self.observables:
@@ -393,8 +412,8 @@ class _SpecState:
             name=self.name,
             chart=chart,
             runs=[plan],
-            eq_box=self.boxes,
-            expected_equilibria=tuple(tuple(e) for e in self.expected_eqs),
+            eq_box={v: bounds for v, (bounds, _) in self.boxes.items()},
+            expected_equilibria=tuple(tuple(e) for e, _ in self.expected_eqs),
         )
 
 
@@ -445,7 +464,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.k = Fraction(rest)
     elif head == "box":
         parts = _words(rest, 3, "box <var> <low> <high>", lineno)
-        st.boxes[parts[0]] = (float(parts[1]), float(parts[2]))
+        st.boxes[parts[0]] = ((float(parts[1]), float(parts[2])), lineno)
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
         if op == "rescale":
@@ -485,7 +504,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
                              f"{', '.join(_KINDS)}", lineno, 1)
         st.plan["expect_finite_edge"] = _KINDS[rest]
     elif head == "equilibrium":
-        st.expected_eqs.append([float(Fraction(x)) for x in rest.split()])
+        st.expected_eqs.append(([float(Fraction(x)) for x in rest.split()], lineno))
     else:
         raise ParseError(f"unknown directive {head!r}", lineno, 1)
 

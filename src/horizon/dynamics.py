@@ -354,37 +354,19 @@ def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_
     alone, which must be monotone within the step, and recorded as (tau,
     state, t, step index, partial increment).
     """
-    dense = _DenseSeg(tau, h, y, k)
-    angle_sign = _angle_sign(y, y5, si)
+    angle_sign = 1.0 if y5[si] < y[si] else -1.0
     y_si, k_si = y[si], [ks[si] for ks in k]
     while new_count > count:
         count += 1
         target = -count * period * angle_sign
-        # the angle component of dense.state_at, by the same operations
+        # the angle component of the dense output, by the same operations
         th = _bisect_event(
             lambda s: y_si + h * _dense_sum(s, k_si) - target, 0.0, 1.0)
-        partial = _dt_partial(dense, kg, th, h)
-        hits.append((tau + th * h, dense.state_at(th), t_acc + partial, n_acc, partial))
+        state = [yi + h * _dense_sum(th, col) for yi, col in zip(y, zip(*k))]
+        # the physical-time increment over [0, th], by the same dense weights
+        partial = h * _dense_sum(th, kg)
+        hits.append((tau + th * h, state, t_acc + partial, n_acc, partial))
     return count
-
-
-def _angle_sign(y0, y1, si):
-    return 1.0 if y1[si] < y0[si] else -1.0
-
-
-class _DenseSeg:
-    """Dense-output polynomial of one accepted step."""
-
-    __slots__ = ("tau0", "h", "y0", "k")
-
-    def __init__(self, tau0, h, y0, k):
-        self.tau0 = tau0
-        self.h = h
-        self.y0 = y0
-        self.k = k
-
-    def state_at(self, th: float) -> list[float]:
-        return [y + self.h * _dense_sum(th, col) for y, col in zip(self.y0, zip(*self.k))]
 
 
 def _dense_sum(th, values) -> float:
@@ -399,12 +381,6 @@ def _dense_sum(th, values) -> float:
         if w != 0.0:
             acc += w * v
     return acc
-
-
-def _dt_partial(dense: _DenseSeg, kg, th, h) -> float:
-    """Physical-time increment over the partial step [0, th] using the dense
-    weights applied to the integrand stage values (same order as the state)."""
-    return h * _dense_sum(th, kg)
 
 
 def _bisect_event(g, lo, hi, iters=80):
@@ -471,7 +447,6 @@ class TmaxEstimate:
     tail: float
     tail_model: str              # 'exponential' | 'power' | 'negligible' | 'divergent'
     error_bound: float
-    window: tuple[float, float]  # sigma-range used for the tail fit
     r2: float
 
     @property
@@ -486,9 +461,11 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     least its last 10 samples) is fit with an exponential model (finite
     closed-form tail) and a power model (exponent <= 1 means the total time
     diverges: grow-up).  A model is accepted only with R^2 >= 0.999, the
-    exponential one when it fits at least as well.  For quasi-polar charts
-    with at least 8 section crossings the fit runs on per-revolution
-    averages so the Cs/Sn oscillation does not mask the decay.
+    exponential one when it fits at least as well and decays; with none
+    accepted, ``AmbiguousTailError`` names the growth rate the exponential
+    model fits, if it grows.  For quasi-polar charts with at least 8 section
+    crossings the fit runs on per-revolution averages so the Cs/Sn
+    oscillation does not mask the decay.
     """
     if traj.termination == "step-underflow":
         raise AmbiguousTailError("trajectory ended in step underflow")
@@ -524,14 +501,13 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     crude_bound = float(gw.max()) * max(tau_end, 1.0)
     if crude_bound <= 1e-40 * max(integrated, 1e-30):
         return TmaxEstimate(integrated + crude_bound, integrated, crude_bound,
-                            "negligible", crude_bound,
-                            (float(tw[0]), tau_end), 1.0)
+                            "negligible", crude_bound, 1.0)
 
     def exp_tail(t, lg):
         c, a, r2 = _linfit(t, lg)
         if c >= 0:
-            return math.inf, r2
-        return math.exp(a + c * tau_end) / (-c), r2
+            return math.inf, r2, c
+        return math.exp(a + c * tau_end) / (-c), r2, c
 
     def pow_tail(t, lg):
         c, a, r2 = _linfit(np.log(t), lg)
@@ -544,29 +520,34 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     # inner half of the window provides an internal-consistency error gauge
     half = len(tw) // 2
     tw_i, lg_i = tw[half:], logg[half:]
-    tail_exp, r2e = exp_tail(tw, logg)
+    tail_exp, r2e, rate = exp_tail(tw, logg)
     tail_pow, r2p, p = pow_tail(tw, logg) if tw[0] > 0 else (math.inf, -math.inf, 0.0)
 
     candidates = [x for x in (tail_exp, tail_pow) if math.isfinite(x)]
     if candidates and max(candidates) <= 1e-12 * max(integrated, 1e-300):
         tail = max(candidates)
         return TmaxEstimate(integrated + tail, integrated, tail, "negligible",
-                            tail, (float(tw[0]), tau_end), max(r2e, r2p))
+                            tail, max(r2e, r2p))
 
     if r2e >= r2p and r2e >= 0.999 and math.isfinite(tail_exp):
-        tail_inner, _ = exp_tail(tw_i, lg_i) if len(tw_i) >= 10 else (tail_exp, 0)
+        tail_inner = exp_tail(tw_i, lg_i)[0] if len(tw_i) >= 10 else tail_exp
         err = abs(tail_exp - tail_inner) + tail_exp * max(1 - r2e, 1e-6)
         return TmaxEstimate(integrated + tail_exp, integrated, tail_exp,
-                            "exponential", min(err, tail_exp),
-                            (float(tw[0]), tau_end), r2e)
+                            "exponential", min(err, tail_exp), r2e)
     if r2p >= 0.999:
         if p <= 1.0:
             return TmaxEstimate(math.inf, integrated, math.inf, "divergent",
-                                math.inf, (float(tw[0]), tau_end), r2p)
+                                math.inf, r2p)
         tail_inner, _, _ = pow_tail(tw_i, lg_i) if len(tw_i) >= 10 else (tail_pow, 0, p)
         err = abs(tail_pow - tail_inner) + tail_pow * max(1 - r2p, 1e-6)
         return TmaxEstimate(integrated + tail_pow, integrated, tail_pow, "power",
-                            min(err, tail_pow), (float(tw[0]), tau_end), r2p)
+                            min(err, tail_pow), r2p)
+    if r2e >= 0.999 and rate >= 0:
+        raise AmbiguousTailError(
+            f"the integrand grows like exp({rate:.6g} tau) (R2(exp) = {r2e:.6f}, "
+            f"R2(power) = {r2p:.6f}): it has no finite tail, and the power "
+            "model does not fit"
+        )
     raise AmbiguousTailError(
         f"neither tail model fits: R2(exp) = {r2e:.6f}, R2(power) = {r2p:.6f}"
     )

@@ -37,10 +37,8 @@ __all__ = [
 ]
 
 
-def frac(value, den=None) -> Fraction:
+def frac(value) -> Fraction:
     """Coerce to an exact Fraction (ints, strings like '3/2', Fractions)."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, float):
         raise TypeError("exponents must be exact rationals, not floats")
     return Fraction(value)
@@ -180,14 +178,6 @@ class GenPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers of a GenPoly")
-        out = GenPoly.const(self.vars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, var: str) -> "GenPoly":
@@ -313,12 +303,6 @@ class GenPoly:
                 out[j] = e
             acc[tuple(out)] = c
         return GenPoly(vars, acc)
-
-    def degrees_are_integral(self) -> bool:
-        return all(e.denominator == 1 for ev, _ in self.terms for e in ev)
-
-    def degrees_are_nonnegative(self) -> bool:
-        return all(e >= 0 for ev, _ in self.terms for e in ev)
 
     def source(
         self,

@@ -434,28 +434,17 @@ class CenterSeries:
         return 0
 
 
-def center_manifold_series_1d(
-    C: ChartField,
-    eq: Sequence[float] | EquilibriumRecord,
-    degree=6,
-) -> CenterSeries:
-    """Solve the invariance equation order by order for a planar chart.
+def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
+    """Solve the invariance equation order by order at a planar chart's origin.
 
-    The equilibrium must be semi-hyperbolic with its center direction along a
-    coordinate axis.  For equilibria away from the origin the field must be
-    polynomial (integer exponents) so it can be shifted; at the origin,
-    rational-exponent fields are handled on their exponent lattice (series in
-    x^(1/q)).
+    The origin must be a semi-hyperbolic equilibrium with its center
+    direction along a coordinate axis.  Rational-exponent fields are handled
+    on their exponent lattice (series in x^(1/q)).
     """
     if len(C.vars) != 2:
         raise ValueError("center-manifold series needs a planar chart")
-    coords = tuple(eq.coords) if isinstance(eq, EquilibriumRecord) else tuple(eq)
     degree = frac(degree)
-    comps = list(C.components)
-    vars = C.vars
-    if any(abs(c) > 0 for c in coords):
-        comps = [_shift_poly(p, vars, coords) for p in comps]
-
+    comps, vars = C.components, C.vars
     J = jacobian(comps, vars, [0.0, 0.0])
     label, *_ = classify(J)
     if label != "semi-hyperbolic":
@@ -470,7 +459,6 @@ def center_manifold_series_1d(
         c_idx, s_idx = 1, 0
     else:
         raise ValueError("center direction is not a coordinate axis")
-    lam = J[s_idx, s_idx]
 
     cvar, svar = vars[c_idx], vars[s_idx]
     Fc, Fs = comps[c_idx], comps[s_idx]
@@ -532,27 +520,6 @@ def _invert_coeff(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1, 1) / Fraction(c)
     return 1.0 / c
-
-
-def _shift_poly(p: GenPoly, vars, coords) -> GenPoly:
-    """Shift the origin to ``coords`` (binomial expansion; integer exponents)."""
-    if not p.degrees_are_integral() or not p.degrees_are_nonnegative():
-        raise ValueError("shifting requires a polynomial field (integer exponents)")
-    out = GenPoly.zero(vars)
-    for ev, c in p.terms:
-        term = GenPoly.const(vars, c)
-        for v, e, x0 in zip(vars, ev, coords):
-            base = GenPoly.var(vars, v) + _exactify(x0)
-            term = term * base ** int(e)
-        out = out + term
-    return out
-
-
-def _exactify(x):
-    if isinstance(x, (int, Fraction)):
-        return x
-    f = Fraction(x).limit_denominator(10**9)
-    return f if abs(float(f) - x) < 1e-12 * (1 + abs(x)) else x
 
 
 def _substitute_series(p: GenPoly, cvar, svar, h: GenPoly, degree) -> GenPoly:
@@ -659,17 +626,6 @@ class LienardCoefficients:
         """int_0^phi Gamma2, using exact periodicity for many revolutions."""
         N = math.floor(phi / self.T)
         return N * self.Gamma_T + float(self.gamma2_cumulative(phi - N * self.T))
-
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "T": self.T,
-            "beta1_T": self.beta1_T,
-            "beta2_T": self.beta2_T,
-            "Gamma_T": self.Gamma_T,
-            "C2": self.C2,
-            "C3": self.C3,
-        }
 
 
 def lienard_coefficients(n: int) -> LienardCoefficients:

@@ -194,7 +194,7 @@ def test_criterion_4_andrews2(capsys):
 
 def test_criterion_5_quench_alpha1(capsys):
     cdef = get_case("quench").definition({"alpha": 1})
-    series = center_manifold_series_1d(cdef.chart, (0.0, 0.0), degree=6)
+    series = center_manifold_series_1d(cdef.chart, degree=6)
     zeros_exact = (
         series.exact
         and series.h_coefficient(2) == 0

@@ -16,6 +16,7 @@ from horizon.cli import _write_report, main, parse_spec_file
 from horizon.compactify import apply_recipe
 from horizon.dynamics import integrate
 from horizon.errors import ParseError
+from horizon.genpoly import parse_genpoly
 
 CASES_DIR = pathlib.Path(__file__).resolve().parents[1] / "cases"
 
@@ -119,6 +120,58 @@ class TestSpecParsing:
         assert steps["directional"]["sign"] == -1
         assert steps["directional"]["radial"] == "lam"
         assert chart.vars == ("lam", "phi")
+
+
+# the built-in kdv chart at its defaults (m = n = 2, c = 1), written as a spec
+KDV_SPEC = """
+name kdv
+var phi positive
+var psi
+field phi : 1/2 * phi^(-1) * psi
+field psi : phi - phi^2
+transform rescale 2 * phi
+transform blowup var=phi w1=2 w2=3
+transform rescale r^(-1)
+initial r=1e-8 psi_b=1
+"""
+
+# an invariant line y = 1 of the field
+LINE_SPEC = """
+name line
+var x
+var y
+field x : x^2
+field y : x*y - x
+transform restrict var=y value=1
+initial x=1
+"""
+
+
+class TestSpecTransforms:
+    def test_blowup_spec_is_the_builtin_chart(self, tmp_path):
+        chart = parse_spec_file(write(tmp_path, KDV_SPEC)).chart
+        ref = get_case("kdv").definition().chart
+        for name in ("vars", "components", "time_chain", "inverse"):
+            assert getattr(chart, name) == getattr(ref, name), name
+        # the recorded steps differ only in how the rescale coefficient is written
+        steps = [s.to_dict() for s in chart.provenance]
+        ref_steps = [s.to_dict() for s in ref.provenance]
+        assert steps[1]["params"]["monomial"]["coeff"] == "2"
+        assert ref_steps[1]["params"]["monomial"]["coeff"] == 2
+        steps[1]["params"]["monomial"]["coeff"] = 2
+        assert steps == ref_steps
+
+    def test_restrict_to_invariant_line(self, tmp_path):
+        chart = parse_spec_file(write(tmp_path, LINE_SPEC)).chart
+        assert chart.vars == ("x",)
+        assert chart.components == (parse_genpoly("x^2", ("x",)),)
+
+    def test_restrict_to_line_that_is_not_invariant_is_2(self, tmp_path, capsys):
+        spec = LINE_SPEC.replace("value=1", "value=2")
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 7 " in err and "{y = 2} is not invariant" in err
 
 
 def _bits(obj):
@@ -245,6 +298,38 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"line {line} " in err and word in err
+
+    @pytest.mark.parametrize("spec,old,new,message", [
+        ("iy.spec", "equilibrium 0 1", "equilibrium 0",
+         "equilibrium needs one number per chart variable (r, v1), not 1"),
+        ("iy.spec", "box v1 0 2", "box zz 0 2", "box for 'zz'"),
+        ("iy.spec", "box v1 0 2", "box r 0 2", "box for 'r'"),
+    ], ids=["equilibrium-arity", "box-unknown-var", "box-radial-var"])
+    def test_spec_fact_the_search_cannot_use_is_2(self, tmp_path, capsys, spec, old,
+                                                  new, message):
+        # each was dropped or compared on a prefix: the run went ahead
+        text = (CASES_DIR / spec).read_text()
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln == old)
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line} " in err and message in err
+
+    def test_quasipolar_chart_takes_no_box(self, tmp_path, capsys):
+        spec = LIENARD3_SPEC + "box theta 0 1\n"
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 14 " in err and "brackets the angle" in err
+
+    def test_exponentially_growing_integrand_is_3(self, tmp_path, capsys):
+        # x' = 1 rescaled by x: dt/dtau = x = e^tau grows, so no edge lies ahead
+        spec = ("name lin\nvar x positive\nfield x : 1\ntransform rescale x\n"
+                "initial x=1\ntau-end 20\nobservable x : x\n")
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "grows like exp(1 tau)" in capsys.readouterr().out
 
     def test_unknown_kind_is_2(self, tmp_path, capsys):
         p = write(tmp_path, GOOD_SPEC.replace("kind blow-up", "kind blowup"))

@@ -24,6 +24,7 @@ from horizon.dynamics import (
     remaining_time,
     trajectory_to_csv,
 )
+from horizon.errors import AmbiguousTailError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.structure import TypeVector
 
@@ -183,6 +184,16 @@ class TestAccumulateTime:
         # exact: t_max = int_0^inf (tau+1)^-3 = 1/2
         assert est.is_finite
         assert est.value == pytest.approx(0.5, rel=1e-4)
+
+    def test_growing_integrand_names_its_growth(self):
+        # x' = 1 rescaled by x: dx/dtau = x and dt/dtau = x = e^tau, which the
+        # exponential model fits exactly; it grows, so there is no finite tail
+        C = time_rescale(base_field(("x",), [gp("1", ("x",))], positive=("x",),
+                                    name="lin"), GenMonomial.make(1, {"x": 1}))
+        traj = integrate(C, [1.0], 20.0)
+        with pytest.raises(AmbiguousTailError, match=r"grows like exp\(1 tau\) "
+                           r"\(R2\(exp\) = 1\.000000"):
+            accumulate_time(traj)
 
     def test_remaining_time_suffix_accuracy(self):
         C = aiu_chart()

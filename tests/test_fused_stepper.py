@@ -24,11 +24,9 @@ from horizon.dynamics import (
     _A,
     _B4,
     _B5,
-    _angle_sign,
     _bisect_event,
     _build_traj,
-    _DenseSeg,
-    _dt_partial,
+    _dense_sum,
     integrate,
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
@@ -36,6 +34,31 @@ from horizon.localanalysis import lienard_coefficients
 from horizon.quasitrig import _NODES, cssn, table
 
 # -- reference implementation (previous path, verbatim) -------------------------
+
+
+def _angle_sign(y0, y1, si):
+    return 1.0 if y1[si] < y0[si] else -1.0
+
+
+class _DenseSeg:
+    """Dense-output polynomial of one accepted step."""
+
+    __slots__ = ("tau0", "h", "y0", "k")
+
+    def __init__(self, tau0, h, y0, k):
+        self.tau0 = tau0
+        self.h = h
+        self.y0 = y0
+        self.k = k
+
+    def state_at(self, th: float) -> list[float]:
+        return [y + self.h * _dense_sum(th, col) for y, col in zip(self.y0, zip(*self.k))]
+
+
+def _dt_partial(dense: _DenseSeg, kg, th, h) -> float:
+    """Physical-time increment over the partial step [0, th] using the dense
+    weights applied to the integrand stage values (same order as the state)."""
+    return h * _dense_sum(th, kg)
 
 
 def old_eval_scalar(self, theta: float) -> tuple[float, float]:
@@ -332,7 +355,7 @@ DEFAULT_PLANS = [
     (name, i)
     for name in ("aiu", "iy", "andrews1", "andrews2", "quench", "kdv")
     for i, plan in enumerate(get_case(name).definition().runs)
-    if plan.center_eq is None
+    if plan.center_degree is None
 ]
 
 

@@ -183,7 +183,7 @@ class TestCenterManifold:
     def test_quench_alpha1_series_vanishes_exactly(self):
         # exact rational arithmetic: every coefficient through degree 4 is 0
         DS = quench_chart(1, 1)
-        series = center_manifold_series_1d(DS, (0.0, 0.0), degree=6)
+        series = center_manifold_series_1d(DS, degree=6)
         assert series.exact
         for p in (2, 3, 4, 5, 6):
             assert series.h_coefficient(p) == 0
@@ -198,7 +198,7 @@ class TestCenterManifold:
         C = base_field(vars, [gp("-x1^3 + x1*x2", vars), gp("-x2 + x1^2", vars)],
                        name="parabola")
         with pytest.raises(DegenerateBeyondDegreeError) as err:
-            center_manifold_series_1d(C, (0.0, 0.0), degree=6)
+            center_manifold_series_1d(C, degree=6)
         h = err.value.series.coefficients
         assert h == GenPoly(("x1",), {(F(2),): 1})
 
@@ -211,7 +211,7 @@ class TestCenterManifold:
         fN = GenPoly(vars, {(N, F(0)): -a, (N + 1, F(0)): 1 + a, (N + 2, F(0)): -1})
         C = base_field(vars, [gp("psi", vars), gp("-psi", vars) * c - fN],
                        positive=("phi",), name="fhn")
-        series = center_manifold_series_1d(C, (0.0, 0.0), degree=5)
+        series = center_manifold_series_1d(C, degree=5)
         assert series.exact
         # leading coefficient of the invariant graph is a/c at power N
         assert series.h_coefficient(N) == a / c
@@ -225,7 +225,7 @@ class TestCenterManifold:
         vars = ("x", "y")
         C = base_field(vars, [gp("-x^3 + x*y", vars), gp("-2*y + 5*x^2", vars)],
                        name="toy")
-        series = center_manifold_series_1d(C, (0.0, 0.0), degree=8)
+        series = center_manifold_series_1d(C, degree=8)
         assert _invariance_residual(C, series).is_zero()
         assert series.h_coefficient(2) == F(5, 2)
 
