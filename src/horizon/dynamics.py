@@ -165,8 +165,9 @@ def integrate(
 
 
 # what a compiled chart rhs raises where a power of a Python float overflows
-# or is 0**(-n); numpy scalars gave inf there instead
-_POW_ERRORS = (OverflowError, ZeroDivisionError)
+# or is 0**(-n) (numpy scalars gave inf there instead), and where the Cs/Sn
+# lookup floors a NaN angle (an infinite one is NaN after the ``%``)
+_POW_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
 def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool):
@@ -195,6 +196,13 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     (from 3.12 on ``sum`` compensates, so it is not used).  ``min`` and
     ``max`` of two floats are written as the conditional expressions the
     builtins evaluate, argument order (and so NaN handling) included.
+    ``abs(x)`` is ``-x if x < 0.0 else x``, whose zeros may differ in sign
+    only where no result shows it (scales add a positive tolerance, the
+    floor of -0.0 is 0), and ``abs(tau)`` is tau, which never goes negative.
+    The squares of the error norm are ``** 2.0`` inside one ``try``: a
+    square that overflows makes the norm inf, which rejects the step and
+    shrinks it by 0.2.  Accepted states append their components to one flat
+    list, which :func:`_build_traj` reshapes.
     """
     n = len(C.vars)
     I = range(n)
@@ -208,8 +216,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "d = tau_end - tau",
         "if d < h:",
         "    h = d",
-        "m = abs(tau)",
-        "if h < 1e-14 * (m if m > 1.0 else 1.0):",
+        "if h < 1e-14 * (tau if tau > 1.0 else 1.0):",
         "    termination = 'step-underflow'",
         "    break",
     ]
@@ -248,19 +255,21 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     for name, b in (("dt5", _B5), ("dt4", _B4)):
         lines.append(f"{name} = h * (0.0{''.join(f' + {c!r} * g{s}' for s, c in enumerate(b))})")
     b_err = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
-    lines.append("err = 0.0")
+    lines += ["try:", "    err = 0.0"]
     for i in I:
         lines += [
-            f"e = (0.0{combo(b_err, i)}) * h",
-            f"u = abs(y{i})",
-            f"v = abs(y5_{i})",
-            f"sc = a{i} + rtol * (v if v > u else u)",
-            "err += (e / sc) ** 2 if sc > 0.0 else 0.0",
+            f"    e = (0.0{combo(b_err, i)}) * h",
+            f"    u = -y{i} if y{i} < 0.0 else y{i}",
+            f"    v = -y5_{i} if y5_{i} < 0.0 else y5_{i}",
+            f"    sc = a{i} + rtol * (v if v > u else u)",
+            "    err += (e / sc) ** 2.0 if sc > 0.0 else 0.0",
         ]
     lines += [
-        "sc = 1e-300 + rtol * abs(dt5)",
-        "err += ((dt5 - dt4) / sc) ** 2 if sc > 0.0 else 0.0",
-        f"err = _sqrt(err / {n + 1})",
+        "    sc = 1e-300 + rtol * (-dt5 if dt5 < 0.0 else dt5)",
+        "    err += ((dt5 - dt4) / sc) ** 2.0 if sc > 0.0 else 0.0",
+        f"    err = _sqrt(err / {n + 1})",
+        "except OverflowError:",
+        "    err = _inf",
         "if err > 1.0:",
         "    n_rej += 1",
         "    n_rhs_rej += 6",
@@ -273,7 +282,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     # accepted
     if si is not None:  # crossings at -j*period or +j*period
         lines += [
-            f"nc = _floor(abs(y5_{si}) / period)",
+            f"nc = _floor((-y5_{si} if y5_{si} < 0.0 else y5_{si}) / period)",
             "if nc > sec_count:",
             f"    sec_count = _cross_sections(sections, sec_count, nc, period, {si}, "
             f"tau, h, {_tup(f'y{i}' for i in I)}, {_tup(f'y5_{i}' for i in I)}, "
@@ -287,7 +296,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "g0 = g7",
         "t_acc += dt5",
         "taus_append(tau)",
-        f"states_append({_tup(f'y{i}' for i in I)})",
+        *(f"states_append(y{i})" for i in I),
         "incs_append(dt5)",
         "n_acc += 1",
     ]
@@ -322,7 +331,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "err_prev = 1.0",
         "eq_run = n_acc = n_rej = n_nonfinite = n_rhs_rej = 0",
         "taus = [0.0]",
-        "states = [y]",
+        "states = list(y)",
         "incs = []",
         "taus_append, states_append, incs_append = taus.append, states.append, incs.append",
         "termination = 'tau-budget'",
@@ -335,7 +344,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         + "".join(f"        {line}\n" for line in lines)
         + "    return taus, states, incs, termination, n_acc, n_rej, n_nonfinite, n_rhs_rej\n"
     )
-    ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor,
+    ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor, _inf=math.inf,
               _POW_ERRORS=_POW_ERRORS, _cross_sections=_cross_sections)
     exec(compile(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
     return ns["loop"]
@@ -369,18 +378,35 @@ def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_
     return count
 
 
-def _dense_sum(th, values) -> float:
-    """``0.0 + w_0*values_0 + ... + w_6*values_6`` left to right over the
-    nonzero dense-output weights w_s at the step fraction th."""
-    th2 = th * th
-    th3 = th2 * th
-    th4 = th3 * th
-    acc = 0.0
-    for (p0, p1, p2, p3), v in zip(_P, values):
-        w = p0 * th + p1 * th2 + p2 * th3 + p3 * th4
-        if w != 0.0:
-            acc += w * v
-    return acc
+def _dense_sum_fn():
+    """``_dense_sum(th, values)``: ``0.0 + w_0*values_0 + ... + w_6*values_6``
+    left to right, unrolled over the dense-output weights
+    ``w_s = p0*th + p1*th^2 + p2*th^3 + p3*th^4`` at the step fraction th,
+    with the all-zero row of ``_P`` and every zero coefficient left out.
+
+    It equals the rolled loop that skips zero weights bit for bit: a
+    left-out zero term changes at most the sign of a zero weight, and adding
+    a zero product to the sum changes nothing, since the sum starts at +0.0,
+    never returns to -0.0 and every stage value is finite.
+    """
+    powers = ("th", "th2", "th3", "th4")
+    terms = "".join(
+        f" + ({' + '.join(f'{p!r} * {x}' for p, x in zip(row, powers) if p != 0.0)}) * v{s}"
+        for s, row in enumerate(_P) if any(row))
+    text = (
+        "def _dense_sum(th, values):\n"
+        "    th2 = th * th\n"
+        "    th3 = th2 * th\n"
+        "    th4 = th3 * th\n"
+        f"    {_tup(f'v{s}' for s in range(len(_P)))} = values\n"
+        f"    return 0.0{terms}\n"
+    )
+    ns = {}
+    exec(compile(text, "<dp5 dense output>", "exec"), ns)
+    return ns["_dense_sum"]
+
+
+_dense_sum = _dense_sum_fn()
 
 
 def _bisect_event(g, lo, hi, iters=80):
@@ -419,10 +445,12 @@ def _initial_step(y, f0):
 
 def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej,
                 n_rhs=0, n_nonfinite=0):
+    """The trajectory of the lists a loop returns; ``states`` holds one row
+    per time in ``taus``, flat (components one after another) or nested."""
     t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if incs else np.zeros(1)
     return Trajectory(
         tau=np.asarray(taus),
-        states=np.asarray(states),
+        states=np.asarray(states).reshape(len(taus), -1),
         dt_inc=np.asarray(incs),
         t=t,
         termination=termination,

@@ -313,17 +313,25 @@ class GenPoly:
 
         Terms appear in storage order as ``coeff*factor*...``; ``power(name,
         e)`` renders each nonzero power (default :func:`power_source`).  A
-        unit coefficient is left out, since ``1.0*x`` is ``x`` exactly.  The
-        expression reads the names in :data:`SOURCE_GLOBALS`.
+        term after the first with a negative coefficient is subtracted with
+        the coefficient's magnitude, ``a - c*x`` for ``a + -c*x``: IEEE
+        subtraction adds the negation, and ``(-c)*x`` is ``-(c*x)`` exactly.
+        A unit coefficient is left out, since ``1.0*x`` is ``x`` exactly.
+        The expression reads the names in :data:`SOURCE_GLOBALS`.
         """
         power = power or power_source
-        parts = []
+        text = ""
         for ev, c in self.terms:
             factors = [power(name, e) for name, e in zip(names, ev) if e != 0]
-            if float(c) != 1.0 or not factors:
-                factors.insert(0, repr(float(c)))
-            parts.append("*".join(factors))
-        return " + ".join(parts) if parts else "0.0"
+            c = float(c)
+            if text and c < 0.0:
+                text, c = text + " - ", -c
+            elif text:
+                text += " + "
+            if c != 1.0 or not factors:
+                factors.insert(0, repr(c))
+            text += "*".join(factors)
+        return text or "0.0"
 
     def compile(self) -> Callable[..., float]:
         """Compile to a fast scalar function of the variables (in order).
@@ -343,12 +351,17 @@ class GenPoly:
 
 def power_source(name: str, e: Fraction) -> str:
     """Python expression for ``name**e`` in compiled polynomials: the name
-    itself for e = 1 (``x**1`` is ``x`` exactly), ``**`` for other integer
-    e, otherwise ``_fpow`` (NaN on a negative base or 0**(e<=0))."""
+    itself for e = 1 (``x**1`` is ``x`` exactly), ``**`` with a float
+    exponent for other integer e, otherwise ``_fpow`` (NaN on a negative
+    base or 0**(e<=0)).
+
+    ``x**3.0`` is ``x**3`` on floats, values and exceptions alike (the float
+    power converts both operands to double first, and so does numpy's
+    scalar power), and it skips the interpreter's int-to-float path."""
     if e == 1:
         return name
     if e.denominator == 1:
-        return f"{name}**{int(e)}"
+        return f"{name}**{float(e)!r}"
     return f"_fpow({name},{float(e)!r})"
 
 

@@ -5,7 +5,9 @@ the algebraic identity  Cs^(2l) + l*Sn^2 = 1,  and are T-periodic.  l = 1
 gives the circular functions.  Quasi-polar charts and the periodic-orbit
 coefficient quadratures evaluate these heavily, so values come from a dense
 precomputed table with Hermite interpolation (the derivatives are known in
-closed form), not from per-call integration.
+closed form), not from per-call integration.  The lookup is printed as
+Python text of float operations only (``%``, ``math.floor``, float
+products and sums), which the DP5 loop inlines in every stage.
 
 The period is computed independently of the table, by quadrature of the
 Beta-type integral; the first-return time of the ODE serves as a cross-check
@@ -59,9 +61,10 @@ class QuasiTrigTable:
 
     Scalar lookups read Python-float copies of the nodes and of the node
     derivatives (exact: Cs' = -Sn, Sn' = Cs^(2l-1), scaled by the spacing),
-    grouped per interval.  :meth:`lookup_source` is the single text of the
-    Hermite formula; it is exec-compiled into :meth:`lookup` and inlined by
-    the chart-rhs printer (:meth:`horizon.compactify.ChartField.rhs_source`).
+    grouped per interval after the interval's left end.  :meth:`lookup_source`
+    is the single text of the Hermite formula; it is exec-compiled into
+    :meth:`lookup` and inlined by the chart-rhs printer
+    (:meth:`horizon.compactify.ChartField.rhs_source`).
     Both build the node lists on first use, not with the table.
     """
 
@@ -78,10 +81,11 @@ class QuasiTrigTable:
         cs, sn = self.cs.tolist(), self.sn.tolist()
         dc = [-h * s for s in sn]
         ds = [h * c**m for c in cs]
-        # per interval i: (Cs, Cs', Sn, Sn') at nodes i and i+1
+        # per interval i: its left end i*h, then (Cs, Cs', Sn, Sn') at nodes
+        # i and i+1
         ends = list(zip(cs, dc, sn, ds))
-        intervals = [a + b for a, b in zip(ends, ends[1:])]
-        return {"_fmod": math.fmod, "_HERMITE_NODES": intervals}
+        intervals = [(i * h, *a, *b) for i, (a, b) in enumerate(zip(ends, ends[1:]))]
+        return {"_floor": math.floor, "_HERMITE_NODES": intervals}
 
     @cached_property
     def lookup(self) -> Callable[[float], tuple[float, float]]:
@@ -106,23 +110,27 @@ class QuasiTrigTable:
 
         The arithmetic is that of cubic Hermite interpolation on the node
         interval containing theta mod T, with weights shared by Cs and Sn.
+        Every operation is a float operation: ``theta % T`` is ``fmod`` plus
+        T on a negative remainder (and +0.0 for a zero one), the interval
+        index is the floor of a nonnegative quotient, the interval's left end
+        ``i*h`` is read from the table and the weights' constants are float
+        literals.  A NaN or infinite angle raises ``ValueError`` in the
+        floor.
         """
         T = self.T
         h = T / _NODES
         return [
-            f"_x = _fmod({theta}, {T!r})",
-            "if _x < 0.0:",
-            f"    _x += {T!r}",
-            f"_i = int(_x / {h!r})",
+            f"_x = ({theta}) % {T!r}",
+            f"_i = _floor(_x / {h!r})",
             f"if _i >= {_NODES}:",
             f"    _i = {_NODES - 1}",
-            f"_u = (_x - _i * {h!r}) / {h!r}",
-            "_c0, _dc0, _s0, _ds0, _c1, _dc1, _s1, _ds1 = _HERMITE_NODES[_i]",
+            "_b, _c0, _dc0, _s0, _ds0, _c1, _dc1, _s1, _ds1 = _HERMITE_NODES[_i]",
+            f"_u = (_x - _b) / {h!r}",
             "_u2 = _u * _u",
             "_u3 = _u2 * _u",
-            "_w0 = 2 * _u3 - 3 * _u2 + 1",
-            "_w1 = _u3 - 2 * _u2 + _u",
-            "_w2 = -2 * _u3 + 3 * _u2",
+            "_w0 = 2.0 * _u3 - 3.0 * _u2 + 1.0",
+            "_w1 = _u3 - 2.0 * _u2 + _u",
+            "_w2 = -2.0 * _u3 + 3.0 * _u2",
             "_w3 = _u3 - _u2",
             f"{cs} = _w0 * _c0 + _w1 * _dc0 + _w2 * _c1 + _w3 * _dc1",
             f"{sn} = _w0 * _s0 + _w1 * _ds0 + _w2 * _s1 + _w3 * _ds1",

@@ -24,9 +24,9 @@ from horizon.dynamics import (
     _A,
     _B4,
     _B5,
+    _P,
     _bisect_event,
     _build_traj,
-    _dense_sum,
     integrate,
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
@@ -34,6 +34,20 @@ from horizon.localanalysis import lienard_coefficients
 from horizon.quasitrig import _NODES, cssn, table
 
 # -- reference implementation (previous path, verbatim) -------------------------
+
+
+def _dense_sum(th, values) -> float:
+    """``0.0 + w_0*values_0 + ... + w_6*values_6`` left to right over the
+    nonzero dense-output weights w_s at the step fraction th."""
+    th2 = th * th
+    th3 = th2 * th
+    th4 = th3 * th
+    acc = 0.0
+    for (p0, p1, p2, p3), v in zip(_P, values):
+        w = p0 * th + p1 * th2 + p2 * th3 + p3 * th4
+        if w != 0.0:
+            acc += w * v
+    return acc
 
 
 def _angle_sign(y0, y1, si):
