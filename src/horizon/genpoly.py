@@ -312,11 +312,12 @@ class GenPoly:
         """Python expression for the polynomial over the variable ``names``.
 
         Terms appear in storage order as ``coeff*factor*...``; ``power(name,
-        e)`` renders each nonzero power (default :func:`power_source`).  A
-        term after the first with a negative coefficient is subtracted with
-        the coefficient's magnitude, ``a - c*x`` for ``a + -c*x``: IEEE
-        subtraction adds the negation, and ``(-c)*x`` is ``-(c*x)`` exactly.
-        A unit coefficient is left out, since ``1.0*x`` is ``x`` exactly.
+        e)`` renders each nonzero power (default :func:`power_source`) and
+        terms are joined by ``+``.  A negative coefficient stays a factor,
+        ``a + -c*x``, not ``a - c*x``: the two differ in the sign of a NaN
+        result when both operands are NaN (the sum returns the right NaN,
+        the difference the left).  A unit coefficient is left out, since
+        ``1.0*x`` is ``x`` exactly.
         The expression reads the names in :data:`SOURCE_GLOBALS`.
         """
         power = power or power_source
@@ -324,9 +325,7 @@ class GenPoly:
         for ev, c in self.terms:
             factors = [power(name, e) for name, e in zip(names, ev) if e != 0]
             c = float(c)
-            if text and c < 0.0:
-                text, c = text + " - ", -c
-            elif text:
+            if text:
                 text += " + "
             if c != 1.0 or not factors:
                 factors.insert(0, repr(c))
