@@ -1,8 +1,8 @@
 """Built-in case studies and pipeline orchestration.
 
 Each case builds its base vector field and chart chain (with replayable
-provenance), declares search boxes and expected horizon equilibria, and one
-or more integration runs with observables and predicted rates.  run_case
+provenance), declares its expected horizon equilibria, and one or more
+integration runs with observables and predicted rates.  run_case
 executes the four-step pipeline: chart + equilibria, integrate, reconstruct
 physical time, fit and compare rates.
 
@@ -102,24 +102,24 @@ class RunPlan:
 
 @dataclass
 class CaseDefinition:
-    """A case at checked parameters.  ``eq_box`` is widened to hold every
-    expected equilibrium with a margin of 0.5, so the search reaches them."""
+    """A case at checked parameters."""
 
     name: str
     chart: ChartField
     runs: list[RunPlan]
     params: dict = field(default_factory=dict)
-    eq_box: dict = field(default_factory=dict)
     expected_equilibria: tuple[tuple[float, ...], ...] = ()
 
-    def __post_init__(self):
-        box = dict(self.eq_box)
+    @property
+    def eq_box(self) -> dict:
+        """A Newton search's range: SEARCH_RANGE, 0.5 past each expected root."""
+        box = {}
         for eq in self.expected_equilibria:
             for v, x in zip(self.chart.vars, eq):
                 lo, hi = box.get(v, SEARCH_RANGE)
                 if not lo <= x <= hi:
                     box[v] = (min(lo, x - 0.5), max(hi, x + 0.5))
-        self.eq_box = box
+        return box
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ def _build_aiu() -> CaseDefinition:
         name="aiu",
         chart=chart,
         runs=runs,
-        eq_box={"u0": (0.2, 8.0)},
         # no horizon equilibrium: the orbit escapes along the horizon
         expected_equilibria=(),
     )
@@ -258,7 +257,6 @@ def _build_iy(a) -> CaseDefinition:
         name="iy",
         chart=chart,
         runs=runs,
-        eq_box={"v1": (-0.5, 2.0)},
         expected_equilibria=((0.0, 0.0), (0.0, 1.0)),
     )
 
@@ -381,7 +379,6 @@ def _build_andrews2(a, a1) -> CaseDefinition:
         name="andrews2",
         chart=chart,
         runs=runs,
-        eq_box={"w": (-0.5, 2.0)},
         expected_equilibria=expected_eqs,
     )
 
@@ -423,7 +420,6 @@ def _build_quench(alpha, c) -> CaseDefinition:
             )
         ]
         expected_eqs = ((0.0, 0.0), (0.0, x_sink))
-        eq_box = {"phi_b": (-0.5, 3.0)}
     else:
         chart = DS
         runs = [
@@ -442,12 +438,10 @@ def _build_quench(alpha, c) -> CaseDefinition:
             )
         ]
         expected_eqs = ((0.0, 0.0), (0.0, 1.0 / cf))
-        eq_box = {"phi": (-0.5, 2.0)}
     return CaseDefinition(
         name="quench",
         chart=chart,
         runs=runs,
-        eq_box=eq_box,
         expected_equilibria=expected_eqs,
     )
 
@@ -487,7 +481,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         name="fhn",
         chart=chart,
         runs=runs,
-        eq_box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)},
         expected_equilibria=((0.0, 0.0), (1.0, 0.0)),
     )
 
@@ -735,7 +728,7 @@ def _execute(cdef, seed, out_dir):
     chart = cdef.chart
 
     # Step 1-2: invariant sets (on the horizon, if any) and their linear type
-    eqs, _ = equilibrium_search(chart)(chart, box=cdef.eq_box, seed=seed)
+    eqs = equilibrium_search(chart)(chart, box=cdef.eq_box, seed=seed)
     eq_check = _check_expected_equilibria(cdef, eqs)
 
     runs_out = []

@@ -10,9 +10,9 @@ other setting of a run comes from its case.
 A ``--param`` value takes its default's type: an int must be integral, a
 fraction reads a decimal as written (``0.05`` is ``1/20``), a float stays
 a float; a sweep builds every point's case before it runs any, so a
-builder's rule (lienard's odd ``n``) is checked first too.  A case's
-search box reaches every equilibrium it expects; a chart with a radial
-variable is searched on its horizon, one without searches the whole field.
+builder's rule (lienard's odd ``n``) is checked first too.  A chart with a
+radial variable is searched on its horizon, one without over the whole
+field; ``--seed`` reaches only the searches no closed form decides.
 
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
@@ -72,11 +72,9 @@ A spec word the format does not define is a parse error at its line: an
 ``expect`` key other than ``rho``, ``q``, ``tol-rho`` and ``tol-q``, an
 ``initial`` name that is not a variable of the chart, a ``var`` flag other
 than ``positive``, and a ``window`` word after the bounds other than
-``absolute``.  So is a fact the equilibrium search cannot use: an
-``equilibrium`` line gives one number per chart variable, the radial one
-included, and a ``box`` line names a chart variable other than the radial
-one; a ``quasipolar`` chart takes no ``box``, since its search brackets the
-angle.
+``absolute``.  So is an ``equilibrium`` line that does not give one number
+per chart variable, the radial one included.  No line states where to
+search: the search derives its range from the ``equilibrium`` lines.
 
 The chart sets how observables are sampled.  A ``quasipolar`` chart is
 sampled once per revolution of its angle ``theta`` and ignores ``window``;
@@ -338,7 +336,6 @@ class _SpecState:
         self.fields = {}
         self.alpha = None
         self.k = None
-        self.boxes = {}                 # name -> ((low, high), line)
         self.transforms = []
         self.initial = {}               # name -> (value, line)
         # RunPlan keywords given by directives; RunPlan has the other defaults
@@ -376,16 +373,6 @@ class _SpecState:
             if v not in chart.vars:
                 raise ParseError(f"initial value for {v!r}, which is not a chart "
                                  f"variable ({', '.join(chart.vars)})", lineno, 1)
-        # a quasi-polar search brackets the angle; the others range over
-        # every chart variable but the radial one
-        searched = () if chart.quasipolar_index is not None else tuple(
-            v for v in chart.vars if v != chart.radial)
-        for v, (_, lineno) in self.boxes.items():
-            if v not in searched:
-                ranges = (f"it ranges over {', '.join(searched)}" if searched else
-                          "a quasi-polar chart's search brackets the angle")
-                raise ParseError(f"box for {v!r}, which the equilibrium search "
-                                 f"does not range over; {ranges}", lineno, 1)
         for coords, lineno in self.expected_eqs:
             if len(coords) != len(chart.vars):
                 raise ParseError(f"equilibrium needs one number per chart variable "
@@ -412,7 +399,6 @@ class _SpecState:
             name=self.name,
             chart=chart,
             runs=[plan],
-            eq_box={v: bounds for v, (bounds, _) in self.boxes.items()},
             expected_equilibria=tuple(tuple(e) for e, _ in self.expected_eqs),
         )
 
@@ -462,9 +448,6 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.alpha = [Fraction(x) for x in rest.split()]
     elif head == "order":
         st.k = Fraction(rest)
-    elif head == "box":
-        parts = _words(rest, 3, "box <var> <low> <high>", lineno)
-        st.boxes[parts[0]] = ((float(parts[1]), float(parts[2])), lineno)
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
         if op == "rescale":

@@ -127,6 +127,8 @@ def integrate(
     """
     if not (1e-13 <= rtol <= 1e-3) or not (1e-14 <= atol <= 1e-3):
         raise ValueError("tolerances out of the supported range")
+    if h0 is not None and not 0.0 < h0 < math.inf:
+        raise ValueError(f"initial step h0 = {h0} is not finite and positive")
     sign = 1 if direction >= 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
@@ -186,7 +188,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     Each stage assigns its inputs to the chart's variables and runs the
     :meth:`ChartField.rhs_source` text in place.  A stage (or the end point)
     that is not finite or raises one of ``_POW_ERRORS`` halves the step; an
-    error norm above 1 shrinks it by the usual factor.  The floating-point
+    error norm above 1 or NaN shrinks it by the usual factor.  The floating-point
     operations are those of the textbook loops, in the same order, so
     trajectories are reproduced bit for bit: stage and solution sums are
     ``y + (h*a_j)*k_j + ...`` and ``y + h*(0.0 + b_j*k_j + ...)`` left to
@@ -270,7 +272,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         f"    err = _sqrt(err / {n + 1})",
         "except OverflowError:",
         "    err = _inf",
-        "if err > 1.0:",
+        "if not err <= 1.0:",  # a NaN norm rejects the step too
         "    n_rej += 1",
         "    n_rhs_rej += 6",
         "    r = 0.9 * err ** -0.2",

@@ -45,13 +45,12 @@ __all__ = [
 
 
 ZERO_TOL_SCALE = 1e-9
-# the multi-start Newton search of every equilibrium finder
+# the multi-start Newton search of the equilibria no closed form decides
 N_STARTS = 64
-AXIS_STARTS = (0.25, 0.5, 1.0, -0.5, -1.0)
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 60
 DEDUPE = 1e-8
-SEARCH_RANGE = (-2.0, 2.0)  # of each variable the search box leaves undeclared
+SEARCH_RANGE = (-2.0, 2.0)  # of each variable, before widening to expected roots
 
 
 @dataclass(frozen=True)
@@ -156,20 +155,10 @@ def _float_fn(p: GenPoly):
 
 
 def _norm(v) -> float:
-    """``np.linalg.norm`` of a float list, bitwise: numpy's one-element dot
-    is ``v*v``; longer vectors keep numpy's own (BLAS) summation."""
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
     return float(np.linalg.norm(v))
 
 
 def _solve(J, b):
-    """``np.linalg.solve(J, b)`` on float lists, bitwise: LAPACK solves a
-    1x1 system by one division, and raises on an exactly zero pivot."""
-    if len(b) == 1:
-        if J[0][0] == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return [b[0] / J[0][0]]
     return np.linalg.solve(J, b).tolist()
 
 
@@ -236,12 +225,10 @@ def _newton_roots(components, variables, box, seed):
     """Roots of ``components`` (polynomials in ``variables``) by multi-start
     damped Newton.
 
-    Starts are ``N_STARTS`` seeded random points in the search box
-    (``SEARCH_RANGE`` where it declares none), the origin, and the axis points
-    ``AXIS_STARTS`` that lie in the box; the usual coordinate-set roots are
-    thereby found deterministically.  Roots more than 0.5 outside the box
-    are dropped; the rest are snapped to exact axis values, deduplicated and
-    sorted.  Returns (roots as float lists, diagnostics).
+    Starts are ``N_STARTS`` points drawn by ``seed`` in the search box
+    (``SEARCH_RANGE`` where it declares none) and the origin.  Roots more
+    than 0.5 outside the box are dropped; the rest are snapped to exact axis
+    values, deduplicated and sorted.
 
     The residual and the Jacobian entries are compiled once per search
     (:func:`_float_fn`) and the iteration runs on Python floats; values,
@@ -266,12 +253,6 @@ def _newton_roots(components, variables, box, seed):
         for _ in range(N_STARTS)
     ]
     starts.append([0.0] * dim)
-    for i in range(dim):
-        for c in AXIS_STARTS:
-            if lows[i] <= c <= highs[i]:
-                p = [0.0] * dim
-                p[i] = c
-                starts.append(p)
 
     fns = [_float_fn(comp) for comp in components]
     grads = [[_float_fn(comp.partial(v)) for v in variables] for comp in components]
@@ -283,11 +264,9 @@ def _newton_roots(components, variables, box, seed):
         return [[g(x) for g in row] for row in grads]
 
     roots = []
-    n_fail = 0
     for x0 in starts:
         x = _damped_newton(F, JF, x0, clip)
         if x is None:
-            n_fail += 1
             continue
         if any(xi < lo - 0.5 or xi > hi + 0.5 for xi, lo, hi in zip(x, lows, highs)):
             continue
@@ -295,7 +274,45 @@ def _newton_roots(components, variables, box, seed):
         if not any(_norm([a - b for a, b in zip(x, r)]) <= DEDUPE for r in roots):
             roots.append(x)
     roots.sort(key=tuple)
-    return roots, {"starts": len(starts), "failed_starts": n_fail}
+    return roots
+
+
+def _binomial_roots(p: GenPoly, nonnegative: bool) -> list[float]:
+    """The real roots, sorted, of ``c_a v^a + c_b v^b`` (a < b) or ``c_a v^a``:
+    ``v = 0`` when a > 0, and each solution of ``v^(b-a) = -c_a/c_b`` (only
+    ``v >= 0`` when ``nonnegative``) as the double nearest it."""
+    (a, ca), *rest = [(ev[0], Fraction(c)) for ev, c in p.terms]
+    roots = [0.0] if a > 0 else []
+    if rest:
+        (b, cb), = rest
+        R, m, n = -ca / cb, (b - a).numerator, (b - a).denominator
+        if R > 0:
+            v = _nearest_root(R, n, m)
+            roots += [v] if nonnegative or m % 2 else [-v, v]
+        elif not nonnegative and m % 2:  # integer exponents: n = 1
+            roots.append(-_nearest_root(-R, 1, m))
+    return sorted(roots)
+
+
+def _nearest_root(R: Fraction, n: int, m: int) -> float:
+    """The double nearest ``R^(n/m)`` (R > 0): from its float estimate, step
+    by one ulp while the root lies past a midpoint to a neighbouring double,
+    compared exactly as ``mid^m`` against ``R^n``."""
+    target, e = R**n, R.numerator.bit_length() - R.denominator.bit_length()
+    try:  # from R = M 2^e with M near 1, so that any R has an estimate
+        v = float(R / Fraction(2) ** e) ** (n / m) * 2.0 ** (e * n / m)
+    except OverflowError:
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"horizon root {R}^({n}/{m}) outside the float range")
+    while True:
+        lo, hi = ((Fraction(v) + Fraction(math.nextafter(v, t))) / 2
+                  for t in (0.0, math.inf))
+        if lo**m < target < hi**m:
+            return v
+        if target in (lo**m, hi**m):  # a midpoint: round half to even
+            return float(lo if target == lo**m else hi)
+        v = math.nextafter(v, math.inf if target > hi**m else 0.0)
 
 
 def _equilibrium_record(C: ChartField, coords) -> EquilibriumRecord:
@@ -324,20 +341,25 @@ def horizon_equilibria(
     *,
     box: dict[str, tuple[float, float]] | None = None,
     seed: int = 0,
-) -> tuple[list[EquilibriumRecord], dict]:
+) -> list[EquilibriumRecord]:
     """All equilibria of the desingularized field on the horizon {r = 0}.
 
-    The Newton search of :func:`_newton_roots` on the horizon slice (on a
-    quasi-polar chart: the sign changes of the angular component over one
-    period), each root augmented with the full-space Jacobian and
-    classification.  Returns (records, diagnostics).
+    A slice in one variable with one or two terms is solved in closed form
+    (:func:`_binomial_roots`), any other by the Newton search of
+    :func:`_newton_roots` in ``box`` (on a quasi-polar chart: the sign
+    changes of the angular component over one period), each root augmented
+    with the full-space Jacobian and classification.
     """
     if C.quasipolar_index is not None:
         return _quasipolar_horizon_equilibria(C)
     slice_vars, slice_comps = horizon_slice(C)
-    roots, diag = _newton_roots(slice_comps, slice_vars, box, seed)
+    if len(slice_vars) == 1 and 1 <= len(slice_comps[0].terms) <= 2:
+        nonneg = _needs_nonnegative(slice_comps, slice_vars[0])
+        roots = [[v] for v in _binomial_roots(slice_comps[0], nonneg)]
+    else:
+        roots = _newton_roots(slice_comps, slice_vars, box, seed)
     ri = C.vars.index(C.radial)
-    return [_equilibrium_record(C, [*x[:ri], 0.0, *x[ri:]]) for x in roots], diag
+    return [_equilibrium_record(C, [*x[:ri], 0.0, *x[ri:]]) for x in roots]
 
 
 def equilibria_of(
@@ -345,15 +367,15 @@ def equilibria_of(
     *,
     box: dict[str, tuple[float, float]] | None = None,
     seed: int = 0,
-) -> tuple[list[EquilibriumRecord], dict]:
+) -> list[EquilibriumRecord]:
     """Equilibria of the full chart field (no horizon restriction).
 
     Used for degenerate-level-set problems where the singular object is a
-    finite equilibrium rather than a point at infinity.  Same search and
-    records as :func:`horizon_equilibria`.
+    finite equilibrium rather than a point at infinity.  The Newton search
+    of :func:`_newton_roots` in ``box``, records as :func:`horizon_equilibria`.
     """
-    roots, diag = _newton_roots(C.components, C.poly_vars, box, seed)
-    return [_equilibrium_record(C, x) for x in roots], diag
+    roots = _newton_roots(C.components, C.poly_vars, box, seed)
+    return [_equilibrium_record(C, x) for x in roots]
 
 
 def _quasipolar_horizon_equilibria(C: ChartField):
@@ -394,8 +416,7 @@ def _quasipolar_horizon_equilibria(C: ChartField):
     for r in roots:
         if not any(abs(r - u) <= DEDUPE for u in uniq):
             uniq.append(r)
-    records = [_equilibrium_record(C, (0.0, th)) for th in uniq]
-    return records, {"starts": len(thetas), "failed_starts": 0}
+    return [_equilibrium_record(C, (0.0, th)) for th in uniq]
 
 
 def _quasipolar_numeric_jacobian(C: ChartField, r, th, h=1e-7):

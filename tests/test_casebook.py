@@ -147,7 +147,7 @@ BUILTIN_EQUILIBRIA = {
 def test_equilibrium_stage_of_builtin(name):
     cdef = get_case(name).definition()
     search = casebook.equilibrium_search(cdef.chart)
-    eqs, _ = search(cdef.chart, box=cdef.eq_box, seed=0)
+    eqs = search(cdef.chart, box=cdef.eq_box, seed=0)
     check = casebook._check_expected_equilibria(cdef, eqs)
     assert check["all_found"]
     assert check["n_found"] == len(BUILTIN_EQUILIBRIA[name])
@@ -156,23 +156,40 @@ def test_equilibrium_stage_of_builtin(name):
         assert max(abs(a - b) for a, b in zip(e.coords, coords)) <= 1e-12
 
 
-def test_search_box_grows_only_for_an_equilibrium_outside_it():
-    # the andrews2 sink w* = (2a - a1)/a1 = 3 lies past the declared w <= 2
-    cdef = get_case("andrews2").definition({"a": 2, "a1": 1})
-    assert cdef.expected_equilibria == ((0.0, 0.0), (0.0, 3.0))
-    assert cdef.eq_box == {"w": (-0.5, 3.5)}
-    # an undeclared variable counts as [-2, 2]: the kdv saddles +-3.65 at
-    # c = 10 widen it on both sides, those at +-1.15 at c = 1 do not
+def test_full_field_search_reaches_an_expected_equilibrium_outside_its_range(tmp_path):
+    # the range is [-2, 2] per variable, widened only past an expected
+    # equilibrium outside it: the andrews2 sink w* = 3, the kdv saddles
+    # +-3.65 at c = 10 on both sides, those at +-1.15 at c = 1 not at all
+    assert get_case("andrews2").definition({"a": 2, "a1": 1}).eq_box == {"w": (-2.0, 3.5)}
     cdef = get_case("kdv").definition({"c": 10})
     psi = cdef.expected_equilibria[1][1]
-    assert psi > 2.0
     assert cdef.eq_box == {"psi_b": (-psi - 0.5, psi + 0.5)}
     assert get_case("kdv").definition().eq_box == {}
-    # a declared box holding every expected equilibrium is kept as it is
+    # x' = 3 - x has no radial variable, so Newton searches the whole field,
+    # in the range widened past the equilibrium its spec expects
     from horizon.cli import parse_spec_file
 
-    spec = parse_spec_file(pathlib.Path(__file__).resolve().parents[1] / "cases" / "iy.spec")
-    assert spec.eq_box == {"v1": (0.0, 2.0)}
+    path = tmp_path / "far.spec"
+    path.write_text("name far\nvar x\nfield x : 3 - x\ninitial x=1\nequilibrium 3\n")
+    cdef = parse_spec_file(path)
+    assert cdef.eq_box == {"x": (-2.0, 3.5)}
+    search = casebook.equilibrium_search(cdef.chart)
+    assert search is casebook.equilibria_of
+    for seed in (0, 1, 7):
+        eqs = search(cdef.chart, box=cdef.eq_box, seed=seed)
+        assert [e.coords for e in eqs] == [(3.0,)]
+        assert casebook._check_expected_equilibria(cdef, eqs)["all_found"]
+    # in the range [-2, 2] alone, the root is dropped
+    assert search(cdef.chart, box={}, seed=0) == []
+
+
+@pytest.mark.parametrize("a", [F(1, 5), F(1, 7)], ids=["1/5", "1/7"])
+def test_reported_equilibria_do_not_depend_on_the_seed(a):
+    # the slice -a v1 + a v1^(1/a) has the root v1 = -1, which a seeded
+    # search in a typed box found at some seeds only
+    eqs = [run_case("iy", {"a": a}, seed=s).equilibria for s in (0, 1, 7)]
+    assert eqs[0] == eqs[1] == eqs[2]
+    assert [e["coords"] for e in eqs[0]] == [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("name,t,qh", [

@@ -215,11 +215,13 @@ class TestExitCodes:
         # the type is certified on the field at the directional line
         text = (CASES_DIR / "aiu.spec").read_text()
         assert old in text
+        line = next(i for i, ln in enumerate(text.splitlines(), 1)
+                    if ln.startswith("transform directional"))
         rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "line 11 " in err and message in err
+        assert f"line {line} " in err and message in err
 
     def test_quasipolar_m_must_match_type_is_2(self, tmp_path, capsys):
         spec = LIENARD3_SPEC.replace("type 1 4", "type 1 3")
@@ -230,9 +232,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line,usage", [
         ("window 1e-8", "window <low> <high>"),
-        ("box x 1", "box <var> <low> <high>"),
         ("var", "var <name>"),
-    ], ids=["window", "box", "var"])
+    ], ids=["window", "var"])
     def test_missing_directive_argument_is_2(self, tmp_path, capsys, line, usage):
         spec = GOOD_SPEC.replace("window 1e-8 1e-3", line)
         rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
@@ -302,9 +303,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec,old,new,message", [
         ("iy.spec", "equilibrium 0 1", "equilibrium 0",
          "equilibrium needs one number per chart variable (r, v1), not 1"),
-        ("iy.spec", "box v1 0 2", "box zz 0 2", "box for 'zz'"),
-        ("iy.spec", "box v1 0 2", "box r 0 2", "box for 'r'"),
-    ], ids=["equilibrium-arity", "box-unknown-var", "box-radial-var"])
+    ], ids=["equilibrium-arity"])
     def test_spec_fact_the_search_cannot_use_is_2(self, tmp_path, capsys, spec, old,
                                                   new, message):
         # each was dropped or compared on a prefix: the run went ahead
@@ -316,12 +315,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
 
-    def test_quasipolar_chart_takes_no_box(self, tmp_path, capsys):
-        spec = LIENARD3_SPEC + "box theta 0 1\n"
-        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+    def test_box_line_is_an_unknown_directive(self, tmp_path, capsys):
+        # no spec states where to search for equilibria
+        text = (CASES_DIR / "iy.spec").read_text() + "box v1 0 2\n"
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "line 14 " in err and "brackets the angle" in err
+        assert f"line {len(text.splitlines())} " in err and "unknown directive 'box'" in err
 
     def test_exponentially_growing_integrand_is_3(self, tmp_path, capsys):
         # x' = 1 rescaled by x: dt/dtau = x = e^tau grows, so no edge lies ahead
@@ -469,7 +469,7 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: bad --param {param!r}\n"
 
     def test_far_sink_is_found(self, tmp_path, capsys):
-        # the sink of the a < 1/2 regime, at u0 = 12.7, lies inside the search box
+        # the sink of the a < 1/2 regime, at u0 = 12.7, is found
         rc = main(["sweep", "andrews1", "--param", "a=0.05", "--out", str(tmp_path / "o")])
         assert rc == 0
         out = capsys.readouterr().out
@@ -512,8 +512,8 @@ def test_primitive_blowup_weights_pass(argv, tmp_path, capsys):
     ["kdv", "--param", "c=1/10,1/5"],
 ], ids=["quench-far-sink", "andrews2-far-sink", "kdv-small-c"])
 def test_far_equilibria_and_slow_saddles_pass(argv, tmp_path, capsys):
-    # the sinks at phi = 10 and w = 3 lie outside the declared boxes, and at
-    # small c the kdv saddles take longer to reach the fit window
+    # the sinks at phi = 10 and w = 3 are found, and at small c the kdv
+    # saddles take longer to reach the fit window
     rc = main(["sweep", *argv, "--out", str(tmp_path / "o")])
     assert rc == 0, capsys.readouterr().out
     doc = json.loads((tmp_path / "o" / "report.json").read_text())

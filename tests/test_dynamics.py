@@ -110,6 +110,26 @@ class TestTermination:
         assert traj.n_steps == 500
         assert traj.tau[-1] < plan.tau_end
 
+    def test_nan_error_norm_rejects_the_step(self):
+        # with a time chain of 1e300 the first increments overflow, so
+        # dt5 - dt4 and with it the error norm are NaN: the step is rejected
+        # and shrunk until the increments are finite
+        vars = ("x",)
+        C = base_field(vars, [gp("-x", vars)], prefactor=GenPoly.const(vars, 1e300),
+                       name="huge-chain")
+        traj = integrate(C, [1.0], 1e20, h0=1e10, max_steps=3,
+                         stop_at_equilibrium=False)
+        assert traj.n_steps == 3 and traj.n_rejected > 0
+        assert np.all(np.isfinite(traj.dt_inc)) and np.all(np.isfinite(traj.t))
+
+    @pytest.mark.parametrize("h0", [math.nan, math.inf, 0.0, -1e-3])
+    def test_initial_step_must_be_finite_and_positive(self, h0):
+        # a NaN h0 made every attempt non-finite and the loop never ended
+        vars = ("x",)
+        C = base_field(vars, [gp("-x", vars)], name="decay")
+        with pytest.raises(ValueError, match="initial step"):
+            integrate(C, [1.0], 10.0, h0=h0)
+
 
 class TestSections:
     def test_rotation_sections_reproduce_exponential_decay(self):

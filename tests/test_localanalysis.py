@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horizon.casebook import equilibrium_search, get_case
@@ -25,13 +25,14 @@ from horizon.compactify import (
 from horizon.errors import DegenerateBeyondDegreeError, DomainError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.localanalysis import (
-    AXIS_STARTS,
     DEDUPE,
     N_STARTS,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    _binomial_roots,
     _equilibrium_record,
     _float_fn,
+    _nearest_root,
     _norm,
     _needs_nonnegative,
     _solve,
@@ -80,7 +81,7 @@ def quench_chart(alpha, c):
 
 class TestHorizonEquilibria:
     def test_two_point_horizon(self):
-        eqs, diag = horizon_equilibria(iy_chart(F(1, 2)), box={"v1": (0.0, 2.0)})
+        eqs = horizon_equilibria(iy_chart(F(1, 2)))
         coords = [e.coords for e in eqs]
         assert len(coords) == 2
         assert coords[0] == pytest.approx((0.0, 0.0), abs=1e-10)
@@ -104,7 +105,7 @@ class TestHorizonEquilibria:
         D = desingularize(directional_compactify(C, TypeVector.make((1, 1), 3), "u1"), 3)
         # the second equilibrium sits at a negative ratio (outside the
         # physical sector but still an equilibrium of the chart field)
-        eqs, _ = horizon_equilibria(D, box={"u0": (-2.0, 2.0)})
+        eqs = horizon_equilibria(D)
         xs = sorted(e.coords[1] for e in eqs)
         x_star = (1 - 2 * a) / (2 * a * ct)
         assert len(xs) == 2
@@ -114,7 +115,7 @@ class TestHorizonEquilibria:
         assert origin.classification == "linearly-zero"
 
     def test_quench_alpha1_semi_hyperbolic_pair(self):
-        eqs, _ = horizon_equilibria(quench_chart(1, 1), box={"phi": (-0.5, 2.0)})
+        eqs = horizon_equilibria(quench_chart(1, 1))
         assert len(eqs) == 2
         p0 = eqs[0]
         pc = eqs[1]
@@ -132,7 +133,7 @@ class TestHorizonEquilibria:
         DS = quench_chart(alpha, c)
         B = blowup_chart(DS, (alpha - 1, alpha + 1), "lam", radial="r")
         R = time_rescale(B, GenMonomial.make(1, {"r": -(alpha**2 - 1)}))
-        eqs, _ = horizon_equilibria(R, box={"phi_b": (-0.5, 3.0)})
+        eqs = horizon_equilibria(R)
         assert len(eqs) == 2
         p0, pa = eqs
         assert p0.coords == pytest.approx((0.0, 0.0), abs=1e-10)
@@ -152,7 +153,7 @@ class TestHorizonEquilibria:
             positive=("phi",),
             name="kdv",
         )
-        eqs, _ = equilibria_of(C, box={"phi": (-0.5, 1.5), "psi": (-0.5, 0.5)})
+        eqs = equilibria_of(C, box={"phi": (-0.5, 1.5), "psi": (-0.5, 0.5)})
         origin = [e for e in eqs if abs(e.coords[0]) < 1e-9][0]
         assert origin.classification == "nilpotent"
         assert np.allclose(np.array(origin.jacobian), [[0, 1], [0, 0]], atol=1e-12)
@@ -334,7 +335,7 @@ def test_degenerate_front_jacobians_match_closed_forms():
 
     a, c = F(1, 4), F(1)
     cdef = get_case("fhn").definition({"m": 2, "p": F(1, 2), "a": a, "c": c})
-    eqs, _ = equilibria_of(cdef.chart, box={"phi": (-0.25, 1.5), "psi": (-0.5, 0.5)})
+    eqs = equilibria_of(cdef.chart, box=cdef.eq_box)
     by_coord = {round(e.coords[0], 6): e for e in eqs}
     J0 = np.array(by_coord[0.0].jacobian)
     J1 = np.array(by_coord[1.0].jacobian)
@@ -344,12 +345,16 @@ def test_degenerate_front_jacobians_match_closed_forms():
     assert by_coord[1.0].classification == "hyperbolic"
 
 
-# -- the Newton search against its numpy reference -----------------------------
+# -- the equilibrium search against its numpy reference ------------------------
 #
-# The previous search, kept here verbatim as the oracle: GenPoly.eval residuals
-# on numpy arrays, np.linalg.solve and np.linalg.norm.  The float search on
-# compiled residuals must give the same roots, and so the same records, bit
-# for bit.
+# The previous Newton search, kept here verbatim as the oracle (its axis starts
+# included): GenPoly.eval residuals on numpy arrays, np.linalg.solve and
+# np.linalg.norm, in the range the case derives.  The float search on compiled
+# residuals must give the same roots, and so the same records, bit for bit.
+# A slice the closed form decides must give the oracle's roots, each the
+# double nearest the exact root and within 2 ulps of the oracle's.
+
+OLD_AXIS_STARTS = (0.25, 0.5, 1.0, -0.5, -1.0)
 
 
 def old_damped_newton(F, JF, x, clip):
@@ -422,7 +427,7 @@ def old_newton_roots(components, variables, box, seed):
     starts = [lows + (highs - lows) * rng.random(dim) for _ in range(N_STARTS)]
     starts.append(np.zeros(dim))
     for i in range(dim):
-        for c in AXIS_STARTS:
+        for c in OLD_AXIS_STARTS:
             p = np.zeros(dim)
             p[i] = c
             if lows[i] <= c <= highs[i]:
@@ -518,6 +523,35 @@ SEARCH_POINTS = list({_search_id(s): s for s in SEARCH_POINTS}.values())
 SPEC_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "cases").glob("*.spec"))
 
 
+def closed_form_slice(C):
+    """The one-variable slice of at most two terms the closed form decides
+    on ``C``'s horizon, else None."""
+    if C.radial is None or C.quasipolar_index is not None:
+        return None
+    (v, *more), (p, *_) = horizon_slice(C)
+    return None if more or not 1 <= len(p.terms) <= 2 else (v, p)
+
+
+def ulps_apart(x, y):
+    return abs(np.float64(x).view(np.int64) - np.float64(y).view(np.int64))
+
+
+def assert_nearest_exact_root(p, y):
+    """``y`` is a root of the slice ``c_a v^a + c_b v^b`` rounded to the
+    nearest double: 0 when a > 0, else ``|y|`` lies between the midpoints to
+    its neighbours, compared exactly as ``mid^m`` against ``|R|^n`` for
+    ``v^(m/n) = R = -c_a/c_b``."""
+    (a, ca), *rest = [(ev[0], F(c)) for ev, c in p.terms]
+    if y == 0.0:
+        assert a > 0
+        return
+    (b, cb), = rest
+    R, m, n = -ca / cb, (b - a).numerator, (b - a).denominator
+    assert (R > 0) == (y > 0 or m % 2 == 0)
+    lo, hi = ((F(abs(y)) + F(math.nextafter(abs(y), t))) / 2 for t in (0.0, math.inf))
+    assert lo**m <= abs(R) ** n <= hi**m
+
+
 @pytest.mark.parametrize("source", SEARCH_POINTS + [(f.name, None) for f in SPEC_FILES],
                          ids=_search_id)
 def test_equilibrium_search_bitwise_unchanged(source):
@@ -527,11 +561,98 @@ def test_equilibrium_search_bitwise_unchanged(source):
     else:
         cdef = get_case(name).definition(params)
     search = equilibrium_search(cdef.chart)
+    closed = closed_form_slice(cdef.chart)
     for seed in (0, 1, 7):
-        eqs, diag = search(cdef.chart, box=cdef.eq_box, seed=seed)
-        old_eqs, old_diag = old_search(cdef, seed)
-        assert diag == old_diag
-        assert [hexed(e.to_dict()) for e in eqs] == [hexed(e.to_dict()) for e in old_eqs]
+        eqs = search(cdef.chart, box=cdef.eq_box, seed=seed)
+        old_eqs, _ = old_search(cdef, seed)
+        if closed is None:
+            assert [hexed(e.to_dict()) for e in eqs] == [hexed(e.to_dict()) for e in old_eqs]
+            continue
+        assert [e.classification for e in eqs] == [e.classification for e in old_eqs]
+        vi = cdef.chart.vars.index(closed[0])
+        for e, old in zip(eqs, old_eqs):
+            assert e.coords[1 - vi] == 0.0 and ulps_apart(e.coords[vi], old.coords[vi]) <= 2
+            assert_nearest_exact_root(closed[1], e.coords[vi])
+
+
+def test_horizon_search_falls_back_to_newton():
+    # slices the closed form does not decide: three terms, two variables
+    def chart(vars, fields, k):  # homogeneous of degree k + 1, in the x direction
+        base = base_field(vars, [gp(f, vars) for f in fields], name="fallback")
+        t = TypeVector.make((1,) * len(vars), k)
+        return desingularize(directional_compactify(base, t, "x"), k)
+
+    # y' = y^3 + x y^2 - x^2 y over x' = x^3: the slice y^3 + y^2 - 2y
+    C3 = chart(("x", "y"), ["x^3", "y^3 + x*y^2 - x^2*y"], 2)
+    _, (p,) = horizon_slice(C3)
+    assert len(p.terms) == 3
+    # a quadratic field in 3-D: the slice y - y^2, z (1 + y - 2z) in (y, z)
+    C2 = chart(("x", "y", "z"), ["x^2", "2*x*y - y^2", "2*x*z - 2*z^2 + y*z"], 1)
+    assert len(horizon_slice(C2)[0]) == 2
+    for C, roots in ((C3, [(-2.0,), (0.0,), (1.0,)]),
+                     (C2, [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 1.0)])):
+        for seed in (0, 1, 7):
+            eqs = horizon_equilibria(C, seed=seed)
+            assert [e.coords[0] for e in eqs] == [0.0] * len(roots)
+            got = [e.coords[1:] for e in eqs]
+            assert np.allclose(got, roots, rtol=0.0, atol=1e-12), got
+
+
+def slice_of(*terms):
+    return GenPoly(("v",), {(F(e),): c for e, c in terms})
+
+
+@pytest.mark.parametrize("terms,nonneg,roots", [
+    ([(1, -1), (3, 1)], False, [-1.0, 0.0, 1.0]),
+    ([(1, -1), (3, 1)], True, [0.0, 1.0]),
+    ([(1, 1), (3, 1)], False, [0.0]),
+    ([(2, 1), (5, F(1, 8))], False, [-2.0, 0.0]),
+    ([(0, 2), (2, F(-1, 2))], False, [-2.0, 2.0]),
+    ([(1, F(-2, 5)), (F(5, 2), F(2, 5))], True, [0.0, 1.0]),
+    ([(-1, 1), (1, -4)], True, [0.5]),
+    ([(0, 1)], False, []),
+    ([(F(1, 2), 3)], True, [0.0]),
+], ids=["cubic", "cubic-nonnegative", "no-real-root", "odd-negative-root",
+        "constant-term", "fractional", "negative-exponent", "constant", "one-term"])
+def test_binomial_roots(terms, nonneg, roots):
+    assert _binomial_roots(slice_of(*terms), nonneg) == roots
+
+
+def test_binomial_root_halfway_between_doubles_rounds_to_even():
+    for k in (1, 3):  # 1 + k 2^-53 lies halfway between two doubles
+        R = 1 + F(k, 2**53)
+        assert _binomial_roots(slice_of((1, -R), (2, 1)), False) == [0.0, float(R)]
+        # the float estimate of the square root of R^2 is the odd neighbour
+        assert _binomial_roots(slice_of((0, -R * R), (2, 1)), True) == [float(R)]
+
+
+def test_binomial_root_outside_the_float_range_is_refused():
+    # a root is found where R = -c_a/c_b is no float, and refused where it
+    # is none itself: 1e-200, 1e200, then 1e-400 and (1e200)^2
+    for R, b, root in ((F(1, 10**400), 3, 1e-200), (F(10**400), 3, 1e200)):
+        assert _binomial_roots(slice_of((1, -R), (b, 1)), True) == [0.0, root]
+    for R, b in ((F(1, 10**800), 3), (F(10**200), F(3, 2))):
+        with pytest.raises(DomainError, match="outside the float range"):
+            _binomial_roots(slice_of((1, -R), (b, 1)), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(F(1, 10**6), 10**6),
+                 st.floats(1e-300, 1e300).map(F),
+                 st.integers(-900, 900).map(lambda k: F(7, 3) * F(10) ** k)),
+       st.integers(1, 5), st.integers(1, 9))
+def test_nearest_root_matches_high_precision(R, n, m):
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        x = (decimal.Decimal(R.numerator) / R.denominator).ln() * n / m
+        want = float(x.exp())
+    assume(0.0 < want < math.inf)
+    # skip the exact ties, where 80 digits cannot tell the rounding
+    lo, hi = ((F(want) + F(math.nextafter(want, t))) / 2 for t in (0.0, math.inf))
+    assume(R**n not in (lo**m, hi**m))
+    assert _nearest_root(R, n, m) == want
 
 
 POW_EXPONENTS = st.one_of(
@@ -603,9 +724,8 @@ def test_quasipolar_equilibria_bitwise_pinned(n, c):
         base = base_field(vars, [gp("y", vars), gp(f"-x^{2*n+1} - {c}*x^{n}*y", vars)],
                           name="qp")
         chart = quasi_polar_compactify(base, n + 1, n)
-    eqs, diag = horizon_equilibria(chart)
+    eqs = horizon_equilibria(chart)
     thetas, digest = QP_PINNED[n, c]
-    assert diag == {"starts": 257, "failed_starts": 0}
     assert [e.coords[1].hex() for e in eqs] == thetas
     assert all(e.coords[0] == 0.0 for e in eqs)
     if eqs:
