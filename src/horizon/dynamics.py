@@ -215,12 +215,14 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "if n_acc >= max_steps:",
         "    termination = 'step-budget'",
         "    break",
-        "d = tau_end - tau",
-        "if d < h:",
-        "    h = d",
+        # the step the controller asks for underflows; a last step cut to
+        # reach tau_end may be shorter than that and still finish the run
         "if h < 1e-14 * (tau if tau > 1.0 else 1.0):",
         "    termination = 'step-underflow'",
         "    break",
+        "d = tau_end - tau",
+        "if d < h:",
+        "    h = d",
     ]
 
     def halve(returned):

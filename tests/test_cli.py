@@ -232,8 +232,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line,usage", [
         ("window 1e-8", "window <low> <high>"),
+        ("box x 1", "unknown directive 'box'"),  # no spec states a search range
         ("var", "var <name>"),
-    ], ids=["window", "var"])
+    ], ids=["window", "box", "var"])
     def test_missing_directive_argument_is_2(self, tmp_path, capsys, line, usage):
         spec = GOOD_SPEC.replace("window 1e-8 1e-3", line)
         rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
@@ -303,7 +304,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec,old,new,message", [
         ("iy.spec", "equilibrium 0 1", "equilibrium 0",
          "equilibrium needs one number per chart variable (r, v1), not 1"),
-    ], ids=["equilibrium-arity"])
+        # the equilibria are decided without a search range, so a box line
+        # takes the place of the line it is put before
+        ("iy.spec", "equilibrium 0 0", "box zz 0 2\nequilibrium 0 0",
+         "unknown directive 'box'"),
+        ("iy.spec", "equilibrium 0 0", "box r 0 2\nequilibrium 0 0",
+         "unknown directive 'box'"),
+    ], ids=["equilibrium-arity", "box-unknown-var", "box-radial-var"])
     def test_spec_fact_the_search_cannot_use_is_2(self, tmp_path, capsys, spec, old,
                                                   new, message):
         # each was dropped or compared on a prefix: the run went ahead
@@ -315,13 +322,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
 
-    def test_box_line_is_an_unknown_directive(self, tmp_path, capsys):
-        # no spec states where to search for equilibria
-        text = (CASES_DIR / "iy.spec").read_text() + "box v1 0 2\n"
-        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+    def test_quasipolar_chart_takes_no_box(self, tmp_path, capsys):
+        # no chart takes one: a box line is an unknown directive
+        spec = LIENARD3_SPEC + "box theta 0 1\n"
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"line {len(text.splitlines())} " in err and "unknown directive 'box'" in err
+        assert "line 14 " in err and "unknown directive 'box'" in err
 
     def test_exponentially_growing_integrand_is_3(self, tmp_path, capsys):
         # x' = 1 rescaled by x: dt/dtau = x = e^tau grows, so no edge lies ahead

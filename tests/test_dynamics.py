@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -99,6 +99,14 @@ class TestTermination:
         assert traj.termination == "tau-budget"
         assert traj.final_state[0] == pytest.approx(2.0, abs=1e-10)
 
+    def test_short_last_step_still_reaches_tau_end(self):
+        # the first step ends 1e-14 short of tau_end; the remainder is below
+        # the underflow threshold, but the controller's step is not
+        vars = ("x",)
+        C = base_field(vars, [gp("1", vars)], name="drift")
+        traj = integrate(C, [0.0], 1.0, h0=0.99999999999999, stop_at_equilibrium=False)
+        assert traj.termination == "tau-budget"
+        assert traj.n_steps == 2 and traj.tau[-1] == 1.0
 
     def test_step_budget(self):
         cdef = get_case("lienard").definition({"n": 3})
@@ -270,6 +278,8 @@ PLANAR_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 
 @settings(max_examples=100, deadline=None)
 @given(PLANAR_POLY, PLANAR_POLY, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# the initial step is 1e-14 short of tau_end
+@example({(0, 0): 1e-16, (0, 1): 0.01}, {(0, 1): 0.01}, 0.0, 0.0)
 def test_dp5_matches_dop853_on_random_planar_fields(fx, fy, a, b):
     # the chart x' = fx, y' = fy with time chain dt/dtau = 1 + a x^2 + b y^2,
     # against scipy's DOP853 on the state augmented by t
