@@ -103,6 +103,7 @@ from .casebook import (
     sweep,
 )
 from .compactify import apply_recipe, base_field
+from .dynamics import check_run_number
 from .errors import HorizonError, ParameterError, ParseError
 from .genpoly import parse_genpoly
 from .rates import RateModel
@@ -423,6 +424,8 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     if head in _NUMBER_DIRECTIVES:
         key, parse = _NUMBER_DIRECTIVES[head]
         st.plan[key] = parse(rest)
+        if key != "direction":  # a value integrate refuses is refused at its line
+            check_run_number(key, st.plan[key], head)
     elif head == "name":
         st.name = rest
     elif head == "var":

@@ -25,6 +25,15 @@ evaluated with :meth:`ChartField.compile_rhs`, the same text compiled as a
 function.  The dense output is formed only for steps that contain a section
 crossing, and the crossing is bisected on the angle component alone.
 
+A run still going after ``_NATIVE_AFTER`` accepted steps continues in C
+when a C compiler is on ``PATH``: :func:`horizon.native.resume` translates
+the same loop text, compiles it once per process and resumes from the
+Python loop's exact state (its local variables), with the same float
+operations, so the trajectory is the same bit for bit.  Accepted steps come
+back in numpy chunks; the steps with a section crossing are bisected here,
+by :func:`_cross_sections`.  Shorter runs, and machines without a
+compiler, stay in the Python loop, which is the reference.
+
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
 'step-underflow'.
@@ -38,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .errors import AmbiguousTailError
 from .compactify import ChartField
 
@@ -46,6 +56,7 @@ __all__ = [
     "TmaxEstimate",
     "SectionSpec",
     "integrate",
+    "check_run_number",
     "accumulate_time",
     "trajectory_to_csv",
     "lstsq",
@@ -125,10 +136,13 @@ def integrate(
     ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
     with |field| <= 1e-12 (1 + |state|).
     """
-    if not (1e-13 <= rtol <= 1e-3) or not (1e-14 <= atol <= 1e-3):
-        raise ValueError("tolerances out of the supported range")
-    if h0 is not None and not 0.0 < h0 < math.inf:
-        raise ValueError(f"initial step h0 = {h0} is not finite and positive")
+    numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps)
+    for name, value in numbers.items():
+        check_run_number(name, value)
+    if h0 is not None:
+        check_run_number("h0", h0)
+    # the loop's floats are Python floats, whatever number type was passed
+    tau_end, h_max, rtol = float(tau_end), float(h_max), float(rtol)
     sign = 1 if direction >= 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
@@ -155,15 +169,53 @@ def integrate(
         period = section.period
         sec_count = math.floor(abs(y[si]) / period)
 
-    h = h0 if h0 is not None else _initial_step(y, f_now)
+    h = float(h0) if h0 is not None else _initial_step(y, f_now)
     h = min(h, h_max, tau_end)
-    loop = _loop_fn(C, sign, si, stop_at_equilibrium)
-    taus, states, incs, termination, n_acc, n_rej, n_nonfinite, n_rhs_rej = loop(
-        y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, max_steps,
-        period, sec_count, sec_hits)
+    loop, text = _loop_fn(C, sign, si, stop_at_equilibrium)
+    budget = max_steps
+    if max_steps > _NATIVE_AFTER and native.compiler() is not None:
+        budget = _NATIVE_AFTER
+    st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget,
+              period, sec_count, sec_hits)
+    taus, states, incs = st["taus"], st["states"], st["incs"]
+    if budget < max_steps and st["termination"] == "step-budget":
+        # not over: the compiled copy continues from the loop's exact state
+        st.update(termination="tau-budget", max_steps=max_steps)
+        chunks = native.resume(text, loop.__globals__, st)
+        taus, states, incs = (np.concatenate([np.asarray(head), *chunks[f"{name}_append"]])
+                              for head, name in ((taus, "taus"), (states, "states"),
+                                                 (incs, "incs")))
     # every accepted step evaluated the field 7 times, the initial point once
-    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej,
-                       1 + 7 * n_acc + n_rhs_rej, n_nonfinite)
+    return _build_traj(taus, states, incs, st["termination"], C, sec_hits, st["n_acc"],
+                       st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"], st["n_nonfinite"])
+
+
+# accepted steps after which a run continues in the compiled loop (when a C
+# compiler is on PATH): one compile costs about as much as 9,000-30,000
+# Python steps, and the longest run outside lienard takes 14,599
+_NATIVE_AFTER = 32_768
+
+
+# the run numbers integrate accepts (a NaN fails every test): (test, requirement)
+_RUN_NUMBERS = {
+    "rtol": (lambda x: 1e-13 <= x <= 1e-3, "in [1e-13, 1e-3]"),
+    "atol": (lambda x: 1e-14 <= x <= 1e-3, "in [1e-14, 1e-3]"),
+    "tau_end": (lambda x: x >= 0.0, "a nonnegative number"),
+    "h_max": (lambda x: x > 0.0, "positive"),
+    "max_steps": (lambda x: x >= 0, "nonnegative"),
+    "h0": (lambda x: 0.0 < x < math.inf, "finite and positive"),
+}
+
+
+def check_run_number(name: str, value, label: str | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an admissible ``integrate``
+    argument ``name`` (``label`` names it in the message).  A NaN or negative
+    ``tau_end``, or a NaN or non-positive ``h_max``, would end a run as
+    'tau-budget' after 0 steps or lift the step cap without a word."""
+    test, need = _RUN_NUMBERS[name]
+    if not test(value):
+        label = label or ("initial step h0" if name == "h0" else name)
+        raise ValueError(f"{label} = {value!r} is not {need}")
 
 
 # what a compiled chart rhs raises where a power of a Python float overflows
@@ -173,17 +225,23 @@ _POW_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
 def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool):
-    """The whole DP5 integration loop for one chart, generated as one function.
+    """The whole DP5 integration loop for one chart, generated as one
+    function; returns ``(loop, text)``, the function and its source.
 
     ``loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period,
     sec_count, sections)`` starts at the state tuple y with its
     (direction-signed) field f and chain product g0 and the first step h,
     appends the crossings of the section variable ``si`` (if any) to
-    ``sections``, and returns ``(taus, states, incs, termination, n_acc,
-    n_rej, n_nonfinite, n_rhs_rej)``: the accepted times, states and time
-    increments, the termination reason, the accepted and rejected steps, the
-    rejections of a non-finite or raising stage, and the field evaluations
-    that returned in rejected attempts.
+    ``sections``, and returns its local variables, among them ``taus``,
+    ``states`` and ``incs`` (the accepted times, states and time
+    increments), ``termination``, ``n_acc`` and ``n_rej`` (the accepted and
+    rejected steps), ``n_nonfinite`` (the rejections of a non-finite or
+    raising stage) and ``n_rhs_rej`` (the field evaluations that returned in
+    rejected attempts).  On 'step-budget' they are the exact state at the
+    top of the iteration that stopped (the state ``y{i}``, its derivative
+    ``k0_{i}``, ``g0``, ``h``, ``tau``, ``t_acc``, ``err_prev``, ``eq_run``,
+    ``sec_count`` and the counters), from which
+    :func:`horizon.native.resume` continues the run.
 
     Each stage assigns its inputs to the chart's variables and runs the
     :meth:`ChartField.rhs_source` text in place.  A stage (or the end point)
@@ -288,10 +346,11 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         lines += [
             f"nc = _floor((-y5_{si} if y5_{si} < 0.0 else y5_{si}) / period)",
             "if nc > sec_count:",
-            f"    sec_count = _cross_sections(sections, sec_count, nc, period, {si}, "
+            f"    _cross_sections(sections, sec_count, nc, period, {si}, "
             f"tau, h, {_tup(f'y{i}' for i in I)}, {_tup(f'y5_{i}' for i in I)}, "
             f"({''.join(_tup(f'k{s}_{i}' for i in I) + ', ' for s in range(7))}), "
             f"{_tup(f'g{s}' for s in range(7))}, t_acc, n_acc)",
+            "    sec_count = nc",
         ]
     lines += ["tau += h"]
     lines += [f"y{i} = y5_{i}" for i in I]
@@ -346,12 +405,12 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "sec_count, sections):\n"
         + "".join(f"    {line}\n" for line in head)
         + "".join(f"        {line}\n" for line in lines)
-        + "    return taus, states, incs, termination, n_acc, n_rej, n_nonfinite, n_rhs_rej\n"
+        + "    return locals()\n"
     )
     ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor, _inf=math.inf,
               _POW_ERRORS=_POW_ERRORS, _cross_sections=_cross_sections)
     exec(compile(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
-    return ns["loop"]
+    return ns["loop"], text
 
 
 def _tup(names) -> str:
@@ -361,7 +420,7 @@ def _tup(names) -> str:
 
 def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_acc, n_acc):
     """Append the crossings of one accepted step (section count ``count`` up
-    to ``new_count``) to ``hits``; returns ``new_count``.
+    to ``new_count``) to ``hits``.
 
     Each crossing is located by bisection on the dense output of the angle
     alone, which must be monotone within the step, and recorded as (tau,
@@ -379,7 +438,6 @@ def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_
         # the physical-time increment over [0, th], by the same dense weights
         partial = h * _dense_sum(th, kg)
         hits.append((tau + th * h, state, t_acc + partial, n_acc, partial))
-    return count
 
 
 def _dense_sum_fn():
@@ -451,7 +509,7 @@ def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej,
                 n_rhs=0, n_nonfinite=0):
     """The trajectory of the lists a loop returns; ``states`` holds one row
     per time in ``taus``, flat (components one after another) or nested."""
-    t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if incs else np.zeros(1)
+    t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if len(incs) else np.zeros(1)
     return Trajectory(
         tau=np.asarray(taus),
         states=np.asarray(states).reshape(len(taus), -1),

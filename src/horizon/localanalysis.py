@@ -15,6 +15,7 @@ the statement is applied with n_s >= 1.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -50,6 +51,7 @@ N_STARTS = 64
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 60
 DEDUPE = 1e-8
+POLISH_PASSES = 16
 SEARCH_RANGE = (-2.0, 2.0)  # of each variable, before widening to expected roots
 
 
@@ -204,6 +206,37 @@ def _damped_newton(F, JF, x, clip):
     return None
 
 
+def _polish(F, x):
+    """Step one coordinate at a time to a neighbouring double while that
+    lowers the float residual norm, or keeps it and makes the last bit
+    even, for at most ``POLISH_PASSES`` passes over the coordinates; so
+    Newton runs from different starts end on the same double near a simple
+    root.  (Near a degenerate root the residual can keep falling for many
+    ulps, hence the cap.)"""
+    x = list(x)
+    best = (_norm(F(x)), _odd(x))
+    for _ in range(POLISH_PASSES):
+        moved = False
+        for i in range(len(x)):
+            for toward in (-math.inf, math.inf):
+                trial = x.copy()
+                trial[i] = math.nextafter(x[i], toward)
+                try:
+                    key = (_norm(F(trial)), _odd(trial))
+                except DomainError:
+                    continue
+                if key < best:
+                    x, best, moved = trial, key, True
+        if not moved:
+            break
+    return x
+
+
+def _odd(x) -> int:
+    """How many coordinates of x have an odd last bit."""
+    return sum(struct.unpack("<q", struct.pack("<d", v))[0] & 1 for v in x)
+
+
 def _snap_axis_values(F, x):
     """Replace near-axis coordinates by their exact values when the residual
     allows it; keeps coordinate-set equilibria exact and deterministic."""
@@ -228,7 +261,8 @@ def _newton_roots(components, variables, box, seed):
     Starts are ``N_STARTS`` points drawn by ``seed`` in the search box
     (``SEARCH_RANGE`` where it declares none) and the origin.  Roots more
     than 0.5 outside the box are dropped; the rest are snapped to exact axis
-    values, deduplicated and sorted.
+    values, deduplicated, polished to the double :func:`_polish` settles on
+    (and snapped again) and sorted.
 
     The residual and the Jacobian entries are compiled once per search
     (:func:`_float_fn`) and the iteration runs on Python floats; values,
@@ -273,6 +307,7 @@ def _newton_roots(components, variables, box, seed):
         x = _snap_axis_values(F, x)
         if not any(_norm([a - b for a, b in zip(x, r)]) <= DEDUPE for r in roots):
             roots.append(x)
+    roots = [_snap_axis_values(F, _polish(F, x)) for x in roots]
     roots.sort(key=tuple)
     return roots
 

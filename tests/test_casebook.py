@@ -183,13 +183,20 @@ def test_full_field_search_reaches_an_expected_equilibrium_outside_its_range(tmp
     assert search(cdef.chart, box={}, seed=0) == []
 
 
-@pytest.mark.parametrize("a", [F(1, 5), F(1, 7)], ids=["1/5", "1/7"])
-def test_reported_equilibria_do_not_depend_on_the_seed(a):
+@pytest.mark.parametrize("name,params,seeds,coords", [
     # the slice -a v1 + a v1^(1/a) has the root v1 = -1, which a seeded
     # search in a typed box found at some seeds only
-    eqs = [run_case("iy", {"a": a}, seed=s).equilibria for s in (0, 1, 7)]
-    assert eqs[0] == eqs[1] == eqs[2]
-    assert [e["coords"] for e in eqs[0]] == [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]
+    ("iy", {"a": F(1, 5)}, (0, 1, 7), [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]),
+    ("iy", {"a": F(1, 7)}, (0, 1, 7), [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]),
+    # Newton from the seeded starts ended on phi = 1/4 or on the double
+    # below it, by the seed; the polished root is 1/4 at every seed
+    ("fhn", {"m": 1}, (0, 1, 2, 7, 11), [[0.0, 0.0], [0.25, 0.0], [1.0, 0.0]]),
+    ("fhn", {"m": 2}, (0, 1, 2, 7, 11), [[0.0, 0.0], [0.25, 0.0], [1.0, 0.0]]),
+], ids=["1/5", "1/7", "fhn-m1", "fhn-m2"])
+def test_reported_equilibria_do_not_depend_on_the_seed(name, params, seeds, coords):
+    eqs = [run_case(name, params, seed=s).equilibria for s in seeds]
+    assert all(e == eqs[0] for e in eqs)
+    assert [e["coords"] for e in eqs[0]] == coords
 
 
 @pytest.mark.parametrize("name,t,qh", [

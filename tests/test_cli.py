@@ -242,6 +242,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 12 " in err and usage in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("tau-end 45", "tau-end nan", "tau-end = nan is not a nonnegative number"),
+        ("tau-end 45", "tau-end -1", "tau-end = -1.0 is not a nonnegative number"),
+        ("h-max 0.05", "h-max nan", "h-max = nan is not positive"),
+        ("h-max 0.05", "h-max 0", "h-max = 0.0 is not positive"),
+        ("kind blow-up", "kind blow-up\nrtol nan", "rtol = nan is not in"),
+        ("kind blow-up", "kind blow-up\natol 1", "atol = 1.0 is not in"),
+    ], ids=["tau-end-nan", "tau-end-negative", "h-max-nan", "h-max-zero", "rtol-nan",
+            "atol-1"])
+    def test_run_number_integrate_refuses_is_2(self, tmp_path, capsys, old, new, message):
+        # a NaN tau-end ended the run after 0 steps and exited 3 on the tail;
+        # a NaN h-max lifted the step cap and passed
+        text = (CASES_DIR / "iy.spec").read_text()
+        assert old in text
+        text = text.replace(old, new)
+        line = next(i for i, ln in enumerate(text.splitlines(), 1)
+                    if ln == new.splitlines()[-1])
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line} " in err and message in err
+
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time
         # on part of the phase plane

@@ -130,6 +130,25 @@ class TestTermination:
         assert traj.n_steps == 3 and traj.n_rejected > 0
         assert np.all(np.isfinite(traj.dt_inc)) and np.all(np.isfinite(traj.t))
 
+    @pytest.mark.parametrize("number,value", [
+        ("tau_end", math.nan), ("tau_end", -1.0), ("h_max", math.nan), ("h_max", 0.0),
+        ("h_max", -1.0), ("max_steps", -1), ("rtol", math.nan), ("atol", math.nan),
+    ])
+    def test_run_numbers_that_make_the_termination_untrue_are_refused(self, number, value):
+        # tau_end = nan or -1 ended after 0 steps as 'tau-budget', and
+        # h_max = nan lifted the step cap
+        vars = ("x",)
+        C = base_field(vars, [gp("-x", vars)], name="decay")
+        kw = {"tau_end": 10.0, number: value}
+        with pytest.raises(ValueError, match=f"{number} = "):
+            integrate(C, [1.0], **kw)
+
+    def test_zero_tau_end_is_a_run_of_no_steps(self):
+        vars = ("x",)
+        C = base_field(vars, [gp("-x", vars)], name="decay")
+        traj = integrate(C, [1.0], 0.0)
+        assert traj.termination == "tau-budget" and traj.n_steps == 0
+
     @pytest.mark.parametrize("h0", [math.nan, math.inf, 0.0, -1e-3])
     def test_initial_step_must_be_finite_and_positive(self, h0):
         # a NaN h0 made every attempt non-finite and the loop never ended
@@ -281,8 +300,13 @@ PLANAR_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 # the initial step is 1e-14 short of tau_end
 @example({(0, 0): 1e-16, (0, 1): 0.01}, {(0, 1): 0.01}, 0.0, 0.0)
 def test_dp5_matches_dop853_on_random_planar_fields(fx, fy, a, b):
-    # the chart x' = fx, y' = fy with time chain dt/dtau = 1 + a x^2 + b y^2,
-    # against scipy's DOP853 on the state augmented by t
+    check_planar_field_against_dop853(fx, fy, a, b)
+
+
+def check_planar_field_against_dop853(fx, fy, a, b):
+    """The chart x' = fx, y' = fy with time chain dt/dtau = 1 + a x^2 + b y^2
+    from (0.5, 0.5) over [0, 1], against scipy's DOP853 on the state
+    augmented by t; returns the trajectory."""
     vars = ("x", "y")
     comps = [GenPoly(vars, {(F(i), F(j)): c for (i, j), c in f.items()}) for f in (fx, fy)]
     chain = GenPoly(vars, {(F(0), F(0)): 1.0, (F(2), F(0)): a, (F(0), F(2)): b})
@@ -303,6 +327,7 @@ def test_dp5_matches_dop853_on_random_planar_fields(fx, fy, a, b):
     assert traj.termination == "tau-budget"
     for got, want in zip([*traj.final_state, traj.t[-1]], ref.y[:, -1]):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    return traj
 
 
 def test_csv_export(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from horizon import dynamics, native
 from horizon.casebook import chart_section, get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import (
@@ -404,6 +405,19 @@ def test_lienard_cut_runs_bitwise(n, starts):
         rejected += new.n_rejected
         sections = max(sections, len(new.sections))
     assert rejected >= 1 and sections >= 3
+
+
+@pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
+def test_lienard_native_continuation_bitwise(monkeypatch):
+    # the run continues in the compiled loop after 7 steps
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 7)
+    cdef = get_case("lienard").definition({"n": 3})
+    plan = cdef.runs[0]
+    kw = plan_kwargs(plan, cdef.chart)
+    args = (cdef.chart, plan.initial, 100.0)
+    new = integrate(*args, **kw)
+    assert new.n_steps > 7 and new.n_rejected >= 1 and len(new.sections) >= 3
+    assert_same_trajectory(new, old_integrate(*args, **kw))
 
 
 def test_nonfinite_retry_path_bitwise(monkeypatch):

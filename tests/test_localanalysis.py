@@ -562,17 +562,28 @@ def test_equilibrium_search_bitwise_unchanged(source):
         cdef = get_case(name).definition(params)
     search = equilibrium_search(cdef.chart)
     closed = closed_form_slice(cdef.chart)
+    found = []
     for seed in (0, 1, 7):
         eqs = search(cdef.chart, box=cdef.eq_box, seed=seed)
         old_eqs, _ = old_search(cdef, seed)
         if closed is None:
-            assert [hexed(e.to_dict()) for e in eqs] == [hexed(e.to_dict()) for e in old_eqs]
+            # the oracle's Newton roots, each coordinate polished by at most
+            # one ulp (fhn's root 1/4 was the double below or above it at
+            # some seeds); a root that did not move is bitwise the oracle's
+            assert len(eqs) == len(old_eqs)
+            for e, old in zip(eqs, old_eqs):
+                assert all(ulps_apart(a, b) <= 1 for a, b in zip(e.coords, old.coords))
+                if e.coords == old.coords:
+                    assert hexed(e.to_dict()) == hexed(old.to_dict())
+            found.append([hexed(e.to_dict()) for e in eqs])
             continue
         assert [e.classification for e in eqs] == [e.classification for e in old_eqs]
         vi = cdef.chart.vars.index(closed[0])
         for e, old in zip(eqs, old_eqs):
             assert e.coords[1 - vi] == 0.0 and ulps_apart(e.coords[vi], old.coords[vi]) <= 2
             assert_nearest_exact_root(closed[1], e.coords[vi])
+    # and the polished roots do not depend on the seed
+    assert found[1:] == found[:-1]
 
 
 def test_horizon_search_falls_back_to_newton():

@@ -1,0 +1,296 @@
+"""The compiled continuation of the DP5 loop against the Python loop.
+
+A run longer than ``dynamics._NATIVE_AFTER`` accepted steps continues in C,
+translated from the same generated loop text (``horizon.native``).  Every
+test here compares whole trajectories bit for bit: times, states, time
+increments, cumulative times, sections and all counters, or the exception
+that leaves ``integrate``.  The handoff threshold is lowered to 0 (the whole
+run in C) and 7 (a handoff after the Python loop's first steps).  Each new
+chart costs one compile, so the hypothesis runs are short.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import test_dynamics
+from horizon import dynamics, native
+from horizon.casebook import chart_section, get_case
+from horizon.compactify import CS, SN, ChartField, base_field
+from horizon.dynamics import SectionSpec, integrate
+from horizon.genpoly import GenPoly, parse_genpoly
+from test_fused_stepper import bits
+
+pytestmark = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
+
+FIELDS = ("tau", "states", "dt_inc", "t", "sections", "termination", "n_steps",
+          "n_rejected", "n_rhs", "n_nonfinite")
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """The calls of ``native.resume`` during the test."""
+    calls = []
+    resume = native.resume
+
+    def counting(*args):
+        calls.append(args[2]["n_acc"])
+        return resume(*args)
+
+    monkeypatch.setattr(native, "resume", counting)
+    return calls
+
+
+def outcome(monkeypatch, after, *args, **kw):
+    """The trajectory of ``integrate(*args, **kw)`` with the handoff after
+    ``after`` accepted steps (None: never), or the exception it raised."""
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 10**12 if after is None else after)
+    try:
+        traj = integrate(*args, **kw)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return {name: bits(getattr(traj, name)) for name in FIELDS}
+
+
+def assert_native_matches_python(monkeypatch, *args, afters=(0, 7), **kw):
+    want = outcome(monkeypatch, None, *args, **kw)
+    for after in afters:
+        assert outcome(monkeypatch, after, *args, **kw) == want, after
+    return want
+
+
+def plan_args(name, params=None, **over):
+    cdef = get_case(name).definition(params)
+    plan = cdef.runs[0]
+    kw = dict(rtol=plan.rtol, atol=plan.atol, direction=plan.direction, h_max=plan.h_max,
+              section=chart_section(cdef.chart), stop_at_equilibrium=plan.stop_at_equilibrium)
+    kw.update(over)
+    return (cdef.chart, plan.initial, kw.pop("tau_end", plan.tau_end)), kw
+
+
+def test_lienard_n1_hands_off_at_the_default_threshold(monkeypatch, handoffs):
+    assert dynamics._NATIVE_AFTER == 32_768
+    args, kw = plan_args("lienard", {"n": 1})
+    want = outcome(monkeypatch, None, *args, **kw)
+    assert not handoffs
+    got = outcome(monkeypatch, 32_768, *args, **kw)
+    assert handoffs == [32_768]
+    assert got == want
+    assert want["n_steps"] == 101_445 and len(want["sections"]) == 307
+
+
+@settings(max_examples=6, deadline=None)
+@given(test_dynamics.PLANAR_POLY, test_dynamics.PLANAR_POLY,
+       test_dynamics.st.floats(0.0, 1.0), test_dynamics.st.floats(0.0, 1.0))
+def test_native_planar_fields_match_python_and_dop853(fx, fy, a, b):
+    # the fields of test_dp5_matches_dop853_on_random_planar_fields, with the
+    # whole run in C and with a handoff after 7 steps
+    trajs = []
+    for after in (None, 0, 7):
+        dynamics._NATIVE_AFTER, saved = (10**12 if after is None else after), dynamics._NATIVE_AFTER
+        try:
+            trajs.append(test_dynamics.check_planar_field_against_dop853(fx, fy, a, b))
+        finally:
+            dynamics._NATIVE_AFTER = saved
+    want = [bits(getattr(trajs[0], name)) for name in FIELDS]
+    for traj in trajs[1:]:
+        assert [bits(getattr(traj, name)) for name in FIELDS] == want
+
+
+def _decay():
+    return base_field(("x",), [parse_genpoly("-x", ("x",))], name="decay")
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("sections", [True, False], ids=["sections", "no-sections"])
+def test_lienard_directions_and_sections(monkeypatch, direction, sections):
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0 if direction > 0 else 20.0,
+                         direction=direction)
+    if not sections:
+        kw["section"] = None
+    want = assert_native_matches_python(monkeypatch, *args, **kw)
+    assert want["n_steps"] > 7 and (len(want["sections"]) >= 2) == sections
+
+
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
+def test_equilibrium_stop(monkeypatch, stop):
+    want = assert_native_matches_python(monkeypatch, _decay(), [1.0], 1e6, rtol=1e-10,
+                                        atol=1e-13, stop_at_equilibrium=stop, max_steps=3000)
+    assert (want["termination"] == "converged-to-equilibrium") == stop
+
+
+def test_reversed_iy_run(monkeypatch):
+    args, kw = plan_args("iy", direction=-1, tau_end=5.0)
+    assert_native_matches_python(monkeypatch, *args, **kw)
+
+
+# -- the fault runs of test_dynamics.TestTermination and test_stage_text ----------------
+
+
+@pytest.mark.parametrize("name,params,x0,h0", [
+    ("iy", None, (0.5, 0.5), 1e300),
+    ("lienard", {"n": 3}, None, 1e306),
+], ids=["iy", "lienard-n3"])
+def test_overflowing_error_norm(monkeypatch, name, params, x0, h0):
+    cdef = get_case(name).definition(params)
+    x0 = x0 or cdef.runs[0].initial
+    want = assert_native_matches_python(monkeypatch, cdef.chart, x0, 1e308, h0=h0, max_steps=50)
+    assert want["n_rejected"] > want["n_nonfinite"]
+
+
+def test_nan_error_norm_on_a_huge_time_chain(monkeypatch):
+    vars = ("x",)
+    C = base_field(vars, [parse_genpoly("-x", vars)], prefactor=GenPoly.const(vars, 1e300),
+                   name="huge-chain")
+    want = assert_native_matches_python(monkeypatch, C, [1.0], 1e20, h0=1e10, max_steps=30,
+                                        stop_at_equilibrium=False)
+    assert want["n_rejected"] > 0
+
+
+def test_short_last_step(monkeypatch):
+    C = base_field(("x",), [parse_genpoly("1", ("x",))], name="drift")
+    want = assert_native_matches_python(monkeypatch, C, [0.0], 1.0, h0=0.99999999999999,
+                                        stop_at_equilibrium=False, afters=(0, 1))
+    assert want["termination"] == "tau-budget" and want["n_steps"] == 2
+
+
+def test_step_budget(monkeypatch):
+    args, kw = plan_args("lienard", {"n": 3}, max_steps=500, stop_at_equilibrium=False)
+    want = assert_native_matches_python(monkeypatch, *args, **kw)
+    assert want["termination"] == "step-budget" and want["n_steps"] == 500
+
+
+def test_step_underflow(monkeypatch):
+    # x' = x^2 from 1 reaches infinity at tau = 1
+    C = base_field(("x",), [parse_genpoly("x^2", ("x",))], name="blow-up")
+    want = assert_native_matches_python(monkeypatch, C, [1.0], 2.0, stop_at_equilibrium=False)
+    assert want["termination"] == "step-underflow"
+
+
+def test_nan_stage_angle_on_a_quasipolar_chart(monkeypatch):
+    # theta' = w = 1e300 puts a stage's angle at inf; the lookup raises
+    # ValueError inside the stage, which halves the step
+    pv = ("w", "r", CS, SN)
+    C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
+                   components=tuple(parse_genpoly(t, pv) for t in ("0", "-r", "w")),
+                   quasipolar_index=1, angle="theta")
+    want = assert_native_matches_python(monkeypatch, C, [1e300, 1.0, 0.0], 1e10, h0=1e10,
+                                        max_steps=12, stop_at_equilibrium=False)
+    assert want["n_nonfinite"] >= 1
+
+
+@pytest.mark.parametrize("shave", [0.0, 2.0**-40], ids=["zero-power", "overflow"])
+def test_raising_power_in_a_stage(monkeypatch, shave):
+    pv = ("w", "r", CS, SN)
+    C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
+                   components=tuple(parse_genpoly(t, pv) for t in ("0", "r^2 * _sn^(-2)", "w")),
+                   quasipolar_index=1, angle="theta")
+    w0 = 1e-150
+    x0 = [w0, 0.0, -(0.2 * w0) * (1.0 - shave)]
+    want = assert_native_matches_python(monkeypatch, C, x0, 1.0, h0=1.0,
+                                        stop_at_equilibrium=False, afters=(0,))
+    assert want["n_nonfinite"] == 1
+
+
+def test_nan_fractional_power(monkeypatch):
+    # x' = -sqrt(x) reaches 0 at tau = 2; beyond it _fpow returns NaN
+    C = base_field(("x",), [parse_genpoly("-x^(1/2)", ("x",))], name="sqrt-decay")
+    want = assert_native_matches_python(monkeypatch, C, [1.0], 3.0, stop_at_equilibrium=False)
+    assert want["n_nonfinite"] > 0
+
+
+def test_exception_outside_a_try_leaves_integrate(monkeypatch):
+    # x' = 1e300 with h0 = 1e10 accepts a step to x = inf; the section
+    # count's floor of inf raises OverflowError, in Python and in C alike
+    C = base_field(("x",), [parse_genpoly("1e300", ("x",))], name="fast-drift")
+    want = assert_native_matches_python(monkeypatch, C, [0.0], 1e20, h0=1e10,
+                                        section=SectionSpec("x", 1.0),
+                                        stop_at_equilibrium=False)
+    assert want == (OverflowError, "cannot convert float infinity to integer")
+
+
+# -- chunks, the translator, the compiler ---------------------------------------
+
+
+def test_refilled_chunks_keep_every_crossing(monkeypatch):
+    # 64-step chunks and 2 recorded crossings per return: the run comes back
+    # to Python many times, and crossings fall in refilled chunks
+    monkeypatch.setattr(native, "CHUNK", 64)
+    monkeypatch.setattr(native, "RECORDS", 2)
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0)
+    want = assert_native_matches_python(monkeypatch, *args, **kw)
+    steps = [s[3] for s in integrate(*args, **kw).sections]  # step index of each crossing
+    assert want["n_steps"] > 3 * 64 and len(steps) > 2 and max(steps) > 2 * 64
+
+
+@pytest.mark.parametrize("body", [
+    "x = x // 2.0",                 # an operator it does not translate
+    "x = [x][0]",                   # a list display
+    "with x:\n            pass",    # a statement it does not translate
+    "n = x",                        # an int name that becomes a float
+], ids=["floordiv", "list", "with", "int-to-float"])
+def test_unknown_node_raises(body):
+    text = f"def loop(x, n):\n    while x < 1.0:\n        {body}\n    return locals()\n"
+    with pytest.raises(NotImplementedError):
+        native.resume(text, {}, {"x": 0.5, "n": 3})
+
+
+def _run(fn):
+    """``x`` of the state ``fn()`` returns, or the exception it raised."""
+    try:
+        return fn()["x"]
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("statement,caught", [
+    ("x = (x / 0.0) + (1e300 ** 2.0)", "OverflowError"),
+    ("x = (1e300 ** 2.0) + (x / 0.0)", "ZeroDivisionError"),
+    ("i = _floor(x * 1e308 * 1e308)", "ValueError"),
+    ("i = _floor(x * 1e308 * 1e308)", "OverflowError"),
+], ids=["division-first", "power-first", "floor-of-inf", "floor-of-inf-caught"])
+def test_first_exception_python_reaches_decides_the_handler(statement, caught):
+    # where two operations raise, Python reaches the left one first, whatever
+    # order C evaluates them in; only a matching handler catches it
+    text = (f"def loop(x):\n    while x < 1.0:\n        try:\n            {statement}\n"
+            f"        except {caught}:\n            pass\n        x = 2.0\n"
+            f"    return locals()\n")
+    ns = {"_floor": math.floor}
+    exec(text, ns)
+    want = _run(lambda: ns["loop"](0.5))
+    state = {"x": 0.5}
+    assert _run(lambda: (native.resume(text, ns, state), state)[1]) == want
+    assert (want == 2.0) == (caught == "OverflowError" and "floor" in statement)
+
+
+def test_failed_compile_raises_with_the_compiler_message():
+    with pytest.raises(RuntimeError, match="error"):
+        native._compiled("this is not C\n")
+
+
+def test_no_compiler_on_path_stays_in_python(monkeypatch, handoffs):
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0)
+    want = outcome(monkeypatch, None, *args, **kw)
+    monkeypatch.setenv("PATH", "")
+    assert native.compiler() is None
+    assert outcome(monkeypatch, 0, *args, **kw) == want
+    assert not handoffs
+
+
+def test_compiled_loops_are_cached_by_their_text(monkeypatch):
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
+    outcome(monkeypatch, 0, *args, **kw)
+    cached = len(native._LOOPS)
+    outcome(monkeypatch, 7, *args, **kw)
+    assert len(native._LOOPS) == cached
+
+
+def test_trajectory_arrays_are_whole(monkeypatch):
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=30.0)
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 5)
+    traj = integrate(*args, **kw)
+    assert traj.states.shape == (traj.n_steps + 1, 2) and traj.states.dtype == np.float64
+    assert len(traj.tau) == len(traj.t) == len(traj.dt_inc) + 1
+    assert math.isclose(traj.t[-1], np.sum(traj.dt_inc), rel_tol=1e-12)
