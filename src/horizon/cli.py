@@ -1,8 +1,9 @@
 """Command-line front end.
 
-``horizon analyze <spec-file | builtin-name>`` parses a system description,
-runs the pipeline, and writes report.json, fits.csv and trajectories/*.csv
-into the output directory.  ``horizon sweep <builtin-name> --param a=...``
+``horizon analyze <spec-file | builtin-name>`` parses a system description
+(from a regular file; any other target names a builtin case), runs the
+pipeline, and writes report.json, fits.csv and trajectories/*.csv into the
+output directory.  ``horizon sweep <builtin-name> --param a=...``
 runs a parameter grid and writes an aggregate CSV.  Both take only
 ``--seed``, ``--out`` and ``--jobs`` (worker processes of a sweep); every
 other setting of a run comes from its case.
@@ -16,8 +17,9 @@ field; ``--seed`` reaches only the searches no closed form decides.
 
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
-2 parse error (with line/column) or bad argument (unknown, mistyped or out
-of range, or an even lienard ``n``), 3 some report ERROR or a pipeline error.
+2 parse error (with line/column), an unreadable spec file or bad argument
+(unknown, mistyped, out of range or repeated, or an even lienard ``n``),
+3 some report ERROR or a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -154,13 +156,20 @@ def _cmd_analyze(args) -> int:
     if not args.target:
         print("error: no spec file or case name given", file=sys.stderr)
         return 2
-    target = args.target
+    path = pathlib.Path(args.target)
     try:
-        if pathlib.Path(target).exists():
-            case = parse_spec_file(pathlib.Path(target))
+        # a spec is read only from a regular file: an output directory named
+        # like a case (``analyze iy --out iy``) leaves the name to the case
+        if path.is_file():
+            try:
+                case = parse_spec_file(path)
+            except OSError as exc:
+                print(f"error: cannot read spec file {args.target!r}: {exc.strerror}",
+                      file=sys.stderr)
+                return 2
         else:
             try:
-                case = get_case(target)
+                case = get_case(args.target)
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -197,6 +206,9 @@ def _cmd_sweep(args) -> int:
             return 2
         name, _, vals = p.partition("=")
         name = name.strip()
+        if name in grid[0]:
+            print(f"error: --param {name!r} given twice", file=sys.stderr)
+            return 2
         try:
             values = [_parse_number(v) for v in vals.split(",") if v]
         except (ValueError, ZeroDivisionError):

@@ -22,17 +22,18 @@ tableau order, and every stage runs the chart field's printed text
 component and chain expressions) in place, with no call per stage; the
 step bookkeeping and the PI controller are inline too.  The initial point is
 evaluated with :meth:`ChartField.compile_rhs`, the same text compiled as a
-function.  The dense output is formed only for steps that contain a section
-crossing, and the crossing is bisected on the angle component alone.
+function.  A step that crosses a section appends one flat row of numbers;
+after the run :func:`_cross_sections` forms the dense output of each such
+step and bisects the crossing on the angle component alone.
 
 A run still going after ``_NATIVE_AFTER`` accepted steps continues in C
 when a C compiler is on ``PATH``: :func:`horizon.native.resume` translates
 the same loop text, compiles it once per process and resumes from the
 Python loop's exact state (its local variables), with the same float
-operations, so the trajectory is the same bit for bit.  Accepted steps come
-back in numpy chunks; the steps with a section crossing are bisected here,
-by :func:`_cross_sections`.  Shorter runs, and machines without a
-compiler, stay in the Python loop, which is the reference.
+operations, so the trajectory is the same bit for bit.  Accepted steps and
+crossing rows come back in numpy chunks, which follow the Python loop's
+lists.  Shorter runs, and machines without a compiler, stay in the Python
+loop, which is the reference.
 
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
@@ -162,7 +163,6 @@ def integrate(
     if not all(math.isfinite(v) for v in f_now):
         raise ValueError(f"field not finite at the initial state {x0}")
 
-    sec_hits: list = []
     si = period = sec_count = None
     if section is not None:
         si = C.vars.index(section.var)
@@ -175,9 +175,9 @@ def integrate(
     budget = max_steps
     if max_steps > _NATIVE_AFTER and native.compiler() is not None:
         budget = _NATIVE_AFTER
-    st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget,
-              period, sec_count, sec_hits)
+    st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget, period, sec_count)
     taus, states, incs = st["taus"], st["states"], st["incs"]
+    rows = [np.asarray(st["rows"], dtype=float)]
     if budget < max_steps and st["termination"] == "step-budget":
         # not over: the compiled copy continues from the loop's exact state
         st.update(termination="tau-budget", max_steps=max_steps)
@@ -185,8 +185,15 @@ def integrate(
         taus, states, incs = (np.concatenate([np.asarray(head), *chunks[f"{name}_append"]])
                               for head, name in ((taus, "taus"), (states, "states"),
                                                  (incs, "incs")))
+        rows += chunks.get("rows_append", [])
+    # _cross_sections cannot raise, so locating the crossings after the run
+    # changes neither a result nor the exception that leaves integrate
+    sections: list = []
+    for part in rows:
+        for row in part.reshape(-1, 13 + 9 * len(y)):
+            _cross_sections(sections, row.tolist(), period, si)
     # every accepted step evaluated the field 7 times, the initial point once
-    return _build_traj(taus, states, incs, st["termination"], C, sec_hits, st["n_acc"],
+    return _build_traj(taus, states, incs, st["termination"], C, sections, st["n_acc"],
                        st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"], st["n_nonfinite"])
 
 
@@ -229,12 +236,11 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     function; returns ``(loop, text)``, the function and its source.
 
     ``loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period,
-    sec_count, sections)`` starts at the state tuple y with its
-    (direction-signed) field f and chain product g0 and the first step h,
-    appends the crossings of the section variable ``si`` (if any) to
-    ``sections``, and returns its local variables, among them ``taus``,
-    ``states`` and ``incs`` (the accepted times, states and time
-    increments), ``termination``, ``n_acc`` and ``n_rej`` (the accepted and
+    sec_count)`` starts at the state tuple y with its (direction-signed)
+    field f and chain product g0 and the first step h, and returns its
+    local variables, among them ``taus``, ``states`` and ``incs`` (the
+    accepted times, states and time increments), ``rows`` (the crossing
+    rows), ``termination``, ``n_acc`` and ``n_rej`` (the accepted and
     rejected steps), ``n_nonfinite`` (the rejections of a non-finite or
     raising stage) and ``n_rhs_rej`` (the field evaluations that returned in
     rejected attempts).  On 'step-budget' they are the exact state at the
@@ -242,6 +248,14 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     ``k0_{i}``, ``g0``, ``h``, ``tau``, ``t_acc``, ``err_prev``, ``eq_run``,
     ``sec_count`` and the counters), from which
     :func:`horizon.native.resume` continues the run.
+
+    An accepted step that raises the count of the section variable ``si``
+    (if any) from ``sec_count`` to ``nc`` appends its crossing row to
+    ``rows``: the 13 + 9n numbers ``sec_count, nc, tau, h``, the states
+    ``y{i}`` and ``y5_{i}``, the stages ``k0_{i}`` .. ``k6_{i}``, the chain
+    products ``g0`` .. ``g6``, ``t_acc`` and ``n_acc``, each with its own
+    ``rows_append`` like the accepted states, so the loop only computes and
+    stores numbers.  :func:`_cross_sections` takes one row.
 
     Each stage assigns its inputs to the chart's variables and runs the
     :meth:`ChartField.rhs_source` text in place.  A stage (or the end point)
@@ -343,13 +357,13 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
 
     # accepted
     if si is not None:  # crossings at -j*period or +j*period
+        row = ["sec_count", "nc", "tau", "h", *(f"y{i}" for i in I), *(f"y5_{i}" for i in I),
+               *(f"k{s}_{i}" for s in range(7) for i in I), *(f"g{s}" for s in range(7)),
+               "t_acc", "n_acc"]
         lines += [
             f"nc = _floor((-y5_{si} if y5_{si} < 0.0 else y5_{si}) / period)",
             "if nc > sec_count:",
-            f"    _cross_sections(sections, sec_count, nc, period, {si}, "
-            f"tau, h, {_tup(f'y{i}' for i in I)}, {_tup(f'y5_{i}' for i in I)}, "
-            f"({''.join(_tup(f'k{s}_{i}' for i in I) + ', ' for s in range(7))}), "
-            f"{_tup(f'g{s}' for s in range(7))}, t_acc, n_acc)",
+            *(f"    rows_append({v})" for v in row),
             "    sec_count = nc",
         ]
     lines += ["tau += h"]
@@ -396,19 +410,20 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "taus = [0.0]",
         "states = list(y)",
         "incs = []",
+        "rows = []",
         "taus_append, states_append, incs_append = taus.append, states.append, incs.append",
+        "rows_append = rows.append",
         "termination = 'tau-budget'",
         "while tau < tau_end:",
     ]
     text = (
-        "def loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period, "
-        "sec_count, sections):\n"
+        "def loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period, sec_count):\n"
         + "".join(f"    {line}\n" for line in head)
         + "".join(f"        {line}\n" for line in lines)
         + "    return locals()\n"
     )
     ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor, _inf=math.inf,
-              _POW_ERRORS=_POW_ERRORS, _cross_sections=_cross_sections)
+              _POW_ERRORS=_POW_ERRORS)
     exec(compile(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
     return ns["loop"], text
 
@@ -418,23 +433,28 @@ def _tup(names) -> str:
     return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
-def _cross_sections(hits, count, new_count, period, si, tau, h, y, y5, k, kg, t_acc, n_acc):
-    """Append the crossings of one accepted step (section count ``count`` up
-    to ``new_count``) to ``hits``.
+def _cross_sections(hits, row, period, si):
+    """Append the crossings of one accepted step to ``hits``.
 
-    Each crossing is located by bisection on the dense output of the angle
-    alone, which must be monotone within the step, and recorded as (tau,
-    state, t, step index, partial increment).
+    ``row`` is the step's crossing row (see :func:`_loop_fn`) as floats;
+    its section counts and step index are ints again here.  Each crossing
+    is located by bisection on the dense output of the angle alone, which
+    must be monotone within the step, and recorded as (tau, state, t, step
+    index, partial increment).
     """
+    n = (len(row) - 13) // 9
+    count, new_count, tau, h = int(row[0]), int(row[1]), row[2], row[3]
+    y, y5, k = row[4:4 + n], row[4 + n:4 + 2 * n], row[4 + 2 * n:4 + 9 * n]
+    kg, t_acc, n_acc = row[4 + 9 * n:11 + 9 * n], row[-2], int(row[-1])
     angle_sign = 1.0 if y5[si] < y[si] else -1.0
-    y_si, k_si = y[si], [ks[si] for ks in k]
+    y_si, k_si = y[si], k[si::n]
     while new_count > count:
         count += 1
         target = -count * period * angle_sign
         # the angle component of the dense output, by the same operations
         th = _bisect_event(
             lambda s: y_si + h * _dense_sum(s, k_si) - target, 0.0, 1.0)
-        state = [yi + h * _dense_sum(th, col) for yi, col in zip(y, zip(*k))]
+        state = [yi + h * _dense_sum(th, k[i::n]) for i, yi in enumerate(y)]
         # the physical-time increment over [0, th], by the same dense weights
         partial = h * _dense_sum(th, kg)
         hits.append((tau + th * h, state, t_acc + partial, n_acc, partial))

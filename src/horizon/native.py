@@ -14,8 +14,14 @@ their order are the Python loop's and trajectories agree bit for bit.
   Python ints that ``math.floor`` returns (the table index, the section
   count: exact there), ``long long`` for the counters, and an output code
   for a string (the termination reason, which the loop only assigns).
-* A node the translator does not know raises ``NotImplementedError``; it
-  never falls back to anything.
+* The loop only computes and stores numbers.  It may use float and int
+  arithmetic and comparisons, ``math.floor``, ``math.sqrt`` and ``_fpow``,
+  rows of a global table of float tuples, ``if``, ``try``, ``break`` and
+  ``continue``, and ``x_append(v)`` of a local ``list.append`` with a float
+  or an int ``v``, stored as a double (an int is exact there below 2**53).
+* A node the translator does not know, a call of any other Python function
+  among them, raises ``NotImplementedError``; it never falls back to
+  anything.
 
 CPython's float rules are reproduced where Python raises or differs from C:
 
@@ -78,8 +84,7 @@ from .genpoly import _float_pow_nan
 __all__ = ["compiler", "resume"]
 
 FLAGS = ("-O1", "-ffp-contract=off", "-fno-builtin-pow")
-CHUNK = 1 << 16        # loop iterations that fit one chunk of appended values
-RECORDS = 256          # rows of deferred calls between returns to Python
+CHUNK = 1 << 16        # doubles in one chunk of appended values
 _FULL, _RAISED = 1, 2  # what the C function returns besides 0, done
 
 # what the C helpers record: the exception (kind 1-4 here; 5 is a power with
@@ -228,11 +233,9 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     at the top of an iteration (``locals()`` of the Python loop, say); the
     loop continues from exactly there and ``state`` is updated to where it
     stopped.  Each ``<name>(value)`` call of a local ``list.append`` fills
-    numpy chunks instead, returned by that name; each call statement of a
-    global Python function is recorded in C and made in Python, in order,
-    when the C function returns (at the latest after ``RECORDS`` of them).
-    An exception the loop raises outside a ``try`` (or that no ``except``
-    catches) is raised here.
+    numpy chunks of floats instead, returned by that name.  An exception the
+    loop raises outside a ``try`` (or that no ``except`` catches) is raised
+    here.
     """
     prog = _Translator(text, ns, state).program()
     fn = _compiled(prog.c)
@@ -240,12 +243,10 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     I = np.array([state.get(v, 0) for v in prog.ints], dtype=np.int64)
     S = np.full(max(len(prog.strs), 1), -1, dtype=np.int32)
     tables = [np.array(ns[name], dtype=np.float64).ravel() for name in prog.tables]
-    caps = np.array([(CHUNK if b.call is None else RECORDS) * b.sites for b in prog.buffers],
-                    dtype=np.int64)
-    bufs = [np.empty(cap * b.width) for cap, b in zip(caps, prog.buffers)]
+    bufs = [np.empty(CHUNK) for _ in prog.buffers]
     counts = np.zeros(len(bufs), dtype=np.int64)
     exc = np.zeros(4)
-    chunks = {b.name: [] for b in prog.buffers if b.call is None}
+    chunks = {name: [] for name in prog.buffers}
     import ctypes
 
     def addresses(arrays):
@@ -254,16 +255,12 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     tab_ptrs, buf_ptrs = addresses(tables), addresses(bufs)
     while True:
         status = fn(F.ctypes.data, I.ctypes.data, S.ctypes.data, buf_ptrs,
-                    counts.ctypes.data, caps.ctypes.data, tab_ptrs, exc.ctypes.data)
-        for k, b in enumerate(prog.buffers):
-            if b.call is not None:
-                for row in bufs[k][:counts[k] * b.width].reshape(-1, b.width).tolist():
-                    ns[b.call](*_call_args(b.args, row, state))
-                counts[k] = 0
-            elif status != _FULL or counts[k] + b.sites > caps[k]:
-                chunks[b.name].append(bufs[k][:counts[k]])
+                    counts.ctypes.data, tab_ptrs, exc.ctypes.data)
+        for k, (name, sites) in enumerate(prog.buffers.items()):
+            if status != _FULL or counts[k] + sites > CHUNK:
+                chunks[name].append(bufs[k][:counts[k]])
                 if status == _FULL:
-                    bufs[k], counts[k] = np.empty(caps[k]), 0
+                    bufs[k], counts[k] = np.empty(CHUNK), 0
         if status != _FULL:
             break
         buf_ptrs = addresses(bufs)
@@ -304,29 +301,9 @@ def _compiled(c_text: str):
             dll = ctypes.CDLL(lib)
         fn = dll.loop
         fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_void_p] * 8
+        fn.argtypes = [ctypes.c_void_p] * 7
         _LOOPS[c_text] = (dll, fn)
     return _LOOPS[c_text][1]
-
-
-def _call_args(specs, row, state):
-    """The arguments of a deferred call: leaves from its recorded row."""
-    out = []
-    for kind, value in specs:
-        if kind == "tuple":
-            out.append(tuple(_call_args(value, row, state)))
-        elif kind == "const":
-            out.append(value)
-        elif kind == "object":
-            out.append(state[value])
-        else:
-            out.append(row[value] if kind == "f" else int(row[value]))
-    return out
-
-
-class _Buffer(types.SimpleNamespace):
-    """Values one name appends (``call`` None), or rows of one deferred call:
-    ``width`` doubles per row, ``sites`` calls per loop iteration at most."""
 
 
 class _Program(types.SimpleNamespace):
@@ -370,7 +347,7 @@ class _Translator:
         self.types: dict[str, str] = {}
         self.strings: list[str] = []
         self.tables: list[str] = []
-        self.buffers: list[_Buffer] = []
+        self.buffers: dict[str, int] = {}  # appending name: calls per iteration
         self.sites = self.labels = 0
         self.lines: list[str] = []
         self._infer_types()
@@ -590,54 +567,20 @@ class _Translator:
         self.emit(f"{label}_end: ;", depth - 1)
 
     def call(self, node, depth, handler):
-        """A call statement: ``x_append(v)`` of a local ``list.append``, or
-        a call of a global Python function, recorded for :func:`resume`."""
+        """A call statement ``x_append(v)`` of a local ``list.append``, with
+        a float or an int ``v``: a double in the buffer of ``x_append``."""
         name = node.func.id if isinstance(node.func, ast.Name) else None
-        fn = self.state.get(name) if name in self.locals else self.ns.get(name)
-        if node.keywords:
+        fn = self.state.get(name) if name in self.locals else None
+        if not (isinstance(fn, types.BuiltinMethodType) and fn.__name__ == "append"
+                and isinstance(fn.__self__, list) and len(node.args) == 1
+                and not node.keywords):
             raise NotImplementedError(ast.dump(node))
-        if (name in self.locals and isinstance(fn, types.BuiltinMethodType)
-                and fn.__name__ == "append" and isinstance(fn.__self__, list)
-                and len(node.args) == 1):
-            buf = next((b for b in self.buffers if b.name == name), None)
-            if buf is None:
-                buf = _Buffer(name=name, call=None, width=1, sites=0)
-                self.buffers.append(buf)
-            buf.sites += 1
-            k = self.buffers.index(buf)
-            self.emit(f"b{k}[n{k}++] = {self.value(node.args[0], 'f', depth, handler)};", depth)
-        elif isinstance(fn, types.FunctionType) and fn not in _FUNCS:
-            leaves: list[str] = []
-            args = self._leaves(node.args, leaves)
-            k = len(self.buffers)
-            self.buffers.append(_Buffer(name=name, call=name, width=len(leaves), sites=1, args=args))
-            self.emit(f"w_ = b{k} + n{k} * {len(leaves)};", depth)
-            self.emit(f"n{k}++;", depth)
-            for j, leaf in enumerate(leaves):
-                self.emit(f"w_[{j}] = {leaf};", depth)
-        else:
-            raise NotImplementedError(ast.dump(node))
-
-    def _leaves(self, nodes, leaves):
-        """Argument specs of a recorded call; its numbers go to ``leaves``."""
-        out = []
-        for node in nodes:
-            if isinstance(node, ast.Tuple):
-                out.append(("tuple", self._leaves(node.elts, leaves)))
-            elif isinstance(node, ast.Constant):
-                out.append(("const", node.value))
-            elif isinstance(node, ast.Name) and node.id in self.locals:
-                kind = self.types.get(node.id)
-                if kind in ("f", "i", "n"):
-                    out.append((kind, len(leaves)))
-                    leaves.append(f"v_{node.id}")
-                elif node.id in self.state and _value_type(self.state[node.id]) is None:
-                    out.append(("object", node.id))
-                else:
-                    raise NotImplementedError(f"argument {node.id!r}")
-            else:
-                raise NotImplementedError(ast.dump(node))
-        return out
+        kind = self._type(node.args[0])
+        if kind not in ("f", "i", "n"):
+            raise NotImplementedError(f"appending {ast.dump(node.args[0])}")
+        self.buffers[name] = self.buffers.get(name, 0) + 1
+        k = list(self.buffers).index(name)
+        self.emit(f"b{k}[n{k}++] = {self.value(node.args[0], kind, depth, handler)};", depth)
 
     # -- the function --------------------------------------------------------------
 
@@ -653,23 +596,24 @@ class _Translator:
         strs = sorted(v for v, k in self.types.items() if k == "s")
         if set(self.types.values()) - {"f", "n", "i", "s"}:
             raise NotImplementedError(f"names of types {set(self.types.values())}")
-        full = " || ".join(f"n{k} + {b.sites} > c{k}" for k, b in enumerate(self.buffers))
+        full = " || ".join(f"n{k} + {sites} > {CHUNK}"
+                           for k, sites in enumerate(self.buffers.values()))
         nan = "0x%016xULL" % struct.unpack("<Q", struct.pack("<d", math.nan))[0]
         lines = [
             _PRELUDE % {"nan": nan},
             "int loop(double *F, long long *I, int *S, double **B, long long *N,",
-            "         const long long *C, double **T, double *E)",
+            "         double **T, double *E)",
             "{",
             "    exc_t ex = {0, 0, 0, 0.0, 0.0};",
             "    int status = 0, t_b;",
             "    long long t_i;",
-            "    double t_f, *w_;",
+            "    double t_f;",
             "    const double *t_r;",
             *(f"    double v_{v} = F[{j}];" for j, v in enumerate(floats)),
             *(f"    long long v_{v} = I[{j}];" for j, v in enumerate(ints)),
             *(f"    int v_{v} = S[{j}];" for j, v in enumerate(strs)),
-            *(f"    double *b{k} = B[{k}];\n    long long n{k} = N[{k}];\n"
-              f"    const long long c{k} = C[{k}];" for k in range(len(self.buffers))),
+            *(f"    double *b{k} = B[{k}];\n    long long n{k} = N[{k}];"
+              for k in range(len(self.buffers))),
             *(f"    const double *tab{k} = T[{k}];" for k in range(len(self.tables))),
             f"    while ({test}) {{",
             *([f"        if ({full}) {{", "            status = 1;", "            break;",

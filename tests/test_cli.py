@@ -405,6 +405,24 @@ class TestExitCodes:
         assert (tmp_path / "out" / "fits.csv").exists()
         assert (tmp_path / "out" / "trajectories").is_dir()
 
+    def test_directory_named_like_a_case_is_the_case(self, tmp_path, capsys, monkeypatch):
+        # the output of ``analyze iy --out iy`` is no spec for the next run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "iy").mkdir()
+        assert main(["analyze", "iy", "--out", "iy"]) == 0
+        assert "[PASS] iy" in capsys.readouterr().out
+
+    def test_unreadable_spec_file_is_2(self, tmp_path, capsys, monkeypatch):
+        p = write(tmp_path, GOOD_SPEC)
+
+        def refuse(path, *args, **kw):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+        assert main(["analyze", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read spec file {str(p)!r}: Permission denied\n")
+
 
 class TestReports:
     def test_report_roundtrip_and_replay(self, tmp_path):
@@ -496,6 +514,13 @@ class TestSweep:
         rc = main(["sweep", "iy", "--param", param, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: bad --param {param!r}\n"
+
+    def test_repeated_parameter_is_2(self, tmp_path, capsys):
+        rc = main(["sweep", "kdv", "--param", "c=1,10", "--param", "c=2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --param 'c' given twice\n"
+        assert not (tmp_path / "o").exists()
 
     def test_far_sink_is_found(self, tmp_path, capsys):
         # the sink of the a < 1/2 regime, at u0 = 12.7, is found

@@ -211,14 +211,28 @@ def test_exception_outside_a_try_leaves_integrate(monkeypatch):
     assert want == (OverflowError, "cannot convert float infinity to integer")
 
 
+def test_handoff_at_a_crossing_step(monkeypatch):
+    # the crossing step first in C, then last in Python: its row comes from
+    # the compiled loop's chunks or from the Python loop's list
+    args, kw = plan_args("lienard", {"n": 3}, tau_end=30.0)
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 10**12)
+    sections = integrate(*args, **kw).sections
+    assert len(sections) == 3 and all(type(s[3]) is int for s in sections)
+    step = sections[1][3]
+    assert_native_matches_python(monkeypatch, *args, afters=(step, step + 1), **kw)
+    for after in (step, step + 1):  # ``bits`` keeps ints, and 148.0 == 148
+        monkeypatch.setattr(dynamics, "_NATIVE_AFTER", after)
+        assert all(type(s[3]) is int for s in integrate(*args, **kw).sections)
+
+
 # -- chunks, the translator, the compiler ---------------------------------------
 
 
 def test_refilled_chunks_keep_every_crossing(monkeypatch):
-    # 64-step chunks and 2 recorded crossings per return: the run comes back
-    # to Python many times, and crossings fall in refilled chunks
+    # 64-double chunks hold two crossing rows of a 2-variable chart (31
+    # doubles each): the run comes back to Python many times, and crossings
+    # fall in refilled chunks
     monkeypatch.setattr(native, "CHUNK", 64)
-    monkeypatch.setattr(native, "RECORDS", 2)
     args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0)
     want = assert_native_matches_python(monkeypatch, *args, **kw)
     steps = [s[3] for s in integrate(*args, **kw).sections]  # step index of each crossing
@@ -230,11 +244,17 @@ def test_refilled_chunks_keep_every_crossing(monkeypatch):
     "x = [x][0]",                   # a list display
     "with x:\n            pass",    # a statement it does not translate
     "n = x",                        # an int name that becomes a float
-], ids=["floordiv", "list", "with", "int-to-float"])
+    "x = 2.0\n        _record(x)",  # a call of a global Python function
+    "print(x)",                     # a call of a builtin
+], ids=["floordiv", "list", "with", "int-to-float", "global-call", "builtin-call"])
 def test_unknown_node_raises(body):
     text = f"def loop(x, n):\n    while x < 1.0:\n        {body}\n    return locals()\n"
     with pytest.raises(NotImplementedError):
-        native.resume(text, {}, {"x": 0.5, "n": 3})
+        native.resume(text, {"_record": _record}, {"x": 0.5, "n": 3})
+
+
+def _record(value):
+    """A global Python function, which a compiled loop never calls."""
 
 
 def _run(fn):
