@@ -17,9 +17,10 @@ field; ``--seed`` reaches only the searches no closed form decides.
 
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
-2 parse error (with line/column), an unreadable spec file or bad argument
-(unknown, mistyped, out of range or repeated, or an even lienard ``n``),
-3 some report ERROR or a pipeline error.
+2 parse error (with line/column), an unreadable spec file or one that is
+not UTF-8, an ``--out`` path that cannot be written (an existing regular
+file, say) or bad argument (unknown, mistyped, out of range or repeated,
+or an even lienard ``n``), 3 some report ERROR or a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -167,12 +168,21 @@ def _cmd_analyze(args) -> int:
                 print(f"error: cannot read spec file {args.target!r}: {exc.strerror}",
                       file=sys.stderr)
                 return 2
+            except UnicodeDecodeError as exc:
+                print(f"error: spec file {args.target!r} is not UTF-8: byte "
+                      f"{exc.object[exc.start]:#04x} at offset {exc.start}", file=sys.stderr)
+                return 2
         else:
             try:
                 case = get_case(args.target)
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+        # the run writes its trajectories there: fail before it, not after
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _output_error(exc, args.out)
         report = run_case(case, None, seed=args.seed, out_dir=args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -181,9 +191,19 @@ def _cmd_analyze(args) -> int:
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    _write_report(args.out, [report])
+    try:
+        _write_report(args.out, [report])
+    except OSError as exc:
+        return _output_error(exc, args.out)
     _print_report(report)
     return _exit_code([report])
+
+
+def _output_error(exc: OSError, out: pathlib.Path) -> int:
+    """Name the output path that could not be written; exit code 2."""
+    path = out if exc.filename is None else exc.filename
+    print(f"error: cannot write output {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _exit_code(reports) -> int:
@@ -227,9 +247,12 @@ def _cmd_sweep(args) -> int:
     except (HorizonError, ValueError) as exc:
         print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(args.out / "sweep.csv", reports)
-    _write_report(args.out, reports)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_sweep_csv(args.out / "sweep.csv", reports)
+        _write_report(args.out, reports)
+    except OSError as exc:
+        return _output_error(exc, args.out)
     for rep in reports:
         _print_report(rep)
     return _exit_code(reports)

@@ -30,10 +30,13 @@ A run still going after ``_NATIVE_AFTER`` accepted steps continues in C
 when a C compiler is on ``PATH``: :func:`horizon.native.resume` translates
 the same loop text, compiles it once per process and resumes from the
 Python loop's exact state (its local variables), with the same float
-operations, so the trajectory is the same bit for bit.  Accepted steps and
-crossing rows come back in numpy chunks, which follow the Python loop's
-lists.  Shorter runs, and machines without a compiler, stay in the Python
-loop, which is the reference.
+operations, so the trajectory is the same bit for bit.  The first run of a
+loop text in a process pays for the compile after its Python steps; later
+runs of it that may go on as long start in C, at step 0.  Accepted steps
+and crossing rows come back in numpy chunks, which follow the Python loop's
+lists.  Shorter runs of a text not compiled yet, runs capped at fewer
+steps, and machines without a compiler stay in the Python loop, which is
+the reference.
 
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
@@ -174,7 +177,7 @@ def integrate(
     loop, text = _loop_fn(C, sign, si, stop_at_equilibrium)
     budget = max_steps
     if max_steps > _NATIVE_AFTER and native.compiler() is not None:
-        budget = _NATIVE_AFTER
+        budget = 0 if native.warm(text) else _NATIVE_AFTER
     st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget, period, sec_count)
     taus, states, incs = st["taus"], st["states"], st["incs"]
     rows = [np.asarray(st["rows"], dtype=float)]
@@ -197,9 +200,11 @@ def integrate(
                        st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"], st["n_nonfinite"])
 
 
-# accepted steps after which a run continues in the compiled loop (when a C
-# compiler is on PATH): one compile costs about as much as 9,000-30,000
-# Python steps, and the longest run outside lienard takes 14,599
+# a run allowed more accepted steps than this continues in the compiled loop
+# when a C compiler is on PATH: the first run of a loop text in a process
+# after this many Python steps (one compile costs about as much as
+# 9,000-30,000 of them, and the longest run outside lienard takes 14,599),
+# later runs of it start in C
 _NATIVE_AFTER = 32_768
 
 

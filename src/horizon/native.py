@@ -61,15 +61,25 @@ Compiler flags, besides ``-shared -fPIC`` and ``-lm``:
   half the time ``-O2`` took (0.17 s against 0.34-0.50 s), and the loop ran
   within 5% of the ``-O2`` speed.
 
-Compiled loops are cached per process by their C text.  Each is built in a
-temporary directory that is removed once the library is loaded; nothing is
-cached on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
+Compiled loops are cached per process by their C text, and translations by
+the loop text and everything the C text depends on besides it: the chunk
+size, the value of each number the loop reads from its globals (printed as
+a literal), the length and row width of each table (its rows go by pointer
+on every call), any other global object itself, and the type letter of
+each local's value.  A loop text is so translated and compiled once per
+process (:func:`warm` tells whether it has been); a handoff at another step
+may see other locals unassigned and translate it once more, to a C text
+already compiled.  Each library is built in a temporary directory that is
+removed once it is loaded; nothing is cached on disk.  ``ctypes`` and
+``subprocess`` are imported on first use.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import functools
+import itertools
 import math
 import os
 import shutil
@@ -81,7 +91,7 @@ import numpy as np
 
 from .genpoly import _float_pow_nan
 
-__all__ = ["compiler", "resume"]
+__all__ = ["compiler", "resume", "warm"]
 
 FLAGS = ("-O1", "-ffp-contract=off", "-fno-builtin-pow")
 CHUNK = 1 << 16        # doubles in one chunk of appended values
@@ -237,8 +247,7 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     loop raises outside a ``try`` (or that no ``except`` catches) is raised
     here.
     """
-    prog = _Translator(text, ns, state).program()
-    fn = _compiled(prog.c)
+    prog, fn = _program(text, ns, state)
     F = np.array([float(state.get(v, 0.0)) for v in prog.floats])
     I = np.array([state.get(v, 0) for v in prog.ints], dtype=np.int64)
     S = np.full(max(len(prog.strs), 1), -1, dtype=np.int32)
@@ -278,7 +287,84 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     return chunks
 
 
-_LOOPS: dict[str, tuple] = {}
+def warm(text: str) -> bool:
+    """Whether this process holds a compiled loop of the function ``text``."""
+    return text in _PROGRAMS
+
+
+_LOOPS: dict[str, tuple] = {}                  # C text: (library, function)
+_PROGRAMS: dict[str, dict[tuple, tuple]] = {}  # loop text: {_key: (program, function)}
+
+
+def _program(text: str, ns: dict, state: dict):
+    """The translation of the loop of ``text`` and its compiled function,
+    made once per process for each :func:`_key`."""
+    programs = _PROGRAMS.get(text, {})
+    key = _key(text, ns, state)
+    if key not in programs:
+        prog = _Translator(text, ns, state).program()
+        programs[key] = prog, _compiled(prog.c)
+        _PROGRAMS[text] = programs
+    return programs[key]
+
+
+def _key(text: str, ns: dict, state: dict) -> tuple:
+    """What the C text of the loop of ``text`` depends on besides the text:
+    ``CHUNK``, each global name of the loop as the translator reads it, and
+    the type letter of each local name's value (or that it is a list's
+    ``append``)."""
+    _, _, global_names, local_names = _parse(text)
+    return (CHUNK, tuple(_global_shape(ns.get(v)) for v in global_names),
+            tuple("append" if _is_append(state.get(v)) else _value_type(state.get(v))
+                  for v in local_names))
+
+
+def _global_shape(value):
+    """A global as the translator reads it: a float's exact value (0.0 and
+    -0.0 print apart), a table's length and row width, else the value itself
+    with its type (just the type if it is not hashable: the translator then
+    only finds it is no number)."""
+    kind = type(value)
+    if kind is float:
+        return kind, value.hex()
+    if kind is list:
+        return kind, _table_shape(value)
+    try:
+        hash(value)
+    except TypeError:
+        return kind
+    return kind, value
+
+
+def _table_shape(table) -> tuple[int, int] | None:
+    """(rows, width) of a nonempty list of float tuples of one width, else None."""
+    if not (isinstance(table, list) and table and set(map(type, table)) == {tuple}):
+        return None
+    widths, values = set(map(len, table)), itertools.chain.from_iterable(table)
+    if len(widths) != 1 or not set(map(type, values)) <= {float}:
+        return None
+    return len(table), len(table[0])
+
+
+def _is_append(fn) -> bool:
+    """Whether ``fn`` is the ``append`` method of a list."""
+    return (isinstance(fn, types.BuiltinMethodType) and fn.__name__ == "append"
+            and isinstance(fn.__self__, list))
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(text: str):
+    """``(loop, locals, global names, local names)``: the ``while``
+    statement of the function ``text``, the function's local names, and the
+    sorted global and local names the loop reads or assigns."""
+    fdef = ast.parse(text).body[0]
+    loops = [s for s in fdef.body if isinstance(s, ast.While)]
+    if not isinstance(fdef, ast.FunctionDef) or len(loops) != 1 or loops[0].orelse:
+        raise NotImplementedError("the text must define a function with one while loop")
+    local = {a.arg for a in fdef.args.args} | {
+        n.id for n in ast.walk(fdef) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    names = {n.id for n in ast.walk(loops[0]) if isinstance(n, ast.Name)}
+    return loops[0], frozenset(local), sorted(names - local), sorted(names & local)
 
 
 def _compiled(c_text: str):
@@ -337,13 +423,8 @@ class _Translator:
     """C text of the ``while`` statement of a generated function."""
 
     def __init__(self, text: str, ns: dict, state: dict):
-        fdef = ast.parse(text).body[0]
-        loops = [s for s in fdef.body if isinstance(s, ast.While)]
-        if not isinstance(fdef, ast.FunctionDef) or len(loops) != 1 or loops[0].orelse:
-            raise NotImplementedError("the text must define a function with one while loop")
-        self.loop, self.ns, self.state = loops[0], ns, state
-        self.locals = {a.arg for a in fdef.args.args} | {
-            n.id for n in ast.walk(fdef) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        self.loop, self.locals, _, _ = _parse(text)
+        self.ns, self.state = ns, state
         self.types: dict[str, str] = {}
         self.strings: list[str] = []
         self.tables: list[str] = []
@@ -526,9 +607,7 @@ class _Translator:
             raise NotImplementedError(ast.dump(value))
         table = self.ns[value.value.id]
         if value.value.id not in self.tables:
-            if not (isinstance(table, list) and table and all(
-                    type(row) is tuple and len(row) == len(table[0])
-                    and all(type(v) is float for v in row) for row in table)):
+            if _table_shape(table) is None:
                 raise NotImplementedError(f"{value.value.id} is not a list of float tuples")
             self.tables.append(value.value.id)
         if len(table[0]) != len(names):
@@ -571,9 +650,7 @@ class _Translator:
         a float or an int ``v``: a double in the buffer of ``x_append``."""
         name = node.func.id if isinstance(node.func, ast.Name) else None
         fn = self.state.get(name) if name in self.locals else None
-        if not (isinstance(fn, types.BuiltinMethodType) and fn.__name__ == "append"
-                and isinstance(fn.__self__, list) and len(node.args) == 1
-                and not node.keywords):
+        if not (_is_append(fn) and len(node.args) == 1 and not node.keywords):
             raise NotImplementedError(ast.dump(node))
         kind = self._type(node.args[0])
         if kind not in ("f", "i", "n"):

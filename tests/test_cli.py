@@ -423,6 +423,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: cannot read spec file {str(p)!r}: Permission denied\n")
 
+    def test_spec_file_not_utf8_is_2(self, tmp_path, capsys):
+        p = tmp_path / "latin.spec"
+        p.write_bytes(b"# caf\xe9\n" + GOOD_SPEC.encode())
+        assert main(["analyze", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file {str(p)!r} is not UTF-8: byte 0xe9 at offset 5\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["analyze", "iy"], ["sweep", "iy"]],
+                             ids=["analyze", "sweep"])
+    def test_out_an_existing_file_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write output {str(out)!r}: File exists\n"
+        assert out.read_text() == "not a directory\n"
+
 
 class TestReports:
     def test_report_roundtrip_and_replay(self, tmp_path):

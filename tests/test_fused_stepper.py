@@ -409,8 +409,10 @@ def test_lienard_cut_runs_bitwise(n, starts):
 
 @pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 def test_lienard_native_continuation_bitwise(monkeypatch):
-    # the run continues in the compiled loop after 7 steps
+    # the run continues in the compiled loop after 7 steps (an earlier
+    # compile of the text in this process would start it at step 0)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 7)
+    monkeypatch.setattr(native, "_PROGRAMS", {})
     cdef = get_case("lienard").definition({"n": 3})
     plan = cdef.runs[0]
     kw = plan_kwargs(plan, cdef.chart)

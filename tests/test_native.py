@@ -5,8 +5,10 @@ translated from the same generated loop text (``horizon.native``).  Every
 test here compares whole trajectories bit for bit: times, states, time
 increments, cumulative times, sections and all counters, or the exception
 that leaves ``integrate``.  The handoff threshold is lowered to 0 (the whole
-run in C) and 7 (a handoff after the Python loop's first steps).  Each new
-chart costs one compile, so the hypothesis runs are short.
+run in C) and 7 (a handoff after the Python loop's first steps); the record
+of the loop texts this process has compiled is cleared first, or a warm text
+would hand off at 0 whatever the threshold.  Each new chart costs one
+compile, so the hypothesis runs are short.
 """
 
 import math
@@ -43,10 +45,22 @@ def handoffs(monkeypatch):
     return calls
 
 
+def cold(monkeypatch):
+    """Forget which loop texts this process has compiled: the next run of
+    each hands off after ``dynamics._NATIVE_AFTER`` steps, not at step 0."""
+    monkeypatch.setattr(native, "_PROGRAMS", {})
+
+
 def outcome(monkeypatch, after, *args, **kw):
     """The trajectory of ``integrate(*args, **kw)`` with the handoff after
     ``after`` accepted steps (None: never), or the exception it raised."""
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 10**12 if after is None else after)
+    cold(monkeypatch)
+    return warm_outcome(*args, **kw)
+
+
+def warm_outcome(*args, **kw):
+    """:func:`outcome` of ``integrate(*args, **kw)`` as the process stands."""
     try:
         traj = integrate(*args, **kw)
     except Exception as exc:  # compared by type and message
@@ -71,14 +85,29 @@ def plan_args(name, params=None, **over):
 
 
 def test_lienard_n1_hands_off_at_the_default_threshold(monkeypatch, handoffs):
+    # the first run of the loop text in a process hands off after 32,768
+    # Python steps and compiles; the next one starts in C
     assert dynamics._NATIVE_AFTER == 32_768
     args, kw = plan_args("lienard", {"n": 1})
     want = outcome(monkeypatch, None, *args, **kw)
     assert not handoffs
-    got = outcome(monkeypatch, 32_768, *args, **kw)
-    assert handoffs == [32_768]
-    assert got == want
+    assert outcome(monkeypatch, 32_768, *args, **kw) == want
+    assert warm_outcome(*args, **kw) == want
+    assert handoffs == [32_768, 0]
     assert want["n_steps"] == 101_445 and len(want["sections"]) == 307
+
+
+def test_each_lienard_text_warms_on_its_own(monkeypatch, handoffs):
+    # n=3 after n=1 is a new text, and n=1 after n=3 gets n=1's compiled
+    # loop back; each run is its own Python-only run bit for bit
+    runs = [plan_args("lienard", {"n": n}, tau_end=tau_end)
+            for n, tau_end in ((1, 900.0), (3, 2400.0), (1, 900.0))]
+    wants = [outcome(monkeypatch, None, *args, **kw) for args, kw in runs]
+    assert not handoffs and all(want["n_steps"] > 32_768 for want in wants)
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 32_768)
+    cold(monkeypatch)
+    assert [warm_outcome(*args, **kw) for args, kw in runs] == wants
+    assert handoffs == [32_768, 32_768, 0]
 
 
 @settings(max_examples=6, deadline=None)
@@ -89,11 +118,10 @@ def test_native_planar_fields_match_python_and_dop853(fx, fy, a, b):
     # whole run in C and with a handoff after 7 steps
     trajs = []
     for after in (None, 0, 7):
-        dynamics._NATIVE_AFTER, saved = (10**12 if after is None else after), dynamics._NATIVE_AFTER
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_NATIVE_AFTER", 10**12 if after is None else after)
+            cold(mp)
             trajs.append(test_dynamics.check_planar_field_against_dop853(fx, fy, a, b))
-        finally:
-            dynamics._NATIVE_AFTER = saved
     want = [bits(getattr(trajs[0], name)) for name in FIELDS]
     for traj in trajs[1:]:
         assert [bits(getattr(traj, name)) for name in FIELDS] == want
@@ -222,6 +250,7 @@ def test_handoff_at_a_crossing_step(monkeypatch):
     assert_native_matches_python(monkeypatch, *args, afters=(step, step + 1), **kw)
     for after in (step, step + 1):  # ``bits`` keeps ints, and 148.0 == 148
         monkeypatch.setattr(dynamics, "_NATIVE_AFTER", after)
+        cold(monkeypatch)
         assert all(type(s[3]) is int for s in integrate(*args, **kw).sections)
 
 
@@ -307,9 +336,88 @@ def test_compiled_loops_are_cached_by_their_text(monkeypatch):
     assert len(native._LOOPS) == cached
 
 
+def test_a_warm_text_is_translated_once_per_key(monkeypatch, handoffs):
+    # the handoff at 7 and the later ones at 0 see different locals
+    # assigned: two translations, to one C text, and no more
+    translations = []
+    translator = native._Translator
+
+    def counting(*args):
+        translations.append(1)
+        return translator(*args)
+
+    monkeypatch.setattr(native, "_Translator", counting)
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
+    want = outcome(monkeypatch, 7, *args, **kw)
+    compiled = len(native._LOOPS)
+    for _ in range(3):
+        assert warm_outcome(*args, **kw) == want
+    assert handoffs == [7, 0, 0, 0] and len(translations) == 2
+    assert len(native._LOOPS) == compiled
+
+
+_KEYED = ("def loop(x, i, out_append):\n"
+          "    while i < ROWS:\n"
+          "        a, = TABLE[i]\n"
+          "        x = x + STEP * a\n"
+          "        i = i + 1\n"
+          "        out_append(x)\n"
+          "    return locals()\n")
+
+
+def _keyed(ns, x):
+    """``(x, i, appended values)`` after the loop of ``_KEYED`` from ``x``,
+    in Python and in C, or the exception each raised."""
+    results = []
+    for compiled in (False, True):
+        out = []
+        state = {"x": x, "i": 0, "out_append": out.append}
+        try:
+            if compiled:
+                out = np.concatenate(native.resume(_KEYED, ns, state)["out_append"]).tolist()
+            else:
+                env = dict(ns)
+                exec(_KEYED, env)
+                state = env["loop"](**state)
+        except Exception as exc:  # compared by type and message
+            results.append((type(exc), str(exc)))
+        else:
+            results.append(bits((state["x"], state["i"], out)))
+    return results
+
+
+def test_translations_are_keyed_by_what_the_c_text_depends_on(monkeypatch):
+    # a global number is a literal in the C text, a table's length a bound
+    # (its rows go by pointer), a local's type a C type, and CHUNK a test
+    # of the buffers: each change is a new translation, never a stale one
+    cold(monkeypatch)
+    base = {"ROWS": 3, "STEP": 1.0, "TABLE": [(1.0,), (2.0,), (4.0,)]}
+    steps = [
+        (base, 0.0),
+        (base, 0.5),                                  # same key, other values
+        (dict(base, STEP=0.5), 0.0),                  # a float literal
+        (dict(base, STEP=0.0), -0.0),
+        (dict(base, STEP=-0.0), -0.0),                # 0.0 and -0.0 print apart
+        (dict(base, ROWS=2), 0.0),                    # an int literal
+        (dict(base, STEP=2), 0.0),                    # an int where a float was
+        (dict(base, TABLE=[(1.0,), (3.0,), (5.0,)]), 0.0),  # rows by pointer
+        (dict(base, TABLE=[(0.5,), (0.5,)]), 0.0),    # IndexError at row 2
+    ]
+    for ns, x in steps:
+        want, got = _keyed(ns, x)
+        assert got == want, (ns, x)
+    assert len(native._PROGRAMS[_KEYED]) == 7
+    # an int x that becomes a float is refused, not run as the float loop
+    assert _keyed(base, 0)[1][0] is NotImplementedError
+    monkeypatch.setattr(native, "CHUNK", 2)           # three appends in chunks of 2
+    want, got = _keyed(base, 0.0)
+    assert got == want and len(native._PROGRAMS[_KEYED]) == 8
+
+
 def test_trajectory_arrays_are_whole(monkeypatch):
     args, kw = plan_args("lienard", {"n": 1}, tau_end=30.0)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 5)
+    cold(monkeypatch)
     traj = integrate(*args, **kw)
     assert traj.states.shape == (traj.n_steps + 1, 2) and traj.states.dtype == np.float64
     assert len(traj.tau) == len(traj.t) == len(traj.dt_inc) + 1
