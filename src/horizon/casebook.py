@@ -995,16 +995,18 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[RunReport]:
-    """Independent runs over a parameter grid (optionally in parallel).  Every
-    point's definition is built before any runs, so a bad point (one that
-    fails a check or a builder's rule) raises ParameterError first."""
+    """Independent runs over a parameter grid, in ``min(jobs, len(grid))``
+    worker processes when that is more than one.  Every point's definition
+    is built before any runs, so a bad point (one that fails a check or a
+    builder's rule) raises ParameterError first."""
     if isinstance(spec, str):
         spec = get_case(spec)
     cdefs = [spec.definition(params) for params in grid]
-    if jobs <= 1 or not grid:
+    workers = min(jobs, len(cdefs))
+    if workers <= 1:
         return [run_case(cdef, None, seed=seed) for cdef in cdefs]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(run_case, cdef, None, seed=seed) for cdef in cdefs]
         return [f.result() for f in futs]

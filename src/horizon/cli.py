@@ -5,8 +5,9 @@
 pipeline, and writes report.json, fits.csv and trajectories/*.csv into the
 output directory.  ``horizon sweep <builtin-name> --param a=...``
 runs a parameter grid and writes an aggregate CSV.  Both take only
-``--seed``, ``--out`` and ``--jobs`` (worker processes of a sweep); every
-other setting of a run comes from its case.
+``--seed`` (an int, 0 or more), ``--out`` and ``--jobs`` (an int, 1 or
+more: a sweep runs in ``min(jobs, points)`` worker processes, ``analyze``
+ignores it); every other setting of a run comes from its case.
 
 A ``--param`` value takes its default's type: an int must be integral, a
 fraction reads a decimal as written (``0.05`` is ``1/20``), a float stays
@@ -20,7 +21,8 @@ report FAIL (a verdict failed or an expected equilibrium is missing),
 2 parse error (with line/column), an unreadable spec file or one that is
 not UTF-8, an ``--out`` path that cannot be written (an existing regular
 file, say) or bad argument (unknown, mistyped, out of range or repeated,
-or an even lienard ``n``), 3 some report ERROR or a pipeline error.
+an even lienard ``n``, a ``--jobs`` below 1 or a negative ``--seed``), 3
+some report ERROR or a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -144,9 +146,22 @@ def main(argv=None) -> int:
 
 
 def _common_flags(p):
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=_int_from(1), default=1)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", type=pathlib.Path, default=pathlib.Path("horizon-out"))
+
+
+def _int_from(low: int):
+    """An argparse type: an int of at least ``low``; any other value is a
+    usage error, exit code 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _cmd_analyze(args) -> int:

@@ -21,9 +21,10 @@ Transforms provided:
   expressed as polynomials in (r, Cs, Sn) using the closure identity
   Cs^(2m) = 1 - m Sn^2
 * restriction to an invariant coordinate slice
-* exact inversion back to base coordinates: every chart records each base
-  variable as a monomial over its polynomial variables (Cs, Sn on a
-  quasi-polar chart)
+* the exact inverse back to base coordinates, as a record only: every
+  chart keeps each base variable as a monomial over its polynomial
+  variables (Cs, Sn on a quasi-polar chart) in ``ChartField.inverse``, from
+  which observables are written; nothing here evaluates it at a point
 
 Each transform records one provenance step: its op and the keyword
 arguments it was called with, in JSON form.  That record is the only
@@ -41,14 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import (
-    ClosureError,
-    DomainError,
-    ResidualSingularityError,
-    SignError,
-)
+from .errors import ClosureError, ResidualSingularityError, SignError
 from .genpoly import (
     SOURCE_GLOBALS,
     GenMonomial,
@@ -73,7 +67,6 @@ __all__ = [
     "blowup_chart",
     "restrict_invariant",
     "horizon_slice",
-    "inverse_transform",
     "apply_recipe",
 ]
 
@@ -674,66 +667,6 @@ def horizon_slice(C: ChartField) -> tuple[tuple[str, ...], tuple[GenPoly, ...]]:
         )
     slice_vars = tuple(v for v in C.vars if v != r)
     return slice_vars, tuple(p for j, p in enumerate(sliced) if j != rstate)
-
-
-def horizon_is_invariant_syntactically(C: ChartField) -> bool:
-    """Every term of the radial component carries a positive radial power."""
-    r = C.radial
-    comp = C.components[C.vars.index(r)]
-    e = comp.min_exponent(r)
-    return e is None or e >= 1
-
-
-def inverse_transform(C: ChartField, state: Sequence[float]) -> dict[str, float]:
-    """Map a chart point back to base coordinates: the recorded monomial
-    inverse evaluated over the chart's polynomial variables (Cs, Sn of the
-    angle on a quasi-polar chart)."""
-    point = dict(zip(C.poly_vars, C.state_to_poly_point(state)))
-    out = {}
-    for bv, m in C.inverse:
-        val = float(m.coeff)
-        for v, e in m.exps:
-            x = point[v]
-            if x == 0.0 and e < 0:
-                raise DomainError(f"inverse transform undefined at {v} = 0")
-            if x < 0.0 and e.denominator != 1:
-                raise DomainError(f"inverse transform undefined at {v} < 0")
-            val *= float(x) ** float(e)
-        out[bv] = val
-    return out
-
-
-def forward_point(C: ChartField, base_point: Mapping[str, float]) -> list[float]:
-    """Map a base point into the chart (numeric inverse of inverse_transform,
-    valid for monomial chains)."""
-    if C.quasipolar_index is not None:
-        raise ValueError("forward mapping into quasi-polar charts is not monomial")
-    import math
-
-    # Solve the monomial system log|base| = E log|chart| for log|chart|.
-    names = list(C.vars)
-    n = len(names)
-    rows, rhs, signs = [], [], {}
-    for bv, m in C.inverse:
-        row = [0.0] * n
-        for v, e in m.exps:
-            row[names.index(v)] = float(e)
-        rows.append(row)
-        val = base_point[bv] / float(m.coeff)
-        rhs.append(math.log(abs(val)))
-        signs[bv] = 1.0 if val > 0 else -1.0
-    sol = np.linalg.solve(np.array(rows), np.array(rhs))
-    state = [math.exp(s) for s in sol]
-    # signs: positive-sector charts only; reject genuine sign mismatches
-    chk = inverse_transform(C, state)
-    for bv, target in base_point.items():
-        if bv not in chk:
-            continue  # variable eliminated by a restriction step
-        if abs(chk[bv] - target) > 1e-9 * max(1.0, abs(target)):
-            raise DomainError(
-                f"base point {dict(base_point)} is outside this chart's sector"
-            )
-    return state
 
 
 # -- recipe replay ------------------------------------------------------------

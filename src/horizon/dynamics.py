@@ -40,7 +40,8 @@ the reference.
 
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
-'step-underflow'.
+'step-underflow'.  The loop records the reason as its code, the reason's
+index in ``_TERMINATIONS``, so it holds nothing but numbers.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ def integrate(
     st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget, period, sec_count)
     taus, states, incs = st["taus"], st["states"], st["incs"]
     rows = [np.asarray(st["rows"], dtype=float)]
-    if budget < max_steps and st["termination"] == "step-budget":
+    if budget < max_steps and _TERMINATIONS[st["termination"]] == "step-budget":
         # not over: the compiled copy continues from the loop's exact state
-        st.update(termination="tau-budget", max_steps=max_steps)
+        st.update(termination=0, max_steps=max_steps)
         chunks = native.resume(text, loop.__globals__, st)
         taus, states, incs = (np.concatenate([np.asarray(head), *chunks[f"{name}_append"]])
                               for head, name in ((taus, "taus"), (states, "states"),
@@ -196,8 +197,13 @@ def integrate(
         for row in part.reshape(-1, 13 + 9 * len(y)):
             _cross_sections(sections, row.tolist(), period, si)
     # every accepted step evaluated the field 7 times, the initial point once
-    return _build_traj(taus, states, incs, st["termination"], C, sections, st["n_acc"],
-                       st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"], st["n_nonfinite"])
+    return _build_traj(taus, states, incs, _TERMINATIONS[st["termination"]], C, sections,
+                       st["n_acc"], st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"],
+                       st["n_nonfinite"])
+
+
+# the termination reasons by the code the loop assigns to ``termination``
+_TERMINATIONS = ("tau-budget", "step-budget", "step-underflow", "converged-to-equilibrium")
 
 
 # a run allowed more accepted steps than this continues in the compiled loop
@@ -245,7 +251,9 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     field f and chain product g0 and the first step h, and returns its
     local variables, among them ``taus``, ``states`` and ``incs`` (the
     accepted times, states and time increments), ``rows`` (the crossing
-    rows), ``termination``, ``n_acc`` and ``n_rej`` (the accepted and
+    rows), ``termination`` (the code of the reason: 0 'tau-budget', 1
+    'step-budget', 2 'step-underflow', 3 'converged-to-equilibrium', its
+    index in ``_TERMINATIONS``), ``n_acc`` and ``n_rej`` (the accepted and
     rejected steps), ``n_nonfinite`` (the rejections of a non-finite or
     raising stage) and ``n_rhs_rej`` (the field evaluations that returned in
     rejected attempts).  On 'step-budget' they are the exact state at the
@@ -288,14 +296,15 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     names = [f"x{i}" for i in I]
     src = C.rhs_source(names)
     neg = "" if sign > 0 else "-"
+    code = {reason: k for k, reason in enumerate(_TERMINATIONS)}
     lines = [
         "if n_acc >= max_steps:",
-        "    termination = 'step-budget'",
+        f"    termination = {code['step-budget']}",
         "    break",
         # the step the controller asks for underflows; a last step cut to
         # reach tau_end may be shorter than that and still finish the run
         "if h < 1e-14 * (tau if tau > 1.0 else 1.0):",
-        "    termination = 'step-underflow'",
+        f"    termination = {code['step-underflow']}",
         "    break",
         "d = tau_end - tau",
         "if d < h:",
@@ -389,7 +398,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
             "if fn <= 1e-12 * (1.0 + xn):",
             "    eq_run += 1",
             "    if eq_run >= 50:",
-            "        termination = 'converged-to-equilibrium'",
+            f"        termination = {code['converged-to-equilibrium']}",
             "        break",
             "else:",
             "    eq_run = 0",
@@ -418,7 +427,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "rows = []",
         "taus_append, states_append, incs_append = taus.append, states.append, incs.append",
         "rows_append = rows.append",
-        "termination = 'tau-budget'",
+        f"termination = {code['tau-budget']}",
         "while tau < tau_end:",
     ]
     text = (

@@ -482,13 +482,6 @@ class CenterSeries:
     degree: Fraction               # truncation degree used
     exact: bool
 
-    def h_coefficient(self, power) -> object:
-        e = frac(power)
-        for ev, c in self.coefficients.terms:
-            if ev[0] == e:
-                return c
-        return 0
-
 
 def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
     """Solve the invariance equation order by order at a planar chart's origin.
@@ -658,30 +651,21 @@ class LienardCoefficients:
     """Quadrature data controlling the periodic orbit on the horizon.
 
     alpha is the Poincare-map exponent (first-order return coefficient
-    beta1 = e^alpha); alpha_bar = -alpha and a2 are the coefficients of the
-    near-identity radial change R = e^(alpha_bar) r + a2 r^2 that removes the
-    first-order angular modulation of the return map (alpha_bar is negative
-    on (0, T/2), zero at T/2 and T).  Gamma2 is the second-order integrand
-    whose period integral Gamma_T > 0 drives the attraction (beta2(T) < 0)
-    and the linear growth of its running integral.
+    beta1 = e^alpha); -alpha is the exponent of the near-identity radial
+    change that removes the first-order angular modulation of the return map
+    (it is negative on (0, T/2), zero at T/2 and T).  Gamma2 is the
+    second-order integrand whose period integral Gamma_T > 0 drives the
+    attraction (beta2(T) < 0) and the linear growth of its running integral.
     """
 
     n: int
     T: float
     alpha: Callable[[float], float]
-    alpha_bar: Callable[[float], float]
-    a2: Callable[[float], float]
     beta1_T: float
     beta2_T: float
     Gamma_T: float
     C2: float                     # pointwise bound on Gamma2
     C3: float                     # slope of the running integral, Gamma_T / T
-    gamma2_cumulative: Callable[[float], float]
-
-    def cumulative_Gamma2(self, phi: float) -> float:
-        """int_0^phi Gamma2, using exact periodicity for many revolutions."""
-        N = math.floor(phi / self.T)
-        return N * self.Gamma_T + float(self.gamma2_cumulative(phi - N * self.T))
 
 
 def lienard_coefficients(n: int) -> LienardCoefficients:
@@ -712,7 +696,9 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
     def rhs(phi, y):
         G1, G2 = parts(phi)
         alpha = y[0]
-        # y = [alpha, int e^alpha G2, int G2, int (e^alpha - 1) G2]
+        # y = [alpha, int e^alpha G2, int G2, int (e^alpha - 1) G2]; the last
+        # is read nowhere, but it takes part in DOP853's error norm, so it
+        # sets the steps and the bits of beta2_T
         ea = math.exp(alpha)
         return [G1, ea * G2, G2, (ea - 1.0) * G2]
 
@@ -728,8 +714,6 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
     )
     vals = sol.sol(nodes)
     alpha_sp = CubicSpline(nodes, vals[0])
-    int_G2_sp = CubicSpline(nodes, vals[2])
-    int_em1G2_sp = CubicSpline(nodes, vals[3])
 
     alpha_T = float(vals[0, -1])
     Gamma_T = float(vals[2, -1])
@@ -739,27 +723,15 @@ def lienard_coefficients(n: int) -> LienardCoefficients:
     def alpha(phi):
         return float(alpha_sp(_wrap(phi, T)))
 
-    def alpha_bar(phi):
-        return -alpha(phi)
-
-    def a2(phi):
-        # e^(2 alpha_bar) int_0^phi (e^(-alpha_bar) - 1) Gamma2
-        #   = e^(-2 alpha) int_0^phi (e^alpha - 1) Gamma2
-        w = _wrap(phi, T)
-        return math.exp(-2.0 * alpha(w)) * float(int_em1G2_sp(w))
-
     return LienardCoefficients(
         n=n,
         T=T,
         alpha=alpha,
-        alpha_bar=alpha_bar,
-        a2=a2,
         beta1_T=math.exp(alpha_T),
         beta2_T=beta2_T,
         Gamma_T=Gamma_T,
         C2=C2,
         C3=Gamma_T / T,
-        gamma2_cumulative=lambda p: float(int_G2_sp(_wrap(p, T))),
     )
 
 

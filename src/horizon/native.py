@@ -12,13 +12,13 @@ their order are the Python loop's and trajectories agree bit for bit.
   literals.
 * Each name of the loop is a C local: ``double`` for floats and for the
   Python ints that ``math.floor`` returns (the table index, the section
-  count: exact there), ``long long`` for the counters, and an output code
-  for a string (the termination reason, which the loop only assigns).
-* The loop only computes and stores numbers.  It may use float and int
-  arithmetic and comparisons, ``math.floor``, ``math.sqrt`` and ``_fpow``,
-  rows of a global table of float tuples, ``if``, ``try``, ``break`` and
-  ``continue``, and ``x_append(v)`` of a local ``list.append`` with a float
-  or an int ``v``, stored as a double (an int is exact there below 2**53).
+  count: exact there), ``long long`` for the other ints (the counters).
+* The loop only computes and stores numbers, floats and ints (a string
+  constant, say, is refused).  It may use float and int arithmetic and
+  comparisons, ``math.floor``, ``math.sqrt`` and ``_fpow``, rows of a global
+  table of float tuples, ``if``, ``try``, ``break`` and ``continue``, and
+  ``x_append(v)`` of a local ``list.append`` with a float or an int ``v``,
+  stored as a double (an int is exact there below 2**53).
 * A node the translator does not know, a call of any other Python function
   among them, raises ``NotImplementedError``; it never falls back to
   anything.
@@ -61,17 +61,18 @@ Compiler flags, besides ``-shared -fPIC`` and ``-lm``:
   half the time ``-O2`` took (0.17 s against 0.34-0.50 s), and the loop ran
   within 5% of the ``-O2`` speed.
 
-Compiled loops are cached per process by their C text, and translations by
-the loop text and everything the C text depends on besides it: the chunk
-size, the value of each number the loop reads from its globals (printed as
-a literal), the length and row width of each table (its rows go by pointer
+A translation and its compiled loop are cached per process by the loop
+text and everything the C text depends on besides it: the chunk size, the
+value of each number the loop reads from its globals (printed as a
+literal), the length and row width of each table (its rows go by pointer
 on every call), any other global object itself, and the type letter of
-each local's value.  A loop text is so translated and compiled once per
-process (:func:`warm` tells whether it has been); a handoff at another step
-may see other locals unassigned and translate it once more, to a C text
-already compiled.  Each library is built in a temporary directory that is
-removed once it is loaded; nothing is cached on disk.  ``ctypes`` and
-``subprocess`` are imported on first use.
+each value the loop carries in: the function's arguments and the names it
+assigns before its ``while``.  A name the loop assigns takes its type from
+those values and from the loop's own assignments, so a handoff at any step
+translates the same way: one translation and one compile per text and key
+in a process (:func:`warm` tells whether a text has one).  Each library is
+built in a temporary directory that is removed once it is loaded; nothing
+is cached on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
 """
 
 from __future__ import annotations
@@ -250,7 +251,6 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     prog, fn = _program(text, ns, state)
     F = np.array([float(state.get(v, 0.0)) for v in prog.floats])
     I = np.array([state.get(v, 0) for v in prog.ints], dtype=np.int64)
-    S = np.full(max(len(prog.strs), 1), -1, dtype=np.int32)
     tables = [np.array(ns[name], dtype=np.float64).ravel() for name in prog.tables]
     bufs = [np.empty(CHUNK) for _ in prog.buffers]
     counts = np.zeros(len(bufs), dtype=np.int64)
@@ -263,8 +263,8 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
 
     tab_ptrs, buf_ptrs = addresses(tables), addresses(bufs)
     while True:
-        status = fn(F.ctypes.data, I.ctypes.data, S.ctypes.data, buf_ptrs,
-                    counts.ctypes.data, tab_ptrs, exc.ctypes.data)
+        status = fn(F.ctypes.data, I.ctypes.data, buf_ptrs, counts.ctypes.data, tab_ptrs,
+                    exc.ctypes.data)
         for k, (name, sites) in enumerate(prog.buffers.items()):
             if status != _FULL or counts[k] + sites > CHUNK:
                 chunks[name].append(bufs[k][:counts[k]])
@@ -276,9 +276,6 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     for name, value in zip(prog.floats, F.tolist()):
         state[name] = int(value) if prog.types[name] == "n" else value
     state.update(zip(prog.ints, I.tolist()))
-    for name, code in zip(prog.strs, S.tolist()):
-        if code >= 0:
-            state[name] = prog.strings[code]
     if status == _RAISED:
         kind, op, a, b = exc.tolist()  # Python floats: numpy's own would not raise
         _REPEAT[int(op)](a, b)
@@ -292,7 +289,6 @@ def warm(text: str) -> bool:
     return text in _PROGRAMS
 
 
-_LOOPS: dict[str, tuple] = {}                  # C text: (library, function)
 _PROGRAMS: dict[str, dict[tuple, tuple]] = {}  # loop text: {_key: (program, function)}
 
 
@@ -311,12 +307,12 @@ def _program(text: str, ns: dict, state: dict):
 def _key(text: str, ns: dict, state: dict) -> tuple:
     """What the C text of the loop of ``text`` depends on besides the text:
     ``CHUNK``, each global name of the loop as the translator reads it, and
-    the type letter of each local name's value (or that it is a list's
-    ``append``)."""
-    _, _, global_names, local_names = _parse(text)
+    the type letter of the value of each name the loop carries in (or that
+    it is a list's ``append``)."""
+    _, _, global_names, carried = _parse(text)
     return (CHUNK, tuple(_global_shape(ns.get(v)) for v in global_names),
             tuple("append" if _is_append(state.get(v)) else _value_type(state.get(v))
-                  for v in local_names))
+                  for v in carried))
 
 
 def _global_shape(value):
@@ -354,42 +350,47 @@ def _is_append(fn) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _parse(text: str):
-    """``(loop, locals, global names, local names)``: the ``while``
+    """``(loop, locals, global names, carried names)``: the ``while``
     statement of the function ``text``, the function's local names, and the
-    sorted global and local names the loop reads or assigns."""
+    sorted global names the loop reads and local names it carries in (the
+    arguments and the names assigned before the ``while`` that it uses)."""
     fdef = ast.parse(text).body[0]
     loops = [s for s in fdef.body if isinstance(s, ast.While)]
     if not isinstance(fdef, ast.FunctionDef) or len(loops) != 1 or loops[0].orelse:
         raise NotImplementedError("the text must define a function with one while loop")
-    local = {a.arg for a in fdef.args.args} | {
-        n.id for n in ast.walk(fdef) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+    def stored(nodes):
+        return {n.id for node in nodes for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+    args = {a.arg for a in fdef.args.args}
+    carried = args | stored(fdef.body[:fdef.body.index(loops[0])])
+    local = args | stored(fdef.body)
     names = {n.id for n in ast.walk(loops[0]) if isinstance(n, ast.Name)}
-    return loops[0], frozenset(local), sorted(names - local), sorted(names & local)
+    return loops[0], frozenset(local), sorted(names - local), sorted(names & carried)
 
 
 def _compiled(c_text: str):
-    """The C function ``loop`` of ``c_text``, compiled once per process."""
-    if c_text not in _LOOPS:
-        import ctypes
-        import subprocess
+    """The C function ``loop`` of ``c_text``, compiled (the function keeps
+    its library loaded)."""
+    import ctypes
+    import subprocess
 
-        cc = compiler()
-        if cc is None:
-            raise RuntimeError("no C compiler (cc or gcc) on PATH")
-        with tempfile.TemporaryDirectory() as tmp:
-            src, lib = os.path.join(tmp, "loop.c"), os.path.join(tmp, "loop.so")
-            with open(src, "w") as fh:
-                fh.write(c_text)
-            proc = subprocess.run([cc, *FLAGS, "-shared", "-fPIC", "-o", lib, src, "-lm"],
-                                  capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise RuntimeError(f"{cc} failed to compile the native loop:\n{proc.stderr}")
-            dll = ctypes.CDLL(lib)
-        fn = dll.loop
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_void_p] * 7
-        _LOOPS[c_text] = (dll, fn)
-    return _LOOPS[c_text][1]
+    cc = compiler()
+    if cc is None:
+        raise RuntimeError("no C compiler (cc or gcc) on PATH")
+    with tempfile.TemporaryDirectory() as tmp:
+        src, lib = os.path.join(tmp, "loop.c"), os.path.join(tmp, "loop.so")
+        with open(src, "w") as fh:
+            fh.write(c_text)
+        proc = subprocess.run([cc, *FLAGS, "-shared", "-fPIC", "-o", lib, src, "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{cc} failed to compile the native loop:\n{proc.stderr}")
+        fn = ctypes.CDLL(lib).loop
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_void_p] * 6
+    return fn
 
 
 class _Program(types.SimpleNamespace):
@@ -397,8 +398,8 @@ class _Program(types.SimpleNamespace):
 
 
 def _value_type(value):
-    """The type letter of a Python value: 'f' float, 'i' int, 's' str."""
-    return {float: "f", int: "i", str: "s"}.get(type(value))
+    """The type letter of a Python value: 'f' float, 'i' int, else None."""
+    return {float: "f", int: "i"}.get(type(value))
 
 
 def _unify(a, b, what):
@@ -423,10 +424,9 @@ class _Translator:
     """C text of the ``while`` statement of a generated function."""
 
     def __init__(self, text: str, ns: dict, state: dict):
-        self.loop, self.locals, _, _ = _parse(text)
+        self.loop, self.locals, _, self.carried = _parse(text)
         self.ns, self.state = ns, state
         self.types: dict[str, str] = {}
-        self.strings: list[str] = []
         self.tables: list[str] = []
         self.buffers: dict[str, int] = {}  # appending name: calls per iteration
         self.sites = self.labels = 0
@@ -437,13 +437,12 @@ class _Translator:
 
     def _infer_types(self):
         """Name types: 'f' float, 'i' int, 'n' an int from ``math.floor``
-        (held in a double), 's' str; seeded by the state's values and
+        (held in a double); seeded by the values the loop carries in and
         unified over the loop's assignments to a fixed point."""
-        for node in ast.walk(self.loop):
-            if isinstance(node, ast.Name) and node.id in self.locals:
-                kind = _value_type(self.state.get(node.id))
-                if kind is not None:
-                    self.types[node.id] = kind
+        for name in self.carried:
+            kind = _value_type(self.state.get(name))
+            if kind is not None:
+                self.types[name] = kind
         assigned = []
         for node in ast.walk(self.loop):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -574,13 +573,6 @@ class _Translator:
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             target = node.targets[0] if isinstance(node, ast.Assign) else node.target
             kind = self.types.get(target.id)
-            if kind == "s":
-                if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)):
-                    raise NotImplementedError(ast.dump(node))
-                if node.value.value not in self.strings:
-                    self.strings.append(node.value.value)
-                self.emit(f"v_{target.id} = {self.strings.index(node.value.value)};", depth)
-                return
             value = node.value if isinstance(node, ast.Assign) else _augmented(node)
             self.emit(f"v_{target.id} = {self.value(value, kind, depth, handler)};", depth)
         elif isinstance(node, ast.If):
@@ -649,7 +641,7 @@ class _Translator:
         """A call statement ``x_append(v)`` of a local ``list.append``, with
         a float or an int ``v``: a double in the buffer of ``x_append``."""
         name = node.func.id if isinstance(node.func, ast.Name) else None
-        fn = self.state.get(name) if name in self.locals else None
+        fn = self.state.get(name) if name in self.carried else None
         if not (_is_append(fn) and len(node.args) == 1 and not node.keywords):
             raise NotImplementedError(ast.dump(node))
         kind = self._type(node.args[0])
@@ -670,16 +662,15 @@ class _Translator:
         body, self.lines = self.lines, []
         floats = sorted(v for v, k in self.types.items() if k in ("f", "n"))
         ints = sorted(v for v, k in self.types.items() if k == "i")
-        strs = sorted(v for v, k in self.types.items() if k == "s")
-        if set(self.types.values()) - {"f", "n", "i", "s"}:
+        if set(self.types.values()) - {"f", "n", "i"}:
             raise NotImplementedError(f"names of types {set(self.types.values())}")
         full = " || ".join(f"n{k} + {sites} > {CHUNK}"
                            for k, sites in enumerate(self.buffers.values()))
         nan = "0x%016xULL" % struct.unpack("<Q", struct.pack("<d", math.nan))[0]
         lines = [
             _PRELUDE % {"nan": nan},
-            "int loop(double *F, long long *I, int *S, double **B, long long *N,",
-            "         double **T, double *E)",
+            "int loop(double *F, long long *I, double **B, long long *N, double **T,",
+            "         double *E)",
             "{",
             "    exc_t ex = {0, 0, 0, 0.0, 0.0};",
             "    int status = 0, t_b;",
@@ -688,7 +679,6 @@ class _Translator:
             "    const double *t_r;",
             *(f"    double v_{v} = F[{j}];" for j, v in enumerate(floats)),
             *(f"    long long v_{v} = I[{j}];" for j, v in enumerate(ints)),
-            *(f"    int v_{v} = S[{j}];" for j, v in enumerate(strs)),
             *(f"    double *b{k} = B[{k}];\n    long long n{k} = N[{k}];"
               for k in range(len(self.buffers))),
             *(f"    const double *tab{k} = T[{k}];" for k in range(len(self.tables))),
@@ -707,15 +697,13 @@ class _Translator:
             "store:",
             *(f"    F[{j}] = v_{v};" for j, v in enumerate(floats)),
             *(f"    I[{j}] = v_{v};" for j, v in enumerate(ints)),
-            *(f"    S[{j}] = v_{v};" for j, v in enumerate(strs)),
             *(f"    N[{k}] = n{k};" for k in range(len(self.buffers))),
             "    return status;",
             "}",
             "",
         ]
         return _Program(c="\n".join(lines), types=self.types, floats=floats, ints=ints,
-                        strs=strs, strings=self.strings, tables=self.tables,
-                        buffers=self.buffers)
+                        tables=self.tables, buffers=self.buffers)
 
 
 def _augmented(node: ast.AugAssign) -> ast.BinOp:

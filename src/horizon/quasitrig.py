@@ -96,13 +96,6 @@ class QuasiTrigTable:
         exec(compile(src, f"<quasitrig l={self.l}>", "exec"), ns)
         return ns["lookup"]
 
-    def __getstate__(self):
-        # the node lists and the compiled lookup are rebuilt on first use
-        state = dict(self.__dict__)
-        state.pop("lookup_globals", None)
-        state.pop("lookup", None)
-        return state
-
     def lookup_source(self, theta: str, cs: str, sn: str) -> list[str]:
         """Statements, one unindented line each, assigning (Cs, Sn) at the
         angle expression ``theta`` to the names ``cs`` and ``sn``; they read
@@ -136,20 +129,9 @@ class QuasiTrigTable:
             f"{sn} = _w0 * _s0 + _w1 * _ds0 + _w2 * _s1 + _w3 * _ds1",
         ]
 
-    def eval(self, theta):
-        """(Cs(theta), Sn(theta)); accepts scalars or arrays."""
-        if np.isscalar(theta):
-            return self.lookup(float(theta))
-        theta = np.asarray(theta, dtype=float)
-        cs = np.empty_like(theta)
-        sn = np.empty_like(theta)
-        flat_t = theta.ravel()
-        flat_c = cs.ravel()
-        flat_s = sn.ravel()
-        lookup = self.lookup
-        for i, th in enumerate(flat_t.tolist()):
-            flat_c[i], flat_s[i] = lookup(th)
-        return cs, sn
+    def eval(self, theta: float) -> tuple[float, float]:
+        """(Cs(theta), Sn(theta)) at a number theta."""
+        return self.lookup(float(theta))
 
 
 @lru_cache(maxsize=None)
@@ -183,5 +165,5 @@ def table(l: int) -> QuasiTrigTable:
 
 
 def cssn(theta, l: int):
-    """(Cs(theta), Sn(theta)) for the (1,l) pair; scalar or array input."""
+    """(Cs(theta), Sn(theta)) of the (1,l) pair at a number theta."""
     return table(l).eval(theta)

@@ -13,17 +13,11 @@ from scipy.interpolate import CubicSpline
 
 from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
-from horizon.compactify import (
-    apply_recipe,
-    base_field,
-    blowup_chart,
-    forward_point,
-    horizon_is_invariant_syntactically,
-    inverse_transform,
-)
+from horizon.compactify import apply_recipe, base_field, blowup_chart
 from horizon.dynamics import integrate
 from horizon.genpoly import parse_genpoly
 from horizon.structure import TypeVector, certify_type
+from oracles import forward_point, horizon_is_invariant, inverse_transform
 
 ALL_CASES = sorted(builtin_cases())
 
@@ -124,7 +118,7 @@ def test_horizon_invariance_syntactic(name):
     cdef = get_case(name).definition()
     if cdef.chart.radial is None:
         pytest.skip("no radial variable")
-    assert horizon_is_invariant_syntactically(cdef.chart)
+    assert horizon_is_invariant(cdef.chart)
 
 
 # equilibria of each default case (seed 0): coordinates and classification
@@ -275,6 +269,38 @@ class TestSweep:
                 d.pop("wallclock_s")
             docs.append(reports)
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("points,jobs,workers", [
+        (3, 64, [3]), (3, 10**20, [3]), (3, 2, [2]), (1, 64, []), (3, 1, []),
+    ])
+    def test_workers_never_outnumber_the_points(self, monkeypatch, points, jobs, workers):
+        # a fork-started pool forks all its workers at the first submit: a
+        # stand-in pool records how many a sweep asks for, and starts none
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kw):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args, **kw))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(casebook, "run_case", lambda cdef, out, seed=0: cdef.params)
+        grid = [{"a": F(1, k + 2)} for k in range(points)]
+        assert sweep("iy", grid, jobs=jobs) == [get_case("iy").definition(g).params
+                                                 for g in grid]
+        assert started == workers
 
 
 # -- orbital equivalence -------------------------------------------------------

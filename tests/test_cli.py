@@ -184,6 +184,23 @@ def _bits(obj):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,flag", [
+        (["analyze", "fhn", "--seed", "-1"], "--seed"),   # a Newton search drew from it
+        (["analyze", "iy", "--seed", "-1"], "--seed"),    # closed-form equilibria
+        (["sweep", "andrews2", "--param", "a1=1/2", "--seed", "-3"], "--seed"),
+        (["analyze", "iy", "--jobs", "0"], "--jobs"),
+        (["sweep", "iy", "--param", "a=1/2", "--jobs", "0"], "--jobs"),
+        (["sweep", "iy", "--param", "a=1/2", "--jobs", "-2"], "--jobs"),
+    ], ids=["seed-fhn", "seed-iy", "seed-sweep", "jobs-analyze", "jobs-0", "jobs-negative"])
+    def test_out_of_range_flag_is_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # refused when the arguments are parsed, before any run
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_parse_error_is_2(self, tmp_path, capsys):
         p = write(tmp_path, "var x\nfield x : x^(1/0)\n")
         rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])

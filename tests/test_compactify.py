@@ -15,10 +15,7 @@ from horizon.compactify import (
     blowup_chart,
     desingularize,
     directional_compactify,
-    forward_point,
-    horizon_is_invariant_syntactically,
     horizon_slice,
-    inverse_transform,
     monomial_chart,
     quasi_polar_compactify,
     restrict_invariant,
@@ -27,6 +24,7 @@ from horizon.compactify import (
 from horizon.errors import DomainError, ResidualSingularityError, SignError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.structure import TypeVector
+from oracles import forward_point, horizon_is_invariant, inverse_transform
 
 
 def gp(text, vars):
@@ -117,7 +115,7 @@ class TestDesingularize:
         # full chain dt/d(eta) = r * u0^2
         prod = E.time_chain[0] * E.time_chain[1]
         assert prod == gp("r * u0^2", ("r", "u0"))
-        assert horizon_is_invariant_syntactically(E)
+        assert horizon_is_invariant(E)
 
     def test_fractional_desingularization(self):
         a = F(1, 2)
@@ -283,7 +281,7 @@ class TestQuasiPolar:
             vars, [gp("y", vars), gp(f"-x^{2*n+1} - x^{2*n} - x^{n}*y", vars)], name="l"
         )
         Q = quasi_polar_compactify(C, n + 1, n)
-        assert horizon_is_invariant_syntactically(Q)
+        assert horizon_is_invariant(Q)
 
     def test_inverse_transform(self):
         n = 3

@@ -10,7 +10,6 @@ base is the 0.0 that every caller passed while sections had a base.
 """
 
 import math
-import pickle
 import struct
 
 import numpy as np
@@ -409,10 +408,10 @@ def test_lienard_cut_runs_bitwise(n, starts):
 
 @pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
 def test_lienard_native_continuation_bitwise(monkeypatch):
-    # the run continues in the compiled loop after 7 steps (an earlier
-    # compile of the text in this process would start it at step 0)
+    # the run continues in the compiled loop after 7 steps (a text this
+    # process holds compiled would start it at step 0)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 7)
-    monkeypatch.setattr(native, "_PROGRAMS", {})
+    monkeypatch.setattr(native, "warm", lambda text: False)
     cdef = get_case("lienard").definition({"n": 3})
     plan = cdef.runs[0]
     kw = plan_kwargs(plan, cdef.chart)
@@ -596,37 +595,25 @@ def test_cssn_bitwise_unchanged(l):
     old = [old_eval_scalar(tab, float(th)) for th in thetas]
     assert bits([cssn(float(th), l) for th in thetas]) == bits(
         [(float(c), float(s)) for c, s in old])
-    c_arr, s_arr = cssn(thetas, l)
-    assert bits(c_arr) == bits(np.array([c for c, _ in old]))
-    assert bits(s_arr) == bits(np.array([s for _, s in old]))
 
 
-def test_table_pickles_without_compiled_lookup():
-    tab = table(2)
-    tab.lookup(1.0)
-    copy = pickle.loads(pickle.dumps(tab))
-    assert "lookup" not in copy.__dict__
-    assert bits(copy.lookup(1.0)) == bits(tab.lookup(1.0))
-
-
-# float.hex of (T, beta1_T, beta2_T, Gamma_T, C2, C3, alpha(0.7), a2(1.3),
-# cumulative_Gamma2(10)) from the previous lookup
+# float.hex of (T, beta1_T, beta2_T, Gamma_T, C2, C3, alpha(0.7)) from the
+# previous lookup
 LIENARD_REFERENCE = {
     1: ["0x1.daa4a35759e98p+2", "0x1.fffffffffffbap-1", "-0x1.0cb7600ff8d85p+0",
         "0x1.b7406ab3b657fp-1", "0x1.b12a110cd89aep-1", "0x1.d9d2b1346dc5fp-4",
-        "0x1.cf327207f2bc5p-4", "0x1.3fa7f823e0cdcp-5", "0x1.8e38a81674d8fp+0"],
+        "0x1.cf327207f2bc5p-4"],
     3: ["0x1.29e133e740476p+3", "0x1.000000000000bp+0", "-0x1.0cb5225b8c906p-2",
         "0x1.f082ad2db6a1fp-3", "0x1.8505dd801a2b0p-2", "0x1.aab4693ec426dp-6",
-        "0x1.f396d6be32cd4p-5", "0x1.899359ef135f1p-8", "0x1.afe5d3661ba3dp-2"],
+        "0x1.f396d6be32cd4p-5"],
     5: ["0x1.5c5ca58fae230p+3", "0x1.00000000000dfp+0", "-0x1.08224ffcd94e4p-3",
         "0x1.f7217f3b99028p-4", "0x1.0dfc0890e3b78p-2", "0x1.71bc17ec5331bp-7",
-        "0x1.451400633741fp-5", "0x1.002aef4eff1a9p-9", "0x1.7ffcf1d07dc42p-3"],
+        "0x1.451400633741fp-5"],
 }
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_lienard_coefficients_bitwise_unchanged(n):
     co = lienard_coefficients(n)
-    got = [co.T, co.beta1_T, co.beta2_T, co.Gamma_T, co.C2, co.C3,
-           co.alpha(0.7), co.a2(1.3), co.cumulative_Gamma2(10.0)]
+    got = [co.T, co.beta1_T, co.beta2_T, co.Gamma_T, co.C2, co.C3, co.alpha(0.7)]
     assert [float(v).hex() for v in got] == LIENARD_REFERENCE[n]

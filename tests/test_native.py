@@ -5,12 +5,13 @@ translated from the same generated loop text (``horizon.native``).  Every
 test here compares whole trajectories bit for bit: times, states, time
 increments, cumulative times, sections and all counters, or the exception
 that leaves ``integrate``.  The handoff threshold is lowered to 0 (the whole
-run in C) and 7 (a handoff after the Python loop's first steps); the record
-of the loop texts this process has compiled is cleared first, or a warm text
-would hand off at 0 whatever the threshold.  Each new chart costs one
-compile, so the hypothesis runs are short.
+run in C) and 7 (a handoff after the Python loop's first steps), with no
+loop text counting as compiled (:func:`cold`), or a warm text would hand off
+at 0 whatever the threshold.  Each new chart costs one compile, so the
+hypothesis runs are short.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -45,18 +46,22 @@ def handoffs(monkeypatch):
     return calls
 
 
-def cold(monkeypatch):
-    """Forget which loop texts this process has compiled: the next run of
-    each hands off after ``dynamics._NATIVE_AFTER`` steps, not at step 0."""
-    monkeypatch.setattr(native, "_PROGRAMS", {})
+@contextlib.contextmanager
+def cold():
+    """Within it no loop text counts as compiled: a run hands off after
+    ``dynamics._NATIVE_AFTER`` steps, not at step 0.  The compiled loops
+    stay, so a handoff reuses them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "warm", lambda text: False)
+        yield
 
 
 def outcome(monkeypatch, after, *args, **kw):
     """The trajectory of ``integrate(*args, **kw)`` with the handoff after
     ``after`` accepted steps (None: never), or the exception it raised."""
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 10**12 if after is None else after)
-    cold(monkeypatch)
-    return warm_outcome(*args, **kw)
+    with cold():
+        return warm_outcome(*args, **kw)
 
 
 def warm_outcome(*args, **kw):
@@ -105,7 +110,7 @@ def test_each_lienard_text_warms_on_its_own(monkeypatch, handoffs):
     wants = [outcome(monkeypatch, None, *args, **kw) for args, kw in runs]
     assert not handoffs and all(want["n_steps"] > 32_768 for want in wants)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 32_768)
-    cold(monkeypatch)
+    monkeypatch.setattr(native, "_PROGRAMS", {})  # a process that compiled nothing yet
     assert [warm_outcome(*args, **kw) for args, kw in runs] == wants
     assert handoffs == [32_768, 32_768, 0]
 
@@ -118,9 +123,8 @@ def test_native_planar_fields_match_python_and_dop853(fx, fy, a, b):
     # whole run in C and with a handoff after 7 steps
     trajs = []
     for after in (None, 0, 7):
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, cold():
             mp.setattr(dynamics, "_NATIVE_AFTER", 10**12 if after is None else after)
-            cold(mp)
             trajs.append(test_dynamics.check_planar_field_against_dop853(fx, fy, a, b))
     want = [bits(getattr(trajs[0], name)) for name in FIELDS]
     for traj in trajs[1:]:
@@ -250,8 +254,8 @@ def test_handoff_at_a_crossing_step(monkeypatch):
     assert_native_matches_python(monkeypatch, *args, afters=(step, step + 1), **kw)
     for after in (step, step + 1):  # ``bits`` keeps ints, and 148.0 == 148
         monkeypatch.setattr(dynamics, "_NATIVE_AFTER", after)
-        cold(monkeypatch)
-        assert all(type(s[3]) is int for s in integrate(*args, **kw).sections)
+        with cold():
+            assert all(type(s[3]) is int for s in integrate(*args, **kw).sections)
 
 
 # -- chunks, the translator, the compiler ---------------------------------------
@@ -275,7 +279,9 @@ def test_refilled_chunks_keep_every_crossing(monkeypatch):
     "n = x",                        # an int name that becomes a float
     "x = 2.0\n        _record(x)",  # a call of a global Python function
     "print(x)",                     # a call of a builtin
-], ids=["floordiv", "list", "with", "int-to-float", "global-call", "builtin-call"])
+    "s = 'done'\n        x = 2.0",  # a string: the loop holds numbers only
+], ids=["floordiv", "list", "with", "int-to-float", "global-call", "builtin-call",
+        "string-local"])
 def test_unknown_node_raises(body):
     text = f"def loop(x, n):\n    while x < 1.0:\n        {body}\n    return locals()\n"
     with pytest.raises(NotImplementedError):
@@ -328,32 +334,28 @@ def test_no_compiler_on_path_stays_in_python(monkeypatch, handoffs):
     assert not handoffs
 
 
-def test_compiled_loops_are_cached_by_their_text(monkeypatch):
-    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
-    outcome(monkeypatch, 0, *args, **kw)
-    cached = len(native._LOOPS)
-    outcome(monkeypatch, 7, *args, **kw)
-    assert len(native._LOOPS) == cached
+def test_a_loop_text_is_translated_and_compiled_once(monkeypatch, handoffs):
+    # the handoff at 7 and the later ones at 0 see other locals assigned,
+    # but the loop carries in the same names: one translation, one compile
+    calls = []
 
+    def counted(name):
+        fn = getattr(native, name)
 
-def test_a_warm_text_is_translated_once_per_key(monkeypatch, handoffs):
-    # the handoff at 7 and the later ones at 0 see different locals
-    # assigned: two translations, to one C text, and no more
-    translations = []
-    translator = native._Translator
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
 
-    def counting(*args):
-        translations.append(1)
-        return translator(*args)
-
-    monkeypatch.setattr(native, "_Translator", counting)
+    for name in ("_Translator", "_compiled"):
+        monkeypatch.setattr(native, name, counted(name))
+    monkeypatch.setattr(native, "_PROGRAMS", {})  # a process that compiled nothing yet
     args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
     want = outcome(monkeypatch, 7, *args, **kw)
-    compiled = len(native._LOOPS)
     for _ in range(3):
         assert warm_outcome(*args, **kw) == want
-    assert handoffs == [7, 0, 0, 0] and len(translations) == 2
-    assert len(native._LOOPS) == compiled
+    assert handoffs == [7, 0, 0, 0]
+    assert calls == ["_Translator", "_compiled"]
 
 
 _KEYED = ("def loop(x, i, out_append):\n"
@@ -390,7 +392,7 @@ def test_translations_are_keyed_by_what_the_c_text_depends_on(monkeypatch):
     # a global number is a literal in the C text, a table's length a bound
     # (its rows go by pointer), a local's type a C type, and CHUNK a test
     # of the buffers: each change is a new translation, never a stale one
-    cold(monkeypatch)
+    monkeypatch.setattr(native, "_PROGRAMS", {})
     base = {"ROWS": 3, "STEP": 1.0, "TABLE": [(1.0,), (2.0,), (4.0,)]}
     steps = [
         (base, 0.0),
@@ -417,8 +419,8 @@ def test_translations_are_keyed_by_what_the_c_text_depends_on(monkeypatch):
 def test_trajectory_arrays_are_whole(monkeypatch):
     args, kw = plan_args("lienard", {"n": 1}, tau_end=30.0)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 5)
-    cold(monkeypatch)
-    traj = integrate(*args, **kw)
+    with cold():
+        traj = integrate(*args, **kw)
     assert traj.states.shape == (traj.n_steps + 1, 2) and traj.states.dtype == np.float64
     assert len(traj.tau) == len(traj.t) == len(traj.dt_inc) + 1
     assert math.isclose(traj.t[-1], np.sum(traj.dt_inc), rel_tol=1e-12)

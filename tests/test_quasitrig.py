@@ -42,7 +42,7 @@ def test_algebraic_identity_random_points():
     rng = np.random.default_rng(1)
     for l in (1, 2, 4):
         thetas = rng.uniform(-50, 50, 10_000)
-        c, s = cssn(thetas, l)
+        c, s = np.array([cssn(th, l) for th in thetas.tolist()]).T
         resid = np.abs(c ** (2 * l) + l * s**2 - 1.0)
         assert float(resid.max()) <= 1e-9
 
