@@ -334,9 +334,9 @@ def test_no_compiler_on_path_stays_in_python(monkeypatch, handoffs):
     assert not handoffs
 
 
-def test_a_loop_text_is_translated_and_compiled_once(monkeypatch, handoffs):
-    # the handoff at 7 and the later ones at 0 see other locals assigned,
-    # but the loop carries in the same names: one translation, one compile
+def _counted(monkeypatch, *names):
+    """The calls of each of ``native``'s functions ``names``, in order, in a
+    process that compiled nothing yet."""
     calls = []
 
     def counted(name):
@@ -347,9 +347,26 @@ def test_a_loop_text_is_translated_and_compiled_once(monkeypatch, handoffs):
             return fn(*args)
         return call
 
-    for name in ("_Translator", "_compiled"):
+    for name in names:
         monkeypatch.setattr(native, name, counted(name))
-    monkeypatch.setattr(native, "_PROGRAMS", {})  # a process that compiled nothing yet
+    monkeypatch.setattr(native, "_PROGRAMS", {})
+    return calls
+
+
+def test_compiled_loops_are_cached_by_their_text(monkeypatch):
+    # the run from step 0 and the handoff at 7 carry in the same names:
+    # the second reuses the first's compiled loop
+    calls = _counted(monkeypatch, "_compiled")
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
+    outcome(monkeypatch, 0, *args, **kw)
+    outcome(monkeypatch, 7, *args, **kw)
+    assert calls == ["_compiled"]
+
+
+def test_a_warm_text_is_translated_once_per_key(monkeypatch, handoffs):
+    # the handoff at 7 and the later ones at 0 see other locals assigned,
+    # but the loop carries in the same names: one translation, one compile
+    calls = _counted(monkeypatch, "_Translator", "_compiled")
     args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
     want = outcome(monkeypatch, 7, *args, **kw)
     for _ in range(3):
