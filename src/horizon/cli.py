@@ -69,6 +69,12 @@ every variable in it declared ``positive`` (or the chart's radial
 variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
 ``x^(1/2)`` needs ``var x positive``.
 
+The run numbers ``tau-end``, ``h-max``, ``rtol``, ``atol`` and
+``direction`` are checked at their line as ``integrate`` checks them, so a
+value it refuses is a parse error there.  ``direction`` is ``1`` (the
+default: forward in the chart's time) or ``-1`` (backward); any other value
+is refused.
+
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
 finite edge, ``grow-up`` an infinite one.  Any other kind is a parse error.
@@ -474,8 +480,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     if head in _NUMBER_DIRECTIVES:
         key, parse = _NUMBER_DIRECTIVES[head]
         st.plan[key] = parse(rest)
-        if key != "direction":  # a value integrate refuses is refused at its line
-            check_run_number(key, st.plan[key], head)
+        check_run_number(key, st.plan[key], head)  # refused at its line
     elif head == "name":
         st.name = rest
     elif head == "var":

@@ -23,8 +23,8 @@ component and chain expressions) in place, with no call per stage; the
 step bookkeeping and the PI controller are inline too.  The initial point is
 evaluated with :meth:`ChartField.compile_rhs`, the same text compiled as a
 function.  A step that crosses a section appends one flat row of numbers;
-after the run :func:`_cross_sections` forms the dense output of each such
-step and bisects the crossing on the angle component alone.
+after the run :func:`_cross_sections` locates all crossings together from
+the array of those rows, on the dense output of the angle alone.
 
 A run still going after ``_NATIVE_AFTER`` accepted steps continues in C
 when a C compiler is on ``PATH``: :func:`horizon.native.resume` translates
@@ -141,14 +141,17 @@ def integrate(
     ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
     with |field| <= 1e-12 (1 + |state|).
     """
-    numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps)
+    numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps,
+                   direction=direction)
     for name, value in numbers.items():
         check_run_number(name, value)
     if h0 is not None:
         check_run_number("h0", h0)
-    # the loop's floats are Python floats, whatever number type was passed
+    # the loop's floats are Python floats and its step cap an int in 64 bits
+    # (no run gets to 2**62 steps), whatever number type was passed
     tau_end, h_max, rtol = float(tau_end), float(h_max), float(rtol)
-    sign = 1 if direction >= 0 else -1
+    max_steps = int(min(max_steps, 2**62))
+    sign = 1 if direction > 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
     # (otherwise the controller lets the step explode and the decaying
@@ -192,10 +195,7 @@ def integrate(
         rows += chunks.get("rows_append", [])
     # _cross_sections cannot raise, so locating the crossings after the run
     # changes neither a result nor the exception that leaves integrate
-    sections: list = []
-    for part in rows:
-        for row in part.reshape(-1, 13 + 9 * len(y)):
-            _cross_sections(sections, row.tolist(), period, si)
+    sections = _cross_sections(np.concatenate(rows).reshape(-1, 13 + 9 * len(y)), period, si)
     # every accepted step evaluated the field 7 times, the initial point once
     return _build_traj(taus, states, incs, _TERMINATIONS[st["termination"]], C, sections,
                        st["n_acc"], st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"],
@@ -220,7 +220,8 @@ _RUN_NUMBERS = {
     "atol": (lambda x: 1e-14 <= x <= 1e-3, "in [1e-14, 1e-3]"),
     "tau_end": (lambda x: x >= 0.0, "a nonnegative number"),
     "h_max": (lambda x: x > 0.0, "positive"),
-    "max_steps": (lambda x: x >= 0, "nonnegative"),
+    "max_steps": (lambda x: x >= 0 and x % 1 == 0, "a nonnegative whole number"),
+    "direction": (lambda x: x in (1, -1), "1 or -1"),
     "h0": (lambda x: 0.0 < x < math.inf, "finite and positive"),
 }
 
@@ -268,7 +269,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     ``y{i}`` and ``y5_{i}``, the stages ``k0_{i}`` .. ``k6_{i}``, the chain
     products ``g0`` .. ``g6``, ``t_acc`` and ``n_acc``, each with its own
     ``rows_append`` like the accepted states, so the loop only computes and
-    stores numbers.  :func:`_cross_sections` takes one row.
+    stores numbers.  :func:`_cross_sections` takes all rows as one array.
 
     Each stage assigns its inputs to the chart's variables and runs the
     :meth:`ChartField.rhs_source` text in place.  A stage (or the end point)
@@ -447,80 +448,70 @@ def _tup(names) -> str:
     return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
-def _cross_sections(hits, row, period, si):
-    """Append the crossings of one accepted step to ``hits``.
+def _cross_sections(rows, period, si):
+    """The crossings of a run's (m, 13 + 9n) array of crossing rows (see
+    :func:`_loop_fn`), each as (tau, state, t, step index, partial increment).
 
-    ``row`` is the step's crossing row (see :func:`_loop_fn`) as floats;
-    its section counts and step index are ints again here.  Each crossing
-    is located by bisection on the dense output of the angle alone, which
-    must be monotone within the step, and recorded as (tau, state, t, step
-    index, partial increment).
+    A row is repeated once per section its step crosses, and all crossings
+    are located together by bisection on the dense output of the angle
+    alone, which must be monotone within the step.  The midpoints are
+    dyadic, so hi - lo is exactly 2**-i after i halvings: the 50 halvings,
+    first exact zero kept, are those of a scalar bisection that stops once
+    hi - lo < 1e-15.
     """
-    n = (len(row) - 13) // 9
-    count, new_count, tau, h = int(row[0]), int(row[1]), row[2], row[3]
-    y, y5, k = row[4:4 + n], row[4 + n:4 + 2 * n], row[4 + 2 * n:4 + 9 * n]
-    kg, t_acc, n_acc = row[4 + 9 * n:11 + 9 * n], row[-2], int(row[-1])
-    angle_sign = 1.0 if y5[si] < y[si] else -1.0
-    y_si, k_si = y[si], k[si::n]
-    while new_count > count:
-        count += 1
-        target = -count * period * angle_sign
-        # the angle component of the dense output, by the same operations
-        th = _bisect_event(
-            lambda s: y_si + h * _dense_sum(s, k_si) - target, 0.0, 1.0)
-        state = [yi + h * _dense_sum(th, k[i::n]) for i, yi in enumerate(y)]
+    if not len(rows):
+        return []
+    n = (rows.shape[1] - 13) // 9
+    at = np.repeat(np.arange(len(rows)), (rows[:, 1] - rows[:, 0]).astype(np.int64))
+    rows = rows[at]
+    # a step's crossings reach the counts sec_count + 1, sec_count + 2, ...
+    count = rows[:, 0] + 1.0 + (np.arange(len(at)) - np.searchsorted(at, at))
+    tau, h, y, y5 = rows[:, 2], rows[:, 3], rows[:, 4:4 + n], rows[:, 4 + n:4 + 2 * n]
+    k = rows[:, 4 + 2 * n:4 + 9 * n].reshape(-1, 7, n).transpose(1, 0, 2)
+    kg, t_acc, n_acc = rows[:, 4 + 9 * n:11 + 9 * n].T, rows[:, -2], rows[:, -1]
+    target = -count * period * np.where(y5[:, si] < y[:, si], 1.0, -1.0)
+    lo, hi = np.zeros(len(at)), np.ones(len(at))
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        # the angle component of the dense output minus its target
+        glo = y[:, si] + h * _dense_sum(lo, k[:, :, si]) - target
+        th, found = lo, glo == 0.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            gm = y[:, si] + h * _dense_sum(mid, k[:, :, si]) - target
+            th, found = np.where(found, th, mid), found | (gm == 0.0)
+            same = (glo < 0) == (gm < 0)
+            lo, glo, hi = np.where(same, mid, lo), np.where(same, gm, glo), np.where(same, hi, mid)
+        th = np.where(found, th, 0.5 * (lo + hi))
+        state = y + h[:, None] * _dense_sum(th[:, None], k)
         # the physical-time increment over [0, th], by the same dense weights
         partial = h * _dense_sum(th, kg)
-        hits.append((tau + th * h, state, t_acc + partial, n_acc, partial))
+    return list(zip((tau + th * h).tolist(), state.tolist(), (t_acc + partial).tolist(),
+                    n_acc.astype(np.int64).tolist(), partial.tolist()))
 
 
-def _dense_sum_fn():
-    """``_dense_sum(th, values)``: ``0.0 + w_0*values_0 + ... + w_6*values_6``
-    left to right, unrolled over the dense-output weights
-    ``w_s = p0*th + p1*th^2 + p2*th^3 + p3*th^4`` at the step fraction th,
-    with the all-zero row of ``_P`` and every zero coefficient left out.
+def _dense_sum(th, values):
+    """``0.0 + w_0*values_0 + ... + w_6*values_6`` left to right over the
+    dense-output weights ``w_s = p0*th + p1*th^2 + p2*th^3 + p3*th^4`` at the
+    step fraction th, on numbers or elementwise on arrays, with the all-zero
+    row of ``_P`` and every zero coefficient left out.
 
     It equals the rolled loop that skips zero weights bit for bit: a
     left-out zero term changes at most the sign of a zero weight, and adding
     a zero product to the sum changes nothing, since the sum starts at +0.0,
     never returns to -0.0 and every stage value is finite.
     """
-    powers = ("th", "th2", "th3", "th4")
-    terms = "".join(
-        f" + ({' + '.join(f'{p!r} * {x}' for p, x in zip(row, powers) if p != 0.0)}) * v{s}"
-        for s, row in enumerate(_P) if any(row))
-    text = (
-        "def _dense_sum(th, values):\n"
-        "    th2 = th * th\n"
-        "    th3 = th2 * th\n"
-        "    th4 = th3 * th\n"
-        f"    {_tup(f'v{s}' for s in range(len(_P)))} = values\n"
-        f"    return 0.0{terms}\n"
-    )
-    ns = {}
-    exec(compile(text, "<dp5 dense output>", "exec"), ns)
-    return ns["_dense_sum"]
-
-
-_dense_sum = _dense_sum_fn()
-
-
-def _bisect_event(g, lo, hi, iters=80):
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo < 0) == (gm < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    th2 = th * th
+    th3 = th2 * th
+    powers = (th, th2, th3, th3 * th)
+    total = 0.0
+    for row, v in zip(_P, values):
+        w = None
+        for p, x in zip(row, powers):
+            if p != 0.0:
+                w = p * x if w is None else w + p * x
+        if w is not None:
+            total = total + w * v
+    return total
 
 
 def _sum_sq(v) -> float:

@@ -281,6 +281,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
 
+    @pytest.mark.parametrize("value", ["0", "7", "-3"])
+    def test_direction_other_than_one_or_minus_one_is_2(self, tmp_path, capsys, monkeypatch,
+                                                         value):
+        # direction 0 and 7 ran forward and -3 backward, and each exited 0
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "extinction.spec").read_text() + f"direction {value}\n"
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {len(text.splitlines())} " in err
+        assert f"direction = {value} is not 1 or -1" in err
+
+    def test_direction_minus_one_is_read(self, tmp_path):
+        text = (CASES_DIR / "extinction.spec").read_text() + "direction -1\n"
+        assert parse_spec_file(write(tmp_path, text)).runs[0].direction == -1
+
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time
         # on part of the phase plane

@@ -133,10 +133,13 @@ class TestTermination:
     @pytest.mark.parametrize("number,value", [
         ("tau_end", math.nan), ("tau_end", -1.0), ("h_max", math.nan), ("h_max", 0.0),
         ("h_max", -1.0), ("max_steps", -1), ("rtol", math.nan), ("atol", math.nan),
+        ("max_steps", 1.5), ("max_steps", math.inf), ("direction", 0), ("direction", 7),
+        ("direction", -3),
     ])
     def test_run_numbers_that_make_the_termination_untrue_are_refused(self, number, value):
-        # tau_end = nan or -1 ended after 0 steps as 'tau-budget', and
-        # h_max = nan lifted the step cap
+        # tau_end = nan or -1 ended after 0 steps as 'tau-budget', h_max =
+        # nan lifted the step cap, and a direction of 0 or 7 ran forward and
+        # -3 backward
         vars = ("x",)
         C = base_field(vars, [gp("-x", vars)], name="decay")
         kw = {"tau_end": 10.0, number: value}
@@ -299,6 +302,11 @@ PLANAR_POLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @given(PLANAR_POLY, PLANAR_POLY, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 # the initial step is 1e-14 short of tau_end
 @example({(0, 0): 1e-16, (0, 1): 0.01}, {(0, 1): 0.01}, 0.0, 0.0)
+# leaves the box: the reference ran 395 s and 1,582,771 steps toward the blow-up
+@example({(2, 2): -0.1639219557348286, (0, 2): 0.9561072008935212,
+          (2, 0): -0.09194255566674969, (0, 1): 0.9217575935758946},
+         {(1, 1): 0.6285890210623859, (0, 2): 0.2810541214464133, (2, 2): 0.9561072008935212},
+         0.7131806244677933, 0.42915683934765114)
 def test_dp5_matches_dop853_on_random_planar_fields(fx, fy, a, b):
     check_planar_field_against_dop853(fx, fy, a, b)
 
@@ -317,10 +325,16 @@ def check_planar_field_against_dop853(fx, fy, a, b):
         return [*(sum(c * x**i * y**j for (i, j), c in f.items()) for f in (fx, fy)),
                 1.0 + a * x * x + b * y * y]
 
+    def leaves_box(tau, z):
+        return 100.0 - np.max(np.abs(z))
+
+    # a run that leaves the box is rejected below: stopping it there spares a
+    # field that blows up the reference's millions of steps toward it
+    leaves_box.terminal = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # fields that blow up
         ref = solve_ivp(augmented, (0.0, 1.0), [0.5, 0.5, 0.0], method="DOP853",
-                        rtol=1e-12, atol=1e-14)
+                        rtol=1e-12, atol=1e-14, events=leaves_box)
     assume(ref.status == 0 and np.all(np.abs(ref.y) <= 100.0))
     traj = integrate(C, [0.5, 0.5], 1.0, rtol=1e-12, atol=1e-14,
                      stop_at_equilibrium=False)

@@ -2,8 +2,10 @@
 
 The reference is the previous implementation, kept here verbatim: the
 per-polynomial ``compile_rhs`` closure with its table lookup and polynomial
-printer, and the list-based ``integrate`` loop.  The generated code must reproduce it bit for
-bit: same accepted and rejected steps, same states, increments and sections.
+printer, the list-based ``integrate`` loop, and the per-row crossing pass
+with its scalar bisection.  The generated code and the array crossing pass
+must reproduce it bit for bit: same accepted and rejected steps, same
+states, increments and sections.
 The reference's float sums go through ``old_sum``, the builtin ``sum`` of
 Python up to 3.11, so it is the same reference on every version.  Its section
 base is the 0.0 that every caller passed while sections had a base.
@@ -25,8 +27,8 @@ from horizon.dynamics import (
     _B4,
     _B5,
     _P,
-    _bisect_event,
     _build_traj,
+    _cross_sections,
     integrate,
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
@@ -73,6 +75,51 @@ def _dt_partial(dense: _DenseSeg, kg, th, h) -> float:
     """Physical-time increment over the partial step [0, th] using the dense
     weights applied to the integrand stage values (same order as the state)."""
     return h * _dense_sum(th, kg)
+
+
+def _bisect_event(g, lo, hi, iters=80):
+    glo = g(lo)
+    if glo == 0.0:
+        return lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (glo < 0) == (gm < 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+def old_cross_sections(hits, row, period, si):
+    """Append the crossings of one accepted step to ``hits``.
+
+    ``row`` is the step's crossing row (see :func:`_loop_fn`) as floats;
+    its section counts and step index are ints again here.  Each crossing
+    is located by bisection on the dense output of the angle alone, which
+    must be monotone within the step, and recorded as (tau, state, t, step
+    index, partial increment).
+    """
+    n = (len(row) - 13) // 9
+    count, new_count, tau, h = int(row[0]), int(row[1]), row[2], row[3]
+    y, y5, k = row[4:4 + n], row[4 + n:4 + 2 * n], row[4 + 2 * n:4 + 9 * n]
+    kg, t_acc, n_acc = row[4 + 9 * n:11 + 9 * n], row[-2], int(row[-1])
+    angle_sign = 1.0 if y5[si] < y[si] else -1.0
+    y_si, k_si = y[si], k[si::n]
+    while new_count > count:
+        count += 1
+        target = -count * period * angle_sign
+        # the angle component of the dense output, by the same operations
+        th = _bisect_event(
+            lambda s: y_si + h * _dense_sum(s, k_si) - target, 0.0, 1.0)
+        state = [yi + h * _dense_sum(th, k[i::n]) for i, yi in enumerate(y)]
+        # the physical-time increment over [0, th], by the same dense weights
+        partial = h * _dense_sum(th, kg)
+        hits.append((tau + th * h, state, t_acc + partial, n_acc, partial))
 
 
 def old_eval_scalar(self, theta: float) -> tuple[float, float]:
@@ -483,6 +530,79 @@ def test_three_dimensional_field_bitwise():
         tau_end = 3.0 if direction > 0 else 0.3
         assert_same_trajectory(integrate(C, [1.0, 1.0, 1.0], tau_end, **kw),
                                old_integrate(C, [1.0, 1.0, 1.0], tau_end, **kw))
+
+
+# -- the crossing pass -------------------------------------------------------------------
+
+
+def crossing_row(count, new_count, y, k, kg, tau=3.25, h=0.75, t_acc=0.5, n_acc=17):
+    """A crossing row of the loop's layout (see ``dynamics._loop_fn``): the
+    section counts, tau, h, the states y and y5 (the dense output at th = 1),
+    the stages k (7 rows of len(y) values), their chain products kg, t_acc and
+    the step index, as floats."""
+    y5 = [yi + h * _dense_sum(1.0, col) for yi, col in zip(y, zip(*k))]
+    return [float(v) for v in (count, new_count, tau, h, *y, *y5, *(v for ks in k for v in ks),
+                               *kg, t_acc, n_acc)]
+
+
+def typed(sections):
+    """Sections with every value's type beside its bits."""
+    return [tuple((type(v), bits(v), [type(x) for x in v] if isinstance(v, list) else None)
+                  for v in hit) for hit in sections]
+
+
+def assert_sections_match_reference(rows, period, si):
+    want = []
+    for row in rows:
+        old_cross_sections(want, row, period, si)
+    got = _cross_sections(np.array(rows), period, si)
+    assert typed(got) == typed(want)
+    return got
+
+
+KG = [1.0, 1.5, 0.75, 2.0, 1.25, 1.0, 0.5]
+
+
+def test_crossing_pass_matches_scalar_reference():
+    # a decreasing angle crossing three sections in one step, an increasing
+    # one crossing two, and a step crossing one, located in one array pass
+    down = [[0.3 + 0.01 * s, -3.0 - 0.02 * s] for s in range(7)]
+    up = [[-0.5, 2.5 + 0.125 * s] for s in range(7)]
+    rows = [crossing_row(0, 3, [0.25, -0.9], down, KG),
+            crossing_row(0, 2, [1.0, 0.2], up, KG, h=1.0, n_acc=18),
+            crossing_row(2, 3, [1.0, 2.9], up, KG, tau=4.0, h=0.25, t_acc=0.75, n_acc=19)]
+    assert [(int(row[0]), math.floor(abs(row[7]))) for row in rows] == [(0, 3), (0, 2), (2, 3)]
+    got = assert_sections_match_reference(rows, 1.0, 1)
+    steps = [rows[0]] * 3 + [rows[1]] * 2 + [rows[2]]
+    assert [hit[3] for hit in got] == [row[-1] for row in steps] == [17, 17, 17, 18, 18, 19]
+    assert all(row[2] < hit[0] < row[2] + row[3] for hit, row in zip(got, steps))
+
+
+def test_crossing_at_an_exact_zero_is_kept():
+    # the angle meets its target exactly at th = 0.5, the first midpoint,
+    # and, in a second row, at th = 0: a step starts on its target where
+    # (c * period) / period rounds below c
+    k = [[0.5, 1.0 + 0.125 * s] for s in range(7)]
+    y, h = [0.25, 0.1], 0.75
+    period = y[1] + h * _dense_sum(0.5, [ks[1] for ks in k])
+    rows = [crossing_row(0, 1, y, k, KG, h=h), crossing_row(0, 1, [0.25, period], k, KG, h=h)]
+    assert rows[0][5] < rows[0][7] < 2 * period  # an increasing angle: angle sign -1, count 1
+    hits = assert_sections_match_reference(rows, period, 1)
+    assert [hit[0] for hit in hits] == [rows[0][2] + 0.5 * h, rows[1][2]]
+
+
+PAIR = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2)
+# (count, crossings, y, k, h) of a row; the angle need not be monotone
+ROW_SPEC = st.tuples(st.integers(0, 3), st.integers(0, 3), PAIR,
+                     st.lists(PAIR, min_size=7, max_size=7), st.floats(1e-6, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ROW_SPEC, min_size=1, max_size=5), st.floats(0.05, 3.0), st.sampled_from([0, 1]))
+def test_crossing_pass_matches_scalar_reference_on_any_rows(specs, period, si):
+    rows = [crossing_row(count, count + extra, y, k, KG, h=h, n_acc=j)
+            for j, (count, extra, y, k, h) in enumerate(specs)]
+    assert_sections_match_reference(rows, period, si)
 
 
 # -- the fused chart rhs ---------------------------------------------------------------

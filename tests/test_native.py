@@ -375,6 +375,23 @@ def test_a_warm_text_is_translated_once_per_key(monkeypatch, handoffs):
     assert calls == ["_Translator", "_compiled"]
 
 
+def test_a_whole_float_step_cap_runs_the_warm_loop(monkeypatch, handoffs):
+    # max_steps=1e6 was carried into the loop as a float, a new key: the
+    # warm text was translated and compiled again at step 0.  A cap past
+    # 64 bits raised OverflowError at the handoff.
+    calls = _counted(monkeypatch, "_Translator", "_compiled")
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=5.0)
+    want = outcome(monkeypatch, 0, *args, **kw)
+    for max_steps in (1e6, 10**19, 1e19):
+        assert warm_outcome(*args, max_steps=max_steps, **kw) == want
+    assert handoffs == [0, 0, 0, 0]
+    assert calls == ["_Translator", "_compiled"]
+    for value in (1.5, math.inf):
+        with pytest.raises(ValueError, match=f"max_steps = {value!r} is not"):
+            integrate(*args, max_steps=value, **kw)
+    assert handoffs == [0, 0, 0, 0]
+
+
 _KEYED = ("def loop(x, i, out_append):\n"
           "    while i < ROWS:\n"
           "        a, = TABLE[i]\n"

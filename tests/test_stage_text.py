@@ -1,9 +1,9 @@
 """The printed text of one DP5 stage against the text it replaced.
 
-The Cs/Sn lookup, the polynomial printer and the dense-output sum are
-printed with float operations only (``%``, ``math.floor``, ``x**3.0``,
-an unrolled sum).  Each must give the
-previous text's values and exceptions bit for bit; the references are the
+The Cs/Sn lookup and the polynomial printer are printed with float
+operations only (``%``, ``math.floor``, ``x**3.0``), and the dense-output
+sum leaves out its zero weights, on numbers and on arrays.  Each must give
+the previous text's values and exceptions bit for bit; the references are the
 previous implementations kept verbatim in ``test_fused_stepper``.  Also
 here: the two faults the rewrite mends (an error norm that overflows, a
 non-finite angle) and the shape of the state array built from the flat
@@ -148,7 +148,12 @@ STAGE_VALUES = st.lists(st.floats(-1e150, 1e150), min_size=7, max_size=7)
 @example(0.0, [-0.0] * 7)
 @example(1.0, [1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])
 def test_unrolled_dense_sum_matches_rolled_loop(th, values):
-    assert outcome(_dense_sum, th, values) == outcome(ref._dense_sum, th, values)
+    want = outcome(ref._dense_sum, th, values)
+    assert outcome(_dense_sum, th, values) == want
+    # elementwise on arrays, as the crossing pass calls it: th and each
+    # stage value the second entry of an array
+    arrays = [np.array([0.5, v]) for v in values]
+    assert outcome(lambda: _dense_sum(np.array([1.0, th]), arrays)[1].item()) == want
 
 
 # -- the state store -------------------------------------------------------------------------
