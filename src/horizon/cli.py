@@ -20,9 +20,9 @@ Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
 2 parse error (with line/column), an unreadable spec file or one that is
 not UTF-8, an ``--out`` path that cannot be written (an existing regular
-file, say) or bad argument (unknown, mistyped, out of range or repeated,
-an even lienard ``n``, a ``--jobs`` below 1 or a negative ``--seed``), 3
-some report ERROR or a pipeline error.
+file, say) or bad argument (none, unknown, mistyped, out of range or
+repeated, an even lienard ``n``, a ``--jobs`` below 1 or a negative
+``--seed``), 3 some report ERROR or a pipeline error.
 
 Spec files are UTF-8, line oriented, '#' comments.  Example::
 
@@ -72,8 +72,10 @@ variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
 The run numbers ``tau-end``, ``h-max``, ``rtol``, ``atol`` and
 ``direction`` are checked at their line as ``integrate`` checks them, so a
 value it refuses is a parse error there.  ``direction`` is ``1`` (the
-default: forward in the chart's time) or ``-1`` (backward); any other value
-is refused.
+default: forward in the chart's time) or ``-1`` (backward).  An
+``initial`` value that is not finite, an ``expect`` ``tol-rho`` or ``tol-q``
+that is NaN, infinite or negative, and a ``window`` whose low bound is not
+below its high one are parse errors at their line too.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -83,9 +85,12 @@ A spec word the format does not define is a parse error at its line: an
 ``expect`` key other than ``rho``, ``q``, ``tol-rho`` and ``tol-q``, an
 ``initial`` name that is not a variable of the chart, a ``var`` flag other
 than ``positive``, and a ``window`` word after the bounds other than
-``absolute``.  So is an ``equilibrium`` line that does not give one number
-per chart variable, the radial one included.  No line states where to
-search: the search derives its range from the ``equilibrium`` lines.
+``absolute``; and at the repeated line, a second ``var`` or ``field`` line
+for one variable, an ``initial`` name given again and a key repeated in one
+``transform``, ``expect`` or ``initial`` line.  So is an ``equilibrium``
+line that does not give one number per chart variable, the radial one
+included.  No line states where to search: the search derives its range
+from the ``equilibrium`` lines.
 
 The chart sets how observables are sampled.  A ``quasipolar`` chart is
 sampled once per revolution of its angle ``theta`` and ignores ``window``;
@@ -143,12 +148,34 @@ def main(argv=None) -> int:
     _common_flags(ps)
 
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    parser.print_help()
-    return 2
+    if args.command is None:
+        parser.print_help()
+        return 2
+    if args.command == "analyze" and args.list_cases:
+        for name, spec in sorted(builtin_cases().items()):
+            print(f"{name:10s} {spec.summary}")
+        return 0
+    # ParseError and ParameterError are ValueErrors: their arms come first
+    try:
+        reports = _analyze(args) if args.command == "analyze" else _sweep(args)
+        _write_outputs(args.out, reports, sweep_csv=args.command == "sweep")
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except (_BadArgument, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (HorizonError, ValueError) as exc:
+        print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    for rep in reports:
+        _print_report(rep)
+    statuses = {r.status for r in reports}
+    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
+
+
+class _BadArgument(Exception):
+    """An argument the command cannot use: ``error: <message>``, exit 2."""
 
 
 def _common_flags(p):
@@ -170,113 +197,65 @@ def _int_from(low: int):
     return parse
 
 
-def _cmd_analyze(args) -> int:
-    if args.list_cases:
-        for name, spec in sorted(builtin_cases().items()):
-            print(f"{name:10s} {spec.summary}")
-        return 0
+def _analyze(args) -> list:
     if not args.target:
-        print("error: no spec file or case name given", file=sys.stderr)
-        return 2
-    path = pathlib.Path(args.target)
-    try:
-        # a spec is read only from a regular file: an output directory named
-        # like a case (``analyze iy --out iy``) leaves the name to the case
-        if path.is_file():
-            try:
-                case = parse_spec_file(path)
-            except OSError as exc:
-                print(f"error: cannot read spec file {args.target!r}: {exc.strerror}",
-                      file=sys.stderr)
-                return 2
-            except UnicodeDecodeError as exc:
-                print(f"error: spec file {args.target!r} is not UTF-8: byte "
-                      f"{exc.object[exc.start]:#04x} at offset {exc.start}", file=sys.stderr)
-                return 2
-        else:
-            try:
-                case = get_case(args.target)
-            except KeyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        # the run writes its trajectories there: fail before it, not after
+        raise _BadArgument("no spec file or case name given")
+    # a spec is read only from a regular file: an output directory named
+    # like a case (``analyze iy --out iy``) leaves the name to the case
+    if pathlib.Path(args.target).is_file():
         try:
-            args.out.mkdir(parents=True, exist_ok=True)
+            case = parse_spec_file(pathlib.Path(args.target))
         except OSError as exc:
-            return _output_error(exc, args.out)
-        report = run_case(case, None, seed=args.seed, out_dir=args.out)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (HorizonError, ValueError) as exc:
-        print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        _write_report(args.out, [report])
-    except OSError as exc:
-        return _output_error(exc, args.out)
-    _print_report(report)
-    return _exit_code([report])
+            raise _BadArgument(f"cannot read spec file {args.target!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise _BadArgument(f"spec file {args.target!r} is not UTF-8: byte "
+                               f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    else:
+        case = _case(args.target)
+    _write_outputs(args.out)  # the run writes its trajectories there: fail before it
+    return [run_case(case, None, seed=args.seed, out_dir=args.out)]
 
 
-def _output_error(exc: OSError, out: pathlib.Path) -> int:
-    """Name the output path that could not be written; exit code 2."""
-    path = out if exc.filename is None else exc.filename
-    print(f"error: cannot write output {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
-
-
-def _exit_code(reports) -> int:
-    """3 when a report is ERROR, else 1 when one is FAIL (a verdict failed
-    or an expected equilibrium is missing), else 0."""
-    statuses = {r.status for r in reports}
-    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
-
-
-def _cmd_sweep(args) -> int:
-    try:
-        spec = get_case(args.case)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    grid = [{}]
+def _sweep(args) -> list:
+    spec = _case(args.case)
+    grid = [{}] if args.param else []
     for p in args.param:
-        if "=" not in p:
-            print(f"error: bad --param {p!r}", file=sys.stderr)
-            return 2
-        name, _, vals = p.partition("=")
+        name, eq, vals = p.partition("=")
+        if not eq:
+            raise _BadArgument(f"bad --param {p!r}")
         name = name.strip()
         if name in grid[0]:
-            print(f"error: --param {name!r} given twice", file=sys.stderr)
-            return 2
+            raise _BadArgument(f"--param {name!r} given twice")
         try:
             values = [_parse_number(v) for v in vals.split(",") if v]
         except (ValueError, ZeroDivisionError):
             values = []
         if not values:
-            print(f"error: bad --param {p!r}", file=sys.stderr)
-            return 2
+            raise _BadArgument(f"bad --param {p!r}")
         grid = [dict(g, **{name: v}) for g in grid for v in values]
-    if not args.param:
-        grid = []
+    return sweep(spec, grid, seed=args.seed, jobs=args.jobs)
+
+
+def _case(name: str):
     try:
-        reports = sweep(spec, grid, seed=args.seed, jobs=args.jobs)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HorizonError, ValueError) as exc:
-        print(f"pipeline error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return get_case(name)
+    except KeyError as exc:
+        raise _BadArgument(str(exc)) from None
+
+
+def _write_outputs(out: pathlib.Path, reports=None, sweep_csv=False):
+    """Make the directory ``out``, then write sweep.csv for a sweep, then
+    report.json and fits.csv (with ``reports``); a bad argument names a
+    path that cannot be written."""
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_sweep_csv(args.out / "sweep.csv", reports)
-        _write_report(args.out, reports)
+        out.mkdir(parents=True, exist_ok=True)
+        if sweep_csv:
+            _write_sweep_csv(out / "sweep.csv", reports)
+        if reports is not None:
+            _write_report(out, reports)
     except OSError as exc:
-        return _output_error(exc, args.out)
-    for rep in reports:
-        _print_report(rep)
-    return _exit_code(reports)
+        path = out if exc.filename is None else exc.filename
+        raise _BadArgument(f"cannot write output {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _parse_number(text: str):
@@ -306,7 +285,6 @@ def _json_safe(x):
 
 
 def _write_report(out_dir: pathlib.Path, reports):
-    out_dir.mkdir(parents=True, exist_ok=True)
     docs = [_json_safe(r.to_dict()) for r in reports]
     payload = docs[0] if len(docs) == 1 else {"schema": REPORT_SCHEMA, "reports": docs}
     with open(out_dir / "report.json", "w") as fh:
@@ -489,6 +467,8 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
             if flag != "positive":
                 raise ParseError(f"unknown var flag {flag!r}; the only flag is "
                                  "'positive'", lineno, 1)
+        if parts[0] in st.vars:
+            raise ParseError(f"variable {parts[0]!r} declared twice", lineno, 1)
         st.vars.append(parts[0])
         if "positive" in parts[1:]:
             st.positive.append(parts[0])
@@ -497,6 +477,8 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         name = name.strip()
         if name not in st.vars:
             raise ParseError(f"field for undeclared variable {name!r}", lineno, 7)
+        if name in st.fields:
+            raise ParseError(f"field for {name!r} given twice", lineno, 7)
         col0 = line.index(":") + 1
         st.fields[name] = parse_genpoly(expr, st.vars, line=lineno, col0=col0)
     elif head == "prefactor":
@@ -517,14 +499,19 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
             raise ParseError(f"unknown transform {op!r}", lineno, 1)
         st.transforms.append((op, params, lineno))
     elif head == "initial":
-        for k, v in _kv(rest, None, "initial", lineno).items():
+        for k, v in _kv(rest, None, "initial", lineno, given=st.initial).items():
             st.initial[k] = (float(v), lineno)
+            if not math.isfinite(st.initial[k][0]):
+                raise ParseError(f"initial {k} = {v} is not finite", lineno, 1)
     elif head == "window":
         parts = _words(rest, 2, "window <low> <high> [absolute]", lineno)
         if parts[2:] not in ([], ["absolute"]):
             raise ParseError(f"window takes only 'absolute' after its bounds, "
                              f"not {' '.join(parts[2:])!r}", lineno, 1)
-        st.plan["window"] = (float(parts[0]), float(parts[1]))
+        low, high = float(parts[0]), float(parts[1])
+        if not low < high:  # a NaN bound too
+            raise ParseError(f"window needs low < high, not {low!r} {high!r}", lineno, 1)
+        st.plan["window"] = (low, high)
         st.plan["window_relative"] = parts[2:] != ["absolute"]
     elif head == "observable":
         name, _, tail = rest.partition(":")
@@ -538,6 +525,10 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
                 float(kv.get("tol-rho", 0.05)),
                 float(kv.get("tol-q", 0.1)),
             )
+            for key, tol in zip(("tol-rho", "tol-q"), expect[1:]):
+                if not 0.0 <= tol < math.inf:
+                    raise ParseError(f"expect {key} = {tol!r} is not finite and "
+                                     "nonnegative", lineno, 1)
         st.observables.append((name, expr_text, expect, lineno))
     elif head == "kind":
         if rest not in _KINDS:
@@ -550,15 +541,18 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         raise ParseError(f"unknown directive {head!r}", lineno, 1)
 
 
-def _kv(text: str, keys, what: str, lineno: int) -> dict:
-    """The ``key=value`` words of ``text``; a key not in ``keys`` (when
-    given) is a ParseError at ``lineno`` naming it."""
+def _kv(text: str, keys, what: str, lineno: int, given=()) -> dict:
+    """The ``key=value`` words of ``text``; a key not in ``keys`` (unless
+    None), repeated, or in ``given`` (keys of earlier lines) is a ParseError
+    at ``lineno`` naming it."""
     out = {}
     for item in text.split():
         k, _, v = item.partition("=")
         if keys is not None and k not in keys:
             takes = f"; it takes {', '.join(keys)}" if keys else ""
             raise ParseError(f"{what} does not take {k!r}{takes}", lineno, 1)
+        if k in out or k in given:
+            raise ParseError(f"{what} gives {k!r} twice", lineno, 1)
         out[k] = v
     return out
 

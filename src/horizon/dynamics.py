@@ -139,7 +139,10 @@ def integrate(
     product is accumulated per step alongside the state, regardless of
     direction, so it measures progress toward the singular edge.  With
     ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
-    with |field| <= 1e-12 (1 + |state|).
+    with |field| <= 1e-12 (1 + |state|).  A non-finite ``x0`` is refused
+    with ``ValueError``; the run numbers and the section period are coerced
+    to Python floats (``max_steps`` to an int), so a numpy or ``Fraction``
+    number runs as its float.
     """
     numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps,
                    direction=direction)
@@ -147,10 +150,8 @@ def integrate(
         check_run_number(name, value)
     if h0 is not None:
         check_run_number("h0", h0)
-    # the loop's floats are Python floats and its step cap an int in 64 bits
-    # (no run gets to 2**62 steps), whatever number type was passed
-    tau_end, h_max, rtol = float(tau_end), float(h_max), float(rtol)
-    max_steps = int(min(max_steps, 2**62))
+    tau_end, h_max, rtol, atol = float(tau_end), float(h_max), float(rtol), float(atol)
+    max_steps = int(min(max_steps, 2**62))  # in 64 bits: no run gets to 2**62 steps
     sign = 1 if direction > 0 else -1
     # sign-masked variables never cross zero: give them pure relative error
     # control so exponential decay below atol keeps full relative accuracy
@@ -169,11 +170,14 @@ def integrate(
         f_now = tuple(-v for v in f_now)
     if not all(math.isfinite(v) for v in f_now):
         raise ValueError(f"field not finite at the initial state {x0}")
+    if not all(map(math.isfinite, y)):
+        # from a NaN the first step is NaN and the step halving never ends
+        raise ValueError(f"initial state x0 = {y!r} is not finite")
 
     si = period = sec_count = None
     if section is not None:
         si = C.vars.index(section.var)
-        period = section.period
+        period = float(section.period)
         sec_count = math.floor(abs(y[si]) / period)
 
     h = float(h0) if h0 is not None else _initial_step(y, f_now)

@@ -297,6 +297,54 @@ class TestExitCodes:
         text = (CASES_DIR / "extinction.spec").read_text() + "direction -1\n"
         assert parse_spec_file(write(tmp_path, text)).runs[0].direction == -1
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("tol-rho=0.03", "tol-rho=nan", "expect tol-rho = nan is not finite and nonnegative"),
+        ("tol-rho=0.03", "tol-rho=-1", "expect tol-rho = -1.0 is not finite and nonnegative"),
+        ("tol-q=0.1", "tol-q=inf", "expect tol-q = inf is not finite and nonnegative"),
+        ("window 1e-10 1e-4", "window nan 1e-4", "window needs low < high, not nan 0.0001"),
+        ("window 1e-10 1e-4", "window 1e-4 1e-10", "window needs low < high, not 0.0001 1e-10"),
+        ("initial r=0.5 v1=0.5", "initial r=nan v1=0.5", "initial r = nan is not finite"),
+        ("initial r=0.5 v1=0.5", "initial r=0.5 v1=-inf", "initial v1 = -inf is not finite"),
+    ], ids=["tol-rho-nan", "tol-rho-negative", "tol-q-inf", "window-nan", "window-reversed",
+            "initial-nan", "initial-inf"])
+    def test_spec_number_no_run_can_use_is_2(self, tmp_path, capsys, monkeypatch, old, new,
+                                             message):
+        # a NaN or negative tolerance gave a verdict that could never pass
+        # (exit 1); the window and initial values gave ERROR (exit 3)
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "iy.spec").read_text()
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if old in ln)
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line} " in err and message in err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("var v1 positive", "var v1 positive\nvar v1", "variable 'v1' declared twice"),
+        ("field v1 : 1/2 * v1^3 * v0", "field v1 : 1/2 * v1^3 * v0\nfield v1 : v0",
+         "field for 'v1' given twice"),
+        ("initial r=0.5 v1=0.5", "initial r=0.5 v1=0.5\ninitial v1=1",
+         "initial gives 'v1' twice"),
+        ("initial r=0.5 v1=0.5", "initial r=0.5 v1=0.5 r=1", "initial gives 'r' twice"),
+        ("tol-rho=0.03 tol-q=0.1", "rho=1", "expect gives 'rho' twice"),
+        ("index=v0 sign=+", "index=v0 sign=+ index=v1",
+         "transform directional gives 'index' twice"),
+    ], ids=["var", "field", "initial-line", "initial-key", "expect-key", "transform-key"])
+    def test_repeated_name_is_2(self, tmp_path, capsys, monkeypatch, old, new, message):
+        # a second var line failed at a later transform line, and a second
+        # field line, initial name or key replaced the first without a word
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "iy.spec").read_text()
+        # refused at the repeated line, the last of ``new``
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if old in ln)
+        line += new.count("\n")
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line} " in err and message in err
+
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time
         # on part of the phase plane

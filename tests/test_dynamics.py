@@ -160,6 +160,23 @@ class TestTermination:
         with pytest.raises(ValueError, match="initial step"):
             integrate(C, [1.0], 10.0, h0=h0)
 
+    @pytest.mark.parametrize("x0,message", [
+        ((math.nan, 1.0), "initial state x0 = (nan, 1.0) is not finite"),
+        ((math.inf, 1.0), "initial state x0 = (inf, 1.0) is not finite"),
+        ((-math.inf, 1.0), "initial state x0 = (-inf, 1.0) is not finite"),
+        ((0.0, math.nan), "field not finite at the initial state (0.0, nan)"),
+        ((0.0, -math.inf), "field not finite at the initial state (0.0, -inf)"),
+    ], ids=["nan", "inf", "minus-inf", "field-nan", "field-minus-inf"])
+    def test_initial_state_must_be_finite(self, x0, message):
+        # from (inf, 1) the run ended as 'tau-budget' with an infinite state;
+        # from (nan, 1) the first step was NaN and the halving never ended.
+        # A non-finite y makes the field -y non-finite, which is named first.
+        vars = ("x", "y")
+        C = base_field(vars, [gp("1", vars), gp("-y", vars)], name="drift-decay")
+        with pytest.raises(ValueError) as err:
+            integrate(C, x0, 10.0, max_steps=10)
+        assert str(err.value) == message
+
 
 class TestSections:
     def test_rotation_sections_reproduce_exponential_decay(self):

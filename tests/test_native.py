@@ -13,6 +13,7 @@ hypothesis runs are short.
 
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -390,6 +391,21 @@ def test_a_whole_float_step_cap_runs_the_warm_loop(monkeypatch, handoffs):
         with pytest.raises(ValueError, match=f"max_steps = {value!r} is not"):
             integrate(*args, max_steps=value, **kw)
     assert handoffs == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("number", ["atol", "period"])
+@pytest.mark.parametrize("kind", [np.float64, Fraction], ids=["numpy", "fraction"])
+def test_any_number_type_runs_as_its_float(monkeypatch, number, kind):
+    # a numpy or Fraction atol or section period reached the compiled loop
+    # as a number it has no C type for: NotImplementedError at the handoff
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
+    want = outcome(monkeypatch, None, *args, **kw)
+    if number == "atol":
+        kw["atol"] = kind(kw["atol"])
+    else:
+        kw["section"] = SectionSpec(kw["section"].var, kind(kw["section"].period))
+    for after in (None, 0, 50):
+        assert outcome(monkeypatch, after, *args, **kw) == want, after
 
 
 _KEYED = ("def loop(x, i, out_append):\n"
