@@ -41,7 +41,6 @@ from .compactify import (
     time_rescale,
 )
 from .dynamics import (
-    SectionSpec,
     accumulate_time,
     integrate,
     lstsq,
@@ -56,12 +55,11 @@ from .localanalysis import (
     equilibria_of,
     horizon_equilibria,
 )
-from .quasitrig import period
 from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 from .structure import TypeVector, newton_data
 
 __all__ = ["CaseSpec", "CaseDefinition", "RunPlan", "RunReport", "builtin_cases",
-           "chart_section", "equilibrium_search", "get_case", "run_case", "sweep"]
+           "equilibrium_search", "get_case", "run_case", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ class Observable:
 class RunPlan:
     """One integration run of a case.  The chart fixes how it is sampled:
     along the center flow of the chart origin, solved to ``center_degree``,
-    when that is set, once per revolution on a quasi-polar chart (``window``
-    unread), else on the trajectory inside ``window``."""
+    when that is set; on a quasi-polar chart at the section crossings
+    ``integrate`` records there, once per revolution of the chart's angle
+    (``window`` unread); else on the trajectory inside ``window``."""
 
     label: str
     initial: tuple[float, ...]
@@ -773,21 +772,13 @@ def equilibrium_search(chart: ChartField):
     return equilibria_of if chart.radial is None else horizon_equilibria
 
 
-def chart_section(chart: ChartField) -> SectionSpec | None:
-    """The angular section a run on ``chart`` records: one crossing per
-    revolution of a quasi-polar chart's angle, none on other charts."""
-    if chart.quasipolar_index is None:
-        return None
-    return SectionSpec(chart.angle, period(chart.quasipolar_index))
-
-
 def _execute_run(cdef, plan, out_dir):
     if plan.center_degree is not None:
         return _run_center_flow(cdef, plan)
     chart = cdef.chart
-    section = chart_section(chart)
-    entry = {"label": plan.label,
-             "sampler": "trajectory" if section is None else "sections"}
+    # a quasi-polar run records one section crossing per revolution
+    sectioned = chart.quasipolar_index is not None
+    entry = {"label": plan.label, "sampler": "sections" if sectioned else "trajectory"}
     traj = integrate(
         chart,
         plan.initial,
@@ -796,7 +787,6 @@ def _execute_run(cdef, plan, out_dir):
         atol=plan.atol,
         direction=plan.direction,
         h_max=plan.h_max,
-        section=section,
         stop_at_equilibrium=plan.stop_at_equilibrium,
     )
     if traj.termination == "step-budget":
@@ -815,7 +805,7 @@ def _execute_run(cdef, plan, out_dir):
         fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".csv"
         trajectory_to_csv(traj, tdir / fname)
     verdicts = []
-    s, states, min_samples = _samples(plan, traj, section is not None, entry, verdicts)
+    s, states, min_samples = _samples(plan, traj, sectioned, entry, verdicts)
     entry["fits"] = [
         _fit_row(obs, fit_rate(s, _observe(obs, chart, states), min_samples=min_samples),
                  verdicts)

@@ -86,8 +86,11 @@ A spec word the format does not define is a parse error at its line: an
 ``initial`` name that is not a variable of the chart, a ``var`` flag other
 than ``positive``, and a ``window`` word after the bounds other than
 ``absolute``; and at the repeated line, a second ``var`` or ``field`` line
-for one variable, an ``initial`` name given again and a key repeated in one
-``transform``, ``expect`` or ``initial`` line.  So is an ``equilibrium``
+for one variable, an ``initial`` name given again, a key repeated in one
+``transform``, ``expect`` or ``initial`` line, and a second line of a
+directive that takes one value: ``name``, ``prefactor``, ``type``,
+``order``, ``tau-end``, ``h-max``, ``rtol``, ``atol``, ``direction``,
+``window`` or ``kind``.  So is an ``equilibrium``
 line that does not give one number per chart variable, the radial one
 included.  No line states where to search: the search derives its range
 from the ``equilibrium`` lines.
@@ -378,6 +381,7 @@ class _SpecState:
         self.observables = []
         self.expected_eqs = []          # (coords, line)
         self.prefactor = None
+        self.once = {}                  # single-value directive -> its line
 
     def finish(self) -> CaseDefinition:
         if not self.vars:
@@ -447,6 +451,9 @@ _NUMBER_DIRECTIVES = {
     "atol": ("atol", float),
 }
 
+# directives a spec may give at most once
+_ONCE = {*_NUMBER_DIRECTIVES, "window", "kind", "type", "order", "prefactor", "name"}
+
 # spec kinds -> whether the edge is finite
 _KINDS = {"blow-up": True, "extinction": True, "quenching": True,
           "compacton-edge": True, "grow-up": False}
@@ -455,6 +462,11 @@ _KINDS = {"blow-up": True, "extinction": True, "quenching": True,
 def _spec_line(st: _SpecState, line: str, lineno: int):
     head, _, rest = line.strip().partition(" ")
     rest = rest.strip()
+    if head in _ONCE:
+        if head in st.once:
+            raise ParseError(f"{head!r} given twice (first at line {st.once[head]})",
+                             lineno, 1)
+        st.once[head] = lineno
     if head in _NUMBER_DIRECTIVES:
         key, parse = _NUMBER_DIRECTIVES[head]
         st.plan[key] = parse(rest)

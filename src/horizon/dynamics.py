@@ -10,8 +10,9 @@ needs, per accepted step:
   later formed by suffix-summing these increments, which stays accurate
   down to s ~ 1e-60 relative where t_max - t(sigma) would cancel away;
 * equilibrium detection sustained over consecutive steps;
-* angular-section crossings (for quasi-polar charts) located on the dense
-  output;
+* on quasi-polar charts, a section crossing each time the angle passes a
+  multiple of its Cs/Sn period, located on the dense output (the angle
+  must be monotone within a step);
 * a maximum step size so rate-fit windows always contain enough samples.
 
 The whole integration loop is generated Python code, one function per
@@ -55,11 +56,11 @@ import numpy as np
 from . import native
 from .errors import AmbiguousTailError
 from .compactify import ChartField
+from .quasitrig import table
 
 __all__ = [
     "Trajectory",
     "TmaxEstimate",
-    "SectionSpec",
     "integrate",
     "check_run_number",
     "accumulate_time",
@@ -92,15 +93,6 @@ _P = (
 
 
 @dataclass
-class SectionSpec:
-    """Angular section crossings at var = -j*period (decreasing angle) or
-    +j*period (increasing angle); the angle must be monotone."""
-
-    var: str
-    period: float
-
-
-@dataclass
 class Trajectory:
     tau: np.ndarray                    # accepted-step times, increasing
     states: np.ndarray                 # shape (len(tau), n)
@@ -129,7 +121,6 @@ def integrate(
     direction: int = 1,
     h_max: float = math.inf,
     h0: float | None = None,
-    section: SectionSpec | None = None,
     stop_at_equilibrium: bool = True,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
@@ -140,9 +131,11 @@ def integrate(
     direction, so it measures progress toward the singular edge.  With
     ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
     with |field| <= 1e-12 (1 + |state|).  A non-finite ``x0`` is refused
-    with ``ValueError``; the run numbers and the section period are coerced
-    to Python floats (``max_steps`` to an int), so a numpy or ``Fraction``
-    number runs as its float.
+    with ``ValueError``; the run numbers are coerced to Python floats
+    (``max_steps`` to an int), so a numpy or ``Fraction`` number runs as its
+    float.  A run on a quasi-polar chart records a crossing each time
+    ``C.angle`` passes ``-j*T`` or ``+j*T`` (T the period of its Cs/Sn
+    pair); the angle must be monotone within a step.
     """
     numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps,
                    direction=direction)
@@ -175,9 +168,9 @@ def integrate(
         raise ValueError(f"initial state x0 = {y!r} is not finite")
 
     si = period = sec_count = None
-    if section is not None:
-        si = C.vars.index(section.var)
-        period = float(section.period)
+    if C.quasipolar_index is not None:
+        si = C.vars.index(C.angle)
+        period = table(C.quasipolar_index).T
         sec_count = math.floor(abs(y[si]) / period)
 
     h = float(h0) if h0 is not None else _initial_step(y, f_now)
@@ -582,16 +575,15 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     diverges: grow-up).  A model is accepted only with R^2 >= 0.999, the
     exponential one when it fits at least as well and decays; with none
     accepted, ``AmbiguousTailError`` names the growth rate the exponential
-    model fits, if it grows.  For quasi-polar charts with at least 8 section
-    crossings the fit runs on per-revolution averages so the Cs/Sn
-    oscillation does not mask the decay.
+    model fits, if it grows.  With at least 8 section crossings (only
+    quasi-polar charts record them) the fit runs on per-revolution averages
+    so the Cs/Sn oscillation does not mask the decay.
     """
     if traj.termination == "step-underflow":
         raise AmbiguousTailError("trajectory ended in step underflow")
     integrated = float(traj.t[-1])
-    quasipolar = traj.chart is not None and traj.chart.quasipolar_index is not None
 
-    if quasipolar and len(traj.sections) >= 8:
+    if len(traj.sections) >= 8:
         sec_tau = np.array([s[0] for s in traj.sections])
         sec_t = np.array([s[2] for s in traj.sections])
         mid = 0.5 * (sec_tau[1:] + sec_tau[:-1])

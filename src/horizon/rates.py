@@ -180,12 +180,12 @@ def phase_section_sampler(traj: Trajectory, est: TmaxEstimate):
     """(s_j, r_j, t_j) at the recorded angular-section crossings.
 
     Sampling the radial variable once per revolution removes the Cs/Sn
-    oscillation, leaving a clean power law in s = t_max - t.
+    oscillation, leaving a clean power law in s = t_max - t.  Only runs on
+    quasi-polar charts record crossings, and each of those has a radial
+    variable.
     """
     if not traj.sections:
         raise ValueError("trajectory carries no section crossings")
-    if traj.chart is None or traj.chart.radial is None:
-        raise ValueError("phase sections need a radial chart variable")
     ri = traj.chart.vars.index(traj.chart.radial)
     r = np.asarray([sec[1][ri] for sec in traj.sections])
     t = np.asarray([sec[2] for sec in traj.sections])

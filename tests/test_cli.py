@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from horizon import casebook
-from horizon.casebook import chart_section, get_case
+from horizon.casebook import get_case
 from horizon.cli import _write_report, main, parse_spec_file
 from horizon.compactify import apply_recipe
 from horizon.dynamics import integrate
@@ -108,7 +108,6 @@ class TestSpecParsing:
         plan = cdef.runs[0]
         ref = integrate(cdef.chart, plan.initial, 3000.0, rtol=plan.rtol,
                         atol=plan.atol, direction=plan.direction, h_max=plan.h_max,
-                        section=chart_section(cdef.chart),
                         stop_at_equilibrium=plan.stop_at_equilibrium)
         (traj,) = trajs
         assert len(ref.sections) >= 300
@@ -344,6 +343,26 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
+
+    @pytest.mark.parametrize("directive", [
+        "tau-end 45", "h-max 0.05", "rtol 1e-10", "atol 1e-12", "direction 1",
+        "window 1e-10 1e-4", "kind blow-up", "type 1 1", "order 3", "prefactor 1",
+        "name iy-generic",
+    ], ids=lambda d: d.split()[0])
+    def test_repeated_single_value_directive_is_2(self, tmp_path, capsys, monkeypatch,
+                                                   directive):
+        # a second line replaced the first without a word: 'tau-end 1' after
+        # iy's 'tau-end 45' gave ERROR (exit 3) and named no line
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "iy.spec").read_text() + f"{directive}\n{directive}\n"
+        head = directive.split()[0]
+        first, second = [i for i, ln in enumerate(text.splitlines(), 1)
+                         if ln.split(" ", 1)[0] == head][:2]
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {second} " in err
+        assert f"'{head}' given twice (first at line {first})" in err
 
     def test_rescale_by_sign_changing_factor_is_2(self, tmp_path, capsys):
         # psi takes both signs, so rescaling time by it would reverse time

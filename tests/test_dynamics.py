@@ -10,15 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from horizon.casebook import chart_section, get_case
+from horizon.casebook import get_case
 from horizon.compactify import (
     base_field,
     desingularize,
     directional_compactify,
+    quasi_polar_compactify,
     time_rescale,
 )
 from horizon.dynamics import (
-    SectionSpec,
     accumulate_time,
     integrate,
     remaining_time,
@@ -112,8 +112,7 @@ class TestTermination:
         cdef = get_case("lienard").definition({"n": 3})
         plan = cdef.runs[0]
         traj = integrate(cdef.chart, plan.initial, plan.tau_end, rtol=plan.rtol,
-                         atol=plan.atol, section=chart_section(cdef.chart),
-                         stop_at_equilibrium=False, max_steps=500)
+                         atol=plan.atol, stop_at_equilibrium=False, max_steps=500)
         assert traj.termination == "step-budget"
         assert traj.n_steps == 500
         assert traj.tau[-1] < plan.tau_end
@@ -178,12 +177,25 @@ class TestTermination:
         assert str(err.value) == message
 
 
+def spiral_chart(fx, fy, k=0):
+    """The l = 1 quasi-polar chart (r, theta) of the planar field (fx, fy)
+    of type (1, 1) and order k; its angle period is 2 pi."""
+    vars = ("x", "y")
+    return quasi_polar_compactify(base_field(vars, [gp(fx, vars), gp(fy, vars)],
+                                             name="spiral"), 1, k)
+
+
+def assert_chart_is(C, dr, dtheta, chain):
+    pv = C.poly_vars
+    assert C.components == (gp(dr, pv), gp(dtheta, pv))
+    assert C.time_chain == (gp(chain, pv),)
+
+
 class TestSections:
     def test_rotation_sections_reproduce_exponential_decay(self):
-        vars = ("r", "th")
-        C = base_field(vars, [gp("-r", vars), gp("-1", vars)], name="spiral", positive=("r",))
-        sec = SectionSpec(var="th", period=2 * math.pi)
-        traj = integrate(C, [1.0, 0.0], 40.0, section=sec,
+        C = spiral_chart("x + y", "-x + y")
+        assert_chart_is(C, "-r", "-1", "1")
+        traj = integrate(C, [1.0, 0.0], 40.0,
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
         assert len(traj.sections) >= 5
         for tau_c, st, *_ in traj.sections:
@@ -193,21 +205,17 @@ class TestSections:
                 abs((st[1]) % (2 * math.pi) - 2 * math.pi) <= 1e-9
 
     def test_crossing_count_matches_angular_speed_oracle(self):
-        vars = ("r", "th")
-        C = base_field(vars, [gp("-r", vars), gp("-1", vars)], name="spiral", positive=("r",))
-        sec = SectionSpec(var="th", period=2 * math.pi)
+        C = spiral_chart("x + y", "-x + y")
         tau_end = 50.0
-        traj = integrate(C, [1.0, 0.0], tau_end, section=sec,
-                         stop_at_equilibrium=False)
+        traj = integrate(C, [1.0, 0.0], tau_end, stop_at_equilibrium=False)
         # theta(tau) = -tau: crossings at tau = 2 pi k
         expected = math.floor(tau_end / (2 * math.pi))
         assert len(traj.sections) == expected
 
     def test_increasing_angle_crosses_at_positive_multiples(self):
-        vars = ("r", "th")
-        C = base_field(vars, [gp("-r", vars), gp("1", vars)], name="spiral+", positive=("r",))
-        sec = SectionSpec(var="th", period=2 * math.pi)
-        traj = integrate(C, [1.0, 0.0], 40.0, section=sec,
+        C = spiral_chart("x - y", "x + y")
+        assert_chart_is(C, "-r", "1", "1")
+        traj = integrate(C, [1.0, 0.0], 40.0,
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
         # theta(tau) = tau: crossings at theta = tau = 2 pi j, j = 1, 2, ...
         assert len(traj.sections) == math.floor(40.0 / (2 * math.pi))

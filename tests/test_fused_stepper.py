@@ -13,6 +13,7 @@ base is the 0.0 that every caller passed while sections had a base.
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizon import dynamics, native
-from horizon.casebook import chart_section, get_case
+from horizon.casebook import get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import (
     _A,
@@ -33,7 +34,7 @@ from horizon.dynamics import (
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
 from horizon.localanalysis import lienard_coefficients
-from horizon.quasitrig import _NODES, cssn, table
+from horizon.quasitrig import _NODES, cssn, period, table
 
 # -- reference implementation (previous path, verbatim) -------------------------
 
@@ -405,11 +406,19 @@ def assert_same_trajectory(new, old):
         assert bits(getattr(new, name)) == bits(getattr(old, name)), name
 
 
-def plan_kwargs(plan, chart):
+def plan_kwargs(plan):
     """integrate() arguments of a case run plan, as the casebook passes them."""
     return dict(rtol=plan.rtol, atol=plan.atol, direction=plan.direction,
-                h_max=plan.h_max, section=chart_section(chart),
-                stop_at_equilibrium=plan.stop_at_equilibrium)
+                h_max=plan.h_max, stop_at_equilibrium=plan.stop_at_equilibrium)
+
+
+def old_section(chart):
+    """The reference's ``section`` argument for a run on ``chart``: the
+    angle and period of a quasi-polar chart, where integrate records
+    crossings, else None."""
+    if chart.quasipolar_index is None:
+        return None
+    return SimpleNamespace(var=chart.angle, period=period(chart.quasipolar_index))
 
 
 DEFAULT_PLANS = [
@@ -425,8 +434,9 @@ def test_default_run_plans_bitwise(name, idx):
     cdef = get_case(name).definition()
     plan = cdef.runs[idx]
     args = (cdef.chart, plan.initial, plan.tau_end)
-    kw = plan_kwargs(plan, cdef.chart)
-    assert_same_trajectory(integrate(*args, **kw), old_integrate(*args, **kw))
+    kw = plan_kwargs(plan)
+    assert_same_trajectory(integrate(*args, **kw),
+                           old_integrate(*args, section=old_section(cdef.chart), **kw))
 
 
 # state of the default lienard n=1 run at tau = 1040; its own first rejected
@@ -442,12 +452,12 @@ LIENARD1_TAU1040 = (float.fromhex("0x1.26bec8bdb71e6p-7"),
 def test_lienard_cut_runs_bitwise(n, starts):
     cdef = get_case("lienard").definition({"n": n})
     plan = cdef.runs[0]
-    kw = plan_kwargs(plan, cdef.chart)
+    kw = plan_kwargs(plan)
     rejected = sections = 0
     for initial, tau_end in starts:
         args = (cdef.chart, initial or plan.initial, tau_end)
         new = integrate(*args, **kw)
-        assert_same_trajectory(new, old_integrate(*args, **kw))
+        assert_same_trajectory(new, old_integrate(*args, section=old_section(cdef.chart), **kw))
         rejected += new.n_rejected
         sections = max(sections, len(new.sections))
     assert rejected >= 1 and sections >= 3
@@ -461,11 +471,11 @@ def test_lienard_native_continuation_bitwise(monkeypatch):
     monkeypatch.setattr(native, "warm", lambda text: False)
     cdef = get_case("lienard").definition({"n": 3})
     plan = cdef.runs[0]
-    kw = plan_kwargs(plan, cdef.chart)
+    kw = plan_kwargs(plan)
     args = (cdef.chart, plan.initial, 100.0)
     new = integrate(*args, **kw)
     assert new.n_steps > 7 and new.n_rejected >= 1 and len(new.sections) >= 3
-    assert_same_trajectory(new, old_integrate(*args, **kw))
+    assert_same_trajectory(new, old_integrate(*args, section=old_section(cdef.chart), **kw))
 
 
 def test_nonfinite_retry_path_bitwise(monkeypatch):
@@ -514,7 +524,7 @@ def test_raising_power_retry_path_bitwise(error, shave):
     kw = dict(h0=1.0, stop_at_equilibrium=False)
     new = integrate(C, x0, 1.0, **kw)
     assert new.n_rejected == 1 and new.n_nonfinite == 1 and new.termination == "tau-budget"
-    assert_same_trajectory(new, old_integrate(C, x0, 1.0, **kw))
+    assert_same_trajectory(new, old_integrate(C, x0, 1.0, section=old_section(C), **kw))
     x0[2] = 0.0
     with pytest.raises(ValueError, match="not finite at the initial state"):
         integrate(C, x0, 1.0)

@@ -21,9 +21,9 @@ from hypothesis import given, settings
 
 import test_dynamics
 from horizon import dynamics, native
-from horizon.casebook import chart_section, get_case
+from horizon.casebook import get_case
 from horizon.compactify import CS, SN, ChartField, base_field
-from horizon.dynamics import SectionSpec, integrate
+from horizon.dynamics import integrate
 from horizon.genpoly import GenPoly, parse_genpoly
 from test_fused_stepper import bits
 
@@ -85,7 +85,7 @@ def plan_args(name, params=None, **over):
     cdef = get_case(name).definition(params)
     plan = cdef.runs[0]
     kw = dict(rtol=plan.rtol, atol=plan.atol, direction=plan.direction, h_max=plan.h_max,
-              section=chart_section(cdef.chart), stop_at_equilibrium=plan.stop_at_equilibrium)
+              stop_at_equilibrium=plan.stop_at_equilibrium)
     kw.update(over)
     return (cdef.chart, plan.initial, kw.pop("tau_end", plan.tau_end)), kw
 
@@ -136,15 +136,12 @@ def _decay():
     return base_field(("x",), [parse_genpoly("-x", ("x",))], name="decay")
 
 
-@pytest.mark.parametrize("direction", [1, -1])
-@pytest.mark.parametrize("sections", [True, False], ids=["sections", "no-sections"])
-def test_lienard_directions_and_sections(monkeypatch, direction, sections):
+@pytest.mark.parametrize("direction", [1, -1], ids=["sections-1", "sections--1"])
+def test_lienard_directions_and_sections(monkeypatch, direction):
     args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0 if direction > 0 else 20.0,
                          direction=direction)
-    if not sections:
-        kw["section"] = None
     want = assert_native_matches_python(monkeypatch, *args, **kw)
-    assert want["n_steps"] > 7 and (len(want["sections"]) >= 2) == sections
+    assert want["n_steps"] > 7 and len(want["sections"]) >= 2
 
 
 @pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
@@ -203,15 +200,17 @@ def test_step_underflow(monkeypatch):
 
 
 def test_nan_stage_angle_on_a_quasipolar_chart(monkeypatch):
-    # theta' = w = 1e300 puts a stage's angle at inf; the lookup raises
-    # ValueError inside the stage, which halves the step
+    # theta' = w = -1e300 from theta = 1.7e308 puts a stage's angle at -inf;
+    # the lookup raises ValueError inside the stage, which halves the step.
+    # |theta| falls, so no step crosses a section: one that rose through
+    # ~1e300 periods would ask _cross_sections for that many crossings
     pv = ("w", "r", CS, SN)
     C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
                    components=tuple(parse_genpoly(t, pv) for t in ("0", "-r", "w")),
                    quasipolar_index=1, angle="theta")
-    want = assert_native_matches_python(monkeypatch, C, [1e300, 1.0, 0.0], 1e10, h0=1e10,
-                                        max_steps=12, stop_at_equilibrium=False)
-    assert want["n_nonfinite"] >= 1
+    want = assert_native_matches_python(monkeypatch, C, [-1e300, 1.0, 1.7e308], 1e10,
+                                        h0=1e10, max_steps=12, stop_at_equilibrium=False)
+    assert want["n_nonfinite"] >= 1 and want["n_steps"] == 12 and not want["sections"]
 
 
 @pytest.mark.parametrize("shave", [0.0, 2.0**-40], ids=["zero-power", "overflow"])
@@ -232,16 +231,6 @@ def test_nan_fractional_power(monkeypatch):
     C = base_field(("x",), [parse_genpoly("-x^(1/2)", ("x",))], name="sqrt-decay")
     want = assert_native_matches_python(monkeypatch, C, [1.0], 3.0, stop_at_equilibrium=False)
     assert want["n_nonfinite"] > 0
-
-
-def test_exception_outside_a_try_leaves_integrate(monkeypatch):
-    # x' = 1e300 with h0 = 1e10 accepts a step to x = inf; the section
-    # count's floor of inf raises OverflowError, in Python and in C alike
-    C = base_field(("x",), [parse_genpoly("1e300", ("x",))], name="fast-drift")
-    want = assert_native_matches_python(monkeypatch, C, [0.0], 1e20, h0=1e10,
-                                        section=SectionSpec("x", 1.0),
-                                        stop_at_equilibrium=False)
-    assert want == (OverflowError, "cannot convert float infinity to integer")
 
 
 def test_handoff_at_a_crossing_step(monkeypatch):
@@ -393,17 +382,15 @@ def test_a_whole_float_step_cap_runs_the_warm_loop(monkeypatch, handoffs):
     assert handoffs == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("number", ["atol", "period"])
+@pytest.mark.parametrize("number", ["atol", "rtol"])
 @pytest.mark.parametrize("kind", [np.float64, Fraction], ids=["numpy", "fraction"])
 def test_any_number_type_runs_as_its_float(monkeypatch, number, kind):
-    # a numpy or Fraction atol or section period reached the compiled loop
-    # as a number it has no C type for: NotImplementedError at the handoff
+    # a numpy or Fraction atol reached the compiled loop as a number it has
+    # no C type for: NotImplementedError at the handoff.  Every run number
+    # is coerced to a float the same way
     args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
     want = outcome(monkeypatch, None, *args, **kw)
-    if number == "atol":
-        kw["atol"] = kind(kw["atol"])
-    else:
-        kw["section"] = SectionSpec(kw["section"].var, kind(kw["section"].period))
+    kw[number] = kind(kw[number])
     for after in (None, 0, 50):
         assert outcome(monkeypatch, after, *args, **kw) == want, after
 
@@ -417,19 +404,20 @@ _KEYED = ("def loop(x, i, out_append):\n"
           "    return locals()\n")
 
 
-def _keyed(ns, x):
-    """``(x, i, appended values)`` after the loop of ``_KEYED`` from ``x``,
-    in Python and in C, or the exception each raised."""
+def _keyed(ns, x, text=_KEYED):
+    """``(x, i, appended values)`` after the loop of ``text`` (a function of
+    ``x, i, out_append``) from ``x``, in Python and in C, or the exception
+    each raised."""
     results = []
     for compiled in (False, True):
         out = []
         state = {"x": x, "i": 0, "out_append": out.append}
         try:
             if compiled:
-                out = np.concatenate(native.resume(_KEYED, ns, state)["out_append"]).tolist()
+                out = np.concatenate(native.resume(text, ns, state)["out_append"]).tolist()
             else:
                 env = dict(ns)
-                exec(_KEYED, env)
+                exec(text, env)
                 state = env["loop"](**state)
         except Exception as exc:  # compared by type and message
             results.append((type(exc), str(exc)))
@@ -464,6 +452,21 @@ def test_translations_are_keyed_by_what_the_c_text_depends_on(monkeypatch):
     monkeypatch.setattr(native, "CHUNK", 2)           # three appends in chunks of 2
     want, got = _keyed(base, 0.0)
     assert got == want and len(native._PROGRAMS[_KEYED]) == 8
+
+
+def test_exception_outside_a_try_leaves_the_loop():
+    # the second floor, of x = inf, raises outside any try: the C function
+    # returns and resume repeats the floor in Python.  No DP5 loop gets
+    # there: on a quasi-polar chart the Cs/Sn lookup at an infinite angle
+    # raises inside the end point's try and halves the step first
+    text = ("def loop(x, i, out_append):\n"
+            "    while x < 1e308:\n"
+            "        x = x * 1e300\n"
+            "        i = _floor(x)\n"
+            "        out_append(x)\n"
+            "    return locals()\n")
+    assert _keyed({"_floor": math.floor}, 1.0, text) == \
+        [(OverflowError, "cannot convert float infinity to integer")] * 2
 
 
 def test_trajectory_arrays_are_whole(monkeypatch):

@@ -6,10 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from horizon.compactify import base_field
-from horizon.dynamics import SectionSpec, accumulate_time, integrate
+import test_dynamics
+from horizon.dynamics import accumulate_time, integrate
 from horizon.errors import CollinearityWarning, InsufficientSpanError
-from horizon.genpoly import parse_genpoly
 from horizon.rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 
 
@@ -109,18 +108,19 @@ class TestCompareRate:
 
 class TestPhaseSectionSampler:
     def test_rotationally_symmetric_decay(self):
-        vars = ("r", "th")
-        C = base_field(vars, [parse_genpoly("-r", vars),
-                              parse_genpoly("-1", vars)], name="spiral", positive=("r",),
-                       prefactor=parse_genpoly("r", vars))
-        object.__setattr__(C, "radial", "r")
-        sec = SectionSpec(var="th", period=2 * math.pi)
-        traj = integrate(C, [1.0, 0.0], 80.0, section=sec,
+        # the l = 1 quasi-polar chart of (x^2 + y^2)(x - y, x + y): r' = -r,
+        # theta' = 1 and dt/dtau = r^2, so t_max - t = r^2 / 2 = e^(-2 tau) / 2
+        C = test_dynamics.spiral_chart("x^3 - x^2*y + x*y^2 - y^3",
+                                       "x^3 + x^2*y + x*y^2 + y^3", k=2)
+        test_dynamics.assert_chart_is(C, "-r", "1", "r^2")
+        traj = integrate(C, [1.0, 0.0], 50.0,
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
+        # under 8 crossings accumulate_time fits the per-step integrand
+        assert len(traj.sections) == 7
         est = accumulate_time(traj)
         s, r, t = phase_section_sampler(traj, est)
-        # dt/dtau = r = e^-tau: t_max - t = e^-tau = r exactly, even when
-        # s is ~1e-35 (suffix summation keeps relative accuracy)
-        assert np.allclose(s[:-2], r[:-2], rtol=1e-6)
-        fit = fit_rate(s[:-2], 1.0 / r[:-2], min_span=10.0, min_samples=10)
-        assert fit.rho == pytest.approx(1.0, abs=1e-3)
+        # s is exact even where it is ~3e-28 (suffix summation keeps
+        # relative accuracy)
+        assert np.allclose(s[:-2], r[:-2] ** 2 / 2, rtol=1e-6)
+        fit = fit_rate(s[:-2], 1.0 / r[:-2], min_span=10.0, min_samples=5)
+        assert fit.rho == pytest.approx(0.5, abs=1e-3)

@@ -206,13 +206,15 @@ def test_non_finite_initial_angle_reports_a_non_finite_field(theta):
 
 
 def test_non_finite_stage_angle_halves_the_step():
-    # theta' = w = 1e300 with h0 = 1e10 puts the first stage's angle at
-    # 2e309 = inf; the lookup raises ValueError and the step is halved
+    # theta' = w = -1e300 from theta = 1.7e308 with h0 = 1e10 puts the
+    # first stage's angle at 1.7e308 - 2e309 = -inf; the lookup raises
+    # ValueError and the step is halved.  |theta| falls, so no step crosses
+    # a section (see test_native.test_nan_stage_angle_on_a_quasipolar_chart)
     pv = ("w", "r", CS, SN)
     C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
                    components=tuple(parse_genpoly(t, pv) for t in ("0", "-r", "w")),
                    quasipolar_index=1, angle="theta")
-    traj = integrate(C, [1e300, 1.0, 0.0], 1e10, h0=1e10, max_steps=5,
+    traj = integrate(C, [-1e300, 1.0, 1.7e308], 1e10, h0=1e10, max_steps=5,
                      stop_at_equilibrium=False)
     assert traj.n_nonfinite >= 1 and traj.n_steps == 5
-    assert np.isfinite(traj.states).all()
+    assert np.isfinite(traj.states).all() and not traj.sections

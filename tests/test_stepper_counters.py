@@ -52,7 +52,7 @@ def test_default_run_plans_count_rhs(monkeypatch, name, idx):
     cdef = get_case(name).definition()
     plan = cdef.runs[idx]
     new = assert_counts(monkeypatch, (cdef.chart, plan.initial, plan.tau_end),
-                        ref.plan_kwargs(plan, cdef.chart))
+                        ref.plan_kwargs(plan))
     assert new.n_rhs >= 1 + 7 * new.n_steps
 
 
@@ -63,7 +63,7 @@ def test_lienard_cut_runs_count_rhs(monkeypatch, n, initial, tau_end):
     cdef = get_case("lienard").definition({"n": n})
     plan = cdef.runs[0]
     new = assert_counts(monkeypatch, (cdef.chart, initial or plan.initial, tau_end),
-                        ref.plan_kwargs(plan, cdef.chart))
+                        ref.plan_kwargs(plan))
     # every error rejection evaluated the six stages, not the end point
     assert new.n_rhs == 1 + 7 * new.n_steps + 6 * new.n_rejected
 
