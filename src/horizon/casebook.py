@@ -802,7 +802,7 @@ def _execute_run(cdef, plan, out_dir):
         tdir = pathlib.Path(out_dir) / "trajectories"
         tdir.mkdir(parents=True, exist_ok=True)
         fname = f"{cdef.name}_{plan.label}".replace(" ", "_").replace("=", "")
-        fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".csv"
+        fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".npz"
         trajectory_to_csv(traj, tdir / fname)
     verdicts = []
     s, states, min_samples = _samples(plan, traj, sectioned, entry, verdicts)

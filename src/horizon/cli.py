@@ -2,7 +2,7 @@
 
 ``horizon analyze <spec-file | builtin-name>`` parses a system description
 (from a regular file; any other target names a builtin case), runs the
-pipeline, and writes report.json, fits.csv and trajectories/*.csv into the
+pipeline, and writes report.json, fits.csv and trajectories/*.npz into the
 output directory.  ``horizon sweep <builtin-name> --param a=...``
 runs a parameter grid and writes an aggregate CSV.  Both take only
 ``--seed`` (an int, 0 or more), ``--out`` and ``--jobs`` (an int, 1 or

@@ -106,10 +106,6 @@ class Trajectory:
     n_rhs: int = 0                     # field evaluations that returned
     n_nonfinite: int = 0               # rejections of a non-finite or raising stage
 
-    @property
-    def final_state(self):
-        return self.states[-1]
-
 
 def integrate(
     C: ChartField,
@@ -190,8 +186,9 @@ def integrate(
                               for head, name in ((taus, "taus"), (states, "states"),
                                                  (incs, "incs")))
         rows += chunks.get("rows_append", [])
-    # _cross_sections cannot raise, so locating the crossings after the run
-    # changes neither a result nor the exception that leaves integrate
+    # the loop reads no crossing, so locating them after the run changes no
+    # result; the one error _cross_sections raises, a step across more than
+    # _MAX_CROSSINGS_PER_STEP sections, leaves integrate after the loop
     sections = _cross_sections(np.concatenate(rows).reshape(-1, 13 + 9 * len(y)), period, si)
     # every accepted step evaluated the field 7 times, the initial point once
     return _build_traj(taus, states, incs, _TERMINATIONS[st["termination"]], C, sections,
@@ -445,6 +442,14 @@ def _tup(names) -> str:
     return "(" + "".join(f"{v}, " for v in names) + ")"
 
 
+# a step may cross at most this many sections.  Each crossing repeats the
+# step's row of 13 + 9n numbers, and a step's count is a float difference cast
+# to int: an angle passing ~1e307 periods in one step overflows the cast, and
+# 1e7 periods per unit tau gave 67,411 crossings from one step.  The built-in
+# runs cross at most one section per step (lienard n = 1, 3 and 5).
+_MAX_CROSSINGS_PER_STEP = 1024
+
+
 def _cross_sections(rows, period, si):
     """The crossings of a run's (m, 13 + 9n) array of crossing rows (see
     :func:`_loop_fn`), each as (tau, state, t, step index, partial increment).
@@ -454,12 +459,19 @@ def _cross_sections(rows, period, si):
     alone, which must be monotone within the step.  The midpoints are
     dyadic, so hi - lo is exactly 2**-i after i halvings: the 50 halvings,
     first exact zero kept, are those of a scalar bisection that stops once
-    hi - lo < 1e-15.
+    hi - lo < 1e-15.  A step across more than ``_MAX_CROSSINGS_PER_STEP``
+    sections raises ValueError.
     """
     if not len(rows):
         return []
     n = (rows.shape[1] - 13) // 9
-    at = np.repeat(np.arange(len(rows)), (rows[:, 1] - rows[:, 0]).astype(np.int64))
+    crossings = rows[:, 1] - rows[:, 0]
+    over = np.flatnonzero(~(crossings <= _MAX_CROSSINGS_PER_STEP))
+    if len(over):
+        i = over[0]
+        raise ValueError(f"the step from tau = {float(rows[i, 2])!r} crosses {crossings[i]:.15g} "
+                         f"sections, more than {_MAX_CROSSINGS_PER_STEP}")
+    at = np.repeat(np.arange(len(rows)), crossings.astype(np.int64))
     rows = rows[at]
     # a step's crossings reach the counts sec_count + 1, sec_count + 2, ...
     count = rows[:, 0] + 1.0 + (np.arange(len(at)) - np.searchsorted(at, at))
@@ -701,11 +713,14 @@ def _suffix_sums(traj: Trajectory) -> np.ndarray:
 
 
 def trajectory_to_csv(traj: Trajectory, path):
-    """CSV export: tau, state columns, cumulative physical time."""
-    names = traj.chart.vars if traj.chart is not None else tuple(
-        f"x{i}" for i in range(traj.states.shape[1])
-    )
-    header = "tau," + ",".join(names) + ",t"
-    data = np.column_stack([traj.tau, traj.states, traj.t])
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    """Write the trajectory to ``path`` as one uncompressed ``.npz`` of exact
+    float64 arrays: ``tau``, the cumulative physical time ``t``, ``states``
+    (one row per accepted step) and ``vars``, the chart's variable names as a
+    unicode array, so ``np.load(path)`` reads it without pickle.  A variable
+    may be named ``t`` or ``tau``, so the columns stay in ``states``.
+
+    It keeps its CSV-era name because ``perfbench``'s tracer wraps
+    ``casebook.trajectory_to_csv`` by that name.
+    """
+    np.savez(path, tau=traj.tau, t=traj.t, states=traj.states,
+             vars=np.array(traj.chart.vars, dtype=str))

@@ -396,7 +396,7 @@ def test_orbital_equivalence(name):
     lo, hi = 0.0, t_seg
     while hi - lo > 1e-14 * t_seg:
         mid = 0.5 * (lo + hi)
-        if radial_derivative(run_to(mid).final_state) < 0.0:
+        if radial_derivative(run_to(mid).states[-1]) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from horizon.compactify import apply_recipe
 from horizon.dynamics import integrate
 from horizon.errors import ParseError
 from horizon.genpoly import parse_genpoly
+from test_dynamics import assert_npz_is_trajectory
 
 CASES_DIR = pathlib.Path(__file__).resolve().parents[1] / "cases"
 
@@ -503,7 +505,9 @@ class TestExitCodes:
         assert rc == 0
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "fits.csv").exists()
-        assert (tmp_path / "out" / "trajectories").is_dir()
+        written = sorted(p.name for p in (tmp_path / "out" / "trajectories").iterdir())
+        assert written == ["iy_generic_v0__v1.npz", "iy_symmetric_line_v0__v1.npz"]
+        assert not list((tmp_path / "out" / "trajectories").rglob("*.csv"))
 
     def test_directory_named_like_a_case_is_the_case(self, tmp_path, capsys, monkeypatch):
         # the output of ``analyze iy --out iy`` is no spec for the next run
@@ -570,6 +574,37 @@ class TestReports:
         text = (tmp_path / "report.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text) == {"value": "inf", "tail": ["-inf", "nan"], "rho": 0.1}
+
+
+class TestTrajectoryFiles:
+    @staticmethod
+    def analyze(monkeypatch, target, out):
+        """Run ``analyze target --out out``; return the exit code and each
+        (trajectory, path) the run wrote."""
+        written, write = [], casebook.trajectory_to_csv
+
+        def recording(traj, path):
+            written.append((traj, path))
+            write(traj, path)
+
+        monkeypatch.setattr(casebook, "trajectory_to_csv", recording)
+        return main(["analyze", str(target), "--out", str(out)]), written
+
+    def test_directional_run_reads_back_bit_for_bit(self, tmp_path, monkeypatch, capsys):
+        rc, written = self.analyze(monkeypatch, CASES_DIR / "iy.spec", tmp_path / "out")
+        assert rc == 0 and len(written) == 1
+        traj, path = written[0]
+        assert path == tmp_path / "out" / "trajectories" / "iy-generic_iy-generic.npz"
+        assert traj.chart.quasipolar_index is None
+        assert_npz_is_trajectory(path, traj)
+
+    def test_variable_named_t_keeps_every_column(self, tmp_path, monkeypatch, capsys):
+        text = re.sub(r"\bu0\b", "t", (CASES_DIR / "aiu.spec").read_text())
+        rc, written = self.analyze(monkeypatch, write(tmp_path, text), tmp_path / "out")
+        assert rc == 1 and len(written) == 1  # aiu's q FAIL by design (test_acceptance)
+        traj, path = written[0]
+        assert traj.chart.vars == ("r", "t")
+        assert_npz_is_trajectory(path, traj)
 
 
 class TestSweep:

@@ -52,7 +52,7 @@ class TestAgainstClosedForms:
         C = aiu_chart()
         traj = integrate(C, [1.0, 1.0], 5.0, rtol=1e-12, atol=1e-14,
                          stop_at_equilibrium=False)
-        r_end, x_end = traj.final_state
+        r_end, x_end = traj.states[-1]
         assert x_end == pytest.approx(6.0, abs=1e-8)
         assert r_end == pytest.approx(math.e**0.5 * math.exp(-18.0), rel=1e-8)
 
@@ -61,7 +61,7 @@ class TestAgainstClosedForms:
         C = base_field(vars, [gp("-x", vars), gp("2*y", vars)], name="lin")
         traj = integrate(C, [1.0, 1.0], 3.0, rtol=1e-12, atol=1e-14,
                          stop_at_equilibrium=False)
-        x, y = traj.final_state
+        x, y = traj.states[-1]
         assert x == pytest.approx(math.exp(-3.0), rel=1e-9)
         assert y == pytest.approx(math.exp(6.0), rel=1e-9)
 
@@ -80,7 +80,7 @@ class TestAgainstClosedForms:
         a = integrate(C, [1.0, 0.0], 20.0, rtol=tol, atol=tol, stop_at_equilibrium=False)
         b = integrate(C, [1.0, 0.0], 20.0, rtol=tol / 2, atol=tol / 2,
                       stop_at_equilibrium=False)
-        diff = np.max(np.abs(a.final_state - b.final_state))
+        diff = np.max(np.abs(a.states[-1] - b.states[-1]))
         assert diff < 10 * tol
 
 
@@ -90,14 +90,14 @@ class TestTermination:
         C = base_field(vars, [gp("-x", vars)], name="decay")
         traj = integrate(C, [1.0], 1e6, rtol=1e-10, atol=1e-13)
         assert traj.termination == "converged-to-equilibrium"
-        assert abs(traj.final_state[0]) < 1e-10
+        assert abs(traj.states[-1][0]) < 1e-10
 
     def test_tau_budget(self):
         vars = ("x",)
         C = base_field(vars, [gp("1", vars)], name="drift")
         traj = integrate(C, [0.0], 2.0, stop_at_equilibrium=False)
         assert traj.termination == "tau-budget"
-        assert traj.final_state[0] == pytest.approx(2.0, abs=1e-10)
+        assert traj.states[-1][0] == pytest.approx(2.0, abs=1e-10)
 
     def test_short_last_step_still_reaches_tau_end(self):
         # the first step ends 1e-14 short of tau_end; the remainder is below
@@ -364,16 +364,39 @@ def check_planar_field_against_dop853(fx, fy, a, b):
     traj = integrate(C, [0.5, 0.5], 1.0, rtol=1e-12, atol=1e-14,
                      stop_at_equilibrium=False)
     assert traj.termination == "tau-budget"
-    for got, want in zip([*traj.final_state, traj.t[-1]], ref.y[:, -1]):
+    for got, want in zip([*traj.states[-1], traj.t[-1]], ref.y[:, -1]):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     return traj
 
 
-def test_csv_export(tmp_path):
+def assert_npz_is_trajectory(path, traj):
+    """The .npz at ``path`` holds exactly ``traj``'s tau, t and states, bit for
+    bit, and its chart's variable names, and loads without pickle."""
+    with np.load(path) as saved:
+        assert sorted(saved.files) == ["states", "t", "tau", "vars"]
+        for name in ("tau", "t", "states"):
+            want = getattr(traj, name)
+            assert saved[name].dtype == want.dtype and saved[name].shape == want.shape
+            assert saved[name].tobytes() == want.tobytes()
+        assert tuple(saved["vars"].tolist()) == traj.chart.vars
+
+
+def test_npz_export(tmp_path):
     C = aiu_chart()
     traj = integrate(C, [1.0, 1.0], 1.0, stop_at_equilibrium=False)
-    out = tmp_path / "traj.csv"
+    out = tmp_path / "traj.npz"
     trajectory_to_csv(traj, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "tau,r,u0,t"
-    assert len(lines) == len(traj.tau) + 1
+    assert_npz_is_trajectory(out, traj)
+    with np.load(out) as saved:
+        assert saved["vars"].tolist() == ["r", "u0"]
+
+
+def test_npz_export_of_a_quasipolar_run(tmp_path):
+    cdef = get_case("lienard").definition({"n": 1})
+    plan = cdef.runs[0]
+    traj = integrate(cdef.chart, plan.initial, 50.0, rtol=plan.rtol, atol=plan.atol,
+                     stop_at_equilibrium=False)
+    assert traj.sections and len(traj.tau) > 100
+    out = tmp_path / "lienard.npz"
+    trajectory_to_csv(traj, out)
+    assert_npz_is_trajectory(out, traj)

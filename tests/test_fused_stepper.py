@@ -601,6 +601,34 @@ def test_crossing_at_an_exact_zero_is_kept():
     assert [hit[0] for hit in hits] == [rows[0][2] + 0.5 * h, rows[1][2]]
 
 
+def test_crossings_per_step_are_bounded():
+    # a step crossing the most sections allowed is located; one more, or a
+    # count that is not a number, is refused by name before any row repeats
+    most = dynamics._MAX_CROSSINGS_PER_STEP
+    down = [[0.3 + 0.01 * s, -3.0 - 0.02 * s] for s in range(7)]
+    assert len(_cross_sections(np.array([crossing_row(0, most, [0.25, -0.9], down, KG)]),
+                               2.9 / most, 1)) == most
+    for count in (most + 1, math.nan):
+        rows = np.array([crossing_row(0, 1, [0.25, -0.9], down, KG),
+                         crossing_row(0, count, [0.25, -0.9], down, KG, tau=4.0)])
+        with pytest.raises(ValueError, match=rf"^the step from tau = 4\.0 crosses {count} "
+                                             rf"sections, more than {most}$"):
+            _cross_sections(rows, 1.0, 1)
+
+
+@pytest.mark.parametrize("w,h0", [(1e300, 1e10), (1e7, 1.0)])
+def test_a_step_across_too_many_sections_is_refused(w, h0):
+    # theta' = w from theta = 0: the first accepted step passes about
+    # w * h / period sections, ~1e297 (past an int64) or 67,411
+    pv = ("w", "r", CS, SN)
+    C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
+                   components=tuple(parse_genpoly(t, pv) for t in ("0", "-r", "w")),
+                   quasipolar_index=1, angle="theta")
+    with pytest.raises(ValueError, match=r"^the step from tau = 0\.0 crosses \S+ sections, "
+                                         r"more than 1024$"):
+        integrate(C, [w, 1.0, 0.0], 1e10, h0=h0, max_steps=1, stop_at_equilibrium=False)
+
+
 PAIR = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2)
 # (count, crossings, y, k, h) of a row; the angle need not be monotone
 ROW_SPEC = st.tuples(st.integers(0, 3), st.integers(0, 3), PAIR,

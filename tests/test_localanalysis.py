@@ -272,7 +272,7 @@ class TestCmAsymptotics:
             traj = integrate(C, [1.0], 1e4, rtol=1e-12, atol=1e-13,
                              stop_at_equilibrium=False)
             asym = cm_flow_asymptotics(d, cd)
-            w_num = traj.final_state[0]
+            w_num = traj.states[-1][0]
             assert asym.law(1e4) == pytest.approx(w_num, rel=0.02)
 
 

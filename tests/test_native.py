@@ -203,7 +203,7 @@ def test_nan_stage_angle_on_a_quasipolar_chart(monkeypatch):
     # theta' = w = -1e300 from theta = 1.7e308 puts a stage's angle at -inf;
     # the lookup raises ValueError inside the stage, which halves the step.
     # |theta| falls, so no step crosses a section: one that rose through
-    # ~1e300 periods would ask _cross_sections for that many crossings
+    # ~1e300 periods would be refused by _cross_sections
     pv = ("w", "r", CS, SN)
     C = ChartField(vars=("w", "r", "theta"), provenance=(), time_chain=(),
                    components=tuple(parse_genpoly(t, pv) for t in ("0", "-r", "w")),
