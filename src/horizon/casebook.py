@@ -21,6 +21,7 @@ documented basins):
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -48,13 +49,21 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .errors import ParameterError, StepBudgetError
-from .genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
+from .genpoly import (
+    GenMonomial,
+    GenPoly,
+    batch_function,
+    format_genpoly,
+    parse_genpoly,
+    power_source,
+)
 from .localanalysis import (
     SEARCH_RANGE,
     center_manifold_series_1d,
     equilibria_of,
     horizon_equilibria,
 )
+from .quasitrig import table
 from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 from .structure import TypeVector, newton_data
 
@@ -869,14 +878,21 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     burn = 32
     s = s[burn:]
     keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
-    states = [sec[1] for sec, k in zip(traj.sections[burn:], keep) if k]
-    return s[keep], states, 40
+    states = np.array([sec[1] for sec in traj.sections[burn:]]).reshape(-1, len(traj.chart.vars))
+    return s[keep], states[keep], 40
 
 
 def _observe(obs, chart, states):
-    """The observable evaluated at each chart state."""
-    fn = obs.expr.compile()
-    return np.array([fn(*chart.state_to_poly_point(st)) for st in states])
+    """The observable at each row of the 2-D array of chart ``states``,
+    evaluated in one batch on the columns as Python floats
+    (:meth:`GenPoly.compile_batch`); on a quasi-polar chart the angle column
+    is replaced by the Cs and Sn columns of the chart's table."""
+    cols = states.T.tolist()
+    if chart.quasipolar_index is not None:
+        lookup = table(chart.quasipolar_index).lookup
+        cssn = [lookup(theta) for theta in cols.pop(chart.vars.index(chart.angle))]
+        cols += [[c for c, _ in cssn], [s for _, s in cssn]]
+    return np.array(obs.expr.compile_batch()(*cols))
 
 
 def _fit_row(obs, fit, verdicts):
@@ -915,6 +931,11 @@ def _run_center_flow(cdef, plan):
     the full field and the time chain to the manifold, and quadratures
     s(x) = int chain / speed dx.  The measured exponent comes from the
     actual field, not the predicted rate.
+
+    The quadrature's nodes (400 segments of 24 Gauss-Legendre nodes) and the
+    observables' samples are each evaluated in one batch on Python floats
+    (:func:`horizon.genpoly.batch_function`); the segments are summed left
+    to right.
     """
     from .localanalysis import _substitute_series  # shared helper
 
@@ -922,45 +943,35 @@ def _run_center_flow(cdef, plan):
     series = center_manifold_series_1d(chart, plan.center_degree)
     cvar, svar = series.center_var, series.stable_var
 
-    def on_manifold(p):  # p restricted to the manifold, compiled
-        return _substitute_series(p, cvar, svar, series.coefficients,
-                                  series.degree + 4).compile()
+    def on_manifold(p):  # p restricted to the manifold
+        return _substitute_series(p, cvar, svar, series.coefficients, series.degree + 4)
 
     chain_prod = GenPoly.const(chart.poly_vars, 1)
     for f in chart.time_chain:
         chain_prod = chain_prod * f
     speed = series.reduced_flow
-    chain_fn = on_manifold(chain_prod)
-    speed_fn = speed.compile()
 
     xs = np.geomspace(1e-12, 1e-4, 400)
     # s(x) = int_0^x chain(u)/speed(u) du; substitute u = z^q with q the
     # exponent-lattice denominator so the integrand is smooth at 0
     q = max(int(e.denominator) for ev, _ in speed.terms for e in ev)
     nodes, weights = np.polynomial.legendre.leggauss(24)
-
-    def seg_integral(z0, z1):
-        mid = 0.5 * (z0 + z1)
-        half = 0.5 * (z1 - z0)
-        z = mid + half * nodes
-        u = z**q
-        vals = np.array([
-            chain_fn(ui) / speed_fn(ui) * q * zi ** (q - 1)
-            for ui, zi in zip(u, z)
-        ])
-        return float(half * (weights @ vals))
-
     zs = xs ** (1.0 / q)
-    s = np.empty(len(xs))
-    acc = seg_integral(0.0, zs[0])
-    s[0] = acc
-    for i in range(1, len(zs)):
-        acc += seg_integral(zs[i - 1], zs[i])
-        s[i] = acc
+    z0 = np.concatenate([[0.0], zs[:-1]])
+    half = 0.5 * (zs - z0)
+    z = (0.5 * (z0 + zs))[:, None] + half[:, None] * nodes
+    integrand = batch_function(
+        f"({on_manifold(chain_prod).source(['u'])}) / ({speed.source(['u'])})"
+        f" * {float(q)!r} * {power_source('z', F(q - 1))}", ["u", "z"], "center flow")
+    vals = integrand((z**q).ravel().tolist(), z.ravel().tolist())
+    k = len(nodes)
+    # each segment's weighted sum on its own k-element array, as a dot of
+    # that length; the segments accumulate left to right
+    segs = [float(h * (weights @ np.array(vals[k * i:k * i + k]))) for i, h in enumerate(half)]
+    s = np.array(list(itertools.accumulate(segs)))
     verdicts, fits = [], []
     for obs in plan.observables:
-        yfn = on_manifold(obs.expr)
-        y = np.array([yfn(x) for x in xs])
+        y = np.array(on_manifold(obs.expr).compile_batch()(xs.tolist()))
         fits.append(_fit_row(obs, fit_rate(s, y), verdicts))
     return {
         "label": plan.label,

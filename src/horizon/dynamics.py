@@ -703,8 +703,9 @@ def remaining_time(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:
 def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.ndarray:
     """Remaining time at section marks (step index + partial increment),
     with the same suffix-sum accuracy as :func:`remaining_time`."""
-    suffix = _suffix_sums(traj)
-    return np.asarray([suffix[m[-2]] - m[-1] + est.tail for m in marks])
+    idx = np.array([m[-2] for m in marks], dtype=np.int64)
+    partial = np.array([m[-1] for m in marks], dtype=np.float64)
+    return _suffix_sums(traj)[idx] - partial + est.tail
 
 
 def _suffix_sums(traj: Trajectory) -> np.ndarray:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, ParseError
 
 Coeff = Union[int, float, Fraction]
@@ -31,6 +33,7 @@ ExponentVec = tuple[Fraction, ...]
 __all__ = [
     "GenMonomial",
     "GenPoly",
+    "batch_function",
     "frac",
     "parse_genpoly",
     "format_genpoly",
@@ -346,6 +349,51 @@ class GenPoly:
         ns = dict(SOURCE_GLOBALS)
         exec(compile(src, f"<genpoly:{format_genpoly(self)[:40]}>", "exec"), ns)
         return ns["_f"]
+
+    def compile_batch(self) -> Callable[..., list]:
+        """Compile to a function of one column per variable (in order) that
+        returns the list of :meth:`compile`'s values, row by row.
+
+        The text is :meth:`compile`'s, so each value is :meth:`compile`'s at
+        the row bit for bit: on the row's numbers, or on numpy float64
+        scalars of them where :func:`batch_function` falls back to those.
+        """
+        names = [f"x{i}" for i in range(len(self.vars))]
+        return batch_function(self.source(names), names, format_genpoly(self)[:40])
+
+
+def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[..., list]:
+    """Compile the expression text ``expr`` over ``names`` (at least one),
+    which reads :data:`SOURCE_GLOBALS`, to a function of one column per name
+    that returns the list of its values, row by row; ``label`` names the code
+    in tracebacks.
+
+    The function is one list comprehension over the columns, exec-compiled
+    once.  Its columns are meant to be lists of Python floats, on which the
+    arithmetic is 2-3x faster than on numpy scalars and gives the same
+    values; only a NaN may come out with the other sign.
+    A Python float power or division raises where numpy gives an infinity or
+    NaN (``0.0**-1.0``, an overflowing power, ``x/0.0``); then the whole batch
+    is evaluated again on numpy float64 scalars, so it returns numpy's values,
+    with numpy's RuntimeWarning, and does not raise.
+    """
+    cols = [f"_c{i}" for i in range(len(names))]
+    if len(names) == 1:
+        rows = f"{names[0]} in {cols[0]}"
+    else:
+        rows = f"{', '.join(names)} in zip({', '.join(cols)})"
+    src = f"def _f({', '.join(cols)}):\n    return [{expr} for {rows}]\n"
+    ns = dict(SOURCE_GLOBALS)
+    exec(compile(src, f"<genpoly batch:{label}>", "exec"), ns)
+    fn = ns["_f"]
+
+    def batch(*columns):
+        try:
+            return fn(*columns)
+        except (ZeroDivisionError, OverflowError):
+            return fn(*[np.asarray(c, dtype=np.float64) for c in columns])
+
+    return batch
 
 
 def power_source(name: str, e: Fraction) -> str:

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import pathlib
+import struct
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,8 +16,11 @@ from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
 from horizon.compactify import apply_recipe, base_field, blowup_chart
 from horizon.dynamics import integrate
+from horizon.errors import InsufficientSpanError
 from horizon.genpoly import parse_genpoly
+from horizon.localanalysis import center_manifold_series_1d
 from horizon.structure import TypeVector, certify_type
+import oracles
 from oracles import forward_point, horizon_is_invariant, inverse_transform
 
 ALL_CASES = sorted(builtin_cases())
@@ -436,3 +440,46 @@ def test_andrews2_exponents_across_regime_boundary():
     assert abs(rows[F(2, 5)]["u2"]["q"]) <= 0.1
     assert abs(rows[F(1, 2)]["u2"]["q"] - 0.5) <= 0.15
     assert abs(rows[F(1)]["u2"]["q"]) <= 0.1
+
+
+def _bits(obj):
+    """A run entry with every float as its bytes."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _center_flow_outcome(run, cdef, plan):
+    try:
+        return _bits(run(cdef, plan))
+    except InsufficientSpanError as exc:
+        return str(exc)
+
+
+# q = 10, 4, 2, 3, 4: the quadrature's substitution u = z^q
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [F(1, 10), F(1, 4), F(1, 2), F(2, 3), F(3, 4)])
+def test_batched_center_flow_matches_per_sample_run(p, m, monkeypatch):
+    cdef = get_case("fhn").definition({"m": m, "p": p})
+    plan = cdef.runs[0]
+    # both runs solve the same series; solve it once (2.7 s at p = 1/10, m = 1)
+    series = center_manifold_series_1d(cdef.chart, plan.center_degree)
+    for module in (casebook, oracles):
+        monkeypatch.setattr(module, "center_manifold_series_1d", lambda *_: series)
+    assert (_center_flow_outcome(casebook._run_center_flow, cdef, plan)
+            == _center_flow_outcome(oracles.per_sample_center_flow, cdef, plan))
+
+
+@pytest.mark.parametrize("name,params", [("lienard", {"n": 3}), ("iy", {})])
+def test_batched_observables_match_per_state_calls(name, params):
+    cdef = get_case(name).definition(params)
+    chart = cdef.chart
+    states = np.random.default_rng(5).uniform(-20.0, 20.0, (200, len(chart.vars)))
+    for obs in cdef.runs[0].observables:
+        fn = obs.expr.compile()
+        per_state = [fn(*chart.state_to_poly_point(st)) for st in states]
+        assert casebook._observe(obs, chart, states).tobytes() == np.array(per_state).tobytes()

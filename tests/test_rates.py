@@ -122,5 +122,9 @@ class TestPhaseSectionSampler:
         # s is exact even where it is ~3e-28 (suffix summation keeps
         # relative accuracy)
         assert np.allclose(s[:-2], r[:-2] ** 2 / 2, rtol=1e-6)
+        # the marks' array expression is the per-mark loop bit for bit
+        suffix = np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
+        per_mark = [suffix[m[-2]] - m[-1] + est.tail for m in traj.sections]
+        assert s.tobytes() == np.asarray(per_mark).tobytes()
         fit = fit_rate(s[:-2], 1.0 / r[:-2], min_span=10.0, min_samples=5)
         assert fit.rho == pytest.approx(0.5, abs=1e-3)

@@ -98,7 +98,7 @@ BASES = st.one_of(
 @example(-0.0, -3, True)
 @example(math.nan, 2, True)
 def test_integer_power_text_matches_int_exponent(x, n, numpy_scalar):
-    # _run_center_flow calls compiled polynomials with numpy scalars
+    # a batch that raises on Python floats is evaluated again on numpy scalars
     x = np.float64(x) if numpy_scalar else x
     printed = power_source("x", Fraction(n))
     assert printed == f"x**{float(n)!r}"
@@ -127,6 +127,45 @@ def test_polynomial_text_matches_previous_printer(case):
     if numpy_scalar:
         point = [np.float64(v) for v in point]
     assert outcome(p.compile(), *point) == outcome(ref.old_compile(p), *point)
+
+
+@st.composite
+def polys_and_columns(draw):
+    vars = ("x", "y", "z")
+    p = draw(ref.polys(vars))
+    rows = draw(st.lists(st.lists(VALUES, min_size=3, max_size=3), min_size=1, max_size=6))
+    return p, [list(col) for col in zip(*rows)]
+
+
+def _bits(values):
+    # a NaN as NaN: numpy scalars and Python floats may give NaNs of either sign
+    return [b"nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_columns())
+# a Python power raises on one row: 0.0**-1.0, an overflow, (-0.0)**-3.0
+@example((parse_genpoly("x^(-1) + y", ("x", "y", "z")), [[2.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+@example((parse_genpoly("x^2 * y", ("x", "y", "z")), [[1.5, 1e200], [1.0, -1.0], [0.0, 0.0]]))
+@example((parse_genpoly("z^(-3) - x", ("x", "y", "z")), [[1.0, 1.0], [0.0, 0.0], [2.0, -0.0]]))
+@example((parse_genpoly("x^(3/2)", ("x", "y", "z")), [[1e300, 4.0], [0.0, 0.0], [0.0, 0.0]]))
+def test_batch_matches_compile_row_by_row(case):
+    p, cols = case
+    fn = p.compile()
+    rows = list(zip(*cols))
+    on_floats = [outcome(fn, *row) for row in rows]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        got = p.compile_batch()(*cols)
+        # the samples' values before the batch, on numpy scalars
+        on_numpy = [fn(*map(np.float64, row)) for row in rows]
+    assert _bits(got) == _bits(on_numpy)
+    if ZeroDivisionError in on_floats or OverflowError in on_floats:
+        # the whole batch is evaluated again on numpy scalars
+        assert [outcome(lambda: v) for v in got] == [outcome(lambda: v) for v in on_numpy]
+        assert all(type(v) is np.float64 for v in got)
+    else:
+        assert [outcome(lambda: v) for v in got] == on_floats
 
 
 def test_negative_terms_keep_their_coefficient():
