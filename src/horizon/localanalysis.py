@@ -525,22 +525,39 @@ def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
     # G_s = F_s - lam * x_s
     Gs = Fs - GenPoly.var(vars, svar, 1, lam_c)
 
-    h = GenPoly((cvar,), {})
-    for _ in range(_iteration_budget(comps, degree)):
-        Fc_h = _substitute_series(Fc, cvar, svar, h, degree)
-        Gs_h = _substitute_series(Gs, cvar, svar, h, degree)
-        hprime = h.partial(cvar)
-        rhs = _truncate(hprime * Fc_h - Gs_h, degree)
-        new_h = rhs * _invert_coeff(lam_c)
-        if new_h == h:
-            break
-        h = new_h
-    # sanity: h(0) = h'(0) = 0
-    for ev, c in h.terms:
-        if ev[0] <= 1:
-            raise ArithmeticError(f"center series has low-order term {ev}: {c}")
-
-    reduced = _truncate(_substitute_series(Fc, cvar, svar, h, degree), degree)
+    # h = (h' F_c(x, h) - G_s(x, h)) / lam, solved one lattice order at a
+    # time: on a triangular system the coefficient at key k reads h below k
+    # only, and it is summed exactly as the whole map at its fixed point sums it
+    q = _lattice((Fc, Gs), cvar)
+    top = math.floor(degree * q)
+    fc_terms = _lattice_terms(Fc, cvar, svar, q)
+    gs_terms = _lattice_terms(Gs, cvar, svar, q)
+    terms = fc_terms + gs_terms
+    if any(es > 0 and ec < 0 for ec, es, _ in terms) or any(
+        es == 0 and ec <= q for ec, es, _ in fc_terms
+    ):
+        raise ValueError("invariance equation is not triangular on the exponent lattice")
+    inv = _invert_coeff(lam_c)
+    # powers[n] is h^n cut at the degree; powers[1] is h itself
+    powers = [{0: 1}] + [{} for _ in range(max([1] + [es for _, es, _ in terms]))]
+    h = powers[1]
+    hprime, fc_h = {}, {}
+    for k in range(min([0] + [ec for ec, _, _ in terms]), top + 1):
+        for n in range(2, len(powers)):
+            _store(powers[n], k, _product_at(powers[n - 1], h, k))
+        rhs = _product_at(hprime, fc_h, k)
+        gs = _substituted_at(gs_terms, powers, k)
+        if gs is not None:
+            rhs = -gs if rhs is None else rhs + (-gs)
+        if rhs is not None and _store(h, k, rhs * inv):
+            c = h[k]
+            if k <= q:  # h(0) = h'(0) = 0
+                raise ArithmeticError(f"center series has low-order term {(Fraction(k, q),)}: {c}")
+            e = Fraction(k, q)
+            _store(hprime, k - q, c * e if isinstance(c, (int, Fraction)) else c * float(e))
+        _store(fc_h, k, _substituted_at(fc_terms, powers, k))
+    h = _from_lattice(h, cvar, q)
+    reduced = _from_lattice(fc_h, cvar, q)
     if reduced.is_zero():
         raise DegenerateBeyondDegreeError(
             f"reduced flow vanishes to degree {degree}",
@@ -559,38 +576,97 @@ def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
     )
 
 
-def _iteration_budget(comps, degree) -> int:
-    dens = [int(e.denominator) for p in comps for ev, _ in p.terms for e in ev]
-    q = max(dens) if dens else 1
-    return int(4 * float(degree) * q) + 8
-
-
 def _invert_coeff(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1, 1) / Fraction(c)
     return 1.0 / c
 
 
-def _substitute_series(p: GenPoly, cvar, svar, h: GenPoly, degree) -> GenPoly:
-    """p(x_c, h(x_c)) truncated at the degree; s-exponents must be integers."""
-    out = {}
-    hpow_cache = {0: GenPoly((cvar,), {(frac(0),): 1})}
+# A one-variable series on the exponent lattice of x_c is a dict from the
+# integer key k of x_c^(k/q) to its nonzero coefficient, keys ascending.  Each
+# coefficient is summed in the order GenPoly sums it, so Fraction, int and
+# float coefficients come out as GenPoly arithmetic gives them.
 
-    def hpow(n):
-        if n not in hpow_cache:
-            hpow_cache[n] = _truncate(hpow(n - 1) * h, degree)
-        return hpow_cache[n]
 
-    ci = p.vars.index(cvar)
-    si = p.vars.index(svar)
-    acc = GenPoly((cvar,), {})
+def _lattice(polys, cvar) -> int:
+    """The least q with every exponent of ``cvar`` in ``polys`` in Z/q."""
+    q = 1
+    for p in polys:
+        i = p.vars.index(cvar)
+        for ev, _ in p.terms:
+            q = math.lcm(q, ev[i].denominator)
+    return q
+
+
+def _lattice_terms(p: GenPoly, cvar, svar, q) -> list:
+    """p's terms in order as (x_c key, x_s power, coefficient)."""
+    ci, si = p.vars.index(cvar), p.vars.index(svar)
+    out = []
     for ev, c in p.terms:
         es = ev[si]
         if es.denominator != 1 or es < 0:
             raise ValueError("transverse exponents must be nonnegative integers")
-        base = GenPoly((cvar,), {(ev[ci],): c})
-        acc = acc + _truncate(base * hpow(int(es)), degree)
+        out.append((int(ev[ci] * q), int(es), c))
+    return out
+
+
+def _from_lattice(series: dict, cvar, q) -> GenPoly:
+    return GenPoly((cvar,), {(Fraction(k, q),): c for k, c in series.items()})
+
+
+def _store(series: dict, k, c) -> bool:
+    """Keep a coefficient that is not None or zero, as a GenPoly keeps it."""
+    if c is None or c == 0:
+        return False
+    series[k] = c
+    return True
+
+
+def _product_at(a: dict, b: dict, k):
+    """The key-k coefficient of a*b, None if it vanishes: ``GenPoly.__mul__``
+    sums it over a's keys ascending, from 0, and drops a zero sum."""
+    acc = 0
+    for i, c1 in a.items():
+        c2 = b.get(k - i)
+        if c2 is not None:
+            acc = acc + c1 * c2
+    return None if acc == 0 else acc
+
+
+def _substituted_at(terms, powers, k):
+    """The key-k coefficient of sum c x_c^ec h^es over ``terms`` in order,
+    given the powers of h; None if it vanishes.  Each term's product and
+    each partial sum is a GenPoly, so a zero one is dropped."""
+    acc = None
+    for ec, es, c in terms:
+        v = powers[es].get(k - ec)
+        if v is None:
+            continue
+        prod = c * v
+        if prod == 0:
+            continue
+        acc = prod if acc is None else acc + prod
+        if acc == 0:
+            acc = None
     return acc
+
+
+def _substitute_series(p: GenPoly, cvar, svar, h: GenPoly, degree) -> GenPoly:
+    """p(x_c, h(x_c)) truncated at the degree; s-exponents must be integers."""
+    q = _lattice((p, h), cvar)
+    top = math.floor(frac(degree) * q)
+    terms = _lattice_terms(p, cvar, svar, q)
+    hk = {int(ev[0] * q): c for ev, c in h.terms}
+    powers = [{0: 1}]
+    for _ in range(max((es for _, es, _ in terms), default=0)):
+        prev, cur = powers[-1], {}
+        for k in sorted({i + j for i in prev for j in hk if i + j <= top}):
+            _store(cur, k, _product_at(prev, hk, k))
+        powers.append(cur)
+    out = {}
+    for k in sorted({ec + j for ec, es, _ in terms for j in powers[es] if ec + j <= top}):
+        _store(out, k, _substituted_at(terms, powers, k))
+    return _from_lattice(out, cvar, q)
 
 
 def _truncate(p: GenPoly, degree) -> GenPoly:

@@ -13,10 +13,10 @@ The period is computed independently of the table, by quadrature of the
 Beta-type integral; the first-return time of the ODE serves as a cross-check
 in the tests.
 
-Only quasi-polar charts need these functions, so scipy (the table's DOP853
-integration and the period's quadrature) is imported inside :func:`table`
-and :func:`period`, on first use; importing this module, or building and
-running a directional or homogeneous chart, does not load it.
+The table's DOP853 integration and the period's QUADPACK quadrature are the
+ports in :mod:`horizon._dop853_qags`, which reproduce
+``scipy.integrate.solve_ivp`` and ``scipy.integrate.quad`` bit for bit
+without importing scipy; the tests compare them with scipy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._dop853_qags import dop853, qags
+
 __all__ = ["QuasiTrigTable", "cssn", "period", "table"]
 
 _NODES = 8192
@@ -38,21 +40,30 @@ def period(l: int) -> float:
 
     T = (2/sqrt(l)) * integral_0^1 (1-t)^(-1/2) t^((1-2l)/(2l)) dt.  The
     substitutions t = s^(2l) followed by s = 1-u^2 remove both endpoint
-    singularities, leaving a smooth integrand for plain adaptive quadrature.
+    singularities, leaving a smooth integrand (:func:`_period_integrand`)
+    for plain adaptive quadrature.  A quadrature that ends with a QUADPACK
+    error code raises ``ValueError``.
     """
     if l < 1 or int(l) != l:
         raise ValueError("l must be a positive integer")
     l = int(l)
     if l == 1:
         return 2.0 * math.pi
-    from scipy.integrate import quad
+    val, err, _, ier, _ = qags(_period_integrand(l), 0.0, 1.0, 1e-14, 1e-12, 200)
+    if ier != 0:
+        raise ValueError(f"period quadrature for l={l} ended with QUADPACK ier={ier} "
+                         f"(value {val!r}, error estimate {err!r})")
+    return 2.0 / math.sqrt(l) * val
+
+
+def _period_integrand(l: int) -> Callable[[float], float]:
+    """The smooth integrand over [0, 1] whose integral is sqrt(l)/2 * T."""
 
     def smooth(u):
         s = 1.0 - u * u
         return 4.0 * l * u / math.sqrt(1.0 - s ** (2 * l))
 
-    val, err = quad(smooth, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return 2.0 / math.sqrt(l) * val
+    return smooth
 
 
 @dataclass(frozen=True)
@@ -136,27 +147,17 @@ class QuasiTrigTable:
 
 @lru_cache(maxsize=None)
 def table(l: int) -> QuasiTrigTable:
-    """Build (and cache) the sampled table for index l."""
-    from scipy.integrate import solve_ivp
-
+    """Build (and cache) the sampled table for index l: DOP853 at
+    ``rtol=1e-13``, ``atol=1e-14`` over one period, read at the nodes."""
     l = int(l)
     T = period(l)
     m = 2 * l - 1
 
-    def rhs(_, y):
-        return [-y[1], y[0] ** m]
+    def rhs(y):
+        return np.array([-y[1], y[0] ** m])
 
     nodes = np.linspace(0.0, T, _NODES + 1)
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        [1.0, 0.0],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-14,
-        dense_output=True,
-    )
-    vals = sol.sol(nodes)
+    vals = dop853(rhs, [1.0, 0.0], T, 1e-13, 1e-14, nodes)
     cs = np.ascontiguousarray(vals[0])
     sn = np.ascontiguousarray(vals[1])
     # pin the endpoints to the exact periodic values

@@ -4,19 +4,35 @@
 recorded monomial inverse (``ChartField.inverse``) both ways: the tests'
 oracle for where a chart point sits in the base system.
 :func:`per_sample_center_flow` is the reference for the batched center-flow
-run.
+run.  :func:`picard_center_manifold_series_1d` and
+:func:`fraction_substitute_series` are the references for the order-by-order
+center-manifold solve and its integer-lattice substitution.
+:func:`scipy_period` and :func:`scipy_table` build the quasi-trigonometric
+period and table with scipy, the references for the in-repo DOP853 and
+QUADPACK ports.
 """
 
 import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from horizon.casebook import _fit_row
 from horizon.compactify import ChartField
-from horizon.errors import DomainError
+from horizon.errors import DegenerateBeyondDegreeError, DomainError
 from horizon.genpoly import GenPoly, format_genpoly, frac
-from horizon.localanalysis import _substitute_series, center_manifold_series_1d
+from horizon.localanalysis import (
+    ZERO_TOL_SCALE,
+    CenterSeries,
+    _invert_coeff,
+    _substitute_series,
+    _truncate,
+    center_manifold_series_1d,
+    classify,
+    jacobian,
+)
+from horizon.quasitrig import _NODES, QuasiTrigTable
 from horizon.rates import fit_rate
 
 
@@ -153,3 +169,153 @@ def per_sample_center_flow(cdef, plan):
         "fits": fits,
         "verdicts": verdicts,
     }
+
+
+def picard_center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
+    """The reference for ``center_manifold_series_1d``: its previous text,
+    which re-runs the whole Picard map of the invariance equation until
+    ``new_h == h``, with :func:`fraction_substitute_series`.
+    """
+    if len(C.vars) != 2:
+        raise ValueError("center-manifold series needs a planar chart")
+    degree = frac(degree)
+    comps, vars = C.components, C.vars
+    J = jacobian(comps, vars, [0.0, 0.0])
+    label, *_ = classify(J)
+    if label != "semi-hyperbolic":
+        raise ValueError(f"equilibrium is {label}, not semi-hyperbolic")
+    # center direction must be a coordinate axis: the Jacobian column of the
+    # center variable vanishes
+    norm = abs(J).max()
+    tol = ZERO_TOL_SCALE * (1.0 + norm)
+    if abs(J[:, 0]).max() <= tol:
+        c_idx, s_idx = 0, 1
+    elif abs(J[:, 1]).max() <= tol:
+        c_idx, s_idx = 1, 0
+    else:
+        raise ValueError("center direction is not a coordinate axis")
+
+    cvar, svar = vars[c_idx], vars[s_idx]
+    Fc, Fs = comps[c_idx], comps[s_idx]
+    exact = all(
+        isinstance(c, (int, Fraction)) for p in comps for _, c in p.terms
+    )
+    # the linear transverse coefficient, kept exact when the field is exact
+    lam_c = 0 if exact else 0.0
+    for ev, c in Fs.terms:
+        if ev[s_idx] == 1 and ev[c_idx] == 0:
+            lam_c = lam_c + c
+    if lam_c == 0:
+        raise ValueError("transverse eigenvalue vanished symbolically")
+
+    # G_s = F_s - lam * x_s
+    Gs = Fs - GenPoly.var(vars, svar, 1, lam_c)
+
+    h = GenPoly((cvar,), {})
+    for _ in range(_iteration_budget(comps, degree)):
+        Fc_h = fraction_substitute_series(Fc, cvar, svar, h, degree)
+        Gs_h = fraction_substitute_series(Gs, cvar, svar, h, degree)
+        hprime = h.partial(cvar)
+        rhs = _truncate(hprime * Fc_h - Gs_h, degree)
+        new_h = rhs * _invert_coeff(lam_c)
+        if new_h == h:
+            break
+        h = new_h
+    # sanity: h(0) = h'(0) = 0
+    for ev, c in h.terms:
+        if ev[0] <= 1:
+            raise ArithmeticError(f"center series has low-order term {ev}: {c}")
+
+    reduced = _truncate(fraction_substitute_series(Fc, cvar, svar, h, degree), degree)
+    if reduced.is_zero():
+        raise DegenerateBeyondDegreeError(
+            f"reduced flow vanishes to degree {degree}",
+            series=CenterSeries(cvar, svar, h, reduced, frac(0), 0, degree, exact),
+        )
+    ev0, c0 = reduced.terms[0]
+    return CenterSeries(
+        center_var=cvar,
+        stable_var=svar,
+        coefficients=h,
+        reduced_flow=reduced,
+        d=ev0[0],
+        c_d=c0,
+        degree=degree,
+        exact=exact,
+    )
+
+
+def _iteration_budget(comps, degree) -> int:
+    dens = [int(e.denominator) for p in comps for ev, _ in p.terms for e in ev]
+    q = max(dens) if dens else 1
+    return int(4 * float(degree) * q) + 8
+
+
+def fraction_substitute_series(p: GenPoly, cvar, svar, h: GenPoly, degree) -> GenPoly:
+    """The reference for ``_substitute_series``: its previous text, on
+    Fraction exponent keys with whole products truncated afterwards."""
+    hpow_cache = {0: GenPoly((cvar,), {(frac(0),): 1})}
+
+    def hpow(n):
+        if n not in hpow_cache:
+            hpow_cache[n] = _truncate(hpow(n - 1) * h, degree)
+        return hpow_cache[n]
+
+    ci = p.vars.index(cvar)
+    si = p.vars.index(svar)
+    acc = GenPoly((cvar,), {})
+    for ev, c in p.terms:
+        es = ev[si]
+        if es.denominator != 1 or es < 0:
+            raise ValueError("transverse exponents must be nonnegative integers")
+        base = GenPoly((cvar,), {(ev[ci],): c})
+        acc = acc + _truncate(base * hpow(int(es)), degree)
+    return acc
+
+
+def scipy_period(l: int) -> float:
+    """The reference for ``quasitrig.period``: its previous text, with
+    scipy's QUADPACK."""
+    if l < 1 or int(l) != l:
+        raise ValueError("l must be a positive integer")
+    l = int(l)
+    if l == 1:
+        return 2.0 * math.pi
+    from scipy.integrate import quad
+
+    def smooth(u):
+        s = 1.0 - u * u
+        return 4.0 * l * u / math.sqrt(1.0 - s ** (2 * l))
+
+    val, err = quad(smooth, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return 2.0 / math.sqrt(l) * val
+
+
+def scipy_table(l: int) -> QuasiTrigTable:
+    """The reference for ``quasitrig.table``: its previous text, with
+    scipy's DOP853 and :func:`scipy_period`."""
+    from scipy.integrate import solve_ivp
+
+    l = int(l)
+    T = scipy_period(l)
+    m = 2 * l - 1
+
+    def rhs(_, y):
+        return [-y[1], y[0] ** m]
+
+    nodes = np.linspace(0.0, T, _NODES + 1)
+    sol = solve_ivp(
+        rhs,
+        (0.0, T),
+        [1.0, 0.0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-14,
+        dense_output=True,
+    )
+    vals = sol.sol(nodes)
+    cs = np.ascontiguousarray(vals[0])
+    sn = np.ascontiguousarray(vals[1])
+    # pin the endpoints to the exact periodic values
+    cs[-1], sn[-1] = 1.0, 0.0
+    return QuasiTrigTable(l, T, cs, sn)

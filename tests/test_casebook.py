@@ -466,7 +466,7 @@ def _center_flow_outcome(run, cdef, plan):
 def test_batched_center_flow_matches_per_sample_run(p, m, monkeypatch):
     cdef = get_case("fhn").definition({"m": m, "p": p})
     plan = cdef.runs[0]
-    # both runs solve the same series; solve it once (2.7 s at p = 1/10, m = 1)
+    # both runs solve the same series; solve it once
     series = center_manifold_series_1d(cdef.chart, plan.center_degree)
     for module in (casebook, oracles):
         monkeypatch.setattr(module, "center_manifold_series_1d", lambda *_: series)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from horizon import casebook
 from horizon.casebook import equilibrium_search, get_case
 from horizon.cli import _parse_number, parse_spec_file
 from horizon.compactify import (
@@ -36,6 +37,8 @@ from horizon.localanalysis import (
     _norm,
     _needs_nonnegative,
     _solve,
+    _substitute_series,
+    _truncate,
     center_manifold_series_1d,
     classify,
     cm_flow_asymptotics,
@@ -46,7 +49,11 @@ from horizon.localanalysis import (
 )
 from horizon.quasitrig import table
 from horizon.structure import TypeVector
-from oracles import h_coefficient
+from oracles import (
+    fraction_substitute_series,
+    h_coefficient,
+    picard_center_manifold_series_1d,
+)
 
 
 def gp(text, vars):
@@ -234,8 +241,6 @@ class TestCenterManifold:
 
 
 def _invariance_residual(C, series):
-    from horizon.localanalysis import _substitute_series, _truncate
-
     cvar, svar = series.center_var, series.stable_var
     Fc = C.components[list(C.vars).index(cvar)]
     Fs = C.components[list(C.vars).index(svar)]
@@ -243,6 +248,83 @@ def _invariance_residual(C, series):
     lhs = h.partial(cvar) * _substitute_series(Fc, cvar, svar, h, series.degree)
     rhs = _substitute_series(Fs, cvar, svar, h, series.degree)
     return _truncate(lhs - rhs, series.degree)
+
+
+def _series_bits(series):
+    """Every field of a CenterSeries, with each coefficient's type."""
+    def terms(p):
+        return [(ev, type(c), c) for ev, c in p.terms]
+
+    return (series.center_var, series.stable_var, terms(series.coefficients),
+            terms(series.reduced_flow), series.d, type(series.c_d), series.c_d,
+            series.degree, series.exact)
+
+
+def _solve_both(C, degree):
+    out = []
+    for solve in (center_manifold_series_1d, picard_center_manifold_series_1d):
+        try:
+            out.append(_series_bits(solve(C, degree)))
+        except DegenerateBeyondDegreeError as err:
+            out.append(("degenerate", _series_bits(err.series)))
+    return out
+
+
+def _wave_chart():
+    vars = ("phi", "psi")
+    N, a = 2 + F(1, 2), F(1, 4)
+    fN = GenPoly(vars, {(N, F(0)): -a, (N + 1, F(0)): 1 + a, (N + 2, F(0)): -1})
+    return base_field(vars, [gp("psi", vars), gp("-psi", vars) - fN],
+                      positive=("phi",), name="fhn")
+
+
+_CM_CHARTS = {
+    "quench-alpha1": (lambda: quench_chart(1, 1), 6),
+    "quench-alpha1-float-c": (lambda: quench_chart(1, 0.7), 6),
+    "quench-case": (lambda: get_case("quench").definition({"alpha": 1}).chart, 6),
+    "parabola": (lambda: base_field(
+        ("x1", "x2"), [gp("-x1^3 + x1*x2", ("x1", "x2")), gp("-x2 + x1^2", ("x1", "x2"))],
+        name="parabola"), 6),
+    "wave": (_wave_chart, 5),
+    "toy": (lambda: base_field(
+        ("x", "y"), [gp("-x^3 + x*y", ("x", "y")), gp("-2*y + 5*x^2", ("x", "y"))],
+        name="toy"), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CM_CHARTS))
+def test_order_by_order_series_matches_picard_map(name):
+    build, degree = _CM_CHARTS[name]
+    ours, ref = _solve_both(build(), degree)
+    assert ours == ref
+
+
+@pytest.mark.parametrize("a,c", [(F(1, 4), F(1)), (0.3, 0.7)], ids=["exact", "float"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [F(1, 10), F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
+def test_order_by_order_series_matches_picard_map_fhn(p, m, a, c):
+    # the builder itself, since a case definition turns float parameters
+    # into Fractions
+    cdef = casebook._build_fhn(m, p, a, c)
+    chart, degree = cdef.chart, cdef.runs[0].center_degree
+    ours, ref = _solve_both(chart, degree)
+    assert ours == ref
+    assert ours[-1] is isinstance(a, F)  # CenterSeries.exact
+    # the center-flow run restricts the time chain, the field and the
+    # observables to the manifold at degree + 4, and the reduced flow is
+    # the field's center component restricted at the degree
+    series = center_manifold_series_1d(chart, degree)
+    h, cvar, svar = series.coefficients, series.center_var, series.stable_var
+    chain = GenPoly.const(chart.poly_vars, 1)
+    for f in chart.time_chain:
+        chain = chain * f
+    polys = [chain, *chart.components, *(obs.expr for obs in cdef.runs[0].observables)]
+    for poly in polys:
+        for deg in (series.degree, series.degree + 4):
+            ours = _substitute_series(poly, cvar, svar, h, deg)
+            ref = fraction_substitute_series(poly, cvar, svar, h, deg)
+            assert [(ev, type(c), c) for ev, c in ours.terms] == [
+                (ev, type(c), c) for ev, c in ref.terms]
 
 
 class TestCmAsymptotics:

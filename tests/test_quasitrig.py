@@ -9,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
-from horizon.quasitrig import cssn, period, table
+from horizon import _dop853_qags, quasitrig
+from horizon.quasitrig import _period_integrand, cssn, period, table
+from oracles import scipy_period, scipy_table
 
 
 def test_initial_values():
@@ -104,24 +106,96 @@ def test_period_against_first_return_oracle():
     assert abs(T_ode - T_quad) <= 1e-7 * T_quad
 
 
+@pytest.mark.parametrize("l", range(1, 9))
+def test_table_matches_scipy_dop853_bit_for_bit(l):
+    ours, ref = table(l), scipy_table(l)
+    assert ours.T == ref.T
+    assert ours.cs.tobytes() == ref.cs.tobytes()
+    assert ours.sn.tobytes() == ref.sn.tobytes()
+
+
+def test_period_matches_scipy_quadpack_bit_for_bit():
+    for l in range(1, 129):
+        assert period(l).hex() == scipy_period(l).hex(), l
+        if l == 1:
+            continue  # 2 pi, no quadrature
+        f = _period_integrand(l)
+        val, err, neval, ier, last = _dop853_qags.qags(f, 0.0, 1.0, 1e-14, 1e-12, 200)
+        ref_val, ref_err, info = quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12,
+                                      limit=200, full_output=1)
+        assert ier == 0
+        assert (val.hex(), err.hex(), neval, last) == (
+            ref_val.hex(), ref_err.hex(), info["neval"], info["last"]), l
+
+
+def test_period_pinned():
+    # a scipy release that changes its own routines fails only the oracle
+    # comparisons above, not these
+    assert period(2).hex() == "0x1.daa4a35759e98p+2"
+    assert period(4).hex() == "0x1.29e133e740476p+3"
+    assert period(6).hex() == "0x1.5c5ca58fae230p+3"
+
+
+def test_period_refuses_a_failed_quadrature(monkeypatch):
+    monkeypatch.setattr(quasitrig, "qags", lambda *args: (1.0, 0.5, 105, 1, 3))
+    with pytest.raises(ValueError, match="ier=1"):
+        period(3)
+
+
+def _log_over_sqrt(x):
+    return math.log(x) / math.sqrt(x)
+
+
+@pytest.mark.parametrize("f,a,b,epsabs,epsrel,limit,ier", [
+    # the epsilon-algorithm extrapolation (dqelg) at an endpoint singularity
+    (_log_over_sqrt, 0.0, 1.0, 1.49e-8, 1.49e-8, 50, 0),
+    (_log_over_sqrt, 0.0, 1.0, 1e-14, 1e-12, 200, 0),
+    (lambda x: x ** -0.9, 0.0, 1.0, 1e-10, 0.0, 200, 0),
+    # the subdivision limit
+    (_log_over_sqrt, 0.0, 1.0, 1.49e-8, 1.49e-8, 3, 1),
+    (_log_over_sqrt, 0.0, 1.0, 1.49e-8, 1.49e-8, 1, 1),
+    (lambda x: math.sin(30 * x) / (x + 1e-3), 0.0, 2.0, 1e-14, 1e-12, 10, 1),
+    # smooth, and a kink
+    (lambda x: math.exp(-x * x), -3.0, 5.0, 1e-14, 1e-12, 200, 0),
+    (lambda x: abs(x - 0.3), 0.0, 1.0, 1e-14, 1e-12, 200, 0),
+])
+def test_qags_matches_scipy_quad(f, a, b, epsabs, epsrel, limit, ier, monkeypatch):
+    calls = []
+    qelg = _dop853_qags._qelg
+    monkeypatch.setattr(_dop853_qags, "_qelg", lambda *args: calls.append(1) or qelg(*args))
+    val, err, neval, got_ier, last = _dop853_qags.qags(f, a, b, epsabs, epsrel, limit)
+    ref = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    info = ref[2]
+    assert (val.hex(), err.hex(), neval, last) == (
+        ref[0].hex(), ref[1].hex(), info["neval"], info["last"])
+    assert got_ier == ier
+    if ier == 0:
+        assert len(ref) == 3
+    else:
+        assert "maximum number of subdivisions" in ref[3]
+    if f is _log_over_sqrt and limit > 3:
+        assert calls, "dqelg was not reached"
+
+
 _COLD_PATH = """
 import json, sys
 import horizon.cli
 from horizon import casebook, quasitrig
 casebook.run_case("iy")
 casebook.run_case("andrews2")
-polynomial = "scipy" in sys.modules
 casebook.get_case("lienard").definition({"n": 3})
 tab = quasitrig.table(4)
+casebook.run_case("lienard", {"n": 1})
 resid = max(abs(c**8 + 4 * s * s - 1.0) for c, s in zip(tab.cs, tab.sn))
-print(json.dumps({"polynomial": polynomial, "lienard": "scipy" in sys.modules,
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "resid": resid}))
 """
 
 
-def test_scipy_loaded_only_for_quasipolar_charts():
-    """Polynomial-chart runs never import scipy; a quasi-polar chart does,
-    on its first table or period, and its table is still correct."""
+def test_no_run_imports_scipy():
+    """Neither polynomial-chart nor quasi-polar runs import scipy: the
+    lienard definition, its table and a whole lienard run, and the table
+    is still correct."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_PATH], capture_output=True, text=True,
@@ -129,6 +203,5 @@ def test_scipy_loaded_only_for_quasipolar_charts():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["polynomial"] is False
-    assert out["lienard"] is True
+    assert out["scipy"] == []
     assert out["resid"] <= 1e-10  # DOP853 at rtol 1e-13 over one period
