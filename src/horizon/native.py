@@ -30,13 +30,28 @@ CPython's float rules are reproduced where Python raises or differs from C:
   base to an integral power is ``-pow(-x, y)`` for odd y, and libm's
   ``pow`` with the ``errno``/``ERANGE`` adjustment (underflow to 0 clears
   it, an infinite result sets it) raises ``OverflowError``.  A negative
-  base to a fractional power, a complex number in Python, is refused.
+  base to a fractional power, a complex number in Python (or an
+  ``OverflowError``), is refused.
+* Each branch of ``float_pow`` that depends on the exponent alone is
+  decided when the loop is translated if the exponent is a literal (a
+  float or int constant, a global number, or the negation of one; every
+  exponent of a generated loop is): whether it is 0, NaN or infinite,
+  fractional, or an even or an odd integer.  ``py_pow`` takes that kind
+  and still tests the base in CPython's order (NaN, infinite, zero,
+  negative, 1.0); for any other exponent it decides the kind itself.
+* ``errno`` is read only where it can be set: C99 (7.12.1) sets
+  ``ERANGE`` only with an infinite result or one that underflows, whose
+  magnitude is then at most ``DBL_MIN``.  So a result above ``DBL_MIN``
+  and below ``HUGE_VAL`` is returned as it is, and any other repeats the
+  call with ``errno`` zeroed and applies CPython's adjustment.
 * ``_fpow`` (:func:`horizon.genpoly._float_pow_nan`) is NaN on a negative
   base and on 0 to a non-positive power, and ``float_pow`` otherwise.
 * ``x % y`` is ``float_rem``: ``fmod`` plus the sign fix (a nonzero
   remainder takes the divisor's sign by adding it, a zero one is ``+-0.0``
   with the divisor's sign); a zero divisor raises ``ZeroDivisionError``.
-* ``x / y`` raises ``ZeroDivisionError`` on a zero divisor.
+* ``x / y`` raises ``ZeroDivisionError`` on a zero divisor.  By a nonzero
+  literal, ``/`` is C's division and ``%`` ``fmod`` and the sign fix:
+  neither can raise, so neither is numbered or tested.
 * ``math.floor`` raises ``ValueError`` on NaN and ``OverflowError`` on an
   infinity; ``math.sqrt`` raises ``ValueError`` below zero.
 * A list subscript wraps negative indices and raises ``IndexError``.
@@ -57,9 +72,9 @@ Compiler flags, besides ``-shared -fPIC`` and ``-lm``:
   (aarch64 always), and CPython rounds the product and the sum apart;
 * ``-fno-builtin-pow``: every power is the libm ``pow`` call CPython makes,
   with its ``errno``, never folded into ``x*x`` or a compile-time value;
-* ``-O1``: on a 2-vCPU x86-64 host it compiled the lienard loop in about
-  half the time ``-O2`` took (0.17 s against 0.34-0.50 s), and the loop ran
-  within 5% of the ``-O2`` speed.
+* ``-O1``: on a 2-vCPU x86-64 host (gcc 12.2) it compiled the lienard n=3
+  loop in 0.32-0.50 s against 0.68-0.80 s at ``-O2`` (alternating runs),
+  and the loop ran within 3% of the ``-O2`` speed.
 
 A translation and its compiled loop are cached per process by the loop
 text and everything the C text depends on besides it: the chunk size, the
@@ -111,6 +126,7 @@ _CMPOPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!="}
 
 _PRELUDE = r"""#include <errno.h>
+#include <float.h>
 #include <math.h>
 
 typedef struct { int kind, site, op; double a, b; } exc_t;
@@ -129,12 +145,9 @@ static double py_div(exc_t *x, int site, double a, double b)
     return b == 0.0 ? fail(x, site, 1, 1, a, b) : a / b;
 }
 
-static double py_mod(exc_t *x, int site, double a, double b)
+static double py_rem(double a, double b)
 {
-    double m;
-    if (b == 0.0)
-        return fail(x, site, 1, 2, a, b);
-    m = fmod(a, b);
+    double m = fmod(a, b);
     if (m) {
         if ((b < 0) != (m < 0))
             m += b;
@@ -144,19 +157,27 @@ static double py_mod(exc_t *x, int site, double a, double b)
     return m;
 }
 
-#define ODD(w) (fmod(fabs(w), 2.0) == 1.0)
+static double py_mod(exc_t *x, int site, double a, double b)
+{
+    return b == 0.0 ? fail(x, site, 1, 2, a, b) : py_rem(a, b);
+}
 
-static double py_pow(exc_t *x, int site, double iv, double iw)
+enum { POW_ANY, POW_ZERO, POW_NAN, POW_INF, POW_FRACTION, POW_EVEN, POW_ODD };
+
+static double py_pow(exc_t *x, int site, double iv, double iw, int k)
 {
     double a = iv, ix;
     int negate = 0;
-    if (iw == 0)
+    if (k == POW_ANY)
+        k = iw == 0 ? POW_ZERO : isnan(iw) ? POW_NAN : isinf(iw) ? POW_INF
+            : iw != floor(iw) ? POW_FRACTION : fmod(fabs(iw), 2.0) == 1.0 ? POW_ODD : POW_EVEN;
+    if (k == POW_ZERO)
         return 1.0;
     if (isnan(iv))
         return iv;
-    if (isnan(iw))
+    if (k == POW_NAN)
         return iv == 1.0 ? 1.0 : iw;
-    if (isinf(iw)) {
+    if (k == POW_INF) {
         iv = fabs(iv);
         if (iv == 1.0)
             return 1.0;
@@ -164,44 +185,45 @@ static double py_pow(exc_t *x, int site, double iv, double iw)
     }
     if (isinf(iv)) {
         if (iw > 0.0)
-            return ODD(iw) ? iv : fabs(iv);
-        return ODD(iw) ? copysign(0.0, iv) : 0.0;
+            return k == POW_ODD ? iv : fabs(iv);
+        return k == POW_ODD ? copysign(0.0, iv) : 0.0;
     }
     if (iv == 0.0) {
         if (iw < 0.0)
             return fail(x, site, 1, 3, a, iw);
-        return ODD(iw) ? iv : 0.0;
+        return k == POW_ODD ? iv : 0.0;
     }
     if (iv < 0.0) {
-        if (iw != floor(iw))
+        if (k == POW_FRACTION)
             return fail(x, site, 5, 3, a, iw);
         iv = -iv;
-        negate = ODD(iw);
+        negate = k == POW_ODD;
     }
     if (iv == 1.0)
         return negate ? -1.0 : 1.0;
-    errno = 0;
     ix = pow(iv, iw);
-    if (errno == 0) {
-        if (ix == HUGE_VAL || ix == -HUGE_VAL)
-            errno = ERANGE;
-    } else if (errno == ERANGE && ix == 0.0) {
+    if (!(ix > DBL_MIN && ix < HUGE_VAL)) {
         errno = 0;
+        ix = pow(iv, iw);
+        if (errno == 0) {
+            if (ix == HUGE_VAL || ix == -HUGE_VAL)
+                errno = ERANGE;
+        } else if (errno == ERANGE && ix == 0.0) {
+            errno = 0;
+        }
+        if (errno)
+            return fail(x, site, errno == ERANGE ? 2 : 3, 3, a, iw);
     }
-    if (negate)
-        ix = -ix;
-    if (errno)
-        return fail(x, site, errno == ERANGE ? 2 : 3, 3, a, iw);
-    return ix;
+    return negate ? -ix : ix;
 }
 
-static double py_fpow(exc_t *x, int site, double b, double e)
+static double py_fpow(exc_t *x, int site, double b, double e, int k)
 {
     if (b < 0.0)
         return py_nan.d;
     if (b == 0.0)
         return e > 0 ? 0.0 : py_nan.d;
-    return py_pow(x, site, b, e);
+    return py_pow(x, site, b, e, k);
 }
 
 static double py_floor(exc_t *x, int site, double a)
@@ -278,6 +300,8 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
     state.update(zip(prog.ints, I.tolist()))
     if status == _RAISED:
         kind, op, a, b = exc.tolist()  # Python floats: numpy's own would not raise
+        if kind == 5:  # complex in Python, or an OverflowError that a try may catch
+            raise RuntimeError(f"native loop: {a!r} ** {b!r} has no float result")
         _REPEAT[int(op)](a, b)
         raise RuntimeError(f"native loop: operation {op} on ({a!r}, {b!r}) raised "
                            f"exception kind {kind}, but not in Python")
@@ -420,6 +444,20 @@ def _literal(value) -> str:
     raise NotImplementedError(f"constant {value!r}")
 
 
+def _pow_kind(w: float | None) -> str:
+    """The kind of a literal exponent ``w`` that ``py_pow`` takes (POW_ANY,
+    for no literal, has it decide at run time)."""
+    if w is None:
+        return "POW_ANY"
+    if w == 0.0:
+        return "POW_ZERO"
+    if not math.isfinite(w):
+        return "POW_NAN" if math.isnan(w) else "POW_INF"
+    if not w.is_integer():
+        return "POW_FRACTION"
+    return "POW_ODD" if math.fmod(abs(w), 2.0) == 1.0 else "POW_EVEN"
+
+
 class _Translator:
     """C text of the ``while`` statement of a generated function."""
 
@@ -520,7 +558,12 @@ class _Translator:
             if set(kinds) <= {"f", "i"} and op in _BINOPS:
                 return f"({a} {_BINOPS[op]} {b})"
             if set(kinds) <= {"f", "i"} and op in _CALLS and (kinds[0] == "f" or op is ast.Div):
-                return f"{_CALLS[op]}(&ex, {self._site()}, {a}, {b})"
+                c = self._number(node.right)
+                if op is ast.Pow:
+                    return f"{_CALLS[op]}(&ex, {self._site()}, {a}, {b}, {_pow_kind(c)})"
+                if not c:
+                    return f"{_CALLS[op]}(&ex, {self._site()}, {a}, {b})"
+                return f"({a} / {_literal(c)})" if op is ast.Div else f"py_rem({a}, {b})"
         elif isinstance(node, ast.Compare):
             sides = (node.left, *node.comparators)
             if len(sides) == 2 and type(node.ops[0]) in _CMPOPS and all(
@@ -536,8 +579,24 @@ class _Translator:
             fn = _FUNCS.get(self.ns.get(node.func.id))
             if fn and not node.keywords and all(self._type(a) in ("f", "i") for a in node.args):
                 args = [self.expr(a) for a in node.args]
+                if fn[0] == "py_fpow":
+                    args.append(_pow_kind(self._number(node.args[-1])))
                 return f"{fn[0]}(&ex, {self._site()}, {', '.join(args)})"
         raise NotImplementedError(ast.dump(node))
+
+    def _number(self, node) -> float | None:
+        """The value of an operand the C text prints as a literal (a number,
+        a global number or the negation of one) as a float, else None."""
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            value = self._number(node.operand)
+            return None if value is None else -value
+        if isinstance(node, ast.Constant):
+            value = node.value
+        elif isinstance(node, ast.Name) and node.id not in self.locals:
+            value = self.ns.get(node.id)
+        else:
+            return None
+        return float(value) if _value_type(value) else None
 
     def _site(self) -> int:
         self.sites += 1

@@ -11,8 +11,11 @@ at 0 whatever the threshold.  Each new chart costs one compile, so the
 hypothesis runs are short.
 """
 
+import ast
 import contextlib
 import math
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +27,7 @@ from horizon import dynamics, native
 from horizon.casebook import get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import integrate
-from horizon.genpoly import GenPoly, parse_genpoly
+from horizon.genpoly import GenPoly, _float_pow_nan, parse_genpoly
 from test_fused_stepper import bits
 
 pytestmark = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
@@ -308,6 +311,103 @@ def test_first_exception_python_reaches_decides_the_handler(statement, caught):
     state = {"x": 0.5}
     assert _run(lambda: (native.resume(text, ns, state), state)[1]) == want
     assert (want == 2.0) == (caught == "OverflowError" and "floor" in statement)
+
+
+_EXPONENTS = (2.0, 3.0, 6.0, 7.0, -1.0, -2.0, -3.0, 0.5, 1.5, 2.5, -0.2, -0.14, 0.06, 1e-300,
+              1e300, -1e300, 0.0, -0.0, math.inf, -math.inf)
+_BASES = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0, -2.0, 0.5, -0.5, 5e-324,
+          -5e-324, 1e-160, -1e-160, 1e-200, 1e155, -1e155, 1e200, -1e200, sys.float_info.max,
+          3.0, 0.999999999)
+
+
+def _power_loop(form, literal, caught):
+    """A loop whose one iteration computes ``y = x ** w`` (``form`` "**") or
+    ``y = _fpow(x, w)``, ``w`` the ``j``-th of ``_EXPONENTS`` printed as a
+    literal or the local ``w``; with ``caught`` the power sits in a ``try``
+    whose handler sets ``i = 2``."""
+    def power(w):
+        return f"x ** {w}" if form == "**" else f"_fpow(x, {w})"
+
+    if literal:
+        infinities = {math.inf: "1e999", -math.inf: "-1e999"}
+        lines = [f"if j == {j}:\n    y = {power(infinities.get(w, repr(w)))}"
+                 for j, w in enumerate(_EXPONENTS)]
+    else:
+        lines = [f"y = {power('w')}"]
+    body = "\n".join(lines)
+    if caught:
+        body = "try:\n" + textwrap.indent(body, "    ") + "\nexcept _POW_ERRORS:\n    i = 2"
+    return ("def loop(x, w, j, y, i):\n    while i < 1:\n        i = 1\n"
+            + textwrap.indent(body, "        ") + "\n    return locals()\n")
+
+
+@pytest.mark.parametrize("caught", [False, True], ids=["raises", "caught"])
+@pytest.mark.parametrize("literal", [True, False], ids=["literal", "local"])
+@pytest.mark.parametrize("form", ["**", "_fpow"])
+def test_powers_match_python_on_every_special_value(form, literal, caught):
+    # a literal exponent's kind (zero, infinite, fractional, even, odd) is
+    # decided when the loop is translated and a local one's when it runs;
+    # either way each value or exception is Python's, bit for bit, the
+    # zero, subnormal and infinite results of libm's pow included
+    text = _power_loop(form, literal, caught)
+    ns = {"_fpow": _float_pow_nan, "_POW_ERRORS": dynamics._POW_ERRORS}
+    exec(text, ns)
+
+    def outcome(fn):
+        try:
+            state = fn()
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return bits((state["y"], state["i"]))
+
+    refused = 0
+    for j, w in enumerate(_EXPONENTS + (() if literal else (math.nan,))):
+        for x in _BASES:
+            args = dict(x=x, w=w, j=j, y=0.0, i=0)
+            want = outcome(lambda: ns["loop"](**args))
+            got = outcome(lambda: (native.resume(text, ns, args), args)[1])
+            if form == "**" and -math.inf < x < 0.0 and math.isfinite(w) and w % 1.0:
+                # a negative base to a fractional power: a complex number in
+                # Python, or an OverflowError that the try catches
+                assert got == (RuntimeError, f"native loop: {x!r} ** {w!r} has no float result")
+                refused += 1
+            else:
+                assert got == want, (x, w)
+    assert refused == (0 if form == "_fpow" else 49)
+
+
+def _literal_operand(node, local):
+    """Whether the C text prints ``node`` as a literal: a number, a global
+    name or the negation of one."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _literal_operand(node.operand, local)
+    return isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id not in local
+
+
+@pytest.mark.parametrize("name,params", [
+    ("lienard", {"n": 1}), ("lienard", {"n": 3}), ("lienard", {"n": 5}), ("iy", None),
+], ids=["lienard-n1", "lienard-n3", "lienard-n5", "iy"])
+def test_literal_operands_take_no_generic_helper(monkeypatch, name, params):
+    # every power of these loops has a literal exponent (iy's negative
+    # integer ones among them), whose kind is in the C text; a division or
+    # remainder by a nonzero literal is plain C and cannot raise
+    monkeypatch.setattr(native, "_PROGRAMS", {})
+    args, kw = plan_args(name, params, tau_end=20.0)
+    assert_native_matches_python(monkeypatch, *args, **kw)
+    [(text, programs)] = native._PROGRAMS.items()
+    c = next(iter(programs.values()))[0].c
+    body = c[c.index("int loop("):]
+    fdef = ast.parse(text).body[0]
+    local = {a.arg for a in fdef.args.args} | {
+        n.id for n in ast.walk(fdef) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    [loop] = [s for s in fdef.body if isinstance(s, ast.While)]
+    ops = [n for n in ast.walk(loop) if isinstance(n, ast.BinOp)]
+    powers = [n for n in ops if isinstance(n.op, ast.Pow)]
+    assert powers and all(_literal_operand(n.right, local) for n in powers)
+    assert body.count("py_pow(") == len(powers) and "POW_ANY" not in body
+    for op, helper in ((ast.Div, "py_div("), (ast.Mod, "py_mod(")):
+        generic = [n for n in ops if isinstance(n.op, op) and not _literal_operand(n.right, local)]
+        assert body.count(helper) == len(generic), helper
 
 
 def test_failed_compile_raises_with_the_compiler_message():
