@@ -147,7 +147,7 @@ class CaseSpec:
                 raise ParameterError(f"unknown parameter {k!r} for case {self.name}")
             p[k] = _typed(k, v, self.defaults[k])
         for k, (lo, hi) in self.admissible.items():
-            if not (lo <= float(p[k]) <= hi):
+            if not (lo <= _float(p[k]) <= hi):
                 raise ParameterError(
                     f"parameter {k} = {p[k]} outside admissible range [{lo}, {hi}]"
                 )
@@ -171,7 +171,15 @@ def _typed(name, v, default):
         return int(v)
     if isinstance(default, F):
         return F(repr(v)) if isinstance(v, float) else F(v)
-    return float(v)
+    return _float(v)
+
+
+def _float(v) -> float:
+    """``float(v)``, or the infinity of v's sign past the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 # -- case builders -------------------------------------------------------------

@@ -355,6 +355,10 @@ def parse_spec_file(path: pathlib.Path) -> CaseDefinition:
             raise
         except (ValueError, KeyError) as exc:
             raise ParseError(str(exc), lineno, 1)
+        except OverflowError:  # float() of an exact number
+            raise ParseError("a number is outside the float range", lineno, 1)
+        except ZeroDivisionError:  # Fraction("p/0")
+            raise ParseError("a number has a zero denominator", lineno, 1)
     return st.finish()
 
 
@@ -403,7 +407,9 @@ class _SpecState:
             t = TypeVector.make(self.alpha, self.k)
         for op, params, lineno in self.transforms:
             try:
-                chart = apply_recipe(chart, [_recipe_step(chart, t, op, params)])
+                chart = apply_recipe(chart, [_recipe_step(chart, t, op, params, lineno)])
+            except ParseError:
+                raise
             except KeyError as exc:
                 raise ParseError(f"transform {op}: missing parameter {exc}", lineno, 1)
             except (HorizonError, ValueError) as exc:
@@ -419,8 +425,8 @@ class _SpecState:
                                  lineno, 1)
         pv = chart.poly_vars
         observables = []
-        for name, expr_text, expect, lineno in self.observables:
-            expr = parse_genpoly(expr_text, pv, line=lineno)
+        for name, expr_text, expect, lineno, col0 in self.observables:
+            expr = parse_genpoly(expr_text, pv, line=lineno, col0=col0)
             observables.append(Observable(name, expr, *expect))
         init = []
         for v in chart.vars:
@@ -503,8 +509,9 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     elif head == "transform":
         op, _, params_text = rest.partition(" ")
         if op == "rescale":
-            # a rescale monomial may contain spaces ("2 * x^2 * y")
-            params = {"monomial": params_text.strip()}
+            # a rescale monomial may contain spaces ("2 * x^2 * y") and ends the line
+            mono = params_text.strip()
+            params = {"monomial": mono, "col0": len(line) - len(mono)}
         elif op in _TRANSFORM_KEYS:
             params = _kv(params_text, _TRANSFORM_KEYS[op], f"transform {op}", lineno)
         else:
@@ -541,7 +548,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
                 if not 0.0 <= tol < math.inf:
                     raise ParseError(f"expect {key} = {tol!r} is not finite and "
                                      "nonnegative", lineno, 1)
-        st.observables.append((name, expr_text, expect, lineno))
+        st.observables.append((name, expr_text, expect, lineno, line.find(":") + 1))
     elif head == "kind":
         if rest not in _KINDS:
             raise ParseError(f"unknown kind {rest!r}; expected one of "
@@ -579,9 +586,9 @@ _TRANSFORM_KEYS = {
 }
 
 
-def _recipe_step(chart, t, op, params) -> dict:
-    """Lower one spec ``transform`` line to the provenance step its transform
-    records; :func:`horizon.compactify.apply_recipe` calls that transform."""
+def _recipe_step(chart, t, op, params, lineno) -> dict:
+    """Lower the spec ``transform`` line ``lineno`` to the provenance step its
+    transform records; :func:`horizon.compactify.apply_recipe` calls it."""
     if op in ("directional", "desingularize", "quasipolar") and t is None:
         raise ValueError("needs 'type' and 'order'")
     if op == "directional":
@@ -593,7 +600,8 @@ def _recipe_step(chart, t, op, params) -> dict:
     if op == "rescale":
         if not params["monomial"]:
             raise ValueError("rescale needs a monomial factor")
-        poly = parse_genpoly(params["monomial"], chart.poly_vars)
+        poly = parse_genpoly(params["monomial"], chart.poly_vars, line=lineno,
+                             col0=params["col0"])
         if len(poly.terms) != 1:
             raise ValueError("rescale factor must be a single monomial")
         (ev, c), = poly.terms

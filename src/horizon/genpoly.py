@@ -63,7 +63,8 @@ class GenMonomial:
 class GenPoly:
     """Immutable generalized polynomial over an ordered tuple of variables."""
 
-    __slots__ = ("vars", "terms")
+    # _eval: the compiled evaluator of :meth:`eval`, set on first use
+    __slots__ = ("vars", "terms", "_eval")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[ExponentVec, Coeff] | Iterable):
         object.__setattr__(self, "vars", tuple(vars))
@@ -205,20 +206,40 @@ class GenPoly:
         with a defined sign; fractional exponents require it nonnegative
         (zero is allowed for positive exponents and evaluates to 0).
         Never returns NaN: bad inputs raise DomainError instead.
+
+        The coordinates, as floats, go to a lambda of ``0.0 +`` the
+        :meth:`source` text, compiled on first use and kept on the instance;
+        its negative and fractional powers call :func:`_real_pow`, and an
+        overflowing power raises ``OverflowError``.  (A statement in the text
+        would double its compile time.)
         """
         if len(x) != len(self.vars):
             raise ValueError("point dimension mismatch")
-        total = 0.0
-        for ev, c in self.terms:
-            term = float(c)
-            for xi, e, name in zip(x, ev, self.vars):
-                if e == 0:
-                    continue
-                term *= _real_pow(float(xi), e, name)
-            total += term
-        if math.isnan(total):
+        try:
+            fn = self._eval
+        except AttributeError:
+            fn = self._compile_eval()
+        v = fn(*map(float, x))
+        if v != v:
             raise DomainError("evaluation produced NaN")
-        return total
+        return v
+
+    def _compile_eval(self) -> Callable[..., float]:
+        names = [f"x{i}" for i in range(len(self.vars))]
+        label = dict(zip(names, self.vars))
+
+        def power(name: str, e: Fraction) -> str:
+            if e > 0 and e.denominator == 1:
+                return power_source(name, e)
+            exponent = int(e) if e.denominator == 1 else float(e)
+            return f"_real_pow({name},{exponent!r},{label[name]!r})"
+
+        src = f"lambda {', '.join(names)}: 0.0 + {self.source(names, power)}"
+        # source prints an infinite or NaN float coefficient as inf or nan
+        ns = {"_real_pow": _real_pow, "inf": math.inf, "nan": math.nan}
+        fn = eval(compile(src, f"<genpoly eval:{format_genpoly(self)[:40]}>", "eval"), ns)
+        object.__setattr__(self, "_eval", fn)
+        return fn
 
     # -- structural operations ----------------------------------------------
 
@@ -412,21 +433,16 @@ def power_source(name: str, e: Fraction) -> str:
     return f"_fpow({name},{float(e)!r})"
 
 
-def _real_pow(x: float, e: Fraction, name: str) -> float:
-    if e.denominator == 1:
-        n = int(e)
-        if x == 0.0:
-            if n < 0:
-                raise DomainError(f"negative power of {name}=0")
-            return 0.0
-        return x**n
-    if x < 0.0:
-        raise DomainError(f"fractional power of negative {name}={x}")
+def _real_pow(x: float, e: int | float, name: str) -> float:
+    """``x**e`` for a negative integer ``e`` (an int) or a fractional one (a
+    float), else DomainError naming the variable ``name``."""
     if x == 0.0:
         if e < 0:
             raise DomainError(f"negative power of {name}=0")
         return 0.0
-    return x ** float(e)
+    if x < 0.0 and isinstance(e, float):
+        raise DomainError(f"fractional power of negative {name}={x}")
+    return x**e
 
 
 def _float_pow_nan(x: float, e: float) -> float:
@@ -519,7 +535,14 @@ def _parse_term(vars, sign, take, peek, line):
             break
         take()
         if tk.kind == "num":
-            coeff = coeff * tk.value
+            try:  # every evaluator prints float(coeff)
+                coeff = coeff * tk.value
+                finite = math.isfinite(coeff)
+            except OverflowError:  # an exact coefficient past the float range
+                finite = False
+            if not finite:
+                raise ParseError(f"coefficient is outside the float range at {tk.text!r}",
+                                 line, tk.col)
         elif tk.kind == "name":
             if tk.text not in vars:
                 raise ParseError(f"unknown variable {tk.text!r}", line, tk.col)

@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compactify import CS, SN, ChartField, horizon_slice
+from .compactify import ChartField, horizon_slice
 from .errors import DegenerateBeyondDegreeError, DomainError
 from .genpoly import GenPoly, frac
-from .quasitrig import cssn, period, table
+from .quasitrig import table
 from .rates import RateModel
 from .structure import TypeVector
 
@@ -130,30 +130,6 @@ def _needs_nonnegative(comps: Sequence[GenPoly], v: str) -> bool:
             if e != 0 and (e.denominator != 1 or e < 0):
                 return True
     return False
-
-
-def _float_fn(p: GenPoly):
-    """``p`` as a function of a list of floats that agrees with ``p.eval``
-    bit for bit: the compiled expression sums the same terms in the same
-    order, ``0.0 + value`` gives ``eval``'s sign of zero, and ``DomainError``
-    is raised exactly where ``eval`` raises it (the compiled 0**-n raises
-    ``ZeroDivisionError``, its fractional powers of negatives give NaN)."""
-    f = p.compile()
-
-    def fn(x):
-        try:
-            v = 0.0 + f(*x)
-        except ZeroDivisionError:
-            raise DomainError("negative power of zero") from None
-        except OverflowError:
-            # eval overflows in the same power, unless a domain error
-            # comes first: let it raise its own exception
-            return p.eval(x)
-        if v != v:
-            raise DomainError("evaluation produced NaN")
-        return v
-
-    return fn
 
 
 def _norm(v) -> float:
@@ -264,10 +240,9 @@ def _newton_roots(components, variables, box, seed):
     values, deduplicated, polished to the double :func:`_polish` settles on
     (and snapped again) and sorted.
 
-    The residual and the Jacobian entries are compiled once per search
-    (:func:`_float_fn`) and the iteration runs on Python floats; values,
-    norms and Newton steps are bitwise those of ``GenPoly.eval``, numpy and
-    LAPACK, so the roots are too.
+    The residual and Jacobian are ``GenPoly.eval`` of the components and of
+    their partials, and the iteration runs on Python floats; its norms and
+    Newton steps are bitwise numpy's and LAPACK's, so the roots are too.
     """
     dim = len(variables)
     box = box or {}
@@ -288,14 +263,13 @@ def _newton_roots(components, variables, box, seed):
     ]
     starts.append([0.0] * dim)
 
-    fns = [_float_fn(comp) for comp in components]
-    grads = [[_float_fn(comp.partial(v)) for v in variables] for comp in components]
+    grads = [[comp.partial(v) for v in variables] for comp in components]
 
     def F(x):
-        return [f(x) for f in fns]
+        return [comp.eval(x) for comp in components]
 
     def JF(x):
-        return [[g(x) for g in row] for row in grads]
+        return [[g.eval(x) for g in row] for row in grads]
 
     roots = []
     for x0 in starts:
@@ -415,23 +389,15 @@ def equilibria_of(
 
 def _quasipolar_horizon_equilibria(C: ChartField):
     """Roots of the angular component on {r = 0} over one period."""
-    l = C.quasipolar_index
-    T = period(l)
+    tab = table(C.quasipolar_index)
     ri = C.poly_vars.index(C.radial)
     ang = C.components[C.vars.index(C.angle)]
-    sliced = GenPoly(
-        C.poly_vars,
-        {ev: c for ev, c in ang.terms if ev[ri] == 0},
-    )
+    sliced = GenPoly(C.poly_vars, {ev: c for ev, c in ang.terms if ev[ri] == 0})
 
-    def g(theta):
-        c, s = cssn(theta, l)
-        pt = [0.0] * len(C.poly_vars)
-        pt[C.poly_vars.index(CS)] = c
-        pt[C.poly_vars.index(SN)] = s
-        return sliced.eval(pt)
+    def g(theta):  # the point (r, Cs, Sn) = (0, Cs(theta), Sn(theta))
+        return sliced.eval([0.0, *tab.lookup(theta)])
 
-    thetas = np.linspace(0.0, T, 257)
+    thetas = np.linspace(0.0, tab.T, 257).tolist()
     vals = [g(th) for th in thetas]
     roots = []
     for a, b, va, vb in zip(thetas, thetas[1:], vals, vals[1:]):
@@ -667,10 +633,6 @@ def _substitute_series(p: GenPoly, cvar, svar, h: GenPoly, degree) -> GenPoly:
     for k in sorted({ec + j for ec, es, _ in terms for j in powers[es] if ec + j <= top}):
         _store(out, k, _substituted_at(terms, powers, k))
     return _from_lattice(out, cvar, q)
-
-
-def _truncate(p: GenPoly, degree) -> GenPoly:
-    return GenPoly(p.vars, {ev: c for ev, c in p.terms if ev[0] <= degree})
 
 
 @dataclass(frozen=True)

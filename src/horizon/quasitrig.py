@@ -140,10 +140,6 @@ class QuasiTrigTable:
             f"{sn} = _w0 * _s0 + _w1 * _ds0 + _w2 * _s1 + _w3 * _ds1",
         ]
 
-    def eval(self, theta: float) -> tuple[float, float]:
-        """(Cs(theta), Sn(theta)) at a number theta."""
-        return self.lookup(float(theta))
-
 
 @lru_cache(maxsize=None)
 def table(l: int) -> QuasiTrigTable:
@@ -167,4 +163,4 @@ def table(l: int) -> QuasiTrigTable:
 
 def cssn(theta, l: int):
     """(Cs(theta), Sn(theta)) of the (1,l) pair at a number theta."""
-    return table(l).eval(theta)
+    return table(l).lookup(float(theta))

@@ -36,6 +36,8 @@ __all__ = [
     "phase_section_sampler",
 ]
 
+MIN_SPAN = 1e3
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -85,11 +87,11 @@ class RateVerdict:
         )
 
 
-def fit_rate(s, y, *, min_samples: int = 50, min_span: float = 1e3) -> FitResult:
+def fit_rate(s, y, *, min_samples: int = 50) -> FitResult:
     """Fit log y = -rho log s + q log log(1/s) + log C.
 
     Requires at least ``min_samples`` positive samples with s spanning at
-    least ``min_span`` multiplicatively and s < 1 throughout (so log 1/s is
+    least ``MIN_SPAN`` multiplicatively and s < 1 throughout (so log 1/s is
     positive).  Emits CollinearityWarning and pins q = 0 when the log-log
     regressor spans less than 0.5.
     """
@@ -102,8 +104,8 @@ def fit_rate(s, y, *, min_samples: int = 50, min_span: float = 1e3) -> FitResult
     if s.max() >= 1.0:
         raise InsufficientSpanError("samples with s >= 1 cannot carry the log-log model")
     span = s.max() / s.min()
-    if span < min_span:
-        raise InsufficientSpanError(f"s spans only {span:.3g} (need {min_span:g})")
+    if span < MIN_SPAN:
+        raise InsufficientSpanError(f"s spans only {span:.3g} (need {MIN_SPAN:g})")
 
     logs = np.log(s)
     loglog = np.log(-logs)

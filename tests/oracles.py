@@ -1,5 +1,7 @@
 """What the tests read off charts and center-manifold series, and no run needs.
 
+:func:`interpreted_eval` is the per-term interpreter of ``GenPoly.eval``,
+the reference for its compiled text.
 :func:`inverse_transform` and :func:`forward_point` evaluate a chart's
 recorded monomial inverse (``ChartField.inverse``) both ways: the tests'
 oracle for where a chart point sits in the base system.
@@ -27,13 +29,51 @@ from horizon.localanalysis import (
     CenterSeries,
     _invert_coeff,
     _substitute_series,
-    _truncate,
     center_manifold_series_1d,
     classify,
     jacobian,
 )
 from horizon.quasitrig import _NODES, QuasiTrigTable
 from horizon.rates import fit_rate
+
+
+def interpreted_eval(p: GenPoly, x: Sequence[float]) -> float:
+    """The reference for ``GenPoly.eval``: its previous text, which walks
+    the terms and powers one at a time with :func:`_real_pow`."""
+    if len(x) != len(p.vars):
+        raise ValueError("point dimension mismatch")
+    total = 0.0
+    for ev, c in p.terms:
+        term = float(c)
+        for xi, e, name in zip(x, ev, p.vars):
+            if e == 0:
+                continue
+            term *= _real_pow(float(xi), e, name)
+        total += term
+    if math.isnan(total):
+        raise DomainError("evaluation produced NaN")
+    return total
+
+
+def _real_pow(x: float, e: Fraction, name: str) -> float:
+    if e.denominator == 1:
+        n = int(e)
+        if x == 0.0:
+            if n < 0:
+                raise DomainError(f"negative power of {name}=0")
+            return 0.0
+        return x**n
+    if x < 0.0:
+        raise DomainError(f"fractional power of negative {name}={x}")
+    if x == 0.0:
+        if e < 0:
+            raise DomainError(f"negative power of {name}=0")
+        return 0.0
+    return x ** float(e)
+
+
+def _truncate(p: GenPoly, degree) -> GenPoly:
+    return GenPoly(p.vars, {ev: c for ev, c in p.terms if ev[0] <= degree})
 
 
 def inverse_transform(C: ChartField, state: Sequence[float]) -> dict[str, float]:

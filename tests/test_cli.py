@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,7 @@ from horizon.casebook import get_case
 from horizon.cli import _write_report, main, parse_spec_file
 from horizon.compactify import apply_recipe
 from horizon.dynamics import integrate
-from horizon.errors import ParseError
+from horizon.errors import ParameterError, ParseError
 from horizon.genpoly import parse_genpoly
 from test_dynamics import assert_npz_is_trajectory
 
@@ -320,6 +321,63 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("equilibrium 0 1\n", "equilibrium 0 1e400\n", "a number is outside the float range"),
+        ("equilibrium 0 1\n", "equilibrium 0 1/0\n", "a number has a zero denominator"),
+        ("q=0 tol-rho", "q=1e400 tol-rho", "a number is outside the float range"),
+    ], ids=["equilibrium-1e400", "equilibrium-1/0", "expect-q-1e400"])
+    def test_spec_number_past_float_range_is_2(self, tmp_path, capsys, monkeypatch, old, new,
+                                               message):
+        # float(Fraction(...)) raised OverflowError or ZeroDivisionError out
+        # of the parser: a traceback and exit 1
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "iy.spec").read_text()
+        assert old in text
+        text = text.replace(old, new)
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if new.strip() in ln)
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"parse error: line {line} col 1: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,old,new", [
+        ("iy.spec", "field v1 : 1/2 * v1^3", "field v1 : 1e400 * v1^3"),
+        ("iy.spec", "observable v0 : r^(-1)", "observable v0 : 1e400 * r^(-1)"),
+        ("aiu.spec", "transform rescale u0^2", "transform rescale 1e400 * u0^2"),
+    ], ids=["field", "observable", "rescale"])
+    def test_coefficient_past_float_range_is_2_at_its_column(self, tmp_path, capsys,
+                                                            monkeypatch, spec, old, new):
+        # the coefficient was inf: the field and the observable ended as
+        # ERROR reports (NameError: name 'inf' is not defined, OverflowError)
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / spec).read_text()
+        assert old in text
+        text = text.replace(old, new)
+        line, col = next((i, ln.index("1e400") + 1)
+                         for i, ln in enumerate(text.splitlines(), 1) if new in ln)
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"parse error: line {line} col {col}: coefficient is outside the float range "
+                "at '1e400'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,param", [
+        ("lienard", "n=1" + "0" * 400),
+        ("iy", "a=1" + "0" * 400 + "/3"),
+        ("andrews1", "a=-1" + "0" * 400),
+    ], ids=["lienard-int", "iy-fraction", "andrews1-float"])
+    def test_param_past_float_range_is_2(self, tmp_path, capsys, monkeypatch, case, param):
+        # float(p[k]) raised OverflowError in the range check: exit 1
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        rc = main(["sweep", case, "--param", param, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "outside admissible range" in capsys.readouterr().err
+        # every finite value keeps its decision on the float range check
+        spec = get_case("iy")
+        for a in (0.01, 0.99, F(99, 100), F(1, 100)):
+            assert spec.check({"a": a})["a"] == (F(repr(a)) if isinstance(a, float) else a)
+        for a in (0.0099, 1, F(991, 1000)):
+            with pytest.raises(ParameterError, match="outside admissible range"):
+                spec.check({"a": a})
 
     @pytest.mark.parametrize("old,new,message", [
         ("var v1 positive", "var v1 positive\nvar v1", "variable 'v1' declared twice"),

@@ -1,6 +1,7 @@
 """Exact generalized-polynomial algebra."""
 
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,34 @@ class TestEval:
             q.eval([0.0])
         # zero base under a positive fractional power is the continuous limit
         assert p.eval([0.0]) == 0.0
+
+    def test_compiled_once_and_kept_on_the_instance(self, monkeypatch):
+        p = gp("2 * x^(-1) * y^(3/2) - x^2", ("x", "y"))
+        assert p.eval([2.0, 4.0]) == 2 * 0.5 * 8.0 - 4.0
+        monkeypatch.setattr(GenPoly, "_compile_eval", lambda self: pytest.fail("compiled again"))
+        assert p.eval([1.0, 0.0]) == -1.0
+        with pytest.raises(DomainError, match=r"^fractional power of negative y=-1.0$"):
+            p.eval([1.0, -1.0])
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            p.eval([1.0])
+        # the evaluator takes no part in equality, hashing or pickling
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        monkeypatch.undo()
+        assert q.eval([2.0, 4.0]) == 4.0
+
+    def test_coefficient_past_float_range_is_parse_error(self):
+        # the coefficient was inf, which the evaluators print as the name inf
+        with pytest.raises(ParseError, match=r"^line 1 col 7: coefficient is outside the "
+                                             r"float range at '1e400'$"):
+            gp("x + 2*1e400 * x^2", ("x",))
+        with pytest.raises(ParseError, match=r"^line 1 col 10: .* at '1e200'$"):
+            gp("-1e200 * 1e200 * x", ("x",))
+        # an exact integer past the float range, and one inside it times a decimal
+        for text, col in ((f"x - 1{'0' * 400} * x^2", 5), (f"1{'0' * 300} * 1e300 * x", 305)):
+            with pytest.raises(ParseError, match=rf"^line 1 col {col}: coefficient is outside"):
+                gp(text, ("x",))
+        assert gp("1e-400 * x + x", ("x",)) == gp("x", ("x",))
 
     def test_never_nan(self):
         p = gp("x^(1/2) - x^(1/2)", ("x",))

@@ -32,13 +32,11 @@ from horizon.localanalysis import (
     NEWTON_TOL,
     _binomial_roots,
     _equilibrium_record,
-    _float_fn,
     _nearest_root,
     _norm,
     _needs_nonnegative,
     _solve,
     _substitute_series,
-    _truncate,
     center_manifold_series_1d,
     classify,
     cm_flow_asymptotics,
@@ -50,8 +48,10 @@ from horizon.localanalysis import (
 from horizon.quasitrig import table
 from horizon.structure import TypeVector
 from oracles import (
+    _truncate,
     fraction_substitute_series,
     h_coefficient,
+    interpreted_eval,
     picard_center_manifold_series_1d,
 )
 
@@ -792,17 +792,18 @@ def float_polys(draw):
 
 POINT_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-160, -1e-160,
-                     1e154, -1e154, 1e300, -1e300, 1e-300, 1.7e308, -1.7e308]),
+                     1e154, -1e154, 1e300, -1e300, 1e-300, 1.7e308, -1.7e308,
+                     math.inf, -math.inf, math.nan]),
     st.floats(-4.0, 4.0),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
 )
 
 
 def _outcome(f, x):
     try:
         return hexed(f(x))
-    except Exception as exc:  # noqa: BLE001 - the exception type is compared
-        return type(exc)
+    except Exception as exc:  # noqa: BLE001 - the exception is compared
+        return type(exc), str(exc)
 
 
 @settings(max_examples=400, deadline=None)
@@ -812,9 +813,14 @@ def _outcome(f, x):
 @example(GenPoly(("x", "y"), {(F(-1, 2), F(0)): 1, (F(2), F(0)): 1}), (-1.0, 0.0))
 @example(GenPoly(("x", "y"), {(F(1, 2), F(0)): 1, (F(0), F(3)): 1}), (-1.0, 1e300))
 @example(GenPoly(("x", "y"), {(F(0), F(-2)): 1}), (1.0, 0.0))
-def test_compiled_residual_matches_eval(p, x):
+@example(GenPoly(("x", "y"), {(F(-1), F(0)): 1, (F(1, 2), F(1)): -2}), (math.inf, -math.inf))
+@example(GenPoly(("x", "y"), {(F(3, 2), F(0)): 1, (F(0), F(2)): 1}), (-math.inf, math.nan))
+@example(GenPoly(("x", "y"), {(F(2), F(-1)): 0.7}), (math.nan, 0.0))
+def test_eval_matches_interpreter(p, x):
+    # the compiled evaluator against the per-term interpreter: the value
+    # bits, or the exception's type and message
     x = list(x)
-    assert _outcome(_float_fn(p), x) == _outcome(p.eval, x)
+    assert _outcome(p.eval, x) == _outcome(lambda pt: interpreted_eval(p, pt), x)
 
 
 # theta of the horizon equilibria of the quasi-polar charts of

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import test_dynamics
+from horizon import rates
 from horizon.dynamics import accumulate_time, integrate
 from horizon.errors import CollinearityWarning, InsufficientSpanError
 from horizon.rates import RateModel, compare_rate, fit_rate, phase_section_sampler
@@ -39,12 +40,13 @@ class TestFitRate:
         fit = fit_rate(s, y)
         assert fit.rho == pytest.approx(-4 / 7, abs=1e-3)
 
-    def test_window_halving_stability(self):
+    def test_window_halving_stability(self, monkeypatch):
         s, y = synthetic(1.0, 0.5)
         fit = fit_rate(s, y)
         mid = math.sqrt(s.min() * s.max())
         inner = s <= mid
-        fit2 = fit_rate(s[inner], y[inner], min_span=10.0)
+        monkeypatch.setattr(rates, "MIN_SPAN", 10.0)
+        fit2 = fit_rate(s[inner], y[inner])
         assert abs(fit2.rho - fit.rho) <= 2e-2
 
     def test_insufficient_span(self):
@@ -61,7 +63,7 @@ class TestFitRate:
         s = np.geomspace(1e-30, 1e-26, 120)
         y = 2.0 * s**-0.5
         with pytest.warns(CollinearityWarning):
-            fit = fit_rate(s, y, min_span=1e3)
+            fit = fit_rate(s, y)
         assert fit.collinear_q
         assert fit.q == 0.0
         assert fit.rho == pytest.approx(0.5, abs=1e-3)
@@ -89,7 +91,7 @@ class TestCompareRate:
     def test_pinned_q_is_reported_as_pinned(self):
         s = np.geomspace(1e-30, 1e-26, 120)
         with pytest.warns(CollinearityWarning):
-            fit = fit_rate(s, 2.0 * s**-0.5, min_span=1e3)
+            fit = fit_rate(s, 2.0 * s**-0.5)
         v = compare_rate(fit, RateModel(0.5, 0.0), 0.05, 0.1)
         assert v.passed
         assert "q pinned to 0 (not fitted) vs +0.0000 (|d|=0.0000 <= 0.1)" in v.line("y")
@@ -107,7 +109,7 @@ class TestCompareRate:
 
 
 class TestPhaseSectionSampler:
-    def test_rotationally_symmetric_decay(self):
+    def test_rotationally_symmetric_decay(self, monkeypatch):
         # the l = 1 quasi-polar chart of (x^2 + y^2)(x - y, x + y): r' = -r,
         # theta' = 1 and dt/dtau = r^2, so t_max - t = r^2 / 2 = e^(-2 tau) / 2
         C = test_dynamics.spiral_chart("x^3 - x^2*y + x*y^2 - y^3",
@@ -126,5 +128,6 @@ class TestPhaseSectionSampler:
         suffix = np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
         per_mark = [suffix[m[-2]] - m[-1] + est.tail for m in traj.sections]
         assert s.tobytes() == np.asarray(per_mark).tobytes()
-        fit = fit_rate(s[:-2], 1.0 / r[:-2], min_span=10.0, min_samples=5)
+        monkeypatch.setattr(rates, "MIN_SPAN", 10.0)
+        fit = fit_rate(s[:-2], 1.0 / r[:-2], min_samples=5)
         assert fit.rho == pytest.approx(0.5, abs=1e-3)
