@@ -61,8 +61,8 @@ a key not listed for its transform is a parse error:
 on the field they transform: it has one entry per variable, no term
 ``c x^e`` of the field of ``x_j`` has weighted degree ``<alpha, e>`` above
 ``k + alpha_j`` (``k`` is ``order``), and some term reaches it.  A
-``quasipolar`` type is ``1 <m>``.  A failed certificate is a parse error at
-that line.
+``quasipolar`` type is ``1 <m>``.  A failed certificate, or a float
+coefficient the transform overflows, is a parse error at that line.
 
 A ``rescale`` monomial is certified positive by a positive coefficient and
 every variable in it declared ``positive`` (or the chart's radial

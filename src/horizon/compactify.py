@@ -38,7 +38,9 @@ time) = phi, so components are multiplied by phi and phi joins the chain.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -117,6 +119,11 @@ class ChartField:
     angle: str | None = None
     inverse: tuple[tuple[str, GenMonomial], ...] = ()  # base var -> monomial over poly_vars
 
+    def __post_init__(self):  # chart algebra can overflow a float coefficient
+        for p in self.components + self.time_chain:
+            if not all(abs(c) < math.inf for _, c in p.terms):
+                raise ValueError(f"coefficient outside the float range in {format_genpoly(p)}")
+
     @property
     def poly_vars(self) -> tuple[str, ...]:
         """Variables the component polynomials range over (adds Cs/Sn symbols
@@ -124,6 +131,20 @@ class ChartField:
         if self.quasipolar_index is None:
             return self.vars
         return tuple(v for v in self.vars if v != self.angle) + (CS, SN)
+
+    @cached_property
+    def jacobian(self) -> tuple[tuple[GenPoly, ...], ...]:
+        """Entry (i, j) is d(component i)/d(state variable j) over ``poly_vars``,
+        built once.  A quasi-polar angle column is -Sn dP/dCs + Cs^(2l-1) dP/dSn,
+        exact by Cs' = -Sn and Sn' = Cs^(2l-1) (l = ``quasipolar_index``)."""
+        def d(c, v):
+            if v != self.angle:
+                return c.partial(v)
+            pv, l = self.poly_vars, self.quasipolar_index
+            return (GenPoly.var(pv, SN, 1, -1) * c.partial(CS)
+                    + GenPoly.var(pv, CS, 2 * l - 1) * c.partial(SN))
+
+        return tuple(tuple(d(c, v) for v in self.vars) for c in self.components)
 
     # -- evaluation --------------------------------------------------------
 

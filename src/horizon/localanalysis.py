@@ -1,10 +1,10 @@
 """Local analysis at horizon equilibria.
 
-Root finding on the horizon slice, Jacobians and the four-way classification
-(hyperbolic / semi-hyperbolic / nilpotent / linearly-zero), one-dimensional
-center-manifold series with the decay law of the reduced flow, type-I rate
-prediction from the scaling type, and the periodic-orbit coefficients
-(Poincare-map expansion) for the quasi-polar charts.
+Root finding on the horizon slice, the four-way classification of the exact
+chart Jacobian (hyperbolic / semi-hyperbolic / nilpotent / linearly-zero),
+one-dimensional center-manifold series with the decay law of the reduced
+flow, type-I rate prediction from the scaling type, and the periodic-orbit
+coefficients (Poincare-map expansion) for the quasi-polar charts.
 
 Classification tolerance is relative, |lambda| <= 1e-9 * (1 + ||J||_inf), so
 it is stable under chart rescaling.  A stationary point at infinity with at
@@ -37,7 +37,6 @@ __all__ = [
     "horizon_equilibria",
     "equilibria_of",
     "classify",
-    "jacobian",
     "center_manifold_series_1d",
     "cm_flow_asymptotics",
     "type1_rate_prediction",
@@ -77,14 +76,6 @@ class EquilibriumRecord:
             "n_unstable": self.n_unstable,
             "n_center": self.n_center,
         }
-
-
-def jacobian(components: Sequence[GenPoly], vars: Sequence[str], point) -> np.ndarray:
-    J = np.empty((len(components), len(vars)))
-    for i, comp in enumerate(components):
-        for j, v in enumerate(vars):
-            J[i, j] = comp.partial(v).eval(point)
-    return J
 
 
 def classify(J: np.ndarray):
@@ -325,13 +316,9 @@ def _nearest_root(R: Fraction, n: int, m: int) -> float:
 
 
 def _equilibrium_record(C: ChartField, coords) -> EquilibriumRecord:
-    """Full-space Jacobian and classification of ``C`` at an equilibrium."""
-    if C.quasipolar_index is not None:
-        # classification is not meaningful through Cs/Sn symbols: use a
-        # numerical Jacobian in (r, theta)
-        J = _quasipolar_numeric_jacobian(C, *coords)
-    else:
-        J = jacobian(C.components, C.poly_vars, coords)
+    """``C.jacobian`` and its classification at an equilibrium of ``C``."""
+    pt = C.state_to_poly_point(coords)
+    J = np.array([[g.eval(pt) for g in row] for row in C.jacobian])
     label, ns, nu, nc, eig = classify(J)
     return EquilibriumRecord(
         chart_desc="->".join(s.op for s in C.provenance),
@@ -420,18 +407,6 @@ def _quasipolar_horizon_equilibria(C: ChartField):
     return [_equilibrium_record(C, (0.0, th)) for th in uniq]
 
 
-def _quasipolar_numeric_jacobian(C: ChartField, r, th, h=1e-7):
-    def f(state):
-        return np.array(C.eval_components(state))
-
-    J = np.empty((2, 2))
-    for j, (dr, dth) in enumerate(((h, 0.0), (0.0, h))):
-        hi = f([r + dr, th + dth])
-        lo = f([r - dr, th - dth])
-        J[:, j] = (hi - lo) / (2 * h)
-    return J
-
-
 # -- center manifolds ---------------------------------------------------------
 
 
@@ -460,7 +435,7 @@ def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
         raise ValueError("center-manifold series needs a planar chart")
     degree = frac(degree)
     comps, vars = C.components, C.vars
-    J = jacobian(comps, vars, [0.0, 0.0])
+    J = np.array([[g.eval([0.0, 0.0]) for g in row] for row in C.jacobian])
     label, *_ = classify(J)
     if label != "semi-hyperbolic":
         raise ValueError(f"equilibrium is {label}, not semi-hyperbolic")

@@ -2,6 +2,10 @@
 
 :func:`interpreted_eval` is the per-term interpreter of ``GenPoly.eval``,
 the reference for its compiled text.
+:func:`jacobian` (fresh partials at every point) and
+:func:`_quasipolar_numeric_jacobian` (a central difference in (r, theta))
+are the previous Jacobians of the local analysis, the references for
+``ChartField.jacobian``.
 :func:`inverse_transform` and :func:`forward_point` evaluate a chart's
 recorded monomial inverse (``ChartField.inverse``) both ways: the tests'
 oracle for where a chart point sits in the base system.
@@ -31,7 +35,6 @@ from horizon.localanalysis import (
     _substitute_series,
     center_manifold_series_1d,
     classify,
-    jacobian,
 )
 from horizon.quasitrig import _NODES, QuasiTrigTable
 from horizon.rates import fit_rate
@@ -70,6 +73,26 @@ def _real_pow(x: float, e: Fraction, name: str) -> float:
             raise DomainError(f"negative power of {name}=0")
         return 0.0
     return x ** float(e)
+
+
+def jacobian(components: Sequence[GenPoly], vars: Sequence[str], point) -> np.ndarray:
+    J = np.empty((len(components), len(vars)))
+    for i, comp in enumerate(components):
+        for j, v in enumerate(vars):
+            J[i, j] = comp.partial(v).eval(point)
+    return J
+
+
+def _quasipolar_numeric_jacobian(C: ChartField, r, th, h=1e-7):
+    def f(state):
+        return np.array(C.eval_components(state))
+
+    J = np.empty((2, 2))
+    for j, (dr, dth) in enumerate(((h, 0.0), (0.0, h))):
+        hi = f([r + dr, th + dth])
+        lo = f([r - dr, th - dth])
+        J[:, j] = (hi - lo) / (2 * h)
+    return J
 
 
 def _truncate(p: GenPoly, degree) -> GenPoly:

@@ -360,6 +360,22 @@ class TestExitCodes:
         assert (f"parse error: line {line} col {col}: coefficient is outside the float range "
                 "at '1e400'") in capsys.readouterr().err
 
+    def test_transform_that_overflows_a_coefficient_is_2_at_its_line(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # both numbers are floats, but the rescale multiplies them to inf: the
+        # run ended as ERROR (OverflowError from the horizon root, exit 3)
+        monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
+        text = (CASES_DIR / "iy.spec").read_text()
+        for old, new in (("field v1 : 1/2 * v1^3 * v0", "field v1 : 1e200 * v1^3 * v0"),
+                         ("transform rescale v1^(-1)", "transform rescale 1e200 * v1^(-1)")):
+            assert old in text
+            text = text.replace(old, new)
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if "rescale" in ln)
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"parse error: line {line} col 1: transform rescale: coefficient outside "
+                "the float range in -5e+199 * v1 + inf * v1^2") in capsys.readouterr().err
+
     @pytest.mark.parametrize("case,param", [
         ("lienard", "n=1" + "0" * 400),
         ("iy", "a=1" + "0" * 400 + "/3"),
@@ -795,3 +811,30 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "lienard" in proc.stdout
+
+
+# (x^2 + y^2)^m (x - 100 y, 100 x + y), expanded: its norm rho = 1/r obeys
+# rho' = rho^(2m+1), so from rho = 2 it blows up at t_max = 1/(2m 4^m) as
+# rho = C (t_max - t)^(-1/(2m)) with C = (2m)^(-1/(2m))
+CLOSED_FORM_FIELDS = {
+    1: ("x^3 - 100*x^2*y + x*y^2 - 100*y^3", "100*x^3 + x^2*y + 100*x*y^2 + y^3"),
+    2: ("x^5 - 100*x^4*y + 2*x^3*y^2 - 200*x^2*y^3 + x*y^4 - 100*y^5",
+        "100*x^5 + x^4*y + 200*x^3*y^2 + 2*x^2*y^3 + 100*x*y^4 + y^5"),
+}
+
+
+@pytest.mark.parametrize("m", list(CLOSED_FORM_FIELDS))
+def test_closed_form_blowup_through_the_pipeline(m, tmp_path):
+    fx, fy = CLOSED_FORM_FIELDS[m]
+    spec = (f"name radial{m}\nvar x\nvar y\nfield x : {fx}\nfield y : {fy}\n"
+            f"type 1 1\norder {2 * m}\ntransform quasipolar m=1\n"
+            "initial r=0.5 theta=0\ntau-end 40\nobservable rho : r^(-1)\n")
+    out = tmp_path / "out"
+    assert main(["analyze", str(write(tmp_path, spec)), "--out", str(out)]) == 0
+    (run,) = json.loads((out / "report.json").read_text())["runs"]
+    t_max = 1 / (2 * m * 4**m)
+    assert abs(run["edge"]["value"] - t_max) <= 1e-12 * t_max
+    # the rate to within the revolution sampling, not yet the edge's tail
+    (fit,) = run["fits"]
+    assert abs(fit["rho"] - 1 / (2 * m)) <= 5e-4 and abs(fit["q"]) <= 5e-3
+    assert fit["C"] == pytest.approx((2 * m) ** (-1 / (2 * m)), rel=0.01)

@@ -168,6 +168,12 @@ class TestTimeRescaleCertificate:
         E = time_rescale(quench_base(), factor)
         assert E.time_chain == (GenPoly.monomial(E.poly_vars, factor),)
 
+    def test_coefficient_the_rescale_overflows_is_refused(self):
+        vars = ("x",)
+        C = base_field(vars, [gp("1e200 * x^2", vars)], positive=vars)
+        with pytest.raises(ValueError, match="outside the float range in inf \\* x\\^3"):
+            time_rescale(C, GenMonomial.make(1e200, {"x": 1}))
+
     def test_quasitrig_symbols_never_qualify(self):
         C = quasi_polar_compactify(
             base_field(("x", "y"), [gp("y", ("x", "y")), gp("-x^3", ("x", "y"))]), 2, 1)
@@ -258,6 +264,33 @@ class TestQuasiPolar:
         assert Q.components[0] == expect_dr
         assert Q.components[1] == expect_dth
         assert Q.time_chain[-1] == GenPoly(pv, {(F(n), F(0), F(0)): 1})
+
+    def test_jacobian_angle_column(self):
+        # d/dtheta through Cs' = -Sn, Sn' = Cs^(2l-1), l = n + 1: of
+        # dtheta = -(1 + Cs^(n+1) Sn + r Cs^(2n+1)) it is
+        # (n+1) Cs^n Sn^2 + (2n+1) r Cs^2n Sn - Cs^(3n+2)
+        n = 3
+        vars = ("x", "y")
+        C = base_field(vars, [gp("y", vars), gp(f"-x^{2*n+1} - x^{2*n} - x^{n}*y", vars)],
+                       name="l")
+        Q = quasi_polar_compactify(C, n + 1, n)
+        pv = ("r", CS, SN)
+        assert Q.jacobian[1][1] == GenPoly(pv, {
+            (F(0), F(n), F(2)): n + 1,
+            (F(1), F(2 * n), F(1)): 2 * n + 1,
+            (F(0), F(3 * n + 2), F(0)): -1,
+        })
+        assert [row[0] for row in Q.jacobian] == [c.partial("r") for c in Q.components]
+        # and both columns against a central difference off the horizon
+        h, state = 1e-6, [0.3, 2.0]
+        pt = Q.state_to_poly_point(state)
+        for j in range(2):
+            step = [h * (k == j) for k in range(2)]
+            hi = Q.eval_components([x + d for x, d in zip(state, step)])
+            lo = Q.eval_components([x - d for x, d in zip(state, step)])
+            for i in range(2):
+                fd = (hi[i] - lo[i]) / (2 * h)
+                assert Q.jacobian[i][j].eval(pt) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
     def test_classical_polar_rotation(self):
         vars = ("y1", "y2")

@@ -48,6 +48,7 @@ from horizon.localanalysis import (
 from horizon.quasitrig import table
 from horizon.structure import TypeVector
 from oracles import (
+    _quasipolar_numeric_jacobian,
     _truncate,
     fraction_substitute_series,
     h_coefficient,
@@ -824,27 +825,33 @@ def test_eval_matches_interpreter(p, x):
 
 
 # theta of the horizon equilibria of the quasi-polar charts of
-# x' = y, y' = -x^(2n+1) - c x^n y, and a digest of their full records, as
-# the bisection found them before it kept g(lo) between steps
+# x' = y, y' = -x^(2n+1) - c x^n y, as the bisection found them before it
+# kept g(lo) between steps, and a digest of their full records with the
+# exact Jacobian of ChartField.jacobian
 QP_PINNED = {
     (1, None): ([], ""),
     (3, None): ([], ""),
     (1, 4): (["0x1.fea7debe5d9eap+1", "0x1.2b1df9b4e9684p+2",
-              "0x1.9cd8fb4e1da06p+2", "0x1.c8a305a3d8392p+2"], "9abb913b07fd5f55d65d915f997c47611633f3b66018ab7159c6efe03bff3605"),
+              "0x1.9cd8fb4e1da06p+2", "0x1.c8a305a3d8392p+2"], "9333b1d155752673426af60fcb55fa77883e682d61f3d2f3511d472f92f6da3a"),
     (3, 6): (["0x1.35c15d308e6f2p+2", "0x1.5b271c6131672p+2",
-              "0x1.113e3faa47bdep+3", "0x1.23f11f42993acp+3"], "ea723ffddb070c049d79e5b8970db2dcf66439a6610006bfc45d00eb9d0886d6"),
+              "0x1.113e3faa47bdep+3", "0x1.23f11f42993acp+3"], "cc85eca7bf94a9e894315801c9ddbd6adf473b785874336b782038711eaa16b7"),
 }
+
+
+def qp_chart(n, c):
+    """The quasi-polar chart of x' = y, y' = -x^(2n+1) - c x^n y, or
+    lienard's at c = None."""
+    if c is None:
+        return get_case("lienard").definition({"n": n}).chart
+    vars = ("x", "y")
+    base = base_field(vars, [gp("y", vars), gp(f"-x^{2*n+1} - {c}*x^{n}*y", vars)],
+                      name="qp")
+    return quasi_polar_compactify(base, n + 1, n)
 
 
 @pytest.mark.parametrize("n,c", list(QP_PINNED), ids=lambda v: str(v))
 def test_quasipolar_equilibria_bitwise_pinned(n, c):
-    if c is None:
-        chart = get_case("lienard").definition({"n": n}).chart
-    else:
-        vars = ("x", "y")
-        base = base_field(vars, [gp("y", vars), gp(f"-x^{2*n+1} - {c}*x^{n}*y", vars)],
-                          name="qp")
-        chart = quasi_polar_compactify(base, n + 1, n)
+    chart = qp_chart(n, c)
     eqs = horizon_equilibria(chart)
     thetas, digest = QP_PINNED[n, c]
     assert [e.coords[1].hex() for e in eqs] == thetas
@@ -852,6 +859,32 @@ def test_quasipolar_equilibria_bitwise_pinned(n, c):
     if eqs:
         doc = repr([hexed(e.to_dict()) for e in eqs]).encode()
         assert hashlib.sha256(doc).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,c", [(1, 4), (3, 6)])
+def test_quasipolar_jacobian_matches_central_difference(n, c):
+    # the exact angle column against the oracle's central difference
+    # (h = 1e-7): within 1e-8 relative, with the same labels
+    chart = qp_chart(n, c)
+    eqs = horizon_equilibria(chart)
+    assert len(eqs) == 4
+    for e in eqs:
+        fd = _quasipolar_numeric_jacobian(chart, *e.coords)
+        np.testing.assert_allclose(e.jacobian, fd, rtol=1e-8, atol=0.0)
+        label, ns, nu, *_ = classify(fd)
+        assert (e.classification, e.n_stable, e.n_unstable) == (label, ns, nu)
+
+
+def test_jacobian_partials_are_taken_once_per_chart(monkeypatch):
+    # iy's horizon has two roots, both in closed form: its records take
+    # the dim^2 partials of ChartField.jacobian once, not dim^2 per root
+    chart = get_case("iy").definition({}).chart
+    partial, calls = GenPoly.partial, []
+    monkeypatch.setattr(GenPoly, "partial", lambda p, v: calls.append(v) or partial(p, v))
+    for _ in range(2):
+        eqs = horizon_equilibria(chart)
+        assert len(eqs) == 2
+    assert len(calls) == len(chart.vars) ** 2
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
