@@ -34,10 +34,11 @@ Python loop's exact state (its local variables), with the same float
 operations, so the trajectory is the same bit for bit.  The first run of a
 loop text in a process pays for the compile after its Python steps; later
 runs of it that may go on as long start in C, at step 0.  Accepted steps
-and crossing rows come back in numpy chunks, which follow the Python loop's
-lists.  Shorter runs of a text not compiled yet, runs capped at fewer
-steps, and machines without a compiler stay in the Python loop, which is
-the reference.
+and crossing rows come back as one float64 array per stream, which starts
+with the Python loop's list and which the C loop writes in place; the
+trajectory uses those arrays as they are.  Shorter runs of a text not
+compiled yet, runs capped at fewer steps, and machines without a compiler
+stay in the Python loop, which is the reference.
 
 Termination reasons: 'converged-to-equilibrium', 'tau-budget' (tau_end
 reached), 'step-budget' (max_steps accepted steps before tau_end),
@@ -176,24 +177,21 @@ def integrate(
     if max_steps > _NATIVE_AFTER and native.compiler() is not None:
         budget = 0 if native.warm(text) else _NATIVE_AFTER
     st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget, period, sec_count)
-    taus, states, incs = st["taus"], st["states"], st["incs"]
-    rows = [np.asarray(st["rows"], dtype=float)]
     if budget < max_steps and _TERMINATIONS[st["termination"]] == "step-budget":
-        # not over: the compiled copy continues from the loop's exact state
+        # not over: the compiled copy continues from the loop's exact state,
+        # moving each list into the array it returns
         st.update(termination=0, max_steps=max_steps)
-        chunks = native.resume(text, loop.__globals__, st)
-        taus, states, incs = (np.concatenate([np.asarray(head), *chunks[f"{name}_append"]])
-                              for head, name in ((taus, "taus"), (states, "states"),
-                                                 (incs, "incs")))
-        rows += chunks.get("rows_append", [])
+        arrays = native.resume(text, loop.__globals__, st)
+        st.update((name.removesuffix("_append"), a) for name, a in arrays.items())
     # the loop reads no crossing, so locating them after the run changes no
     # result; the one error _cross_sections raises, a step across more than
     # _MAX_CROSSINGS_PER_STEP sections, leaves integrate after the loop
-    sections = _cross_sections(np.concatenate(rows).reshape(-1, 13 + 9 * len(y)), period, si)
+    rows = np.asarray(st["rows"], dtype=float).reshape(-1, 13 + 9 * len(y))
+    sections = _cross_sections(rows, period, si)
     # every accepted step evaluated the field 7 times, the initial point once
-    return _build_traj(taus, states, incs, _TERMINATIONS[st["termination"]], C, sections,
-                       st["n_acc"], st["n_rej"], 1 + 7 * st["n_acc"] + st["n_rhs_rej"],
-                       st["n_nonfinite"])
+    return _build_traj(st["taus"], st["states"], st["incs"], _TERMINATIONS[st["termination"]],
+                       C, sections, st["n_acc"], st["n_rej"],
+                       1 + 7 * st["n_acc"] + st["n_rhs_rej"], st["n_nonfinite"])
 
 
 # the termination reasons by the code the loop assigns to ``termination``
@@ -541,13 +539,17 @@ def _initial_step(y, f0):
 
 def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej,
                 n_rhs=0, n_nonfinite=0):
-    """The trajectory of the lists a loop returns; ``states`` holds one row
-    per time in ``taus``, flat (components one after another) or nested."""
-    t = np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if len(incs) else np.zeros(1)
+    """The trajectory of the lists or arrays a loop returns; ``states`` holds
+    one row per time in ``taus``, flat (components one after another) or
+    nested."""
+    incs = np.asarray(incs)
+    t = np.empty(len(incs) + 1)
+    t[0] = 0.0
+    np.cumsum(incs, out=t[1:])
     return Trajectory(
         tau=np.asarray(taus),
         states=np.asarray(states).reshape(len(taus), -1),
-        dt_inc=np.asarray(incs),
+        dt_inc=incs,
         t=t,
         termination=termination,
         chart=C,
@@ -710,7 +712,10 @@ def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.nd
 
 def _suffix_sums(traj: Trajectory) -> np.ndarray:
     """Sum of the increments from each sample to the end (0 at the last)."""
-    return np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
+    sums = np.empty(len(traj.dt_inc) + 1)
+    sums[-1] = 0.0
+    np.cumsum(traj.dt_inc[::-1], out=sums[-2::-1])
+    return sums
 
 
 def trajectory_to_csv(traj: Trajectory, path):

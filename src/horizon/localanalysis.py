@@ -221,9 +221,10 @@ def _snap_axis_values(F, x):
     return out
 
 
-def _newton_roots(components, variables, box, seed):
+def _newton_roots(components, variables, grads, box, seed):
     """Roots of ``components`` (polynomials in ``variables``) by multi-start
-    damped Newton.
+    damped Newton; ``grads[i][j]`` is the partial of component i in
+    variable j.
 
     Starts are ``N_STARTS`` points drawn by ``seed`` in the search box
     (``SEARCH_RANGE`` where it declares none) and the origin.  Roots more
@@ -253,8 +254,6 @@ def _newton_roots(components, variables, box, seed):
         for _ in range(N_STARTS)
     ]
     starts.append([0.0] * dim)
-
-    grads = [[comp.partial(v) for v in variables] for comp in components]
 
     def F(x):
         return [comp.eval(x) for comp in components]
@@ -353,7 +352,8 @@ def horizon_equilibria(
         nonneg = _needs_nonnegative(slice_comps, slice_vars[0])
         roots = [[v] for v in _binomial_roots(slice_comps[0], nonneg)]
     else:
-        roots = _newton_roots(slice_comps, slice_vars, box, seed)
+        grads = [[comp.partial(v) for v in slice_vars] for comp in slice_comps]
+        roots = _newton_roots(slice_comps, slice_vars, grads, box, seed)
     ri = C.vars.index(C.radial)
     return [_equilibrium_record(C, [*x[:ri], 0.0, *x[ri:]]) for x in roots]
 
@@ -368,9 +368,13 @@ def equilibria_of(
 
     Used for degenerate-level-set problems where the singular object is a
     finite equilibrium rather than a point at infinity.  The Newton search
-    of :func:`_newton_roots` in ``box``, records as :func:`horizon_equilibria`.
+    of :func:`_newton_roots` in ``box`` with the rows of ``C.jacobian``,
+    records as :func:`horizon_equilibria`.  A quasi-polar chart, whose
+    components range over Cs and Sn and not its angle, raises ValueError.
     """
-    roots = _newton_roots(C.components, C.poly_vars, box, seed)
+    if C.quasipolar_index is not None:
+        raise ValueError("equilibria_of needs a chart without a quasi-polar angle")
+    roots = _newton_roots(C.components, C.vars, C.jacobian, box, seed)
     return [_equilibrium_record(C, x) for x in roots]
 
 

@@ -19,6 +19,12 @@ their order are the Python loop's and trajectories agree bit for bit.
   table of float tuples, ``if``, ``try``, ``break`` and ``continue``, and
   ``x_append(v)`` of a local ``list.append`` with a float or an int ``v``,
   stored as a double (an int is exact there below 2**53).
+* Each appended stream is one float64 array that starts with the list's
+  values.  The C function writes it through a window of ``CHUNK`` doubles
+  from the stream's length, and returns when a window may not hold one more
+  iteration; the array then grows in place (``ndarray.resize``, a realloc)
+  and the next window starts at the new length.  At the end the array is
+  trimmed to its length, so a run holds its appended values once.
 * A node the translator does not know, a call of any other Python function
   among them, raises ``NotImplementedError``; it never falls back to
   anything.
@@ -80,12 +86,13 @@ A translation and its compiled loop are cached per process by the loop
 text and everything the C text depends on besides it: the chunk size, the
 value of each number the loop reads from its globals (printed as a
 literal), the length and row width of each table (its rows go by pointer
-on every call), any other global object itself, and the type letter of
-each value the loop carries in: the function's arguments and the names it
-assigns before its ``while``.  A name the loop assigns takes its type from
-those values and from the loop's own assignments, so a handoff at any step
-translates the same way: one translation and one compile per text and key
-in a process (:func:`warm` tells whether a text has one).  Each library is
+on every call, flattened once per table list), any other global object
+itself, and the type letter of each value the loop carries in: the
+function's arguments and the names it assigns before its ``while``.  A
+name the loop assigns takes its type from those values and from the loop's
+own assignments, so a handoff at any step translates the same way: one
+translation and one compile per text and key in a process (:func:`warm`
+tells whether a text has one).  Each library is
 built in a temporary directory that is removed once it is loaded; nothing
 is cached on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
 """
@@ -259,42 +266,51 @@ def compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc")
 
 
-def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
+def resume(text: str, ns: dict, state: dict) -> dict[str, np.ndarray]:
     """Run the ``while`` loop of the function ``text`` to its end in C.
 
     ``ns`` holds the function's globals and ``state`` its local variables
     at the top of an iteration (``locals()`` of the Python loop, say); the
     loop continues from exactly there and ``state`` is updated to where it
-    stopped.  Each ``<name>(value)`` call of a local ``list.append`` fills
-    numpy chunks of floats instead, returned by that name.  An exception the
-    loop raises outside a ``try`` (or that no ``except`` catches) is raised
-    here.
+    stopped.  Each ``<name>(value)`` call of a local ``list.append`` appends
+    to one float64 array instead, returned by that name: it starts with the
+    list's values, and the list is emptied.  An exception the loop raises
+    outside a ``try`` (or that no ``except`` catches) is raised here.
     """
     prog, fn = _program(text, ns, state)
     F = np.array([float(state.get(v, 0.0)) for v in prog.floats])
     I = np.array([state.get(v, 0) for v in prog.ints], dtype=np.int64)
-    tables = [np.array(ns[name], dtype=np.float64).ravel() for name in prog.tables]
-    bufs = [np.empty(CHUNK) for _ in prog.buffers]
-    counts = np.zeros(len(bufs), dtype=np.int64)
+    tables = [_table_array(prog, name, ns[name]) for name in prog.tables]
+    streams = []
+    for name in prog.buffers:
+        values = state[name].__self__
+        streams.append(np.array(values, dtype=np.float64))
+        values.clear()
+    # each stream is written through a window of CHUNK doubles that starts
+    # at its length; a full one starts again at the new length.  No view of
+    # a stream exists until it is returned, so it grows (a realloc) in place
+    starts = [len(a) for a in streams]
+    counts = np.zeros(len(streams), dtype=np.int64)
     exc = np.zeros(4)
-    chunks = {name: [] for name in prog.buffers}
     import ctypes
 
-    def addresses(arrays):
-        return (ctypes.c_void_p * max(len(arrays), 1))(*(a.ctypes.data for a in arrays))
+    def addresses(pointers):
+        return (ctypes.c_void_p * max(len(pointers), 1))(*pointers)
 
-    tab_ptrs, buf_ptrs = addresses(tables), addresses(bufs)
-    while True:
-        status = fn(F.ctypes.data, I.ctypes.data, buf_ptrs, counts.ctypes.data, tab_ptrs,
+    tab_ptrs = addresses([t.ctypes.data for t in tables])
+    status = _FULL
+    while status == _FULL:
+        for k, a in enumerate(streams):
+            if len(a) < starts[k] + CHUNK:
+                a.resize(starts[k] + CHUNK, refcheck=False)
+        windows = addresses([a.ctypes.data + 8 * n for a, n in zip(streams, starts)])
+        status = fn(F.ctypes.data, I.ctypes.data, windows, counts.ctypes.data, tab_ptrs,
                     exc.ctypes.data)
-        for k, (name, sites) in enumerate(prog.buffers.items()):
+        for k, sites in enumerate(prog.buffers.values()):
             if status != _FULL or counts[k] + sites > CHUNK:
-                chunks[name].append(bufs[k][:counts[k]])
-                if status == _FULL:
-                    bufs[k], counts[k] = np.empty(CHUNK), 0
-        if status != _FULL:
-            break
-        buf_ptrs = addresses(bufs)
+                starts[k], counts[k] = starts[k] + int(counts[k]), 0
+    for a, n in zip(streams, starts):
+        a.resize(n, refcheck=False)
     for name, value in zip(prog.floats, F.tolist()):
         state[name] = int(value) if prog.types[name] == "n" else value
     state.update(zip(prog.ints, I.tolist()))
@@ -305,7 +321,7 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, list[np.ndarray]]:
         _REPEAT[int(op)](a, b)
         raise RuntimeError(f"native loop: operation {op} on ({a!r}, {b!r}) raised "
                            f"exception kind {kind}, but not in Python")
-    return chunks
+    return dict(zip(prog.buffers, streams))
 
 
 def warm(text: str) -> bool:
@@ -326,6 +342,15 @@ def _program(text: str, ns: dict, state: dict):
         programs[key] = prog, _compiled(prog.c)
         _PROGRAMS[text] = programs
     return programs[key]
+
+
+def _table_array(prog, name: str, rows: list) -> np.ndarray:
+    """The rows of the loop's global table ``name`` as one flat float64
+    array, made once per program and list (no loop changes its tables)."""
+    held = prog.arrays.get(name)
+    if held is None or held[0] is not rows:
+        held = prog.arrays[name] = rows, np.array(rows, dtype=np.float64).ravel()
+    return held[1]
 
 
 def _key(text: str, ns: dict, state: dict) -> tuple:
@@ -762,7 +787,7 @@ class _Translator:
             "",
         ]
         return _Program(c="\n".join(lines), types=self.types, floats=floats, ints=ints,
-                        tables=self.tables, buffers=self.buffers)
+                        tables=self.tables, buffers=self.buffers, arrays={})
 
 
 def _augmented(node: ast.AugAssign) -> ast.BinOp:

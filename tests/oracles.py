@@ -16,6 +16,10 @@ center-manifold solve and its integer-lattice substitution.
 :func:`scipy_period` and :func:`scipy_table` build the quasi-trigonometric
 period and table with scipy, the references for the in-repo DOP853 and
 QUADPACK ports.
+:func:`concatenated_times` and :func:`concatenated_suffix_sums` are the
+cumulative and suffix sums of a trajectory's increments by concatenation,
+the references for the in-place sums of ``Trajectory.t`` and
+``dynamics._suffix_sums``.
 """
 
 import math
@@ -382,3 +386,14 @@ def scipy_table(l: int) -> QuasiTrigTable:
     # pin the endpoints to the exact periodic values
     cs[-1], sn[-1] = 1.0, 0.0
     return QuasiTrigTable(l, T, cs, sn)
+
+
+def concatenated_times(incs) -> np.ndarray:
+    """The reference for ``Trajectory.t``: 0 and the running sums of ``incs``."""
+    return np.concatenate([[0.0], np.cumsum(np.asarray(incs))]) if len(incs) else np.zeros(1)
+
+
+def concatenated_suffix_sums(dt_inc) -> np.ndarray:
+    """The reference for ``dynamics._suffix_sums``: the sum of ``dt_inc``
+    from each sample to the end, 0 at the last."""
+    return np.concatenate([np.cumsum(dt_inc[::-1])[::-1], [0.0]])

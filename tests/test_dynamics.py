@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from horizon import native
 from horizon.casebook import get_case
 from horizon.compactify import (
     base_field,
@@ -19,6 +20,8 @@ from horizon.compactify import (
     time_rescale,
 )
 from horizon.dynamics import (
+    _build_traj,
+    _suffix_sums,
     accumulate_time,
     integrate,
     remaining_time,
@@ -27,6 +30,7 @@ from horizon.dynamics import (
 from horizon.errors import AmbiguousTailError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.structure import TypeVector
+from oracles import concatenated_suffix_sums, concatenated_times
 
 
 def gp(text, vars):
@@ -400,3 +404,14 @@ def test_npz_export_of_a_quasipolar_run(tmp_path):
     out = tmp_path / "lienard.npz"
     trajectory_to_csv(traj, out)
     assert_npz_is_trajectory(out, traj)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1001, native.CHUNK + 3])
+def test_in_place_sums_match_the_concatenated_ones(n):
+    # Trajectory.t and the suffix sums are written into preallocated arrays;
+    # they are the concatenated sums bit for bit, over increments spread
+    # across 1e-300..1
+    incs = 10.0 ** np.random.default_rng(n).uniform(-300.0, 0.0, n)
+    traj = _build_traj(np.arange(n + 1.0), np.zeros(n + 1), incs, "tau-budget", None, [], n, 0)
+    assert traj.t.tobytes() == concatenated_times(incs).tobytes()
+    assert _suffix_sums(traj).tobytes() == concatenated_suffix_sums(incs).tobytes()

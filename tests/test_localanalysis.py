@@ -887,7 +887,27 @@ def test_jacobian_partials_are_taken_once_per_chart(monkeypatch):
     assert len(calls) == len(chart.vars) ** 2
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+def test_whole_field_search_shares_the_chart_jacobian(monkeypatch):
+    # fhn's Newton search and its records both use ChartField.jacobian: its
+    # 4 partials are taken and compiled once, beside the 2 components
+    chart = get_case("fhn").definition().chart
+    assert equilibrium_search(chart) is equilibria_of
+    partial, compile_eval, calls = GenPoly.partial, GenPoly._compile_eval, []
+    monkeypatch.setattr(GenPoly, "partial",
+                        lambda p, v: calls.append("partial") or partial(p, v))
+    monkeypatch.setattr(GenPoly, "_compile_eval",
+                        lambda p: calls.append("compile") or compile_eval(p))
+    assert len(equilibria_of(chart, seed=7)) == 3
+    assert (calls.count("partial"), calls.count("compile")) == (4, 6)
+
+
+def test_whole_field_search_refuses_a_quasipolar_chart():
+    # its components range over Cs and Sn, its Jacobian over the angle
+    with pytest.raises(ValueError, match="quasi-polar"):
+        equilibria_of(get_case("lienard").definition().chart)
+
+
+FINITE =st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=500, deadline=None)

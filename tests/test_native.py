@@ -16,6 +16,7 @@ import contextlib
 import math
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -514,7 +515,7 @@ def _keyed(ns, x, text=_KEYED):
         state = {"x": x, "i": 0, "out_append": out.append}
         try:
             if compiled:
-                out = np.concatenate(native.resume(text, ns, state)["out_append"]).tolist()
+                out = native.resume(text, ns, state)["out_append"].tolist()
             else:
                 env = dict(ns)
                 exec(text, env)
@@ -577,3 +578,25 @@ def test_trajectory_arrays_are_whole(monkeypatch):
     assert traj.states.shape == (traj.n_steps + 1, 2) and traj.states.dtype == np.float64
     assert len(traj.tau) == len(traj.t) == len(traj.dt_inc) + 1
     assert math.isclose(traj.t[-1], np.sum(traj.dt_inc), rel_tol=1e-12)
+
+
+def test_a_compiled_run_holds_one_copy_of_its_trajectory(monkeypatch):
+    # the compiled loop writes each stream into one array that grows in
+    # place: at its peak the run holds the returned arrays once, beside one
+    # CHUNK window per stream, and no concatenated copy
+    args, kw = plan_args("lienard", {"n": 1})
+    monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 7)
+    with cold():
+        integrate(*args, **kw)  # the loop compiles here if it has not yet
+        tracemalloc.start()
+        try:
+            traj = integrate(*args, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    arrays = (traj.tau, traj.states, traj.dt_inc, traj.t)
+    assert peak < 1.3 * sum(a.nbytes for a in arrays)
+    # each array holds exactly its rows
+    flat = traj.states.base
+    assert flat.shape == ((traj.n_steps + 1) * 2,) and flat.base is None
+    assert all(a.base is None for a in (traj.tau, traj.dt_inc, traj.t))
