@@ -60,6 +60,7 @@ from .genpoly import (
 from .localanalysis import (
     SEARCH_RANGE,
     center_manifold_series_1d,
+    check_seed,
     equilibria_of,
     horizon_equilibria,
 )
@@ -714,7 +715,9 @@ def run_case(
 ) -> RunReport:
     """Execute a case end to end; every module error is captured into the
     report and the run is marked ERROR.  A built ``CaseDefinition`` runs
-    as it is, with its own ``params``."""
+    as it is, with its own ``params``.  A ``seed`` that is not an int, 0 or
+    more, raises ``ValueError`` before the run (:func:`check_seed`)."""
+    check_seed(seed)
     t0 = time.perf_counter()
     if isinstance(spec, str):
         spec = get_case(spec)
@@ -930,6 +933,30 @@ def _fit_row(obs, fit, verdicts):
     }
 
 
+# the 24-node Gauss-Legendre rule on [-1, 1]: the nodes and weights of
+# numpy's np.polynomial.legendre.leggauss(24), bit for bit
+_GL24_NODES = (
+    -0.9951872199970213, -0.9747285559713095, -0.9382745520027328,
+    -0.8864155270044011, -0.820001985973903, -0.7401241915785544,
+    -0.6480936519369755, -0.5454214713888396, -0.4337935076260451,
+    -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_GL24_WEIGHTS = (
+    0.01234122979998869, 0.02853138862893356, 0.04427743881741941,
+    0.05929858491543636, 0.07334648141108016, 0.0861901615319532,
+    0.09761865210411393, 0.10744427011596556, 0.11550566805372552,
+    0.1216704729278033, 0.12583745634682825, 0.12793819534675202,
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
+
+
 def _run_center_flow(cdef, plan):
     """Sample the frame coordinate along the analytically reduced center flow.
 
@@ -940,7 +967,9 @@ def _run_center_flow(cdef, plan):
     s(x) = int chain / speed dx.  The measured exponent comes from the
     actual field, not the predicted rate.
 
-    The quadrature's nodes (400 segments of 24 Gauss-Legendre nodes) and the
+    The quadrature's nodes (400 segments of 24 Gauss-Legendre nodes, the
+    literals ``_GL24_NODES`` and ``_GL24_WEIGHTS``, which are numpy's
+    ``leggauss(24)`` without importing ``numpy.polynomial``) and the
     observables' samples are each evaluated in one batch on Python floats
     (:func:`horizon.genpoly.batch_function`); the segments are summed left
     to right.
@@ -963,7 +992,7 @@ def _run_center_flow(cdef, plan):
     # s(x) = int_0^x chain(u)/speed(u) du; substitute u = z^q with q the
     # exponent-lattice denominator so the integrand is smooth at 0
     q = max(int(e.denominator) for ev, _ in speed.terms for e in ev)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes, weights = np.array(_GL24_NODES), np.array(_GL24_WEIGHTS)
     zs = xs ** (1.0 / q)
     z0 = np.concatenate([[0.0], zs[:-1]])
     half = 0.5 * (zs - z0)
@@ -1007,7 +1036,9 @@ def sweep(
     """Independent runs over a parameter grid, in ``min(jobs, len(grid))``
     worker processes when that is more than one.  Every point's definition
     is built before any runs, so a bad point (one that fails a check or a
-    builder's rule) raises ParameterError first."""
+    builder's rule) raises ParameterError first, and a ``seed`` that is not
+    an int, 0 or more, ValueError."""
+    check_seed(seed)
     if isinstance(spec, str):
         spec = get_case(spec)
     cdefs = [spec.definition(params) for params in grid]

@@ -35,7 +35,7 @@ operations, so the trajectory is the same bit for bit.  The first run of a
 loop text in a process pays for the compile after its Python steps; later
 runs of it that may go on as long start in C, at step 0.  Accepted steps
 and crossing rows come back as one float64 array per stream, which starts
-with the Python loop's list and which the C loop writes in place; the
+with the Python loop's stream and which the C loop writes in place; the
 trajectory uses those arrays as they are.  Shorter runs of a text not
 compiled yet, runs capped at fewer steps, and machines without a compiler
 stay in the Python loop, which is the reference.
@@ -48,6 +48,7 @@ index in ``_TERMINATIONS``, so it holds nothing but numbers.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -179,7 +180,7 @@ def integrate(
     st = loop(y, f_now, g_now, h, tau_end, h_max, rtol, atol_vec, budget, period, sec_count)
     if budget < max_steps and _TERMINATIONS[st["termination"]] == "step-budget":
         # not over: the compiled copy continues from the loop's exact state,
-        # moving each list into the array it returns
+        # moving each stream into the array it returns
         st.update(termination=0, max_steps=max_steps)
         arrays = native.resume(text, loop.__globals__, st)
         st.update((name.removesuffix("_append"), a) for name, a in arrays.items())
@@ -281,8 +282,9 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     floor of -0.0 is 0), and ``abs(tau)`` is tau, which never goes negative.
     The squares of the error norm are ``** 2.0`` inside one ``try``: a
     square that overflows makes the norm inf, which rejects the step and
-    shrinks it by 0.2.  Accepted states append their components to one flat
-    list, which :func:`_build_traj` reshapes.
+    shrinks it by 0.2.  Every stream (``taus``, ``states``, ``incs``,
+    ``rows``) is one ``array('d')``, 8 bytes a value; accepted states append
+    their components to one flat array, which :func:`_build_traj` reshapes.
     """
     n = len(C.vars)
     I = range(n)
@@ -414,10 +416,10 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         "tau = t_acc = 0.0",
         "err_prev = 1.0",
         "eq_run = n_acc = n_rej = n_nonfinite = n_rhs_rej = 0",
-        "taus = [0.0]",
-        "states = list(y)",
-        "incs = []",
-        "rows = []",
+        "taus = _array('d', (0.0,))",
+        "states = _array('d', y)",
+        "incs = _array('d')",
+        "rows = _array('d')",
         "taus_append, states_append, incs_append = taus.append, states.append, incs.append",
         "rows_append = rows.append",
         f"termination = {code['tau-budget']}",
@@ -430,7 +432,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
         + "    return locals()\n"
     )
     ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor, _inf=math.inf,
-              _POW_ERRORS=_POW_ERRORS)
+              _POW_ERRORS=_POW_ERRORS, _array=array.array)
     exec(compile(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
     return ns["loop"], text
 
@@ -539,9 +541,10 @@ def _initial_step(y, f0):
 
 def _build_traj(taus, states, incs, termination, C, sec, n_acc, n_rej,
                 n_rhs=0, n_nonfinite=0):
-    """The trajectory of the lists or arrays a loop returns; ``states`` holds
-    one row per time in ``taus``, flat (components one after another) or
-    nested."""
+    """The trajectory of the lists or arrays a loop returns, taken without
+    a copy where they are float arrays (numpy's or ``array('d')``);
+    ``states`` holds one row per time in ``taus``, flat (components one
+    after another) or nested."""
     incs = np.asarray(incs)
     t = np.empty(len(incs) + 1)
     t[0] = 0.0

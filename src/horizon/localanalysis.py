@@ -36,6 +36,7 @@ __all__ = [
     "LienardCoefficients",
     "horizon_equilibria",
     "equilibria_of",
+    "check_seed",
     "classify",
     "center_manifold_series_1d",
     "cm_flow_asymptotics",
@@ -221,13 +222,78 @@ def _snap_axis_values(F, x):
     return out
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an int, 0 or more (a bool is
+    not); the Newton search draws its starts from it."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed = {seed!r} is not an int, 0 or more")
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniforms(seed: int, n: int) -> list[float]:
+    """The first ``n`` doubles of ``np.random.default_rng(seed).random()``,
+    bit for bit, without importing ``numpy.random``.
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words (least
+    significant first) into a pool of 4 words and draws 4 uint64 words from
+    it (``generate_state(4, np.uint64)``): the PCG64 state and increment.
+    Each draw steps the 128-bit LCG and takes its XSL-RR output x (O'Neill,
+    2014); the double is ``(x >> 11) * 2**-53``.
+    """
+    check_seed(seed)
+    words = [seed >> s & _M32 for s in range(0, seed.bit_length(), 32)]
+    hc = 0x43B0D7E5  # numpy's INIT_A, MULT_A, MIX_MULT_L and MIX_MULT_R follow
+
+    def hashmix(v):
+        nonlocal hc
+        v ^= hc
+        hc = hc * 0x931E8875 & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hc, out = 0x8B51F9DD, []  # INIT_B and MULT_B: 8 uint32, so 4 uint64 words
+    for i in range(8):
+        v = pool[i % 4] ^ hc
+        hc = hc * 0x58F38DED & _M32
+        v = v * hc & _M32
+        out.append(v ^ v >> 16)
+    s0, s1, i0, i1 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    # pcg64_set_seed: from state 0 and inc 2 i + 1, step, add s, step
+    inc = (i0 << 64 | i1) << 1 & _M128 | 1
+    state = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _M128
+    draws = []
+    for _ in range(n):
+        state = state * _PCG_MULT + inc & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> r | x << (64 - r)) & _M64
+        draws.append((x >> 11) * 2.0**-53)
+    return draws
+
+
 def _newton_roots(components, variables, grads, box, seed):
     """Roots of ``components`` (polynomials in ``variables``) by multi-start
     damped Newton; ``grads[i][j]`` is the partial of component i in
     variable j.
 
-    Starts are ``N_STARTS`` points drawn by ``seed`` in the search box
-    (``SEARCH_RANGE`` where it declares none) and the origin.  Roots more
+    Starts are ``N_STARTS`` points in the search box (``SEARCH_RANGE``
+    where it declares none), their coordinates drawn one after another from
+    numpy's ``default_rng(seed)`` PCG64 stream as :func:`_uniforms`
+    reproduces it, and the origin.  Roots more
     than 0.5 outside the box are dropped; the rest are snapped to exact axis
     values, deduplicated, polished to the double :func:`_polish` settles on
     (and snapped again) and sorted.
@@ -248,11 +314,9 @@ def _newton_roots(components, variables, grads, box, seed):
         if c and lows[i] < 0.0:
             lows[i] = 0.0
 
-    rng = np.random.default_rng(seed)
-    starts = [
-        [lo + (hi - lo) * u for lo, hi, u in zip(lows, highs, rng.random(dim).tolist())]
-        for _ in range(N_STARTS)
-    ]
+    u = iter(_uniforms(seed, N_STARTS * dim))
+    starts = [[lo + (hi - lo) * next(u) for lo, hi in zip(lows, highs)]
+              for _ in range(N_STARTS)]
     starts.append([0.0] * dim)
 
     def F(x):
@@ -343,8 +407,10 @@ def horizon_equilibria(
     (:func:`_binomial_roots`), any other by the Newton search of
     :func:`_newton_roots` in ``box`` (on a quasi-polar chart: the sign
     changes of the angular component over one period), each root augmented
-    with the full-space Jacobian and classification.
+    with the full-space Jacobian and classification.  A ``seed`` that
+    :func:`check_seed` refuses raises ``ValueError`` on every chart.
     """
+    check_seed(seed)
     if C.quasipolar_index is not None:
         return _quasipolar_horizon_equilibria(C)
     slice_vars, slice_comps = horizon_slice(C)
@@ -370,7 +436,8 @@ def equilibria_of(
     finite equilibrium rather than a point at infinity.  The Newton search
     of :func:`_newton_roots` in ``box`` with the rows of ``C.jacobian``,
     records as :func:`horizon_equilibria`.  A quasi-polar chart, whose
-    components range over Cs and Sn and not its angle, raises ValueError.
+    components range over Cs and Sn and not its angle, and a ``seed`` that
+    :func:`check_seed` refuses raise ValueError.
     """
     if C.quasipolar_index is not None:
         raise ValueError("equilibria_of needs a chart without a quasi-polar angle")

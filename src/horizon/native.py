@@ -17,11 +17,11 @@ their order are the Python loop's and trajectories agree bit for bit.
   constant, say, is refused).  It may use float and int arithmetic and
   comparisons, ``math.floor``, ``math.sqrt`` and ``_fpow``, rows of a global
   table of float tuples, ``if``, ``try``, ``break`` and ``continue``, and
-  ``x_append(v)`` of a local ``list.append`` with a float or an int ``v``,
-  stored as a double (an int is exact there below 2**53).
-* Each appended stream is one float64 array that starts with the list's
-  values.  The C function writes it through a window of ``CHUNK`` doubles
-  from the stream's length, and returns when a window may not hold one more
+  ``x_append(v)`` of the ``append`` of a local ``array('d')`` with a float
+  or an int ``v``, stored as a double (an int is exact there below 2**53).
+* Each appended stream is one float64 array that starts with the local
+  array's values.  The C function writes it through a window of ``CHUNK``
+  doubles from the stream's length, and returns when a window may not hold one more
   iteration; the array then grows in place (``ndarray.resize``, a realloc)
   and the next window starts at the new length.  At the end the array is
   trimmed to its length, so a run holds its appended values once.
@@ -99,6 +99,7 @@ is cached on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
 
 from __future__ import annotations
 
+import array
 import ast
 import builtins
 import functools
@@ -272,10 +273,12 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, np.ndarray]:
     ``ns`` holds the function's globals and ``state`` its local variables
     at the top of an iteration (``locals()`` of the Python loop, say); the
     loop continues from exactly there and ``state`` is updated to where it
-    stopped.  Each ``<name>(value)`` call of a local ``list.append`` appends
-    to one float64 array instead, returned by that name: it starts with the
-    list's values, and the list is emptied.  An exception the loop raises
-    outside a ``try`` (or that no ``except`` catches) is raised here.
+    stopped.  Each ``<name>(value)`` call of the ``append`` of a local
+    ``array('d')`` appends to one float64 array instead, returned by that
+    name: it starts with the local array's values, and the local array is
+    emptied (``del a[:]``; an array has no ``clear()`` before Python 3.13).
+    An exception the loop raises outside a ``try`` (or that no ``except``
+    catches) is raised here.
     """
     prog, fn = _program(text, ns, state)
     F = np.array([float(state.get(v, 0.0)) for v in prog.floats])
@@ -285,7 +288,7 @@ def resume(text: str, ns: dict, state: dict) -> dict[str, np.ndarray]:
     for name in prog.buffers:
         values = state[name].__self__
         streams.append(np.array(values, dtype=np.float64))
-        values.clear()
+        del values[:]
     # each stream is written through a window of CHUNK doubles that starts
     # at its length; a full one starts again at the new length.  No view of
     # a stream exists until it is returned, so it grows (a realloc) in place
@@ -357,7 +360,7 @@ def _key(text: str, ns: dict, state: dict) -> tuple:
     """What the C text of the loop of ``text`` depends on besides the text:
     ``CHUNK``, each global name of the loop as the translator reads it, and
     the type letter of the value of each name the loop carries in (or that
-    it is a list's ``append``)."""
+    it is the ``append`` of an ``array('d')``)."""
     _, _, global_names, carried = _parse(text)
     return (CHUNK, tuple(_global_shape(ns.get(v)) for v in global_names),
             tuple("append" if _is_append(state.get(v)) else _value_type(state.get(v))
@@ -392,9 +395,10 @@ def _table_shape(table) -> tuple[int, int] | None:
 
 
 def _is_append(fn) -> bool:
-    """Whether ``fn`` is the ``append`` method of a list."""
+    """Whether ``fn`` is the ``append`` method of an ``array('d')``."""
+    owner = getattr(fn, "__self__", None)
     return (isinstance(fn, types.BuiltinMethodType) and fn.__name__ == "append"
-            and isinstance(fn.__self__, list))
+            and isinstance(owner, array.array) and owner.typecode == "d")
 
 
 @functools.lru_cache(maxsize=None)
@@ -722,8 +726,9 @@ class _Translator:
         self.emit(f"{label}_end: ;", depth - 1)
 
     def call(self, node, depth, handler):
-        """A call statement ``x_append(v)`` of a local ``list.append``, with
-        a float or an int ``v``: a double in the buffer of ``x_append``."""
+        """A call statement ``x_append(v)`` of a local ``array('d')``'s
+        ``append``, with a float or an int ``v``: a double in the buffer of
+        ``x_append``."""
         name = node.func.id if isinstance(node.func, ast.Name) else None
         fn = self.state.get(name) if name in self.carried else None
         if not (_is_append(fn) and len(node.args) == 1 and not node.keywords):

@@ -4,8 +4,11 @@ replay determinism.  Full rate verdicts live in the acceptance suite."""
 import functools
 import json
 import math
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -195,6 +198,52 @@ def test_reported_equilibria_do_not_depend_on_the_seed(name, params, seeds, coor
     eqs = [run_case(name, params, seed=s).equilibria for s in seeds]
     assert all(e == eqs[0] for e in eqs)
     assert [e["coords"] for e in eqs[0]] == coords
+
+
+# a whole-field Newton search (fhn) and closed-form horizon roots (iy)
+@pytest.mark.parametrize("name", ["fhn", "iy"])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "0", 2.0])
+def test_a_bad_seed_is_refused_before_any_run(name, seed, monkeypatch):
+    def no_run(*_):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(casebook, "_execute", no_run)
+    for call in (lambda: run_case(name, seed=seed), lambda: sweep(name, [{}], seed=seed)):
+        with pytest.raises(ValueError, match=f"seed = {seed!r} is not an int, 0 or more"):
+            call()
+    cdef = get_case(name).definition()
+    with pytest.raises(ValueError, match="seed = "):
+        casebook.equilibrium_search(cdef.chart)(cdef.chart, box=cdef.eq_box, seed=seed)
+
+
+def test_center_flow_nodes_are_leggauss_24():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert [v.hex() for v in casebook._GL24_NODES] == [v.hex() for v in nodes.tolist()]
+    assert [v.hex() for v in casebook._GL24_WEIGHTS] == [v.hex() for v in weights.tolist()]
+
+
+def test_a_run_loads_neither_numpy_random_nor_numpy_polynomial():
+    # numpy 2 loads both lazily, and the Newton starts and the quadrature
+    # nodes no longer need them; numpy 1 imports them with numpy itself
+    lazy = ("numpy.random", "numpy.polynomial")
+    probe = f"import sys, numpy; print(any(m in sys.modules for m in {lazy!r}))"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(casebook.__file__).parents[1]))
+    if subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                      text=True, check=True).stdout.strip() == "True":
+        pytest.skip("import numpy loads numpy.random and numpy.polynomial itself")
+    script = f"""
+import sys
+from horizon import casebook, localanalysis
+report = casebook.run_case("fhn")
+assert report.status == "PASS", report.error
+chart = casebook.get_case("fhn").definition().chart
+assert localanalysis.equilibria_of(chart, seed=7)
+print(sorted(m for m in sys.modules if m.startswith({lazy!r})))
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name,t,qh", [

@@ -1,5 +1,6 @@
 """Integrator and physical-time reconstruction against closed-form oracles."""
 
+import array
 import math
 import warnings
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from horizon.compactify import (
 )
 from horizon.dynamics import (
     _build_traj,
+    _loop_fn,
     _suffix_sums,
     accumulate_time,
     integrate,
@@ -415,3 +417,17 @@ def test_in_place_sums_match_the_concatenated_ones(n):
     traj = _build_traj(np.arange(n + 1.0), np.zeros(n + 1), incs, "tau-budget", None, [], n, 0)
     assert traj.t.tobytes() == concatenated_times(incs).tobytes()
     assert _suffix_sums(traj).tobytes() == concatenated_suffix_sums(incs).tobytes()
+
+
+def test_python_loop_streams_are_float_arrays_the_trajectory_views():
+    # 8 bytes a value in the loop, and no copy into the trajectory
+    C = get_case("iy").definition().chart
+    y = (0.5, 0.5)
+    f, g = C.compile_rhs()(y)
+    st = _loop_fn(C, 1, None, True)[0](y, f, g, 1e-3, 1.0, 1.0, 1e-8, (1e-10, 1e-10), 100,
+                                       None, None)
+    streams = [st[k] for k in ("taus", "states", "incs", "rows")]
+    assert all(type(a) is array.array and a.typecode == "d" for a in streams)
+    traj = _build_traj(*streams[:3], "tau-budget", C, [], st["n_acc"], st["n_rej"])
+    for got, stream in zip((traj.tau, traj.states, traj.dt_inc), streams):
+        assert np.shares_memory(got, np.frombuffer(stream))

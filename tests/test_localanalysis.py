@@ -37,6 +37,7 @@ from horizon.localanalysis import (
     _needs_nonnegative,
     _solve,
     _substitute_series,
+    _uniforms,
     center_manifold_series_1d,
     classify,
     cm_flow_asymptotics,
@@ -919,3 +920,11 @@ def test_float_norm_and_solve_match_numpy(v, a):
             _solve([[a]], [v[0]])
         return
     assert hexed(_solve([[a]], [v[0]])) == hexed(np.linalg.solve([[a]], [v[0]]).tolist())
+
+
+def test_start_stream_is_numpys_default_rng():
+    # one 32-bit word of entropy, 2 to 4 words (2**100 + 3 spans 4), and
+    # words past the 4-word pool, mixed in one by one (2**200 + 5 spans 7)
+    for seed in [*range(256), 2**32 - 1, 2**32, 2**64, 2**100 + 3, 2**200 + 5]:
+        want = np.random.default_rng(seed).random(2 * N_STARTS + 1).tolist()
+        assert _uniforms(seed, 2 * N_STARTS + 1) == want, seed

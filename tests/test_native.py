@@ -11,6 +11,7 @@ at 0 whatever the threshold.  Each new chart costs one compile, so the
 hypothesis runs are short.
 """
 
+import array
 import ast
 import contextlib
 import math
@@ -511,11 +512,11 @@ def _keyed(ns, x, text=_KEYED):
     each raised."""
     results = []
     for compiled in (False, True):
-        out = []
+        out = array.array("d")
         state = {"x": x, "i": 0, "out_append": out.append}
         try:
             if compiled:
-                out = native.resume(text, ns, state)["out_append"].tolist()
+                out = native.resume(text, ns, state)["out_append"]
             else:
                 env = dict(ns)
                 exec(text, env)
@@ -523,7 +524,7 @@ def _keyed(ns, x, text=_KEYED):
         except Exception as exc:  # compared by type and message
             results.append((type(exc), str(exc)))
         else:
-            results.append(bits((state["x"], state["i"], out)))
+            results.append(bits((state["x"], state["i"], out.tolist())))
     return results
 
 
@@ -553,6 +554,16 @@ def test_translations_are_keyed_by_what_the_c_text_depends_on(monkeypatch):
     monkeypatch.setattr(native, "CHUNK", 2)           # three appends in chunks of 2
     want, got = _keyed(base, 0.0)
     assert got == want and len(native._PROGRAMS[_KEYED]) == 8
+
+
+def test_an_array_stream_starts_its_returned_array_and_is_emptied():
+    # the DP5 loop appends to array('d') streams: resume starts each returned
+    # array with the local array's values and empties it
+    ns = {"ROWS": 3, "STEP": 1.0, "TABLE": [(1.0,), (2.0,), (4.0,)]}
+    head = array.array("d", [0.25, 0.5])
+    state = {"x": 0.0, "i": 0, "out_append": head.append}
+    out = native.resume(_KEYED, ns, state)["out_append"]
+    assert out.tolist() == [0.25, 0.5, 1.0, 3.0, 7.0] and len(head) == 0
 
 
 def test_exception_outside_a_try_leaves_the_loop():
