@@ -45,8 +45,9 @@ D. K. Kahaner, *QUADPACK: A Subroutine Package for Automatic Integration*,
 1983), which ``scipy.integrate.quad`` runs on a finite interval, in
 QUADPACK's operation order on Python floats.
 
-Only what :mod:`horizon.quasitrig` uses is here: no events, step bound,
-backward direction, vectorised field or other rule.
+Only what :mod:`horizon.quasitrig` and
+:func:`horizon.localanalysis.horizon_orbit` use is here: no events, step
+bound, backward direction, vectorised field or other rule.
 """
 
 from __future__ import annotations

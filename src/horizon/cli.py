@@ -62,7 +62,9 @@ on the field they transform: it has one entry per variable, no term
 ``c x^e`` of the field of ``x_j`` has weighted degree ``<alpha, e>`` above
 ``k + alpha_j`` (``k`` is ``order``), and some term reaches it.  A
 ``quasipolar`` type is ``1 <m>``.  A failed certificate, or a float
-coefficient the transform overflows, is a parse error at that line.
+coefficient the transform overflows, is a parse error at that line.  A
+``type`` with a negative entry, with no positive one or without ``order``
+is a parse error at the ``type`` line.
 
 A ``rescale`` monomial is certified positive by a positive coefficient and
 every variable in it declared ``positive`` (or the chart's radial
@@ -402,9 +404,13 @@ class _SpecState:
         )
         t = None
         if self.alpha is not None:
+            line = self.once["type"]
             if self.k is None:
-                raise ParseError("'type' declared without 'order'")
-            t = TypeVector.make(self.alpha, self.k)
+                raise ParseError("'type' declared without 'order'", line, 1)
+            try:
+                t = TypeVector.make(self.alpha, self.k)
+            except ValueError as exc:
+                raise ParseError(str(exc), line, 1)
         for op, params, lineno in self.transforms:
             try:
                 chart = apply_recipe(chart, [_recipe_step(chart, t, op, params, lineno)])

@@ -1,10 +1,12 @@
-"""Local analysis at horizon equilibria.
+"""Local analysis on the horizon: its equilibria and its periodic orbit.
 
 Root finding on the horizon slice, the four-way classification of the exact
 chart Jacobian (hyperbolic / semi-hyperbolic / nilpotent / linearly-zero),
 one-dimensional center-manifold series with the decay law of the reduced
-flow, type-I rate prediction from the scaling type, and the periodic-orbit
-coefficients (Poincare-map expansion) for the quasi-polar charts.
+flow, type-I rate prediction from the scaling type, and the return map of
+the periodic orbit on a quasi-polar horizon without equilibria
+(:func:`horizon_orbit`, on the in-repo DOP853 of
+:mod:`horizon._dop853_qags`).
 
 Classification tolerance is relative, |lambda| <= 1e-9 * (1 + ||J||_inf), so
 it is stable under chart rescaling.  A stationary point at infinity with at
@@ -18,13 +20,14 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .compactify import ChartField, horizon_slice
+from ._dop853_qags import dop853
+from .compactify import CS, SN, ChartField, horizon_slice
 from .errors import DegenerateBeyondDegreeError, DomainError
-from .genpoly import GenPoly, frac
+from .genpoly import GenPoly, format_genpoly, frac
 from .quasitrig import table
 from .rates import RateModel
 from .structure import TypeVector
@@ -33,7 +36,7 @@ __all__ = [
     "EquilibriumRecord",
     "CenterSeries",
     "CmAsymptotics",
-    "LienardCoefficients",
+    "HorizonOrbit",
     "horizon_equilibria",
     "equilibria_of",
     "check_seed",
@@ -41,7 +44,7 @@ __all__ = [
     "center_manifold_series_1d",
     "cm_flow_asymptotics",
     "type1_rate_prediction",
-    "lienard_coefficients",
+    "horizon_orbit",
 ]
 
 
@@ -727,98 +730,69 @@ def type1_rate_prediction(t: TypeVector, i: int) -> RateModel:
     return RateModel(rho=float(t.alpha[i] / t.k), q=0.0)
 
 
-# -- periodic-orbit coefficients (quasi-polar charts) -------------------------
+# -- the periodic orbit on a quasi-polar horizon --------------------------------
 
 
 @dataclass(frozen=True)
-class LienardCoefficients:
-    """Quadrature data controlling the periodic orbit on the horizon.
+class HorizonOrbit:
+    """The horizon {r = 0} of a quasi-polar chart as a periodic orbit: the
+    period ``T`` of its angle and the return map
+    r -> beta1 r + beta2 r^2 + O(r^3) of the section theta = 0."""
 
-    alpha is the Poincare-map exponent (first-order return coefficient
-    beta1 = e^alpha); -alpha is the exponent of the near-identity radial
-    change that removes the first-order angular modulation of the return map
-    (it is negative on (0, T/2), zero at T/2 and T).  Gamma2 is the
-    second-order integrand whose period integral Gamma_T > 0 drives the
-    attraction (beta2(T) < 0) and the linear growth of its running integral.
-    """
-
-    n: int
     T: float
-    alpha: Callable[[float], float]
-    beta1_T: float
-    beta2_T: float
-    Gamma_T: float
-    C2: float                     # pointwise bound on Gamma2
-    C3: float                     # slope of the running integral, Gamma_T / T
+    beta1: float
+    beta2: float
 
 
-def lienard_coefficients(n: int) -> LienardCoefficients:
-    """Quadratures of the periodic-orbit coefficients for odd n.
+def horizon_orbit(C: ChartField) -> HorizonOrbit:
+    """The return map of the horizon orbit of a quasi-polar chart.
 
-    gamma1 = Sn^2 Cs^n, gamma2 = Sn Cs^2n + gamma1 Cs^(2n+1)/(1 - Sn Cs^(n+1)),
-    all divided by 1 - Sn Cs^(n+1) where they enter; computed by one
-    high-accuracy integration pass over [0, T] with dense output.
+    Split by their power of r, the components are r' = a1 r + a2 r^2 + ...
+    and theta' = b0 + b1 r + ..., each a_i, b_i a polynomial in (Cs, Sn), so
+    dr/dtheta = A1 r + A2 r^2 + O(r^3) with A1 = a1/b0 and
+    A2 = a2/b0 - a1 b1/b0^2.  The coefficients solve rho1' = A1 rho1 and
+    rho2' = A1 rho2 + A2 rho1^2 from (1, 0) over one Cs/Sn period T in the
+    flow's direction (the sign of b0), on the in-repo DOP853
+    (:func:`horizon._dop853_qags.dop853`) at ``rtol=1e-13``, ``atol=1e-15``,
+    with the angle a state moving at unit speed.
+
+    Raises ValueError for a chart that is not quasi-polar, one with
+    equilibria on its horizon (:func:`horizon_equilibria`), an r' with an
+    r-free term, and a power of r that is not a nonnegative integer below 3
+    in r' or below 2 in theta' (where it would enter A1 or A2).
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd positive integer")
-    from scipy.integrate import solve_ivp
-    from scipy.interpolate import CubicSpline
+    if C.quasipolar_index is None:
+        raise ValueError("horizon_orbit needs a quasi-polar chart")
+    if horizon_equilibria(C):
+        raise ValueError("the horizon holds equilibria, not a periodic orbit")
+    dr, dth = (C.components[C.vars.index(v)] for v in (C.radial, C.angle))
+    a, b = _by_power_of_r(C, dr, 3), _by_power_of_r(C, dth, 2)
+    if not a[0].is_zero():
+        raise ValueError("r' has an r-free term, so the horizon is not invariant")
+    tab = table(C.quasipolar_index)
+    sign = 1.0 if b[0].eval(tab.lookup(0.0)) > 0.0 else -1.0
 
-    l = n + 1
-    tab = table(l)
-    T = tab.T
+    def fun(y):
+        cs_sn = tab.lookup(y[0])
+        a1, a2, b0, b1 = (p.eval(cs_sn) for p in (a[1], a[2], b[0], b[1]))
+        A1, A2 = a1 / b0, a2 / b0 - a1 * b1 / b0**2
+        return np.array([sign, sign * A1 * y[1], sign * (A1 * y[2] + A2 * y[1] ** 2)])
 
-    def parts(phi):
-        c, s = tab.lookup(phi)
-        den = 1.0 - s * c ** (n + 1)
-        g1 = s * s * c**n
-        G1 = g1 / den
-        g2 = s * c ** (2 * n) + g1 * c ** (2 * n + 1) / den
-        G2 = g2 / den
-        return G1, G2
-
-    def rhs(phi, y):
-        G1, G2 = parts(phi)
-        alpha = y[0]
-        # y = [alpha, int e^alpha G2, int G2, int (e^alpha - 1) G2]; the last
-        # is read nowhere, but it takes part in DOP853's error norm, so it
-        # sets the steps and the bits of beta2_T
-        ea = math.exp(alpha)
-        return [G1, ea * G2, G2, (ea - 1.0) * G2]
-
-    nodes = np.linspace(0.0, T, 4097)
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        [0.0, 0.0, 0.0, 0.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-    vals = sol.sol(nodes)
-    alpha_sp = CubicSpline(nodes, vals[0])
-
-    alpha_T = float(vals[0, -1])
-    Gamma_T = float(vals[2, -1])
-    beta2_T = -math.exp(alpha_T) * float(vals[1, -1])
-    C2 = float(max(abs(parts(p)[1]) for p in np.linspace(0, T, 2001)))
-
-    def alpha(phi):
-        return float(alpha_sp(_wrap(phi, T)))
-
-    return LienardCoefficients(
-        n=n,
-        T=T,
-        alpha=alpha,
-        beta1_T=math.exp(alpha_T),
-        beta2_T=beta2_T,
-        Gamma_T=Gamma_T,
-        C2=C2,
-        C3=Gamma_T / T,
-    )
+    end = dop853(fun, [0.0, 1.0, 0.0], tab.T, 1e-13, 1e-15, np.array([tab.T]))[:, -1]
+    return HorizonOrbit(tab.T, float(end[1]), float(end[2]))
 
 
-def _wrap(phi, T):
-    x = math.fmod(phi, T)
-    return x + T if x < 0 else x
+def _by_power_of_r(C: ChartField, p: GenPoly, below: int) -> list[GenPoly]:
+    """The coefficients of r^0, ..., r^(below-1) in ``p``, each a GenPoly over
+    (Cs, Sn); ValueError for a power of r below ``below`` that is not a
+    nonnegative integer."""
+    ri = C.poly_vars.index(C.radial)
+    parts = [{} for _ in range(below)]
+    for ev, c in p.terms:
+        e = ev[ri]
+        if e < below:
+            if e < 0 or e.denominator != 1:
+                raise ValueError(f"power r^{e} of {format_genpoly(p)} has no "
+                                 "place in the return map's expansion")
+            parts[int(e)][ev[:ri] + ev[ri + 1:]] = c
+    return [GenPoly((CS, SN), t) for t in parts]

@@ -16,6 +16,10 @@ center-manifold solve and its integer-lattice substitution.
 :func:`scipy_period` and :func:`scipy_table` build the quasi-trigonometric
 period and table with scipy, the references for the in-repo DOP853 and
 QUADPACK ports.
+:func:`lienard_coefficients` (with :class:`LienardCoefficients` and
+:func:`_wrap`) is the previous return-map quadrature of the Lienard horizon
+orbit, hand-derived for that field and run on scipy's ``solve_ivp`` and
+``CubicSpline``: the reference for ``localanalysis.horizon_orbit``.
 :func:`concatenated_times` and :func:`concatenated_suffix_sums` are the
 cumulative and suffix sums of a trajectory's increments by concatenation,
 the references for the in-place sums of ``Trajectory.t`` and
@@ -23,8 +27,9 @@ the references for the in-place sums of ``Trajectory.t`` and
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from horizon.localanalysis import (
     center_manifold_series_1d,
     classify,
 )
-from horizon.quasitrig import _NODES, QuasiTrigTable
+from horizon.quasitrig import _NODES, QuasiTrigTable, table
 from horizon.rates import fit_rate
 
 
@@ -386,6 +391,100 @@ def scipy_table(l: int) -> QuasiTrigTable:
     # pin the endpoints to the exact periodic values
     cs[-1], sn[-1] = 1.0, 0.0
     return QuasiTrigTable(l, T, cs, sn)
+
+
+@dataclass(frozen=True)
+class LienardCoefficients:
+    """Quadrature data controlling the periodic orbit on the horizon.
+
+    alpha is the Poincare-map exponent (first-order return coefficient
+    beta1 = e^alpha); -alpha is the exponent of the near-identity radial
+    change that removes the first-order angular modulation of the return map
+    (it is negative on (0, T/2), zero at T/2 and T).  Gamma2 is the
+    second-order integrand whose period integral Gamma_T > 0 drives the
+    attraction (beta2(T) < 0) and the linear growth of its running integral.
+    """
+
+    n: int
+    T: float
+    alpha: Callable[[float], float]
+    beta1_T: float
+    beta2_T: float
+    Gamma_T: float
+    C2: float                     # pointwise bound on Gamma2
+    C3: float                     # slope of the running integral, Gamma_T / T
+
+
+def lienard_coefficients(n: int) -> LienardCoefficients:
+    """Quadratures of the periodic-orbit coefficients for odd n.
+
+    gamma1 = Sn^2 Cs^n, gamma2 = Sn Cs^2n + gamma1 Cs^(2n+1)/(1 - Sn Cs^(n+1)),
+    all divided by 1 - Sn Cs^(n+1) where they enter; computed by one
+    high-accuracy integration pass over [0, T] with dense output.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be an odd positive integer")
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
+    l = n + 1
+    tab = table(l)
+    T = tab.T
+
+    def parts(phi):
+        c, s = tab.lookup(phi)
+        den = 1.0 - s * c ** (n + 1)
+        g1 = s * s * c**n
+        G1 = g1 / den
+        g2 = s * c ** (2 * n) + g1 * c ** (2 * n + 1) / den
+        G2 = g2 / den
+        return G1, G2
+
+    def rhs(phi, y):
+        G1, G2 = parts(phi)
+        alpha = y[0]
+        # y = [alpha, int e^alpha G2, int G2, int (e^alpha - 1) G2]; the last
+        # is read nowhere, but it takes part in DOP853's error norm, so it
+        # sets the steps and the bits of beta2_T
+        ea = math.exp(alpha)
+        return [G1, ea * G2, G2, (ea - 1.0) * G2]
+
+    nodes = np.linspace(0.0, T, 4097)
+    sol = solve_ivp(
+        rhs,
+        (0.0, T),
+        [0.0, 0.0, 0.0, 0.0],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        dense_output=True,
+    )
+    vals = sol.sol(nodes)
+    alpha_sp = CubicSpline(nodes, vals[0])
+
+    alpha_T = float(vals[0, -1])
+    Gamma_T = float(vals[2, -1])
+    beta2_T = -math.exp(alpha_T) * float(vals[1, -1])
+    C2 = float(max(abs(parts(p)[1]) for p in np.linspace(0, T, 2001)))
+
+    def alpha(phi):
+        return float(alpha_sp(_wrap(phi, T)))
+
+    return LienardCoefficients(
+        n=n,
+        T=T,
+        alpha=alpha,
+        beta1_T=math.exp(alpha_T),
+        beta2_T=beta2_T,
+        Gamma_T=Gamma_T,
+        C2=C2,
+        C3=Gamma_T / T,
+    )
+
+
+def _wrap(phi, T):
+    x = math.fmod(phi, T)
+    return x + T if x < 0 else x
 
 
 def concatenated_times(incs) -> np.ndarray:

@@ -27,9 +27,9 @@ import pytest
 
 from horizon.casebook import get_case, run_case
 from horizon.dynamics import accumulate_time, integrate, remaining_time
-from horizon.localanalysis import center_manifold_series_1d, lienard_coefficients
+from horizon.localanalysis import center_manifold_series_1d, horizon_orbit
 from horizon.rates import fit_rate
-from oracles import h_coefficient
+from oracles import h_coefficient, lienard_coefficients
 
 warnings.filterwarnings("ignore", message=".*q is indeterminate.*")
 
@@ -301,19 +301,24 @@ def test_criterion_7_kdv(capsys):
 
 def test_criterion_8_lienard_n3(capsys):
     co = lienard_coefficients(3)
+    orbit = horizon_orbit(get_case("lienard").definition({"n": 3}).chart)
     rep = run_case("lienard", {"n": 3})
     f = _fit(rep, "n=3", "inv_r")
     ok = (
         abs(co.alpha(co.T)) <= 1e-8
         and co.beta2_T < 0.0
         and co.Gamma_T > 0.0
+        and abs(orbit.beta1 - 1.0) <= 1e-8
+        and orbit.beta2 < 0.0
         and abs(f["rho"] - 0.5) <= 0.05
     )
     _say(capsys,
          f"ACCEPT 8a [lienard n=3: alpha(T)~0, beta2(T)<0, Gamma_T>0, "
-         f"section exponent 1/2+-0.05]: {'PASS' if ok else 'FAIL'} "
+         f"horizon_orbit beta1~1 and beta2<0, section exponent 1/2+-0.05]: "
+         f"{'PASS' if ok else 'FAIL'} "
          f"(alpha(T)={co.alpha(co.T):+.2e}, beta2={co.beta2_T:+.4f}, "
-         f"Gamma_T={co.Gamma_T:+.4f}, rho={f['rho']:+.4f})")
+         f"Gamma_T={co.Gamma_T:+.4f}, orbit beta1-1={orbit.beta1 - 1.0:+.2e}, "
+         f"orbit beta2={orbit.beta2:+.4f}, rho={f['rho']:+.4f})")
     assert ok
 
 

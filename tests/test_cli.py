@@ -249,6 +249,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 9 " in err and "m=4 does not match the declared type 1 3" in err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("type 1 1", "type -1 1", "type entries must be nonnegative"),
+        ("type 1 1", "type 0 0", "at least one positive type entry is required"),
+        ("order 3\n", "", "'type' declared without 'order'"),
+    ], ids=["negative", "all-zero", "no-order"])
+    def test_refused_type_is_2_at_its_line(self, tmp_path, capsys, old, new, message):
+        # these ended as a pipeline error (exit 3), or at line 1
+        text = (CASES_DIR / "iy.spec").read_text()
+        assert old in text
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith("type "))
+        rc = main(["analyze", str(write(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line {line} col 1: ") and message in err
+
     @pytest.mark.parametrize("line,usage", [
         ("window 1e-8", "window <low> <high>"),
         ("box x 1", "unknown directive 'box'"),  # no spec states a search range

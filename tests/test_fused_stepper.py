@@ -33,8 +33,8 @@ from horizon.dynamics import (
     integrate,
 )
 from horizon.genpoly import GenPoly, _float_pow_nan, format_genpoly, parse_genpoly
-from horizon.localanalysis import lienard_coefficients
 from horizon.quasitrig import _NODES, cssn, period, table
+from oracles import lienard_coefficients
 
 # -- reference implementation (previous path, verbatim) -------------------------
 

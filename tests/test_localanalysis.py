@@ -2,8 +2,12 @@
 
 import ast
 import hashlib
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +19,9 @@ from horizon import casebook
 from horizon.casebook import equilibrium_search, get_case
 from horizon.cli import _parse_number, parse_spec_file
 from horizon.compactify import (
+    CS,
+    SN,
+    ChartField,
     base_field,
     blowup_chart,
     desingularize,
@@ -23,6 +30,7 @@ from horizon.compactify import (
     quasi_polar_compactify,
     time_rescale,
 )
+from horizon.dynamics import integrate
 from horizon.errors import DegenerateBeyondDegreeError, DomainError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.localanalysis import (
@@ -43,7 +51,7 @@ from horizon.localanalysis import (
     cm_flow_asymptotics,
     equilibria_of,
     horizon_equilibria,
-    lienard_coefficients,
+    horizon_orbit,
     type1_rate_prediction,
 )
 from horizon.quasitrig import table
@@ -54,8 +62,10 @@ from oracles import (
     fraction_substitute_series,
     h_coefficient,
     interpreted_eval,
+    lienard_coefficients,
     picard_center_manifold_series_1d,
 )
+from test_fused_stepper import LIENARD_REFERENCE
 
 
 def gp(text, vars):
@@ -433,6 +443,110 @@ def _trapezoid(co, b, nodes=20_001):
     """int_0^b Gamma2 by the trapezoid rule."""
     y = [_gamma2(co, phi) for phi in np.linspace(0.0, b, nodes).tolist()]
     return b / (nodes - 1) * (math.fsum(y) - 0.5 * (y[0] + y[-1]))
+
+
+# -- the return map of a quasi-polar horizon orbit ------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_horizon_orbit_meets_the_lienard_reference(n):
+    # the period bit for bit; beta1 and beta2 against the scipy quadrature,
+    # pinned and run
+    orbit = horizon_orbit(get_case("lienard").definition({"n": n}).chart)
+    T, beta1, beta2 = (float.fromhex(h) for h in LIENARD_REFERENCE[n][:3])
+    assert orbit.T.hex() == T.hex()
+    assert abs(orbit.beta1 - 1.0) <= 1e-10 and abs(beta1 - 1.0) <= 1e-10
+    assert orbit.beta2 == pytest.approx(beta2, rel=1e-10, abs=0.0)
+    assert orbit.beta2 == pytest.approx(lienard_coefficients(n).beta2_T, rel=1e-10, abs=0.0)
+
+
+SECOND_ORBIT_SPEC = """\
+var x
+var y
+field x : y - x^2
+field y : -x^3 - x^2 - x*y
+type 1 2
+order 1
+transform quasipolar m=2
+initial r=1e-4 theta=0
+"""
+
+
+def test_horizon_orbit_of_a_spec_field_meets_its_direct_return_map(tmp_path):
+    # the section theta = -T reached from (r0, 0) by integrate: the second
+    # coefficient (r1 - beta1 r0)/r0^2 at r0 and r0/2, extrapolated in r0
+    path = tmp_path / "second.spec"
+    path.write_text(SECOND_ORBIT_SPEC)
+    chart = parse_spec_file(path).chart
+    orbit = horizon_orbit(chart)
+    assert abs(orbit.beta1 - 1.0) <= 1e-10
+    est = []
+    for r0 in (1e-4, 5e-5):
+        traj = integrate(chart, [r0, 0.0], 10.0, rtol=1e-13, atol=1e-14,
+                         stop_at_equilibrium=False)
+        (_, state, *_), = traj.sections
+        assert state[1] == -orbit.T
+        est.append((state[0] - orbit.beta1 * r0) / r0**2)
+    assert orbit.beta2 == pytest.approx(2.0 * est[1] - est[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("b0", [-1, 2])
+def test_horizon_orbit_of_r_squared_is_closed_form(b0):
+    # r' = r^2, theta' = b0 (Cs, Sn = cos, sin): r after one revolution is
+    # r0 / (1 - r0 T/|b0|), so beta1 = 1 and beta2 = 2 pi/|b0| either way
+    pv = ("r", CS, SN)
+    chart = ChartField(vars=("r", "theta"), components=(gp("r^2", pv), gp(str(b0), pv)),
+                       time_chain=(), provenance=(), radial="r", quasipolar_index=1,
+                       angle="theta")
+    orbit = horizon_orbit(chart)
+    assert orbit.T == 2.0 * math.pi
+    assert orbit.beta1 == pytest.approx(1.0, rel=1e-13)
+    assert orbit.beta2 == pytest.approx(2.0 * math.pi / abs(b0), rel=1e-12)
+
+
+@pytest.mark.parametrize("dr,dth,match", [
+    ("r + 1", "-1", "r-free"),
+    ("r^(1/2)", "-1", "r\\^1/2"),
+    ("r + r^(5/2)", "-1", "r\\^5/2"),
+    ("r", "-1 + r^(1/2)", "r\\^1/2"),
+])
+def test_horizon_orbit_refuses_terms_outside_its_expansion(dr, dth, match):
+    pv = ("r", CS, SN)
+    chart = ChartField(vars=("r", "theta"), components=(gp(dr, pv), gp(dth, pv)),
+                       time_chain=(), provenance=(), radial="r", quasipolar_index=1,
+                       angle="theta")
+    with pytest.raises(ValueError, match=match):
+        horizon_orbit(chart)
+
+
+def test_horizon_orbit_refuses_a_horizon_with_equilibria_or_no_angle():
+    assert len(horizon_equilibria(qp_chart(1, 4))) == 4
+    with pytest.raises(ValueError, match="equilibria"):
+        horizon_orbit(qp_chart(1, 4))
+    with pytest.raises(ValueError, match="quasi-polar"):
+        horizon_orbit(get_case("iy").definition().chart)
+
+
+_ORBIT_COLD = """
+import json, sys
+from horizon.casebook import get_case
+from horizon.localanalysis import horizon_orbit
+orbit = horizon_orbit(get_case("lienard").definition({"n": 3}).chart)
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "beta2": orbit.beta2}))
+"""
+
+
+def test_horizon_orbit_imports_no_scipy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORBIT_COLD], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["scipy"] == []
+    assert out["beta2"] < 0.0
 
 
 def test_degenerate_front_jacobians_match_closed_forms():
