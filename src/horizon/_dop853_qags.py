@@ -216,7 +216,8 @@ def dop853(fun, y0, T: float, rtol: float, atol: float, nodes: np.ndarray) -> np
         step_rejected = False
         while True:
             if h_abs < min_step:
-                raise ArithmeticError(f"DOP853 step size fell below {min_step!r} at t = {t!r}")
+                raise ArithmeticError(f"DOP853 step size fell below {float(min_step)!r} "
+                                      f"at t = {float(t)!r}")
             t_new = t + h_abs
             if t_new - T > 0:
                 t_new = T

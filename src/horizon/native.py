@@ -43,13 +43,24 @@ CPython's float rules are reproduced where Python raises or differs from C:
   float or int constant, a global number, or the negation of one; every
   exponent of a generated loop is): whether it is 0, NaN or infinite,
   fractional, or an even or an odd integer.  ``py_pow`` takes that kind
-  and still tests the base in CPython's order (NaN, infinite, zero,
-  negative, 1.0); for any other exponent it decides the kind itself.
+  as a constant and is inlined at every power.  With an even or odd
+  exponent it computes ``r = pow(|x|, y)``, with a fractional one and
+  ``x > 0`` ``r = pow(x, y)``, and returns ``r`` (``copysign(r, x)`` for
+  an odd one) if ``DBL_MIN < r < HUGE_VAL``.  That is CPython's value: a
+  NaN, zero or infinite base gives NaN, 0 or an infinite ``r``, so the
+  base is finite and nonzero, where ``float_pow`` returns
+  ``+-pow(|x|, y)`` (``x = +-1`` included: C99 makes ``pow(1, y)`` 1),
+  and ``errno`` cannot be set (below).  Every other case, a zero,
+  subnormal, infinite or NaN result, a refused power or a kind decided at
+  run time, calls ``py_pow_slow`` out of line.  It tests the base in
+  CPython's order (NaN, infinite, zero, negative, 1.0); for any other
+  exponent it decides the kind itself.
 * ``errno`` is read only where it can be set: C99 (7.12.1) sets
   ``ERANGE`` only with an infinite result or one that underflows, whose
-  magnitude is then at most ``DBL_MIN``.  So a result above ``DBL_MIN``
-  and below ``HUGE_VAL`` is returned as it is, and any other repeats the
-  call with ``errno`` zeroed and applies CPython's adjustment.
+  magnitude is then at most ``DBL_MIN``.  So ``py_pow_slow`` returns a
+  result above ``DBL_MIN`` and below ``HUGE_VAL`` as it is, and for any
+  other repeats the call with ``errno`` zeroed and applies CPython's
+  adjustment.
 * ``_fpow`` (:func:`horizon.genpoly._float_pow_nan`) is NaN on a negative
   base and on 0 to a non-positive power, and ``float_pow`` otherwise.
 * ``x % y`` is ``float_rem``: ``fmod`` plus the sign fix (a nonzero
@@ -79,8 +90,11 @@ Compiler flags, besides ``-shared -fPIC`` and ``-lm``:
 * ``-fno-builtin-pow``: every power is the libm ``pow`` call CPython makes,
   with its ``errno``, never folded into ``x*x`` or a compile-time value;
 * ``-O1``: on a 2-vCPU x86-64 host (gcc 12.2) it compiled the lienard n=3
-  loop in 0.32-0.50 s against 0.68-0.80 s at ``-O2`` (alternating runs),
-  and the loop ran within 3% of the ``-O2`` speed.
+  loop in 0.38 s (median of 16 alternating compiles, 0.31 s at the
+  fastest) against 0.66 s at ``-O2`` (0.49 s), and the warm loop ran at
+  the ``-O2`` speed (0.687 against 0.685 s, medians of 18 runs).  The
+  inline powers cost 0.04-0.08 s of that compile and save about 0.09 s in
+  the 372,000 steps a fresh lienard n=3 run takes in C.
 
 A translation and its compiled loop are cached per process by the loop
 text and everything the C text depends on besides it: the chunk size, the
@@ -172,7 +186,8 @@ static double py_mod(exc_t *x, int site, double a, double b)
 
 enum { POW_ANY, POW_ZERO, POW_NAN, POW_INF, POW_FRACTION, POW_EVEN, POW_ODD };
 
-static double py_pow(exc_t *x, int site, double iv, double iw, int k)
+static __attribute__((noinline)) double py_pow_slow(exc_t *x, int site, double iv, double iw,
+                                                    int k)
 {
     double a = iv, ix;
     int negate = 0;
@@ -223,6 +238,22 @@ static double py_pow(exc_t *x, int site, double iv, double iw, int k)
             return fail(x, site, errno == ERANGE ? 2 : 3, 3, a, iw);
     }
     return negate ? -ix : ix;
+}
+
+static inline __attribute__((always_inline)) double py_pow(exc_t *x, int site, double iv,
+                                                           double iw, int k)
+{
+    double r;
+    if (k == POW_EVEN || k == POW_ODD) {
+        r = pow(fabs(iv), iw);
+        if (r > DBL_MIN && r < HUGE_VAL)
+            return k == POW_ODD ? copysign(r, iv) : r;
+    } else if (k == POW_FRACTION && iv > 0.0) {
+        r = pow(iv, iw);
+        if (r > DBL_MIN && r < HUGE_VAL)
+            return r;
+    }
+    return py_pow_slow(x, site, iv, iw, k);
 }
 
 static double py_fpow(exc_t *x, int site, double b, double e, int k)

@@ -839,18 +839,55 @@ CLOSED_FORM_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("m", list(CLOSED_FORM_FIELDS))
-def test_closed_form_blowup_through_the_pipeline(m, tmp_path):
-    fx, fy = CLOSED_FORM_FIELDS[m]
-    spec = (f"name radial{m}\nvar x\nvar y\nfield x : {fx}\nfield y : {fy}\n"
-            f"type 1 1\norder {2 * m}\ntransform quasipolar m=1\n"
-            "initial r=0.5 theta=0\ntau-end 40\nobservable rho : r^(-1)\n")
+# x' = x^2 from x = 2, so x = 1/s with t_max = 1/2, and y' a hyperbolic sink
+# in the directional chart (r = 1/x): with y' = x y/2 the chart is r' = -r,
+# y' = -y/2 and x = r^(-1) has rho = 1, q = 0, C = 1; with y' = x it is
+# r' = -r, y' = r - y, a Jordan block at -1, and from y = log 2 (chart y =
+# log(2)/2) the solution is y = log(1/s), so rho = 0, q = 1, C = 1.  Each
+# fit is bounded around its measured error: (value, tolerance)
+SINK_SPEC = """name {name}
+var x positive
+var y
+field x : x^2
+field y : {field}
+type 1 1
+order 1
+transform directional index=x sign=+
+transform desingularize
+initial r=0.5 y={y}
+tau-end 40
+window 1e-10 1e-4
+observable {observable}
+"""
+CLOSED_FORM_SINKS = {
+    "sink": (SINK_SPEC.format(name="sink", field="1/2*x*y", y=0.5, observable="x : r^(-1)"),
+             {"rho": (1.0, 2e-8), "q": (0.0, 3e-7), "C": (1.0, 5e-7)}),
+    "resonant-sink": (SINK_SPEC.format(name="resonant", field="x", y=math.log(2.0) / 2.0,
+                                       observable="y : r^(-1) * y"),
+                      {"rho": (0.0, 1e-9), "q": (1.0, 1.5e-8), "C": (1.0, 2.5e-8)}),
+}
+
+
+@pytest.mark.parametrize("case", [*CLOSED_FORM_FIELDS, *CLOSED_FORM_SINKS], ids=str)
+def test_closed_form_blowup_through_the_pipeline(case, tmp_path):
+    if case in CLOSED_FORM_SINKS:
+        spec, want = CLOSED_FORM_SINKS[case]
+        t_max, t_tol = 0.5, 1e-14
+    else:
+        m, (fx, fy) = case, CLOSED_FORM_FIELDS[case]
+        spec = (f"name radial{m}\nvar x\nvar y\nfield x : {fx}\nfield y : {fy}\n"
+                f"type 1 1\norder {2 * m}\ntransform quasipolar m=1\n"
+                "initial r=0.5 theta=0\ntau-end 40\nobservable rho : r^(-1)\n")
+        t_max = 1 / (2 * m * 4**m)
+        t_tol = 1e-12 * t_max
+        # the rate to within the revolution sampling, not yet the edge's tail
+        C = (2 * m) ** (-1 / (2 * m))
+        want = {"rho": (1 / (2 * m), 5e-4), "q": (0.0, 5e-3), "C": (C, 0.01 * C)}
     out = tmp_path / "out"
     assert main(["analyze", str(write(tmp_path, spec)), "--out", str(out)]) == 0
     (run,) = json.loads((out / "report.json").read_text())["runs"]
-    t_max = 1 / (2 * m * 4**m)
-    assert abs(run["edge"]["value"] - t_max) <= 1e-12 * t_max
-    # the rate to within the revolution sampling, not yet the edge's tail
+    assert abs(run["edge"]["value"] - t_max) <= t_tol
+    assert case not in CLOSED_FORM_SINKS or run["n_steps"] == 4604
     (fit,) = run["fits"]
-    assert abs(fit["rho"] - 1 / (2 * m)) <= 5e-4 and abs(fit["q"]) <= 5e-3
-    assert fit["C"] == pytest.approx((2 * m) ** (-1 / (2 * m)), rel=0.01)
+    for key, (value, tol) in want.items():
+        assert abs(fit[key] - value) <= tol, (key, fit[key])

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -525,6 +526,24 @@ def test_horizon_orbit_refuses_a_horizon_with_equilibria_or_no_angle():
         horizon_orbit(qp_chart(1, 4))
     with pytest.raises(ValueError, match="quasi-polar"):
         horizon_orbit(get_case("iy").definition().chart)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_dop853_step_underflow_names_plain_floats():
+    # b0 = (Sn - 1/2)^2 has double roots that the sign-change scan misses
+    # (ROADMAP item 18), so the orbit is integrated into b0 = 0 and its
+    # step size underflows; the message carries no numpy scalar reprs
+    pv = ("r", CS, SN)
+    chart = ChartField(vars=("r", "theta"),
+                       components=(gp(f"r*{CS}", pv), gp(f"{SN}^2 - {SN} + 1/4", pv)),
+                       time_chain=(), provenance=(), radial="r", quasipolar_index=1,
+                       angle="theta")
+    with pytest.raises(ArithmeticError) as info:
+        horizon_orbit(chart)
+    number = r"(\d+\.\d*|\d+)(e[+-]?\d+)?"
+    assert re.fullmatch(f"DOP853 step size fell below {number} at t = {number}",
+                        str(info.value)), str(info.value)
 
 
 _ORBIT_COLD = """

@@ -315,11 +315,52 @@ def test_first_exception_python_reaches_decides_the_handler(statement, caught):
     assert (want == 2.0) == (caught == "OverflowError" and "floor" in statement)
 
 
-_EXPONENTS = (2.0, 3.0, 6.0, 7.0, -1.0, -2.0, -3.0, 0.5, 1.5, 2.5, -0.2, -0.14, 0.06, 1e-300,
-              1e300, -1e300, 0.0, -0.0, math.inf, -math.inf)
+_EXPONENTS = (2.0, 3.0, 6.0, 7.0, 1.0, -1.0, -2.0, -3.0, 0.5, 1.5, 2.5, 3.5, -0.2, -0.14, 0.06,
+              1e-300, 1e300, -1e300, 0.0, -0.0, math.inf, -math.inf)
+
+
+def _around(x):
+    """``x`` and the floats one ulp below and above it."""
+    return math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)
+
+
+# bases whose power by one literal lands on an edge of py_pow's inline path,
+# a result strictly between DBL_MIN and HUGE_VAL: for the exponent 2.0 (even)
+# DBL_MIN, one base ulp either side, a subnormal result, DBL_MAX - 1 ulp and
+# the first overflow; for 3.0 (odd) the same, with DBL_MAX - 3 ulps; for 3.5
+# (fractional) DBL_MIN and one base ulp either side; for 1.5 a subnormal
+# result, DBL_MAX and the first overflow.  Each lands at least 0.2 ulp from a
+# rounding midpoint, so any pow within 0.52 ulp gives these results
+_EDGES = {
+    2.0: (*_around(2.0**-511), 2.0**-530, float.fromhex("0x1.fffffffffffffp+511"), 2.0**512),
+    3.0: (*_around(float.fromhex("0x1.428a2f98d728bp-341")), 2.0**-350,
+          *_around(float.fromhex("0x1.428a2f98d728bp+341"))[:2]),
+    3.5: _around(2.0**-292),
+    1.5: (2.0**-700, *_around(float.fromhex("0x1.965fea53d6e3dp+682"))[:2]),
+}
 _BASES = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0, -2.0, 0.5, -0.5, 5e-324,
           -5e-324, 1e-160, -1e-160, 1e-200, 1e155, -1e155, 1e200, -1e200, sys.float_info.max,
-          3.0, 0.999999999)
+          -sys.float_info.max, sys.float_info.min, -sys.float_info.min, 3.0, 0.999999999,
+          *(s * x for bases in _EDGES.values() for x in bases for s in (1.0, -1.0)))
+_FRACTIONS = [w for w in _EXPONENTS if math.isfinite(w) and w % 1.0]
+
+
+def test_edge_bases_land_on_the_edges_of_the_inline_path():
+    dbl_min, dbl_max = sys.float_info.min, sys.float_info.max
+
+    def power(x, w):
+        try:
+            return x ** w
+        except OverflowError:
+            return math.inf
+
+    landed = {w: [power(x, w) for x in bases] for w, bases in _EDGES.items()}
+    for w in (2.0, 3.0, 3.5):
+        below, at, above = landed[w][:3]
+        assert 0.0 < below < dbl_min == at < above
+    for w in (2.0, 3.0, 1.5):
+        assert 0.0 < landed[w][-3] < dbl_min and landed[w][-2] < math.inf == landed[w][-1]
+    assert landed[1.5][-2] == dbl_max
 
 
 def _power_loop(form, literal, caught):
@@ -375,7 +416,8 @@ def test_powers_match_python_on_every_special_value(form, literal, caught):
                 refused += 1
             else:
                 assert got == want, (x, w)
-    assert refused == (0 if form == "_fpow" else 49)
+    negative = [x for x in _BASES if -math.inf < x < 0.0]
+    assert refused == (0 if form == "_fpow" else len(negative) * len(_FRACTIONS))
 
 
 def _literal_operand(node, local):
