@@ -1,7 +1,9 @@
 """Integrator and physical-time reconstruction against closed-form oracles."""
 
 import array
+import dis
 import math
+import sys
 import warnings
 from fractions import Fraction as F
 
@@ -431,3 +433,21 @@ def test_python_loop_streams_are_float_arrays_the_trajectory_views():
     traj = _build_traj(*streams[:3], "tau-budget", C, [], st["n_acc"], st["n_rej"])
     for got, stream in zip((traj.tau, traj.states, traj.dt_inc), streams):
         assert np.shares_memory(got, np.frombuffer(stream))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the counters that decide when a code object is quickened are 3.11's")
+@pytest.mark.parametrize("case, stop_at_equilibrium", [("aiu", False), ("iy", True)])
+def test_one_call_of_the_python_loop_runs_specialized(case, stop_at_equilibrium):
+    # 3.11 quickens a code object after 8 function entries or unconditional
+    # backward jumps.  The loop is called once per run, and a run without a
+    # rejected step takes no `continue` but the one that ends every iteration
+    C = get_case(case).definition().chart
+    y = (1.0, 1.0)
+    f, g = C.compile_rhs()(y)
+    loop = _loop_fn(C, 1, None, stop_at_equilibrium)[0]
+    st = loop(y, f, g, 1e-3, 1.0, 1.0, 1e-8, (1e-10, 1e-10), 100, None, None)
+    assert st["n_acc"] > 8 and st["n_rej"] == 0
+    ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
+    assert {"BINARY_OP_MULTIPLY_FLOAT", "BINARY_OP_ADD_FLOAT"} <= ops
+    assert not [op for op in ops if op.startswith("POP_JUMP_BACKWARD")]
