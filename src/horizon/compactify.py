@@ -507,11 +507,14 @@ def quasi_polar_compactify(
     chart is already desingularized (multiplied by r^k, time chain gains
     r^k) and its components are polynomials in (r, Cs, Sn) reduced by
     Cs^(2m) -> 1 - m*Sn^2.  Its inverse is recorded over the same
-    polynomial variables (y1 = Cs r^-1, y2 = Sn r^-m).
+    polynomial variables (y1 = Cs r^-1, y2 = Sn r^-m).  An ``m`` below 1,
+    for which the reduction has no fixpoint, raises ValueError.
     """
     if len(C.vars) != 2:
         raise ValueError("quasi-polar compactification needs a planar field")
     m = int(m)
+    if m < 1:
+        raise ValueError(f"quasi-polar compactification needs m >= 1, not m = {m}")
     k = frac(k)
     certify_type(C.components, TypeVector.make((1, m), k))
     pv = (radial, CS, SN)

@@ -63,7 +63,7 @@ class GenMonomial:
 class GenPoly:
     """Immutable generalized polynomial over an ordered tuple of variables."""
 
-    # _eval: the compiled evaluator of :meth:`eval`, set on first use
+    # _eval: the :meth:`compile` function that :meth:`eval` runs, set on first use
     __slots__ = ("vars", "terms", "_eval")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[ExponentVec, Coeff] | Iterable):
@@ -207,39 +207,38 @@ class GenPoly:
         (zero is allowed for positive exponents and evaluates to 0).
         Never returns NaN: bad inputs raise DomainError instead.
 
-        The coordinates, as floats, go to a lambda of ``0.0 +`` the
-        :meth:`source` text, compiled on first use and kept on the instance;
-        its negative and fractional powers call :func:`_real_pow`, and an
-        overflowing power raises ``OverflowError``.  (A statement in the text
-        would double its compile time.)
+        The value is ``0.0 +`` that of the :meth:`compile` function at the
+        coordinates as floats; the function is compiled on first use and
+        kept on the instance.  Only where it raises ``ZeroDivisionError`` or
+        ``OverflowError`` or returns NaN are the powers walked in the text's
+        order: the first one outside its domain raises DomainError naming
+        its variable, and an overflowing one raises ``OverflowError``.
         """
         if len(x) != len(self.vars):
             raise ValueError("point dimension mismatch")
         try:
             fn = self._eval
         except AttributeError:
-            fn = self._compile_eval()
-        v = fn(*map(float, x))
+            fn = self.compile()
+            object.__setattr__(self, "_eval", fn)
+        try:
+            v = 0.0 + fn(*map(float, x))
+        except (ZeroDivisionError, OverflowError):
+            v = math.nan
         if v != v:
+            for ev, _ in self.terms:
+                for xi, e, name in zip(map(float, x), ev, self.vars):
+                    if e == 0:
+                        continue
+                    if xi == 0.0:
+                        if e < 0:
+                            raise DomainError(f"negative power of {name}=0")
+                    elif xi < 0.0 and e.denominator != 1:
+                        raise DomainError(f"fractional power of negative {name}={xi}")
+                    else:
+                        xi ** float(e)  # an overflowing power raises here
             raise DomainError("evaluation produced NaN")
         return v
-
-    def _compile_eval(self) -> Callable[..., float]:
-        names = [f"x{i}" for i in range(len(self.vars))]
-        label = dict(zip(names, self.vars))
-
-        def power(name: str, e: Fraction) -> str:
-            if e > 0 and e.denominator == 1:
-                return power_source(name, e)
-            exponent = int(e) if e.denominator == 1 else float(e)
-            return f"_real_pow({name},{exponent!r},{label[name]!r})"
-
-        src = f"lambda {', '.join(names)}: 0.0 + {self.source(names, power)}"
-        # source prints an infinite or NaN float coefficient as inf or nan
-        ns = {"_real_pow": _real_pow, "inf": math.inf, "nan": math.nan}
-        fn = eval(compile(src, f"<genpoly eval:{format_genpoly(self)[:40]}>", "eval"), ns)
-        object.__setattr__(self, "_eval", fn)
-        return fn
 
     # -- structural operations ----------------------------------------------
 
@@ -357,19 +356,20 @@ class GenPoly:
         return text or "0.0"
 
     def compile(self) -> Callable[..., float]:
-        """Compile to a fast scalar function of the variables (in order).
+        """Compile to a fast scalar function of the variables (in order): a
+        lambda of the :meth:`source` text, the function :meth:`eval` runs.
 
         Where :meth:`eval` raises ``DomainError`` for a fractional power of a
         negative base (or a non-positive fractional power of zero), the
         compiled function returns NaN.  Integer powers are Python float
         powers: ``0.0**-n`` raises ``ZeroDivisionError`` and an overflowing
-        power raises ``OverflowError``.
+        power raises ``OverflowError``.  (A ``def`` statement would compile
+        more slowly.)
         """
         names = [f"x{i}" for i in range(len(self.vars))]
-        src = f"def _f({', '.join(names)}):\n    return {self.source(names)}\n"
-        ns = dict(SOURCE_GLOBALS)
-        exec(compile(src, f"<genpoly:{format_genpoly(self)[:40]}>", "exec"), ns)
-        return ns["_f"]
+        src = f"lambda {', '.join(names)}: {self.source(names)}"
+        code = compile(src, f"<genpoly:{format_genpoly(self)[:40]}>", "eval")
+        return eval(code, dict(SOURCE_GLOBALS))
 
     def compile_batch(self) -> Callable[..., list]:
         """Compile to a function of one column per variable (in order) that
@@ -418,10 +418,11 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
 
 
 def power_source(name: str, e: Fraction) -> str:
-    """Python expression for ``name**e`` in compiled polynomials: the name
-    itself for e = 1 (``x**1`` is ``x`` exactly), ``**`` with a float
-    exponent for other integer e, otherwise ``_fpow`` (NaN on a negative
-    base or 0**(e<=0)).
+    """Python expression for ``name**e`` in every printed polynomial (the
+    :meth:`GenPoly.compile` function that :meth:`GenPoly.eval` runs, batches,
+    chart fields and the DP5 loop): the name itself for e = 1 (``x**1`` is
+    ``x`` exactly), ``**`` with a float exponent for other integer e,
+    otherwise ``_fpow`` (NaN on a negative base or 0**(e<=0)).
 
     ``x**3.0`` is ``x**3`` on floats, values and exceptions alike (the float
     power converts both operands to double first, and so does numpy's
@@ -433,18 +434,6 @@ def power_source(name: str, e: Fraction) -> str:
     return f"_fpow({name},{float(e)!r})"
 
 
-def _real_pow(x: float, e: int | float, name: str) -> float:
-    """``x**e`` for a negative integer ``e`` (an int) or a fractional one (a
-    float), else DomainError naming the variable ``name``."""
-    if x == 0.0:
-        if e < 0:
-            raise DomainError(f"negative power of {name}=0")
-        return 0.0
-    if x < 0.0 and isinstance(e, float):
-        raise DomainError(f"fractional power of negative {name}={x}")
-    return x**e
-
-
 def _float_pow_nan(x: float, e: float) -> float:
     if x < 0.0:
         return math.nan
@@ -453,8 +442,9 @@ def _float_pow_nan(x: float, e: float) -> float:
     return x**e
 
 
-# globals of the expressions printed by GenPoly.source
-SOURCE_GLOBALS = {"_fpow": _float_pow_nan}
+# globals of the expressions printed by GenPoly.source, which prints an
+# infinite or NaN float coefficient as inf or nan
+SOURCE_GLOBALS = {"_fpow": _float_pow_nan, "inf": math.inf, "nan": math.nan}
 
 
 def _coeff_pow(c: Coeff, e: Fraction) -> Coeff:

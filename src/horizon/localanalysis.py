@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -131,6 +132,11 @@ def _norm(v) -> float:
     return float(np.linalg.norm(v))
 
 
+# where the Newton search cannot evaluate the field: a point outside its
+# domain, or a power past the float range (a failed candidate, not an error)
+_NO_VALUE = (DomainError, OverflowError)
+
+
 def _solve(J, b):
     return np.linalg.solve(J, b).tolist()
 
@@ -141,13 +147,13 @@ def _damped_newton(F, JF, x, clip):
     Returns the root or None."""
     try:
         fx = F(x)
-    except DomainError:
+    except _NO_VALUE:
         return None
     for _ in range(NEWTON_MAX_ITER):
         nf = _norm(fx)
         try:
             step = _solve(JF(x), [-v for v in fx])
-        except (np.linalg.LinAlgError, DomainError):
+        except (np.linalg.LinAlgError, *_NO_VALUE):
             break
         if not all(map(math.isfinite, step)):
             break
@@ -159,7 +165,7 @@ def _damped_newton(F, JF, x, clip):
                     cand[i] = 0.0
             try:
                 fc = F(cand)
-            except DomainError:
+            except _NO_VALUE:
                 lam *= 0.5
                 continue
             if _norm(fc) < nf:
@@ -194,7 +200,7 @@ def _polish(F, x):
                 trial[i] = math.nextafter(x[i], toward)
                 try:
                     key = (_norm(F(trial)), _odd(trial))
-                except DomainError:
+                except _NO_VALUE:
                     continue
                 if key < best:
                     x, best, moved = trial, key, True
@@ -220,7 +226,7 @@ def _snap_axis_values(F, x):
                 try:
                     if _norm(F(trial)) <= NEWTON_TOL * (1.0 + _norm(trial)):
                         out = trial
-                except DomainError:
+                except _NO_VALUE:
                     pass
     return out
 
@@ -288,6 +294,7 @@ def _uniforms(seed: int, n: int) -> list[float]:
     return draws
 
 
+@np.errstate(over="ignore")  # the norm of a huge residual reads inf, silently
 def _newton_roots(components, variables, grads, box, seed):
     """Roots of ``components`` (polynomials in ``variables``) by multi-start
     damped Newton; ``grads[i][j]`` is the partial of component i in
@@ -363,22 +370,31 @@ def _binomial_roots(p: GenPoly, nonnegative: bool) -> list[float]:
 def _nearest_root(R: Fraction, n: int, m: int) -> float:
     """The double nearest ``R^(n/m)`` (R > 0): from its float estimate, step
     by one ulp while the root lies past a midpoint to a neighbouring double,
-    compared exactly as ``mid^m`` against ``R^n``."""
+    compared exactly as ``mid^m`` against ``R^n``.  A root that rounds to 0
+    or past the largest double raises :class:`DomainError`."""
     target, e = R**n, R.numerator.bit_length() - R.denominator.bit_length()
+    k, r = divmod(e * n, m)
     try:  # from R = M 2^e with M near 1, so that any R has an estimate
-        v = float(R / Fraction(2) ** e) ** (n / m) * 2.0 ** (e * n / m)
+        v = math.ldexp(float(R / Fraction(2) ** e) ** (n / m) * 2.0 ** (r / m), k)
     except OverflowError:
         v = math.inf
-    if not 0.0 < v < math.inf:
-        raise DomainError(f"horizon root {R}^({n}/{m}) outside the float range")
-    while True:
-        lo, hi = ((Fraction(v) + Fraction(math.nextafter(v, t))) / 2
-                  for t in (0.0, math.inf))
+    # an estimate that underflowed or overflowed starts at the end it passed
+    v = min(max(v, math.ulp(0.0)), sys.float_info.max)
+    while 0.0 < v < math.inf:
+        lo = (Fraction(v) + Fraction(math.nextafter(v, 0.0))) / 2
+        hi = Fraction(v) + Fraction(math.ulp(v)) / 2
         if lo**m < target < hi**m:
             return v
         if target in (lo**m, hi**m):  # a midpoint: round half to even
-            return float(lo if target == lo**m else hi)
+            try:
+                v = float(lo if target == lo**m else hi)
+            except OverflowError:
+                v = math.inf
+            break
         v = math.nextafter(v, math.inf if target > hi**m else 0.0)
+    if 0.0 < v < math.inf:
+        return v
+    raise DomainError(f"horizon root {R}^({n}/{m}) outside the float range")
 
 
 def _equilibrium_record(C: ChartField, coords) -> EquilibriumRecord:

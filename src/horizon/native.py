@@ -31,30 +31,30 @@ their order are the Python loop's and trajectories agree bit for bit.
 
 CPython's float rules are reproduced where Python raises or differs from C:
 
-* ``x ** y`` is ``float_pow``: ``x**0`` is 1, NaN and infinite operands are
+* ``x ** y`` and ``_fpow(x, y)`` take only the exponents a generated loop
+  prints: a finite nonzero literal (a float or int constant, a global
+  number, or the negation of one).  Any other, a local, 0, NaN or an
+  infinity, raises ``NotImplementedError`` when the loop is translated.
+* ``x ** y`` is then ``float_pow``: NaN and infinite bases are
   special-cased, ``0.0 ** -y`` raises ``ZeroDivisionError``, a negative
   base to an integral power is ``-pow(-x, y)`` for odd y, and libm's
   ``pow`` with the ``errno``/``ERANGE`` adjustment (underflow to 0 clears
   it, an infinite result sets it) raises ``OverflowError``.  A negative
   base to a fractional power, a complex number in Python (or an
   ``OverflowError``), is refused.
-* Each branch of ``float_pow`` that depends on the exponent alone is
-  decided when the loop is translated if the exponent is a literal (a
-  float or int constant, a global number, or the negation of one; every
-  exponent of a generated loop is): whether it is 0, NaN or infinite,
-  fractional, or an even or an odd integer.  ``py_pow`` takes that kind
-  as a constant and is inlined at every power.  With an even or odd
-  exponent it computes ``r = pow(|x|, y)``, with a fractional one and
-  ``x > 0`` ``r = pow(x, y)``, and returns ``r`` (``copysign(r, x)`` for
-  an odd one) if ``DBL_MIN < r < HUGE_VAL``.  That is CPython's value: a
-  NaN, zero or infinite base gives NaN, 0 or an infinite ``r``, so the
-  base is finite and nonzero, where ``float_pow`` returns
-  ``+-pow(|x|, y)`` (``x = +-1`` included: C99 makes ``pow(1, y)`` 1),
-  and ``errno`` cannot be set (below).  Every other case, a zero,
-  subnormal, infinite or NaN result, a refused power or a kind decided at
-  run time, calls ``py_pow_slow`` out of line.  It tests the base in
-  CPython's order (NaN, infinite, zero, negative, 1.0); for any other
-  exponent it decides the kind itself.
+* The branch of ``float_pow`` that depends on the exponent alone is decided
+  when the loop is translated: whether it is fractional, or an even or an
+  odd integer.  ``py_pow`` takes that kind as a constant and is inlined at
+  every power.  With an even or odd exponent it computes
+  ``r = pow(|x|, y)``, with a fractional one and ``x > 0``
+  ``r = pow(x, y)``, and returns ``r`` (``copysign(r, x)`` for an odd one)
+  if ``DBL_MIN < r < HUGE_VAL``.  That is CPython's value: a NaN, zero or
+  infinite base gives NaN, 0 or an infinite ``r``, so the base is finite
+  and nonzero, where ``float_pow`` returns ``+-pow(|x|, y)`` (``x = +-1``
+  included: C99 makes ``pow(1, y)`` 1), and ``errno`` cannot be set
+  (below).  Every other case, a zero, subnormal, infinite or NaN result or
+  a refused power, calls ``py_pow_slow`` out of line.  It tests the base in
+  CPython's order (NaN, infinite, zero, negative, 1.0).
 * ``errno`` is read only where it can be set: C99 (7.12.1) sets
   ``ERANGE`` only with an infinite result or one that underflows, whose
   magnitude is then at most ``DBL_MIN``.  So ``py_pow_slow`` returns a
@@ -63,12 +63,14 @@ CPython's float rules are reproduced where Python raises or differs from C:
   adjustment.
 * ``_fpow`` (:func:`horizon.genpoly._float_pow_nan`) is NaN on a negative
   base and on 0 to a non-positive power, and ``float_pow`` otherwise.
-* ``x % y`` is ``float_rem``: ``fmod`` plus the sign fix (a nonzero
-  remainder takes the divisor's sign by adding it, a zero one is ``+-0.0``
-  with the divisor's sign); a zero divisor raises ``ZeroDivisionError``.
+* ``x % y`` is taken only by a nonzero literal, as the Cs/Sn lookup prints
+  it, and by any other divisor raises ``NotImplementedError`` when the loop
+  is translated.  It is ``float_rem``: ``fmod`` plus the sign fix (a
+  nonzero remainder takes the divisor's sign by adding it, a zero one is
+  ``+-0.0`` with the divisor's sign), which cannot raise.
 * ``x / y`` raises ``ZeroDivisionError`` on a zero divisor.  By a nonzero
-  literal, ``/`` is C's division and ``%`` ``fmod`` and the sign fix:
-  neither can raise, so neither is numbered or tested.
+  literal it is C's division, which cannot raise, so it is not numbered or
+  tested.
 * ``math.floor`` raises ``ValueError`` on NaN and ``OverflowError`` on an
   infinity; ``math.sqrt`` raises ``ValueError`` below zero.
 * A list subscript wraps negative indices and raises ``IndexError``.
@@ -99,16 +101,16 @@ Compiler flags, besides ``-shared -fPIC`` and ``-lm``:
 A translation and its compiled loop are cached per process by the loop
 text and everything the C text depends on besides it: the chunk size, the
 value of each number the loop reads from its globals (printed as a
-literal), the length and row width of each table (its rows go by pointer
-on every call, flattened once per table list), any other global object
-itself, and the type letter of each value the loop carries in: the
-function's arguments and the names it assigns before its ``while``.  A
-name the loop assigns takes its type from those values and from the loop's
-own assignments, so a handoff at any step translates the same way: one
-translation and one compile per text and key in a process (:func:`warm`
-tells whether a text has one).  Each library is
-built in a temporary directory that is removed once it is loaded; nothing
-is cached on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
+literal), the length of each table and of its first row (its rows go by
+pointer on every call, checked and flattened once per table list), any
+other global object itself, and the type letter of each value the loop
+carries in: the function's arguments and the names it assigns before its
+``while``.  A name the loop assigns takes its type from those values and
+from the loop's own assignments, so a handoff at any step translates the
+same way: one translation and one compile per text and key in a process
+(:func:`warm` tells whether a text has one).  Each library is built in a
+temporary directory that is removed once it is loaded; nothing is cached
+on disk.  ``ctypes`` and ``subprocess`` are imported on first use.
 """
 
 from __future__ import annotations
@@ -136,14 +138,13 @@ CHUNK = 1 << 16        # doubles in one chunk of appended values
 _FULL, _RAISED = 1, 2  # what the C function returns besides 0, done
 
 # what the C helpers record: the exception (kind 1-4 here; 5 is a power with
-# no float result), and the operation (code 1-6 in _REPEAT) and its operands
+# no float result), and the operation (code 1-5 in _REPEAT) and its operands
 _EXCEPTIONS = (ZeroDivisionError, OverflowError, ValueError, IndexError)
-_REPEAT = (None, lambda a, b: a / b, lambda a, b: a % b, lambda a, b: a ** b,
-           lambda a, b: math.floor(a), lambda a, b: math.sqrt(a), lambda a, b: [][0])
+_REPEAT = (None, lambda a, b: a / b, lambda a, b: a ** b, lambda a, b: math.floor(a),
+           lambda a, b: math.sqrt(a), lambda a, b: [][0])
 _FUNCS = {math.floor: ("py_floor", "n"), math.sqrt: ("py_sqrt", "f"),
           _float_pow_nan: ("py_fpow", "f")}
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
-_CALLS = {ast.Div: "py_div", ast.Mod: "py_mod", ast.Pow: "py_pow"}
 _CMPOPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!="}
 
@@ -179,33 +180,15 @@ static double py_rem(double a, double b)
     return m;
 }
 
-static double py_mod(exc_t *x, int site, double a, double b)
-{
-    return b == 0.0 ? fail(x, site, 1, 2, a, b) : py_rem(a, b);
-}
-
-enum { POW_ANY, POW_ZERO, POW_NAN, POW_INF, POW_FRACTION, POW_EVEN, POW_ODD };
+enum { POW_FRACTION, POW_EVEN, POW_ODD };
 
 static __attribute__((noinline)) double py_pow_slow(exc_t *x, int site, double iv, double iw,
                                                     int k)
 {
     double a = iv, ix;
     int negate = 0;
-    if (k == POW_ANY)
-        k = iw == 0 ? POW_ZERO : isnan(iw) ? POW_NAN : isinf(iw) ? POW_INF
-            : iw != floor(iw) ? POW_FRACTION : fmod(fabs(iw), 2.0) == 1.0 ? POW_ODD : POW_EVEN;
-    if (k == POW_ZERO)
-        return 1.0;
     if (isnan(iv))
         return iv;
-    if (k == POW_NAN)
-        return iv == 1.0 ? 1.0 : iw;
-    if (k == POW_INF) {
-        iv = fabs(iv);
-        if (iv == 1.0)
-            return 1.0;
-        return (iw > 0.0) == (iv > 1.0) ? fabs(iw) : 0.0;
-    }
     if (isinf(iv)) {
         if (iw > 0.0)
             return k == POW_ODD ? iv : fabs(iv);
@@ -213,12 +196,12 @@ static __attribute__((noinline)) double py_pow_slow(exc_t *x, int site, double i
     }
     if (iv == 0.0) {
         if (iw < 0.0)
-            return fail(x, site, 1, 3, a, iw);
+            return fail(x, site, 1, 2, a, iw);
         return k == POW_ODD ? iv : 0.0;
     }
     if (iv < 0.0) {
         if (k == POW_FRACTION)
-            return fail(x, site, 5, 3, a, iw);
+            return fail(x, site, 5, 2, a, iw);
         iv = -iv;
         negate = k == POW_ODD;
     }
@@ -235,7 +218,7 @@ static __attribute__((noinline)) double py_pow_slow(exc_t *x, int site, double i
             errno = 0;
         }
         if (errno)
-            return fail(x, site, errno == ERANGE ? 2 : 3, 3, a, iw);
+            return fail(x, site, errno == ERANGE ? 2 : 3, 2, a, iw);
     }
     return negate ? -ix : ix;
 }
@@ -268,15 +251,15 @@ static double py_fpow(exc_t *x, int site, double b, double e, int k)
 static double py_floor(exc_t *x, int site, double a)
 {
     if (isnan(a))
-        return fail(x, site, 3, 4, a, 0.0);
+        return fail(x, site, 3, 3, a, 0.0);
     if (isinf(a))
-        return fail(x, site, 2, 4, a, 0.0);
+        return fail(x, site, 2, 3, a, 0.0);
     return floor(a);
 }
 
 static double py_sqrt(exc_t *x, int site, double a)
 {
-    return a < 0.0 ? fail(x, site, 3, 5, a, 0.0) : sqrt(a);
+    return a < 0.0 ? fail(x, site, 3, 4, a, 0.0) : sqrt(a);
 }
 
 static const double *py_row(exc_t *x, int site, const double *t, long long n, int w, double i)
@@ -284,7 +267,7 @@ static const double *py_row(exc_t *x, int site, const double *t, long long n, in
     if (i < 0)
         i += n;
     if (!(i >= 0 && i < n)) {
-        fail(x, site, 4, 6, i, 0.0);
+        fail(x, site, 4, 5, i, 0.0);
         i = 0;
     }
     return t + (long long)i * w;
@@ -380,11 +363,20 @@ def _program(text: str, ns: dict, state: dict):
 
 def _table_array(prog, name: str, rows: list) -> np.ndarray:
     """The rows of the loop's global table ``name`` as one flat float64
-    array, made once per program and list (no loop changes its tables)."""
+    array, checked and made once per program and list (no loop changes its
+    tables)."""
     held = prog.arrays.get(name)
     if held is None or held[0] is not rows:
-        held = prog.arrays[name] = rows, np.array(rows, dtype=np.float64).ravel()
+        held = prog.arrays[name] = rows, _flat_table(name, rows)
     return held[1]
+
+
+def _flat_table(name: str, rows) -> np.ndarray:
+    """The rows of the table ``name`` as one flat float64 array, or
+    NotImplementedError if it is not a list of float tuples."""
+    if _table_shape(rows) is None:
+        raise NotImplementedError(f"{name} is not a list of float tuples")
+    return np.array(rows, dtype=np.float64).ravel()
 
 
 def _key(text: str, ns: dict, state: dict) -> tuple:
@@ -400,14 +392,15 @@ def _key(text: str, ns: dict, state: dict) -> tuple:
 
 def _global_shape(value):
     """A global as the translator reads it: a float's exact value (0.0 and
-    -0.0 print apart), a table's length and row width, else the value itself
-    with its type (just the type if it is not hashable: the translator then
-    only finds it is no number)."""
+    -0.0 print apart), a table's length and the length of its first row (the
+    rest of it is checked where it is flattened, :func:`_table_array`), else
+    the value itself with its type (just the type if it is not hashable: the
+    translator then only finds it is no number)."""
     kind = type(value)
     if kind is float:
         return kind, value.hex()
     if kind is list:
-        return kind, _table_shape(value)
+        return kind, len(value), len(value[0]) if value and type(value[0]) is tuple else None
     try:
         hash(value)
     except TypeError:
@@ -505,14 +498,11 @@ def _literal(value) -> str:
 
 
 def _pow_kind(w: float | None) -> str:
-    """The kind of a literal exponent ``w`` that ``py_pow`` takes (POW_ANY,
-    for no literal, has it decide at run time)."""
-    if w is None:
-        return "POW_ANY"
-    if w == 0.0:
-        return "POW_ZERO"
-    if not math.isfinite(w):
-        return "POW_NAN" if math.isnan(w) else "POW_INF"
+    """The kind that ``py_pow`` takes of a finite nonzero literal exponent
+    ``w``, the only exponents a generated loop prints (any other raises
+    ``NotImplementedError``)."""
+    if not w or not math.isfinite(w):
+        raise NotImplementedError(f"a power with exponent {w!r}, not a finite nonzero literal")
     if not w.is_integer():
         return "POW_FRACTION"
     return "POW_ODD" if math.fmod(abs(w), 2.0) == 1.0 else "POW_EVEN"
@@ -525,8 +515,8 @@ class _Translator:
         self.loop, self.locals, _, self.carried = _parse(text)
         self.ns, self.state = ns, state
         self.types: dict[str, str] = {}
-        self.tables: list[str] = []
         self.buffers: dict[str, int] = {}  # appending name: calls per iteration
+        self.arrays: dict[str, tuple] = {}  # table name: (list, flat array), in order
         self.sites = self.labels = 0
         self.lines: list[str] = []
         self._infer_types()
@@ -617,13 +607,14 @@ class _Translator:
             op = type(node.op)
             if set(kinds) <= {"f", "i"} and op in _BINOPS:
                 return f"({a} {_BINOPS[op]} {b})"
-            if set(kinds) <= {"f", "i"} and op in _CALLS and (kinds[0] == "f" or op is ast.Div):
-                c = self._number(node.right)
+            c = self._number(node.right)
+            if set(kinds) <= {"f", "i"} and op is ast.Div:
+                return f"({a} / {_literal(c)})" if c else f"py_div(&ex, {self._site()}, {a}, {b})"
+            if kinds[0] == "f" and kinds[1] in ("f", "i"):
                 if op is ast.Pow:
-                    return f"{_CALLS[op]}(&ex, {self._site()}, {a}, {b}, {_pow_kind(c)})"
-                if not c:
-                    return f"{_CALLS[op]}(&ex, {self._site()}, {a}, {b})"
-                return f"({a} / {_literal(c)})" if op is ast.Div else f"py_rem({a}, {b})"
+                    return f"py_pow(&ex, {self._site()}, {a}, {b}, {_pow_kind(c)})"
+                if op is ast.Mod and c:
+                    return f"py_rem({a}, {b})"
         elif isinstance(node, ast.Compare):
             sides = (node.left, *node.comparators)
             if len(sides) == 2 and type(node.ops[0]) in _CMPOPS and all(
@@ -717,15 +708,13 @@ class _Translator:
                 and value.value.id not in self.locals):
             raise NotImplementedError(ast.dump(value))
         table = self.ns[value.value.id]
-        if value.value.id not in self.tables:
-            if _table_shape(table) is None:
-                raise NotImplementedError(f"{value.value.id} is not a list of float tuples")
-            self.tables.append(value.value.id)
+        if value.value.id not in self.arrays:  # checked and flattened once
+            self.arrays[value.value.id] = table, _flat_table(value.value.id, table)
         if len(table[0]) != len(names):
             raise NotImplementedError(f"{len(names)} names for rows of {len(table[0])}")
         index = self.value(value.slice, "n" if self._type(value.slice) == "n" else "i",
                            depth, handler)
-        k = self.tables.index(value.value.id)
+        k = list(self.arrays).index(value.value.id)
         self.emit(f"t_r = py_row(&ex, {self._site()}, tab{k}, {len(table)}, {len(names)}, {index});",
                   depth)
         self.emit(f"if (ex.kind) goto {handler};", depth)
@@ -801,7 +790,7 @@ class _Translator:
             *(f"    long long v_{v} = I[{j}];" for j, v in enumerate(ints)),
             *(f"    double *b{k} = B[{k}];\n    long long n{k} = N[{k}];"
               for k in range(len(self.buffers))),
-            *(f"    const double *tab{k} = T[{k}];" for k in range(len(self.tables))),
+            *(f"    const double *tab{k} = T[{k}];" for k in range(len(self.arrays))),
             f"    while ({test}) {{",
             *([f"        if ({full}) {{", "            status = 1;", "            break;",
                "        }"] if full else []),
@@ -823,7 +812,7 @@ class _Translator:
             "",
         ]
         return _Program(c="\n".join(lines), types=self.types, floats=floats, ints=ints,
-                        tables=self.tables, buffers=self.buffers, arrays={})
+                        tables=list(self.arrays), buffers=self.buffers, arrays=self.arrays)
 
 
 def _augmented(node: ast.AugAssign) -> ast.BinOp:

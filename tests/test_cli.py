@@ -249,6 +249,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 9 " in err and "m=4 does not match the declared type 1 3" in err
 
+    def test_quasipolar_m_below_one_is_2(self, tmp_path, capsys):
+        # type 1 0 with m = 0 left the Cs/Sn reduction rewriting Cs^0 forever
+        spec = (LIENARD3_SPEC.replace("-x^7 - x^6 - x^3*y", "x").replace("type 1 4", "type 1 0")
+                .replace("order 3", "order 1").replace("m=4", "m=0"))
+        rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 9 col 1: ") and "needs m >= 1, not m = 0" in err
+
     @pytest.mark.parametrize("old,new,message", [
         ("type 1 1", "type -1 1", "type entries must be nonnegative"),
         ("type 1 1", "type 0 0", "at least one positive type entry is required"),

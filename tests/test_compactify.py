@@ -300,6 +300,15 @@ class TestQuasiPolar:
         assert Q.components[0].is_zero()
         assert Q.components[1] == GenPoly(pv, {(F(0), F(0), F(0)): -1})
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_is_refused(self, m):
+        # Cs^(2m) -> 1 - m Sn^2 reduces nothing for m < 1: at m = 0 it
+        # rewrote Cs^0 forever
+        vars = ("x", "y")
+        C = base_field(vars, [gp("y", vars), gp("x", vars)], name="m0")
+        with pytest.raises(ValueError, match=f"needs m >= 1, not m = {m}$"):
+            quasi_polar_compactify(C, m, 1)
+
     def test_type_is_certified_on_the_field(self):
         # the lienard n=3 field is of type (1, 4): with m = 3, x^7 lies above
         vars = ("x", "y")

@@ -42,7 +42,7 @@ class TestEval:
     def test_compiled_once_and_kept_on_the_instance(self, monkeypatch):
         p = gp("2 * x^(-1) * y^(3/2) - x^2", ("x", "y"))
         assert p.eval([2.0, 4.0]) == 2 * 0.5 * 8.0 - 4.0
-        monkeypatch.setattr(GenPoly, "_compile_eval", lambda self: pytest.fail("compiled again"))
+        monkeypatch.setattr(GenPoly, "compile", lambda self: pytest.fail("compiled again"))
         assert p.eval([1.0, 0.0]) == -1.0
         with pytest.raises(DomainError, match=r"^fractional power of negative y=-1.0$"):
             p.eval([1.0, -1.0])
@@ -53,6 +53,20 @@ class TestEval:
         assert q == p and hash(q) == hash(p)
         monkeypatch.undo()
         assert q.eval([2.0, 4.0]) == 4.0
+
+    def test_non_finite_coefficients_in_every_evaluator(self):
+        # a float product past the range leaves an inf coefficient, and inf
+        # times 0.0 a NaN one: each evaluator prints them as inf and nan
+        # (compile() and compile_batch() raised NameError on them)
+        p = GenPoly(("x",), {(F(1),): 1e308}) * 10.0
+        q = p * 0.0
+        assert [format_genpoly(p), format_genpoly(q)] == ["inf * x", "nan * x"]
+        assert p.eval([2.0]) == p.compile()(2.0) == math.inf
+        assert p.compile_batch()([2.0, -2.0]) == [math.inf, -math.inf]
+        for f, x in ((p, 0.0), (q, 1.0)):
+            with pytest.raises(DomainError, match="^evaluation produced NaN$"):
+                f.eval([x])
+            assert math.isnan(f.compile()(x)) and math.isnan(f.compile_batch()([x])[0])
 
     def test_coefficient_past_float_range_is_parse_error(self):
         # the coefficient was inf, which the evaluators print as the name inf

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -886,6 +887,20 @@ def test_binomial_root_outside_the_float_range_is_refused():
             _binomial_roots(slice_of((1, -R), (b, 1)), True)
 
 
+def test_nearest_root_reaches_both_ends_of_the_float_range():
+    # a root that rounds to a subnormal or to the largest double is found
+    # though its float estimate underflows or overflows; one past either
+    # end (a tie there rounds to 0 or to inf) is refused
+    tiny, big = math.ulp(0.0), sys.float_info.max
+    assert _nearest_root(F(7, 3) * F(10) ** -65, 5, 1) == tiny
+    assert _nearest_root(F(tiny) ** 3 * F(3, 4), 1, 3) == tiny
+    assert _nearest_root(F(10) ** -155, 2, 1) == 1e-310
+    assert _nearest_root(F(big) + F(math.ulp(big)) / 3, 1, 1) == big
+    for R in (F(tiny) / 2, F(big) + F(math.ulp(big)) / 2):
+        with pytest.raises(DomainError, match="outside the float range"):
+            _nearest_root(R, 1, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.fractions(F(1, 10**6), 10**6),
                  st.floats(1e-300, 1e300).map(F),
@@ -1026,13 +1041,26 @@ def test_whole_field_search_shares_the_chart_jacobian(monkeypatch):
     # 4 partials are taken and compiled once, beside the 2 components
     chart = get_case("fhn").definition().chart
     assert equilibrium_search(chart) is equilibria_of
-    partial, compile_eval, calls = GenPoly.partial, GenPoly._compile_eval, []
+    partial, compile, calls = GenPoly.partial, GenPoly.compile, []
     monkeypatch.setattr(GenPoly, "partial",
                         lambda p, v: calls.append("partial") or partial(p, v))
-    monkeypatch.setattr(GenPoly, "_compile_eval",
-                        lambda p: calls.append("compile") or compile_eval(p))
+    monkeypatch.setattr(GenPoly, "compile",
+                        lambda p: calls.append("compile") or compile(p))
     assert len(equilibria_of(chart, seed=7)) == 3
     assert (calls.count("partial"), calls.count("compile")) == (4, 6)
+
+
+def test_newton_overflow_is_a_failed_candidate():
+    # x^30 - y + 1 = y^30 - x = 0 has no real root: y = x^30 + 1 >= 1 makes
+    # x = y^30 >= y, and then y > x^30 >= x.  Newton steps overflow a 30th
+    # power, which raised OverflowError for 12 of these seeds, and the norm
+    # of a huge residual warned
+    vars = ("x", "y")
+    chart = base_field(vars, [parse_genpoly("x^30 - y + 1", vars),
+                              parse_genpoly("y^30 - x", vars)], name="no-root")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(equilibria_of(chart, seed=seed) == [] for seed in range(40))
 
 
 def test_whole_field_search_refuses_a_quasipolar_chart():

@@ -30,6 +30,7 @@ from horizon.casebook import get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import integrate
 from horizon.genpoly import GenPoly, _float_pow_nan, parse_genpoly
+from horizon.quasitrig import table
 from test_fused_stepper import bits
 
 pytestmark = pytest.mark.skipif(native.compiler() is None, reason="no C compiler on PATH")
@@ -275,12 +276,25 @@ def test_refilled_chunks_keep_every_crossing(monkeypatch):
     "x = 2.0\n        _record(x)",  # a call of a global Python function
     "print(x)",                     # a call of a builtin
     "s = 'done'\n        x = 2.0",  # a string: the loop holds numbers only
+    # a generated loop prints a power only with a finite nonzero literal
+    # exponent and a remainder only by a nonzero literal (the Cs/Sn period)
+    "x = 2.0 + x ** n",             # a local exponent
+    "x = 2.0 + _fpow(x, n)",
+    "x = 2.0 + x ** 0.0",           # a zero, infinite or NaN literal one
+    "x = 2.0 + _fpow(x, -0.0)",
+    "x = 2.0 + x ** 1e999",
+    "x = 2.0 + _fpow(x, -1e999)",
+    "x = 2.0 + x ** NAN",
+    "x = 2.0 + x % n",              # a remainder by a local
+    "x = 2.0 + x % 0.0",            # or by zero
 ], ids=["floordiv", "list", "with", "int-to-float", "global-call", "builtin-call",
-        "string-local"])
+        "string-local", "pow-local", "fpow-local", "pow-zero", "fpow-zero", "pow-inf",
+        "fpow-inf", "pow-nan", "mod-local", "mod-zero"])
 def test_unknown_node_raises(body):
     text = f"def loop(x, n):\n    while x < 1.0:\n        {body}\n    return locals()\n"
     with pytest.raises(NotImplementedError):
-        native.resume(text, {"_record": _record}, {"x": 0.5, "n": 3})
+        native.resume(text, {"_record": _record, "_fpow": _float_pow_nan, "NAN": math.nan},
+                      {"x": 0.5, "n": 3})
 
 
 def _record(value):
@@ -315,8 +329,9 @@ def test_first_exception_python_reaches_decides_the_handler(statement, caught):
     assert (want == 2.0) == (caught == "OverflowError" and "floor" in statement)
 
 
+# the finite nonzero literal exponents, the only ones a generated loop prints
 _EXPONENTS = (2.0, 3.0, 6.0, 7.0, 1.0, -1.0, -2.0, -3.0, 0.5, 1.5, 2.5, 3.5, -0.2, -0.14, 0.06,
-              1e-300, 1e300, -1e300, 0.0, -0.0, math.inf, -math.inf)
+              1e-300, 1e300, -1e300)
 
 
 def _around(x):
@@ -342,7 +357,7 @@ _BASES = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0, -2.0, 0.5, -
           -5e-324, 1e-160, -1e-160, 1e-200, 1e155, -1e155, 1e200, -1e200, sys.float_info.max,
           -sys.float_info.max, sys.float_info.min, -sys.float_info.min, 3.0, 0.999999999,
           *(s * x for bases in _EDGES.values() for x in bases for s in (1.0, -1.0)))
-_FRACTIONS = [w for w in _EXPONENTS if math.isfinite(w) and w % 1.0]
+_FRACTIONS = [w for w in _EXPONENTS if w % 1.0]
 
 
 def test_edge_bases_land_on_the_edges_of_the_inline_path():
@@ -363,37 +378,32 @@ def test_edge_bases_land_on_the_edges_of_the_inline_path():
     assert landed[1.5][-2] == dbl_max
 
 
-def _power_loop(form, literal, caught):
+def _power_loop(form, exponent, caught):
     """A loop whose one iteration computes ``y = x ** w`` (``form`` "**") or
     ``y = _fpow(x, w)``, ``w`` the ``j``-th of ``_EXPONENTS`` printed as a
-    literal or the local ``w``; with ``caught`` the power sits in a ``try``
-    whose handler sets ``i = 2``."""
-    def power(w):
+    ``literal`` or as the ``global`` number ``W<j>``; with ``caught`` the
+    power sits in a ``try`` whose handler sets ``i = 2``."""
+    def power(j, w):
+        w = repr(w) if exponent == "literal" else f"W{j}"
         return f"x ** {w}" if form == "**" else f"_fpow(x, {w})"
 
-    if literal:
-        infinities = {math.inf: "1e999", -math.inf: "-1e999"}
-        lines = [f"if j == {j}:\n    y = {power(infinities.get(w, repr(w)))}"
-                 for j, w in enumerate(_EXPONENTS)]
-    else:
-        lines = [f"y = {power('w')}"]
-    body = "\n".join(lines)
+    body = "\n".join(f"if j == {j}:\n    y = {power(j, w)}" for j, w in enumerate(_EXPONENTS))
     if caught:
         body = "try:\n" + textwrap.indent(body, "    ") + "\nexcept _POW_ERRORS:\n    i = 2"
-    return ("def loop(x, w, j, y, i):\n    while i < 1:\n        i = 1\n"
+    return ("def loop(x, j, y, i):\n    while i < 1:\n        i = 1\n"
             + textwrap.indent(body, "        ") + "\n    return locals()\n")
 
 
 @pytest.mark.parametrize("caught", [False, True], ids=["raises", "caught"])
-@pytest.mark.parametrize("literal", [True, False], ids=["literal", "local"])
+@pytest.mark.parametrize("exponent", ["literal", "global"])
 @pytest.mark.parametrize("form", ["**", "_fpow"])
-def test_powers_match_python_on_every_special_value(form, literal, caught):
-    # a literal exponent's kind (zero, infinite, fractional, even, odd) is
-    # decided when the loop is translated and a local one's when it runs;
-    # either way each value or exception is Python's, bit for bit, the
-    # zero, subnormal and infinite results of libm's pow included
-    text = _power_loop(form, literal, caught)
-    ns = {"_fpow": _float_pow_nan, "_POW_ERRORS": dynamics._POW_ERRORS}
+def test_powers_match_python_on_every_special_value(form, exponent, caught):
+    # each exponent's kind (fractional, even or odd) is decided when the
+    # loop is translated; each value or exception is Python's, bit for bit,
+    # the zero, subnormal and infinite results of libm's pow included
+    text = _power_loop(form, exponent, caught)
+    ns = {"_fpow": _float_pow_nan, "_POW_ERRORS": dynamics._POW_ERRORS,
+          **{f"W{j}": w for j, w in enumerate(_EXPONENTS)}}
     exec(text, ns)
 
     def outcome(fn):
@@ -404,12 +414,12 @@ def test_powers_match_python_on_every_special_value(form, literal, caught):
         return bits((state["y"], state["i"]))
 
     refused = 0
-    for j, w in enumerate(_EXPONENTS + (() if literal else (math.nan,))):
+    for j, w in enumerate(_EXPONENTS):
         for x in _BASES:
-            args = dict(x=x, w=w, j=j, y=0.0, i=0)
+            args = dict(x=x, j=j, y=0.0, i=0)
             want = outcome(lambda: ns["loop"](**args))
             got = outcome(lambda: (native.resume(text, ns, args), args)[1])
-            if form == "**" and -math.inf < x < 0.0 and math.isfinite(w) and w % 1.0:
+            if form == "**" and -math.inf < x < 0.0 and w % 1.0:
                 # a negative base to a fractional power: a complex number in
                 # Python, or an OverflowError that the try catches
                 assert got == (RuntimeError, f"native loop: {x!r} ** {w!r} has no float result")
@@ -433,8 +443,9 @@ def _literal_operand(node, local):
 ], ids=["lienard-n1", "lienard-n3", "lienard-n5", "iy"])
 def test_literal_operands_take_no_generic_helper(monkeypatch, name, params):
     # every power of these loops has a literal exponent (iy's negative
-    # integer ones among them), whose kind is in the C text; a division or
-    # remainder by a nonzero literal is plain C and cannot raise
+    # integer ones among them), whose kind is in the C text, and every
+    # remainder is by a literal; a division or remainder by a nonzero
+    # literal is plain C and cannot raise
     monkeypatch.setattr(native, "_PROGRAMS", {})
     args, kw = plan_args(name, params, tau_end=20.0)
     assert_native_matches_python(monkeypatch, *args, **kw)
@@ -447,11 +458,11 @@ def test_literal_operands_take_no_generic_helper(monkeypatch, name, params):
     [loop] = [s for s in fdef.body if isinstance(s, ast.While)]
     ops = [n for n in ast.walk(loop) if isinstance(n, ast.BinOp)]
     powers = [n for n in ops if isinstance(n.op, ast.Pow)]
-    assert powers and all(_literal_operand(n.right, local) for n in powers)
-    assert body.count("py_pow(") == len(powers) and "POW_ANY" not in body
-    for op, helper in ((ast.Div, "py_div("), (ast.Mod, "py_mod(")):
-        generic = [n for n in ops if isinstance(n.op, op) and not _literal_operand(n.right, local)]
-        assert body.count(helper) == len(generic), helper
+    mods = [n for n in ops if isinstance(n.op, ast.Mod)]
+    assert powers and all(_literal_operand(n.right, local) for n in powers + mods)
+    assert body.count("py_pow(") == len(powers) and body.count("py_rem(") == len(mods)
+    generic = [n for n in ops if isinstance(n.op, ast.Div) and not _literal_operand(n.right, local)]
+    assert body.count("py_div(") == len(generic)
 
 
 def test_failed_compile_raises_with_the_compiler_message():
@@ -507,6 +518,22 @@ def test_a_warm_text_is_translated_once_per_key(monkeypatch, handoffs):
         assert warm_outcome(*args, **kw) == want
     assert handoffs == [7, 0, 0, 0]
     assert calls == ["_Translator", "_compiled"]
+
+
+def test_warm_runs_check_the_table_once(monkeypatch, handoffs):
+    # the key reads the Cs/Sn table's length and first row; its float
+    # tuples are checked once per list, when it is flattened, not on every
+    # resume (8,192 rows of 9 floats)
+    monkeypatch.setattr(native, "_PROGRAMS", {})
+    shape, seen = native._table_shape, []
+    monkeypatch.setattr(native, "_table_shape", lambda t: seen.append(t) or shape(t))
+    args, kw = plan_args("lienard", {"n": 1}, tau_end=10.0)
+    want = outcome(monkeypatch, 0, *args, **kw)
+    for _ in range(2):
+        assert warm_outcome(*args, **kw) == want
+    assert handoffs == [0, 0, 0]
+    hermite = table(args[0].quasipolar_index).lookup_globals["_HERMITE_NODES"]
+    assert sum(t is hermite for t in seen) == 1
 
 
 def test_a_whole_float_step_cap_runs_the_warm_loop(monkeypatch, handoffs):
