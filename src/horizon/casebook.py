@@ -44,7 +44,7 @@ from .compactify import (
 from .dynamics import (
     accumulate_time,
     integrate,
-    lstsq,
+    linfit,
     remaining_time,
     trajectory_to_csv,
 )
@@ -875,9 +875,7 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     s, r, t = phase_section_sampler(traj, est)
     if not plan.expect_finite_edge:
         keep = t > 0.25 * t.max()
-        coef, _, r2 = lstsq(np.column_stack([t[keep], np.ones(keep.sum())]),
-                            np.log(1.0 / r[keep]))
-        slope = float(coef[0])
+        slope, _, r2 = linfit(t[keep], np.log(1.0 / r[keep]))
         verdicts.append({
             "name": "grow-up envelope log-linear in t",
             "passed": bool(r2 >= 0.999 and slope > 0),
@@ -910,14 +908,7 @@ def _fit_row(obs, fit, verdicts):
     """The report row of one fitted observable; its rate verdict, when one is
     declared, is appended to ``verdicts``."""
     if obs.expected is not None:
-        v = compare_rate(fit, obs.expected, obs.tol_rho, obs.tol_q)
-        verdicts.append({
-            "name": f"rate of {obs.name}",
-            "passed": v.passed,
-            "detail": v.line(obs.name),
-            "fitted": {"rho": fit.rho, "q": fit.q},
-            "predicted": {"rho": obs.expected.rho, "q": obs.expected.q},
-        })
+        verdicts.append(compare_rate(fit, obs.expected, obs.tol_rho, obs.tol_q, obs.name))
     return {
         "observable": obs.name,
         "rho": fit.rho,

@@ -299,30 +299,30 @@ def _write_report(out_dir: pathlib.Path, reports):
         w = csv.writer(fh)
         w.writerow(["case", "params", "run", "observable", "rho", "q", "C",
                     "r2", "s_min", "s_max", "n_samples", "collinear_q"])
-        for r in reports:
-            pstr = ";".join(f"{k}={v}" for k, v in r.params.items())
-            for run in r.runs:
-                for f in run.get("fits", []):
-                    w.writerow([
-                        r.case, pstr, run["label"], f["observable"],
-                        f"{f['rho']:.17g}", f"{f['q']:.17g}",
-                        f"{f['C']:.17g}", f"{f['r2']:.17g}",
-                        f"{f['window'][0]:.17g}", f"{f['window'][1]:.17g}",
-                        f["n_samples"], f["collinear_q"],
-                    ])
+        for r, pstr, run, f in _fit_rows(reports):
+            w.writerow([r.case, pstr, run["label"], f["observable"],
+                        f"{f['rho']:.17g}", f"{f['q']:.17g}", f"{f['C']:.17g}",
+                        f"{f['r2']:.17g}", f"{f['window'][0]:.17g}",
+                        f"{f['window'][1]:.17g}", f["n_samples"], f["collinear_q"]])
 
 
 def _write_sweep_csv(path, reports):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["case", "params", "status", "observable", "rho", "q", "r2"])
-        for r in reports:
-            pstr = ";".join(f"{k}={v}" for k, v in r.params.items())
-            for run in r.runs:
-                for f in run.get("fits", []):
-                    w.writerow([r.case, pstr, r.status, f["observable"],
-                                f"{f['rho']:.17g}", f"{f['q']:.17g}",
-                                f"{f['r2']:.17g}"])
+        for r, pstr, _, f in _fit_rows(reports):
+            w.writerow([r.case, pstr, r.status, f["observable"],
+                        f"{f['rho']:.17g}", f"{f['q']:.17g}", f"{f['r2']:.17g}"])
+
+
+def _fit_rows(reports):
+    """``(report, params, run, fit)`` for each fit in ``reports``, ``params``
+    as ``name=value`` pairs joined by ``;``: the rows of both CSV files."""
+    for r in reports:
+        pstr = ";".join(f"{k}={v}" for k, v in r.params.items())
+        for run in r.runs:
+            for f in run.get("fits", []):
+                yield r, pstr, run, f
 
 
 def _print_report(report):
@@ -433,7 +433,7 @@ class _SpecState:
         observables = []
         for name, expr_text, expect, lineno, col0 in self.observables:
             expr = parse_genpoly(expr_text, pv, line=lineno, col0=col0)
-            observables.append(Observable(name, expr, *expect))
+            observables.append(Observable(name, expr, **expect))
         init = []
         for v in chart.vars:
             if v not in self.initial:
@@ -542,18 +542,17 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         name, _, tail = rest.partition(":")
         name = name.strip()
         expr_text, _, expect_text = tail.partition(" expect ")
-        expect = (None, 0.05, 0.1)
+        expect = {}  # Observable keywords; Observable has the default tolerances
         if expect_text:
             kv = _kv(expect_text, ("rho", "q", "tol-rho", "tol-q"), "expect", lineno)
-            expect = (
-                RateModel(float(Fraction(kv["rho"])), float(Fraction(kv.get("q", "0")))),
-                float(kv.get("tol-rho", 0.05)),
-                float(kv.get("tol-q", 0.1)),
-            )
-            for key, tol in zip(("tol-rho", "tol-q"), expect[1:]):
-                if not 0.0 <= tol < math.inf:
-                    raise ParseError(f"expect {key} = {tol!r} is not finite and "
-                                     "nonnegative", lineno, 1)
+            expect["expected"] = RateModel(float(Fraction(kv["rho"])),
+                                           float(Fraction(kv.get("q", "0"))))
+            for key in ("tol-rho", "tol-q"):
+                if key in kv:
+                    tol = expect[key.replace("-", "_")] = float(kv[key])
+                    if not 0.0 <= tol < math.inf:
+                        raise ParseError(f"expect {key} = {tol!r} is not finite and "
+                                         "nonnegative", lineno, 1)
         st.observables.append((name, expr_text, expect, lineno, line.find(":") + 1))
     elif head == "kind":
         if rest not in _KINDS:

@@ -71,6 +71,7 @@ __all__ = [
     "accumulate_time",
     "trajectory_to_csv",
     "lstsq",
+    "linfit",
 ]
 
 # Dormand-Prince 5(4) tableau (fields are autonomous: the nodes c_i are unused)
@@ -649,13 +650,13 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
                             "negligible", crude_bound, 1.0)
 
     def exp_tail(t, lg):
-        c, a, r2 = _linfit(t, lg)
+        c, a, r2 = linfit(t, lg)
         if c >= 0:
             return math.inf, r2, c
         return math.exp(a + c * tau_end) / (-c), r2, c
 
     def pow_tail(t, lg):
-        c, a, r2 = _linfit(np.log(t), lg)
+        c, a, r2 = linfit(np.log(t), lg)
         p = -c
         if p <= 1.0:
             return math.inf, r2, p
@@ -707,7 +708,7 @@ def lstsq(A, y):
     return coef, ss_res, 1.0 - ss_res / ss_tot
 
 
-def _linfit(x, y):
+def linfit(x, y):
     """Least-squares slope/intercept/R^2."""
     coef, _, r2 = lstsq(np.column_stack([x, np.ones_like(x)]), y)
     return float(coef[0]), float(coef[1]), r2

@@ -186,10 +186,11 @@ def _damped_newton(F, JF, x, clip):
 def _polish(F, x):
     """Step one coordinate at a time to a neighbouring double while that
     lowers the float residual norm, or keeps it and makes the last bit
-    even, for at most ``POLISH_PASSES`` passes over the coordinates; so
-    Newton runs from different starts end on the same double near a simple
-    root.  (Near a degenerate root the residual can keep falling for many
-    ulps, hence the cap.)"""
+    even, for at most ``POLISH_PASSES`` passes over the coordinates (near a
+    degenerate root the residual can keep falling for many ulps).  It stops
+    at a local minimum of the float residual, so runs from different starts
+    can end some ulps apart even near a simple root: fhn m=2's root 1/4
+    reads ``0.25`` at most seeds and ``0.24999999999999994`` at some."""
     x = list(x)
     best = (_norm(F(x)), _odd(x))
     for _ in range(POLISH_PASSES):
@@ -303,10 +304,10 @@ def _newton_roots(components, variables, grads, box, seed):
     Starts are ``N_STARTS`` points in the search box (``SEARCH_RANGE``
     where it declares none), their coordinates drawn one after another from
     numpy's ``default_rng(seed)`` PCG64 stream as :func:`_uniforms`
-    reproduces it, and the origin.  Roots more
-    than 0.5 outside the box are dropped; the rest are snapped to exact axis
-    values, deduplicated, polished to the double :func:`_polish` settles on
-    (and snapped again) and sorted.
+    reproduces it, and the origin.  Roots more than 0.5 outside the box are
+    dropped; the rest are snapped to exact axis values, deduplicated,
+    polished by :func:`_polish` (whose double can depend on the start, so on
+    ``seed``, in its last bits), snapped again and sorted.
 
     The residual and Jacobian are ``GenPoly.eval`` of the components and of
     their partials, and the iteration runs on Python floats; its norms and

@@ -13,7 +13,8 @@ logarithmic correction exponent.  One fitter serves all cases:
 
 by linear least squares, with a refit that drops the most singular decade to
 expose exponent drift, and a collinearity guard when the log-log regressor
-has no usable range.
+has no usable range.  ``compare_rate`` returns the report's verdict on one
+fitted rate against its predicted pair.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .dynamics import TmaxEstimate, Trajectory, lstsq, remaining_time_at_marks
 __all__ = [
     "RateModel",
     "FitResult",
-    "RateVerdict",
     "fit_rate",
     "compare_rate",
     "phase_section_sampler",
@@ -63,28 +63,6 @@ class FitResult:
     @property
     def C(self) -> float:
         return math.exp(self.logC)
-
-
-@dataclass(frozen=True)
-class RateVerdict:
-    passed: bool
-    d_rho: float
-    d_q: float
-    tol_rho: float
-    tol_q: float
-    fitted: FitResult
-    predicted: RateModel
-
-    def line(self, label: str = "") -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        q = ("q pinned to 0 (not fitted)" if self.fitted.collinear_q
-             else f"q {self.fitted.q:+.4f}")
-        return (
-            f"{mark} {label}: rho {self.fitted.rho:+.4f} vs {self.predicted.rho:+.4f} "
-            f"(|d|={self.d_rho:.4f} <= {self.tol_rho}), "
-            f"{q} vs {self.predicted.q:+.4f} "
-            f"(|d|={self.d_q:.4f} <= {self.tol_q})"
-        )
 
 
 def fit_rate(s, y, *, min_samples: int = 50) -> FitResult:
@@ -163,19 +141,24 @@ def _solve(logs, loglog, logy, collinear):
     )
 
 
-def compare_rate(fit: FitResult, predicted: RateModel, tol_rho: float, tol_q: float) -> RateVerdict:
-    """PASS iff |rho_fit - rho_pred| <= tol_rho and |q_fit - q_pred| <= tol_q."""
+def compare_rate(fit: FitResult, predicted: RateModel, tol_rho: float, tol_q: float,
+                 name: str) -> dict:
+    """The verdict ``rate of <name>`` that ``report.json`` carries: passed
+    iff |rho_fit - rho_pred| <= tol_rho and |q_fit - q_pred| <= tol_q, with
+    its one-line ``detail`` and the ``fitted`` and ``predicted`` pairs."""
     d_rho = abs(fit.rho - predicted.rho)
     d_q = abs(fit.q - predicted.q)
-    return RateVerdict(
-        passed=bool(d_rho <= tol_rho and d_q <= tol_q),
-        d_rho=d_rho,
-        d_q=d_q,
-        tol_rho=tol_rho,
-        tol_q=tol_q,
-        fitted=fit,
-        predicted=predicted,
-    )
+    passed = bool(d_rho <= tol_rho and d_q <= tol_q)
+    q = "q pinned to 0 (not fitted)" if fit.collinear_q else f"q {fit.q:+.4f}"
+    return {
+        "name": f"rate of {name}",
+        "passed": passed,
+        "detail": f"{'PASS' if passed else 'FAIL'} {name}: rho {fit.rho:+.4f} vs "
+                  f"{predicted.rho:+.4f} (|d|={d_rho:.4f} <= {tol_rho}), {q} vs "
+                  f"{predicted.q:+.4f} (|d|={d_q:.4f} <= {tol_q})",
+        "fitted": {"rho": fit.rho, "q": fit.q},
+        "predicted": {"rho": predicted.rho, "q": predicted.q},
+    }
 
 
 def phase_section_sampler(traj: Trajectory, est: TmaxEstimate):

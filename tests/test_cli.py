@@ -70,6 +70,20 @@ class TestSpecParsing:
         assert cdef.name == "demo"
         assert cdef.chart.vars == ("r",)
 
+    @pytest.mark.parametrize("expect,tols", [
+        ("", (0.05, 0.1)),
+        (" expect rho=1", (0.05, 0.1)),
+        (" expect rho=1 tol-q=0.25", (0.05, 0.25)),
+        (" expect rho=1 tol-rho=0.01", (0.01, 0.1)),
+    ], ids=["no-expect", "no-tolerance", "tol-q-only", "tol-rho-only"])
+    def test_missing_tolerance_is_observable_default(self, tmp_path, expect, tols):
+        # (0.05, 0.1) are Observable's field defaults, which a spec takes
+        assert (casebook.Observable.tol_rho, casebook.Observable.tol_q) == (0.05, 0.1)
+        text = GOOD_SPEC.replace(" expect rho=1 q=0 tol-rho=0.05 tol-q=0.1", expect)
+        obs, = parse_spec_file(write(tmp_path, text)).runs[0].observables
+        assert (obs.tol_rho, obs.tol_q) == tols
+        assert (obs.expected is None) == (expect == "")
+
     def test_zero_denominator_position(self, tmp_path):
         p = write(tmp_path, "var x\nfield x : x^(1/0)\n")
         with pytest.raises(ParseError) as err:

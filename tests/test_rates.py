@@ -75,28 +75,40 @@ class TestFitRate:
 
 
 class TestCompareRate:
+    """``compare_rate`` returns the report's verdict dict; its ``detail``
+    strings are pinned byte for byte."""
+
     def test_pass(self):
         s, y = synthetic(1.002, 0.48)
         fit = fit_rate(s, y)
-        v = compare_rate(fit, RateModel(1.0, 0.5), 0.05, 0.1)
-        assert v.passed
+        v = compare_rate(fit, RateModel(1.0, 0.5), 0.05, 0.1, "y")
+        assert v == {
+            "name": "rate of y",
+            "passed": True,
+            "detail": "PASS y: rho +1.0020 vs +1.0000 (|d|=0.0020 <= 0.05), "
+                      "q +0.4800 vs +0.5000 (|d|=0.0200 <= 0.1)",
+            "fitted": {"rho": fit.rho, "q": fit.q},
+            "predicted": {"rho": 1.0, "q": 0.5},
+        }
 
     def test_fail_on_q(self):
         s, y = synthetic(0.52, 0.0)
         fit = fit_rate(s, y)
-        v = compare_rate(fit, RateModel(0.5, 0.5), 0.05, 0.1)
-        assert not v.passed
-        assert v.d_q > 0.1
+        v = compare_rate(fit, RateModel(0.5, 0.5), 0.05, 0.1, "y")
+        assert v["passed"] is False
+        assert v["detail"] == ("FAIL y: rho +0.5200 vs +0.5000 (|d|=0.0200 <= 0.05), "
+                               "q +0.0000 vs +0.5000 (|d|=0.5000 <= 0.1)")
 
     def test_pinned_q_is_reported_as_pinned(self):
         s = np.geomspace(1e-30, 1e-26, 120)
         with pytest.warns(CollinearityWarning):
             fit = fit_rate(s, 2.0 * s**-0.5)
-        v = compare_rate(fit, RateModel(0.5, 0.0), 0.05, 0.1)
-        assert v.passed
-        assert "q pinned to 0 (not fitted) vs +0.0000 (|d|=0.0000 <= 0.1)" in v.line("y")
-        free = compare_rate(fit_rate(*synthetic(1.0, 0.5)), RateModel(1.0, 0.5), 0.05, 0.1)
-        assert "pinned" not in free.line("y") and " q +0.5" in free.line("y")
+        v = compare_rate(fit, RateModel(0.5, 0.0), 0.05, 0.1, "y")
+        assert v["passed"] is True
+        assert v["detail"] == ("PASS y: rho +0.5000 vs +0.5000 (|d|=0.0000 <= 0.05), "
+                               "q pinned to 0 (not fitted) vs +0.0000 (|d|=0.0000 <= 0.1)")
+        free = compare_rate(fit_rate(*synthetic(1.0, 0.5)), RateModel(1.0, 0.5), 0.05, 0.1, "y")
+        assert "pinned" not in free["detail"] and " q +0.5" in free["detail"]
 
     def test_predicted_pair_for_three_species_case(self):
         # coefficient ratios: rho(u1) = 2a/(2a+a1), rho(u2) = a1/(2a+a1)
@@ -105,7 +117,9 @@ class TestCompareRate:
         assert a1 / (2 * a + a1) == pytest.approx(2 / 3)
         s, y = synthetic(1 / 3, 0.0)
         fit = fit_rate(s, y)
-        assert compare_rate(fit, RateModel(1 / 3, 0.0), 0.03, 0.1).passed
+        v = compare_rate(fit, RateModel(1 / 3, 0.0), 0.03, 0.1, "u1")
+        assert v["passed"] is True and v["name"] == "rate of u1"
+        assert v["predicted"] == {"rho": 1 / 3, "q": 0.0}
 
 
 class TestPhaseSectionSampler:
