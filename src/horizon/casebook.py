@@ -32,6 +32,7 @@ import numpy as np
 
 from .compactify import (
     ChartField,
+    _jsonable,
     base_field,
     blowup_chart,
     desingularize,
@@ -685,10 +686,13 @@ class RunReport:
     error: str | None = None
 
     def to_dict(self):
-        return {
+        """The ``report.json`` document of this run, which the CLI writes as
+        it is: a Fraction parameter as its string, a non-finite float as
+        ``"inf"``, ``"-inf"`` or ``"nan"`` (:func:`compactify._jsonable`)."""
+        return _jsonable({
             "schema": REPORT_SCHEMA,
             "case": self.case,
-            "params": {k: _param_str(v) for k, v in self.params.items()},
+            "params": self.params,
             "seed": self.seed,
             "status": self.status,
             "chart": self.chart,
@@ -697,13 +701,7 @@ class RunReport:
             "runs": self.runs,
             "wallclock_s": self.wallclock_s,
             "error": self.error,
-        }
-
-
-def _param_str(v):
-    if isinstance(v, F):
-        return str(v)
-    return v
+        })
 
 
 def run_case(
@@ -723,27 +721,29 @@ def run_case(
         spec = get_case(spec)
     # parameter errors are the caller's
     cdef = spec if isinstance(spec, CaseDefinition) else spec.definition(params)
+    error = None
     try:
-        report = _execute(cdef, seed, out_dir)
+        status, equilibria, eq_check, runs = _execute(cdef, seed, out_dir)
     except Exception as exc:
-        report = RunReport(
-            case=cdef.name,
-            params=cdef.params,
-            seed=seed,
-            status="ERROR",
-            chart=cdef.chart.to_dict(),
-            equilibria=[],
-            eq_check={},
-            runs=[],
-            wallclock_s=time.perf_counter() - t0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return report
-    report.wallclock_s = time.perf_counter() - t0
-    return report
+        status, equilibria, eq_check, runs = "ERROR", [], {}, []
+        error = f"{type(exc).__name__}: {exc}"
+    return RunReport(
+        case=cdef.name,
+        params=cdef.params,
+        seed=seed,
+        status=status,
+        chart=cdef.chart.to_dict(),
+        equilibria=equilibria,
+        eq_check=eq_check,
+        runs=runs,
+        wallclock_s=time.perf_counter() - t0,
+        error=error,
+    )
 
 
 def _execute(cdef, seed, out_dir):
+    """``(status, equilibria, equilibrium check, runs)`` of ``cdef``, the
+    fields of its report that the runs decide."""
     chart = cdef.chart
 
     # Step 1-2: invariant sets (on the horizon, if any) and their linear type
@@ -758,17 +758,7 @@ def _execute(cdef, seed, out_dir):
         if any(not v["passed"] for v in entry.get("verdicts", [])):
             any_fail = True
 
-    return RunReport(
-        case=cdef.name,
-        params=cdef.params,
-        seed=seed,
-        status="FAIL" if any_fail else "PASS",
-        chart=chart.to_dict(),
-        equilibria=[e.to_dict() for e in eqs],
-        eq_check=eq_check,
-        runs=runs_out,
-        wallclock_s=0.0,
-    )
+    return "FAIL" if any_fail else "PASS", [e.to_dict() for e in eqs], eq_check, runs_out
 
 
 def _check_expected_equilibria(cdef, eqs, tol=1e-8):
@@ -848,11 +838,11 @@ def _samples(plan, traj, sectioned, entry, verdicts):
         return s[sel], traj.states[sel], 50
     est = accumulate_time(traj)
     entry["edge"] = {
-        "value": est.value if math.isfinite(est.value) else "inf",
+        "value": est.value,
         "integrated": est.integrated,
-        "tail": est.tail if math.isfinite(est.tail) else "inf",
+        "tail": est.tail,
         "tail_model": est.tail_model,
-        "error_bound": est.error_bound if math.isfinite(est.error_bound) else "inf",
+        "error_bound": est.error_bound,
     }
     verdicts.append({
         "name": "edge finiteness",
@@ -915,7 +905,7 @@ def _fit_row(obs, fit, verdicts):
         "q": fit.q,
         "C": fit.C,
         "rho_se": fit.rho_se,
-        "q_se": fit.q_se if math.isfinite(fit.q_se) else "inf",
+        "q_se": fit.q_se,
         "r2": fit.r2,
         "window": list(fit.window),
         "n_samples": fit.n_samples,

@@ -24,7 +24,8 @@ file, say) or bad argument (none, unknown, mistyped, out of range or
 repeated, an even lienard ``n``, a ``--jobs`` below 1 or a negative
 ``--seed``), 3 some report ERROR or a pipeline error.
 
-Spec files are UTF-8, line oriented, '#' comments.  Example::
+Spec files are UTF-8, with or without a byte order mark, line oriented,
+'#' comments.  Example::
 
     name demo
     var u0 positive
@@ -73,7 +74,8 @@ variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
 
 The run numbers ``tau-end``, ``h-max``, ``rtol``, ``atol`` and
 ``direction`` are checked at their line as ``integrate`` checks them, so a
-value it refuses is a parse error there.  ``direction`` is ``1`` (the
+value it refuses is a parse error there: ``tau-end`` must be finite and
+nonnegative.  ``direction`` is ``1`` (the
 default: forward in the chart's time) or ``-1`` (backward).  An
 ``initial`` value that is not finite, an ``expect`` ``tol-rho`` or ``tol-q``
 that is NaN, infinite or negative, and a ``window`` whose low bound is not
@@ -275,25 +277,12 @@ def _parse_number(text: str):
 # -- report emission -----------------------------------------------------------
 
 
-def _json_safe(x):
-    """Non-finite floats as the strings ``"inf"``, ``"-inf"``, ``"nan"``,
-    so ``json`` writes no ``Infinity``/``NaN`` tokens.  Finite floats are
-    returned unchanged (``json`` writes their shortest exact repr); tuples
-    become lists."""
-    if isinstance(x, float):
-        return x if math.isfinite(x) else str(x)
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
-
-
 def _write_report(out_dir: pathlib.Path, reports):
-    docs = [_json_safe(r.to_dict()) for r in reports]
+    """report.json, each report's ``to_dict()`` as it is, and fits.csv."""
+    docs = [r.to_dict() for r in reports]
     payload = docs[0] if len(docs) == 1 else {"schema": REPORT_SCHEMA, "reports": docs}
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(out_dir / "fits.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -344,8 +333,10 @@ def _print_report(report):
 
 
 def parse_spec_file(path: pathlib.Path) -> CaseDefinition:
-    """Parse the key-value system description into a CaseDefinition."""
-    text = path.read_text(encoding="utf-8")
+    """Parse the key-value system description into a CaseDefinition.  A
+    leading byte order mark is dropped after decoding, so the offset a
+    ``UnicodeDecodeError`` names is one in the file."""
+    text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     st = _SpecState()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()

@@ -85,6 +85,14 @@ class TransformStep:
 
 
 def _jsonable(obj):
+    """``obj`` in the form ``json`` writes as it is, with ``allow_nan=False``:
+    a Fraction as its string, a non-finite float as ``"inf"``, ``"-inf"`` or
+    ``"nan"`` (a finite one unchanged, so ``json`` writes its shortest exact
+    repr), a tuple as a list and a GenMonomial as its coefficient and
+    exponents.  The one normaliser of provenance steps and of
+    ``RunReport.to_dict()``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -328,7 +336,7 @@ def monomial_chart(
     for i, (v, comp) in enumerate(zip(old_vars, C.components)):
         sub = comp.substitute_power(assignments, new_vars)
         inv_m = GenMonomial(signs[i], tuple((nv, -e) for nv, e in assignments[v].exps))
-        pushed_over_old.append(sub.mul_monomial(inv_m))
+        pushed_over_old.append(sub * GenPoly.monomial(new_vars, inv_m))
 
     new_components = []
     for j, nv in enumerate(new_vars):
@@ -337,7 +345,7 @@ def monomial_chart(
             coef = Einv[j][i]
             if coef != 0:
                 acc = acc + pushed_over_old[i] * coef
-        new_components.append(acc.mul_monomial(GenMonomial.make(1, {nv: 1})))
+        new_components.append(acc * GenPoly.var(new_vars, nv))
 
     chain = tuple(f.substitute_power(assignments, new_vars) for f in C.time_chain)
     step = TransformStep(
@@ -524,22 +532,18 @@ def quasi_polar_compactify(
     }
     F1 = C.components[0].substitute_power(sub, pv)
     F2 = C.components[1].substitute_power(sub, pv)
-    r2 = GenMonomial.make(1, {radial: 2})
-    rm1 = GenMonomial.make(1, {radial: m + 1})
-    r1 = GenMonomial.make(1, {radial: 1})
-    rm = GenMonomial.make(1, {radial: m})
-    cs_pow = GenMonomial.make(1, {CS: 2 * m - 1})
-    sn1 = GenMonomial.make(1, {SN: 1})
-    cs1 = GenMonomial.make(1, {CS: 1})
+    def power(v, e=1):
+        return GenPoly.var(pv, v, e)
+
     # dr = -(Cs^(2m-1) r^2 F1 + Sn r^(m+1) F2),  dtheta = -m Sn r F1 + Cs r^m F2
-    dr = -(F1.mul_monomial(r2).mul_monomial(cs_pow) + F2.mul_monomial(rm1).mul_monomial(sn1))
-    dth = F2.mul_monomial(rm).mul_monomial(cs1) - m * F1.mul_monomial(r1).mul_monomial(sn1)
-    rk = GenMonomial.make(1, {radial: k})
-    dr = _quasitrig_reduce(dr.mul_monomial(rk), m)
-    dth = _quasitrig_reduce(dth.mul_monomial(rk), m)
+    dr = -(F1 * power(radial, 2) * power(CS, 2 * m - 1) + F2 * power(radial, m + 1) * power(SN))
+    dth = F2 * power(radial, m) * power(CS) - m * F1 * power(radial) * power(SN)
+    rk = power(radial, k)
+    dr = _quasitrig_reduce(dr * rk, m)
+    dth = _quasitrig_reduce(dth * rk, m)
     chain = tuple(
         _quasitrig_reduce(f.substitute_power(sub, pv), m) for f in C.time_chain
-    ) + (GenPoly.monomial(pv, rk),)
+    ) + (rk,)
     step = TransformStep(
         "quasi_polar", {"m": m, "k": str(k), "radial": radial, "angle": angle}
     )

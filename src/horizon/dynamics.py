@@ -126,7 +126,8 @@ def integrate(
     stop_at_equilibrium: bool = True,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
-    """Integrate d(state)/d(sigma) = direction * field over [0, tau_end].
+    """Integrate d(state)/d(sigma) = direction * field over [0, tau_end],
+    ``tau_end`` finite and nonnegative.
 
     The physical-time increment integral of the (always positive) chain
     product is accumulated per step alongside the state, regardless of
@@ -216,7 +217,7 @@ _NATIVE_AFTER = 32_768
 _RUN_NUMBERS = {
     "rtol": (lambda x: 1e-13 <= x <= 1e-3, "in [1e-13, 1e-3]"),
     "atol": (lambda x: 1e-14 <= x <= 1e-3, "in [1e-14, 1e-3]"),
-    "tau_end": (lambda x: x >= 0.0, "a nonnegative number"),
+    "tau_end": (lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
     "h_max": (lambda x: x > 0.0, "positive"),
     "max_steps": (lambda x: x >= 0 and x % 1 == 0, "a nonnegative whole number"),
     "direction": (lambda x: x in (1, -1), "1 or -1"),
@@ -228,7 +229,8 @@ def check_run_number(name: str, value, label: str | None = None) -> None:
     """Raise ``ValueError`` unless ``value`` is an admissible ``integrate``
     argument ``name`` (``label`` names it in the message).  A NaN or negative
     ``tau_end``, or a NaN or non-positive ``h_max``, would end a run as
-    'tau-budget' after 0 steps or lift the step cap without a word."""
+    'tau-budget' after 0 steps or lift the step cap without a word, and an
+    infinite ``tau_end`` would run to the step budget."""
     test, need = _RUN_NUMBERS[name]
     if not test(value):
         label = label or ("initial step h0" if name == "h0" else name)

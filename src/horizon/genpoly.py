@@ -291,19 +291,6 @@ class GenPoly:
             acc[key] = acc.get(key, 0) + coeff
         return GenPoly(rest, acc)
 
-    def mul_monomial(self, m: GenMonomial) -> "GenPoly":
-        """Exact multiplication by a single monomial."""
-        shift = [Fraction(0)] * len(self.vars)
-        for v, e in m.exps:
-            shift[self.vars.index(v)] = e
-        return GenPoly(
-            self.vars,
-            {
-                tuple(a + b for a, b in zip(ev, shift)): c * m.coeff
-                for ev, c in self.terms
-            },
-        )
-
     def min_exponent(self, var: str) -> Fraction | None:
         """Least exponent of ``var`` over all terms (None for the zero poly)."""
         if not self.terms:

@@ -324,7 +324,7 @@ def test_criterion_8_lienard_n3(capsys):
 
 def test_criterion_8_lienard_n1_growup(capsys):
     rep = run_case("lienard", {"n": 1})
-    run = rep.runs[0]
+    run = rep.to_dict()["runs"][0]
     edge_inf = run["edge"]["value"] == "inf"
     gu = run["growup"]
     ok = edge_inf and gu["r2"] >= 0.999 and gu["slope"] > 0

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -301,17 +300,19 @@ class TestExitCodes:
         assert "line 12 " in err and usage in err
 
     @pytest.mark.parametrize("old,new,message", [
-        ("tau-end 45", "tau-end nan", "tau-end = nan is not a nonnegative number"),
-        ("tau-end 45", "tau-end -1", "tau-end = -1.0 is not a nonnegative number"),
+        ("tau-end 45", "tau-end nan", "tau-end = nan is not finite and nonnegative"),
+        ("tau-end 45", "tau-end -1", "tau-end = -1.0 is not finite and nonnegative"),
+        ("tau-end 45", "tau-end inf", "tau-end = inf is not finite and nonnegative"),
         ("h-max 0.05", "h-max nan", "h-max = nan is not positive"),
         ("h-max 0.05", "h-max 0", "h-max = 0.0 is not positive"),
         ("kind blow-up", "kind blow-up\nrtol nan", "rtol = nan is not in"),
         ("kind blow-up", "kind blow-up\natol 1", "atol = 1.0 is not in"),
-    ], ids=["tau-end-nan", "tau-end-negative", "h-max-nan", "h-max-zero", "rtol-nan",
-            "atol-1"])
+    ], ids=["tau-end-nan", "tau-end-negative", "tau-end-inf", "h-max-nan", "h-max-zero",
+            "rtol-nan", "atol-1"])
     def test_run_number_integrate_refuses_is_2(self, tmp_path, capsys, old, new, message):
         # a NaN tau-end ended the run after 0 steps and exited 3 on the tail;
-        # a NaN h-max lifted the step cap and passed
+        # an infinite one ran to the 2,000,000-step budget and exited 3; a
+        # NaN h-max lifted the step cap and passed
         text = (CASES_DIR / "iy.spec").read_text()
         assert old in text
         text = text.replace(old, new)
@@ -648,6 +649,25 @@ class TestExitCodes:
             f"error: spec file {str(p)!r} is not UTF-8: byte 0xe9 at offset 5\n")
         assert not (tmp_path / "out").exists()
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        # a BOM was an unknown directive '\ufeff' at line 1 col 1 (exit 2)
+        plain, bom = tmp_path / "iy.spec", tmp_path / "iy-bom.spec"
+        plain.write_bytes((CASES_DIR / "iy.spec").read_bytes())
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        docs = []
+        for p in (plain, bom):
+            assert main(["analyze", str(p), "--out", str(tmp_path / p.stem)]) == 0
+            docs.append(json.loads((tmp_path / p.stem / "report.json").read_text()))
+            docs[-1].pop("wallclock_s")
+        assert docs[0] == docs[1]
+
+    def test_not_utf8_after_a_byte_order_mark_names_the_file_offset(self, tmp_path, capsys):
+        p = tmp_path / "latin.spec"
+        p.write_bytes(b"\xef\xbb\xbf# caf\xe9\n" + GOOD_SPEC.encode())
+        assert main(["analyze", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file {str(p)!r} is not UTF-8: byte 0xe9 at offset 8\n")
+
     @pytest.mark.parametrize("argv", [["analyze", "iy"], ["sweep", "iy"]],
                              ids=["analyze", "sweep"])
     def test_out_an_existing_file_is_2(self, tmp_path, capsys, argv):
@@ -681,12 +701,54 @@ class TestReports:
         assert float(repr(rho)) == rho
 
     def test_nonfinite_floats_are_strings(self, tmp_path):
-        doc = {"value": math.inf, "tail": [-math.inf, math.nan], "rho": 0.1}
-        report = SimpleNamespace(case="x", params={}, runs=[], to_dict=lambda: doc)
+        inf, nan = math.inf, math.nan
+        fit = {"observable": "y", "rho": 0.1, "q": -inf, "C": inf, "rho_se": nan,
+               "q_se": inf, "r2": 1.0, "window": (1e-9, inf), "n_samples": 50,
+               "drift_rho": None, "collinear_q": True}
+        report = casebook.RunReport(
+            case="x", params={"a": F(1, 3), "b": inf}, seed=0, status="PASS", chart={},
+            equilibria=[{"eigenvalues": [[-inf, 0.0], [nan, inf]]}],
+            eq_check={}, wallclock_s=0.5,
+            runs=[{"label": "x", "edge": {"value": inf, "integrated": 2.0, "tail": inf,
+                                          "error_bound": nan}, "fits": [fit]}])
+        doc = report.to_dict()
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        assert doc["params"] == {"a": "1/3", "b": "inf"}
+        assert doc["equilibria"] == [{"eigenvalues": [["-inf", 0.0], ["nan", "inf"]]}]
+        run, = doc["runs"]
+        assert run["edge"] == {"value": "inf", "integrated": 2.0, "tail": "inf",
+                               "error_bound": "nan"}
+        assert run["fits"] == [dict(fit, q="-inf", C="inf", rho_se="nan", q_se="inf",
+                                    window=[1e-9, "inf"])]
         _write_report(tmp_path, [report])
         text = (tmp_path / "report.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
-        assert json.loads(text) == {"value": "inf", "tail": ["-inf", "nan"], "rho": 0.1}
+        assert json.loads(text) == doc
+        # the CSV reads the report's own floats
+        rows = (tmp_path / "fits.csv").read_text().splitlines()
+        assert rows[1] == ("x,a=1/3;b=inf,x,y,0.10000000000000001,-inf,inf,1,"
+                           "1.0000000000000001e-09,inf,50,True")
+
+    @pytest.mark.parametrize("argv", [
+        *(["analyze", c] for c in ("aiu", "iy", "andrews1", "andrews2", "quench", "fhn", "kdv")),
+        *(["analyze", f.name] for f in sorted(CASES_DIR.glob("*.spec"))),
+        ["sweep", "fhn", "--param", "p=3/4"],
+    ], ids=" ".join)
+    def test_report_json_is_to_dict(self, tmp_path, argv):
+        # report.json holds to_dict() as it is; the sweep point is an ERROR report
+        if argv[1].endswith(".spec"):
+            argv = [argv[0], str(CASES_DIR / argv[1])]
+            source, params = parse_spec_file(pathlib.Path(argv[1])), None
+        else:
+            source, params = argv[1], {"p": F(3, 4)} if argv[0] == "sweep" else None
+        main([*argv, "--out", str(tmp_path / "out"), "--seed", "0"])
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        doc = casebook.run_case(source, params, seed=0).to_dict()
+        json.dumps(doc, allow_nan=False)
+        assert (doc["status"] == "ERROR") == (argv[0] == "sweep")
+        written.pop("wallclock_s")
+        doc.pop("wallclock_s")
+        assert written == doc
 
 
 class TestTrajectoryFiles:

@@ -138,15 +138,15 @@ class TestTermination:
         assert np.all(np.isfinite(traj.dt_inc)) and np.all(np.isfinite(traj.t))
 
     @pytest.mark.parametrize("number,value", [
-        ("tau_end", math.nan), ("tau_end", -1.0), ("h_max", math.nan), ("h_max", 0.0),
-        ("h_max", -1.0), ("max_steps", -1), ("rtol", math.nan), ("atol", math.nan),
+        ("tau_end", math.nan), ("tau_end", -1.0), ("tau_end", math.inf), ("h_max", math.nan),
+        ("h_max", 0.0), ("h_max", -1.0), ("max_steps", -1), ("rtol", math.nan), ("atol", math.nan),
         ("max_steps", 1.5), ("max_steps", math.inf), ("direction", 0), ("direction", 7),
         ("direction", -3),
     ])
     def test_run_numbers_that_make_the_termination_untrue_are_refused(self, number, value):
-        # tau_end = nan or -1 ended after 0 steps as 'tau-budget', h_max =
-        # nan lifted the step cap, and a direction of 0 or 7 ran forward and
-        # -3 backward
+        # tau_end = nan or -1 ended after 0 steps as 'tau-budget', tau_end =
+        # inf ran to the step budget, h_max = nan lifted the step cap, and a
+        # direction of 0 or 7 ran forward and -3 backward
         vars = ("x",)
         C = base_field(vars, [gp("-x", vars)], name="decay")
         kw = {"tau_end": 10.0, number: value}

@@ -133,7 +133,8 @@ class TestSubstitutePower:
 class TestMulMonomial:
     def test_distributes(self):
         p = gp("x + 1", ("r", "x"))
-        assert p.mul_monomial(GenMonomial.make(1, {"r": 2})) == gp("x*r^2 + r^2", ("r", "x"))
+        assert p * GenPoly.monomial(p.vars, GenMonomial.make(1, {"r": 2})) == \
+            gp("x*r^2 + r^2", ("r", "x"))
 
     def test_radial_weight_clears_inverse_power(self):
         # first component pushed through u0 = x, u1 = 1/r, then weighted by r^(k+a1)
@@ -143,12 +144,12 @@ class TestMulMonomial:
             {"u0": GenMonomial.make(1, {"x": 1}), "u1": GenMonomial.make(1, {"r": -1})},
             ("r", "x"),
         )
-        weighted = pushed.mul_monomial(GenMonomial.make(1, {"r": 1}))
+        weighted = pushed * GenPoly.monomial(pushed.vars, GenMonomial.make(1, {"r": 1}))
         assert weighted == gp("x^(-2)", ("r", "x"))
 
     def test_identity_monomial(self):
         p = gp("x^2 - 3*x", ("x",))
-        assert p.mul_monomial(GenMonomial.make(1, {})) == p
+        assert p * GenPoly.monomial(p.vars, GenMonomial.make(1, {})) == p
 
 
 # -- hypothesis strategies ---------------------------------------------------
