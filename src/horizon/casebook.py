@@ -86,9 +86,13 @@ class Observable:
 class RunPlan:
     """One integration run of a case.  The chart fixes how it is sampled:
     along the center flow of the chart origin, solved to ``center_degree``,
-    when that is set; on a quasi-polar chart at the section crossings
-    ``integrate`` records there, once per revolution of the chart's angle
-    (``window`` unread); else on the trajectory inside ``window``."""
+    when that is set (``window`` unread); on a quasi-polar chart at the
+    section crossings ``integrate`` records there, once per revolution of
+    the chart's angle (``window`` unread); else on the trajectory inside
+    ``window``.  A run with ``edge_behind_s0`` (kdv) reads ``window`` as
+    absolute distances ``s`` whatever ``window_relative`` says; the other
+    trajectory runs scale it by the edge time (the integrated time where the
+    edge is infinite) while ``window_relative`` holds."""
 
     label: str
     initial: tuple[float, ...]
@@ -877,8 +881,7 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     burn = 32
     s = s[burn:]
     keep = (s > 0) & (s < math.inf) & (s >= 100.0 * est.error_bound)
-    states = np.array([sec[1] for sec in traj.sections[burn:]]).reshape(-1, len(traj.chart.vars))
-    return s[keep], states[keep], 40
+    return s[keep], traj.sections["state"][burn:][keep], 40
 
 
 def _observe(obs, chart, states):

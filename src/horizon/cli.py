@@ -78,8 +78,9 @@ value it refuses is a parse error there: ``tau-end`` must be finite and
 nonnegative.  ``direction`` is ``1`` (the
 default: forward in the chart's time) or ``-1`` (backward).  An
 ``initial`` value that is not finite, an ``expect`` ``tol-rho`` or ``tol-q``
-that is NaN, infinite or negative, and a ``window`` whose low bound is not
-below its high one are parse errors at their line too.
+that is NaN, infinite or negative, an ``expect`` without ``rho``, an
+``observable`` with no name before its ``:``, and a ``window`` whose low
+bound is not below its high one are parse errors at their line too.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -90,8 +91,9 @@ A spec word the format does not define is a parse error at its line: an
 ``initial`` name that is not a variable of the chart, a ``var`` flag other
 than ``positive``, and a ``window`` word after the bounds other than
 ``absolute``; and at the repeated line, a second ``var`` or ``field`` line
-for one variable, an ``initial`` name given again, a key repeated in one
-``transform``, ``expect`` or ``initial`` line, and a second line of a
+for one variable, an ``initial`` name given again, a second ``observable``
+line of one name, a key repeated in one ``transform``, ``expect`` or
+``initial`` line, and a second line of a
 directive that takes one value: ``name``, ``prefactor``, ``type``,
 ``order``, ``tau-end``, ``h-max``, ``rtol``, ``atol``, ``direction``,
 ``window`` or ``kind``.  So is an ``equilibrium``
@@ -532,10 +534,18 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
     elif head == "observable":
         name, _, tail = rest.partition(":")
         name = name.strip()
+        if not name:
+            raise ParseError("observable needs a name before ':'", lineno, 1)
+        first = next((ln for n, _, _, ln, _ in st.observables if n == name), None)
+        if first is not None:
+            raise ParseError(f"observable {name!r} given twice (first at line {first})",
+                             lineno, 1)
         expr_text, _, expect_text = tail.partition(" expect ")
         expect = {}  # Observable keywords; Observable has the default tolerances
         if expect_text:
             kv = _kv(expect_text, ("rho", "q", "tol-rho", "tol-q"), "expect", lineno)
+            if "rho" not in kv:
+                raise ParseError("expect needs rho=<number>", lineno, 1)
             expect["expected"] = RateModel(float(Fraction(kv["rho"])),
                                            float(Fraction(kv.get("q", "0"))))
             for key in ("tol-rho", "tol-q"):

@@ -25,7 +25,10 @@ step bookkeeping and the PI controller are inline too.  The initial point is
 evaluated with :meth:`ChartField.compile_rhs`, the same text compiled as a
 function.  A step that crosses a section appends one flat row of numbers;
 after the run :func:`_cross_sections` locates all crossings together from
-the array of those rows, on the dense output of the angle alone.  Every
+the array of those rows, on the dense output of the angle alone, and
+returns them as one numpy structured array, one record per crossing with
+the fields ``tau``, ``state``, ``t``, ``step`` and ``partial``, which every
+consumer reads by column (``sections["t"]``).  Every
 iteration ends with ``continue``, an unconditional jump back that CPython
 3.11 counts towards quickening, so the loop's one call runs specialized
 bytecode from its 8th iteration on.
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import array
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,8 +108,11 @@ class Trajectory:
     dt_inc: np.ndarray                 # physical-time increment per step (len-1)
     t: np.ndarray                      # cumulative physical time, t[0] = 0
     termination: str
+    # one record per section crossing (dtype ``_section_dtype(n)``), empty
+    # but for quasi-polar runs: tau, state, t, the accepted step it falls in
+    # and the physical-time increment from that step's start
+    sections: np.ndarray
     chart: ChartField | None = None
-    sections: list = field(default_factory=list)    # (tau, state, t, step_idx, partial_inc)
     n_steps: int = 0
     n_rejected: int = 0                # error-norm and non-finite rejections
     n_rhs: int = 0                     # field evaluations that returned
@@ -138,7 +144,8 @@ def integrate(
     (``max_steps`` to an int), so a numpy or ``Fraction`` number runs as its
     float.  A run on a quasi-polar chart records a crossing each time
     ``C.angle`` passes ``-j*T`` or ``+j*T`` (T the period of its Cs/Sn
-    pair); the angle must be monotone within a step.
+    pair), one record of ``Trajectory.sections`` each (see
+    :func:`_cross_sections`); the angle must be monotone within a step.
     """
     numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps,
                    direction=direction)
@@ -470,9 +477,18 @@ def _tup(names) -> str:
 _MAX_CROSSINGS_PER_STEP = 1024
 
 
+def _section_dtype(n: int) -> np.dtype:
+    """The dtype of a crossing record on a chart of n variables."""
+    return np.dtype([("tau", "f8"), ("state", "f8", (n,)), ("t", "f8"), ("step", "i8"),
+                     ("partial", "f8")])
+
+
 def _cross_sections(rows, period, si):
     """The crossings of a run's (m, 13 + 9n) array of crossing rows (see
-    :func:`_loop_fn`), each as (tau, state, t, step index, partial increment).
+    :func:`_loop_fn`) as one structured array of dtype ``_section_dtype(n)``:
+    per crossing its ``tau``, ``state`` (n values), physical time ``t``,
+    ``step`` (the index of the accepted step it falls in) and ``partial``
+    (the time increment from that step's start), empty for no rows.
 
     A row is repeated once per section its step crosses, and all crossings
     are located together by bisection on the dense output of the angle
@@ -482,9 +498,9 @@ def _cross_sections(rows, period, si):
     hi - lo < 1e-15.  A step across more than ``_MAX_CROSSINGS_PER_STEP``
     sections raises ValueError.
     """
-    if not len(rows):
-        return []
     n = (rows.shape[1] - 13) // 9
+    if not len(rows):
+        return np.empty(0, _section_dtype(n))
     crossings = rows[:, 1] - rows[:, 0]
     over = np.flatnonzero(~(crossings <= _MAX_CROSSINGS_PER_STEP))
     if len(over):
@@ -514,8 +530,10 @@ def _cross_sections(rows, period, si):
         state = y + h[:, None] * _dense_sum(th[:, None], k)
         # the physical-time increment over [0, th], by the same dense weights
         partial = h * _dense_sum(th, kg)
-    return list(zip((tau + th * h).tolist(), state.tolist(), (t_acc + partial).tolist(),
-                    n_acc.astype(np.int64).tolist(), partial.tolist()))
+    sec = np.empty(len(at), _section_dtype(n))
+    sec["tau"], sec["state"], sec["t"] = tau + th * h, state, t_acc + partial
+    sec["step"], sec["partial"] = n_acc.astype(np.int64), partial
+    return sec
 
 
 def _dense_sum(th, values):
@@ -621,8 +639,7 @@ def accumulate_time(traj: Trajectory) -> TmaxEstimate:
     integrated = float(traj.t[-1])
 
     if len(traj.sections) >= 8:
-        sec_tau = np.array([s[0] for s in traj.sections])
-        sec_t = np.array([s[2] for s in traj.sections])
+        sec_tau, sec_t = traj.sections["tau"], traj.sections["t"]
         mid = 0.5 * (sec_tau[1:] + sec_tau[:-1])
         g = np.diff(sec_t) / np.diff(sec_tau)
         taus, gs = mid, g
@@ -725,12 +742,11 @@ def remaining_time(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:
     return _suffix_sums(traj) + est.tail
 
 
-def remaining_time_at_marks(traj: Trajectory, est: TmaxEstimate, marks) -> np.ndarray:
-    """Remaining time at section marks (step index + partial increment),
-    with the same suffix-sum accuracy as :func:`remaining_time`."""
-    idx = np.array([m[-2] for m in marks], dtype=np.int64)
-    partial = np.array([m[-1] for m in marks], dtype=np.float64)
-    return _suffix_sums(traj)[idx] - partial + est.tail
+def remaining_time_at_sections(traj: Trajectory, est: TmaxEstimate) -> np.ndarray:
+    """Remaining time at each section crossing (its step's suffix sum less
+    its partial increment), with the same accuracy as :func:`remaining_time`."""
+    sec = traj.sections
+    return _suffix_sums(traj)[sec["step"]] - sec["partial"] + est.tail
 
 
 def _suffix_sums(traj: Trajectory) -> np.ndarray:

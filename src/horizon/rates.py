@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearityWarning, InsufficientSpanError
-from .dynamics import TmaxEstimate, Trajectory, lstsq, remaining_time_at_marks
+from .dynamics import TmaxEstimate, Trajectory, lstsq, remaining_time_at_sections
 
 __all__ = [
     "RateModel",
@@ -169,13 +169,12 @@ def phase_section_sampler(traj: Trajectory, est: TmaxEstimate):
     quasi-polar charts record crossings, and each of those has a radial
     variable.
     """
-    if not traj.sections:
+    if not len(traj.sections):
         raise ValueError("trajectory carries no section crossings")
     ri = traj.chart.vars.index(traj.chart.radial)
-    r = np.asarray([sec[1][ri] for sec in traj.sections])
-    t = np.asarray([sec[2] for sec in traj.sections])
+    r, t = traj.sections["state"][:, ri], traj.sections["t"]
     if math.isfinite(est.value):
-        s = remaining_time_at_marks(traj, est, traj.sections)
+        s = remaining_time_at_sections(traj, est)
     else:
         s = np.full(len(r), math.nan)
     return s, r, t

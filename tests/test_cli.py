@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from horizon import casebook
@@ -190,7 +191,10 @@ class TestSpecTransforms:
 
 
 def _bits(obj):
-    """Nested structure with every float replaced by its IEEE bit pattern."""
+    """Nested structure with every float replaced by its IEEE bit pattern
+    and every array by its dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype, obj.shape, obj.tobytes())
     if isinstance(obj, float):
         return struct.pack("<d", obj)
     if isinstance(obj, (list, tuple)):
@@ -291,7 +295,9 @@ class TestExitCodes:
         ("window 1e-8", "window <low> <high>"),
         ("box x 1", "unknown directive 'box'"),  # no spec states a search range
         ("var", "var <name>"),
-    ], ids=["window", "box", "var"])
+        # an observable without a name ran, fitted and reported under ''
+        ("observable : r^(-1)", "observable needs a name before ':'"),
+    ], ids=["window", "box", "var", "observable-name"])
     def test_missing_directive_argument_is_2(self, tmp_path, capsys, line, usage):
         spec = GOOD_SPEC.replace("window 1e-8 1e-3", line)
         rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
@@ -347,12 +353,14 @@ class TestExitCodes:
         ("window 1e-10 1e-4", "window 1e-4 1e-10", "window needs low < high, not 0.0001 1e-10"),
         ("initial r=0.5 v1=0.5", "initial r=nan v1=0.5", "initial r = nan is not finite"),
         ("initial r=0.5 v1=0.5", "initial r=0.5 v1=-inf", "initial v1 = -inf is not finite"),
+        ("rho=1/2 q=0", "q=0", "expect needs rho=<number>"),
     ], ids=["tol-rho-nan", "tol-rho-negative", "tol-q-inf", "window-nan", "window-reversed",
-            "initial-nan", "initial-inf"])
+            "initial-nan", "initial-inf", "expect-no-rho"])
     def test_spec_number_no_run_can_use_is_2(self, tmp_path, capsys, monkeypatch, old, new,
                                              message):
         # a NaN or negative tolerance gave a verdict that could never pass
-        # (exit 1); the window and initial values gave ERROR (exit 3)
+        # (exit 1); the window and initial values gave ERROR (exit 3); an
+        # expect without rho was a parse error that named only 'rho'
         monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
         text = (CASES_DIR / "iy.spec").read_text()
         line = next(i for i, ln in enumerate(text.splitlines(), 1) if old in ln)
@@ -445,10 +453,14 @@ class TestExitCodes:
         ("tol-rho=0.03 tol-q=0.1", "rho=1", "expect gives 'rho' twice"),
         ("index=v0 sign=+", "index=v0 sign=+ index=v1",
          "transform directional gives 'index' twice"),
-    ], ids=["var", "field", "initial-line", "initial-key", "expect-key", "transform-key"])
+        ("observable v0 : r^(-1) expect", "observable v0 : r^(-1)\nobservable v0 : r^(-1) expect",
+         "observable 'v0' given twice (first at line"),
+    ], ids=["var", "field", "initial-line", "initial-key", "expect-key", "transform-key",
+            "observable"])
     def test_repeated_name_is_2(self, tmp_path, capsys, monkeypatch, old, new, message):
-        # a second var line failed at a later transform line, and a second
-        # field line, initial name or key replaced the first without a word
+        # a second var line failed at a later transform line, a second
+        # field line, initial name or key replaced the first without a word,
+        # and a second observable gave two verdicts no reader could tell apart
         monkeypatch.setattr(casebook, "integrate", lambda *a, **k: pytest.fail("a run started"))
         text = (CASES_DIR / "iy.spec").read_text()
         # refused at the repeated line, the last of ``new``

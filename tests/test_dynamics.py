@@ -199,14 +199,52 @@ def assert_chart_is(C, dr, dtheta, chain):
     assert C.time_chain == (gp(chain, pv),)
 
 
+def section_fields(n):
+    """(name, dtype, shape) of each field of a crossing record on a chart of
+    n variables, in order."""
+    return [("tau", "<f8", ()), ("state", "<f8", (n,)), ("t", "<f8", ()), ("step", "<i8", ()),
+            ("partial", "<f8", ())]
+
+
+def fields_of(sections):
+    """(name, dtype, shape) of each field of the record ``sections``."""
+    return [(name, sections.dtype[name].base.str, sections.dtype[name].shape)
+            for name in sections.dtype.names]
+
+
 class TestSections:
+    def test_crossings_are_one_record_read_by_column(self):
+        # a few revolutions of lienard n=1: one record per crossing
+        cdef = get_case("lienard").definition({"n": 1})
+        plan = cdef.runs[0]
+        traj = integrate(cdef.chart, plan.initial, 60.0, rtol=plan.rtol, atol=plan.atol,
+                         h_max=plan.h_max, stop_at_equilibrium=False)
+        sec = traj.sections
+        assert type(sec) is np.ndarray and sec.shape == (7,)
+        assert fields_of(sec) == section_fields(2)
+        assert sec["state"].shape == (7, 2) and len(sec[2:]) == 5 and sec[2:].dtype == sec.dtype
+        # each crossing falls in its step, and its time is the step's start
+        # time plus its partial increment
+        step = sec["step"]
+        assert (traj.tau[step] < sec["tau"]).all() and (sec["tau"] <= traj.tau[step + 1]).all()
+        assert sec["t"].tobytes() == (traj.t[step] + sec["partial"]).tobytes()
+
+    @pytest.mark.parametrize("case,tau_end", [("iy", 1.0), ("lienard", 1.0)],
+                             ids=["polynomial", "quasipolar-before-a-crossing"])
+    def test_a_run_without_crossings_has_an_empty_record(self, case, tau_end):
+        cdef = get_case(case).definition()
+        traj = integrate(cdef.chart, cdef.runs[0].initial, tau_end)
+        assert traj.sections.shape == (0,) and traj.n_steps > 0
+        assert fields_of(traj.sections) == section_fields(2)
+        assert traj.sections["state"].shape == (0, 2)
+
     def test_rotation_sections_reproduce_exponential_decay(self):
         C = spiral_chart("x + y", "-x + y")
         assert_chart_is(C, "-r", "-1", "1")
         traj = integrate(C, [1.0, 0.0], 40.0,
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
         assert len(traj.sections) >= 5
-        for tau_c, st, *_ in traj.sections:
+        for tau_c, st in zip(traj.sections["tau"], traj.sections["state"]):
             assert st[0] == pytest.approx(math.exp(-tau_c), rel=1e-8)
             # crossing located precisely on the section
             assert abs((st[1]) % (2 * math.pi)) <= 1e-9 or \
@@ -227,7 +265,8 @@ class TestSections:
                          stop_at_equilibrium=False, rtol=1e-11, atol=1e-13)
         # theta(tau) = tau: crossings at theta = tau = 2 pi j, j = 1, 2, ...
         assert len(traj.sections) == math.floor(40.0 / (2 * math.pi))
-        for j, (tau_c, st, *_) in enumerate(traj.sections, start=1):
+        for j, (tau_c, st) in enumerate(zip(traj.sections["tau"], traj.sections["state"]),
+                                        start=1):
             assert tau_c == pytest.approx(2 * math.pi * j, rel=1e-9)
             assert st[1] == pytest.approx(2 * math.pi * j, rel=1e-12)
             assert st[0] == pytest.approx(math.exp(-tau_c), rel=1e-8)
@@ -404,7 +443,7 @@ def test_npz_export_of_a_quasipolar_run(tmp_path):
     plan = cdef.runs[0]
     traj = integrate(cdef.chart, plan.initial, 50.0, rtol=plan.rtol, atol=plan.atol,
                      stop_at_equilibrium=False)
-    assert traj.sections and len(traj.tau) > 100
+    assert len(traj.sections) and len(traj.tau) > 100
     out = tmp_path / "lienard.npz"
     trajectory_to_csv(traj, out)
     assert_npz_is_trajectory(out, traj)

@@ -382,16 +382,26 @@ def old_integrate(
         h = min(h * min(5.0, max(0.2, fac)), h_max)
         err_prev = max(err, 1e-10)
 
-    return _build_traj(taus, states, incs, termination, C, sec_hits, n_acc, n_rej)
+    return _build_traj(taus, states, incs, termination, C, record(sec_hits, len(C.vars)),
+                       n_acc, n_rej)
+
+
+def record(hits, n):
+    """The reference's crossings, (tau, state, t, step index, partial
+    increment) tuples with int steps, as the structured array of an
+    ``integrate`` run on a chart of n variables."""
+    assert all(type(hit[3]) is int for hit in hits)
+    return np.array(hits, dynamics._section_dtype(n))
 
 
 # -- bitwise comparison ------------------------------------------------------------
 
 
 def bits(obj):
-    """Nested structure with every float replaced by its IEEE bit pattern."""
+    """Nested structure with every float replaced by its IEEE bit pattern
+    and every array by its shape, dtype (field names included) and bytes."""
     if isinstance(obj, np.ndarray):
-        return (obj.shape, obj.dtype.str, obj.tobytes())
+        return (obj.shape, obj.dtype, obj.tobytes())
     if isinstance(obj, float):
         return struct.pack("<d", obj)
     if isinstance(obj, (list, tuple)):
@@ -555,18 +565,14 @@ def crossing_row(count, new_count, y, k, kg, tau=3.25, h=0.75, t_acc=0.5, n_acc=
                                *kg, t_acc, n_acc)]
 
 
-def typed(sections):
-    """Sections with every value's type beside its bits."""
-    return [tuple((type(v), bits(v), [type(x) for x in v] if isinstance(v, list) else None)
-                  for v in hit) for hit in sections]
-
-
 def assert_sections_match_reference(rows, period, si):
     want = []
     for row in rows:
         old_cross_sections(want, row, period, si)
     got = _cross_sections(np.array(rows), period, si)
-    assert typed(got) == typed(want)
+    # the steps are int64, and the reference's ints; every other field float64
+    assert got.dtype["step"] == np.int64
+    assert bits(got) == bits(record(want, (len(rows[0]) - 13) // 9))
     return got
 
 
@@ -584,8 +590,8 @@ def test_crossing_pass_matches_scalar_reference():
     assert [(int(row[0]), math.floor(abs(row[7]))) for row in rows] == [(0, 3), (0, 2), (2, 3)]
     got = assert_sections_match_reference(rows, 1.0, 1)
     steps = [rows[0]] * 3 + [rows[1]] * 2 + [rows[2]]
-    assert [hit[3] for hit in got] == [row[-1] for row in steps] == [17, 17, 17, 18, 18, 19]
-    assert all(row[2] < hit[0] < row[2] + row[3] for hit, row in zip(got, steps))
+    assert got["step"].tolist() == [row[-1] for row in steps] == [17, 17, 17, 18, 18, 19]
+    assert all(row[2] < tau < row[2] + row[3] for tau, row in zip(got["tau"], steps))
 
 
 def test_crossing_at_an_exact_zero_is_kept():
@@ -598,7 +604,7 @@ def test_crossing_at_an_exact_zero_is_kept():
     rows = [crossing_row(0, 1, y, k, KG, h=h), crossing_row(0, 1, [0.25, period], k, KG, h=h)]
     assert rows[0][5] < rows[0][7] < 2 * period  # an increasing angle: angle sign -1, count 1
     hits = assert_sections_match_reference(rows, period, 1)
-    assert [hit[0] for hit in hits] == [rows[0][2] + 0.5 * h, rows[1][2]]
+    assert hits["tau"].tolist() == [rows[0][2] + 0.5 * h, rows[1][2]]
 
 
 def test_crossings_per_step_are_bounded():

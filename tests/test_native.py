@@ -106,7 +106,7 @@ def test_lienard_n1_hands_off_at_the_default_threshold(monkeypatch, handoffs):
     assert outcome(monkeypatch, 32_768, *args, **kw) == want
     assert warm_outcome(*args, **kw) == want
     assert handoffs == [32_768, 0]
-    assert want["n_steps"] == 101_445 and len(want["sections"]) == 307
+    assert want["n_steps"] == 101_445 and want["sections"][0] == (307,)  # its shape
 
 
 def test_each_lienard_text_warms_on_its_own(monkeypatch, handoffs):
@@ -147,7 +147,7 @@ def test_lienard_directions_and_sections(monkeypatch, direction):
     args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0 if direction > 0 else 20.0,
                          direction=direction)
     want = assert_native_matches_python(monkeypatch, *args, **kw)
-    assert want["n_steps"] > 7 and len(want["sections"]) >= 2
+    assert want["n_steps"] > 7 and want["sections"][0] >= (2,)  # its shape
 
 
 @pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
@@ -216,7 +216,7 @@ def test_nan_stage_angle_on_a_quasipolar_chart(monkeypatch):
                    quasipolar_index=1, angle="theta")
     want = assert_native_matches_python(monkeypatch, C, [-1e300, 1.0, 1.7e308], 1e10,
                                         h0=1e10, max_steps=12, stop_at_equilibrium=False)
-    assert want["n_nonfinite"] >= 1 and want["n_steps"] == 12 and not want["sections"]
+    assert want["n_nonfinite"] >= 1 and want["n_steps"] == 12 and want["sections"][0] == (0,)
 
 
 @pytest.mark.parametrize("shave", [0.0, 2.0**-40], ids=["zero-power", "overflow"])
@@ -245,13 +245,11 @@ def test_handoff_at_a_crossing_step(monkeypatch):
     args, kw = plan_args("lienard", {"n": 3}, tau_end=30.0)
     monkeypatch.setattr(dynamics, "_NATIVE_AFTER", 10**12)
     sections = integrate(*args, **kw).sections
-    assert len(sections) == 3 and all(type(s[3]) is int for s in sections)
-    step = sections[1][3]
+    assert len(sections) == 3 and sections.dtype["step"] == np.int64
+    step = int(sections["step"][1])
+    # ``bits`` compares the records' dtype and bytes: the steps stay int64
+    # and equal after either handoff
     assert_native_matches_python(monkeypatch, *args, afters=(step, step + 1), **kw)
-    for after in (step, step + 1):  # ``bits`` keeps ints, and 148.0 == 148
-        monkeypatch.setattr(dynamics, "_NATIVE_AFTER", after)
-        with cold():
-            assert all(type(s[3]) is int for s in integrate(*args, **kw).sections)
 
 
 # -- chunks, the translator, the compiler ---------------------------------------
@@ -264,8 +262,8 @@ def test_refilled_chunks_keep_every_crossing(monkeypatch):
     monkeypatch.setattr(native, "CHUNK", 64)
     args, kw = plan_args("lienard", {"n": 1}, tau_end=60.0)
     want = assert_native_matches_python(monkeypatch, *args, **kw)
-    steps = [s[3] for s in integrate(*args, **kw).sections]  # step index of each crossing
-    assert want["n_steps"] > 3 * 64 and len(steps) > 2 and max(steps) > 2 * 64
+    steps = integrate(*args, **kw).sections["step"]  # step index of each crossing
+    assert want["n_steps"] > 3 * 64 and len(steps) > 2 and steps.max() > 2 * 64
 
 
 @pytest.mark.parametrize("body", [

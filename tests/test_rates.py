@@ -138,10 +138,12 @@ class TestPhaseSectionSampler:
         # s is exact even where it is ~3e-28 (suffix summation keeps
         # relative accuracy)
         assert np.allclose(s[:-2], r[:-2] ** 2 / 2, rtol=1e-6)
-        # the marks' array expression is the per-mark loop bit for bit
+        # the columns' array expression is the per-crossing loop bit for bit
         suffix = np.concatenate([np.cumsum(traj.dt_inc[::-1])[::-1], [0.0]])
-        per_mark = [suffix[m[-2]] - m[-1] + est.tail for m in traj.sections]
-        assert s.tobytes() == np.asarray(per_mark).tobytes()
+        per_crossing = [suffix[step] - partial + est.tail
+                        for step, partial in zip(traj.sections["step"].tolist(),
+                                                 traj.sections["partial"].tolist())]
+        assert s.tobytes() == np.asarray(per_crossing).tobytes()
         monkeypatch.setattr(rates, "MIN_SPAN", 10.0)
         fit = fit_rate(s[:-2], 1.0 / r[:-2], min_samples=5)
         assert fit.rho == pytest.approx(0.5, abs=1e-3)

@@ -256,4 +256,4 @@ def test_non_finite_stage_angle_halves_the_step():
     traj = integrate(C, [-1e300, 1.0, 1.7e308], 1e10, h0=1e10, max_steps=5,
                      stop_at_equilibrium=False)
     assert traj.n_nonfinite >= 1 and traj.n_steps == 5
-    assert np.isfinite(traj.states).all() and not traj.sections
+    assert np.isfinite(traj.states).all() and len(traj.sections) == 0
