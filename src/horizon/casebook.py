@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pathlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction as F
@@ -65,7 +66,6 @@ from .localanalysis import (
     equilibria_of,
     horizon_equilibria,
 )
-from .quasitrig import table
 from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
 from .structure import TypeVector, newton_data
 
@@ -84,21 +84,21 @@ class Observable:
 
 @dataclass
 class RunPlan:
-    """One integration run of a case.  The chart fixes how it is sampled:
-    along the center flow of the chart origin, solved to ``center_degree``,
-    when that is set (``window`` unread); on a quasi-polar chart at the
-    section crossings ``integrate`` records there, once per revolution of
-    the chart's angle (``window`` unread); else on the trajectory inside
-    ``window``.  A run with ``edge_behind_s0`` (kdv) reads ``window`` as
-    absolute distances ``s`` whatever ``window_relative`` says; the other
-    trajectory runs scale it by the edge time (the integrated time where the
-    edge is infinite) while ``window_relative`` holds."""
+    """One run of a case.  The chart fixes how it is sampled: along the
+    center flow of the chart origin, solved to ``center_degree``, when that
+    is set (``initial``, ``tau_end`` and ``window`` unread); on a quasi-polar
+    chart at the section crossings ``integrate`` records there, once per
+    revolution of the chart's angle (``window`` unread); else on the
+    trajectory inside ``window``, scaled by the edge time (the integrated
+    time where the edge is infinite) while ``window_relative`` holds.  A run
+    with ``edge_behind_s0`` (kdv) has no edge time, so its window must be
+    absolute.  ``tau_end`` and ``window`` default to a spec's defaults."""
 
     label: str
-    initial: tuple[float, ...]
-    tau_end: float
-    window: tuple[float, float]
-    observables: tuple[Observable, ...]
+    initial: tuple[float, ...] = ()
+    tau_end: float = 50.0
+    window: tuple[float, float] = (1e-10, 1e-4)
+    observables: tuple[Observable, ...] = ()
     direction: int = 1
     h_max: float = math.inf
     rtol: float = 1e-11
@@ -489,9 +489,6 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
     runs = [
         RunPlan(
             label=f"m={m}, p={p}",
-            initial=(0.0, 0.0),
-            tau_end=0.0,
-            window=(0.0, 0.0),
             observables=(
                 Observable("phi", _abs_base(chart, "phi"),
                            RateModel(-1.0 / (1.0 - float(p)), 0.0), 0.1, 0.2),
@@ -542,6 +539,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
             observables=obs,
             direction=1,
             stop_at_equilibrium=False,
+            window_relative=False,
             edge_behind_s0=s0,
         ),
         RunPlan(
@@ -553,6 +551,7 @@ def _build_kdv(m, n, c) -> CaseDefinition:
             observables=obs,
             direction=-1,
             stop_at_equilibrium=False,
+            window_relative=False,
             edge_behind_s0=s0,
         ),
     ]
@@ -581,7 +580,6 @@ def _build_lienard(n) -> CaseDefinition:
                 label=f"n={n} periodic blow-up",
                 initial=(0.08, 0.0),
                 tau_end=27000.0,
-                window=(0.0, math.inf),
                 observables=(
                     Observable("inv_r", parse_genpoly("r^(-1)", chart.poly_vars),
                                RateModel(1.0 / (n - 1), 0.0), 0.05, 0.2),
@@ -597,8 +595,6 @@ def _build_lienard(n) -> CaseDefinition:
                 label="n=1 grow-up",
                 initial=(0.08, 0.0),
                 tau_end=2400.0,
-                window=(0.0, math.inf),
-                observables=(),
                 rtol=1e-10,
                 stop_at_equilibrium=False,
                 expect_finite_edge=False,
@@ -787,44 +783,37 @@ def equilibrium_search(chart: ChartField):
 
 
 def _execute_run(cdef, plan, out_dir):
-    if plan.center_degree is not None:
-        return _run_center_flow(cdef, plan)
+    """The report entry of one run of ``cdef``: what its sampler records
+    (:func:`_center_flow` with ``center_degree``, else :func:`_samples` of
+    the integrated run), then each observable's fit and the verdicts."""
     chart = cdef.chart
-    # a quasi-polar run records one section crossing per revolution
-    sectioned = chart.quasipolar_index is not None
-    entry = {"label": plan.label, "sampler": "sections" if sectioned else "trajectory"}
-    traj = integrate(
-        chart,
-        plan.initial,
-        plan.tau_end,
-        rtol=plan.rtol,
-        atol=plan.atol,
-        direction=plan.direction,
-        h_max=plan.h_max,
-        stop_at_equilibrium=plan.stop_at_equilibrium,
-    )
-    if traj.termination == "step-budget":
-        raise StepBudgetError(
-            f"run {plan.label!r} stopped after {traj.n_steps} steps at "
-            f"tau = {traj.tau[-1]:.6g}, before tau_end"
-        )
-    entry["termination"] = traj.termination
-    entry["n_steps"] = traj.n_steps
-    if out_dir is not None:
-        import pathlib
-
-        tdir = pathlib.Path(out_dir) / "trajectories"
-        tdir.mkdir(parents=True, exist_ok=True)
-        fname = f"{cdef.name}_{plan.label}".replace(" ", "_").replace("=", "")
-        fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".npz"
-        trajectory_to_csv(traj, tdir / fname)
-    verdicts = []
-    s, states, min_samples = _samples(plan, traj, sectioned, entry, verdicts)
-    entry["fits"] = [
-        _fit_row(obs, fit_rate(s, _observe(obs, chart, states), min_samples=min_samples),
-                 verdicts)
-        for obs in plan.observables
-    ]
+    entry, verdicts = {"label": plan.label}, []
+    if plan.center_degree is not None:
+        s, values, min_samples = _center_flow(chart, plan, entry)
+    else:
+        # a quasi-polar run records one section crossing per revolution
+        sectioned = chart.quasipolar_index is not None
+        entry["sampler"] = "sections" if sectioned else "trajectory"
+        traj = integrate(chart, plan.initial, plan.tau_end, rtol=plan.rtol, atol=plan.atol,
+                         direction=plan.direction, h_max=plan.h_max,
+                         stop_at_equilibrium=plan.stop_at_equilibrium)
+        if traj.termination == "step-budget":
+            raise StepBudgetError(f"run {plan.label!r} stopped after {traj.n_steps} steps "
+                                  f"at tau = {traj.tau[-1]:.6g}, before tau_end")
+        entry["termination"] = traj.termination
+        entry["n_steps"] = traj.n_steps
+        if out_dir is not None:
+            tdir = pathlib.Path(out_dir) / "trajectories"
+            tdir.mkdir(parents=True, exist_ok=True)
+            fname = f"{cdef.name}_{plan.label}".replace(" ", "_").replace("=", "")
+            fname = "".join(ch for ch in fname if ch.isalnum() or ch in "_-") + ".npz"
+            trajectory_to_csv(traj, tdir / fname)
+        s, states, min_samples = _samples(plan, traj, sectioned, entry, verdicts)
+        values = (obs.expr.compile_batch()(*chart.poly_columns(states))
+                  for obs in plan.observables)
+    # each observable's values are computed as it is fitted
+    entry["fits"] = [_fit_row(obs, fit_rate(s, y, min_samples=min_samples), verdicts)
+                     for obs, y in zip(plan.observables, values)]
     entry["verdicts"] = verdicts
     return entry
 
@@ -835,6 +824,10 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     run's section crossings or inside its window.  Records the edge in
     ``entry`` and appends the edge verdicts to ``verdicts``."""
     if plan.edge_behind_s0 is not None:
+        if plan.window_relative:
+            # there is no edge time to scale the window by
+            raise ValueError(f"run {plan.label!r} has its edge behind the start, so "
+                             "its window must be absolute (window_relative=False)")
         entry["edge"] = {"behind_start_at": plan.edge_behind_s0}
         s = plan.edge_behind_s0 + traj.t
         lo, hi = plan.window
@@ -884,19 +877,6 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     return s[keep], traj.sections["state"][burn:][keep], 40
 
 
-def _observe(obs, chart, states):
-    """The observable at each row of the 2-D array of chart ``states``,
-    evaluated in one batch on the columns as Python floats
-    (:meth:`GenPoly.compile_batch`); on a quasi-polar chart the angle column
-    is replaced by the Cs and Sn columns of the chart's table."""
-    cols = states.T.tolist()
-    if chart.quasipolar_index is not None:
-        lookup = table(chart.quasipolar_index).lookup
-        cssn = [lookup(theta) for theta in cols.pop(chart.vars.index(chart.angle))]
-        cols += [[c for c, _ in cssn], [s for _, s in cssn]]
-    return np.array(obs.expr.compile_batch()(*cols))
-
-
 def _fit_row(obs, fit, verdicts):
     """The report row of one fitted observable; its rate verdict, when one is
     declared, is appended to ``verdicts``."""
@@ -941,8 +921,10 @@ _GL24_WEIGHTS = (
 )
 
 
-def _run_center_flow(cdef, plan):
-    """Sample the frame coordinate along the analytically reduced center flow.
+def _center_flow(chart, plan, entry):
+    """``(s, values, min_samples)`` along the analytically reduced center
+    flow: the distances to the edge and each observable's values there.
+    Records the sampler and the center manifold series in ``entry``.
 
     Near the degenerate equilibrium at the chart origin the transverse
     direction is exponentially unstable backward in time, so instead of
@@ -960,7 +942,6 @@ def _run_center_flow(cdef, plan):
     """
     from .localanalysis import _substitute_series  # shared helper
 
-    chart = cdef.chart
     series = center_manifold_series_1d(chart, plan.center_degree)
     cvar, svar = series.center_var, series.stable_var
 
@@ -990,24 +971,16 @@ def _run_center_flow(cdef, plan):
     # that length; the segments accumulate left to right
     segs = [float(h * (weights @ np.array(vals[k * i:k * i + k]))) for i, h in enumerate(half)]
     s = np.array(list(itertools.accumulate(segs)))
-    verdicts, fits = [], []
-    for obs in plan.observables:
-        y = np.array(on_manifold(obs.expr).compile_batch()(xs.tolist()))
-        fits.append(_fit_row(obs, fit_rate(s, y), verdicts))
-    return {
-        "label": plan.label,
-        "sampler": "center-flow",
-        "termination": "center-flow",
-        "series": {
-            "center_var": cvar,
-            "d": str(series.d),
-            "c_d": float(series.c_d),
-            "h": format_genpoly(series.coefficients),
-            "exact": series.exact,
-        },
-        "fits": fits,
-        "verdicts": verdicts,
+    entry["sampler"] = entry["termination"] = "center-flow"
+    entry["series"] = {
+        "center_var": cvar,
+        "d": str(series.d),
+        "c_d": float(series.c_d),
+        "h": format_genpoly(series.coefficients),
+        "exact": series.exact,
     }
+    return s, (on_manifold(obs.expr).compile_batch()(xs.tolist())
+               for obs in plan.observables), 50
 
 
 def sweep(

@@ -72,15 +72,18 @@ every variable in it declared ``positive`` (or the chart's radial
 variable), so it neither vanishes nor changes sign: rescaling by ``x^2`` or
 ``x^(1/2)`` needs ``var x positive``.
 
-The run numbers ``tau-end``, ``h-max``, ``rtol``, ``atol`` and
+A spec number is a decimal or a fraction (``tau-end 90/2``), one past the
+float range a parse error at its line; ``direction`` is an integer.  The
+run numbers ``tau-end``, ``h-max``, ``rtol``, ``atol`` and
 ``direction`` are checked at their line as ``integrate`` checks them, so a
 value it refuses is a parse error there: ``tau-end`` must be finite and
 nonnegative.  ``direction`` is ``1`` (the
 default: forward in the chart's time) or ``-1`` (backward).  An
-``initial`` value that is not finite, an ``expect`` ``tol-rho`` or ``tol-q``
-that is NaN, infinite or negative, an ``expect`` without ``rho``, an
-``observable`` with no name before its ``:``, and a ``window`` whose low
-bound is not below its high one are parse errors at their line too.
+``initial`` value, an ``expect`` ``rho`` or ``q`` or an ``equilibrium``
+number that is not finite, an ``expect`` ``tol-rho`` or ``tol-q`` that is
+NaN, infinite or negative, an ``expect`` without ``rho``, an
+``observable`` with no ``:`` or no name before it, and a ``window`` whose
+low bound is not below its high one are parse errors at their line too.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -375,8 +378,7 @@ class _SpecState:
         self.k = None
         self.transforms = []
         self.initial = {}               # name -> (value, line)
-        # RunPlan keywords given by directives; RunPlan has the other defaults
-        self.plan = {"tau_end": 50.0, "window": (1e-10, 1e-4)}
+        self.plan = {}                  # RunPlan keywords given by directives
         self.observables = []
         self.expected_eqs = []          # (coords, line)
         self.prefactor = None
@@ -447,13 +449,28 @@ class _SpecState:
         )
 
 
+def _real(text: str, name: str = "") -> float:
+    """The double nearest a decimal or a fraction ``p/q``, or a nan/inf
+    spelling; a number past the float range raises OverflowError.  With a
+    ``name``, a value that is not finite is refused."""
+    if "/" in text:
+        value = float(Fraction(text))
+    else:  # float() rounds a decimal as float(Fraction()) does, in linear time
+        value = float(text)
+        if math.isinf(value) and any(ch.isdigit() for ch in text):
+            raise OverflowError(text)
+    if name and not math.isfinite(value):
+        raise ValueError(f"{name} = {text} is not finite")
+    return value
+
+
 # single-number directives: directive -> (RunPlan keyword, parser)
 _NUMBER_DIRECTIVES = {
     "direction": ("direction", int),
-    "tau-end": ("tau_end", float),
-    "h-max": ("h_max", float),
-    "rtol": ("rtol", float),
-    "atol": ("atol", float),
+    "tau-end": ("tau_end", _real),
+    "h-max": ("h_max", _real),
+    "rtol": ("rtol", _real),
+    "atol": ("atol", _real),
 }
 
 # directives a spec may give at most once
@@ -518,21 +535,21 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
         st.transforms.append((op, params, lineno))
     elif head == "initial":
         for k, v in _kv(rest, None, "initial", lineno, given=st.initial).items():
-            st.initial[k] = (float(v), lineno)
-            if not math.isfinite(st.initial[k][0]):
-                raise ParseError(f"initial {k} = {v} is not finite", lineno, 1)
+            st.initial[k] = (_real(v, f"initial {k}"), lineno)
     elif head == "window":
         parts = _words(rest, 2, "window <low> <high> [absolute]", lineno)
         if parts[2:] not in ([], ["absolute"]):
             raise ParseError(f"window takes only 'absolute' after its bounds, "
                              f"not {' '.join(parts[2:])!r}", lineno, 1)
-        low, high = float(parts[0]), float(parts[1])
+        low, high = _real(parts[0]), _real(parts[1])
         if not low < high:  # a NaN bound too
             raise ParseError(f"window needs low < high, not {low!r} {high!r}", lineno, 1)
         st.plan["window"] = (low, high)
         st.plan["window_relative"] = parts[2:] != ["absolute"]
     elif head == "observable":
-        name, _, tail = rest.partition(":")
+        name, colon, tail = rest.partition(":")
+        if not colon:
+            raise ParseError("observable needs ':' between name and expression", lineno, 1)
         name = name.strip()
         if not name:
             raise ParseError("observable needs a name before ':'", lineno, 1)
@@ -546,11 +563,11 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
             kv = _kv(expect_text, ("rho", "q", "tol-rho", "tol-q"), "expect", lineno)
             if "rho" not in kv:
                 raise ParseError("expect needs rho=<number>", lineno, 1)
-            expect["expected"] = RateModel(float(Fraction(kv["rho"])),
-                                           float(Fraction(kv.get("q", "0"))))
+            expect["expected"] = RateModel(_real(kv["rho"], "expect rho"),
+                                           _real(kv.get("q", "0"), "expect q"))
             for key in ("tol-rho", "tol-q"):
                 if key in kv:
-                    tol = expect[key.replace("-", "_")] = float(kv[key])
+                    tol = expect[key.replace("-", "_")] = _real(kv[key])
                     if not 0.0 <= tol < math.inf:
                         raise ParseError(f"expect {key} = {tol!r} is not finite and "
                                          "nonnegative", lineno, 1)
@@ -561,7 +578,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
                              f"{', '.join(_KINDS)}", lineno, 1)
         st.plan["expect_finite_edge"] = _KINDS[rest]
     elif head == "equilibrium":
-        st.expected_eqs.append(([float(Fraction(x)) for x in rest.split()], lineno))
+        st.expected_eqs.append(([_real(x, "equilibrium") for x in rest.split()], lineno))
     else:
         raise ParseError(f"unknown directive {head!r}", lineno, 1)
 

@@ -44,6 +44,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ClosureError, ResidualSingularityError, SignError
 from .genpoly import (
     SOURCE_GLOBALS,
@@ -54,7 +56,7 @@ from .genpoly import (
     parse_genpoly,
     power_source,
 )
-from .quasitrig import cssn, table
+from .quasitrig import table
 from .structure import TypeVector, certify_type
 
 __all__ = [
@@ -156,18 +158,20 @@ class ChartField:
 
     # -- evaluation --------------------------------------------------------
 
+    def poly_columns(self, states) -> list[list[float]]:
+        """The columns of the 2-D array of chart ``states`` over ``poly_vars``,
+        as Python floats: on a quasi-polar chart the angle column is replaced
+        by the Cs and Sn columns of the chart's table."""
+        cols = np.asarray(states, dtype=float).T.tolist()
+        if self.quasipolar_index is not None:
+            lookup = table(self.quasipolar_index).lookup
+            cssn = [lookup(theta) for theta in cols.pop(self.vars.index(self.angle))]
+            cols += [[c for c, _ in cssn], [s for _, s in cssn]]
+        return cols
+
     def state_to_poly_point(self, state: Sequence[float]) -> list[float]:
-        if self.quasipolar_index is None:
-            return list(state)
-        out = []
-        theta = None
-        for v, x in zip(self.vars, state):
-            if v == self.angle:
-                theta = x
-            else:
-                out.append(x)
-        c, s = cssn(theta, self.quasipolar_index)
-        return out + [c, s]
+        """The point the polynomials take at ``state``: a row of :meth:`poly_columns`."""
+        return [col[0] for col in self.poly_columns([state])]
 
     def eval_components(self, state: Sequence[float]) -> list[float]:
         pt = self.state_to_poly_point(state)

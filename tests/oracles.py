@@ -173,8 +173,9 @@ def h_coefficient(series, power):
 def per_sample_center_flow(cdef, plan):
     """Sample the frame coordinate along the analytically reduced center flow.
 
-    The reference for ``casebook._run_center_flow``: its previous text, which
-    calls compiled polynomials once or twice per sample on numpy scalars.
+    The reference for ``casebook._execute_run`` on a center-flow run: the
+    previous text of that run, which calls compiled polynomials once or
+    twice per sample on numpy scalars.
 
     Near the degenerate equilibrium at the chart origin the transverse
     direction is exponentially unstable backward in time, so instead of

@@ -1,6 +1,7 @@
 """Casebook: definitions, invariants shared by all cases, orbital equivalence,
 replay determinism.  Full rate verdicts live in the acceptance suite."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -22,6 +23,7 @@ from horizon.dynamics import integrate
 from horizon.errors import InsufficientSpanError
 from horizon.genpoly import parse_genpoly
 from horizon.localanalysis import center_manifold_series_1d
+from horizon.quasitrig import cssn
 from horizon.structure import TypeVector, certify_type
 import oracles
 from oracles import forward_point, horizon_is_invariant, inverse_transform
@@ -519,7 +521,8 @@ def test_batched_center_flow_matches_per_sample_run(p, m, monkeypatch):
     series = center_manifold_series_1d(cdef.chart, plan.center_degree)
     for module in (casebook, oracles):
         monkeypatch.setattr(module, "center_manifold_series_1d", lambda *_: series)
-    assert (_center_flow_outcome(casebook._run_center_flow, cdef, plan)
+    run = functools.partial(casebook._execute_run, out_dir=None)
+    assert (_center_flow_outcome(run, cdef, plan)
             == _center_flow_outcome(oracles.per_sample_center_flow, cdef, plan))
 
 
@@ -528,7 +531,32 @@ def test_batched_observables_match_per_state_calls(name, params):
     cdef = get_case(name).definition(params)
     chart = cdef.chart
     states = np.random.default_rng(5).uniform(-20.0, 20.0, (200, len(chart.vars)))
+    # each state's point built here: the angle replaced by (Cs, Sn) at its end
+    points = [list(st) for st in states.tolist()]
+    if chart.quasipolar_index is not None:
+        a = chart.vars.index(chart.angle)
+        points = [p[:a] + p[a + 1:] + list(cssn(p[a], chart.quasipolar_index))
+                  for p in points]
+    cols = chart.poly_columns(states)
+    assert all(type(x) is float for col in cols for x in col)
+    assert cols == [list(c) for c in zip(*points)]
+    assert [chart.state_to_poly_point(st) for st in states] == points
     for obs in cdef.runs[0].observables:
         fn = obs.expr.compile()
-        per_state = [fn(*chart.state_to_poly_point(st)) for st in states]
-        assert casebook._observe(obs, chart, states).tobytes() == np.array(per_state).tobytes()
+        per_state = [fn(*pt) for pt in points]
+        assert (np.array(obs.expr.compile_batch()(*cols)).tobytes()
+                == np.array(per_state).tobytes())
+
+
+def test_edge_behind_start_refuses_a_relative_window():
+    # such a run has no edge time to scale its window by; kdv's runs state
+    # absolute windows
+    cdef = get_case("kdv").definition()
+    assert not any(plan.window_relative for plan in cdef.runs)
+    plan = dataclasses.replace(cdef.runs[0], window_relative=True, tau_end=1.0)
+    with pytest.raises(ValueError, match="run 'leading edge' has its edge behind the "
+                                         "start, so its window must be absolute"):
+        casebook._execute_run(cdef, plan, None)
+    cdef.runs = [plan]
+    rep = run_case(cdef)
+    assert rep.status == "ERROR" and rep.error.startswith("ValueError: run 'leading edge'")

@@ -297,7 +297,9 @@ class TestExitCodes:
         ("var", "var <name>"),
         # an observable without a name ran, fitted and reported under ''
         ("observable : r^(-1)", "observable needs a name before ':'"),
-    ], ids=["window", "box", "var", "observable-name"])
+        # without its ':' the whole line was the name: "empty expression"
+        ("observable xval r^(-1)", "observable needs ':' between name and expression"),
+    ], ids=["window", "box", "var", "observable-name", "observable-colon"])
     def test_missing_directive_argument_is_2(self, tmp_path, capsys, line, usage):
         spec = GOOD_SPEC.replace("window 1e-8 1e-3", line)
         rc = main(["analyze", str(write(tmp_path, spec)), "--out", str(tmp_path / "out")])
@@ -354,8 +356,14 @@ class TestExitCodes:
         ("initial r=0.5 v1=0.5", "initial r=nan v1=0.5", "initial r = nan is not finite"),
         ("initial r=0.5 v1=0.5", "initial r=0.5 v1=-inf", "initial v1 = -inf is not finite"),
         ("rho=1/2 q=0", "q=0", "expect needs rho=<number>"),
+        # Fraction refused these spellings; the one number reader passes
+        # them to float, so they are refused as not finite
+        ("rho=1/2 q=0", "rho=nan q=0", "expect rho = nan is not finite"),
+        ("rho=1/2 q=0", "rho=1/2 q=-inf", "expect q = -inf is not finite"),
+        ("equilibrium 0 1", "equilibrium 0 inf", "equilibrium = inf is not finite"),
     ], ids=["tol-rho-nan", "tol-rho-negative", "tol-q-inf", "window-nan", "window-reversed",
-            "initial-nan", "initial-inf", "expect-no-rho"])
+            "initial-nan", "initial-inf", "expect-no-rho", "expect-rho-nan", "expect-q-inf",
+            "equilibrium-inf"])
     def test_spec_number_no_run_can_use_is_2(self, tmp_path, capsys, monkeypatch, old, new,
                                              message):
         # a NaN or negative tolerance gave a verdict that could never pass
@@ -374,7 +382,13 @@ class TestExitCodes:
         ("equilibrium 0 1\n", "equilibrium 0 1e400\n", "a number is outside the float range"),
         ("equilibrium 0 1\n", "equilibrium 0 1/0\n", "a number has a zero denominator"),
         ("q=0 tol-rho", "q=1e400 tol-rho", "a number is outside the float range"),
-    ], ids=["equilibrium-1e400", "equilibrium-1/0", "expect-q-1e400"])
+        # float() read 1e400 as inf: initial refused it as not finite and
+        # window took it as its high bound; tau-end refused 1/0 as no float
+        ("initial r=0.5", "initial r=1e400", "a number is outside the float range"),
+        ("window 1e-10 1e-4\n", "window 1e-10 1e400\n", "a number is outside the float range"),
+        ("tau-end 45\n", "tau-end 1/0\n", "a number has a zero denominator"),
+    ], ids=["equilibrium-1e400", "equilibrium-1/0", "expect-q-1e400", "initial-1e400",
+            "window-1e400", "tau-end-1/0"])
     def test_spec_number_past_float_range_is_2(self, tmp_path, capsys, monkeypatch, old, new,
                                                message):
         # float(Fraction(...)) raised OverflowError or ZeroDivisionError out
@@ -670,6 +684,24 @@ class TestExitCodes:
         for p in (plain, bom):
             assert main(["analyze", str(p), "--out", str(tmp_path / p.stem)]) == 0
             docs.append(json.loads((tmp_path / p.stem / "report.json").read_text()))
+            docs[-1].pop("wallclock_s")
+        assert docs[0] == docs[1]
+
+    def test_fractions_read_as_the_decimals_they_equal(self, tmp_path):
+        # initial, tau-end and window took only float() spellings:
+        # "could not convert string to float: '1/2'"
+        text = (CASES_DIR / "iy.spec").read_text()
+        frac = text
+        for old, new in [("initial r=0.5 v1=0.5", "initial r=1/2 v1=1/2"),
+                         ("tau-end 45", "tau-end 90/2"),
+                         ("window 1e-10 1e-4", "window 1/10000000000 1/10000")]:
+            assert old in frac
+            frac = frac.replace(old, new)
+        docs = []
+        for name, spec in (("plain", text), ("frac", frac)):
+            assert main(["analyze", str(write(tmp_path, spec, f"{name}.spec")),
+                         "--out", str(tmp_path / name)]) == 0
+            docs.append(json.loads((tmp_path / name / "report.json").read_text()))
             docs[-1].pop("wallclock_s")
         assert docs[0] == docs[1]
 
