@@ -791,6 +791,10 @@ def _execute_run(cdef, plan, out_dir):
     if plan.center_degree is not None:
         s, values, min_samples = _center_flow(chart, plan, entry)
     else:
+        if plan.edge_behind_s0 is not None and plan.window_relative:
+            # there is no edge time to scale the window by
+            raise ValueError(f"run {plan.label!r} has its edge behind the start, so "
+                             "its window must be absolute (window_relative=False)")
         # a quasi-polar run records one section crossing per revolution
         sectioned = chart.quasipolar_index is not None
         entry["sampler"] = "sections" if sectioned else "trajectory"
@@ -824,10 +828,6 @@ def _samples(plan, traj, sectioned, entry, verdicts):
     run's section crossings or inside its window.  Records the edge in
     ``entry`` and appends the edge verdicts to ``verdicts``."""
     if plan.edge_behind_s0 is not None:
-        if plan.window_relative:
-            # there is no edge time to scale the window by
-            raise ValueError(f"run {plan.label!r} has its edge behind the start, so "
-                             "its window must be absolute (window_relative=False)")
         entry["edge"] = {"behind_start_at": plan.edge_behind_s0}
         s = plan.edge_behind_s0 + traj.t
         lo, hi = plan.window

@@ -51,6 +51,7 @@ from .genpoly import (
     SOURCE_GLOBALS,
     GenMonomial,
     GenPoly,
+    code_of,
     format_genpoly,
     frac,
     parse_genpoly,
@@ -216,7 +217,8 @@ class ChartField:
     def compile_rhs(self):
         """Callable state -> (component values, chain product).
 
-        One exec-compiled function of the :meth:`rhs_source` text.
+        One function of the :meth:`rhs_source` text, which is compiled once
+        per process (:func:`horizon.genpoly.code_of`).
         :func:`horizon.dynamics.integrate` evaluates the initial point with
         it; the integration loop inlines the same text in every stage.  A
         power that overflows or is ``0**(-n)`` raises ``OverflowError`` or
@@ -227,7 +229,7 @@ class ChartField:
         body = [f"{', '.join(names)}, = state", *src.statements,
                 f"return ({''.join(c + ', ' for c in src.components)}), {src.chain}"]
         text = "def rhs(state):\n" + "".join(f"    {line}\n" for line in body)
-        exec(compile(text, f"<chart rhs {','.join(self.vars)}>", "exec"), src.globals)
+        exec(code_of(text, f"<chart rhs {','.join(self.vars)}>", "exec"), src.globals)
         return src.globals["rhs"]
 
     def to_dict(self):

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "GenMonomial",
     "GenPoly",
     "batch_function",
+    "code_of",
     "frac",
     "parse_genpoly",
     "format_genpoly",
@@ -351,12 +354,13 @@ class GenPoly:
         compiled function returns NaN.  Integer powers are Python float
         powers: ``0.0**-n`` raises ``ZeroDivisionError`` and an overflowing
         power raises ``OverflowError``.  (A ``def`` statement would compile
-        more slowly.)
+        more slowly.)  Equal polynomials print one text, which is compiled
+        once per process (:func:`code_of`).
         """
         names = [f"x{i}" for i in range(len(self.vars))]
         src = f"lambda {', '.join(names)}: {self.source(names)}"
-        code = compile(src, f"<genpoly:{format_genpoly(self)[:40]}>", "eval")
-        return eval(code, dict(SOURCE_GLOBALS))
+        return eval(code_of(src, f"<genpoly:{format_genpoly(self)[:40]}>", "eval"),
+                    dict(SOURCE_GLOBALS))
 
     def compile_batch(self) -> Callable[..., list]:
         """Compile to a function of one column per variable (in order) that
@@ -376,10 +380,11 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
     that returns the list of its values, row by row; ``label`` names the code
     in tracebacks.
 
-    The function is one list comprehension over the columns, exec-compiled
-    once.  Its columns are meant to be lists of Python floats, on which the
-    arithmetic is 2-3x faster than on numpy scalars and gives the same
-    values; only a NaN may come out with the other sign.
+    The function is one list comprehension over the columns; its text is
+    compiled once per process (:func:`code_of`).  Its columns are meant to
+    be lists of Python floats, on which the arithmetic is 2-3x faster than
+    on numpy scalars and gives the same values; only a NaN may come out
+    with the other sign.
     A Python float power or division raises where numpy gives an infinity or
     NaN (``0.0**-1.0``, an overflowing power, ``x/0.0``); then the whole batch
     is evaluated again on numpy float64 scalars, so it returns numpy's values,
@@ -392,7 +397,7 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
         rows = f"{', '.join(names)} in zip({', '.join(cols)})"
     src = f"def _f({', '.join(cols)}):\n    return [{expr} for {rows}]\n"
     ns = dict(SOURCE_GLOBALS)
-    exec(compile(src, f"<genpoly batch:{label}>", "exec"), ns)
+    exec(code_of(src, f"<genpoly batch:{label}>", "exec"), ns)
     fn = ns["_f"]
 
     def batch(*columns):
@@ -402,6 +407,40 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
             return fn(*[np.asarray(c, dtype=np.float64) for c in columns])
 
     return batch
+
+
+# how many generated texts keep their code objects (see code_of)
+CODE_CACHE_SIZE = 256
+
+
+def code_of(text: str, label: str, mode: str) -> CodeType:
+    """The code object of the generated Python ``text``, compiled in
+    ``mode`` ("exec" or "eval") with ``label`` as its file name: the one way
+    the package compiles the text it generates (chart fields, DP5 loops,
+    GenPoly evaluators and batches, quasitrig lookups).
+
+    Each ``(text, label, mode)`` is compiled once per process; the last
+    :data:`CODE_CACHE_SIZE` used are kept, least recently used dropped
+    first, and the cache is empty at import.  Each call returns a copy of
+    the compiled code, nested code included, that no run has specialized
+    yet, so it runs as a fresh compile of the text would: CPython's
+    specialized float addition may return the other operand's NaN when both
+    are NaN, so code shared with earlier runs could give a NaN of the other
+    sign.  A copy costs microseconds, a compile milliseconds.
+    """
+    return _unspecialized(_compiled(text, label, mode))
+
+
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _compiled(text: str, label: str, mode: str) -> CodeType:
+    return compile(text, label, mode)
+
+
+def _unspecialized(code: CodeType) -> CodeType:
+    """A copy of ``code`` and of the code in its constants, built from
+    their unspecialized bytecode."""
+    return code.replace(co_consts=tuple(
+        _unspecialized(c) if isinstance(c, CodeType) else c for c in code.co_consts))
 
 
 def power_source(name: str, e: Fraction) -> str:

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._dop853_qags import dop853, qags
+from .genpoly import code_of
 
 __all__ = ["QuasiTrigTable", "cssn", "period", "table"]
 
@@ -104,7 +105,7 @@ class QuasiTrigTable:
         body = self.lookup_source("theta", "cs", "sn") + ["return cs, sn"]
         src = "def lookup(theta):\n" + "".join(f"    {line}\n" for line in body)
         ns = dict(self.lookup_globals)
-        exec(compile(src, f"<quasitrig l={self.l}>", "exec"), ns)
+        exec(code_of(src, f"<quasitrig l={self.l}>", "exec"), ns)
         return ns["lookup"]
 
     def lookup_source(self, theta: str, cs: str, sn: str) -> list[str]:

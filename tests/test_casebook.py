@@ -548,12 +548,14 @@ def test_batched_observables_match_per_state_calls(name, params):
                 == np.array(per_state).tobytes())
 
 
-def test_edge_behind_start_refuses_a_relative_window():
+def test_edge_behind_start_refuses_a_relative_window(monkeypatch):
     # such a run has no edge time to scale its window by; kdv's runs state
-    # absolute windows
+    # absolute windows.  The plan is refused before any integration runs
     cdef = get_case("kdv").definition()
     assert not any(plan.window_relative for plan in cdef.runs)
-    plan = dataclasses.replace(cdef.runs[0], window_relative=True, tau_end=1.0)
+    plan = dataclasses.replace(cdef.runs[0], window_relative=True)
+    monkeypatch.setattr(casebook, "integrate",
+                        lambda *a, **k: pytest.fail("integrated a refused plan"))
     with pytest.raises(ValueError, match="run 'leading edge' has its edge behind the "
                                          "start, so its window must be absolute"):
         casebook._execute_run(cdef, plan, None)
