@@ -51,9 +51,9 @@ from .genpoly import (
     SOURCE_GLOBALS,
     GenMonomial,
     GenPoly,
-    code_of,
     format_genpoly,
     frac,
+    function_of,
     parse_genpoly,
     power_source,
 )
@@ -218,7 +218,7 @@ class ChartField:
         """Callable state -> (component values, chain product).
 
         One function of the :meth:`rhs_source` text, which is compiled once
-        per process (:func:`horizon.genpoly.code_of`).
+        per process (:func:`horizon.genpoly.function_of`).
         :func:`horizon.dynamics.integrate` evaluates the initial point with
         it; the integration loop inlines the same text in every stage.  A
         power that overflows or is ``0**(-n)`` raises ``OverflowError`` or
@@ -229,8 +229,7 @@ class ChartField:
         body = [f"{', '.join(names)}, = state", *src.statements,
                 f"return ({''.join(c + ', ' for c in src.components)}), {src.chain}"]
         text = "def rhs(state):\n" + "".join(f"    {line}\n" for line in body)
-        exec(code_of(text, f"<chart rhs {','.join(self.vars)}>", "exec"), src.globals)
-        return src.globals["rhs"]
+        return function_of(text, f"<chart rhs {','.join(self.vars)}>", src.globals)
 
     def to_dict(self):
         return {

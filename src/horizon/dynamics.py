@@ -18,8 +18,8 @@ needs, per accepted step:
 The whole integration loop is generated Python code, one function per
 ``integrate`` call, specialised to the chart, the direction, the section
 variable and the equilibrium stop rule; each loop text is compiled once per
-process (:func:`horizon.genpoly.code_of`).  Its DP5 attempt is unrolled in
-tableau order, and every stage runs the chart field's printed text
+process (:func:`horizon.genpoly.function_of`).  Its DP5 attempt is unrolled
+in tableau order, and every stage runs the chart field's printed text
 (:meth:`ChartField.rhs_source`: the Cs/Sn table lookup, shared powers,
 component and chain expressions) in place, with no call per stage; the
 step bookkeeping and the PI controller are inline too.  The initial point is
@@ -65,7 +65,7 @@ import numpy as np
 from . import native
 from .errors import AmbiguousTailError
 from .compactify import ChartField
-from .genpoly import code_of
+from .genpoly import function_of
 from .quasitrig import table
 
 __all__ = [
@@ -256,11 +256,11 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     """The whole DP5 integration loop for one chart, generated as one
     function; returns ``(loop, text)``, the function and its source.
 
-    The text is compiled once per process (:func:`horizon.genpoly.code_of`):
-    two calls for one chart, sign, section variable and stop rule compile
-    once and return functions with equal code, each with a copy of the code
-    that no run has specialized yet and with globals of its own (its copy
-    of the chart's names, the Cs/Sn table among them).
+    The text is compiled once per process (:func:`function_of`): two calls
+    for one chart, sign, section variable and stop rule compile once and
+    return functions with equal code, each with a copy of the code that no
+    run has specialized yet and with globals of its own (its copy of the
+    chart's names, the Cs/Sn table among them).
 
     ``loop(y, f, g0, h, tau_end, h_max, rtol, atol, max_steps, period,
     sec_count)`` starts at the state tuple y with its (direction-signed)
@@ -468,8 +468,7 @@ def _loop_fn(C: ChartField, sign: int, si: int | None, stop_at_equilibrium: bool
     )
     ns = dict(src.globals, _sqrt=math.sqrt, _floor=math.floor, _inf=math.inf,
               _POW_ERRORS=_POW_ERRORS, _array=array.array)
-    exec(code_of(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", "exec"), ns)
-    return ns["loop"], text
+    return function_of(text, f"<dp5 loop {','.join(C.vars)} sign={sign}>", ns), text
 
 
 def _tup(names) -> str:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import CodeType
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -36,7 +36,7 @@ __all__ = [
     "GenMonomial",
     "GenPoly",
     "batch_function",
-    "code_of",
+    "function_of",
     "frac",
     "parse_genpoly",
     "format_genpoly",
@@ -347,28 +347,29 @@ class GenPoly:
 
     def compile(self) -> Callable[..., float]:
         """Compile to a fast scalar function of the variables (in order): a
-        lambda of the :meth:`source` text, the function :meth:`eval` runs.
+        ``def`` of the :meth:`source` text, the function :meth:`eval` runs.
 
         Where :meth:`eval` raises ``DomainError`` for a fractional power of a
         negative base (or a non-positive fractional power of zero), the
         compiled function returns NaN.  Integer powers are Python float
         powers: ``0.0**-n`` raises ``ZeroDivisionError`` and an overflowing
-        power raises ``OverflowError``.  (A ``def`` statement would compile
-        more slowly.)  Equal polynomials print one text, which is compiled
-        once per process (:func:`code_of`).
+        power raises ``OverflowError``.  Equal polynomials print one text,
+        which is compiled once per process (:func:`function_of`).
         """
         names = [f"x{i}" for i in range(len(self.vars))]
-        src = f"lambda {', '.join(names)}: {self.source(names)}"
-        return eval(code_of(src, f"<genpoly:{format_genpoly(self)[:40]}>", "eval"),
-                    dict(SOURCE_GLOBALS))
+        src = f"def _f({', '.join(names)}):\n    return {self.source(names)}\n"
+        return function_of(src, f"<genpoly:{format_genpoly(self)[:40]}>", SOURCE_GLOBALS)
 
     def compile_batch(self) -> Callable[..., list]:
         """Compile to a function of one column per variable (in order) that
         returns the list of :meth:`compile`'s values, row by row.
 
-        The text is :meth:`compile`'s, so each value is :meth:`compile`'s at
-        the row bit for bit: on the row's numbers, or on numpy float64
-        scalars of them where :func:`batch_function` falls back to those.
+        The text is :meth:`compile`'s, so each finite value is
+        :meth:`compile`'s at the row bit for bit: on the row's numbers, or on
+        numpy float64 scalars of them where :func:`batch_function` falls
+        back to those.  A NaN may come out with either sign: from its 8th row
+        on, CPython 3.11 runs the batch's loop specialized, and a specialized
+        float addition of two NaNs returns the other operand.
         """
         names = [f"x{i}" for i in range(len(self.vars))]
         return batch_function(self.source(names), names, format_genpoly(self)[:40])
@@ -381,7 +382,7 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
     in tracebacks.
 
     The function is one list comprehension over the columns; its text is
-    compiled once per process (:func:`code_of`).  Its columns are meant to
+    compiled once per process (:func:`function_of`).  Its columns are meant to
     be lists of Python floats, on which the arithmetic is 2-3x faster than
     on numpy scalars and gives the same values; only a NaN may come out
     with the other sign.
@@ -396,9 +397,7 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
     else:
         rows = f"{', '.join(names)} in zip({', '.join(cols)})"
     src = f"def _f({', '.join(cols)}):\n    return [{expr} for {rows}]\n"
-    ns = dict(SOURCE_GLOBALS)
-    exec(code_of(src, f"<genpoly batch:{label}>", "exec"), ns)
-    fn = ns["_f"]
+    fn = function_of(src, f"<genpoly batch:{label}>", SOURCE_GLOBALS)
 
     def batch(*columns):
         try:
@@ -409,31 +408,34 @@ def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[...,
     return batch
 
 
-# how many generated texts keep their code objects (see code_of)
+# how many generated texts keep their compiled code (see function_of)
 CODE_CACHE_SIZE = 256
 
 
-def code_of(text: str, label: str, mode: str) -> CodeType:
-    """The code object of the generated Python ``text``, compiled in
-    ``mode`` ("exec" or "eval") with ``label`` as its file name: the one way
-    the package compiles the text it generates (chart fields, DP5 loops,
-    GenPoly evaluators and batches, quasitrig lookups).
+def function_of(text: str, label: str, globals: dict) -> FunctionType:
+    """The function that the generated Python ``text``, one ``def``
+    statement, defines, with ``label`` as its file name and a copy of
+    ``globals`` as its globals: the one way the package turns the text it
+    generates into a function (chart fields, DP5 loops, GenPoly evaluators
+    and batches, quasitrig lookups).
 
-    Each ``(text, label, mode)`` is compiled once per process; the last
+    Each ``(text, label)`` is compiled once per process; the last
     :data:`CODE_CACHE_SIZE` used are kept, least recently used dropped
-    first, and the cache is empty at import.  Each call returns a copy of
-    the compiled code, nested code included, that no run has specialized
-    yet, so it runs as a fresh compile of the text would: CPython's
-    specialized float addition may return the other operand's NaN when both
-    are NaN, so code shared with earlier runs could give a NaN of the other
-    sign.  A copy costs microseconds, a compile milliseconds.
+    first, and the cache is empty at import.  Each call returns a function
+    of a copy of the compiled code, nested code included, that no run has
+    specialized yet, so it runs as a fresh compile of the text would:
+    CPython's specialized float addition may return the other operand's NaN
+    when both are NaN, so code shared with earlier runs could give a NaN of
+    the other sign.  A copy costs microseconds, a compile milliseconds.
     """
-    return _unspecialized(_compiled(text, label, mode))
+    return FunctionType(_unspecialized(_compiled(text, label)), dict(globals))
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
-def _compiled(text: str, label: str, mode: str) -> CodeType:
-    return compile(text, label, mode)
+def _compiled(text: str, label: str) -> CodeType:
+    """The code of the one function that ``text`` defines."""
+    (code,) = (c for c in compile(text, label, "exec").co_consts if isinstance(c, CodeType))
+    return code
 
 
 def _unspecialized(code: CodeType) -> CodeType:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ._dop853_qags import dop853, qags
-from .genpoly import code_of
+from .genpoly import function_of
 
 __all__ = ["QuasiTrigTable", "cssn", "period", "table"]
 
@@ -74,9 +74,9 @@ class QuasiTrigTable:
     Scalar lookups read Python-float copies of the nodes and of the node
     derivatives (exact: Cs' = -Sn, Sn' = Cs^(2l-1), scaled by the spacing),
     grouped per interval after the interval's left end.  :meth:`lookup_source`
-    is the single text of the Hermite formula; it is exec-compiled into
-    :meth:`lookup` and inlined by the chart-rhs printer
-    (:meth:`horizon.compactify.ChartField.rhs_source`).
+    is the single text of the Hermite formula, the body of :meth:`lookup`
+    (by :func:`horizon.genpoly.function_of`) and inlined by the chart-rhs
+    printer (:meth:`horizon.compactify.ChartField.rhs_source`).
     Both build the node lists on first use, not with the table.
     """
 
@@ -104,9 +104,7 @@ class QuasiTrigTable:
         """Scalar (Cs(theta), Sn(theta)) for a Python float theta."""
         body = self.lookup_source("theta", "cs", "sn") + ["return cs, sn"]
         src = "def lookup(theta):\n" + "".join(f"    {line}\n" for line in body)
-        ns = dict(self.lookup_globals)
-        exec(code_of(src, f"<quasitrig l={self.l}>", "exec"), ns)
-        return ns["lookup"]
+        return function_of(src, f"<quasitrig l={self.l}>", self.lookup_globals)
 
     def lookup_source(self, theta: str, cs: str, sn: str) -> list[str]:
         """Statements, one unindented line each, assigning (Cs, Sn) at the

@@ -1,17 +1,23 @@
-"""Generated texts are compiled once per process (`genpoly.code_of`), and
-each use runs a copy of the code that no run has specialized yet, so a
-second run gives the first run's numbers bit for bit, NaN signs included."""
+"""Generated texts become functions one way, `genpoly.function_of`: each
+text is compiled once per process, and each function runs a copy of the
+code that no run has specialized yet, with globals of its own, so a second
+run gives the first run's numbers bit for bit, NaN signs included.  No
+module of the package calls `exec` or `eval`, and only the code cache calls
+`compile`."""
 
+import ast
 import math
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
+import horizon
 from horizon import genpoly
 from horizon.casebook import get_case
 from horizon.dynamics import _loop_fn, integrate
-from horizon.genpoly import CODE_CACHE_SIZE, SOURCE_GLOBALS, code_of, parse_genpoly
+from horizon.genpoly import CODE_CACHE_SIZE, SOURCE_GLOBALS, function_of, parse_genpoly
 
 
 def _run(cdef, tau_end=None):
@@ -75,23 +81,50 @@ def test_a_second_run_is_the_first_bit_for_bit(case, params, tau_end):
     assert [getattr(first, k) for k in counters] == [getattr(second, k) for k in counters]
 
 
+def _text(i):
+    return f"def f():\n    return {i}\n"
+
+
 def test_the_cache_never_holds_more_than_its_bound():
-    first = "x = 0\n"
-    code = code_of(first, "<cache test>", "exec")
+    first = function_of(_text(0), "<cache test>", {})
     misses = _misses()
-    assert code_of(first, "<cache test>", "exec") == code and _misses() == misses
+    again = function_of(_text(0), "<cache test>", {})
+    assert _misses() == misses and again.__code__ == first.__code__ and again() == 0
     for i in range(1, CODE_CACHE_SIZE + 10):
-        code_of(f"x = {i}\n", "<cache test>", "exec")
+        assert function_of(_text(i), "<cache test>", {})() == i
         assert genpoly._compiled.cache_info().currsize <= CODE_CACHE_SIZE
     assert genpoly._compiled.cache_info().currsize == CODE_CACHE_SIZE
     # the first text was dropped, so it is compiled again
     misses = _misses()
-    assert code_of(first, "<cache test>", "exec") == code
+    assert function_of(_text(0), "<cache test>", {}).__code__ == first.__code__
     assert _misses() == misses + 1
 
 
+def test_each_function_gets_a_copy_of_the_code_and_of_the_globals():
+    text = "def g(x):\n    return scale * x\n"
+    names = {"scale": 2.0}
+    a = function_of(text, "<copy test>", names)
+    misses = _misses()
+    b = function_of(text, "<copy test>", names)
+    assert _misses() == misses
+    assert a.__name__ == "g" and a.__code__.co_filename == "<copy test>"
+    assert a.__code__ == b.__code__ and a.__code__ is not b.__code__
+    assert a.__globals__ == b.__globals__ == names
+    assert a.__globals__ is not b.__globals__ and a.__globals__ is not names
+    names["scale"] = 3.0
+    a.__globals__["scale"] = 5.0
+    assert (a(1.0), b(1.0)) == (5.0, 2.0)
+
+
+@pytest.mark.parametrize("text", ["x = 1\n", "def f():\n    pass\ndef g():\n    pass\n"])
+def test_a_text_must_define_exactly_one_function(text):
+    with pytest.raises(ValueError):
+        function_of(text, "<not one function>", {})
+
+
 def _fresh(p):
-    """The function of a compile of `p`'s text that bypasses the cache."""
+    """The function of a compile that bypasses the cache: a lambda of `p`'s
+    source, with the bytecode of `compile()`'s ``def``."""
     names = [f"x{i}" for i in range(len(p.vars))]
     src = f"lambda {', '.join(names)}: {p.source(names)}"
     return eval(compile(src, "<fresh>", "eval"), dict(SOURCE_GLOBALS))
@@ -127,3 +160,22 @@ def test_a_text_run_many_times_gives_a_fresh_compiles_nan():
         p.compile_batch()([0.5] * 20, [1.0] * 20, [2.0] * 20)
     assert _bits(p.compile()(*point)) == want
     assert _bits(p.compile_batch()(*([v] for v in point))[0]) == want
+
+
+def _calls(node):
+    """Each call of exec, eval or compile by its bare name under ``node``."""
+    return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id in ("exec", "eval", "compile")]
+
+
+def test_generated_text_becomes_a_function_only_through_function_of():
+    # the builtin compile runs only in the code cache, and no module execs
+    # or evals text past it
+    src = pathlib.Path(horizon.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    cache = next(n for n in ast.walk(trees["genpoly.py"])
+                 if isinstance(n, ast.FunctionDef) and n.name == "_compiled")
+    assert _calls(cache) == ["compile"]
+    assert {name: _calls(tree) for name, tree in trees.items() if _calls(tree)} == {
+        "genpoly.py": ["compile"]}

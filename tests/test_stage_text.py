@@ -168,6 +168,28 @@ def test_batch_matches_compile_row_by_row(case):
         assert [outcome(lambda: v) for v in got] == on_floats
 
 
+@pytest.mark.parametrize("text", [
+    "-y^2 * z^(1/2) + 2 * x^(1/2) * z^(1/2)",
+    "3/2 * x^(5/2) * y^(-1) - x^3 + 1/3 * y^2 * z",
+    "x^(1/3) * y^4 - 7 * z^(3/2) + 1/4 * x^(-2) * y - z^5",
+])
+def test_a_specialized_batch_matches_compile_on_finite_values(text):
+    # the draws above stop at 6 rows; from its 8th row on a batch runs
+    # specialized, where only a NaN's sign may change
+    p = parse_genpoly(text, ("x", "y", "z"))
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(0.1, 3.0, (24, 3)).tolist() + rng.uniform(-3.0, 3.0, (24, 3)).tolist()
+    rows += [[-1.0, 0.5, math.inf], [4.0, 2.0, 0.5]] * 4
+    got = p.compile_batch()(*zip(*rows))
+    fn = p.compile()
+    want = [fn(*row) for row in rows]
+    assert all(type(v) is float for v in got) and len(got) == len(rows)
+    finite = [i for i, v in enumerate(want) if math.isfinite(v)]
+    assert len(finite) >= 16 and any(math.isnan(v) for v in want)
+    assert _bits([got[i] for i in finite]) == _bits([want[i] for i in finite])
+    assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+
+
 def test_negative_terms_keep_their_coefficient():
     vars = ("x", "y")
     p = parse_genpoly("-x - y^2 + 3/2*x*y - 1/4", vars)
