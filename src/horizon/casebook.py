@@ -713,9 +713,12 @@ def run_case(
 ) -> RunReport:
     """Execute a case end to end; every module error is captured into the
     report and the run is marked ERROR.  A built ``CaseDefinition`` runs
-    as it is, with its own ``params``.  A ``seed`` that is not an int, 0 or
-    more, raises ``ValueError`` before the run (:func:`check_seed`)."""
+    as it is, with its own ``params``: ``params`` given with it raise
+    ParameterError.  A ``seed`` that is not an int, 0 or more, raises
+    ``ValueError`` before the run (:func:`check_seed`)."""
     check_seed(seed)
+    if isinstance(spec, CaseDefinition) and params is not None:
+        raise ParameterError(f"params {params} given with the built case {spec.name}")
     t0 = time.perf_counter()
     if isinstance(spec, str):
         spec = get_case(spec)
@@ -940,14 +943,7 @@ def _center_flow(chart, plan, entry):
     (:func:`horizon.genpoly.batch_function`); the segments are summed left
     to right.
     """
-    from .localanalysis import _substitute_series  # shared helper
-
     series = center_manifold_series_1d(chart, plan.center_degree)
-    cvar, svar = series.center_var, series.stable_var
-
-    def on_manifold(p):  # p restricted to the manifold
-        return _substitute_series(p, cvar, svar, series.coefficients, series.degree + 4)
-
     chain_prod = GenPoly.const(chart.poly_vars, 1)
     for f in chart.time_chain:
         chain_prod = chain_prod * f
@@ -963,7 +959,7 @@ def _center_flow(chart, plan, entry):
     half = 0.5 * (zs - z0)
     z = (0.5 * (z0 + zs))[:, None] + half[:, None] * nodes
     integrand = batch_function(
-        f"({on_manifold(chain_prod).source(['u'])}) / ({speed.source(['u'])})"
+        f"({series.on_manifold(chain_prod).source(['u'])}) / ({speed.source(['u'])})"
         f" * {float(q)!r} * {power_source('z', F(q - 1))}", ["u", "z"], "center flow")
     vals = integrand((z**q).ravel().tolist(), z.ravel().tolist())
     k = len(nodes)
@@ -973,13 +969,13 @@ def _center_flow(chart, plan, entry):
     s = np.array(list(itertools.accumulate(segs)))
     entry["sampler"] = entry["termination"] = "center-flow"
     entry["series"] = {
-        "center_var": cvar,
+        "center_var": series.center_var,
         "d": str(series.d),
         "c_d": float(series.c_d),
         "h": format_genpoly(series.coefficients),
         "exact": series.exact,
     }
-    return s, (on_manifold(obs.expr).compile_batch()(xs.tolist())
+    return s, (series.on_manifold(obs.expr).compile_batch()(xs.tolist())
                for obs in plan.observables), 50
 
 

@@ -157,6 +157,13 @@ class ChartField:
 
         return tuple(tuple(d(c, v) for v in self.vars) for c in self.components)
 
+    def radial_part(self, p: GenPoly, k) -> GenPoly:
+        """The coefficient of r^k in ``p`` (r = ``radial``), over ``poly_vars``
+        without r."""
+        ri = self.poly_vars.index(self.radial)
+        return GenPoly(self.poly_vars[:ri] + self.poly_vars[ri + 1:],
+                       {ev[:ri] + ev[ri + 1:]: c for ev, c in p.terms if ev[ri] == k})
+
     # -- evaluation --------------------------------------------------------
 
     def poly_columns(self, states) -> list[list[float]]:
@@ -682,22 +689,14 @@ def horizon_slice(C: ChartField) -> tuple[tuple[str, ...], tuple[GenPoly, ...]]:
     r = C.radial
     if r is None:
         raise ValueError("chart has no radial variable")
-    ri = C.poly_vars.index(r)
     rstate = C.vars.index(r)
-    sliced = []
-    for j, comp in enumerate(C.components):
+    for v, comp in zip(C.vars, C.components):
         e = comp.min_exponent(r)
         if e is not None and e < 0:
-            raise ResidualSingularityError(f"component {C.vars[j]} singular at {r}=0")
-        kept = {
-            ev[:ri] + ev[ri + 1 :]: c for ev, c in comp.terms if ev[ri] == 0
-        }
-        rest_vars = C.poly_vars[:ri] + C.poly_vars[ri + 1 :]
-        sliced.append(GenPoly(rest_vars, kept))
+            raise ResidualSingularityError(f"component {v} singular at {r}=0")
+    sliced = [C.radial_part(comp, 0) for comp in C.components]
     if not sliced[rstate].is_zero():
-        raise ResidualSingularityError(
-            "radial component does not vanish on the horizon"
-        )
+        raise ResidualSingularityError("radial component does not vanish on the horizon")
     slice_vars = tuple(v for v in C.vars if v != r)
     return slice_vars, tuple(p for j, p in enumerate(sliced) if j != rstate)
 

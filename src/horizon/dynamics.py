@@ -141,13 +141,14 @@ def integrate(
     product is accumulated per step alongside the state, regardless of
     direction, so it measures progress toward the singular edge.  With
     ``stop_at_equilibrium`` the run ends after 50 consecutive accepted steps
-    with |field| <= 1e-12 (1 + |state|).  A non-finite ``x0`` is refused
-    with ``ValueError``; the run numbers are coerced to Python floats
-    (``max_steps`` to an int), so a numpy or ``Fraction`` number runs as its
-    float.  A run on a quasi-polar chart records a crossing each time
-    ``C.angle`` passes ``-j*T`` or ``+j*T`` (T the period of its Cs/Sn
-    pair), one record of ``Trajectory.sections`` each (see
-    :func:`_cross_sections`); the angle must be monotone within a step.
+    with |field| <= 1e-12 (1 + |state|).  An ``x0`` not finite or of
+    another length than ``C.vars`` is refused with ``ValueError``; the run
+    numbers are coerced to Python floats (``max_steps`` to an int), so a
+    numpy or ``Fraction`` number runs as its float.  A run on a quasi-polar
+    chart records a crossing each time ``C.angle`` passes ``-j*T`` or
+    ``+j*T`` (T the period of its Cs/Sn pair), one record of
+    ``Trajectory.sections`` each (see :func:`_cross_sections`); the angle
+    must be monotone within a step.
     """
     numbers = dict(rtol=rtol, atol=atol, tau_end=tau_end, h_max=h_max, max_steps=max_steps,
                    direction=direction)
@@ -167,6 +168,8 @@ def integrate(
     )
 
     y = tuple(float(v) for v in x0)
+    if len(y) != len(C.vars):
+        raise ValueError(f"x0 has length {len(y)}, the chart {len(C.vars)} variables")
     try:
         f_now, g_now = C.compile_rhs()(y)
     except _POW_ERRORS:

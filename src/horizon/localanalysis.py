@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._dop853_qags import dop853
-from .compactify import CS, SN, ChartField, horizon_slice
+from .compactify import ChartField, horizon_slice
 from .errors import DegenerateBeyondDegreeError, DomainError
 from .genpoly import GenPoly, format_genpoly, frac
 from .quasitrig import table
@@ -398,10 +398,15 @@ def _nearest_root(R: Fraction, n: int, m: int) -> float:
     raise DomainError(f"horizon root {R}^({n}/{m}) outside the float range")
 
 
+def _jacobian_at(C: ChartField, state) -> np.ndarray:
+    """``C.jacobian`` at the chart state ``state``."""
+    pt = C.state_to_poly_point(state)
+    return np.array([[g.eval(pt) for g in row] for row in C.jacobian])
+
+
 def _equilibrium_record(C: ChartField, coords) -> EquilibriumRecord:
     """``C.jacobian`` and its classification at an equilibrium of ``C``."""
-    pt = C.state_to_poly_point(coords)
-    J = np.array([[g.eval(pt) for g in row] for row in C.jacobian])
+    J = _jacobian_at(C, coords)
     label, ns, nu, nc, eig = classify(J)
     return EquilibriumRecord(
         chart_desc="->".join(s.op for s in C.provenance),
@@ -425,22 +430,23 @@ def horizon_equilibria(
 
     A slice in one variable with one or two terms is solved in closed form
     (:func:`_binomial_roots`), any other by the Newton search of
-    :func:`_newton_roots` in ``box`` (on a quasi-polar chart: the sign
-    changes of the angular component over one period), each root augmented
-    with the full-space Jacobian and classification.  A ``seed`` that
-    :func:`check_seed` refuses raises ``ValueError`` on every chart.
+    :func:`_newton_roots` in ``box`` on the r-free parts of ``C.jacobian``
+    (on a quasi-polar chart: the sign changes of the angular component over
+    one period), each root augmented with the full-space Jacobian and
+    classification.  A ``seed`` :func:`check_seed` refuses raises ValueError.
     """
     check_seed(seed)
     if C.quasipolar_index is not None:
         return _quasipolar_horizon_equilibria(C)
     slice_vars, slice_comps = horizon_slice(C)
+    ri = C.vars.index(C.radial)
     if len(slice_vars) == 1 and 1 <= len(slice_comps[0].terms) <= 2:
         nonneg = _needs_nonnegative(slice_comps, slice_vars[0])
         roots = [[v] for v in _binomial_roots(slice_comps[0], nonneg)]
     else:
-        grads = [[comp.partial(v) for v in slice_vars] for comp in slice_comps]
+        grads = [[C.radial_part(g, 0) for j, g in enumerate(row) if j != ri]
+                 for i, row in enumerate(C.jacobian) if i != ri]
         roots = _newton_roots(slice_comps, slice_vars, grads, box, seed)
-    ri = C.vars.index(C.radial)
     return [_equilibrium_record(C, [*x[:ri], 0.0, *x[ri:]]) for x in roots]
 
 
@@ -468,12 +474,10 @@ def equilibria_of(
 def _quasipolar_horizon_equilibria(C: ChartField):
     """Roots of the angular component on {r = 0} over one period."""
     tab = table(C.quasipolar_index)
-    ri = C.poly_vars.index(C.radial)
-    ang = C.components[C.vars.index(C.angle)]
-    sliced = GenPoly(C.poly_vars, {ev: c for ev, c in ang.terms if ev[ri] == 0})
+    b0 = C.radial_part(C.components[C.vars.index(C.angle)], 0)
 
-    def g(theta):  # the point (r, Cs, Sn) = (0, Cs(theta), Sn(theta))
-        return sliced.eval([0.0, *tab.lookup(theta)])
+    def g(theta):  # the angular component at (r, Cs, Sn) = (0, Cs(theta), Sn(theta))
+        return b0.eval(tab.lookup(theta))
 
     thetas = np.linspace(0.0, tab.T, 257).tolist()
     vals = [g(th) for th in thetas]
@@ -514,26 +518,32 @@ class CenterSeries:
     degree: Fraction               # truncation degree used
     exact: bool
 
+    def on_manifold(self, p: GenPoly) -> GenPoly:
+        """p(x_c, h(x_c)) in the center variable, cut at ``degree`` + 4."""
+        return _substitute_series(p, self.center_var, self.stable_var, self.coefficients,
+                                  self.degree + 4)
+
 
 def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
     """Solve the invariance equation order by order at a planar chart's origin.
 
-    The origin must be a semi-hyperbolic equilibrium with its center
-    direction along a coordinate axis.  Rational-exponent fields are handled
-    on their exponent lattice (series in x^(1/q)).
+    The origin must be a semi-hyperbolic equilibrium, its center direction a
+    coordinate axis (a Jacobian column zero to :func:`classify`'s tolerance),
+    on a chart without a quasi-polar angle.  Rational-exponent fields are
+    handled on their exponent lattice (series in x^(1/q)).
     """
-    if len(C.vars) != 2:
-        raise ValueError("center-manifold series needs a planar chart")
+    if len(C.vars) != 2 or C.quasipolar_index is not None:
+        raise ValueError("center-manifold series needs a planar chart "
+                         "without a quasi-polar angle")
     degree = frac(degree)
     comps, vars = C.components, C.vars
-    J = np.array([[g.eval([0.0, 0.0]) for g in row] for row in C.jacobian])
+    J = _jacobian_at(C, (0.0, 0.0))
     label, *_ = classify(J)
     if label != "semi-hyperbolic":
         raise ValueError(f"equilibrium is {label}, not semi-hyperbolic")
     # center direction must be a coordinate axis: the Jacobian column of the
     # center variable vanishes
-    norm = abs(J).max()
-    tol = ZERO_TOL_SCALE * (1.0 + norm)
+    tol = ZERO_TOL_SCALE * (1.0 + np.abs(J).sum(axis=1).max())
     if abs(J[:, 0]).max() <= tol:
         c_idx, s_idx = 0, 1
     elif abs(J[:, 1]).max() <= tol:
@@ -764,8 +774,9 @@ class HorizonOrbit:
 def horizon_orbit(C: ChartField) -> HorizonOrbit:
     """The return map of the horizon orbit of a quasi-polar chart.
 
-    Split by their power of r, the components are r' = a1 r + a2 r^2 + ...
-    and theta' = b0 + b1 r + ..., each a_i, b_i a polynomial in (Cs, Sn), so
+    Split by their power of r (:meth:`ChartField.radial_part`), the
+    components are r' = a1 r + a2 r^2 + ... and theta' = b0 + b1 r + ...,
+    each a_i, b_i a polynomial in (Cs, Sn), so
     dr/dtheta = A1 r + A2 r^2 + O(r^3) with A1 = a1/b0 and
     A2 = a2/b0 - a1 b1/b0^2.  The coefficients solve rho1' = A1 rho1 and
     rho2' = A1 rho2 + A2 rho1^2 from (1, 0) over one Cs/Sn period T in the
@@ -783,7 +794,13 @@ def horizon_orbit(C: ChartField) -> HorizonOrbit:
     if horizon_equilibria(C):
         raise ValueError("the horizon holds equilibria, not a periodic orbit")
     dr, dth = (C.components[C.vars.index(v)] for v in (C.radial, C.angle))
-    a, b = _by_power_of_r(C, dr, 3), _by_power_of_r(C, dth, 2)
+    ri, split = C.poly_vars.index(C.radial), ((dr, 3), (dth, 2))
+    for p, below in split:
+        for e in (ev[ri] for ev, _ in p.terms):
+            if e < below and (e < 0 or e.denominator != 1):
+                raise ValueError(f"power r^{e} of {format_genpoly(p)} has no "
+                                 "place in the return map's expansion")
+    a, b = ([C.radial_part(p, k) for k in range(below)] for p, below in split)
     if not a[0].is_zero():
         raise ValueError("r' has an r-free term, so the horizon is not invariant")
     tab = table(C.quasipolar_index)
@@ -797,19 +814,3 @@ def horizon_orbit(C: ChartField) -> HorizonOrbit:
 
     end = dop853(fun, [0.0, 1.0, 0.0], tab.T, 1e-13, 1e-15, np.array([tab.T]))[:, -1]
     return HorizonOrbit(tab.T, float(end[1]), float(end[2]))
-
-
-def _by_power_of_r(C: ChartField, p: GenPoly, below: int) -> list[GenPoly]:
-    """The coefficients of r^0, ..., r^(below-1) in ``p``, each a GenPoly over
-    (Cs, Sn); ValueError for a power of r below ``below`` that is not a
-    nonnegative integer."""
-    ri = C.poly_vars.index(C.radial)
-    parts = [{} for _ in range(below)]
-    for ev, c in p.terms:
-        e = ev[ri]
-        if e < below:
-            if e < 0 or e.denominator != 1:
-                raise ValueError(f"power r^{e} of {format_genpoly(p)} has no "
-                                 "place in the return map's expansion")
-            parts[int(e)][ev[:ri] + ev[ri + 1:]] = c
-    return [GenPoly((CS, SN), t) for t in parts]

@@ -20,7 +20,7 @@ from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
 from horizon.compactify import apply_recipe, base_field, blowup_chart
 from horizon.dynamics import integrate
-from horizon.errors import InsufficientSpanError
+from horizon.errors import InsufficientSpanError, ParameterError
 from horizon.genpoly import parse_genpoly
 from horizon.localanalysis import center_manifold_series_1d
 from horizon.quasitrig import cssn
@@ -44,6 +44,14 @@ def test_parameter_validation():
         get_case("iy").definition({"nope": 1})
     with pytest.raises(KeyError):
         get_case("unknown")
+
+
+def test_a_built_definition_refuses_params(monkeypatch):
+    # they were ignored: iy ran and reported a = 1/2 under {"a": 0.9}
+    monkeypatch.setattr(casebook, "_execute", lambda *_: pytest.fail("ran"))
+    cdef = get_case("iy").definition()
+    with pytest.raises(ParameterError, match=r"params \{'a': 0.9\} given with the built case iy"):
+        run_case(cdef, {"a": 0.9})
 
 
 def test_fhn_reaction_polynomial():

@@ -184,6 +184,16 @@ class TestTermination:
             integrate(C, x0, 10.0, max_steps=10)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.5, 0.5], [math.nan]],
+                             ids=["short", "long", "short-nan"])
+    def test_initial_state_must_have_one_value_per_variable(self, x0):
+        # iy's chart has two variables; a short x0 read as "field not finite
+        # at the initial state [0.5]", a long one the same
+        C = get_case("iy").definition().chart
+        with pytest.raises(ValueError) as err:
+            integrate(C, x0, 1.0)
+        assert str(err.value) == f"x0 has length {len(x0)}, the chart 2 variables"
+
 
 def spiral_chart(fx, fy, k=0):
     """The l = 1 quasi-polar chart (r, theta) of the planar field (fx, fy)

@@ -215,6 +215,13 @@ class TestCenterManifold:
         assert series.c_d == -1
         assert series.center_var == "lam"
 
+    def test_a_quasipolar_chart_is_refused_by_name(self):
+        # lienard's (r, theta) chart ranges over (r, Cs, Sn): its Jacobian
+        # at the origin failed with "point dimension mismatch"
+        chart = get_case("lienard").definition().chart
+        with pytest.raises(ValueError, match="planar chart without a quasi-polar angle"):
+            center_manifold_series_1d(chart)
+
     def test_known_parabola_manifold_is_degenerate(self):
         # x1' = -x1^3 + x1 x2, x2' = -x2 + x1^2: h = x1^2 exactly and the
         # reduced flow vanishes identically (a curve of equilibria)
@@ -325,8 +332,9 @@ def test_order_by_order_series_matches_picard_map_fhn(p, m, a, c):
     assert ours == ref
     assert ours[-1] is isinstance(a, F)  # CenterSeries.exact
     # the center-flow run restricts the time chain, the field and the
-    # observables to the manifold at degree + 4, and the reduced flow is
-    # the field's center component restricted at the degree
+    # observables to the manifold at degree + 4 (CenterSeries.on_manifold),
+    # and the reduced flow is the field's center component restricted at
+    # the degree
     series = center_manifold_series_1d(chart, degree)
     h, cvar, svar = series.coefficients, series.center_var, series.stable_var
     chain = GenPoly.const(chart.poly_vars, 1)
@@ -339,6 +347,7 @@ def test_order_by_order_series_matches_picard_map_fhn(p, m, a, c):
             ref = fraction_substitute_series(poly, cvar, svar, h, deg)
             assert [(ev, type(c), c) for ev, c in ours.terms] == [
                 (ev, type(c), c) for ev, c in ref.terms]
+        assert series.on_manifold(poly).terms == ours.terms
 
 
 class TestCmAsymptotics:
@@ -1024,6 +1033,16 @@ def test_quasipolar_jacobian_matches_central_difference(n, c):
         assert (e.classification, e.n_stable, e.n_unstable) == (label, ns, nu)
 
 
+def _tri_chart():
+    """x' = x^2, y' = x y / 2, z' = x z / 2 - y z, all three positive, in
+    the x direction of type (1, 1, 1) and order 1, desingularized: its
+    horizon slice has two variables, so the Newton search solves it."""
+    vars = ("x", "y", "z")
+    base = base_field(vars, [gp(f, vars) for f in ("x^2", "1/2 * x * y", "1/2 * x * z - y * z")],
+                      positive=vars, name="tri")
+    return desingularize(directional_compactify(base, TypeVector.make((1, 1, 1), 1), "x"), 1)
+
+
 def test_jacobian_partials_are_taken_once_per_chart(monkeypatch):
     # iy's horizon has two roots, both in closed form: its records take
     # the dim^2 partials of ChartField.jacobian once, not dim^2 per root
@@ -1034,6 +1053,19 @@ def test_jacobian_partials_are_taken_once_per_chart(monkeypatch):
         eqs = horizon_equilibria(chart)
         assert len(eqs) == 2
     assert len(calls) == len(chart.vars) ** 2
+
+
+def test_the_newton_slice_search_differentiates_only_the_jacobian(monkeypatch):
+    # tri's two-variable slice goes to the Newton search, whose gradients
+    # are r-free parts of ChartField.jacobian's 9 partials: the slice
+    # itself is not differentiated again
+    C = _tri_chart()
+    assert len(horizon_slice(C)[0]) == 2
+    partial, calls = GenPoly.partial, []
+    monkeypatch.setattr(GenPoly, "partial", lambda p, v: calls.append(v) or partial(p, v))
+    eqs = horizon_equilibria(C, seed=7)
+    assert [(e.coords, e.classification) for e in eqs] == [((0.0, 0.0, 0.0), "hyperbolic")]
+    assert len(calls) == len(C.vars) ** 2
 
 
 def test_whole_field_search_shares_the_chart_jacobian(monkeypatch):
@@ -1048,6 +1080,44 @@ def test_whole_field_search_shares_the_chart_jacobian(monkeypatch):
                         lambda p: calls.append("compile") or compile(p))
     assert len(equilibria_of(chart, seed=7)) == 3
     assert (calls.count("partial"), calls.count("compile")) == (4, 6)
+
+
+@pytest.mark.parametrize("name,params", [("iy", {}), ("andrews2", {"a": 2, "a1": 1}),
+                                         ("kdv", {}), ("tri", None)])
+def test_slice_partials_are_radial_parts_of_the_jacobian(name, params):
+    C = _tri_chart() if name == "tri" else get_case(name).definition(params).chart
+    slice_vars, slice_comps = horizon_slice(C)
+    ri = C.vars.index(C.radial)
+    rows = [[g for j, g in enumerate(row) if j != ri]
+            for i, row in enumerate(C.jacobian) if i != ri]
+    partials = [[comp.partial(v) for v in slice_vars] for comp in slice_comps]
+    assert [[C.radial_part(g, 0) for g in row] for row in rows] == partials
+    assert not all(g.is_zero() for row in partials for g in row)
+
+
+def _partial_calls(node):
+    """Each call of a ``partial`` attribute under ``node``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "partial"]
+
+
+def test_a_chart_is_differentiated_only_in_chartfield_jacobian():
+    # one derivative: ChartField.jacobian is the only caller of .partial in
+    # the package, and casebook reads localanalysis by its public names only
+    src = pathlib.Path(casebook.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    chart = next(n for n in trees["compactify.py"].body
+                 if isinstance(n, ast.ClassDef) and n.name == "ChartField")
+    jacobian = next(n for n in chart.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "jacobian")
+    assert len(_partial_calls(jacobian)) == 3
+    assert {name: len(_partial_calls(tree)) for name, tree in trees.items()
+            if _partial_calls(tree)} == {"compactify.py": 3}
+    private = [a.name for n in ast.walk(trees["casebook.py"])
+               if isinstance(n, ast.ImportFrom) and n.module == "localanalysis"
+               for a in n.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_newton_overflow_is_a_failed_candidate():
