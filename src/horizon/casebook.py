@@ -38,6 +38,7 @@ from .compactify import (
     blowup_chart,
     desingularize,
     directional_compactify,
+    divide_common_factor,
     monomial_chart,
     quasi_polar_compactify,
     restrict_invariant,
@@ -200,12 +201,9 @@ def _abs_base(chart: ChartField, var: str) -> GenPoly:
 def _blowup(C: ChartField, chart_var: str) -> ChartField:
     """The weighted blow-up of the degenerate equilibrium at the origin of
     ``C`` in the chart fixing ``chart_var``, with the primitive weights of the
-    first face of its Newton diagram, divided by the least power of r in its
-    components."""
-    B = blowup_chart(C, newton_data(list(C.components)).weights[0], chart_var,
-                     radial="r")
-    e = min(c.min_exponent("r") for c in B.components)
-    return time_rescale(B, GenMonomial.make(1, {"r": -e}))
+    first face of its Newton diagram, divided by its common factor."""
+    return divide_common_factor(blowup_chart(
+        C, newton_data(list(C.components)).weights[0], chart_var, radial="r"))
 
 
 def _build_aiu() -> CaseDefinition:
@@ -213,10 +211,7 @@ def _build_aiu() -> CaseDefinition:
     f = [parse_genpoly("u1 * u0^(-2)", vars), parse_genpoly("u1^2 * u0^(-1)", vars)]
     base = base_field(vars, f, positive=vars, name="aiu")
     t = TypeVector.make((0, 1), 1)
-    chart = time_rescale(
-        desingularize(directional_compactify(base, t, "u1"), t.k),
-        GenMonomial.make(1, {"u0": 2}),
-    )
+    chart = divide_common_factor(desingularize(directional_compactify(base, t, "u1"), t.k))
     runs = [
         RunPlan(
             label="blow-up",
@@ -247,10 +242,7 @@ def _build_iy(a) -> CaseDefinition:
     f = [GenPoly(vars, {(e, F(1)): a}), GenPoly(vars, {(F(1), e): a})]
     base = base_field(vars, f, positive=vars, name="iy")
     t = TypeVector.make((1, 1), 1 + 1 / a)
-    chart = time_rescale(
-        desingularize(directional_compactify(base, t, "v0"), t.k),
-        GenMonomial.make(1, {"v1": -1}),
-    )
+    chart = divide_common_factor(desingularize(directional_compactify(base, t, "v0"), t.k))
     af = float(a)
     # the ratio line v1/v0 = 1 is invariant: on it the rate is the
     # scaling-type prediction a/(a+1); off it the degenerate corner gives a
@@ -294,10 +286,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
     mu = GenPoly(vars, {(F(0), F(1)): st, (F(1), F(0)): 2 * st * ct})
     base = base_field(vars, [f1, f2], positive=vars, prefactor=mu, name="andrews1")
     t = TypeVector.make((1, 1), 3)
-    chart = time_rescale(
-        desingularize(directional_compactify(base, t, "u1"), t.k),
-        GenMonomial.make(1, {"u0": -1}),
-    )
+    chart = divide_common_factor(desingularize(directional_compactify(base, t, "u1"), t.k))
     if a > 0.5:
         window, tau_end, q1, q0 = (1e-45, 1e-18), 46.0, 0.5, -0.5
         rho, tol_q = 0.5, 0.15
@@ -359,9 +348,7 @@ def _build_andrews2(a, a1) -> CaseDefinition:
         radial="r",
         positive=("r", "w", "y"),
     )
-    D = time_rescale(M, GenMonomial.make(1, {"r": 2, "w": 2}))
-    S = restrict_invariant(D, "y", 1)
-    chart = time_rescale(S, GenMonomial.make(1, {"w": -1}))
+    chart = divide_common_factor(restrict_invariant(divide_common_factor(M), "y", 1))
     af, a1f = float(a), float(a1)
     if a1f > 2 * af:
         rho1, rho2 = 2 * af / (2 * af + a1f), a1f / (2 * af + a1f)
@@ -412,7 +399,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
         GenPoly(vars, {(F(0), F(1)): -c, (F(-alpha), F(0)): -1}),
     ]
     base = base_field(vars, fbase, positive=("phi",), name="quench")
-    D0 = time_rescale(base, GenMonomial.make(1, {"phi": alpha}))
+    D0 = divide_common_factor(base)
     t = TypeVector.make((1, 1), alpha)
     DC = directional_compactify(D0, t, "psi", sign=-1, radial="lam")
     DS = desingularize(DC, t.k)
@@ -485,7 +472,7 @@ def _build_fhn(m, p, a, c) -> CaseDefinition:
         ),
     ]
     base = base_field(vars, f, positive=("phi",), name="fhn")
-    chart = time_rescale(base, GenMonomial.make(1, {"phi": m}))
+    chart = divide_common_factor(base)
     runs = [
         RunPlan(
             label=f"m={m}, p={p}",

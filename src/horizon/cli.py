@@ -18,11 +18,12 @@ field; ``--seed`` reaches only the searches no closed form decides.
 
 Exit codes, for both commands: 0 every report PASS (or no report), 1 some
 report FAIL (a verdict failed or an expected equilibrium is missing),
-2 parse error (with line/column), an unreadable spec file or one that is
-not UTF-8, an ``--out`` path that cannot be written (an existing regular
-file, say) or bad argument (none, unknown, mistyped, out of range or
-repeated, an even lienard ``n``, a ``--jobs`` below 1 or a negative
-``--seed``), 3 some report ERROR or a pipeline error.
+2 parse error (with line/column, unless it belongs to no line), an
+unreadable spec file or one that is not UTF-8, an ``--out`` path that
+cannot be written (an existing regular file, say) or bad argument (none,
+unknown, mistyped, out of range or repeated, an even lienard ``n``, a
+``--jobs`` below 1 or a negative ``--seed``), 3 some report ERROR or a
+pipeline error.
 
 Spec files are UTF-8, with or without a byte order mark, line oriented,
 '#' comments.  Example::
@@ -58,6 +59,10 @@ a key not listed for its transform is a parse error:
     transform blowup var=<var> w1=<w> w2=<w> sign=± radial=<name>
     transform restrict var=<var> value=<number>
 
+A ``var`` or ``index`` that names no chart variable, a ``radial`` that
+repeats a variable of the new chart, and an ``m`` that is not a whole
+number are parse errors at the ``transform`` line that name the value.
+
 ``directional`` and ``quasipolar`` certify the declared ``type`` exactly
 on the field they transform: it has one entry per variable, no term
 ``c x^e`` of the field of ``x_j`` has weighted degree ``<alpha, e>`` above
@@ -84,6 +89,10 @@ number that is not finite, an ``expect`` ``tol-rho`` or ``tol-q`` that is
 NaN, infinite or negative, an ``expect`` without ``rho``, an
 ``observable`` with no ``:`` or no name before it, and a ``window`` whose
 low bound is not below its high one are parse errors at their line too.
+A chart variable without an ``initial`` value is a parse error at the first
+``initial`` line (with none, the error says so and lists the chart's
+variables), a ``var`` without a ``field`` one at its ``var`` line, and a
+spec with no ``var`` line one without a position.
 
 ``kind`` states whether the run's edge is finite: ``blow-up`` (the
 default), ``extinction``, ``quenching`` and ``compacton-edge`` expect a
@@ -371,7 +380,7 @@ def _words(rest: str, n: int, usage: str, lineno: int) -> list[str]:
 class _SpecState:
     def __init__(self):
         self.name = "system"
-        self.vars = []
+        self.vars = {}                  # name -> its var line
         self.positive = []
         self.fields = {}
         self.alpha = None
@@ -389,7 +398,8 @@ class _SpecState:
             raise ParseError("no variables declared")
         missing = [v for v in self.vars if v not in self.fields]
         if missing:
-            raise ParseError(f"missing field components for {missing}")
+            raise ParseError(f"missing field components for {missing}",
+                             self.vars[missing[0]], 1)
         chart = base_field(
             self.vars,
             [self.fields[v] for v in self.vars],
@@ -429,10 +439,14 @@ class _SpecState:
         for name, expr_text, expect, lineno, col0 in self.observables:
             expr = parse_genpoly(expr_text, pv, line=lineno, col0=col0)
             observables.append(Observable(name, expr, **expect))
+        if not self.initial:
+            raise ParseError(f"no initial line; the chart's variables are "
+                             f"{', '.join(chart.vars)}")
         init = []
         for v in chart.vars:
             if v not in self.initial:
-                raise ParseError(f"initial value for {v!r} missing")
+                raise ParseError(f"initial value for {v!r} missing",
+                                 min(ln for _, ln in self.initial.values()), 1)
             init.append(self.initial[v][0])
         plan = RunPlan(
             label=self.name,
@@ -503,7 +517,7 @@ def _spec_line(st: _SpecState, line: str, lineno: int):
                                  "'positive'", lineno, 1)
         if parts[0] in st.vars:
             raise ParseError(f"variable {parts[0]!r} declared twice", lineno, 1)
-        st.vars.append(parts[0])
+        st.vars[parts[0]] = lineno
         if "positive" in parts[1:]:
             st.positive.append(parts[0])
     elif head == "field":
@@ -631,10 +645,14 @@ def _recipe_step(chart, t, op, params, lineno) -> dict:
         return {"op": "time_rescale",
                 "params": {"monomial": {"coeff": c, "exps": dict(zip(poly.vars, ev))}}}
     if op == "quasipolar":
-        if t.alpha != (1, Fraction(params["m"])):
-            raise ValueError(f"m={params['m']} does not match the declared "
+        try:
+            m = int(params["m"])
+        except ValueError:
+            raise ValueError(f"m={params['m']} is not a whole number") from None
+        if t.alpha != (1, m):
+            raise ValueError(f"m={m} does not match the declared "
                              f"type {' '.join(map(str, t.alpha))}")
-        return {"op": "quasi_polar", "params": {"m": params["m"], "k": t.k}}
+        return {"op": "quasi_polar", "params": {"m": m, "k": t.k}}
     if op == "blowup":
         return {"op": "blowup", "params": {
             "weights": [params["w1"], params["w2"]], "chart_var": params["var"],

@@ -16,6 +16,7 @@ Transforms provided:
 * time-scale desingularization by r^k and monomial rescalings, each
   certified positive: a positive coefficient and every variable declared
   positive (see :func:`time_rescale`)
+* division by the components' common monomial factor (a time rescale)
 * quasi-polar compactification of planar fields certified of type (1,m),
   with components
   expressed as polynomials in (r, Cs, Sn) using the closure identity
@@ -68,6 +69,7 @@ __all__ = [
     "directional_compactify",
     "desingularize",
     "time_rescale",
+    "divide_common_factor",
     "quasi_polar_compactify",
     "blowup_chart",
     "restrict_invariant",
@@ -330,6 +332,9 @@ def monomial_chart(
     n = len(old_vars)
     if len(new_vars) != n:
         raise ValueError("monomial chart must preserve dimension")
+    repeated = [v for i, v in enumerate(new_vars) if v in new_vars[:i]]
+    if repeated:
+        raise ValueError(f"new variable {repeated[0]!r} is repeated in {new_vars}")
     E: list[list[Fraction]] = []
     signs: list[int] = []
     for v in old_vars:
@@ -399,6 +404,13 @@ def _monomial(m) -> GenMonomial:
     return GenMonomial.make(frac(c) if isinstance(c, str) else c, m["exps"])
 
 
+def _var_index(C: ChartField, var: str) -> int:
+    """The position of ``var`` in ``C.vars``; a ValueError naming it otherwise."""
+    if var not in C.vars:
+        raise ValueError(f"{var!r} is not a chart variable ({', '.join(C.vars)})")
+    return C.vars.index(var)
+
+
 def _relabel(C: ChartField, op: str, params: dict) -> ChartField:
     """``C`` with its last provenance step recorded as ``op`` with ``params``."""
     return replace(C, provenance=C.provenance[:-1] + (TransformStep(op, params),))
@@ -421,7 +433,7 @@ def directional_compactify(
     certify_type(C.components, t)
     vars = C.vars
     if isinstance(index, str):
-        index = vars.index(index)
+        index = _var_index(C, index)
     if t.alpha[index] == 0:
         raise ValueError(f"direction {vars[index]!r} has type entry 0")
     if sign not in (1, -1):
@@ -506,6 +518,15 @@ def time_rescale(C: ChartField, monomial: GenMonomial | dict) -> ChartField:
         time_chain=C.time_chain + (fpoly,),
         provenance=C.provenance + (step,),
     )
+
+
+def divide_common_factor(C: ChartField) -> ChartField:
+    """Divide the components by their common monomial factor: the
+    :func:`time_rescale` by prod x^(-e_x), e_x the least exponent of x over
+    the nonzero components, recorded and certified (or SignError) as it is."""
+    nonzero = [c for c in C.components if not c.is_zero()]
+    return time_rescale(C, GenMonomial.make(1, {
+        v: -min((c.min_exponent(v) for c in nonzero), default=0) for v in C.poly_vars}))
 
 
 # -- quasi-polar --------------------------------------------------------------
@@ -623,12 +644,12 @@ def blowup_chart(
 
     With weights (w1, w2), the chart fixing variable i replaces
     x_i = sign * r^w_i and x_j = r^w_j * xbar_j.  The pushed-forward field is
-    returned unrescaled; follow with time_rescale to remove the common power
-    of r.
+    returned unrescaled; follow with :func:`divide_common_factor` to remove
+    the common power of r.
     """
     vars = C.vars
     if isinstance(chart_var, str):
-        chart_var = vars.index(chart_var)
+        chart_var = _var_index(C, chart_var)
     return _relabel(
         _weighted_chart(C, weights, chart_var, sign, radial, "_b"),
         "blowup",
@@ -650,7 +671,7 @@ def restrict_invariant(C: ChartField, var: str, value) -> ChartField:
     """
     if not isinstance(value, float):
         value = frac(value)
-    i = C.vars.index(var)
+    i = _var_index(C, var)
     on_slice = C.components[i].substitute_value(var, value)
     if not on_slice.is_zero():
         raise ValueError(

@@ -13,10 +13,11 @@ class DomainError(HorizonError, ValueError):
 
 
 class ParseError(HorizonError, ValueError):
-    """Malformed textual input.  Carries 1-based line/column positions."""
+    """Malformed textual input.  Carries 1-based line/column positions, or
+    ``line`` None for an error that belongs to no line."""
 
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"line {line} col {col}: {message}")
+    def __init__(self, message: str, line: int | None = None, col: int = 1):
+        super().__init__(message if line is None else f"line {line} col {col}: {message}")
         self.line = line
         self.col = col
 

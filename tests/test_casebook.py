@@ -1,6 +1,7 @@
 """Casebook: definitions, invariants shared by all cases, orbital equivalence,
 replay determinism.  Full rate verdicts live in the acceptance suite."""
 
+import ast
 import dataclasses
 import functools
 import json
@@ -18,10 +19,10 @@ from scipy.interpolate import CubicSpline
 
 from horizon import casebook
 from horizon.casebook import builtin_cases, get_case, run_case, sweep
-from horizon.compactify import apply_recipe, base_field, blowup_chart
+from horizon.compactify import _jsonable, apply_recipe, base_field, blowup_chart
 from horizon.dynamics import integrate
 from horizon.errors import InsufficientSpanError, ParameterError
-from horizon.genpoly import parse_genpoly
+from horizon.genpoly import GenMonomial, parse_genpoly
 from horizon.localanalysis import center_manifold_series_1d
 from horizon.quasitrig import cssn
 from horizon.structure import TypeVector, certify_type
@@ -100,6 +101,66 @@ def test_kdv_blowup_weights_from_diagram():
         g = math.gcd(2, n + 1)
         assert weights["weights"] == [str(2 // g), str((n + 1) // g)]
         assert rescale.params["monomial"]["exps"] == {"r": str(-(n - 1) // g)}
+
+
+# Every time rescale a built-in records, in order, as (coefficient, exponents).
+# The builders typed these literals before each became its field's common
+# factor (divide_common_factor); kdv's coefficient n is still stated.  The
+# blow-up factors are the r powers of the two tests above.
+STATED_RESCALES = {
+    "aiu": lambda p: [(1, {"u0": 2})],
+    "iy": lambda p: [(1, {"v1": -1})],
+    "andrews1": lambda p: [(1, {"u0": -1})],
+    "andrews2": lambda p: [(1, {"r": 2, "w": 2}), (1, {"w": -1})],
+    "quench": lambda p: [(1, {"phi": p["alpha"]})] + (
+        [(1, {"r": -(p["alpha"] ** 2 - 1) // math.gcd(p["alpha"] - 1, p["alpha"] + 1)})]
+        if p["alpha"] > 1 else []),
+    "fhn": lambda p: [(1, {"phi": p["m"]})],
+    "kdv": lambda p: [(p["n"], {"phi": p["n"] - 1}),
+                      (1, {"r": -(p["n"] - 1) // math.gcd(2, p["n"] + 1)})],
+    "lienard": lambda p: [],
+}
+
+# the parameter grids of ROADMAP item 2's failure map, with the defaults
+RESCALE_GRID = {
+    "aiu": [{}],
+    "iy": [{}] + [{"a": F(a)} for a in
+                  "1/20 1/5 2/5 1/2 3/5 7/10 3/4 4/5 9/10 19/20".split()],
+    "andrews1": [{}] + [{"a": a, "theta": t} for a in (0.05, 0.3, 0.5, 0.6, 0.9)
+                        for t in (0.1, 1.47)],
+    "andrews2": [{}] + [{"a": F(a), "a1": F(a1)} for a in "1/10 1/4 1 2".split()
+                        for a1 in "1/10 1/5 1/2 1".split()],
+    "quench": [{}] + [{"alpha": 1, "c": F(c)} for c in "1/10 1/2 1 2 5 10".split()]
+              + [{"alpha": al, "c": F(c)} for al in (2, 3, 4, 6) for c in ("1/10", "10")],
+    "fhn": [{}] + [{"m": m, "p": F(p)} for m in (1, 2)
+                   for p in "1/10 1/4 1/2 2/3 3/4 9/10".split()],
+    "kdv": [{}] + [{"n": n, "c": F(c)} for n in (2, 3) for c in "1/10 1/5 1/2".split()],
+    "lienard": [{"n": n} for n in (1, 3, 5)],
+}
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_each_rescale_is_the_stated_literal(name):
+    for params in RESCALE_GRID[name]:
+        cdef = get_case(name).definition(params)
+        recorded = [s.to_dict()["params"]["monomial"] for s in cdef.chart.provenance
+                    if s.op == "time_rescale"]
+        stated = [_jsonable(GenMonomial.make(c, exps))
+                  for c, exps in STATED_RESCALES[name](cdef.params)]
+        assert recorded == stated, params
+
+
+def _time_rescale_calls(node):
+    """Each call of ``time_rescale``, by its bare name or as an attribute, under ``node``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "time_rescale"]
+
+
+def test_only_kdv_states_its_time_rescale():
+    # every other built-in rescale is its field's common factor
+    tree = ast.parse(pathlib.Path(casebook.__file__).read_text(encoding="utf-8"))
+    kdv = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_build_kdv")
+    assert len(_time_rescale_calls(tree)) == len(_time_rescale_calls(kdv)) == 1
 
 
 # report names of observables that name no base variable

@@ -586,6 +586,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {line} " in err and message in err
 
+    @pytest.mark.parametrize("old,new,at,message", [
+        ("initial r=0.5 v1=0.5\n", "", None,
+         "no initial line; the chart's variables are r, v1"),
+        ("initial r=0.5 v1=0.5", "initial r=1/2", "initial r=1/2",
+         "initial value for 'v1' missing"),
+        ("field v1 : 1/2 * v1^3 * v0\n", "", "var v1 positive",
+         "missing field components for ['v1']"),
+    ], ids=["no-initial-line", "initial-omits-a-variable", "var-without-field"])
+    def test_spec_error_of_no_line_is_placed_where_it_belongs(self, tmp_path, capsys, old,
+                                                              new, at, message):
+        # each was reported at "line 1 col 1", a comment line of iy.spec
+        text = (CASES_DIR / "iy.spec").read_text().replace(old, new)
+        assert old not in text
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        line = next((i for i, ln in enumerate(text.splitlines(), 1) if ln == at), None)
+        where = "" if line is None else f"line {line} col 1: "
+        assert capsys.readouterr().err == f"parse error: {where}{message}\n"
+
+    def test_comment_only_spec_declares_no_variables_at_no_line(self, tmp_path, capsys):
+        p = write(tmp_path, "# a comment\n\n# another\n")
+        rc = main(["analyze", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "parse error: no variables declared\n"
+
+    @pytest.mark.parametrize("spec,old,new,message", [
+        ("iy.spec", "index=v0 sign=+", "index=zz",
+         "transform directional: 'zz' is not a chart variable (v0, v1)"),
+        ("iy.spec", "index=v0 sign=+", "index=v0 radial=v1",
+         "transform directional: new variable 'v1' is repeated in ('v1', 'v1')"),
+        ("iy.spec", "transform rescale v1^(-1)",
+         "transform rescale v1^(-1)\ntransform restrict var=q value=0",
+         "transform restrict: 'q' is not a chart variable (r, v1)"),
+        (KDV_SPEC, "var=phi w1=2", "var=q w1=2",
+         "transform blowup: 'q' is not a chart variable (phi, psi)"),
+        (LIENARD3_SPEC, "m=4", "m=4.0", "transform quasipolar: m=4.0 is not a whole number"),
+    ], ids=["directional-index", "directional-radial", "restrict-var", "blowup-var",
+            "quasipolar-m"])
+    def test_malformed_transform_value_is_refused_by_name(self, tmp_path, capsys, spec, old,
+                                                          new, message):
+        # these read "tuple.index(x): x not in tuple", "monomial exponent matrix
+        # is singular" and "invalid literal for int() with base 10: '4.0'"
+        text = (CASES_DIR / spec).read_text() if spec.endswith(".spec") else spec
+        assert old in text
+        text = text.replace(old, new)
+        last = new.splitlines()[-1]
+        line = next(i for i, ln in enumerate(text.splitlines(), 1) if last in ln)
+        rc = main(["analyze", str(write(tmp_path, text)), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"parse error: line {line} col 1: {message}\n"
+
     def test_quasipolar_chart_takes_no_box(self, tmp_path, capsys):
         # no chart takes one: a box line is an unknown directive
         spec = LIENARD3_SPEC + "box theta 0 1\n"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horizon.compactify import (
     CS,
@@ -15,6 +16,7 @@ from horizon.compactify import (
     blowup_chart,
     desingularize,
     directional_compactify,
+    divide_common_factor,
     horizon_slice,
     monomial_chart,
     quasi_polar_compactify,
@@ -25,6 +27,7 @@ from horizon.errors import DomainError, ResidualSingularityError, SignError
 from horizon.genpoly import GenMonomial, GenPoly, parse_genpoly
 from horizon.structure import TypeVector
 from oracles import forward_point, horizon_is_invariant, inverse_transform
+from test_genpoly import polys
 
 
 def gp(text, vars):
@@ -179,6 +182,39 @@ class TestTimeRescaleCertificate:
             base_field(("x", "y"), [gp("y", ("x", "y")), gp("-x^3", ("x", "y"))]), 2, 1)
         with pytest.raises(SignError, match="not positive"):
             time_rescale(C, GenMonomial.make(1, {CS: 2}))
+
+
+_FIELD_VARS = ("x", "y")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(polys(_FIELD_VARS), st.just(GenPoly.zero(_FIELD_VARS))),
+                min_size=2, max_size=2))
+def test_divide_common_factor_on_positive_variables(components):
+    C = base_field(_FIELD_VARS, components, positive=_FIELD_VARS)
+    D = divide_common_factor(C)
+    # the least exponent of each variable over the nonzero components
+    least = {v: min((ev[i] for c in components for ev, _ in c.terms), default=0)
+             for i, v in enumerate(_FIELD_VARS)}
+    common = GenPoly.monomial(_FIELD_VARS, GenMonomial.make(1, least))
+    assert [c * common for c in D.components] == components
+    assert D.time_chain == C.time_chain + (D.time_chain[-1],)
+    assert D.time_chain[-1] * common == GenPoly(_FIELD_VARS, {(0, 0): 1})
+    assert D.provenance[-1].op == "time_rescale"
+    nonzero = [c for c in D.components if not c.is_zero()]
+    if nonzero:
+        assert all(min(c.min_exponent(v) for c in nonzero) == 0 for v in _FIELD_VARS)
+
+
+def test_divide_common_factor_certifies_as_time_rescale():
+    # psi is not declared positive: its least exponent 0 leaves it out, a
+    # nonzero one is refused
+    D = divide_common_factor(quench_base())
+    assert D.time_chain == (GenPoly.monomial(D.poly_vars, GenMonomial.make(1, {"phi": 1})),)
+    C = base_field(("phi", "psi"), [gp("psi^(-1)", ("phi", "psi")), gp("phi", ("phi", "psi"))],
+                   positive=("phi",))
+    with pytest.raises(SignError, match="psi has exponent 1 and is not declared positive"):
+        divide_common_factor(C)
 
 
 def andrews1_base(a, theta):
