@@ -1,10 +1,10 @@
 """Built-in case studies and pipeline orchestration.
 
-Each case builds its base vector field and chart chain (with replayable
-provenance), declares its expected horizon equilibria, and one or more
-integration runs with observables and predicted rates.  run_case
-executes the four-step pipeline: chart + equilibria, integrate, reconstruct
-physical time, fit and compare rates.
+Each case builds its base vector field and chart chain (replayable
+provenance; its type read off the field by :func:`type_at_infinity`),
+declares its expected horizon equilibria, and runs with observables and
+predicted rates.  run_case executes the four-step pipeline: chart +
+equilibria, integrate, reconstruct physical time, fit and compare rates.
 
 Case families (parameters in parentheses, defaults chosen inside the
 documented basins):
@@ -68,7 +68,7 @@ from .localanalysis import (
     horizon_equilibria,
 )
 from .rates import RateModel, compare_rate, fit_rate, phase_section_sampler
-from .structure import TypeVector, newton_data
+from .structure import newton_data, type_at_infinity
 
 __all__ = ["CaseSpec", "CaseDefinition", "RunPlan", "RunReport", "builtin_cases",
            "equilibrium_search", "get_case", "run_case", "sweep"]
@@ -210,7 +210,7 @@ def _build_aiu() -> CaseDefinition:
     vars = ("u0", "u1")
     f = [parse_genpoly("u1 * u0^(-2)", vars), parse_genpoly("u1^2 * u0^(-1)", vars)]
     base = base_field(vars, f, positive=vars, name="aiu")
-    t = TypeVector.make((0, 1), 1)
+    t = type_at_infinity(base.components)
     chart = divide_common_factor(desingularize(directional_compactify(base, t, "u1"), t.k))
     runs = [
         RunPlan(
@@ -241,7 +241,7 @@ def _build_iy(a) -> CaseDefinition:
     e = (a + 1) / a
     f = [GenPoly(vars, {(e, F(1)): a}), GenPoly(vars, {(F(1), e): a})]
     base = base_field(vars, f, positive=vars, name="iy")
-    t = TypeVector.make((1, 1), 1 + 1 / a)
+    t = type_at_infinity(base.components)
     chart = divide_common_factor(desingularize(directional_compactify(base, t, "v0"), t.k))
     af = float(a)
     # the ratio line v1/v0 = 1 is invariant: on it the rate is the
@@ -285,7 +285,7 @@ def _build_andrews1(a, theta) -> CaseDefinition:
     f2 = GenPoly(vars, {(F(1), F(3)): 1.0, (F(2), F(2)): 2 * a * ct})
     mu = GenPoly(vars, {(F(0), F(1)): st, (F(1), F(0)): 2 * st * ct})
     base = base_field(vars, [f1, f2], positive=vars, prefactor=mu, name="andrews1")
-    t = TypeVector.make((1, 1), 3)
+    t = type_at_infinity(base.components)
     chart = divide_common_factor(desingularize(directional_compactify(base, t, "u1"), t.k))
     if a > 0.5:
         window, tau_end, q1, q0 = (1e-45, 1e-18), 46.0, 0.5, -0.5
@@ -400,7 +400,7 @@ def _build_quench(alpha, c) -> CaseDefinition:
     ]
     base = base_field(vars, fbase, positive=("phi",), name="quench")
     D0 = divide_common_factor(base)
-    t = TypeVector.make((1, 1), alpha)
+    t = type_at_infinity(D0.components)
     DC = directional_compactify(D0, t, "psi", sign=-1, radial="lam")
     DS = desingularize(DC, t.k)
     cf = float(c)
@@ -559,7 +559,7 @@ def _build_lienard(n) -> CaseDefinition:
         parse_genpoly(f"-x^{2 * n + 1} - x^{2 * n} - x^{n}*y", vars),
     ]
     base = base_field(vars, f, name="lienard")
-    t = TypeVector.make((1, n + 1), n)
+    t = type_at_infinity(base.components)
     chart = quasi_polar_compactify(base, t.alpha[1], t.k)
     if n >= 3:
         runs = [

@@ -60,8 +60,9 @@ a key not listed for its transform is a parse error:
     transform restrict var=<var> value=<number>
 
 A ``var`` or ``index`` that names no chart variable, a ``radial`` that
-repeats a variable of the new chart, and an ``m`` that is not a whole
-number are parse errors at the ``transform`` line that name the value.
+repeats a variable of the new chart, an ``m`` that is not a whole number,
+a ``w1``, ``w2`` or ``value`` that is not a number, and a weight that is not
+positive are parse errors at the ``transform`` line that name the value.
 
 ``directional`` and ``quasipolar`` certify the declared ``type`` exactly
 on the field they transform: it has one entry per variable, no term
@@ -655,9 +656,24 @@ def _recipe_step(chart, t, op, params, lineno) -> dict:
         return {"op": "quasi_polar", "params": {"m": m, "k": t.k}}
     if op == "blowup":
         return {"op": "blowup", "params": {
-            "weights": [params["w1"], params["w2"]], "chart_var": params["var"],
-            "sign": _sign(params), "radial": params.get("radial", "r")}}
+            "weights": [_number(params, "w1", weight=True), _number(params, "w2", weight=True)],
+            "chart_var": params["var"], "sign": _sign(params),
+            "radial": params.get("radial", "r")}}
+    if "value" in params:
+        _number(params, "value")
     return {"op": "restrict", "params": params}
+
+
+def _number(params, key, weight=False) -> str:
+    """``params[key]``, refused by name unless it reads as a Fraction (and,
+    for a ``weight``, is positive)."""
+    try:
+        value = Fraction(params[key])
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key}={params[key]} is not a number") from None
+    if weight and value <= 0:
+        raise ValueError(f"{key}={params[key]} is not a positive weight")
+    return params[key]
 
 
 def _sign(params) -> int:

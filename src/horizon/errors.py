@@ -35,8 +35,9 @@ class ResidualSingularityError(HorizonError, ArithmeticError):
     """The field does not extend to the horizon: it is not asymptotically
     quasi-homogeneous of the type a chart uses (a type of the wrong length,
     a term above the type's degree, or no term reaching it; see
-    :func:`horizon.structure.certify_type`), or desingularization left a
-    negative power of the radial variable."""
+    :func:`horizon.structure.certify_type`), has no single type at infinity
+    (:func:`horizon.structure.type_at_infinity`), or desingularization left
+    a negative power of the radial variable."""
 
 
 class ClosureError(HorizonError, ArithmeticError):

@@ -83,6 +83,13 @@ class EquilibriumRecord:
         }
 
 
+def _zero_tol(J: np.ndarray) -> tuple[float, float]:
+    """The infinity norm of ``J`` and the zero tolerance relative to it,
+    ``ZERO_TOL_SCALE * (1 + norm)``."""
+    norm = float(np.abs(J).sum(axis=1).max()) if J.size else 0.0
+    return norm, ZERO_TOL_SCALE * (1.0 + norm)
+
+
 def classify(J: np.ndarray):
     """Four-way classification with the relative zero tolerance.
 
@@ -90,8 +97,7 @@ def classify(J: np.ndarray):
     """
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
-    norm = float(np.abs(J).sum(axis=1).max()) if J.size else 0.0
-    tol = ZERO_TOL_SCALE * (1.0 + norm)
+    norm, tol = _zero_tol(J)
     if norm <= ZERO_TOL_SCALE:
         eig = tuple(0.0 + 0.0j for _ in range(n))
         return "linearly-zero", 0, 0, n, eig
@@ -543,7 +549,7 @@ def center_manifold_series_1d(C: ChartField, degree=6) -> CenterSeries:
         raise ValueError(f"equilibrium is {label}, not semi-hyperbolic")
     # center direction must be a coordinate axis: the Jacobian column of the
     # center variable vanishes
-    tol = ZERO_TOL_SCALE * (1.0 + np.abs(J).sum(axis=1).max())
+    _, tol = _zero_tol(J)
     if abs(J[:, 0]).max() <= tol:
         c_idx, s_idx = 0, 1
     elif abs(J[:, 1]).max() <= tol:

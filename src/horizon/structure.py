@@ -1,7 +1,7 @@
 """Scaling structure of vector fields.
 
-The exact certificate of a scaling type, and the Newton polyhedron and
-diagram for planar fields at a degenerate equilibrium.
+The exact certificate of a scaling type, the type of a planar field at
+infinity, and the Newton diagram for planar fields at a degenerate equilibrium.
 
 Conventions.  A field f = (f_1, ..., f_n) is quasi-homogeneous of type
 ``alpha`` and order ``k+1`` when every term ``c * x^e`` of f_j satisfies
@@ -29,6 +29,7 @@ __all__ = [
     "NewtonDiagram",
     "certify_type",
     "newton_data",
+    "type_at_infinity",
 ]
 
 
@@ -90,6 +91,30 @@ def certify_type(f: Sequence[GenPoly], t: TypeVector) -> Fraction | None:
             f"({_fmt(t.alpha)}), k = {t.k}; k is too high for this field"
         )
     return gap
+
+
+def type_at_infinity(f: Sequence[GenPoly]) -> TypeVector:
+    """The type of a planar field at infinity: a normal ``alpha >= 0`` (least
+    positive entry 1) of two points ``p = e - unit_j``, one per term ``c x^e`` of
+    f_j, both at ``k = max <alpha, p>``; none or several raise an error listing them."""
+    if len(f) != 2 or len(f[0].vars) != 2:
+        raise ResidualSingularityError(
+            f"a field of {len(f)} components over {len(f[0].vars)} variables is not planar")
+    pts = {tuple(e - (i == j) for i, e in enumerate(ev))
+           for j, fj in enumerate(f) for ev, _ in fj.terms}
+    found = set()
+    for n in {(q[1] - p[1], p[0] - q[0]) for p in pts for q in pts if p != q}:
+        if min(n) >= 0:
+            alpha = tuple(x / min(x for x in n if x > 0) for x in n)
+            levels = sorted(alpha[0] * x + alpha[1] * y for x, y in pts)
+            if levels[-1] == levels[-2]:
+                found.add((alpha, levels[-1]))
+    if len(found) != 1:
+        raise ResidualSingularityError(
+            f"the points {', '.join(f'({_fmt(p)})' for p in sorted(pts))} at infinity have "
+            f"{len(found)} upper faces with a normal alpha >= 0"
+            + "".join(f"; ({_fmt(a)}), k = {k}" for a, k in sorted(found)))
+    return TypeVector(*found.pop())
 
 
 def _fmt(alpha) -> str:

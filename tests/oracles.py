@@ -24,9 +24,13 @@ orbit, hand-derived for that field and run on scipy's ``solve_ivp`` and
 cumulative and suffix sums of a trajectory's increments by concatenation,
 the references for the in-place sums of ``Trajectory.t`` and
 ``dynamics._suffix_sums``.
+:func:`type_one_field` generates a random planar field with a hyperbolic
+sink on its horizon, as spec text, with the rate, rate constant and
+correction exponent it must blow up with (:class:`TypeOneField`).
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -497,3 +501,70 @@ def concatenated_suffix_sums(dt_inc) -> np.ndarray:
     """The reference for ``dynamics._suffix_sums``: the sum of ``dt_inc``
     from each sample to the end, 0 at the last."""
     return np.concatenate([np.cumsum(dt_inc[::-1])[::-1], [0.0]])
+
+
+@dataclass(frozen=True)
+class TypeOneField:
+    """A field of type (1, 1) and order ``k + 1`` as spec text, and what its
+    x > 0 directional chart makes of it after ``desingularize``: the horizon
+    sink (0, ``u_star``) with radial rate ``-lam`` and transverse rate
+    ``-h0``, and the power ``i`` of the lower-order term ``c x^i`` of x'."""
+
+    seed: int
+    k: int
+    lam: Fraction
+    h0: Fraction
+    u_star: Fraction
+    i: int
+    spec: str
+
+    @property
+    def C(self) -> float:
+        """x ~ C s^(-1/k) at the sink: r decays like exp(-lam tau) and the
+        time chain is r^k, so s = r^k / (k lam)."""
+        return float(self.k * self.lam) ** (-1.0 / self.k)
+
+    @property
+    def correction(self) -> float:
+        """The exponent of the slowest correction to that power law in s: the
+        transverse one, h0 / (k lam), or the lower-order term's, (k+1-i)/k."""
+        return min(float(self.h0 / (self.k * self.lam)), (self.k + 1 - self.i) / self.k)
+
+
+def type_one_field(seed: int) -> TypeOneField:
+    """A random type-I field, drawn with ``random.Random(seed)``.
+
+    x' = P and y' = Q with P homogeneous of degree k+1 but for one lower
+    term c x^i (i <= k), and Q = x^(k+1) g(y/x) + y P_h / x, P_h the
+    homogeneous part, g(u) = h0 (u* - u).  In u = y/x, r = 1/x and after
+    multiplying by r^k: r' = -r (P(1, u) + c r^(k+1-i)), u' = g(u) - c u
+    r^(k+1-i).  k is 1, 2 or 3; the coefficients p_1..p_k of
+    x^(k+1-j) y^j and c are nonzero quarters in [-1/2, 1/2], u* a quarter
+    in [-1, 1], lam and h0 quarters in [1/2, 2], and p_0 makes
+    P_h(1, u*) = lam.  The run starts at r = 1/10, u = u* +- 1/10 and
+    expects rho = 1/k, q = 0.
+    """
+    rng = random.Random(seed)
+    k = rng.choice((1, 2, 3))
+    u_star = Fraction(rng.randint(-4, 4), 4)
+    lam, h0 = Fraction(rng.randint(2, 8), 4), Fraction(rng.randint(2, 8), 4)
+    p = [Fraction(rng.choice((-2, -1, 1, 2)), 4) for _ in range(k + 1)]
+    p[0] = lam - sum(p[j] * u_star**j for j in range(1, k + 1))
+    i, c = rng.randint(0, k), Fraction(rng.choice((-2, -1, 1, 2)), 4)
+    vars = ("x", "y")
+
+    def ev(a, b):
+        return (Fraction(a), Fraction(b))
+
+    P = GenPoly(vars, [(ev(k + 1 - j, j), p[j]) for j in range(k + 1)] + [(ev(i, 0), c)])
+    Q = GenPoly(vars, [(ev(k + 1, 0), h0 * u_star), (ev(k, 1), -h0)]
+                + [(ev(k - j, j + 1), p[j]) for j in range(k + 1)])
+    u0 = u_star + rng.choice((-1, 1)) * Fraction(1, 10)
+    spec = (f"name type1-{seed}\nvar x\nvar y\n"
+            f"field x : {format_genpoly(P)}\nfield y : {format_genpoly(Q)}\n"
+            f"type 1 1\norder {k}\n"
+            "transform directional index=x sign=+\ntransform desingularize\n"
+            f"initial r=1/10 y={u0}\ntau-end 60\nwindow 1e-10 1e-4\n"
+            f"equilibrium 0 {u_star}\n"
+            f"observable x : r^(-1) expect rho={Fraction(1, k)} q=0\n")
+    return TypeOneField(seed, k, lam, h0, u_star, i, spec)

@@ -26,10 +26,13 @@ import numpy as np
 import pytest
 
 from horizon.casebook import get_case, run_case
+from horizon.cli import parse_spec_file
+from horizon.compactify import apply_recipe
 from horizon.dynamics import accumulate_time, integrate, remaining_time
 from horizon.localanalysis import center_manifold_series_1d, horizon_orbit
 from horizon.rates import fit_rate
-from oracles import h_coefficient, lienard_coefficients
+from horizon.structure import TypeVector, type_at_infinity
+from oracles import h_coefficient, lienard_coefficients, type_one_field
 
 warnings.filterwarnings("ignore", message=".*q is indeterminate.*")
 
@@ -416,3 +419,33 @@ def test_criterion_9_property_suites(capsys):
     detail = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in results.items())
     _say(capsys, f"ACCEPT 9 [property suites]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok
+
+
+# -- random type-I fields -------------------------------------------------------
+
+# a fixed set: a seed that fails is a finding, not one to replace
+TYPE_ONE_SEEDS = range(20)
+
+
+def test_type_one_seeds_cover_every_order_and_the_constant_check():
+    fields = [type_one_field(seed) for seed in TYPE_ONE_SEEDS]
+    assert {f.k for f in fields} == {1, 2, 3}
+    assert sum(f.correction >= 0.6 for f in fields) >= 5
+    assert type_one_field(7) == fields[7]
+
+
+@pytest.mark.parametrize("seed", TYPE_ONE_SEEDS)
+def test_random_type_one_field(seed, tmp_path):
+    # x ~ C s^(-1/k) with C = (k lam)^(-1/k) at the horizon sink; where the
+    # slowest correction decays like s^0.6 or faster, C is fitted within 1%
+    f = type_one_field(seed)
+    path = tmp_path / "field.spec"
+    path.write_text(f.spec, encoding="utf-8")
+    cdef = parse_spec_file(path)
+    base = apply_recipe(None, cdef.chart.provenance[:1]).components
+    assert type_at_infinity(base) == TypeVector.make((1, 1), f.k)
+    report = run_case(cdef)
+    assert report.status == "PASS", (report.error, report.runs)
+    fit, = report.runs[0]["fits"]
+    if f.correction >= 0.6:
+        assert abs(fit["C"] / f.C - 1) < 0.01, fit

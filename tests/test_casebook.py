@@ -25,7 +25,7 @@ from horizon.errors import InsufficientSpanError, ParameterError
 from horizon.genpoly import GenMonomial, parse_genpoly
 from horizon.localanalysis import center_manifold_series_1d
 from horizon.quasitrig import cssn
-from horizon.structure import TypeVector, certify_type
+from horizon.structure import TypeVector, certify_type, type_at_infinity
 import oracles
 from oracles import forward_point, horizon_is_invariant, inverse_transform
 
@@ -122,7 +122,7 @@ STATED_RESCALES = {
 }
 
 # the parameter grids of ROADMAP item 2's failure map, with the defaults
-RESCALE_GRID = {
+ITEM2_GRID = {
     "aiu": [{}],
     "iy": [{}] + [{"a": F(a)} for a in
                   "1/20 1/5 2/5 1/2 3/5 7/10 3/4 4/5 9/10 19/20".split()],
@@ -141,7 +141,7 @@ RESCALE_GRID = {
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_each_rescale_is_the_stated_literal(name):
-    for params in RESCALE_GRID[name]:
+    for params in ITEM2_GRID[name]:
         cdef = get_case(name).definition(params)
         recorded = [s.to_dict()["params"]["monomial"] for s in cdef.chart.provenance
                     if s.op == "time_rescale"]
@@ -150,17 +150,55 @@ def test_each_rescale_is_the_stated_literal(name):
         assert recorded == stated, params
 
 
-def _time_rescale_calls(node):
-    """Each call of ``time_rescale``, by its bare name or as an attribute, under ``node``."""
+def _calls(node, name):
+    """Each call of the dotted ``name``, bare or as an attribute, under ``node``."""
     return [n for n in ast.walk(node) if isinstance(n, ast.Call)
-            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "time_rescale"]
+            and f".{ast.unparse(n.func)}".endswith(f".{name}")]
+
+
+def _casebook_tree():
+    return ast.parse(pathlib.Path(casebook.__file__).read_text(encoding="utf-8"))
 
 
 def test_only_kdv_states_its_time_rescale():
     # every other built-in rescale is its field's common factor
-    tree = ast.parse(pathlib.Path(casebook.__file__).read_text(encoding="utf-8"))
+    tree = _casebook_tree()
     kdv = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_build_kdv")
-    assert len(_time_rescale_calls(tree)) == len(_time_rescale_calls(kdv)) == 1
+    assert len(_calls(tree, "time_rescale")) == len(_calls(kdv, "time_rescale")) == 1
+
+
+# The compactification type and order, (alpha, k), each built-in typed before
+# it read them off the field its directional or quasi-polar step receives
+# (type_at_infinity): quench's field divided by its common factor, the
+# others' base field.
+STATED_TYPES = {
+    "aiu": lambda p: ((0, 1), 1),
+    "iy": lambda p: ((1, 1), 1 + 1 / p["a"]),
+    "andrews1": lambda p: ((1, 1), 3),
+    "quench": lambda p: ((1, 1), p["alpha"]),
+    "lienard": lambda p: ((1, p["n"] + 1), p["n"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATED_TYPES))
+def test_each_type_is_the_stated_literal(name):
+    for params in ITEM2_GRID[name]:
+        cdef = get_case(name).definition(params)
+        ops = [s.op for s in cdef.chart.provenance]
+        i = next(i for i, op in enumerate(ops) if op in ("directional", "quasi_polar"))
+        step = cdef.chart.provenance[i].to_dict()["params"]
+        t = TypeVector.make(*STATED_TYPES[name](cdef.params))
+        received = apply_recipe(None, cdef.chart.provenance[:i]).components
+        assert type_at_infinity(received) == t, params
+        alpha = step["alpha"] if "alpha" in step else ["1", str(step["m"])]
+        assert (alpha, step["k"]) == ([str(a) for a in t.alpha], str(t.k)), params
+
+
+def test_no_builtin_states_its_type():
+    # aiu, iy, andrews1, quench and lienard each called TypeVector.make
+    tree = _casebook_tree()
+    assert _calls(tree, "TypeVector.make") == _calls(tree, "TypeVector") == []
+    assert len(_calls(tree, "type_at_infinity")) == len(STATED_TYPES)
 
 
 # report names of observables that name no base variable

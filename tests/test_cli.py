@@ -622,12 +622,20 @@ class TestExitCodes:
         (KDV_SPEC, "var=phi w1=2", "var=q w1=2",
          "transform blowup: 'q' is not a chart variable (phi, psi)"),
         (LIENARD3_SPEC, "m=4", "m=4.0", "transform quasipolar: m=4.0 is not a whole number"),
+        (KDV_SPEC, "w1=2 w2=3", "w1=abc w2=3", "transform blowup: w1=abc is not a number"),
+        (KDV_SPEC, "w1=2 w2=3", "w1=0 w2=3", "transform blowup: w1=0 is not a positive weight"),
+        (KDV_SPEC, "w1=2 w2=3", "w1=2 w2=-3",
+         "transform blowup: w2=-3 is not a positive weight"),
+        (LINE_SPEC, "value=1", "value=abc", "transform restrict: value=abc is not a number"),
+        (LINE_SPEC, "value=1", "value=1/0", "transform restrict: value=1/0 is not a number"),
     ], ids=["directional-index", "directional-radial", "restrict-var", "blowup-var",
-            "quasipolar-m"])
+            "quasipolar-m", "blowup-w1-word", "blowup-w1-zero", "blowup-w2-negative",
+            "restrict-value-word", "restrict-value-zero-denominator"])
     def test_malformed_transform_value_is_refused_by_name(self, tmp_path, capsys, spec, old,
                                                           new, message):
         # these read "tuple.index(x): x not in tuple", "monomial exponent matrix
-        # is singular" and "invalid literal for int() with base 10: '4.0'"
+        # is singular", "invalid literal for int() with base 10: '4.0'" and
+        # "Invalid literal for Fraction: 'abc'"
         text = (CASES_DIR / spec).read_text() if spec.endswith(".spec") else spec
         assert old in text
         text = text.replace(old, new)

@@ -202,6 +202,18 @@ class TestClassify:
         label, ns, nu, nc, _ = classify(np.diag([-1.0, 2.0, -3.0]))
         assert label == "hyperbolic" and ns == 2 and nu == 1 and nc == 0
 
+    def test_the_zero_tolerance_is_one_helper(self):
+        # center_manifold_series_1d recomputed classify's ZERO_TOL_SCALE *
+        # (1 + ||J||_inf) by hand; both now take it from _zero_tol
+        from horizon import localanalysis
+        tree = ast.parse(pathlib.Path(localanalysis.__file__).read_text(encoding="utf-8"))
+        scaled = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for n in ast.walk(fn) if isinstance(n, ast.BinOp)
+                  and getattr(n.left, "id", None) == "ZERO_TOL_SCALE"]
+        assert scaled == ["_zero_tol"]
+        J = np.array([[0.0, 0.5], [0.0, -3.0]])
+        assert localanalysis._zero_tol(J) == (3.0, 1e-9 * (1.0 + 3.0))
+
 
 class TestCenterManifold:
     def test_quench_alpha1_series_vanishes_exactly(self):

@@ -1,13 +1,18 @@
-"""Scaling structure: quasi-homogeneity and Newton diagrams."""
+"""Scaling structure: quasi-homogeneity, the type at infinity and Newton diagrams."""
 
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horizon.casebook import get_case
 from horizon.errors import NonPolynomialError, ResidualSingularityError
 from horizon.genpoly import GenPoly, parse_genpoly
-from horizon.structure import TypeVector, certify_type, newton_data
+from horizon.structure import TypeVector, certify_type, newton_data, type_at_infinity
+from test_genpoly import polys
 
 
 def gp(text, vars):
@@ -72,6 +77,73 @@ class TestCertifyRefusals:
     def test_type_of_the_wrong_length(self, alpha):
         with pytest.raises(ResidualSingularityError, match="dimension 2"):
             certify_type(AIU, TypeVector.make(alpha, 1))
+
+
+class TestTypeAtInfinity:
+    def test_axis_face_of_negative_exponents(self):
+        # aiu: points (-3, 1) and (-1, 1) lie on the horizontal face
+        assert type_at_infinity(AIU) == TypeVector.make((0, 1), 1)
+
+    def test_rational_exponents(self):
+        a = F(2, 5)
+        e = (a + 1) / a
+        f = [GenPoly(("v0", "v1"), {(e, F(1)): a}), GenPoly(("v0", "v1"), {(F(1), e): a})]
+        assert type_at_infinity(f) == TypeVector.make((1, 1), F(7, 2))
+
+    def test_terms_below_the_face_do_not_count(self):
+        # lienard n = 3: x^6 lies one weighted degree below the (1, 4) face
+        f = [gp("y", ("x", "y")), gp("-x^7 - x^6 - x^3*y", ("x", "y"))]
+        assert type_at_infinity(f) == TypeVector.make((1, 4), 3)
+
+    def test_two_upper_faces_are_refused_with_both_candidates(self):
+        # points (0, 2) and (3, 0) of x', (2, 1) of y': a roof of two faces
+        f = [gp("x*y^2 + x^4", ("x", "y")), gp("x^2*y^2", ("x", "y"))]
+        with pytest.raises(ResidualSingularityError) as exc:
+            type_at_infinity(f)
+        assert str(exc.value) == (
+            "the points (0, 2), (2, 1), (3, 0) at infinity have 2 upper faces with "
+            "a normal alpha >= 0; (1, 1), k = 3; (1, 2), k = 4")
+        # each candidate is a type the field is certified of
+        assert certify_type(f, TypeVector.make((1, 1), 3)) == -1
+        assert certify_type(f, TypeVector.make((1, 2), 4)) == -1
+
+    def test_one_point_support_is_refused_by_name(self):
+        # x^2 of x' and x*y of y' are both the point (1, 0): every alpha fits
+        f = [gp("x^2", ("x", "y")), gp("x*y", ("x", "y"))]
+        with pytest.raises(ResidualSingularityError) as exc:
+            type_at_infinity(f)
+        assert str(exc.value) == (
+            "the points (1, 0) at infinity have 0 upper faces with a normal alpha >= 0")
+
+    def test_three_variable_field_is_refused_by_name(self):
+        vars = ("x", "y", "z")
+        f = [gp("x^2", vars), gp("y^2", vars), gp("z^2", vars)]
+        with pytest.raises(ResidualSingularityError,
+                           match="^a field of 3 components over 3 variables is not planar$"):
+            type_at_infinity(f)
+
+    def test_quasipolar_components_are_refused_by_name(self):
+        # two components over (r, Cs, Sn): the chart, not a planar field
+        chart = get_case("lienard").definition().chart
+        with pytest.raises(ResidualSingularityError,
+                           match="^a field of 2 components over 3 variables is not planar$"):
+            type_at_infinity(chart.components)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(polys(), min_size=2, max_size=2))
+    def test_every_candidate_is_a_certified_type(self, f):
+        # the one type, or each candidate a refusal lists, is a type of the
+        # field: no term above its degree, some term on it
+        try:
+            candidates = [type_at_infinity(f)]
+        except ResidualSingularityError as exc:
+            candidates = [TypeVector.make([F(a) for a in alpha.split(", ")], F(k))
+                          for alpha, k in re.findall(r"; \(([^)]*)\), k = ([^;]+)", str(exc))]
+            assert f" have {len(candidates)} upper faces " in str(exc)
+            assert len(candidates) != 1
+        for t in candidates:
+            assert min(t.alpha[i] for i in range(2) if t.alpha[i] > 0) == 1
+            certify_type(f, t)
 
 
 class TestNewtonDiagram:
