@@ -949,10 +949,10 @@ def _center_flow(chart, plan, entry):
         f"({series.on_manifold(chain_prod).source(['u'])}) / ({speed.source(['u'])})"
         f" * {float(q)!r} * {power_source('z', F(q - 1))}", ["u", "z"], "center flow")
     vals = integrand((z**q).ravel().tolist(), z.ravel().tolist())
-    k = len(nodes)
-    # each segment's weighted sum on its own k-element array, as a dot of
-    # that length; the segments accumulate left to right
-    segs = [float(h * (weights @ np.array(vals[k * i:k * i + k]))) for i, h in enumerate(half)]
+    # each segment's weighted sum on its own contiguous row of one array, as
+    # a dot of the row's length; the segments accumulate left to right
+    rows = np.array(vals).reshape(len(half), len(nodes))
+    segs = [float(h * (weights @ row)) for h, row in zip(half, rows)]
     s = np.array(list(itertools.accumulate(segs)))
     entry["sampler"] = entry["termination"] = "center-flow"
     entry["series"] = {

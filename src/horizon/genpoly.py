@@ -450,7 +450,9 @@ def power_source(name: str, e: Fraction) -> str:
     :meth:`GenPoly.compile` function that :meth:`GenPoly.eval` runs, batches,
     chart fields and the DP5 loop): the name itself for e = 1 (``x**1`` is
     ``x`` exactly), ``**`` with a float exponent for other integer e,
-    otherwise ``_fpow`` (NaN on a negative base or 0**(e<=0)).
+    otherwise ``(x**e if x > 0.0 else _fpow(x,e))``, ``_fpow``'s value
+    (NaN on a negative or NaN base or 0**(e<=0)) with no call where the base
+    is positive, the one branch in which ``_fpow`` returns ``x**e`` itself.
 
     ``x**3.0`` is ``x**3`` on floats, values and exceptions alike (the float
     power converts both operands to double first, and so does numpy's
@@ -459,7 +461,7 @@ def power_source(name: str, e: Fraction) -> str:
         return name
     if e.denominator == 1:
         return f"{name}**{float(e)!r}"
-    return f"_fpow({name},{float(e)!r})"
+    return f"({name}**{float(e)!r} if {name} > 0.0 else _fpow({name},{float(e)!r}))"
 
 
 def _float_pow_nan(x: float, e: float) -> float:

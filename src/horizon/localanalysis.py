@@ -135,7 +135,10 @@ def _needs_nonnegative(comps: Sequence[GenPoly], v: str) -> bool:
 
 
 def _norm(v) -> float:
-    return float(np.linalg.norm(v))
+    """``np.linalg.norm(v)`` bit for bit, without its wrapper: the square
+    root of the array's own ``dot``, the one ddot the wrapper calls."""
+    a = np.array(v, dtype=float)
+    return math.sqrt(a.dot(a))
 
 
 # where the Newton search cannot evaluate the field: a point outside its
@@ -155,8 +158,8 @@ def _damped_newton(F, JF, x, clip):
         fx = F(x)
     except _NO_VALUE:
         return None
+    nf = _norm(fx)
     for _ in range(NEWTON_MAX_ITER):
-        nf = _norm(fx)
         try:
             step = _solve(JF(x), [-v for v in fx])
         except (np.linalg.LinAlgError, *_NO_VALUE):
@@ -174,17 +177,18 @@ def _damped_newton(F, JF, x, clip):
             except _NO_VALUE:
                 lam *= 0.5
                 continue
-            if _norm(fc) < nf:
+            nc = _norm(fc)
+            if nc < nf:
                 stalled = _norm([c - xi for c, xi in zip(cand, x)]) <= 1e-14 * (
                     1.0 + _norm(x)
                 )
-                x, fx = cand, fc
+                x, fx, nf = cand, fc, nc
                 improved = True
                 break
             lam *= 0.5
         if not improved or stalled:
             break
-    if _norm(fx) <= NEWTON_TOL * (1.0 + _norm(x)):
+    if nf <= NEWTON_TOL * (1.0 + _norm(x)):
         return x
     return None
 
@@ -316,8 +320,10 @@ def _newton_roots(components, variables, grads, box, seed):
     ``seed``, in its last bits), snapped again and sorted.
 
     The residual and Jacobian are ``GenPoly.eval`` of the components and of
-    their partials, and the iteration runs on Python floats; its norms and
-    Newton steps are bitwise numpy's and LAPACK's, so the roots are too.
+    their partials, and the iteration runs on Python floats.  Each residual
+    is normed once, by :func:`_norm` (the array's own ddot, as
+    ``np.linalg.norm`` computes it), and the Newton steps are LAPACK's, so
+    the roots are bitwise those of the search on numpy's norm.
     """
     dim = len(variables)
     box = box or {}

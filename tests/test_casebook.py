@@ -4,6 +4,7 @@ replay determinism.  Full rate verdicts live in the acceptance suite."""
 import ast
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -631,6 +632,30 @@ def test_batched_center_flow_matches_per_sample_run(p, m, monkeypatch):
     run = functools.partial(casebook._execute_run, out_dir=None)
     assert (_center_flow_outcome(run, cdef, plan)
             == _center_flow_outcome(oracles.per_sample_center_flow, cdef, plan))
+
+
+# sha256 of the bytes of s and of each observable's values along fhn's
+# center flow, recorded at commit 35887b6 (each segment summed from an array
+# of its own, every fractional power a call of _fpow) and not recomputed:
+# a bit moved by the quadrature's sums or by a printed power fails here
+_OBS_SHA256 = "33ddfcd2824d5ab5b8be211b94590877a8765a1e1f00969fbb94097df4af75a3"
+CENTER_FLOW_SHA256 = {
+    (1, F(1, 2)): "7a059f288d3411dfcf9054b6b65869a7fed341a743576442229d71ccb5297d65",
+    (2, F(1, 2)): "d3c043b8d4a0f6f0d9d0a73f8533fa736cb762561857052cd6affbffd1031170",
+    (1, F(1, 10)): "b2ce741aa9aee239a44241334afde86b6f160f5cea5817717fb9e02379848a2d",
+    (1, F(1, 4)): "0594cef9f46ac979040d4c06757ce757661ac2fcb69ae8df69e8193af95b37d3",
+}
+
+
+@pytest.mark.parametrize("m,p", list(CENTER_FLOW_SHA256),
+                         ids=[f"m{m}-p{p}" for m, p in CENTER_FLOW_SHA256])
+def test_center_flow_bits_are_pinned(m, p):
+    cdef = get_case("fhn").definition({"m": m, "p": p})
+    s, values, _ = casebook._center_flow(cdef.chart, cdef.runs[0], {})
+    values = [np.array(v, dtype=float).tobytes() for v in values]
+    assert s.dtype == np.float64 and len(s) == 400 and len(values) == 1
+    assert hashlib.sha256(s.tobytes()).hexdigest() == CENTER_FLOW_SHA256[m, p]
+    assert [hashlib.sha256(v).hexdigest() for v in values] == [_OBS_SHA256]
 
 
 @pytest.mark.parametrize("name,params", [("lienard", {"n": 3}), ("iy", {})])

@@ -2,13 +2,25 @@
 
 import math
 import pickle
+import struct
+import sys
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from horizon.errors import DomainError, ParseError
-from horizon.genpoly import GenMonomial, GenPoly, format_genpoly, parse_genpoly
+from horizon.genpoly import (
+    SOURCE_GLOBALS,
+    GenMonomial,
+    GenPoly,
+    _float_pow_nan,
+    format_genpoly,
+    parse_genpoly,
+    power_source,
+)
 
 
 def gp(text, vars):
@@ -268,3 +280,41 @@ class TestParser:
         f = p.compile()
         assert f(1.3, 0.7) == pytest.approx(p.eval([1.3, 0.7]), rel=1e-14)
         assert math.isnan(f(1.0, -1.0))  # compiled path degrades to NaN
+
+
+# bases where _fpow leaves its one x**e branch, or x**e over- or underflows
+_SPECIAL_BASES = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, -1.0,
+                  -1e300, math.nan, -math.nan, math.inf, -math.inf, 1e300,
+                  sys.float_info.max, -sys.float_info.max)
+
+
+def _power_outcome(fn, x):
+    """The type and bytes of ``fn(x)``, or the type of what it raised, and
+    the categories of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(x)
+            out = type(value), struct.pack("<d", value)
+        except Exception as exc:
+            out = type(exc)
+    return out, [w.category for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(_SPECIAL_BASES), st.floats()),
+       st.fractions(min_value=-7, max_value=7, max_denominator=12).filter(
+           lambda e: e.denominator != 1))
+@example(1e300, F(3, 2))
+@example(5e-324, F(-1, 2))
+@example(-5e-324, F(1, 3))
+def test_printed_fractional_power_is_fpows_value(x, e):
+    # the printed conditional takes x**e only where the base is positive,
+    # where _fpow returns x**e itself: the same bits, the same exception
+    # (an overflowing float power) or the same numpy warning, on Python
+    # floats and on the numpy float64 scalars batches fall back to
+    printed = eval(f"lambda x: {power_source('x', e)}", dict(SOURCE_GLOBALS))
+    assert "_fpow(x," in power_source("x", e)
+    for base in (x, np.float64(x)):
+        assert (_power_outcome(printed, base)
+                == _power_outcome(lambda b: _float_pow_nan(b, float(e)), base)), (base, e)

@@ -1152,12 +1152,20 @@ def test_whole_field_search_refuses_a_quasipolar_chart():
 
 
 FINITE =st.floats(allow_nan=False, allow_infinity=False)
+# any float, NaN and the infinities among them, or one whose square overflows
+ENTRY = st.one_of(st.floats(), st.floats(1e150, 1e308), st.floats(-1e308, -1e150))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(FINITE, min_size=1, max_size=3), FINITE)
+@given(st.lists(ENTRY, min_size=1, max_size=3), FINITE)
+@example([1e300, 1e300], 1.0)
+@example([math.nan, math.inf], 1.0)
 def test_float_norm_and_solve_match_numpy(v, a):
-    assert _norm(v).hex() == float(np.linalg.norm(np.array(v))).hex()
+    # under the search's own errstate the dot that overflows reads inf, and
+    # silently, in both
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        assert _norm(v).hex() == float(np.linalg.norm(np.array(v))).hex()
     if a == 0.0:
         with pytest.raises(np.linalg.LinAlgError):
             _solve([[a]], [v[0]])

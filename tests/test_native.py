@@ -29,7 +29,7 @@ from horizon import dynamics, native
 from horizon.casebook import get_case
 from horizon.compactify import CS, SN, ChartField, base_field
 from horizon.dynamics import integrate
-from horizon.genpoly import GenPoly, _float_pow_nan, parse_genpoly
+from horizon.genpoly import GenPoly, _float_pow_nan, parse_genpoly, power_source
 from horizon.quasitrig import table
 from test_fused_stepper import bits
 
@@ -377,13 +377,18 @@ def test_edge_bases_land_on_the_edges_of_the_inline_path():
 
 
 def _power_loop(form, exponent, caught):
-    """A loop whose one iteration computes ``y = x ** w`` (``form`` "**") or
-    ``y = _fpow(x, w)``, ``w`` the ``j``-th of ``_EXPONENTS`` printed as a
-    ``literal`` or as the ``global`` number ``W<j>``; with ``caught`` the
-    power sits in a ``try`` whose handler sets ``i = 2``."""
+    """A loop whose one iteration computes ``y = x ** w`` (``form`` "**"),
+    ``y = _fpow(x, w)`` or, for a fractional ``w`` (``form`` "printed"), the
+    text ``power_source`` prints for it, ``w`` the ``j``-th of
+    ``_EXPONENTS`` printed as a ``literal`` or as the ``global`` number
+    ``W<j>``; with ``caught`` the power sits in a ``try`` whose handler sets
+    ``i = 2``."""
     def power(j, w):
+        if form == "printed" and w % 1.0:
+            text = power_source("x", Fraction(w))
+            return text if exponent == "literal" else text.replace(repr(w), f"W{j}")
         w = repr(w) if exponent == "literal" else f"W{j}"
-        return f"x ** {w}" if form == "**" else f"_fpow(x, {w})"
+        return f"_fpow(x, {w})" if form == "_fpow" else f"x ** {w}"
 
     body = "\n".join(f"if j == {j}:\n    y = {power(j, w)}" for j, w in enumerate(_EXPONENTS))
     if caught:
@@ -394,12 +399,15 @@ def _power_loop(form, exponent, caught):
 
 @pytest.mark.parametrize("caught", [False, True], ids=["raises", "caught"])
 @pytest.mark.parametrize("exponent", ["literal", "global"])
-@pytest.mark.parametrize("form", ["**", "_fpow"])
+@pytest.mark.parametrize("form", ["**", "_fpow", "printed"])
 def test_powers_match_python_on_every_special_value(form, exponent, caught):
     # each exponent's kind (fractional, even or odd) is decided when the
     # loop is translated; each value or exception is Python's, bit for bit,
-    # the zero, subnormal and infinite results of libm's pow included
+    # the zero, subnormal and infinite results of libm's pow included.  The
+    # printed conditional of a fractional power evaluates one branch in C
     text = _power_loop(form, exponent, caught)
+    if form == "printed":
+        assert text.count(" if x > 0.0 else _fpow(x,") == len(_FRACTIONS)
     ns = {"_fpow": _float_pow_nan, "_POW_ERRORS": dynamics._POW_ERRORS,
           **{f"W{j}": w for j, w in enumerate(_EXPONENTS)}}
     exec(text, ns)
@@ -425,7 +433,7 @@ def test_powers_match_python_on_every_special_value(form, exponent, caught):
             else:
                 assert got == want, (x, w)
     negative = [x for x in _BASES if -math.inf < x < 0.0]
-    assert refused == (0 if form == "_fpow" else len(negative) * len(_FRACTIONS))
+    assert refused == (len(negative) * len(_FRACTIONS) if form == "**" else 0)
 
 
 def _literal_operand(node, local):
