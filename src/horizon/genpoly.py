@@ -40,6 +40,7 @@ __all__ = [
     "frac",
     "parse_genpoly",
     "format_genpoly",
+    "rows_function",
 ]
 
 
@@ -373,6 +374,38 @@ class GenPoly:
         """
         names = [f"x{i}" for i in range(len(self.vars))]
         return batch_function(self.source(names), names, format_genpoly(self)[:40])
+
+
+def rows_function(polys: Sequence[GenPoly]) -> Callable[[list], list]:
+    """The batched :meth:`GenPoly.eval` of ``polys`` (over one set of
+    variables): a function of a list of points of Python floats that gives
+    each point the tuple of ``p.eval(point)`` over ``polys``, or else the
+    ``DomainError`` or ``OverflowError`` the first raising ``eval`` raises.
+
+    One compiled loop takes each value as ``0.0 + (text)`` of the
+    :meth:`GenPoly.source` text, as ``eval`` does, so a finite value is
+    ``eval``'s bit for bit; a point where the loop raises, or whose values
+    sum to NaN, is evaluated again by ``eval`` itself."""
+    names = [f"x{i}" for i in range(len(polys[0].vars) if polys else 0)]
+    values = "".join(f"0.0 + ({p.source(names)}), " for p in polys)
+    src = (f"def _f(_rows):\n    _out = []\n"
+           f"    for ({''.join(n + ', ' for n in names)}) in _rows:\n"
+           f"        try:\n            _out.append(({values}))\n"
+           f"        except (ZeroDivisionError, OverflowError):\n"
+           f"            _out.append(None)\n    return _out\n")
+    fn = function_of(src, "<genpoly rows>", SOURCE_GLOBALS)
+
+    def eval_rows(points):
+        out = fn(points)
+        for i, v in enumerate(out):
+            if v is None or math.isnan(sum(v)):
+                try:
+                    out[i] = tuple(p.eval(points[i]) for p in polys)
+                except (DomainError, OverflowError) as exc:
+                    out[i] = exc
+        return out
+
+    return eval_rows
 
 
 def batch_function(expr: str, names: Sequence[str], label: str) -> Callable[..., list]:

@@ -28,7 +28,7 @@ import numpy as np
 from ._dop853_qags import dop853
 from .compactify import ChartField, horizon_slice
 from .errors import DegenerateBeyondDegreeError, DomainError
-from .genpoly import GenPoly, format_genpoly, frac
+from .genpoly import GenPoly, format_genpoly, frac, rows_function
 from .quasitrig import table
 from .rates import RateModel
 from .structure import TypeVector
@@ -146,51 +146,85 @@ def _norm(v) -> float:
 _NO_VALUE = (DomainError, OverflowError)
 
 
-def _solve(J, b):
-    return np.linalg.solve(J, b).tolist()
+def _norms(a: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of each row of the 2-D array ``a``, bit for bit: the
+    matmul of a row with itself is numpy's vector ``dot``, the same ddot."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
-def _damped_newton(F, JF, x, clip):
-    """Damped Newton iterated until the step stalls, so multiple roots are
-    followed all the way in instead of stopping on their flat residual basin.
-    Returns the root or None."""
+def _solves(J: np.ndarray, b: np.ndarray) -> list:
+    """``np.linalg.solve(J[i], b[i])`` for each i by one stacked solve (each
+    matrix through the same dgesv as alone).  A stack with a singular member
+    raises, so it is halved until that member stands alone, and gives None."""
     try:
-        fx = F(x)
-    except _NO_VALUE:
-        return None
-    nf = _norm(fx)
+        return list(np.linalg.solve(J, b[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return [None]
+        h = len(J) // 2
+        return _solves(J[:h], b[:h]) + _solves(J[h:], b[h:])
+
+
+def _values(fn, x: np.ndarray, width: int):
+    """The rows of ``x`` where the :func:`rows_function` ``fn`` has values,
+    as an index array, and those values as a ``(rows, width)`` array."""
+    out = fn(x.tolist())
+    ok = [i for i, v in enumerate(out) if type(v) is tuple]
+    return np.array(ok, dtype=np.intp), np.array(
+        [out[i] for i in ok], dtype=float).reshape(len(ok), width)
+
+
+def _lockstep_newton(components, grads, starts, clip):
+    """Damped Newton from every start at once, iterated until the step
+    stalls, so multiple roots are followed all the way in instead of
+    stopping on their flat residual basin; start by start, the root (a
+    list of floats) or None.  Each start takes the float path it would
+    take alone and ends where it would: its Jacobian has no value or is
+    singular, its step is not finite, no trial of the halving line search
+    lowers its residual norm, or the accepted step is below 1e-14 (1 + |x|).
+    """
+    m, n = len(components), len(clip)
+    F, JF = rows_function(components), rows_function([g for row in grads for g in row])
+    clip = np.array(clip, dtype=bool)
+    x = np.array(starts, dtype=float).reshape(len(starts), n)
+    idx, fx = _values(F, x, m)
+    x = x[idx]
+    nf = _norms(fx)
+    live = np.arange(len(idx))
     for _ in range(NEWTON_MAX_ITER):
-        try:
-            step = _solve(JF(x), [-v for v in fx])
-        except (np.linalg.LinAlgError, *_NO_VALUE):
+        if not len(live):
             break
-        if not all(map(math.isfinite, step)):
-            break
-        lam, improved, stalled = 1.0, False, False
+        ok, J = _values(JF, x[live], m * n)
+        live = live[ok]
+        steps = _solves(J.reshape(len(ok), m, n), -fx[live])
+        step = np.array([np.full(n, math.nan) if s is None else s  # singular
+                         for s in steps]).reshape(len(steps), n)
+        finite = np.isfinite(step).all(axis=1)
+        live, step = live[finite], step[finite]
+        xs, nfs = x[live], nf[live]
+        tol = 1e-14 * (1.0 + _norms(xs))
+        going, lam = [], 1.0
         for _ in range(8):
-            cand = [xi + lam * si for xi, si in zip(x, step)]
-            for i, c in enumerate(clip):
-                if c and cand[i] < 0.0:
-                    cand[i] = 0.0
-            try:
-                fc = F(cand)
-            except _NO_VALUE:
-                lam *= 0.5
-                continue
-            nc = _norm(fc)
-            if nc < nf:
-                stalled = _norm([c - xi for c, xi in zip(cand, x)]) <= 1e-14 * (
-                    1.0 + _norm(x)
-                )
-                x, fx, nf = cand, fc, nc
-                improved = True
+            cand = xs + lam * step
+            cand[clip & (cand < 0.0)] = 0.0
+            ok, fc = _values(F, cand, m)
+            nc = _norms(fc)
+            better = nc < nfs[ok]
+            ok, fc, nc = ok[better], fc[better], nc[better]
+            k, cand = live[ok], cand[ok]
+            stalled = _norms(cand - xs[ok]) <= tol[ok]
+            x[k], fx[k], nf[k] = cand, fc, nc
+            going.append(k[~stalled])
+            if len(ok) == len(live):
                 break
+            rest = np.ones(len(live), dtype=bool)
+            rest[ok] = False
+            live, step, xs, nfs, tol = live[rest], step[rest], xs[rest], nfs[rest], tol[rest]
             lam *= 0.5
-        if not improved or stalled:
-            break
-    if nf <= NEWTON_TOL * (1.0 + _norm(x)):
-        return x
-    return None
+        live = np.concatenate(going)
+    root = nf <= NEWTON_TOL * (1.0 + _norms(x))
+    found = dict(zip(idx[root].tolist(), x[root].tolist()))
+    return [found.get(i) for i in range(len(starts))]
 
 
 def _polish(F, x):
@@ -319,11 +353,13 @@ def _newton_roots(components, variables, grads, box, seed):
     polished by :func:`_polish` (whose double can depend on the start, so on
     ``seed``, in its last bits), snapped again and sorted.
 
-    The residual and Jacobian are ``GenPoly.eval`` of the components and of
-    their partials, and the iteration runs on Python floats.  Each residual
-    is normed once, by :func:`_norm` (the array's own ddot, as
-    ``np.linalg.norm`` computes it), and the Newton steps are LAPACK's, so
-    the roots are bitwise those of the search on numpy's norm.
+    The starts move in lockstep (:func:`_lockstep_newton`): per iteration
+    one :func:`rows_function` call gives every live start's Jacobian, the
+    ``GenPoly.eval`` values of the partials, and one stacked LAPACK solve
+    its step (:func:`_solves`); per line-search trial one call gives the
+    residuals and one batch their norms (:func:`_norms`, each row's own
+    ddot, as ``np.linalg.norm`` computes it).  So the roots are bitwise
+    those of the search one start at a time on numpy's norm.
     """
     dim = len(variables)
     box = box or {}
@@ -345,12 +381,8 @@ def _newton_roots(components, variables, grads, box, seed):
     def F(x):
         return [comp.eval(x) for comp in components]
 
-    def JF(x):
-        return [[g.eval(x) for g in row] for row in grads]
-
     roots = []
-    for x0 in starts:
-        x = _damped_newton(F, JF, x0, clip)
+    for x in _lockstep_newton(components, grads, starts, clip):
         if x is None:
             continue
         if any(xi < lo - 0.5 or xi > hi + 0.5 for xi, lo, hi in zip(x, lows, highs)):

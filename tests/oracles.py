@@ -27,6 +27,9 @@ the references for the in-place sums of ``Trajectory.t`` and
 :func:`type_one_field` generates a random planar field with a hyperbolic
 sink on its horizon, as spec text, with the rate, rate constant and
 correction exponent it must blow up with (:class:`TypeOneField`).
+:func:`per_start_newton` runs the previous Newton iteration,
+:func:`_damped_newton` on :func:`_solve`, from one start at a time: the
+reference for the lockstep search of ``localanalysis._lockstep_newton``.
 """
 
 import math
@@ -42,9 +45,13 @@ from horizon.compactify import ChartField
 from horizon.errors import DegenerateBeyondDegreeError, DomainError
 from horizon.genpoly import GenPoly, format_genpoly, frac
 from horizon.localanalysis import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     ZERO_TOL_SCALE,
+    _NO_VALUE,
     CenterSeries,
     _invert_coeff,
+    _norm,
     _substitute_series,
     center_manifold_series_1d,
     classify,
@@ -568,3 +575,65 @@ def type_one_field(seed: int) -> TypeOneField:
             f"equilibrium 0 {u_star}\n"
             f"observable x : r^(-1) expect rho={Fraction(1, k)} q=0\n")
     return TypeOneField(seed, k, lam, h0, u_star, i, spec)
+
+
+# -- the Newton search one start at a time --------------------------------------
+
+
+def _solve(J, b):
+    return np.linalg.solve(J, b).tolist()
+
+
+def _damped_newton(F, JF, x, clip):
+    """Damped Newton iterated until the step stalls, so multiple roots are
+    followed all the way in instead of stopping on their flat residual basin.
+    Returns the root or None."""
+    try:
+        fx = F(x)
+    except _NO_VALUE:
+        return None
+    nf = _norm(fx)
+    for _ in range(NEWTON_MAX_ITER):
+        try:
+            step = _solve(JF(x), [-v for v in fx])
+        except (np.linalg.LinAlgError, *_NO_VALUE):
+            break
+        if not all(map(math.isfinite, step)):
+            break
+        lam, improved, stalled = 1.0, False, False
+        for _ in range(8):
+            cand = [xi + lam * si for xi, si in zip(x, step)]
+            for i, c in enumerate(clip):
+                if c and cand[i] < 0.0:
+                    cand[i] = 0.0
+            try:
+                fc = F(cand)
+            except _NO_VALUE:
+                lam *= 0.5
+                continue
+            nc = _norm(fc)
+            if nc < nf:
+                stalled = _norm([c - xi for c, xi in zip(cand, x)]) <= 1e-14 * (
+                    1.0 + _norm(x)
+                )
+                x, fx, nf = cand, fc, nc
+                improved = True
+                break
+            lam *= 0.5
+        if not improved or stalled:
+            break
+    if nf <= NEWTON_TOL * (1.0 + _norm(x)):
+        return x
+    return None
+
+
+def per_start_newton(components, grads, starts, clip):
+    """:func:`_damped_newton` from each start in turn, on the ``GenPoly.eval``
+    residuals and Jacobians the search took before it ran in lockstep."""
+    def F(x):
+        return [comp.eval(x) for comp in components]
+
+    def JF(x):
+        return [[g.eval(x) for g in row] for row in grads]
+
+    return [_damped_newton(F, JF, x0, clip) for x0 in starts]

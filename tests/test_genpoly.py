@@ -20,6 +20,7 @@ from horizon.genpoly import (
     format_genpoly,
     parse_genpoly,
     power_source,
+    rows_function,
 )
 
 
@@ -176,12 +177,12 @@ _COEFFS = st.one_of(
 
 
 @st.composite
-def polys(draw, vars=("x", "y")):
+def polys(draw, vars=("x", "y"), coeffs=_COEFFS):
     n_terms = draw(st.integers(min_value=1, max_value=5))
     terms = {}
     for _ in range(n_terms):
         ev = tuple(draw(_EXPONENTS) for _ in vars)
-        terms[ev] = draw(_COEFFS)
+        terms[ev] = draw(coeffs)
     return GenPoly(vars, terms)
 
 
@@ -318,3 +319,41 @@ def test_printed_fractional_power_is_fpows_value(x, e):
     for base in (x, np.float64(x)):
         assert (_power_outcome(printed, base)
                 == _power_outcome(lambda b: _float_pow_nan(b, float(e)), base)), (base, e)
+
+
+def _eval_outcome(ps, point):
+    """The bytes of each ``p.eval(point)``, or the type of what it raised."""
+    try:
+        return [struct.pack("<d", p.eval(point)) for p in ps]
+    except (DomainError, OverflowError) as exc:
+        return type(exc)
+
+
+@st.composite
+def row_batches(draw):
+    """1 to 3 polynomials in 1 to 3 variables, some with float coefficients
+    past the range of their products, and 0 to 5 points of any floats."""
+    vars = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    coeffs = st.one_of(_COEFFS, st.sampled_from([0.1, 1e300, -1e300, 5e-324]))
+    ps = draw(st.lists(polys(vars, coeffs), min_size=1, max_size=3))
+    entry = st.one_of(st.floats(), st.sampled_from(_SPECIAL_BASES), st.floats(-3, 3))
+    points = draw(st.lists(st.lists(entry, min_size=len(vars), max_size=len(vars)), max_size=5))
+    return ps, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_batches())
+@example(([gp("x^(-1) + y^(1/2)", ("x", "y")), gp("1e300 * x * y", ("x", "y"))],
+          [[0.0, 1.0], [2.0, -1.0], [1e300, 1e300], [-1e300, 1e300], [2.0, 4.0], [math.nan, 1.0]]))
+@example(([gp("x^2", ("x",))], []))
+def test_batched_eval_is_eval_row_by_row(batch):
+    # each point's values are GenPoly.eval's bit for bit, or the same
+    # exception type, DomainError or OverflowError, as a value
+    ps, points = batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rows_function(ps)(points)
+    assert len(got) == len(points)
+    for v, point in zip(got, points):
+        out = [struct.pack("<d", x) for x in v] if type(v) is tuple else type(v)
+        assert out == _eval_outcome(ps, point), (ps, point)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from horizon import casebook
+from horizon import casebook, localanalysis
 from horizon.casebook import equilibrium_search, get_case
 from horizon.cli import _parse_number, parse_spec_file
 from horizon.compactify import (
@@ -44,8 +44,9 @@ from horizon.localanalysis import (
     _equilibrium_record,
     _nearest_root,
     _norm,
+    _norms,
     _needs_nonnegative,
-    _solve,
+    _solves,
     _substitute_series,
     _uniforms,
     center_manifold_series_1d,
@@ -60,13 +61,16 @@ from horizon.quasitrig import table
 from horizon.structure import TypeVector
 from oracles import (
     _quasipolar_numeric_jacobian,
+    _solve,
     _truncate,
     fraction_substitute_series,
     h_coefficient,
     interpreted_eval,
     lienard_coefficients,
+    per_start_newton,
     picard_center_manifold_series_1d,
 )
+from test_cli import GOOD_SPEC
 from test_fused_stepper import LIENARD_REFERENCE
 
 
@@ -847,8 +851,9 @@ def test_equilibrium_search_bitwise_unchanged(source):
     assert found[1:] == found[:-1]
 
 
-def test_horizon_search_falls_back_to_newton():
-    # slices the closed form does not decide: three terms, two variables
+def _fallback_charts():
+    """Two charts whose horizon slices the closed form does not decide:
+    three terms, two variables."""
     def chart(vars, fields, k):  # homogeneous of degree k + 1, in the x direction
         base = base_field(vars, [gp(f, vars) for f in fields], name="fallback")
         t = TypeVector.make((1,) * len(vars), k)
@@ -856,10 +861,15 @@ def test_horizon_search_falls_back_to_newton():
 
     # y' = y^3 + x y^2 - x^2 y over x' = x^3: the slice y^3 + y^2 - 2y
     C3 = chart(("x", "y"), ["x^3", "y^3 + x*y^2 - x^2*y"], 2)
-    _, (p,) = horizon_slice(C3)
-    assert len(p.terms) == 3
     # a quadratic field in 3-D: the slice y - y^2, z (1 + y - 2z) in (y, z)
     C2 = chart(("x", "y", "z"), ["x^2", "2*x*y - y^2", "2*x*z - 2*z^2 + y*z"], 1)
+    return C3, C2
+
+
+def test_horizon_search_falls_back_to_newton():
+    C3, C2 = _fallback_charts()
+    _, (p,) = horizon_slice(C3)
+    assert len(p.terms) == 3
     assert len(horizon_slice(C2)[0]) == 2
     for C, roots in ((C3, [(-2.0,), (0.0,), (1.0,)]),
                      (C2, [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 1.0)])):
@@ -868,6 +878,93 @@ def test_horizon_search_falls_back_to_newton():
             assert [e.coords[0] for e in eqs] == [0.0] * len(roots)
             got = [e.coords[1:] for e in eqs]
             assert np.allclose(got, roots, rtol=0.0, atol=1e-12), got
+
+
+# -- the lockstep search against the per-start oracle ---------------------------
+
+
+def _lockstep_source(name, tmp_path):
+    """(chart, box) of a Newton-search source of the lockstep test."""
+    if name == "extinction":
+        cdef = parse_spec_file(SPEC_FILES[0].parent / "extinction.spec")
+    elif name == "one-variable":  # the chart of TestExitCodes::test_pass_is_0
+        path = tmp_path / "demo.spec"
+        path.write_text(GOOD_SPEC.replace("-x^2", "x^2"))
+        cdef = parse_spec_file(path)
+    elif name == "tri":
+        return _tri_chart(), None
+    elif name.startswith("fallback"):
+        return _fallback_charts()[int(name[-1])], None
+    else:
+        params = {k: _parse_number(v) for k, v in re.findall(r"(\w+)=(\S+)", name)}
+        cdef = get_case("fhn").definition(params)
+    return cdef.chart, cdef.eq_box
+
+
+LOCKSTEP_SOURCES = (
+    # fhn's item-2 grid: the whole-field search
+    [f"fhn p={p} m={m}" for p in ("1/10", "1/4", "1/2", "2/3", "3/4", "9/10")
+     for m in (1, 2)]
+    # a whole-field spec, the CI's two-variable slice, the three-term and
+    # 2-D slices, and a slice with no variable at all
+    + ["extinction", "tri", "fallback0", "fallback1", "one-variable"]
+)
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_SOURCES)
+def test_lockstep_newton_is_the_per_start_search(name, monkeypatch, tmp_path):
+    # every start ends where the search one start at a time ends it, hex for
+    # hex, and so the records are the oracle search's
+    C, box = _lockstep_source(name, tmp_path)
+    search, lockstep, searched = equilibrium_search(C), localanalysis._lockstep_newton, []
+
+    def checked(components, grads, starts, clip):
+        got = lockstep(components, grads, starts, clip)
+        assert hexed(got) == hexed(per_start_newton(components, grads, starts, clip))
+        searched.append(len(starts))
+        return got
+
+    for seed in (0, 1, 7, 21, 41):
+        monkeypatch.setattr(localanalysis, "_lockstep_newton", checked)
+        eqs = search(C, box=box, seed=seed)
+        monkeypatch.setattr(localanalysis, "_lockstep_newton", per_start_newton)
+        want = search(C, box=box, seed=seed)
+        assert hexed([e.to_dict() for e in eqs]) == hexed([e.to_dict() for e in want])
+    assert searched == [N_STARTS + 1] * 5
+
+
+def test_lockstep_keeps_the_seed_dependent_last_bits():
+    # the polish's local minimum: fhn m=2's root 1/4 reads 2 ulps below at
+    # seeds 21 and 41, as it did one start at a time
+    C = get_case("fhn").definition({"m": 2}).chart
+    roots = {seed: [e.coords[0] for e in equilibria_of(C, seed=seed)] for seed in (0, 21, 41)}
+    assert roots == {0: [0.0, 0.25, 1.0], 21: [0.0, 0.24999999999999994, 1.0],
+                     41: [0.0, 0.24999999999999994, 1.0]}
+
+
+def test_lockstep_search_batches_its_solves_and_evaluations(monkeypatch):
+    # one stacked solve per iteration (686 single solves one start at a
+    # time), and no GenPoly.eval in the iteration itself: only the per-row
+    # fallback of rows_function, the polish, the axis snap and the records
+    C = get_case("fhn").definition({"m": 2}).chart
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    allowed = {"eval_rows", "_polish", "_snap_axis_values", "_jacobian_at"}
+    ev, outside = GenPoly.eval, []
+
+    def counted(p, x):
+        f, names = sys._getframe(1), set()
+        while f is not None:
+            names.add(f.f_code.co_name)
+            f = f.f_back
+        if not names & allowed:
+            outside.append(sorted(names))
+        return ev(p, x)
+
+    monkeypatch.setattr(GenPoly, "eval", counted)
+    assert len(equilibria_of(C, seed=0)) == 3
+    assert 0 < len(solves) <= 2 * NEWTON_MAX_ITER
+    assert outside == []
 
 
 def slice_of(*terms):
@@ -1171,6 +1268,55 @@ def test_float_norm_and_solve_match_numpy(v, a):
             _solve([[a]], [v[0]])
         return
     assert hexed(_solve([[a]], [v[0]])) == hexed(np.linalg.solve([[a]], [v[0]]).tolist())
+
+
+def _batch(entries, n):
+    """A list of 0 to 4 rows of ``n`` entries."""
+    return st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _batch(ENTRY, n).map(lambda rows: (n, rows))))
+@example((2, [[1e300, 1e300], [math.nan, math.inf], [5e-324, -0.0]]))
+@example((3, []))
+def test_batched_norms_are_the_row_norms(batch):
+    n, rows = batch
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        got = _norms(np.array(rows, dtype=float).reshape(len(rows), n))
+        assert [v.hex() for v in got.tolist()] == [_norm(r).hex() for r in rows]
+
+
+# solve entries: any float, or a small or exact one, so that some members
+# are regular and some singular
+SOLVE_ENTRY = st.one_of(st.floats(), st.floats(-4, 4), st.sampled_from([0.0, -0.0, 1.0, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), _batch(st.lists(SOLVE_ENTRY, min_size=n + 1, max_size=n + 1), n),
+    st.lists(st.booleans(), min_size=4, max_size=4))))
+@example((2, [[[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], [[1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]], [False] * 4))
+@example((1, [], [False] * 4))
+def test_stacked_solve_is_each_members_solve(case):
+    # each member's step is np.linalg.solve's on it alone, hex for hex, and
+    # a singular one (a repeated row where asked) comes back as None
+    n, members, repeat = case
+    J = np.array([[row[:n] for row in m] for m in members], dtype=float).reshape(-1, n, n)
+    b = np.array([[row[n] for row in m] for m in members], dtype=float).reshape(-1, n)
+    for i, rep in enumerate(repeat[:len(J)]):
+        if rep:
+            J[i, -1] = J[i, 0] if n > 1 else 0.0
+    want = []
+    for Ji, bi in zip(J, b):
+        try:
+            want.append(hexed(np.linalg.solve(Ji, bi).tolist()))
+        except np.linalg.LinAlgError:
+            want.append(None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _solves(J, b)
+    assert [None if s is None else hexed(s.tolist()) for s in got] == want
 
 
 def test_start_stream_is_numpys_default_rng():
